@@ -1,12 +1,31 @@
 //! E15: LALR(1) table (re)generation — the cost of extending the grammar,
-//! which every `use` of a syntax-adding extension pays (paper §4.1).
+//! which every `use` of a syntax-adding extension pays (paper §4.1) — and,
+//! for E26, what a persistent-store hit costs instead of a build.
 
 use maya_ast::NodeKind;
 use maya_bench::timing::{bench_with, Options};
 use maya_core::Base;
-use maya_grammar::RhsItem;
+use maya_grammar::{RhsItem, TableDisk};
 use maya_lexer::Delim;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Duration;
+
+/// The table entries of a persistent store, kept in memory so a hit costs
+/// only the content hash, a payload copy and `decode_tables`.
+#[derive(Default)]
+struct MemDisk(RefCell<HashMap<u128, Vec<u8>>>);
+
+impl TableDisk for MemDisk {
+    fn load(&self, hash: u128) -> Option<Vec<u8>> {
+        self.0.borrow().get(&hash).cloned()
+    }
+
+    fn save(&self, hash: u128, payload: &[u8]) {
+        self.0.borrow_mut().insert(hash, payload.to_vec());
+    }
+}
 
 fn main() {
     let base = Base::build();
@@ -16,9 +35,12 @@ fn main() {
         samples: 20,
     };
     println!("table_generation");
+    // The extended snapshots share the base grammar's content hash (or one
+    // another's across iterations), so with the table memo on every timed
+    // build after the first would be a memo hit.
+    maya_grammar::set_table_cache_enabled(false);
 
     bench_with("base_grammar", opts.clone(), || {
-        // A fresh snapshot so tables are not cached.
         let g = base.grammar.extend().finish();
         g.tables().expect("LALR(1)")
     });
@@ -42,4 +64,17 @@ fn main() {
             g.tables().expect("LALR(1)")
         });
     }
+    maya_grammar::set_table_cache_enabled(true);
+
+    // A store hit for the base grammar: the in-process memo is cleared
+    // before every lookup, so each one reads the stored payload.
+    maya_grammar::clear_table_cache();
+    maya_grammar::set_table_disk(Some(Rc::new(MemDisk::default())));
+    base.grammar.extend().finish().tables().expect("LALR(1)");
+    bench_with("base_grammar/store_hit", opts, || {
+        maya_grammar::clear_table_cache();
+        let g = base.grammar.extend().finish();
+        g.tables().expect("LALR(1)")
+    });
+    maya_grammar::set_table_disk(None);
 }

@@ -1,72 +1,15 @@
-//! A small fixed-capacity bit set used for FIRST sets and lookaheads.
+//! The bit set behind the FIRST sets that [`crate::Tables`] exposes.
 
-/// A growable bit set over `u32` indices.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// A set of `u32` indices stored as 64-bit words.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BitSet {
     words: Vec<u64>,
 }
 
 impl BitSet {
-    /// An empty set.
-    pub fn new() -> BitSet {
-        BitSet::default()
-    }
-
-    /// An empty set with capacity for indices `< n` without reallocation.
-    pub fn with_capacity(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Inserts `i`; returns true if it was newly inserted.
-    pub fn insert(&mut self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
-        !had
-    }
-
-    /// Membership test.
-    pub fn contains(&self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
-    }
-
-    /// Unions `other` into `self`; returns true if `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut changed = false;
-        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
-            let new = *w | o;
-            changed |= new != *w;
-            *w = new;
-        }
-        changed
-    }
-
     /// Iterates set indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            (0..64)
-                .filter(move |b| word & (1u64 << b) != 0)
-                .map(move |b| (wi * 64 + b) as u32)
-        })
-    }
-
-    /// True when no bits are set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        bits(&self.words)
     }
 
     /// The backing words (for serialization).
@@ -74,20 +17,24 @@ impl BitSet {
         &self.words
     }
 
-    /// Rebuilds a set from backing words (for deserialization).
+    /// Rebuilds a set from backing words.
     pub(crate) fn from_words(words: Vec<u64>) -> BitSet {
         BitSet { words }
     }
 }
 
-impl FromIterator<u32> for BitSet {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> BitSet {
-        let mut s = BitSet::new();
-        for i in iter {
-            s.insert(i);
-        }
-        s
-    }
+/// The set bits of `words`, ascending.
+pub(crate) fn bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                wi as u32 * 64 + b
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -95,32 +42,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn basic_ops() {
-        let mut s = BitSet::new();
-        assert!(s.is_empty());
-        assert!(s.insert(3));
-        assert!(!s.insert(3));
-        assert!(s.insert(100));
-        assert!(s.contains(3));
-        assert!(s.contains(100));
-        assert!(!s.contains(4));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 100]);
-    }
-
-    #[test]
-    fn union() {
-        let a: BitSet = [1, 2, 3].into_iter().collect();
-        let mut b: BitSet = [3, 4].into_iter().collect();
-        assert!(b.union_with(&a));
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        assert!(!b.union_with(&a), "no change on re-union");
-    }
-
-    #[test]
-    fn capacity() {
-        let s = BitSet::with_capacity(130);
-        assert!(s.is_empty());
-        assert!(!s.contains(129));
+    fn iterates_across_words() {
+        let s = BitSet::from_words(vec![0b1001, 0, 1 << 63 | 1]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 3, 128, 191]);
+        assert_eq!(BitSet::from_words(vec![0, 0]).iter().count(), 0);
     }
 }

@@ -34,8 +34,8 @@
 use crate::build::{Grammar, GrammarData, GrammarError};
 use crate::lalr::{build_tables, intern_terms};
 use crate::prod::{Action, Assoc, BuiltinAction};
-use crate::symbol::{NtId, Sym, Terminal};
-use crate::tables::{ActionEntry, Tables};
+use crate::symbol::{Sym, Terminal};
+use crate::tables::{ActionEntry, Rows, Tables, NO_DEFAULT};
 use crate::BitSet;
 use maya_telemetry::Counter;
 use std::cell::{Cell, RefCell};
@@ -120,19 +120,6 @@ fn hash_terminal(h: &mut Hasher, t: &Terminal) {
     }
 }
 
-/// A stable sort key for precedence-table entries (hash maps iterate in
-/// arbitrary order; the hash must not depend on it).
-fn terminal_sort_key(t: &Terminal) -> (u8, String, u32) {
-    match t {
-        Terminal::Tok(k) => (0, k.name().to_owned(), 0),
-        Terminal::Word(s) => (1, s.as_str().to_owned(), 0),
-        Terminal::Tree(d) => (2, d.tree_name().to_owned(), 0),
-        Terminal::Goal(nt) => (3, String::new(), nt.0),
-        Terminal::EndOf(nt) => (4, String::new(), nt.0),
-        Terminal::End => (5, String::new(), 0),
-    }
-}
-
 fn hash_action(h: &mut Hasher, a: &Action) {
     match a {
         Action::Dispatch => h.byte(0),
@@ -205,7 +192,8 @@ pub(crate) fn content_hash(g: &GrammarData) -> u128 {
         }
     }
     let mut prec: Vec<(&Terminal, &(u16, Assoc))> = g.term_prec.iter().collect();
-    prec.sort_by_key(|(t, _)| terminal_sort_key(t));
+    // Hash maps iterate in arbitrary order; the hash must not depend on it.
+    prec.sort_by_key(|(t, _)| t.sort_key());
     h.u32(prec.len() as u32);
     for (t, (level, assoc)) in prec {
         hash_terminal(&mut h, t);
@@ -399,11 +387,12 @@ fn remember(hash: u128, t: &Arc<Tables>) {
 //   n_states u32
 //   n_terms  u32 (must match `intern_terms` on the requesting grammar)
 //   n_nts    u32 (must match the requesting grammar)
-//   actions  u32 count, then (state u32, term u32, tag u8, payload u32)*
-//   gotos    u32 count, then (state u32, nt u32, to u32)*
-//   first    per nonterminal: u32 word count, then u64 words
+//   actions  rows: u32 cell count, n_states + 1 u32 row offsets, then
+//            (term u32, packed ActionEntry u32) cells
+//   gotos    rows: the same, with (nt u32, target state u32) cells
+//   first    per nonterminal: ceil(n_terms / 64) u64 words
 //   nullable per nonterminal: u8
-//   defaults u32 count, then (state u32, prod u32)*
+//   defaults per state: u32 production, u32::MAX for none
 //
 // Terminal ids are *not* accompanied by terminal values: the interning
 // order is deterministic from the grammar (see `intern_terms`), and a
@@ -412,77 +401,40 @@ fn remember(hash: u128, t: &Arc<Tables>) {
 
 /// Bumped whenever the encoded table layout changes; a mismatched payload
 /// decodes as a miss and is rebuilt.
-const TABLES_PAYLOAD_VERSION: u32 = 2;
-
-const TAG_SHIFT: u8 = 0;
-const TAG_REDUCE: u8 = 1;
-const TAG_ACCEPT: u8 = 2;
+const TABLES_PAYLOAD_VERSION: u32 = 3;
 
 /// Encodes `t` as a self-versioned payload for the persistent store.
 pub(crate) fn encode_tables(t: &Tables) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + t.action.len() * 13);
-    buf.extend_from_slice(&TABLES_PAYLOAD_VERSION.to_le_bytes());
-    buf.extend_from_slice(&t.n_states.to_le_bytes());
-    buf.extend_from_slice(&(t.terms.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(t.first_nt.len() as u32).to_le_bytes());
-
-    // Sorted entry order makes the file a deterministic function of the
-    // tables (hash-map iteration order is not).
-    let mut actions: Vec<(u32, u32, ActionEntry)> = t
-        .action
-        .iter()
-        .map(|((s, term), a)| (*s, *term, *a))
-        .collect();
-    actions.sort_unstable_by_key(|(s, term, _)| (*s, *term));
-    buf.extend_from_slice(&(actions.len() as u32).to_le_bytes());
-    for (state, term, entry) in actions {
-        buf.extend_from_slice(&state.to_le_bytes());
-        buf.extend_from_slice(&term.to_le_bytes());
-        let (tag, payload) = match entry {
-            ActionEntry::Shift(s) => (TAG_SHIFT, s),
-            ActionEntry::Reduce(p) => (TAG_REDUCE, p.0),
-            ActionEntry::Accept => (TAG_ACCEPT, 0),
-        };
-        buf.push(tag);
-        buf.extend_from_slice(&payload.to_le_bytes());
+    let words = t.terms.len().div_ceil(64);
+    let cells = t.action.cells.len() + t.goto_.cells.len();
+    let mut buf = Vec::with_capacity(
+        24 + 8 * (t.n_states as usize + cells) + t.first_nt.len() * (8 * words + 1),
+    );
+    let put = |buf: &mut Vec<u8>, x: u32| buf.extend_from_slice(&x.to_le_bytes());
+    put(&mut buf, TABLES_PAYLOAD_VERSION);
+    put(&mut buf, t.n_states);
+    put(&mut buf, t.terms.len() as u32);
+    put(&mut buf, t.first_nt.len() as u32);
+    for rows in [&t.action, &t.goto_] {
+        put(&mut buf, rows.cells.len() as u32);
+        for &o in &rows.off {
+            put(&mut buf, o);
+        }
+        for &(key, value) in &rows.cells {
+            put(&mut buf, key);
+            put(&mut buf, value);
+        }
     }
-
-    let mut gotos: Vec<(u32, u32, u32)> = t
-        .goto_
-        .iter()
-        .map(|((s, nt), to)| (*s, nt.0, *to))
-        .collect();
-    gotos.sort_unstable();
-    buf.extend_from_slice(&(gotos.len() as u32).to_le_bytes());
-    for (state, nt, to) in gotos {
-        buf.extend_from_slice(&state.to_le_bytes());
-        buf.extend_from_slice(&nt.to_le_bytes());
-        buf.extend_from_slice(&to.to_le_bytes());
-    }
-
     for set in &t.first_nt {
-        let words = set.words();
-        buf.extend_from_slice(&(words.len() as u32).to_le_bytes());
-        for w in words {
+        for i in 0..words {
+            let w = set.words().get(i).copied().unwrap_or(0);
             buf.extend_from_slice(&w.to_le_bytes());
         }
     }
-    for &n in &t.nullable_nt {
-        buf.push(u8::from(n));
+    buf.extend(t.nullable_nt.iter().map(|&n| u8::from(n)));
+    for &d in &t.default_reduce {
+        put(&mut buf, d);
     }
-
-    let mut defaults: Vec<(u32, u32)> = t
-        .default_reduce
-        .iter()
-        .map(|(s, p)| (*s, p.0))
-        .collect();
-    defaults.sort_unstable();
-    buf.extend_from_slice(&(defaults.len() as u32).to_le_bytes());
-    for (state, prod) in defaults {
-        buf.extend_from_slice(&state.to_le_bytes());
-        buf.extend_from_slice(&prod.to_le_bytes());
-    }
-
     buf
 }
 
@@ -512,16 +464,62 @@ impl<'a> Cursor<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
     fn done(&self) -> bool {
         self.at == self.buf.len()
     }
 }
 
+/// Reads `n_rows` rows whose keys are below `key_bound` and whose values
+/// pass `valid`. Offsets must start at 0, never decrease and end at the
+/// cell count; keys must ascend strictly within a row.
+fn decode_rows(
+    c: &mut Cursor<'_>,
+    n_rows: u32,
+    key_bound: u32,
+    valid: impl Fn(u32) -> bool,
+) -> Option<Rows> {
+    let n_cells = c.u32()? as usize;
+    // Check that the offsets and cells fit in the payload before
+    // allocating for them.
+    let need = (n_rows as usize + 1)
+        .checked_mul(4)?
+        .checked_add(n_cells.checked_mul(8)?)?;
+    if c.remaining() < need {
+        return None;
+    }
+    let off = (0..=n_rows)
+        .map(|_| c.u32())
+        .collect::<Option<Vec<u32>>>()?;
+    if off[0] != 0
+        || off[n_rows as usize] as usize != n_cells
+        || off.windows(2).any(|o| o[0] > o[1])
+    {
+        return None;
+    }
+    let mut cells = Vec::with_capacity(n_cells);
+    for row in off.windows(2) {
+        let mut prev = None;
+        for _ in row[0]..row[1] {
+            let (key, value) = (c.u32()?, c.u32()?);
+            if key >= key_bound || prev.is_some_and(|p| p >= key) || !valid(value) {
+                return None;
+            }
+            prev = Some(key);
+            cells.push((key, value));
+        }
+    }
+    Some(Rows { off, cells })
+}
+
 /// Decodes a table payload (as produced by [`encode_tables`]) against the
 /// requesting grammar. Any structural mismatch — wrong payload version,
-/// wrong grammar dimensions, out-of-range ids, trailing garbage — is a
-/// `None` (a miss), never a panic. The surrounding store container has
-/// already verified the whole-entry checksum and key echo.
+/// wrong grammar dimensions, malformed rows, out-of-range ids, trailing
+/// garbage — is a `None` (a miss), never a panic. The surrounding store
+/// container has already verified the whole-entry checksum and key echo.
 pub(crate) fn decode_tables(bytes: &[u8], g: &GrammarData) -> Option<Tables> {
     let mut c = Cursor { buf: bytes, at: 0 };
     if c.u32()? != TABLES_PAYLOAD_VERSION {
@@ -535,66 +533,39 @@ pub(crate) fn decode_tables(bytes: &[u8], g: &GrammarData) -> Option<Tables> {
     }
     let n_prods = g.prods.len() as u32;
 
-    let n_actions = c.u32()? as usize;
-    let mut action = HashMap::with_capacity(n_actions);
-    for _ in 0..n_actions {
-        let state = c.u32()?;
-        let term = c.u32()?;
-        let tag = c.u8()?;
-        let payload = c.u32()?;
-        if state >= n_states || term as usize >= terms.len() {
-            return None;
-        }
-        let entry = match tag {
-            TAG_SHIFT if payload < n_states => ActionEntry::Shift(payload),
-            TAG_REDUCE if payload < n_prods => ActionEntry::Reduce(crate::ProdId(payload)),
-            TAG_ACCEPT => ActionEntry::Accept,
-            _ => return None,
-        };
-        action.insert((state, term), entry);
-    }
+    let action = decode_rows(
+        &mut c,
+        n_states,
+        terms.len() as u32,
+        |v| match ActionEntry::unpack(v) {
+            Some(ActionEntry::Shift(to)) => to < n_states,
+            Some(ActionEntry::Reduce(p)) => p.0 < n_prods,
+            Some(ActionEntry::Accept) => true,
+            None => false,
+        },
+    )?;
+    let goto_ = decode_rows(&mut c, n_states, n_nts, |to| to < n_states)?;
 
-    let n_gotos = c.u32()? as usize;
-    let mut goto_ = HashMap::with_capacity(n_gotos);
-    for _ in 0..n_gotos {
-        let state = c.u32()?;
-        let nt = c.u32()?;
-        let to = c.u32()?;
-        if state >= n_states || nt >= n_nts || to >= n_states {
-            return None;
-        }
-        goto_.insert((state, NtId(nt)), to);
-    }
-
+    // FIRST sets hold terminal ids only: no bit at or past `n_terms`.
+    let words = terms.len().div_ceil(64);
+    let stray = match terms.len() % 64 {
+        0 => 0,
+        used => !0u64 << used,
+    };
     let mut first_nt = Vec::with_capacity(n_nts as usize);
     for _ in 0..n_nts {
-        let n_words = c.u32()? as usize;
-        // A FIRST set only holds terminal ids; reject absurd word counts
-        // before allocating.
-        if n_words > terms.len() / 64 + 1 {
+        let set = (0..words).map(|_| c.u64()).collect::<Option<Vec<u64>>>()?;
+        if set.last().is_some_and(|last| last & stray != 0) {
             return None;
         }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(c.u64()?);
-        }
-        first_nt.push(BitSet::from_words(words));
+        first_nt.push(BitSet::from_words(set));
     }
-    let mut nullable_nt = Vec::with_capacity(n_nts as usize);
-    for _ in 0..n_nts {
-        nullable_nt.push(c.u8()? != 0);
-    }
-
-    let n_defaults = c.u32()? as usize;
-    let mut default_reduce = HashMap::with_capacity(n_defaults);
-    for _ in 0..n_defaults {
-        let state = c.u32()?;
-        let prod = c.u32()?;
-        if state >= n_states || prod >= n_prods {
-            return None;
-        }
-        default_reduce.insert(state, crate::ProdId(prod));
-    }
+    let nullable_nt = (0..n_nts)
+        .map(|_| c.u8().map(|n| n != 0))
+        .collect::<Option<Vec<bool>>>()?;
+    let default_reduce = (0..n_states)
+        .map(|_| c.u32().filter(|&p| p == NO_DEFAULT || p < n_prods))
+        .collect::<Option<Vec<u32>>>()?;
     if !c.done() {
         return None; // trailing garbage: treat as corrupt
     }
@@ -705,10 +676,17 @@ mod tests {
         let payload = encode_tables(&built);
 
         let loaded = decode_tables(&payload, g.data()).expect("payload decodes");
-        assert_eq!(loaded.n_states(), built.n_states());
-        assert_eq!(loaded.action_entries(), built.action_entries());
+        assert_eq!(loaded.n_states, built.n_states);
+        assert_eq!(loaded.action, built.action, "every action");
+        assert_eq!(loaded.goto_, built.goto_, "every goto");
+        assert_eq!(
+            loaded.default_reduce, built.default_reduce,
+            "every default reduction"
+        );
         assert_eq!(loaded.terms, built.terms);
+        assert_eq!(loaded.term_ids, built.term_ids);
         assert_eq!(loaded.first_nt, built.first_nt);
+        assert_eq!(loaded.nullable_nt, built.nullable_nt);
 
         // Truncation, a stale payload version, structural garbage, and
         // trailing bytes must all read as misses, never panic. (Bit-flip
@@ -722,6 +700,94 @@ mod tests {
         let mut trailing = payload.clone();
         trailing.push(0);
         assert!(decode_tables(&trailing, g.data()).is_none(), "trailing garbage");
+        // Any single corrupted byte may decode or miss, but never panics.
+        for i in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[i] ^= 0xa5;
+            let _ = decode_tables(&flipped, g.data());
+        }
+    }
+
+    /// Byte offsets of the action rows in a payload of `t`: the offset
+    /// array, then the cells.
+    fn action_layout(t: &Tables) -> (usize, usize) {
+        let offsets = 20;
+        (offsets, offsets + 4 * (t.n_states as usize + 1))
+    }
+
+    fn put_u32(payload: &mut [u8], at: usize, x: u32) {
+        payload[at..at + 4].copy_from_slice(&x.to_le_bytes());
+    }
+
+    /// Payloads that pass the store checksum (it covers whatever bytes were
+    /// written) but break the row invariants: each must be a miss.
+    #[test]
+    fn malformed_rows_decode_as_misses() {
+        let g = sample();
+        let t = build_tables(g.data()).unwrap();
+        let payload = encode_tables(&t);
+        let (offsets, cells) = action_layout(&t);
+        let cell = |i: usize| cells + 8 * i;
+        let malformed = |what: &str, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = payload.clone();
+            edit(&mut bad);
+            assert_ne!(bad, payload, "{what}: the edit must change the payload");
+            assert!(
+                decode_tables(&bad, g.data()).is_none(),
+                "{what} must decode as a miss"
+            );
+        };
+
+        // A row with two cells to reorder, and a row boundary to invert.
+        let wide = (1..t.n_states as usize).find(|&s| t.action.row(s).len() >= 2);
+        let wide = wide.expect("a state past the start state with two actions");
+        let first = t.action.off[wide] as usize;
+        malformed("non-monotone row offsets", &|p| {
+            put_u32(p, offsets + 4 * wide, t.action.off[wide + 1]);
+            put_u32(p, offsets + 4 * (wide + 1), t.action.off[wide]);
+        });
+        malformed("first offset not zero", &|p| put_u32(p, offsets, 1));
+        malformed("unsorted row", &|p| {
+            let (a, b) = (cell(first), cell(first + 1));
+            let (x, y) = (p[a..a + 8].to_vec(), p[b..b + 8].to_vec());
+            p[a..a + 8].copy_from_slice(&y);
+            p[b..b + 8].copy_from_slice(&x);
+        });
+        malformed("repeated key in a row", &|p| {
+            let key = t.action.cells[first].0;
+            put_u32(p, cell(first + 1), key)
+        });
+        malformed("terminal out of range", &|p| {
+            put_u32(p, cell(0), t.terms.len() as u32)
+        });
+        malformed("shift to a state out of range", &|p| {
+            put_u32(p, cell(0) + 4, ActionEntry::Shift(t.n_states).pack())
+        });
+        malformed("reduce of a production out of range", &|p| {
+            let prod = crate::ProdId(g.data().prods.len() as u32);
+            put_u32(p, cell(0) + 4, ActionEntry::Reduce(prod).pack())
+        });
+        malformed("an unused entry tag", &|p| put_u32(p, cell(0) + 4, 3));
+        assert!(!t.goto_.cells.is_empty());
+        let gotos = cell(t.action.cells.len());
+        let goto_cells = gotos + 4 + 4 * (t.n_states as usize + 1);
+        malformed("goto to a state out of range", &|p| {
+            put_u32(p, goto_cells + 4, t.n_states)
+        });
+        let defaults = payload.len() - 4 * t.n_states as usize;
+        malformed("default reduction out of range", &|p| {
+            put_u32(p, defaults, g.data().prods.len() as u32)
+        });
+        malformed("absurd cell count", &|p| put_u32(p, offsets - 4, u32::MAX));
+
+        // Offsets that go down yet account for every cell read: three rows
+        // [0, 2), [2, 1), [1, 2) over cells (0, 0) (1, 0) | (0, 0). Only
+        // the monotonicity check stands between them and a panicking
+        // `Rows::row(1)`.
+        let words = [2u32, 0, 2, 1, 2, 0, 0, 1, 0, 0, 0];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut c = Cursor { buf: &bytes, at: 0 };
+        assert!(decode_rows(&mut c, 3, 8, |_| true).is_none());
     }
 
     #[test]

@@ -34,6 +34,22 @@ pub enum Terminal {
     End,
 }
 
+impl Terminal {
+    /// A process-independent order: by token-kind name, word text,
+    /// delimiter name, or nonterminal number, never by interner index.
+    /// Terminal ids, and with them LR state numbers, follow it.
+    pub(crate) fn sort_key(self) -> (u8, u32, &'static str) {
+        match self {
+            Terminal::Tok(k) => (0, 0, k.name()),
+            Terminal::Word(s) => (1, 0, s.as_str()),
+            Terminal::Tree(d) => (2, 0, d.tree_name()),
+            Terminal::Goal(nt) => (3, nt.0, ""),
+            Terminal::EndOf(nt) => (4, nt.0, ""),
+            Terminal::End => (5, 0, ""),
+        }
+    }
+}
+
 impl fmt::Display for Terminal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -8,6 +8,9 @@ use std::fmt;
 /// Dense terminal id within one table set.
 pub type TermId = u32;
 
+/// The `default_reduce` entry of a state without a default reduction.
+pub(crate) const NO_DEFAULT: u32 = u32::MAX;
+
 /// A parse action.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ActionEntry {
@@ -16,6 +19,76 @@ pub enum ActionEntry {
     /// Reduction of an internal start production: parsing of the goal is
     /// complete.
     Accept,
+}
+
+impl ActionEntry {
+    /// The form stored in table rows: the state or production shifted
+    /// left by two, under a two-bit tag.
+    pub(crate) fn pack(self) -> u32 {
+        match self {
+            ActionEntry::Shift(s) => s << 2,
+            ActionEntry::Reduce(p) => p.0 << 2 | 1,
+            ActionEntry::Accept => 2,
+        }
+    }
+
+    /// The entry `v` packs; `None` when no entry packs to `v`.
+    pub(crate) fn unpack(v: u32) -> Option<ActionEntry> {
+        match (v & 3, v >> 2) {
+            (0, s) => Some(ActionEntry::Shift(s)),
+            (1, p) => Some(ActionEntry::Reduce(ProdId(p))),
+            (2, 0) => Some(ActionEntry::Accept),
+            _ => None,
+        }
+    }
+}
+
+/// Lists in compressed-sparse-row form: row `i` is `cells[off[i]..off[i +
+/// 1]]`. Table rows hold `(key, value)` pairs in ascending key order
+/// without repeats.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Rows<T = (u32, u32)> {
+    pub(crate) off: Vec<u32>,
+    pub(crate) cells: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    /// No rows yet: push each row's cells, then close it with
+    /// [`Rows::end_row`].
+    pub(crate) fn with_rows(n: usize) -> Rows<T> {
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        Rows {
+            off,
+            cells: Vec::new(),
+        }
+    }
+
+    pub(crate) fn end_row(&mut self) {
+        self.off.push(self.cells.len() as u32);
+    }
+
+    pub(crate) fn n_rows(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Row `i`; empty when there is no such row.
+    pub(crate) fn row(&self, i: usize) -> &[T] {
+        match (self.off.get(i), self.off.get(i + 1)) {
+            (Some(&from), Some(&to)) => &self.cells[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+}
+
+impl Rows {
+    /// The value under `key` in row `i`.
+    pub(crate) fn get(&self, i: usize, key: u32) -> Option<u32> {
+        let row = self.row(i);
+        row.binary_search_by_key(&key, |c| c.0)
+            .ok()
+            .map(|j| row[j].1)
+    }
 }
 
 /// An unresolved LALR(1) conflict. Maya rejects grammars containing these
@@ -36,8 +109,10 @@ impl fmt::Display for Conflict {
 /// The generated tables: ACTION, GOTO, FIRST sets, and terminal interning.
 pub struct Tables {
     pub(crate) n_states: u32,
-    pub(crate) action: HashMap<(u32, TermId), ActionEntry>,
-    pub(crate) goto_: HashMap<(u32, NtId), u32>,
+    /// ACTION: terminal id → packed [`ActionEntry`], per state.
+    pub(crate) action: Rows,
+    /// GOTO: nonterminal id → target state, per state.
+    pub(crate) goto_: Rows,
     pub(crate) terms: Vec<Terminal>,
     pub(crate) term_ids: HashMap<Terminal, TermId>,
     /// FIRST sets over terminal ids, per nonterminal.
@@ -46,7 +121,8 @@ pub struct Tables {
     /// States whose only possible move is one reduction: performed without
     /// consulting the lookahead (like yacc default reductions). Needed for
     /// productions followed by marker nonterminals with empty FIRST sets.
-    pub(crate) default_reduce: HashMap<u32, ProdId>,
+    /// Indexed by state; [`NO_DEFAULT`] where there is none.
+    pub(crate) default_reduce: Vec<u32>,
 }
 
 impl Tables {
@@ -90,9 +166,12 @@ impl Tables {
     /// default reduction.
     pub fn action(&self, state: u32, t: TermId) -> Option<ActionEntry> {
         self.action
-            .get(&(state, t))
-            .copied()
-            .or_else(|| self.default_reduce.get(&state).map(|p| ActionEntry::Reduce(*p)))
+            .get(state as usize, t)
+            .and_then(ActionEntry::unpack)
+            .or_else(|| match self.default_reduce.get(state as usize) {
+                Some(&p) if p != NO_DEFAULT => Some(ActionEntry::Reduce(ProdId(p))),
+                _ => None,
+            })
     }
 
     /// Resolves a concrete token to the terminal id the current state acts
@@ -118,7 +197,7 @@ impl Tables {
 
     /// The GOTO entry for `(state, nonterminal)`.
     pub fn goto(&self, state: u32, nt: NtId) -> Option<u32> {
-        self.goto_.get(&(state, nt)).copied()
+        self.goto_.get(state as usize, nt.0)
     }
 
     /// FIRST set (terminal ids) of a nonterminal.
@@ -135,18 +214,17 @@ impl Tables {
     pub fn expected_in(&self, state: u32) -> Vec<Terminal> {
         let mut v: Vec<Terminal> = self
             .action
-            .keys()
-            .filter(|(s, _)| *s == state)
-            .map(|(_, t)| self.terms[*t as usize])
+            .row(state as usize)
+            .iter()
+            .map(|&(t, _)| self.terms[t as usize])
             .collect();
         v.sort();
-        v.dedup();
         v
     }
 
     /// Total number of ACTION entries (table size metric for benches).
     pub fn action_entries(&self) -> usize {
-        self.action.len()
+        self.action.cells.len()
     }
 }
 
@@ -155,8 +233,8 @@ impl fmt::Debug for Tables {
         f.debug_struct("Tables")
             .field("states", &self.n_states)
             .field("terminals", &self.terms.len())
-            .field("actions", &self.action.len())
-            .field("gotos", &self.goto_.len())
+            .field("actions", &self.action.cells.len())
+            .field("gotos", &self.goto_.cells.len())
             .finish()
     }
 }
