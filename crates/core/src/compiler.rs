@@ -12,9 +12,10 @@ use maya_dispatch::{DestructorFn, DispatchError, ImportEnv, Mayan, MetaProgram};
 use maya_grammar::{Grammar, GrammarBuilder, ProdId, RhsItem};
 use maya_interp::{install_runtime, Interp};
 use maya_lexer::{
-    stream_lex, stream_lex_send, FileId, LexError, SendTree, SourceMap, Span, Symbol, TokenTree,
+    stream_lex, stream_lex_send, FileId, LexError, SendTree, SourceMap, Span, Symbol, TreeSeq,
 };
 use maya_telemetry as telemetry;
+use maya_telemetry::GenMemo;
 use maya_template::__private_fresh::FreshNames;
 use maya_types::{
     Checker, ClassId, ClassInfo, ClassTable, CtorInfo, FieldInfo, MethodInfo, ResolveCtx, Scope,
@@ -69,7 +70,7 @@ impl Default for CompileOptions {
 }
 
 /// A memo of **pure** lazy-body parses, keyed by goal kind and the token
-/// trees' content hash (spans included).
+/// trees' content fingerprint (spans included).
 ///
 /// Forcing a lazy node re-parses its deferred token trees under the
 /// environment captured at creation time. When that environment is the
@@ -84,34 +85,41 @@ impl Default for CompileOptions {
 /// recompiles. Impure parses (anything under a `use`, anything that
 /// expands a Mayan) are recomputed every time, preserving byte-identical
 /// diagnostics and expansion behaviour.
+///
+/// Every layer is a [`GenMemo`]: the sessions sharing the cache report
+/// their request boundaries ([`ForceCache::end_request`]), and entries no
+/// recent request touched — parses an edit superseded — are evicted, so a
+/// long-lived `mayad` worker holds a constant multiple of the entries its
+/// recent requests touched. Sessions sharing one cache (the clients of
+/// one worker) share that bound and can evict each other's entries.
 pub struct ForceCache {
-    map: RefCell<HashMap<(NodeKind, u128), Node>>,
+    map: RefCell<GenMemo<(NodeKind, u128), Node>>,
     /// Lowered method/ctor bodies keyed by structural fingerprint (see
     /// `maya_interp::LowerStore`).  Lowered code is environment-free, so it
     /// is shared verbatim across the session's compilers — warm runs skip
     /// re-lowering entirely.
     lowered: Rc<maya_interp::LowerStore>,
     /// Whole-file compilation-unit parses, keyed by the file's token-tree
-    /// hash. Templates are stored with unforced lazy cells; every lookup
-    /// rebuilds the lazies with fresh cells and a payload pointing at the
-    /// borrowing compiler's own pristine environment (see
+    /// fingerprint. Templates are stored with unforced lazy cells; every
+    /// lookup rebuilds the lazies with fresh cells and a payload pointing
+    /// at the borrowing compiler's own pristine environment (see
     /// `driver::refresh_unit`), so no state is shared across compilers.
-    units: RefCell<HashMap<u128, Node>>,
+    units: RefCell<GenMemo<u128, Node>>,
     /// Class-body member-list parses, keyed by the body's delimiter-tree
-    /// hash. Stored and refreshed exactly like `units` (the member
+    /// fingerprint. Stored and refreshed exactly like `units` (the member
     /// signatures and their nested formal-list sub-parses dominate warm
     /// recompiles once units and lazy bodies are cached).
-    bodies: RefCell<HashMap<u128, Node>>,
+    bodies: RefCell<GenMemo<u128, Node>>,
 }
 
 impl ForceCache {
     /// An empty cache.
     pub fn new() -> ForceCache {
         ForceCache {
-            map: RefCell::new(HashMap::new()),
+            map: RefCell::new(GenMemo::new(telemetry::CacheId::ForceCache)),
             lowered: Rc::new(maya_interp::LowerStore::new()),
-            units: RefCell::new(HashMap::new()),
-            bodies: RefCell::new(HashMap::new()),
+            units: RefCell::new(GenMemo::new(telemetry::CacheId::UnitCache)),
+            bodies: RefCell::new(GenMemo::new(telemetry::CacheId::ClassBodyCache)),
         }
     }
 
@@ -120,49 +128,37 @@ impl ForceCache {
         self.lowered.clone()
     }
 
+    /// Marks the end of one request: layers whose young generation has
+    /// outgrown the old drop the entries no recent request touched.
+    pub fn end_request(&self) {
+        self.map.borrow_mut().end_request();
+        self.units.borrow_mut().end_request();
+        self.bodies.borrow_mut().end_request();
+        self.lowered.end_request();
+    }
+
     pub(crate) fn get(&self, key: &(NodeKind, u128)) -> Option<Node> {
-        let hit = self.map.borrow().get(key).cloned();
-        if hit.is_some() {
-            telemetry::cache_hit(telemetry::CacheId::ForceCache);
-        } else {
-            telemetry::cache_miss(telemetry::CacheId::ForceCache);
-        }
-        hit
+        self.map.borrow_mut().get(key)
     }
 
     pub(crate) fn insert(&self, key: (NodeKind, u128), node: Node) {
         self.map.borrow_mut().insert(key, node);
-        telemetry::cache_sized(telemetry::CacheId::ForceCache, self.map.borrow().len());
     }
 
     pub(crate) fn get_unit(&self, key: u128) -> Option<Node> {
-        let hit = self.units.borrow().get(&key).cloned();
-        if hit.is_some() {
-            telemetry::cache_hit(telemetry::CacheId::UnitCache);
-        } else {
-            telemetry::cache_miss(telemetry::CacheId::UnitCache);
-        }
-        hit
+        self.units.borrow_mut().get(&key)
     }
 
     pub(crate) fn insert_unit(&self, key: u128, node: Node) {
         self.units.borrow_mut().insert(key, node);
-        telemetry::cache_sized(telemetry::CacheId::UnitCache, self.units.borrow().len());
     }
 
     pub(crate) fn get_body(&self, key: u128) -> Option<Node> {
-        let hit = self.bodies.borrow().get(&key).cloned();
-        if hit.is_some() {
-            telemetry::cache_hit(telemetry::CacheId::ClassBodyCache);
-        } else {
-            telemetry::cache_miss(telemetry::CacheId::ClassBodyCache);
-        }
-        hit
+        self.bodies.borrow_mut().get(&key)
     }
 
     pub(crate) fn insert_body(&self, key: u128, node: Node) {
         self.bodies.borrow_mut().insert(key, node);
-        telemetry::cache_sized(telemetry::CacheId::ClassBodyCache, self.bodies.borrow().len());
     }
 
     /// Number of memoized parses (lazy bodies, class bodies, whole units).
@@ -707,13 +703,13 @@ impl Compiler {
             drop(span);
             r?
         };
-        self.process_lexed(file, trees)
+        self.process_lexed(file, Rc::new(TreeSeq::new(trees)))
     }
 
     /// The post-lex half of [`Compiler::add_source`]: parse the compilation
     /// unit and record it. Runs strictly in file order even when lexing was
     /// parallel, because parsing can extend the global environment.
-    fn process_lexed(&self, file: FileId, trees: Vec<TokenTree>) -> Result<(), CompileError> {
+    fn process_lexed(&self, file: FileId, trees: Rc<TreeSeq>) -> Result<(), CompileError> {
         if let Err(m) = crate::faults::trip("lex") {
             return Err(CompileError::new(m, Span::DUMMY));
         }
@@ -741,7 +737,7 @@ impl Compiler {
                 if (pair.grammar.content_hash(), pair.denv.version())
                     == self.inner.pristine_env =>
             {
-                Some(crate::fingerprint::token_trees_hash(&trees))
+                Some(trees.fingerprint())
             }
             _ => None,
         };
@@ -876,17 +872,18 @@ impl Compiler {
     /// [`Compiler::add_sources_diags`] with some files already lexed.
     ///
     /// `prelexed[i]`, when `Some`, is the lex result for `sources[i]` —
-    /// typically a cached token-tree vector from an incremental
-    /// [`crate::Session`] whose file content did not change. Those slots
-    /// skip the front end entirely (their lex telemetry was counted when
-    /// they were first lexed); `None` slots are lexed here, in parallel
-    /// when [`CompileOptions::jobs`] `> 1`. Everything downstream —
+    /// typically the cached token trees of an incremental
+    /// [`crate::Session`] file whose content did not change, shared as is
+    /// (with their memoised fingerprints). Those slots skip the front end
+    /// entirely (their lex telemetry was counted when they were first
+    /// lexed); `None` slots are lexed here, in parallel when
+    /// [`CompileOptions::jobs`] `> 1`. Everything downstream —
     /// registration order, parsing, diagnostics — is byte-identical to the
     /// all-`None` call, because lexing is pure per file.
     pub fn add_sources_prelexed_diags(
         &self,
         sources: &[(String, String)],
-        prelexed: Vec<Option<Result<Vec<SendTree>, LexError>>>,
+        prelexed: Vec<Option<Result<Rc<TreeSeq>, LexError>>>,
         diags: &Diagnostics,
     ) -> bool {
         assert_eq!(sources.len(), prelexed.len(), "one prelexed slot per source");
@@ -924,9 +921,14 @@ impl Compiler {
             let sm = self.inner.sm.borrow();
             lex_files(&sm, &need, self.inner.options.jobs).into_iter()
         };
-        let lexed: Vec<Result<Vec<SendTree>, LexError>> = prelexed
+        let lexed: Vec<Result<Rc<TreeSeq>, LexError>> = prelexed
             .into_iter()
-            .map(|p| p.unwrap_or_else(|| fresh.next().expect("one lex result per needed file")))
+            .map(|p| {
+                p.unwrap_or_else(|| {
+                    let r = fresh.next().expect("one lex result per needed file");
+                    r.map(|trees| Rc::new(TreeSeq::from_send(&trees)))
+                })
+            })
             .collect();
         // Everything after lexing stays sequential in file order: parsing
         // a unit can extend the global environment (`use` at top level),
@@ -938,9 +940,7 @@ impl Compiler {
                 break;
             }
             let r = crate::sandbox::catch(|| -> Result<(), CompileError> {
-                let trees: Vec<TokenTree> =
-                    result?.into_iter().map(SendTree::into_tree).collect();
-                self.process_lexed(file, trees)
+                self.process_lexed(file, result?)
             });
             match r {
                 Ok(Ok(())) => {}
@@ -1288,7 +1288,7 @@ impl Compiler {
                 if (pair.grammar.content_hash(), pair.denv.version())
                     == self.inner.pristine_env =>
             {
-                Some(crate::fingerprint::delim_tree_hash(&tree))
+                Some(tree.fingerprint())
             }
             _ => None,
         };
@@ -1629,11 +1629,19 @@ impl Compiler {
         Ok(self.inner.interp.run_main(class_fqcn)?)
     }
 
+    /// Lets the interpreter force lazy bodies it reaches unforced. The
+    /// closure lives in the interpreter, which this compiler owns, so it
+    /// holds the compiler weakly: a strong handle would be a cycle that
+    /// keeps every compiler (and its class table and interpreter) alive.
     fn install_runtime_forcer(&self) {
-        let inner = self.inner.clone();
-        self.inner.interp.set_forcer(Rc::new(move |_i, lazy, class| {
-            let meta = inner.class_meta.borrow().get(&class).cloned();
-            let _ = meta; // env is captured in the lazy payload itself
+        let w = Rc::downgrade(&self.inner);
+        self.inner.interp.set_forcer(Rc::new(move |_i, lazy, _class| {
+            let Some(inner) = w.upgrade() else {
+                return Err(maya_interp::RuntimeError::new(
+                    "internal: lazy body forced after its compiler was dropped",
+                    Span::DUMMY,
+                ));
+            };
             let cell = Rc::new(RefCell::new(Scope::new()));
             force_lazy(&inner, lazy, cell)
                 .map_err(|e| maya_interp::RuntimeError::new(e.message, e.span))

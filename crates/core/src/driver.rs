@@ -582,7 +582,7 @@ fn forced_parse_memo(
     if (c.pair.grammar.content_hash(), c.pair.denv.version()) != c.cx.pristine_env {
         return c.parse_tree_kind_goal(goal_kind, tree);
     }
-    let key = (goal_kind, crate::fingerprint::delim_tree_hash(tree));
+    let key = (goal_kind, tree.fingerprint());
     if let Some(hit) = cache.get(&key) {
         maya_telemetry::count(maya_telemetry::Counter::ForceCacheHits);
         return Ok(hit);

@@ -1,69 +1,23 @@
 //! Content fingerprints for incremental reuse.
 //!
-//! One dual-stream FNV-1a hasher (the same construction as the grammar
-//! crate's content hash) serves both reuse layers: the [`crate::Session`]
-//! hashes raw bytes and lexed token streams to detect changed files, and
-//! the force cache hashes the token trees of individual lazy bodies to
-//! memoize pure parses. Collision resistance across processes is not
-//! required (hashes never leave the process), but determinism within one
-//! is — spans are hashed too, so two streams with equal hashes are
-//! interchangeable everywhere downstream, diagnostics included.
+//! One dual-stream FNV-1a hasher ([`maya_lexer::Fnv2`]) serves every reuse
+//! layer. The [`crate::Session`] hashes raw bytes to detect changed files
+//! and keys the lex share by a content hash; token trees carry their own
+//! memoised fingerprints ([`maya_lexer::TreeSeq::fingerprint`],
+//! [`maya_lexer::DelimTree::fingerprint`]), which key the unit,
+//! class-body and force caches and feed the persistent outcome key. Spans
+//! participate in every tree fingerprint, so two trees with equal
+//! fingerprints are interchangeable everywhere downstream, diagnostics
+//! included.
 
-use maya_lexer::{DelimTree, LexError, SendTree, Span, Token, TokenTree};
-
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) struct Fnv2 {
-    a: u64,
-    b: u64,
-}
-
-impl Fnv2 {
-    pub(crate) fn new() -> Fnv2 {
-        Fnv2 {
-            a: FNV_OFFSET_A,
-            b: FNV_OFFSET_B,
-        }
-    }
-
-    pub(crate) fn byte(&mut self, x: u8) {
-        self.a = (self.a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-        self.b = (self.b ^ u64::from(x.rotate_left(3))).wrapping_mul(FNV_PRIME);
-    }
-
-    pub(crate) fn bytes(&mut self, bs: &[u8]) {
-        for &x in bs {
-            self.byte(x);
-        }
-    }
-
-    pub(crate) fn u32(&mut self, x: u32) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
-    }
-
-    pub(crate) fn span(&mut self, s: Span) {
-        self.u32(s.file.0);
-        self.u32(s.lo);
-        self.u32(s.hi);
-    }
-
-    pub(crate) fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
-    }
-}
+use maya_lexer::{Fnv2, LexError, TreeSeq};
+use std::rc::Rc;
 
 /// 64-bit byte hash (the cheap first-level change check).
 pub(crate) fn hash64(bytes: &[u8]) -> u64 {
     let mut h = Fnv2::new();
     h.bytes(bytes);
-    h.a
+    h.finish64()
 }
 
 /// 128-bit byte hash — the process-global lex-share key. Both FNV streams
@@ -75,15 +29,14 @@ pub(crate) fn hash128(bytes: &[u8]) -> u128 {
     h.finish()
 }
 
-/// Hashes a lex result, spans included.
-pub(crate) fn token_stream_hash(result: &Result<Vec<SendTree>, LexError>) -> u128 {
+/// The session's token hash of one lex result: the file's tree
+/// fingerprint, or the error's message and span.
+pub(crate) fn lex_result_hash(result: &Result<Rc<TreeSeq>, LexError>) -> u128 {
     let mut h = Fnv2::new();
     match result {
         Ok(trees) => {
             h.byte(1);
-            for t in trees {
-                hash_send_tree(&mut h, t);
-            }
+            h.bytes(&trees.fingerprint().to_le_bytes());
         }
         Err(e) => {
             h.byte(0);
@@ -92,75 +45,4 @@ pub(crate) fn token_stream_hash(result: &Result<Vec<SendTree>, LexError>) -> u12
         }
     }
     h.finish()
-}
-
-fn hash_send_tree(h: &mut Fnv2, tree: &SendTree) {
-    match tree {
-        SendTree::Token(t) => hash_token(h, t),
-        SendTree::Delim {
-            delim,
-            trees,
-            open,
-            close,
-        } => {
-            h.byte(3);
-            h.str(delim.open_kind().name());
-            h.span(*open);
-            h.span(*close);
-            h.u32(trees.len() as u32);
-            for t in trees {
-                hash_send_tree(h, t);
-            }
-        }
-    }
-}
-
-fn hash_token(h: &mut Fnv2, Token { kind, text, span }: &Token) {
-    h.byte(2);
-    h.str(kind.name());
-    h.str(text.as_str());
-    h.span(*span);
-}
-
-/// Hashes a file's token trees, spans included — the unit-cache key. A
-/// compilation-unit parse is a function of these trees (and the
-/// environment, which the cache gates on separately), so equal hashes
-/// mean the cached parse is interchangeable.
-pub(crate) fn token_trees_hash(trees: &[TokenTree]) -> u128 {
-    let mut h = Fnv2::new();
-    h.u32(trees.len() as u32);
-    for t in trees {
-        hash_token_tree(&mut h, t);
-    }
-    h.finish()
-}
-
-/// Hashes a delimiter subtree (a lazy body's deferred tokens), spans
-/// included — the force-cache key. Identical hashes mean the parser sees
-/// identical input, so a memoized pure parse is interchangeable.
-pub(crate) fn delim_tree_hash(tree: &DelimTree) -> u128 {
-    let mut h = Fnv2::new();
-    h.str(tree.delim.open_kind().name());
-    h.span(tree.open);
-    h.span(tree.close);
-    for t in tree.trees.iter() {
-        hash_token_tree(&mut h, t);
-    }
-    h.finish()
-}
-
-fn hash_token_tree(h: &mut Fnv2, tree: &TokenTree) {
-    match tree {
-        TokenTree::Token(t) => hash_token(h, t),
-        TokenTree::Delim(d) => {
-            h.byte(3);
-            h.str(d.delim.open_kind().name());
-            h.span(d.open);
-            h.span(d.close);
-            h.u32(d.trees.len() as u32);
-            for t in d.trees.iter() {
-                hash_token_tree(h, t);
-            }
-        }
-    }
 }

@@ -46,14 +46,14 @@ pub fn parse_rhs(trees: &[TokenTree]) -> Result<Vec<RhsItem>, CompileError> {
                     let Some(TokenTree::Delim(args)) = trees.get(i + 1) else {
                         return Err(CompileError::new("lazy(...) expects arguments", t.span));
                     };
-                    let (d, nt) = lazy_args(args.trees.as_slice(), t.span)?;
+                    let (d, nt) = lazy_args(&args.trees[..], t.span)?;
                     out.push(RhsItem::Lazy(d, nt));
                     i += 2;
                 } else if name == "list" {
                     let Some(TokenTree::Delim(args)) = trees.get(i + 1) else {
                         return Err(CompileError::new("list(...) expects arguments", t.span));
                     };
-                    out.push(list_args(args.trees.as_slice(), t.span)?);
+                    out.push(list_args(&args.trees[..], t.span)?);
                     i += 2;
                 } else if let Some(kind) = NodeKind::from_name(name) {
                     // A node-type symbol, optionally followed by a subtree:
@@ -285,7 +285,7 @@ fn params_rec(
                 let Some(TokenTree::Delim(args)) = trees.get(i + 1) else {
                     return Err(CompileError::new("lazy(...) expects arguments", t.span));
                 };
-                let (d, kind) = lazy_args(args.trees.as_slice(), t.span)?;
+                let (d, kind) = lazy_args(&args.trees[..], t.span)?;
                 let helper = grammar.lazy_helper(d, kind).ok_or_else(|| {
                     CompileError::new(
                         "lazy(...) parameter does not match any production symbol",
@@ -312,7 +312,7 @@ fn params_rec(
                 let Some(TokenTree::Delim(args)) = trees.get(i + 1) else {
                     return Err(CompileError::new("list(...) expects arguments", t.span));
                 };
-                let item = list_args(args.trees.as_slice(), t.span)?;
+                let item = list_args(&args.trees[..], t.span)?;
                 let (inner, sep) = match item {
                     RhsItem::List(inner, sep) => (inner, sep),
                     _ => unreachable!("list_args returns List"),

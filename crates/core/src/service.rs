@@ -26,7 +26,8 @@
 //! * the **force cache / lower store** hold `Rc`-based ASTs and
 //!   `Cell`-based inline caches and stay thread-confined — but each
 //!   worker shares one across *all its clients' sessions*, so client A's
-//!   parse of an unchanged stdlib body serves client B too.
+//!   parse of an unchanged stdlib body serves client B too (and the
+//!   clients share its size bound, so one can evict another's entries).
 //!
 //! ## Quotas and backpressure
 //!
@@ -47,7 +48,9 @@
 use crate::json::{parse_json, Json};
 use crate::{CompileOptions, Compiler, ErrorFormat, Outcome, RequestOpts, Session, SessionStats};
 use maya_telemetry as telemetry;
-use maya_telemetry::{CacheId, CacheStats, Counter, Histogram, JsonWriter, Phase, Report};
+use maya_telemetry::{
+    CacheId, CacheStats, Counter, Histogram, JsonWriter, Phase, Report, N_CACHES,
+};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -150,12 +153,22 @@ struct PoolMetrics {
     aggregate: Option<Report>,
     /// Session counters summed across every client session.
     stats: SessionStats,
+    /// Each worker's latest cache `size` gauges, by worker index. Merged
+    /// reports keep one size per cache, which is only right for one
+    /// thread's successive reports.
+    sizes: Vec<[u64; N_CACHES]>,
 }
 
 impl PoolMetrics {
-    fn record(&mut self, report: Report, delta: SessionStats) {
+    fn record(&mut self, worker: usize, report: Report, delta: SessionStats) {
         if let Some(h) = report.hist("request_ns") {
             self.latency.merge(h);
+        }
+        if self.sizes.len() <= worker {
+            self.sizes.resize(worker + 1, [0; N_CACHES]);
+        }
+        for (size, c) in self.sizes[worker].iter_mut().zip(&report.caches) {
+            *size = c.size;
         }
         match &mut self.aggregate {
             Some(agg) => agg.merge(&report),
@@ -168,6 +181,26 @@ impl PoolMetrics {
         s.files_reused += delta.files_reused;
         s.files_recompiled += delta.files_recompiled;
         s.grammar_reuses += delta.grammar_reuses;
+    }
+
+    /// Pool-wide cache gauges: hit, miss and eviction totals over every
+    /// request, and sizes summed over the workers' latest gauges (a
+    /// process-wide cache, which every worker sees whole, reports the
+    /// largest instead).
+    fn caches(&self) -> [CacheStats; N_CACHES] {
+        let mut out = self
+            .aggregate
+            .as_ref()
+            .map_or([CacheStats::default(); N_CACHES], |a| a.caches);
+        for (i, (c, id)) in out.iter_mut().zip(CacheId::ALL).enumerate() {
+            let sizes = self.sizes.iter().map(|s| s[i]);
+            c.size = if id.process_wide() {
+                sizes.max().unwrap_or(0)
+            } else {
+                sizes.sum()
+            };
+        }
+        out
     }
 }
 
@@ -196,7 +229,7 @@ impl CompilePool {
             let metrics = metrics.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("mayad-worker-{i}"))
-                .spawn(move || worker_main(rx, &cfg, &metrics))
+                .spawn(move || worker_main(i, rx, &cfg, &metrics))
                 .expect("spawn worker");
             queues.push(tx);
             handles.push(handle);
@@ -324,7 +357,12 @@ impl CompilePool {
         for h in handles {
             let _ = h.join();
         }
-        self.metrics.lock().expect("metrics poisoned").aggregate.take()
+        let mut metrics = self.metrics.lock().expect("metrics poisoned");
+        let caches = metrics.caches();
+        metrics.aggregate.take().map(|mut agg| {
+            agg.caches = caches;
+            agg
+        })
     }
 }
 
@@ -357,7 +395,12 @@ fn new_session(
     )
 }
 
-fn worker_main(rx: mpsc::Receiver<Msg>, cfg: &PoolConfig, metrics: &Arc<Mutex<PoolMetrics>>) {
+fn worker_main(
+    worker: usize,
+    rx: mpsc::Receiver<Msg>,
+    cfg: &PoolConfig,
+    metrics: &Arc<Mutex<PoolMetrics>>,
+) {
     // Opt this thread into the process-global warm tiers; see module docs.
     maya_grammar::set_table_cache_shared(true);
     crate::session::set_lex_share_enabled(true);
@@ -403,7 +446,7 @@ fn worker_main(rx: mpsc::Receiver<Msg>, cfg: &PoolConfig, metrics: &Arc<Mutex<Po
         metrics
             .lock()
             .expect("metrics poisoned")
-            .record(t.finish(), delta);
+            .record(worker, t.finish(), delta);
         // Release the quota slot before replying, so a strictly
         // synchronous client never collides with its own last request.
         job.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -625,14 +668,9 @@ fn stats_response(m: &PoolMetrics) -> String {
     }
     w.end_obj();
 
-    // Cache gauges merged across workers (hit/miss totals accumulate;
-    // sizes reflect the most recent request's absolute count).
+    // Cache gauges across workers (see `PoolMetrics::caches`).
     w.key("caches").begin_obj();
-    for id in CacheId::ALL {
-        let cs = match &m.aggregate {
-            Some(agg) => agg.cache(id),
-            None => CacheStats::default(),
-        };
+    for (id, cs) in CacheId::ALL.into_iter().zip(m.caches()) {
         w.key(id.name()).begin_obj();
         w.field_u64("hits", cs.hits)
             .field_u64("misses", cs.misses)

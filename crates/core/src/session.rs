@@ -8,8 +8,13 @@
 //! * the **process-global interner** and the **thread-local LALR table
 //!   memo** (`maya_grammar::cache`) survive because the session keeps its
 //!   compiler on one thread;
-//! * each source file's **token trees** are cached and reused when the
-//!   file did not change;
+//! * each source file's **token trees** are kept in the compiler's `Rc`
+//!   form, converted once when the file is (re)lexed, and handed as is to
+//!   every request's compiler. The fingerprints memoised inside them key
+//!   the force cache's unit, class-body and lazy-body layers, so an
+//!   unchanged file's keys are O(1) reads;
+//! * the **force cache** (pure parses and lowered bodies) keeps what
+//!   recent requests touched and evicts what edits superseded;
 //! * a **dependency graph** rebuilt from [`crate::compiler::DepEdge`]
 //!   records, per `use` directive, which file imported a metaprogram
 //!   declared in which other file, so an **invalidation pass** can
@@ -23,6 +28,10 @@
 //! length) therefore hashes equal and reuses everything — and because
 //! spans participate in the hash, reuse can never alter diagnostics.
 //!
+//! Each request builds a fresh compiler and drops it when the request
+//! ends, which frees everything the compiler built (see DESIGN.md,
+//! "Compiler lifetime").
+//!
 //! Correctness bar: a warm [`Session::compile`] must be **byte-identical**
 //! to a cold `mayac` run — stdout (expanded code and interpreter output),
 //! stderr (human or JSON diagnostics), and exit status. The session
@@ -33,10 +42,10 @@
 //! the nothing-changed case — the entire previous outcome.
 
 use crate::compiler::lex_files;
-use crate::fingerprint::{hash128, hash64, token_stream_hash};
+use crate::fingerprint::{hash128, hash64, lex_result_hash};
 use crate::diag::Diagnostics;
 use crate::{CompileOptions, Compiler};
-use maya_lexer::{FileId, LexError, SendTree, SourceMap, Span};
+use maya_lexer::{FileId, LexError, SendTree, SourceMap, Span, TreeSeq};
 use maya_telemetry::{add as count_by, Counter};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -136,12 +145,18 @@ pub struct SessionStats {
     pub grammar_reuses: u64,
 }
 
-/// One lexed file: the front-end result plus its (span-inclusive) token
-/// stream hash, computed once and carried together so a share hit skips
-/// both the lex *and* the hash.
-struct LexEntry {
-    token_hash: u128,
-    result: Result<Vec<SendTree>, LexError>,
+/// One file's front-end result in the `Send` form the process-global lex
+/// share and the persistent store hold.
+type SendLex = Result<Vec<SendTree>, LexError>;
+
+/// One file's front-end result in the compiler's `Rc` form.
+type Lexed = Result<Rc<TreeSeq>, LexError>;
+
+fn to_lexed(result: &SendLex) -> Lexed {
+    match result {
+        Ok(trees) => Ok(Rc::new(TreeSeq::from_send(trees))),
+        Err(e) => Err(e.clone()),
+    }
 }
 
 /// Per-file incremental state.
@@ -155,9 +170,12 @@ struct SessionFile {
     /// Hash of the token stream *including spans*; equal hashes make
     /// byte-different contents behaviorally identical.
     token_hash: u128,
-    /// Cached front-end result for `ok` files. `Arc` (not `Rc`) so the
-    /// same trees can sit in the process-global lex share below.
-    lexed: Option<Arc<LexEntry>>,
+    /// Cached front-end result for `ok` files, converted to the compiler's
+    /// `Rc` form once, when the file was (re)lexed. Every request hands
+    /// the same trees to its compiler, so the fingerprints memoised inside
+    /// them (unit, class-body and force-cache keys) are taken once per
+    /// file version, not once per request.
+    lexed: Option<Lexed>,
 }
 
 // ---- the process-global lex share -------------------------------------------
@@ -179,8 +197,8 @@ thread_local! {
     static LEX_SHARE_ON: Cell<bool> = const { Cell::new(false) };
 }
 
-fn lex_share() -> &'static RwLock<HashMap<(u128, u32), Arc<LexEntry>>> {
-    static SHARE: OnceLock<RwLock<HashMap<(u128, u32), Arc<LexEntry>>>> = OnceLock::new();
+fn lex_share() -> &'static RwLock<HashMap<(u128, u32), Arc<SendLex>>> {
+    static SHARE: OnceLock<RwLock<HashMap<(u128, u32), Arc<SendLex>>>> = OnceLock::new();
     SHARE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
@@ -392,7 +410,7 @@ impl Session {
             // with trees lexed by an earlier *process*.
             let share_on = lex_share_enabled();
             let disk = crate::store::active();
-            let mut entries: BTreeMap<usize, Arc<LexEntry>> = BTreeMap::new();
+            let mut entries: BTreeMap<usize, Lexed> = BTreeMap::new();
             let mut need: Vec<FileId> = Vec::new();
             let mut need_at: Vec<(usize, u128)> = Vec::new();
             for (&i, &id) in &ids {
@@ -408,7 +426,7 @@ impl Session {
                         .cloned();
                     if let Some(e) = hit {
                         maya_telemetry::cache_hit(maya_telemetry::CacheId::LexShare);
-                        entries.insert(i, e);
+                        entries.insert(i, to_lexed(&e));
                         continue;
                     }
                     maya_telemetry::cache_miss(maya_telemetry::CacheId::LexShare);
@@ -418,13 +436,7 @@ impl Session {
                         .load(crate::store::Kind::Lex, crate::store::lex_key(content, id.0))
                         .and_then(|p| crate::store::decode_lex(&p));
                     if let Some(result) = hydrated {
-                        entries.insert(
-                            i,
-                            Arc::new(LexEntry {
-                                token_hash: token_stream_hash(&result),
-                                result,
-                            }),
-                        );
+                        entries.insert(i, to_lexed(&result));
                         continue;
                     }
                 }
@@ -433,12 +445,9 @@ impl Session {
             }
             let results = lex_files(&scratch, &need, self.base_options.jobs);
             for ((&(i, content), id), result) in need_at.iter().zip(&need).zip(results) {
-                let e = Arc::new(LexEntry {
-                    token_hash: token_stream_hash(&result),
-                    result,
-                });
+                entries.insert(i, to_lexed(&result));
                 if let Some(store) = &disk {
-                    if let Some(payload) = crate::store::encode_lex(&e.result) {
+                    if let Some(payload) = crate::store::encode_lex(&result) {
                         store.save(
                             crate::store::Kind::Lex,
                             crate::store::lex_key(content, id.0),
@@ -452,16 +461,16 @@ impl Session {
                         maya_telemetry::cache_eviction(maya_telemetry::CacheId::LexShare);
                         share.clear();
                     }
-                    share.insert((content, id.0), e.clone());
+                    share.insert((content, id.0), Arc::new(result));
                     maya_telemetry::cache_sized(maya_telemetry::CacheId::LexShare, share.len());
                 }
-                entries.insert(i, e);
             }
-            for (i, e) in entries {
+            for (i, lexed) in entries {
                 let f = &mut self.files[i];
-                if f.token_hash != e.token_hash || f.lexed.is_none() {
-                    f.token_hash = e.token_hash;
-                    f.lexed = Some(e);
+                let token_hash = lex_result_hash(&lexed);
+                if f.token_hash != token_hash || f.lexed.is_none() {
+                    f.token_hash = token_hash;
+                    f.lexed = Some(lexed);
                     changed.insert(f.name.clone());
                 }
                 // Token-identical content (e.g. a retyped same-length
@@ -561,10 +570,11 @@ impl Session {
         }
 
         // ---- compile ---------------------------------------------------------
-        // A fresh compiler per request: class tables and interpreter state
-        // hold `Rc` closures into their compiler and cannot migrate. The
-        // expensive state (interner, LALR table memo, base environment,
-        // token trees) all lives outside the compiler and carries over.
+        // A fresh compiler per request, dropped when the request ends:
+        // class tables and interpreter state belong to one compilation and
+        // are freed with it. The expensive state (interner, LALR table
+        // memo, base environment, token trees and their fingerprints, the
+        // force cache) lives outside the compiler and carries over.
         let compiler = Compiler::with_options(CompileOptions {
             uses: opts.uses.clone(),
             expand_fuel: opts
@@ -580,7 +590,7 @@ impl Session {
         let diags = Diagnostics::with_limits(opts.max_errors, opts.deny_warnings);
 
         let mut sources: Vec<(String, String)> = Vec::new();
-        let mut prelexed: Vec<Option<Result<Vec<SendTree>, LexError>>> = Vec::new();
+        let mut prelexed: Vec<Option<Lexed>> = Vec::new();
         let mut reused = 0usize;
         let mut recompiled = 0usize;
         for (i, (name, text)) in inputs.iter().enumerate() {
@@ -595,13 +605,13 @@ impl Session {
                         // re-lexed by the compiler, a genuinely cold front
                         // end for the whole cone.
                         if changed.contains(name) {
-                            prelexed.push(f.lexed.as_ref().map(|e| e.result.clone()));
+                            prelexed.push(f.lexed.clone());
                         } else {
                             prelexed.push(None);
                         }
                     } else if let Some(lexed) = &f.lexed {
                         reused += 1;
-                        prelexed.push(Some(lexed.result.clone()));
+                        prelexed.push(Some(lexed.clone()));
                     } else {
                         // No cached trees (first sighting): cold path.
                         recompiled += 1;
@@ -687,6 +697,12 @@ impl Session {
                 ErrorFormat::Json => stderr.push_str(&diags.render_json(&sm)),
             }
         }
+        // The request is over: free its compiler (nothing it built outlives
+        // it) and let the shared caches drop what no recent request used.
+        drop(compiler);
+        if let Some(cache) = &self.base_options.force_cache {
+            cache.end_request();
+        }
         let success = !diags.should_fail();
         let mut stdout = expand_text;
         if success {
@@ -771,8 +787,6 @@ impl Session {
     }
 }
 
-/// `mayac --expand` as a string: every compiled method body of every
-/// user class, pretty-printed after Mayan expansion.
 /// Renders `mayac --dump-bytecode[=FILTER]`: one disassembly block per
 /// forced, bytecode-compilable method (same class walk and library-package
 /// skip as `--expand`).  An empty filter passes everything; otherwise the
@@ -810,6 +824,8 @@ fn render_bytecode(compiler: &Compiler, filter: &str) -> String {
     out
 }
 
+/// `mayac --expand` as a string: every compiled method body of every
+/// user class, pretty-printed after Mayan expansion.
 fn render_expansions(compiler: &Compiler) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use crate::fingerprint::Fnv2;
+use maya_lexer::Fnv2;
 
 /// Bumped whenever the container layout changes. Payload layers carry
 /// their own versions (table/lex/body payloads), so this only guards the

@@ -37,6 +37,7 @@ use crate::prod::{Action, Assoc, BuiltinAction};
 use crate::symbol::{Sym, Terminal};
 use crate::tables::{ActionEntry, Rows, Tables, NO_DEFAULT};
 use crate::BitSet;
+use maya_lexer::Fnv2;
 use maya_telemetry::Counter;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -45,56 +46,10 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 // ---- the content hash --------------------------------------------------------
 
-/// Two independently seeded FNV-1a streams, combined into a `u128` key.
-/// FNV is weak alone; two decorrelated 64-bit streams make accidental
-/// collisions between real grammars implausible while staying dependency-
-/// free and byte-order independent.
-struct Hasher {
-    a: u64,
-    b: u64,
-}
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Hasher {
-    fn new() -> Hasher {
-        Hasher {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn byte(&mut self, x: u8) {
-        self.a = (self.a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-        // The second stream sees each byte bit-rotated, so the streams
-        // diverge on content, not just on seed.
-        self.b = (self.b ^ u64::from(x.rotate_left(3))).wrapping_mul(FNV_PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &x in bs {
-            self.byte(x);
-        }
-    }
-
-    fn u32(&mut self, x: u32) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
-    }
-}
-
 /// Encodes a terminal in a process-independent form: `Word` by its text,
 /// `Tok` by the token-kind name, trees by delimiter name, goal/end markers
 /// by nonterminal number.
-fn hash_terminal(h: &mut Hasher, t: &Terminal) {
+fn hash_terminal(h: &mut Fnv2, t: &Terminal) {
     match t {
         Terminal::Tok(k) => {
             h.byte(0);
@@ -120,7 +75,7 @@ fn hash_terminal(h: &mut Hasher, t: &Terminal) {
     }
 }
 
-fn hash_action(h: &mut Hasher, a: &Action) {
+fn hash_action(h: &mut Fnv2, a: &Action) {
     match a {
         Action::Dispatch => h.byte(0),
         Action::Builtin(b) => {
@@ -156,7 +111,7 @@ fn hash_action(h: &mut Hasher, a: &Action) {
 /// nonterminal list (names and node kinds), every production (LHS, RHS
 /// symbols, action, precedence), and the terminal precedence table.
 pub(crate) fn content_hash(g: &GrammarData) -> u128 {
-    let mut h = Hasher::new();
+    let mut h = Fnv2::new();
     h.u32(g.nts.len() as u32);
     for nt in &g.nts {
         h.str(nt.name.as_str());

@@ -35,9 +35,9 @@ use maya_ast::{
 };
 use maya_lexer::{Span, Symbol};
 use maya_telemetry as telemetry;
+use maya_telemetry::GenMemo;
 use maya_types::Type;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 // ---- lowered IR --------------------------------------------------------------
@@ -450,13 +450,21 @@ fn body_disk_key(fp: u128, params: &[Symbol]) -> u128 {
 /// fingerprint plus its parameter names (slot assignment depends on them).
 /// `None` records the *unlowerable* verdict so it is not re-derived.
 /// Held in the session force cache so warm `mayad` runs reuse lowered code
-/// across compilers. When a persistent layer is installed
+/// across compilers, and bounded like it (see [`GenMemo`]): bodies no
+/// recent request ran are evicted. When a persistent layer is installed
 /// ([`set_body_disk`]), memo misses probe it and fresh outcomes are saved
 /// to it — a cold process with a warm store skips lowering *and* the cold
 /// bytecode compile.
-#[derive(Default)]
 pub struct LowerStore {
-    map: RefCell<HashMap<(u128, Box<[Symbol]>), Option<Rc<LoweredBody>>>>,
+    map: RefCell<GenMemo<(u128, Box<[Symbol]>), Option<Rc<LoweredBody>>>>,
+}
+
+impl Default for LowerStore {
+    fn default() -> LowerStore {
+        LowerStore {
+            map: RefCell::new(GenMemo::new(telemetry::CacheId::LowerStore)),
+        }
+    }
 }
 
 impl LowerStore {
@@ -467,16 +475,11 @@ impl LowerStore {
 
     /// Looks up a memoized outcome, falling back to the persistent layer.
     pub fn get(&self, fp: u128, params: &[Symbol]) -> Option<Option<Rc<LoweredBody>>> {
-        let hit = self
-            .map
-            .borrow()
-            .get(&(fp, params.to_vec().into_boxed_slice()))
-            .cloned();
+        let key = (fp, params.to_vec().into_boxed_slice());
+        let hit = self.map.borrow_mut().get(&key);
         if hit.is_some() {
-            telemetry::cache_hit(telemetry::CacheId::LowerStore);
             return hit;
         }
-        telemetry::cache_miss(telemetry::CacheId::LowerStore);
         let disk = BODY_DISK.with(|d| d.borrow().clone());
         if let Some(disk) = &disk {
             if let Some(outcome) = disk
@@ -485,10 +488,7 @@ impl LowerStore {
             {
                 // Hydrated entries go straight into the memo (not through
                 // `insert`) so they are never written back to the store.
-                self.map
-                    .borrow_mut()
-                    .insert((fp, params.to_vec().into_boxed_slice()), outcome.clone());
-                telemetry::cache_sized(telemetry::CacheId::LowerStore, self.map.borrow().len());
+                self.map.borrow_mut().insert(key, outcome.clone());
                 return Some(outcome);
             }
         }
@@ -501,13 +501,17 @@ impl LowerStore {
         self.map
             .borrow_mut()
             .insert((fp, params.to_vec().into_boxed_slice()), outcome.clone());
-        telemetry::cache_sized(telemetry::CacheId::LowerStore, self.map.borrow().len());
         let disk = BODY_DISK.with(|d| d.borrow().clone());
         if let Some(disk) = &disk {
             if let Some(payload) = encode_outcome(&outcome) {
                 disk.save(body_disk_key(fp, params), &payload);
             }
         }
+    }
+
+    /// Marks the end of one request (see [`GenMemo::end_request`]).
+    pub fn end_request(&self) {
+        self.map.borrow_mut().end_request();
     }
 
     /// Number of memoized bodies.

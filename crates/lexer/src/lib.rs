@@ -21,17 +21,19 @@
 //! assert!(matches!(trees[3], TokenTree::Delim(ref d) if d.delim == Delim::Brace));
 //! ```
 
+mod fnv;
 mod intern;
 mod loc;
 mod scan;
 mod token;
 mod tree;
 
+pub use fnv::Fnv2;
 pub use intern::{sym, Symbol};
 pub use loc::{FileId, LineCol, SourceFile, SourceMap, Span};
 pub use scan::{scan_tokens, LexError};
 pub use token::{keyword_kind, Token, TokenKind};
 pub use tree::{
     build_send_trees, build_trees, stream_lex, stream_lex_send, tree_lex_str, Delim, DelimTree,
-    SendTree, TokenTree,
+    SendTree, TokenTree, TreeSeq,
 };

@@ -5,8 +5,10 @@
 //! `BraceTree` can be stored unparsed and forced later under whatever grammar
 //! and scope are current at that point.
 
-use crate::{scan_tokens, LexError, SourceMap, Span, Token, TokenKind};
+use crate::{scan_tokens, Fnv2, LexError, SourceMap, Span, Token, TokenKind};
+use std::cell::OnceCell;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// The three delimiter shapes that form subtrees.
@@ -46,13 +48,88 @@ impl Delim {
     }
 }
 
+/// A sequence of token trees — the contents of a delimiter subtree, or a
+/// whole file — together with a memo of its content fingerprint.
+///
+/// The fingerprint covers every token's kind, text and span and, for each
+/// nested subtree, its delimiter, spans and (memoised) contents, so two
+/// sequences with equal fingerprints are interchangeable everywhere
+/// downstream, diagnostics included. It is computed at most once per
+/// sequence: subtree contents are shared (`Rc`) by every copy of their
+/// [`DelimTree`], by the lazy nodes that defer them and by cached parses,
+/// so a fingerprint taken once serves every later lookup in O(1).
+pub struct TreeSeq {
+    trees: Vec<TokenTree>,
+    fingerprint: OnceCell<u128>,
+}
+
+impl TreeSeq {
+    /// Wraps a tree sequence (its fingerprint is not taken yet).
+    pub fn new(trees: Vec<TokenTree>) -> TreeSeq {
+        TreeSeq {
+            trees,
+            fingerprint: OnceCell::new(),
+        }
+    }
+
+    /// Converts worker-built trees (see [`SendTree`]).
+    pub fn from_send(trees: &[SendTree]) -> TreeSeq {
+        TreeSeq::new(trees.iter().map(SendTree::to_tree).collect())
+    }
+
+    /// The content fingerprint, computed on first use.
+    pub fn fingerprint(&self) -> u128 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fnv2::new();
+            h.u32(self.trees.len() as u32);
+            for t in &self.trees {
+                match t {
+                    TokenTree::Token(Token { kind, text, span }) => {
+                        h.byte(2);
+                        h.str(kind.name());
+                        h.str(text.as_str());
+                        h.span(*span);
+                    }
+                    TokenTree::Delim(d) => {
+                        h.byte(3);
+                        h.bytes(&d.fingerprint().to_le_bytes());
+                    }
+                }
+            }
+            h.finish()
+        })
+    }
+}
+
+impl Deref for TreeSeq {
+    type Target = [TokenTree];
+
+    fn deref(&self) -> &[TokenTree] {
+        &self.trees
+    }
+}
+
+impl PartialEq for TreeSeq {
+    fn eq(&self, other: &TreeSeq) -> bool {
+        self.trees == other.trees
+    }
+}
+
+impl Eq for TreeSeq {}
+
+impl fmt::Debug for TreeSeq {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.trees.fmt(f)
+    }
+}
+
 /// A matched-delimiter subtree: the paper's `ParenTree` / `BraceTree` /
 /// `BrackTree`. The contents are shared (`Rc`) so that lazy thunks can hold
 /// them cheaply.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DelimTree {
     pub delim: Delim,
-    pub trees: Rc<Vec<TokenTree>>,
+    pub trees: Rc<TreeSeq>,
     pub open: Span,
     pub close: Span,
 }
@@ -62,10 +139,22 @@ impl DelimTree {
     pub fn new(delim: Delim, trees: Vec<TokenTree>, open: Span, close: Span) -> DelimTree {
         DelimTree {
             delim,
-            trees: Rc::new(trees),
+            trees: Rc::new(TreeSeq::new(trees)),
             open,
             close,
         }
+    }
+
+    /// The content fingerprint of the whole subtree (delimiter, spans and
+    /// contents): O(1) once the contents' fingerprint is memoised. This is
+    /// the force-cache and class-body-cache key.
+    pub fn fingerprint(&self) -> u128 {
+        let mut h = Fnv2::new();
+        h.str(self.delim.open_kind().name());
+        h.span(self.open);
+        h.span(self.close);
+        h.bytes(&self.trees.fingerprint().to_le_bytes());
+        h.finish()
     }
 
     /// Builds a synthesized tree (dummy spans).
@@ -182,9 +271,9 @@ fn delim_of_close(kind: TokenKind) -> Option<Delim> {
 /// A `Send`-safe token tree, as produced by parallel front-end workers.
 ///
 /// [`TokenTree`] shares subtree contents via `Rc` and cannot cross threads;
-/// workers build `SendTree`s instead, and the main thread converts them with
-/// [`SendTree::into_tree`] (one pass, preserving structure and spans
-/// exactly).
+/// workers build `SendTree`s instead, and the consuming thread converts
+/// them with [`SendTree::to_tree`] (one pass, preserving structure and
+/// spans exactly).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SendTree {
     Token(Token),
@@ -198,19 +287,19 @@ pub enum SendTree {
 
 impl SendTree {
     /// Converts into the `Rc`-shared form used by the rest of the pipeline.
-    pub fn into_tree(self) -> TokenTree {
+    pub fn to_tree(&self) -> TokenTree {
         match self {
-            SendTree::Token(t) => TokenTree::Token(t),
+            SendTree::Token(t) => TokenTree::Token(*t),
             SendTree::Delim {
                 delim,
                 trees,
                 open,
                 close,
             } => TokenTree::Delim(DelimTree::new(
-                delim,
-                trees.into_iter().map(SendTree::into_tree).collect(),
-                open,
-                close,
+                *delim,
+                trees.iter().map(SendTree::to_tree).collect(),
+                *open,
+                *close,
             )),
         }
     }
@@ -281,8 +370,8 @@ pub fn build_send_trees(tokens: &[Token]) -> Result<Vec<SendTree>, LexError> {
 /// Reports mismatched, unexpected, or unclosed delimiters.
 pub fn build_trees(tokens: &[Token]) -> Result<Vec<TokenTree>, LexError> {
     Ok(build_send_trees(tokens)?
-        .into_iter()
-        .map(SendTree::into_tree)
+        .iter()
+        .map(SendTree::to_tree)
         .collect())
 }
 
@@ -375,10 +464,27 @@ mod tests {
         let direct = stream_lex(&sm, f).unwrap();
         let via_send: Vec<TokenTree> = stream_lex_send(&sm, f)
             .unwrap()
-            .into_iter()
-            .map(SendTree::into_tree)
+            .iter()
+            .map(SendTree::to_tree)
             .collect();
         assert_eq!(direct, via_send);
+    }
+
+    #[test]
+    fn fingerprints_cover_content_and_spans_only() {
+        let lex = |src: &str| TreeSeq::new(tree_lex_str(src).unwrap());
+        let a = lex("f(a, g(b)) { x[1]; }");
+        // Pinned: a fingerprint is a pure function of kinds, texts and
+        // spans (no pointers, no interner indices), so it is the same in
+        // every process and may key persistent artifacts.
+        assert_eq!(a.fingerprint(), 0xdae9_f26c_6db1_8f57_10f3_f630_f8a4_c87f);
+        assert_eq!(a.fingerprint(), lex("f(a, g(b)) { x[1]; }").fingerprint());
+        // The same tokens one column later: every span moves.
+        assert_ne!(a.fingerprint(), lex(" f(a, g(b)) { x[1]; }").fingerprint());
+        assert_ne!(a.fingerprint(), lex("f(a, g(c)) { x[1]; }").fingerprint());
+        let body = |s: &TreeSeq| s[2].as_delim().unwrap().fingerprint();
+        assert_eq!(body(&a), body(&lex("f(a, g(b)) { x[1]; }")));
+        assert_ne!(body(&a), body(&lex("f(a, g(b)) { x[2]; }")));
     }
 
     #[test]

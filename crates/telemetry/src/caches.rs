@@ -13,12 +13,15 @@
 //! Unlike session counters, the registry is **cumulative per thread** and
 //! needs no active session: a long-lived server reports its lifetime cache
 //! behaviour, while a [`crate::Report`] carries the delta between session
-//! start and finish (sizes are absolute, not deltas). The in-process memos
-//! never evict, so their `evictions` column is an honest zero; the
-//! persistent artifact store's size-capped GC reports its removals through
-//! the same pipe (`store_*` rows).
+//! start and finish (sizes are absolute, not deltas). Every memo that lives
+//! across requests reports its removals as `evictions`: the session memos
+//! through [`GenMemo`] rotations, the capped memos when they clear, and the
+//! persistent artifact store's size-capped GC (`store_*` rows).
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Every instrumented cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,6 +86,20 @@ impl CacheId {
         }
     }
 
+    /// True for caches with one instance per process, which every thread
+    /// sees whole (the lex share and the on-disk store); the others are
+    /// per thread, so a worker pool's total is the sum of its workers'.
+    pub fn process_wide(self) -> bool {
+        matches!(
+            self,
+            CacheId::LexShare
+                | CacheId::StoreTables
+                | CacheId::StoreLex
+                | CacheId::StoreOutcome
+                | CacheId::StoreBody
+        )
+    }
+
     fn idx(self) -> usize {
         CacheId::ALL
             .iter()
@@ -133,11 +150,16 @@ pub fn cache_miss(c: CacheId) {
     CACHES.with(|s| s.borrow_mut()[c.idx()].misses += 1);
 }
 
-/// Records an eviction (the artifact store's GC; in-process memos never
-/// evict — see module docs).
+/// Records an eviction.
 #[inline]
 pub fn cache_eviction(c: CacheId) {
-    CACHES.with(|s| s.borrow_mut()[c.idx()].evictions += 1);
+    cache_evictions(c, 1);
+}
+
+/// Records `n` evictions at once.
+#[inline]
+fn cache_evictions(c: CacheId, n: usize) {
+    CACHES.with(|s| s.borrow_mut()[c.idx()].evictions += n as u64);
 }
 
 /// Sets a cache's current entry count.
@@ -155,6 +177,89 @@ pub fn cache_stats(c: CacheId) -> CacheStats {
 /// order.
 pub fn cache_snapshot() -> [CacheStats; N_CACHES] {
     CACHES.with(|s| *s.borrow())
+}
+
+/// A memo bounded by what recent requests used, with its gauges built in.
+///
+/// Entries live in two generations. Inserts go to the young one, and a
+/// hit in the old one moves the entry to the young one, so the young
+/// generation holds exactly the entries touched since the last rotation.
+/// At a request boundary ([`GenMemo::end_request`]) the memo rotates when
+/// the young generation has outgrown the old: the old one — entries no
+/// request touched since the last rotation — is dropped and counted as
+/// evictions, and the young one becomes the old.
+///
+/// After every boundary the memo holds at most twice the entries touched
+/// between the last two rotations, so a long edit stream keeps the live
+/// entries and drops the ones its edits superseded. Requests that share
+/// a memo share that bound: one whose working set outgrows the old
+/// generation rotates out the entries another has not touched since.
+pub struct GenMemo<K, V> {
+    id: CacheId,
+    young: HashMap<K, V>,
+    old: HashMap<K, V>,
+}
+
+impl<K: Hash + Eq, V: Clone> GenMemo<K, V> {
+    /// An empty memo reporting as `id`.
+    pub fn new(id: CacheId) -> GenMemo<K, V> {
+        GenMemo {
+            id,
+            young: HashMap::new(),
+            old: HashMap::new(),
+        }
+    }
+
+    /// Looks `key` up, recording a hit or a miss.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let hit = match self.young.get(key) {
+            Some(v) => Some(v.clone()),
+            None => self.old.remove_entry(key).map(|(k, v)| {
+                self.young.insert(k, v.clone());
+                v
+            }),
+        };
+        if hit.is_some() {
+            cache_hit(self.id);
+        } else {
+            cache_miss(self.id);
+        }
+        hit
+    }
+
+    /// Records an entry in the young generation.
+    pub fn insert(&mut self, key: K, value: V) {
+        self.old.remove(&key);
+        self.young.insert(key, value);
+        cache_sized(self.id, self.len());
+    }
+
+    /// Ends one request's use of the memo, rotating the generations when
+    /// the young one has outgrown the old. Returns the number of entries
+    /// evicted.
+    pub fn end_request(&mut self) -> usize {
+        if self.young.len() <= self.old.len() {
+            return 0;
+        }
+        let evicted = std::mem::replace(&mut self.old, std::mem::take(&mut self.young)).len();
+        cache_evictions(self.id, evicted);
+        cache_sized(self.id, self.len());
+        evicted
+    }
+
+    /// Entries held in both generations.
+    pub fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+
+    /// True when nothing is memoised.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// The delta `now − base` for the monotonic gauges; sizes stay absolute
@@ -188,6 +293,94 @@ mod tests {
             assert_eq!((s.hits, s.misses, s.size, s.evictions), (2, 1, 7, 0));
             assert!((s.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
             assert_eq!(cache_stats(CacheId::DispatchMemo), CacheStats::default());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn gen_memo_keeps_what_recent_requests_touched() {
+        std::thread::spawn(|| {
+            let mut m: GenMemo<u32, u32> = GenMemo::new(CacheId::UnitCache);
+            // Request 1 inserts 0..4: the young generation outgrows the
+            // empty old one and rotates, evicting nothing.
+            for k in 0..4 {
+                assert_eq!(m.get(&k), None);
+                m.insert(k, k * 10);
+            }
+            assert_eq!(m.end_request(), 0);
+            // Request 2 touches 1..4 and adds 4: entry 0 was not used for
+            // a whole interval and goes at the boundary.
+            for k in 1..4 {
+                assert_eq!(m.get(&k), Some(k * 10));
+            }
+            m.insert(4, 40);
+            assert_eq!(m.end_request(), 1);
+            assert_eq!(m.len(), 4);
+            assert_eq!(m.get(&0), None);
+            let s = cache_stats(CacheId::UnitCache);
+            assert_eq!((s.hits, s.misses, s.size, s.evictions), (3, 5, 4, 1));
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// Runs `keys` through `m` as one request, inserting on a miss.
+    /// Returns the number of misses.
+    fn request(m: &mut GenMemo<u32, u32>, keys: impl Iterator<Item = u32>) -> usize {
+        let mut misses = 0;
+        for k in keys {
+            if m.get(&k).is_none() {
+                misses += 1;
+                m.insert(k, k);
+            }
+        }
+        m.end_request();
+        misses
+    }
+
+    #[test]
+    fn gen_memo_stays_bounded_as_clients_come_and_go() {
+        std::thread::spawn(|| {
+            // Fifty clients with ten entries each; client c sends requests
+            // 4c..4c+8, so two are active at a time and each leaves for
+            // good. The memo holds the active ones' entries, never more
+            // than twice that, and each client misses only on its first
+            // request.
+            let mut m: GenMemo<u32, u32> = GenMemo::new(CacheId::ForceCache);
+            let mut misses = 0;
+            for r in 0..200u32 {
+                let active: Vec<u32> = (0..50)
+                    .filter(|c| (4 * c..4 * c + 8).contains(&r))
+                    .collect();
+                let c = active[r as usize % active.len()];
+                misses += request(&mut m, c * 100..c * 100 + 10);
+                assert!(m.len() <= 2 * 20, "request {r}: {} entries", m.len());
+            }
+            assert_eq!(misses, 50 * 10);
+            assert_eq!(cache_stats(CacheId::ForceCache).evictions, 48 * 10);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn gen_memo_requesters_share_one_bound() {
+        std::thread::spawn(|| {
+            // Client A (five entries) sends two requests for each of client
+            // B's (three entries). A's second request finds its entries in
+            // the young generation, outgrowing the old one, which then
+            // holds only B's: the rotation drops B's working set every
+            // round. The memo stays within its bound; B pays the misses.
+            let mut m: GenMemo<u32, u32> = GenMemo::new(CacheId::ClassBodyCache);
+            for round in 0..10 {
+                let a = request(&mut m, 0..5) + request(&mut m, 0..5);
+                let b = request(&mut m, 10..13);
+                assert!(m.len() <= 2 * 8);
+                if round > 0 {
+                    assert_eq!((a, b), (0, 3), "round {round}");
+                }
+            }
         })
         .join()
         .unwrap();

@@ -59,7 +59,7 @@ mod spans;
 
 pub use caches::{
     cache_eviction, cache_hit, cache_miss, cache_sized, cache_snapshot, cache_stats, CacheId,
-    CacheStats, N_CACHES,
+    CacheStats, GenMemo, N_CACHES,
 };
 pub use hist::Histogram;
 pub use jsonw::JsonWriter;
@@ -971,8 +971,9 @@ impl Report {
     /// Folds another report into this one for cross-request aggregation
     /// (the `mayad` server's lifetime stats): totals, counters, phase
     /// times, and histograms add; cache hit/miss/eviction deltas add with
-    /// sizes last-wins. Spans and interpreter profiles are per-run views
-    /// and are not merged.
+    /// sizes last-wins, which is right for one thread's successive reports
+    /// (a worker pool sums its workers' latest sizes itself). Spans and
+    /// interpreter profiles are per-run views and are not merged.
     pub fn merge(&mut self, other: &Report) {
         self.total += other.total;
         for i in 0..N_COUNTERS {

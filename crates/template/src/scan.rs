@@ -124,7 +124,7 @@ fn parse_expr_slot(
     dollar_span: Span,
 ) -> Result<SlotInfo, ParseError> {
     let span = dollar_span.to(d.span());
-    let mut toks = d.trees.as_slice();
+    let mut toks = &d.trees[..];
     let mut explicit_kind = None;
     if let [TokenTree::Token(as_tok), TokenTree::Token(kind_tok), rest @ ..] = toks {
         if as_tok.is_ident("as") && kind_tok.kind == TokenKind::Ident {

@@ -708,3 +708,143 @@ fn restarted_mayad_starts_warm_from_cache_dir() {
     drop(srv);
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+// ---- pool-wide cache gauges and daemon memory ---------------------------------
+
+/// One client's project for the tests below: `classes` class files, each
+/// with a few methods, plus a `Main` summing their ids.
+fn project_sources(client: &str, classes: usize, pad: &[u64]) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = (0..classes)
+        .map(|i| {
+            let mut src = format!(
+                "class {client}K{i} {{\n    int id() {{ return {}; }}\n",
+                i + 1
+            );
+            for m in 0..4 {
+                src.push_str(&format!(
+                    "    int m{m}(int a) {{ int t = a * {m} + id(); return t - a; }}\n"
+                ));
+            }
+            src.push_str(&format!("    int pad() {{ return {}; }}\n}}\n", pad[i]));
+            (format!("{client}/k{i}.maya"), src)
+        })
+        .collect();
+    let terms: Vec<String> = (0..classes)
+        .map(|i| format!("new {client}K{i}().id()"))
+        .collect();
+    files.push((
+        format!("{client}/main.maya"),
+        format!(
+            "class Main {{\n    static void main() {{\n        System.out.println({});\n    }}\n}}\n",
+            terms.join(" + ")
+        ),
+    ));
+    files
+}
+
+fn write_project(dir: &std::path::Path, files: &[(String, String)]) -> String {
+    for (name, src) in files {
+        let path = dir.join(name);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    }
+    let names: Vec<String> = files
+        .iter()
+        .map(|(n, _)| telemetry::json_string(n))
+        .collect();
+    names.join(", ")
+}
+
+/// `mayad stats` reports a pool's cache sizes as the sum over its workers:
+/// two clients pinned to different workers hold different entry counts,
+/// and every worker-confined gauge is the total of both, not whichever
+/// worker answered last.
+#[test]
+fn pool_cache_sizes_sum_over_workers() {
+    let srv = Mayad::start(&["--workers=2".to_owned()]);
+    // Client `a` has one class file and a main, client `b` three and a
+    // main; every file, class body and method body is a pure parse.
+    for (client, classes) in [("a", 1), ("b", 3)] {
+        let files = project_sources(client, classes, &vec![0; classes]);
+        let names = write_project(srv.dir(), &files);
+        let r = srv.raw_request(&format!(r#"{{"client": "{client}", "files": [{names}]}}"#));
+        assert!(ok(&r), "{r:?}");
+        assert_eq!(
+            r.get("success").and_then(Json::as_bool),
+            Some(true),
+            "{r:?}"
+        );
+    }
+    let stats = srv.raw_request(r#"{"cmd":"stats"}"#);
+    let caches = stats.get("stats").unwrap().get("caches").unwrap();
+    let size = |name: &str| {
+        caches
+            .get(name)
+            .and_then(|c| c.get("size"))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    // Files (units) and classes (bodies): 2 for `a`, 4 for `b`. Method
+    // bodies: 6 per class file plus `main`, so 7 for `a` and 19 for `b`.
+    assert_eq!(size("unit_cache"), 2 + 4, "{stats:?}");
+    assert_eq!(size("class_body_cache"), 2 + 4, "{stats:?}");
+    assert_eq!(size("force_cache"), 7 + 19, "{stats:?}");
+}
+
+/// The daemon's peak resident set stays flat over a stream of one-file
+/// edits: every request frees its compiler, and the shared caches keep
+/// only what recent requests used.
+#[cfg(target_os = "linux")]
+#[test]
+fn mayad_peak_rss_stays_flat_over_an_edit_stream() {
+    const CLASSES: usize = 12;
+    const EARLY: usize = 20;
+    const LATE: usize = 80;
+    /// Far below what keeping each request's compiler would add over
+    /// `LATE - EARLY` requests of this project (about 0.28 MB each).
+    const MAX_GROWTH_KB: u64 = 4096;
+
+    fn vm_hwm_kb(pid: u32) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmHWM:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    let srv = Mayad::start(&["--workers=2".to_owned()]);
+    let pid = srv.child.id();
+    let mut pads = [vec![0u64; CLASSES], vec![0u64; CLASSES]];
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut early = 0;
+    for request in 1..=LATE {
+        // Two clients on the two workers take turns; each request rewrites
+        // one of its client's files with a new constant.
+        let c = request % 2;
+        let client = ["a", "b"][c];
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        pads[c][(rng % CLASSES as u64) as usize] = request as u64;
+        let names = write_project(srv.dir(), &project_sources(client, CLASSES, &pads[c]));
+        let r = srv.raw_request(&format!(
+            r#"{{"client": "{client}", "run": true, "files": [{names}]}}"#
+        ));
+        assert_eq!(
+            r.get("success").and_then(Json::as_bool),
+            Some(true),
+            "{r:?}"
+        );
+        let expected = (1..=CLASSES).sum::<usize>();
+        assert_eq!(
+            r.get("stdout").and_then(Json::as_str),
+            Some(format!("{expected}\n").as_str())
+        );
+        if request == EARLY {
+            early = vm_hwm_kb(pid);
+        }
+    }
+    let growth = vm_hwm_kb(pid).saturating_sub(early);
+    assert!(
+        growth < MAX_GROWTH_KB,
+        "mayad's peak RSS grew {growth} kB between request {EARLY} and {LATE}"
+    );
+}
