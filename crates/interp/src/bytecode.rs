@@ -1,11 +1,13 @@
-//! Flat register bytecode for the third execution tier.
+//! Flat register bytecode: the fast execution tier.
 //!
-//! A `LoweredBody` is compiled on first execution into a `BcBody`: a dense
-//! `Vec<Instr>` over a flat register file (locals, preloaded constants, and
-//! per-statement temporaries), executed by the match-dispatch loop in
-//! `vm.rs`. The compiler here preserves the lowered tier's observable
-//! semantics exactly — step counts, error strings, error spans, evaluation
-//! order — so all three engines stay byte-identical over the corpus.
+//! Lowering (`lower.rs`) compiles every lowerable body to a `BcBody` right
+//! away: a dense `Vec<Instr>` over a flat register file (locals, preloaded
+//! constants, and per-statement temporaries), executed by the
+//! match-dispatch loop in `vm.rs`. A body the compiler declines is
+//! unlowerable and runs on the reference tree walker in `interp.rs`. The
+//! compiler preserves the walker's observable semantics exactly — step
+//! counts, error strings, error spans, evaluation order — so both tiers
+//! stay byte-identical over the corpus.
 //!
 //! Highlights:
 //! - no `Const` instruction: constants are preloaded into dedicated
@@ -23,14 +25,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use maya_ast::{BinOp, IncDecOp, TypeName, TypeNameKind, UnOp};
+use maya_ast::{BinOp, IncDecOp, PrimKind, TypeName, TypeNameKind, UnOp};
 use maya_lexer::{Span, Symbol};
 use maya_types::{ClassId, ClassTable, MethodInfo};
 
-use crate::lower::{
-    ArgKey, FieldSite, LCallee, LExpr, LExprKind, LStmt, LStmtKind, LTarget,
-    LoweredBody, TypeSlot,
-};
+use crate::lower::{LCallee, LExpr, LExprKind, LStmt, LStmtKind, LTarget, LoweredBody, TypeSlot};
 use crate::value::Value;
 
 /// Max entries in a polymorphic inline cache line.
@@ -40,18 +39,43 @@ pub(crate) const REFINE_EXECS: u32 = 3;
 /// Max callee instruction count eligible for inline splicing.
 pub(crate) const INLINE_MAX: usize = 24;
 
-/// Compilation state memoized on each `LoweredBody`.
-pub(crate) enum BcState {
-    /// Not yet compiled.
-    Cold,
-    /// Compiled; `execs` counts runs until the refine pass fires once.
-    Ready {
-        bc: Rc<BcBody>,
-        execs: Cell<u32>,
-        refined: Cell<bool>,
-    },
-    /// Compilation bailed (e.g. try/catch present); fall back to the tree.
-    Unsupported,
+/// The bytecode memoized on each `LoweredBody`: the cold compile, swapped
+/// once for the refine (inlining) recompile after [`REFINE_EXECS`] runs.
+pub(crate) struct BcState {
+    bc: RefCell<Rc<BcBody>>,
+    /// Runs so far; saturates at `REFINE_EXECS + 1`.
+    execs: Cell<u32>,
+}
+
+impl BcState {
+    pub(crate) fn new(bc: BcBody) -> BcState {
+        BcState {
+            bc: RefCell::new(Rc::new(bc)),
+            execs: Cell::new(0),
+        }
+    }
+
+    /// The current compile (cold or refined). Used as is by the inliner,
+    /// the disassembler and the body codec; the interpreter's
+    /// `bytecode_for` adds the exec-counted refine step.
+    pub(crate) fn current(&self) -> Rc<BcBody> {
+        Rc::clone(&self.bc.borrow())
+    }
+
+    /// Counts one run; true exactly on the first run after
+    /// `REFINE_EXECS` runs, so the refine pass fires once.
+    pub(crate) fn note_exec(&self) -> bool {
+        let n = self.execs.get();
+        if n > REFINE_EXECS {
+            return false;
+        }
+        self.execs.set(n + 1);
+        n == REFINE_EXECS
+    }
+
+    pub(crate) fn replace(&self, bc: Rc<BcBody>) {
+        *self.bc.borrow_mut() = bc;
+    }
 }
 
 /// One bytecode instruction. All operand types are `Copy`.
@@ -173,6 +197,74 @@ pub(crate) struct Region {
     pub cont: u32,
     pub ty_depth: u16,
     pub inline_depth: u16,
+}
+
+/// A compact classification of a runtime argument, precise enough that two
+/// arguments with equal non-[`ArgKey::Other`] keys are guaranteed to have
+/// the same [`Value::runtime_type`].  `Other` (arrays, natives) never
+/// matches, so such arguments always take the full method search.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum ArgKey {
+    Null,
+    Prim(PrimKind),
+    Str,
+    Class(ClassId),
+    Other,
+}
+
+impl ArgKey {
+    /// Classifies a runtime value.
+    pub(crate) fn of(v: &Value) -> ArgKey {
+        match v {
+            Value::Null => ArgKey::Null,
+            Value::Bool(_) => ArgKey::Prim(PrimKind::Boolean),
+            Value::Char(_) => ArgKey::Prim(PrimKind::Char),
+            Value::Int(_) => ArgKey::Prim(PrimKind::Int),
+            Value::Long(_) => ArgKey::Prim(PrimKind::Long),
+            Value::Float(_) => ArgKey::Prim(PrimKind::Float),
+            Value::Double(_) => ArgKey::Prim(PrimKind::Double),
+            Value::Str(_) => ArgKey::Str,
+            Value::Object(o) => ArgKey::Class(o.class),
+            _ => ArgKey::Other,
+        }
+    }
+
+    /// Whether `v` is classified by this key.  `Other` matches nothing.
+    pub(crate) fn matches(&self, v: &Value) -> bool {
+        !matches!(self, ArgKey::Other) && *self == ArgKey::of(v)
+    }
+}
+
+/// A monomorphic field-offset cache, guarded by the identity of the
+/// receiver's [`crate::FieldLayout`].  An object's layout never changes
+/// after construction (class mutation only gives *new* instances a new
+/// layout), so layout identity is a sound guard with no epoch check.
+pub(crate) struct FieldSite {
+    layout: Cell<usize>,
+    offset: Cell<u32>,
+}
+
+impl FieldSite {
+    pub(crate) fn new() -> FieldSite {
+        FieldSite {
+            layout: Cell::new(0),
+            offset: Cell::new(0),
+        }
+    }
+
+    /// The cached offset when this site last saw the layout at `layout_ptr`.
+    pub(crate) fn get(&self, layout_ptr: usize) -> Option<u32> {
+        if layout_ptr != 0 && self.layout.get() == layout_ptr {
+            return Some(self.offset.get());
+        }
+        None
+    }
+
+    /// Caches `offset` for the layout at `layout_ptr`.
+    pub(crate) fn fill(&self, layout_ptr: usize, offset: u32) {
+        self.layout.set(layout_ptr);
+        self.offset.set(offset);
+    }
 }
 
 /// One entry in a polymorphic inline cache line.
@@ -342,7 +434,8 @@ pub(crate) struct BcBody {
     pub methods: Vec<(Rc<MethodInfo>, ClassId)>,
     pub guards: Vec<InlineGuard>,
     pub regions: Vec<Region>,
-    /// pc -> hot binary-op pair labels (profiler parity with prof_binop_l).
+    /// pc -> hot binary-op pair labels (profiler parity with the reference
+    /// walker's `eval_binary`).
     pub pairs: HashMap<u32, Vec<(&'static str, &'static str)>>,
     /// pcs of superinstructions (for telemetry + disasm annotation).
     pub super_pcs: Vec<u32>,
@@ -362,7 +455,7 @@ impl BcBody {
 }
 
 /// Compile-time bailout: this body can't be expressed in bytecode
-/// (try/catch present, register pool exhausted, …).
+/// (register pool exhausted, …); lowering then records it unlowerable.
 pub(crate) struct Unsupported;
 
 /// True iff evaluating `e` can write a local slot (Assign/IncDec with a
@@ -383,9 +476,9 @@ fn writes_locals(e: &LExpr) -> bool {
         LExprKind::IncDec { read, write, .. } => {
             matches!(write, LTarget::Local(_)) || writes_locals(read) || target_writes(write)
         }
-        LExprKind::Assign { read, write, value, .. } => {
+        LExprKind::Assign { compound, write, value } => {
             matches!(write, LTarget::Local(_))
-                || read.as_ref().is_some_and(|r| writes_locals(r))
+                || compound.as_ref().is_some_and(|(_, read)| writes_locals(read))
                 || target_writes(write)
                 || writes_locals(value)
         }
@@ -909,7 +1002,6 @@ impl<'a> Emit<'a> {
                 let (src, _) = self.operand(e, false)?;
                 self.emit(Instr::Throw { src });
             }
-            LStmtKind::Try { .. } => return Err(Unsupported),
             LStmtKind::Empty => {}
         }
         self.next_reg = mark.max(self.perm_base);
@@ -939,17 +1031,16 @@ impl<'a> Emit<'a> {
                 self.expr_into(t, e)
             }
             // `x = v`: compile the value straight into the slot.
-            LExprKind::Assign { op: None, write: LTarget::Local(ws), value, .. } => {
+            LExprKind::Assign { compound: None, write: LTarget::Local(ws), value } => {
                 let dst = idx16(*ws as usize)?;
                 self.expr_into(dst, value)
             }
             // `x op= v`: store-fused binary (reads the slot at execution
             // time, after the value — legacy's value-then-read order).
-            // Legacy's compound-assign path calls binary_l_values directly
-            // (bypassing prof_binop_l), so no pairs entry here.
+            // The reference walker records no hot pairs for compound
+            // assignment, so no pairs entry here.
             LExprKind::Assign {
-                op: Some(op),
-                read: Some(read),
+                compound: Some((op, read)),
                 write: LTarget::Local(ws),
                 value,
             } => {
@@ -1030,9 +1121,8 @@ impl<'a> Emit<'a> {
         Ok(vec![pc])
     }
 
-    /// Store an already-computed value into an assignment target —
-    /// mirrors `assign_l` (target subexpressions evaluate *after* the
-    /// value, matching legacy order).
+    /// Store an already-computed value into an assignment target (target
+    /// subexpressions evaluate *after* the value, matching legacy order).
     fn store(&mut self, t: &LTarget, val: u16) -> Result<(), Unsupported> {
         match t {
             LTarget::Local(slot) => {
@@ -1203,7 +1293,7 @@ impl<'a> Emit<'a> {
                     self.emit(Instr::Move { dst, src: t_old });
                 }
             }
-            LExprKind::Assign { op, read, write, value } => match op {
+            LExprKind::Assign { compound, write, value } => match compound {
                 None => {
                     let hazard = target_writes(write);
                     let (rv, _) = self.operand(value, hazard)?;
@@ -1212,8 +1302,7 @@ impl<'a> Emit<'a> {
                         self.emit(Instr::Move { dst, src: rv });
                     }
                 }
-                Some(binop) => {
-                    let read = read.as_ref().ok_or(Unsupported)?;
+                Some((binop, read)) => {
                     let hazard = writes_locals(read) || target_writes(write);
                     let (rv, _) = self.operand(value, hazard)?;
                     let (lv, _) = self.operand(read, false)?;
@@ -1314,9 +1403,7 @@ impl<'a> Emit<'a> {
         let Some(snap) = site.mono_snapshot() else {
             return Ok(false);
         };
-        let Some(callee) = bc_of(&snap.lowered) else {
-            return Ok(false);
-        };
+        let callee = snap.lowered.bc.current();
         if !inline_ok(&callee, n_args, recv.is_some()) {
             return Ok(false);
         }
@@ -1550,16 +1637,19 @@ impl<'a> Emit<'a> {
     }
 }
 
-/// Compile `lb` to bytecode. `old_sites` seeds call-site reuse in emission
-/// order (the refine pass keeps the cold pass's warmed PIC lines); `inline`
-/// enables leaf-callee splicing.
+/// Compile a lowered body (`code` over `n_slots` frame slots, the first
+/// `n_params` of them arguments) to bytecode. `old_sites` seeds call-site
+/// reuse in emission order (the refine pass keeps the cold pass's warmed
+/// PIC lines); `inline` enables leaf-callee splicing.
 pub(crate) fn compile(
-    lb: &LoweredBody,
+    code: &[LStmt],
+    n_params: usize,
+    n_slots: usize,
     old_sites: &[Rc<PolySite>],
     inline: bool,
 ) -> Result<BcBody, Unsupported> {
-    let n_slots = idx16(lb.n_slots)?;
-    let n_params = idx16(lb.n_params)?;
+    let n_slots = idx16(n_slots)?;
+    let n_params = idx16(n_params)?;
     let mut e = Emit {
         code: Vec::new(),
         n_slots,
@@ -1586,7 +1676,7 @@ pub(crate) fn compile(
         guards: Vec::new(),
         inlined: Vec::new(),
     };
-    for s in &lb.code {
+    for s in code {
         e.stmt(s)?;
     }
     e.emit(Instr::RetNull);
@@ -1635,46 +1725,6 @@ pub(crate) fn compile(
     })
 }
 
-/// Bytecode for a callee body, compiling cold if needed. Used by the
-/// inliner and the disassembler; the interpreter's `bytecode_for` wraps
-/// this with the exec-counted refine logic.
-pub(crate) fn bc_of(lb: &LoweredBody) -> Option<Rc<BcBody>> {
-    enum Plan {
-        Use(Rc<BcBody>),
-        Compile,
-        Bail,
-    }
-    let plan = match &*lb.bc.borrow() {
-        BcState::Ready { bc, .. } => Plan::Use(Rc::clone(bc)),
-        BcState::Unsupported => Plan::Bail,
-        BcState::Cold => Plan::Compile,
-    };
-    match plan {
-        Plan::Use(bc) => Some(bc),
-        Plan::Bail => None,
-        Plan::Compile => match compile(lb, &[], false) {
-            Ok(bc) => {
-                let bc = Rc::new(bc);
-                maya_telemetry::count(maya_telemetry::Counter::BcCompiled);
-                maya_telemetry::add(
-                    maya_telemetry::Counter::BcSuperinsts,
-                    bc.super_pcs.len() as u64,
-                );
-                *lb.bc.borrow_mut() = BcState::Ready {
-                    bc: Rc::clone(&bc),
-                    execs: Cell::new(0),
-                    refined: Cell::new(false),
-                };
-                Some(bc)
-            }
-            Err(Unsupported) => {
-                *lb.bc.borrow_mut() = BcState::Unsupported;
-                None
-            }
-        },
-    }
-}
-
 // ---- the bytecode codec ------------------------------------------------------
 //
 // Serializes *cold* compiles only (the output of `compile(lb, &[], false)`):
@@ -1690,7 +1740,7 @@ use crate::codec::{binop_code, binop_from, binop_from_str, unop_code, unop_from,
 
 /// Encodes a cold `BcBody`, or `None` if it contains anything the codec
 /// does not cover (refined bodies, non-binop profiler labels) — the caller
-/// then persists the body without a bytecode section.
+/// then skips persisting the body.
 pub(crate) fn encode_bc(w: &mut W, bc: &BcBody) -> Option<()> {
     if !bc.guards.is_empty() || !bc.methods.is_empty() || !bc.inlined.is_empty() {
         return None; // refined (inlined) body: cold-only codec

@@ -1,18 +1,17 @@
 //! The evaluator.
 //!
-//! Two execution paths share this file.  The *legacy* tree-walker executes
-//! typed AST directly (and re-clones each lazy body per call); the *fast*
-//! path lowers a body once (`lower.rs`) and then runs slot-resolved code
-//! with inline-cached dispatch.  Both paths must be observationally
-//! identical — same output bytes, same error text, same spans, same step
-//! counts; `MAYA_NO_LOWER=1` (or [`Interp::set_lowering`]) pins the legacy
-//! path for differential testing.
+//! A body runs on one of two tiers.  The *reference* tree-walker in this
+//! file executes typed AST directly (and re-clones each lazy body per
+//! call); it defines the semantics.  The *fast* tier lowers a body once
+//! (`lower.rs`), compiles it to register bytecode (`bytecode.rs`), and runs
+//! it on the VM (`vm.rs`).  Unlowerable bodies — `try`, unforced lazy
+//! nodes, templates — stay on the walker.  Both tiers must be
+//! observationally identical — same output bytes, same error text, same
+//! spans, same step counts; `MAYA_NO_LOWER=1` (or [`Interp::set_lowering`])
+//! pins the walker for differential testing.
 
 use crate::layout::RuntimeCaches;
-use crate::lower::{
-    self, class_key, CallSite, LCallee, LExpr, LExprKind, LStmt, LStmtKind, LTarget, LowerStore,
-    LoweredBody, TypeSlot,
-};
+use crate::lower::{self, class_key, LowerStore, LoweredBody, TypeSlot};
 use crate::{NativeFn, Obj, RuntimeError, Value};
 use maya_ast::{
     BinOp, Expr, ExprKind, ForInit, IncDecOp, LazyNode, Lit, MethodName, Node, Stmt, StmtKind,
@@ -146,16 +145,13 @@ pub struct Interp {
     lower_store: RefCell<Rc<LowerStore>>,
     /// Master switch for the fast path (`MAYA_NO_LOWER=1` turns it off).
     lower_enabled: Cell<bool>,
-    /// Master switch for the bytecode tier (`MAYA_NO_BYTECODE=1` turns it
-    /// off; lowered bodies then run on the tree walker).
-    bc_enabled: Cell<bool>,
     /// Mirror of `maya_telemetry::profiling()`, synced at the public entry
     /// points so the per-call and per-binary-op hooks cost one field load
     /// instead of a thread-local lookup.
     pub(crate) profile: Cell<bool>,
-    /// Recycled slot buffers: argument vectors become lowered frames, and
-    /// finished frames come back here, so steady-state lowered calls do not
-    /// touch the allocator at all.
+    /// Recycled register buffers: argument vectors become VM register
+    /// files, and finished ones come back here, so steady-state bytecode
+    /// calls do not touch the allocator at all.
     pub(crate) frame_pool: RefCell<Vec<Vec<Value>>>,
 }
 
@@ -195,13 +191,6 @@ impl std::hash::Hasher for PtrHasher {
 
 type BuildPtrHasher = std::hash::BuildHasherDefault<PtrHasher>;
 
-/// One activation record of the fast path: a flat slot frame.
-struct LFrame {
-    slots: Vec<Value>,
-    this: Option<Value>,
-    class: Option<ClassId>,
-}
-
 impl Interp {
     /// Creates an interpreter over a class table (runtime library must have
     /// been installed with [`crate::install_runtime`]).
@@ -229,9 +218,6 @@ impl Interp {
             lower_enabled: Cell::new(
                 std::env::var("MAYA_NO_LOWER").map_or(true, |v| v.is_empty() || v == "0"),
             ),
-            bc_enabled: Cell::new(
-                std::env::var("MAYA_NO_BYTECODE").map_or(true, |v| v.is_empty() || v == "0"),
-            ),
             profile: Cell::new(false),
             frame_pool: RefCell::new(Vec::new()),
         };
@@ -243,18 +229,6 @@ impl Interp {
     /// environment variable sets the initial state).
     pub fn set_lowering(&self, on: bool) {
         self.lower_enabled.set(on);
-    }
-
-    /// Turns the bytecode tier on or off (the `MAYA_NO_BYTECODE`
-    /// environment variable sets the initial state). Only meaningful when
-    /// lowering is also enabled — the tier compiles lowered bodies.
-    pub fn set_bytecode(&self, on: bool) {
-        self.bc_enabled.set(on);
-    }
-
-    /// Whether the bytecode tier is enabled.
-    pub fn bytecode_enabled(&self) -> bool {
-        self.bc_enabled.get()
     }
 
     /// True when the lowering fast path is active.
@@ -550,110 +524,6 @@ impl Interp {
         }
     }
 
-    /// Dispatches through a call-site inline cache.
-    ///
-    /// A cached target is only trusted after re-verifying the actual
-    /// argument types against its parameters (dynamic values may be more
-    /// specific than the cache's fill-time arguments were), and the cache is
-    /// only filled when the target is the *sole* candidate at this arity —
-    /// together this guarantees the fast path picks exactly what the full
-    /// search would.
-    fn invoke_ic(
-        &self,
-        recv: Option<Value>,
-        class: ClassId,
-        name: Symbol,
-        args: Vec<Value>,
-        site: &CallSite,
-        span: Span,
-    ) -> Eval {
-        let epoch = self.caches.sync(&self.ct);
-        let ck = class_key(Some(class));
-        if let Some(m) = site.get(epoch, ck) {
-            // Exactness fast path: if the current arguments classify
-            // identically to the last verified hit's, their runtime types
-            // are identical, so the per-argument assignability loop would
-            // return the same verdict — skip it.
-            let exact = site.exact_hit(&args);
-            let ok = exact
-                || (m.params.len() == args.len()
-                    && m.params
-                        .iter()
-                        .zip(args.iter())
-                        .all(|(p, a)| self.ct.is_assignable(&a.runtime_type(&self.ct), p)));
-            if ok {
-                if !exact {
-                    site.note_exact(&args);
-                }
-                maya_telemetry::count(maya_telemetry::Counter::IcHits);
-                let profiled = self.profile.get();
-                if profiled {
-                    maya_telemetry::prof_site(site as *const CallSite as usize, true, || {
-                        format!("{}.{}/{}", self.ct.fqcn(class), name, args.len())
-                    });
-                }
-                // Monomorphic fast path: the target's lowered body is cached
-                // on the site, so a verified hit goes straight to lowered
-                // execution.  Mirrors `invoke`/`invoke_inner` exactly (same
-                // depth guard and error, same counters).
-                if let Some(lb) = site.lowered_body() {
-                    let d = self.depth.get() + 1;
-                    let limit = self.stack_limit.get();
-                    if d > limit {
-                        maya_telemetry::count(maya_telemetry::Counter::StepLimitHits);
-                        return Err(Control::error(
-                            format!("stack overflow (call depth > {limit})"),
-                            span,
-                        ));
-                    }
-                    self.depth.set(d);
-                    maya_telemetry::count(maya_telemetry::Counter::InterpCalls);
-                    if profiled {
-                        maya_telemetry::prof_enter(Rc::as_ptr(&m) as usize, || {
-                            self.method_label(class, &m)
-                        });
-                    }
-                    let result = self.exec_lowered(&lb, recv, class, args);
-                    if profiled {
-                        maya_telemetry::prof_exit();
-                    }
-                    self.depth.set(self.depth.get() - 1);
-                    return result;
-                }
-                let r = self.invoke(recv, class, &m, args, span);
-                // The body is forced (and lowered, when lowerable) after the
-                // first full invoke; remember the lowered form so later hits
-                // skip the per-body memo.  `fill` resets this cache, so it
-                // can never pair with a different target.
-                if let Some(body) = &m.body {
-                    if m.native.is_none() && body.is_forced() {
-                        if let Some(lb) = self.lowered_body(body, &m.param_names) {
-                            site.set_lowered(&m, lb);
-                        }
-                    }
-                }
-                return r;
-            }
-        }
-        maya_telemetry::count(maya_telemetry::Counter::IcMisses);
-        if self.profile.get() {
-            maya_telemetry::prof_site(site as *const CallSite as usize, false, || {
-                format!("{}.{}/{}", self.ct.fqcn(class), name, args.len())
-            });
-        }
-        let row = self.caches.row(&self.ct, class, name);
-        let m = self.select_from_row(&row, class, name, &args, span)?;
-        let sole_at_arity = row
-            .iter()
-            .filter(|(_, c)| c.params.len() == args.len())
-            .count()
-            == 1;
-        if sole_at_arity {
-            site.fill(epoch, ck, m.clone());
-        }
-        self.invoke(recv, class, &m, args, span)
-    }
-
     /// Invokes a resolved method.
     pub fn invoke(
         &self,
@@ -760,7 +630,7 @@ impl Interp {
             return None;
         };
         // Unfingerprintable bodies (unforced lazy statements, templates,
-        // poison nodes) are exactly the unlowerable ones.
+        // poison nodes) are unlowerable too.
         let fp = lower::body_fingerprint(&block)?;
         let store = self.lower_store.borrow().clone();
         if let Some(hit) = store.get(fp, params) {
@@ -769,201 +639,6 @@ impl Interp {
         let result = lower::lower_body(&block, params).ok().map(Rc::new);
         store.insert(fp, params, result.clone());
         result
-    }
-
-    /// Runs a lowered body: a flat slot frame, argument slots first.  The
-    /// argument vector *becomes* the frame (extended with null slots), so
-    /// the hot call path performs no extra allocation.
-    pub(crate) fn exec_lowered(
-        &self,
-        lb: &LoweredBody,
-        this: Option<Value>,
-        class: ClassId,
-        mut args: Vec<Value>,
-    ) -> Eval {
-        // Third tier: run compiled bytecode when available. The VM mirrors
-        // the tree walker below exactly; bodies that can't compile (e.g.
-        // try/catch) memoize `Unsupported` and keep taking this path.
-        if self.bc_enabled.get() {
-            if let Some(bc) = self.bytecode_for(lb) {
-                return self.run_bc(&bc, this, class, args);
-            }
-        }
-        args.truncate(lb.n_params);
-        args.resize(lb.n_slots, Value::Null);
-        let mut f = LFrame {
-            slots: args,
-            this,
-            class: Some(class),
-        };
-        let r = self.exec_l_stmts(&lb.code, &mut f);
-        let mut slots = f.slots;
-        slots.clear();
-        {
-            let mut pool = self.frame_pool.borrow_mut();
-            if pool.len() < 32 {
-                pool.push(slots);
-            }
-        }
-        match r {
-            Ok(()) => Ok(Value::Null), // void fall-through
-            Err(Control::Return(v)) => Ok(v),
-            Err(other) => Err(other),
-        }
-    }
-
-    // ---- lowered statements -------------------------------------------------
-    //
-    // Every arm mirrors its `exec`/`eval` counterpart: same step charges,
-    // same evaluation order, same error strings and spans.
-
-    fn exec_l_stmts(&self, stmts: &[LStmt], f: &mut LFrame) -> Result<(), Control> {
-        for s in stmts {
-            self.exec_l(s, f)?;
-        }
-        Ok(())
-    }
-
-    fn exec_l(&self, s: &LStmt, f: &mut LFrame) -> Result<(), Control> {
-        self.count_step(s.span)?;
-        match &s.kind {
-            LStmtKind::Block(stmts) => self.exec_l_stmts(stmts, f),
-            LStmtKind::Expr(e) => self.eval_l(e, f).map(|_| ()),
-            LStmtKind::Decl { ty, decls } => {
-                let base = self.resolve_type_slot(ty, f.class, s.span)?;
-                for d in decls {
-                    let v = match &d.init {
-                        Some(e) => self.eval_l(e, f)?,
-                        None => {
-                            let mut t = base.clone();
-                            for _ in 0..d.dims {
-                                t = t.array_of();
-                            }
-                            Value::default_for(&t)
-                        }
-                    };
-                    f.slots[d.slot as usize] = v;
-                }
-                Ok(())
-            }
-            LStmtKind::If(c, t, e) => {
-                if self.truthy_l(c, f)? {
-                    self.exec_l(t, f)
-                } else if let Some(e) = e {
-                    self.exec_l(e, f)
-                } else {
-                    Ok(())
-                }
-            }
-            LStmtKind::While(c, body) => {
-                while self.truthy_l(c, f)? {
-                    match self.exec_l(body, f) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                }
-                Ok(())
-            }
-            LStmtKind::Do(body, c) => {
-                loop {
-                    match self.exec_l(body, f) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                    if !self.truthy_l(c, f)? {
-                        break;
-                    }
-                }
-                Ok(())
-            }
-            LStmtKind::For {
-                init_decl,
-                init_exprs,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(d) = init_decl {
-                    self.exec_l(d, f)?;
-                }
-                for e in init_exprs {
-                    self.eval_l(e, f)?;
-                }
-                loop {
-                    if let Some(c) = cond {
-                        if !self.truthy_l(c, f)? {
-                            break;
-                        }
-                    }
-                    match self.exec_l(body, f) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                    for u in update {
-                        self.eval_l(u, f)?;
-                    }
-                }
-                Ok(())
-            }
-            LStmtKind::Return(e) => {
-                let value = match e {
-                    Some(e) => self.eval_l(e, f)?,
-                    None => Value::Null,
-                };
-                Err(Control::Return(value))
-            }
-            LStmtKind::Break => Err(Control::Break),
-            LStmtKind::Continue => Err(Control::Continue),
-            LStmtKind::Throw(e) => {
-                let v = self.eval_l(e, f)?;
-                Err(Control::Throw(v))
-            }
-            LStmtKind::Try {
-                body,
-                catches,
-                finally,
-            } => {
-                let mut result = self.exec_l_stmts(body, f);
-                if let Err(Control::Throw(exc)) = &result {
-                    let exc = exc.clone();
-                    let exc_class = exc.class_of(&self.ct);
-                    for c in catches {
-                        // Legacy resolves each catch type at exception time,
-                        // reporting errors at the try statement's span.
-                        let catch_ty = self.resolve_type_slot(&c.ty, f.class, s.span)?;
-                        let matches = match (&catch_ty, exc_class) {
-                            (Type::Class(want), Some(have)) => {
-                                self.ct.is_subclass_or_eq(have, *want)
-                            }
-                            _ => false,
-                        };
-                        if matches {
-                            f.slots[c.param_slot as usize] = exc;
-                            result = self.exec_l_stmts(&c.body, f);
-                            break;
-                        }
-                    }
-                }
-                if let Some(fin) = finally {
-                    self.exec_l_stmts(fin, f)?;
-                }
-                result
-            }
-            LStmtKind::Empty => Ok(()),
-        }
-    }
-
-    fn truthy_l(&self, e: &LExpr, f: &mut LFrame) -> Result<bool, Control> {
-        match self.eval_l(e, f)? {
-            Value::Bool(b) => Ok(b),
-            other => Err(Control::error(
-                format!("condition evaluated to non-boolean {other:?}"),
-                e.span,
-            )),
-        }
     }
 
     /// Resolves a lowered type reference through its per-site cache.
@@ -985,297 +660,6 @@ impl Interp {
             .map_err(|e| Control::error(e.message, span))?;
         ts.fill(epoch, ck, t.clone());
         Ok(t)
-    }
-
-    // ---- lowered expressions ------------------------------------------------
-
-    fn eval_l(&self, e: &LExpr, f: &mut LFrame) -> Eval {
-        match &e.kind {
-            LExprKind::Const(v) => Ok(v.clone()),
-            LExprKind::Local(slot) => Ok(f.slots[*slot as usize].clone()),
-            LExprKind::EnvName(name) => self.env_name(*name, f.this.as_ref(), f.class, e.span),
-            LExprKind::This => f
-                .this
-                .clone()
-                .ok_or_else(|| Control::error("no `this` in scope", e.span)),
-            LExprKind::ClassRefName(fqcn) => {
-                let c = self
-                    .ct
-                    .by_fqcn(*fqcn)
-                    .ok_or_else(|| Control::error(format!("unknown class {fqcn}"), e.span))?;
-                Ok(Value::ClassRef(c))
-            }
-            LExprKind::FieldGet { target, name, site } => {
-                let t = self.eval_l(target, f)?;
-                match t {
-                    Value::Object(obj) => {
-                        let lp = Rc::as_ptr(&obj.layout) as usize;
-                        if let Some(off) = site.get(lp) {
-                            return Ok(obj.get_slot(off));
-                        }
-                        if let Some(off) = obj.layout.offset(*name) {
-                            site.fill(lp, off);
-                            return Ok(obj.get_slot(off));
-                        }
-                        obj.get(*name)
-                            .ok_or_else(|| Control::error(format!("no field {name}"), e.span))
-                    }
-                    other => self.field_of(other, *name, e.span),
-                }
-            }
-            LExprKind::ArrayGet(a, i) => {
-                let arr = self.eval_l(a, f)?;
-                let idx = self.int_of(self.eval_l(i, f)?, i.span)?;
-                match arr {
-                    Value::Array(a) => {
-                        let data = a.data.borrow();
-                        data.get(idx as usize).cloned().ok_or_else(|| {
-                            self.throw_simple("java.lang.ArrayIndexOutOfBoundsException", e.span)
-                        })
-                    }
-                    Value::Null => Err(self.throw_simple("java.lang.NullPointerException", e.span)),
-                    other => Err(Control::error(format!("not an array: {other:?}"), e.span)),
-                }
-            }
-            LExprKind::New { ty, args } => {
-                let t = self.resolve_type_slot(ty, f.class, e.span)?;
-                let Type::Class(c) = t else {
-                    return Err(Control::error("cannot instantiate non-class", e.span));
-                };
-                let vals = args
-                    .iter()
-                    .map(|a| self.eval_l(a, f))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.construct(c, vals, e.span)
-            }
-            LExprKind::NewArray {
-                elem,
-                extra_dims,
-                dims,
-            } => {
-                let base = self.resolve_type_slot(elem, f.class, e.span)?;
-                let mut elem_ty = base;
-                for _ in 0..*extra_dims {
-                    elem_ty = elem_ty.array_of();
-                }
-                let sizes = dims
-                    .iter()
-                    .map(|d| {
-                        let v = self.eval_l(d, f)?;
-                        self.int_of(v, d.span)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.alloc_array(&elem_ty, &sizes, e.span)
-            }
-            LExprKind::Binary(op, l, r) => {
-                if self.profile.get() {
-                    self.prof_binop_l(*op, l, r);
-                }
-                if *op == BinOp::And {
-                    return Ok(Value::Bool(
-                        self.truthy_l(l, f)? && self.truthy_l(r, f)?,
-                    ));
-                }
-                if *op == BinOp::Or {
-                    return Ok(Value::Bool(
-                        self.truthy_l(l, f)? || self.truthy_l(r, f)?,
-                    ));
-                }
-                let lv = self.eval_l(l, f)?;
-                let rv = self.eval_l(r, f)?;
-                self.binary_l_values(*op, &lv, &rv, e.span)
-            }
-            LExprKind::Unary(op, x) => {
-                let v = self.eval_l(x, f)?;
-                self.eval_unary(*op, v, e.span)
-            }
-            LExprKind::IncDec {
-                op,
-                prefix,
-                read,
-                write,
-            } => {
-                let old = self.eval_l(read, f)?;
-                let delta = if *op == IncDecOp::Inc { 1 } else { -1 };
-                let new = match old {
-                    Value::Int(v) => Value::Int(v.wrapping_add(delta)),
-                    Value::Long(v) => Value::Long(v.wrapping_add(delta as i64)),
-                    Value::Double(v) => Value::Double(v + delta as f64),
-                    Value::Float(v) => Value::Float(v + delta as f32),
-                    Value::Char(c) => Value::Int(c as i32 + delta),
-                    other => {
-                        return Err(Control::error(format!("cannot ++/-- {other:?}"), e.span))
-                    }
-                };
-                self.assign_l(write, new.clone(), f)?;
-                Ok(if *prefix { new } else { old })
-            }
-            LExprKind::Assign {
-                op,
-                read,
-                write,
-                value,
-            } => {
-                let rv = self.eval_l(value, f)?;
-                let out = match op {
-                    None => rv,
-                    Some(binop) => {
-                        let read = read.as_ref().expect("compound assign has a read");
-                        let lv = self.eval_l(read, f)?;
-                        self.binary_l_values(*binop, &lv, &rv, e.span)?
-                    }
-                };
-                self.assign_l(write, out.clone(), f)?;
-                Ok(out)
-            }
-            LExprKind::Cond(c, t, el) => {
-                if self.truthy_l(c, f)? {
-                    self.eval_l(t, f)
-                } else {
-                    self.eval_l(el, f)
-                }
-            }
-            LExprKind::Cast { ty, x } => {
-                let v = self.eval_l(x, f)?;
-                let target = self.resolve_type_slot(ty, f.class, e.span)?;
-                self.cast(v, &target, e.span)
-            }
-            LExprKind::Instanceof { x, ty } => {
-                let v = self.eval_l(x, f)?;
-                let target = self.resolve_type_slot(ty, f.class, e.span)?;
-                Ok(Value::Bool(self.value_instanceof(&v, &target)))
-            }
-            LExprKind::Call { callee, args, site } => {
-                // Arguments first, then the receiver — legacy order.  The
-                // buffer comes from (and returns to) the frame pool.
-                let mut vals = self.frame_pool.borrow_mut().pop().unwrap_or_default();
-                for a in args {
-                    match self.eval_l(a, f) {
-                        Ok(v) => vals.push(v),
-                        Err(c) => {
-                            vals.clear();
-                            self.frame_pool.borrow_mut().push(vals);
-                            return Err(c);
-                        }
-                    }
-                }
-                self.eval_l_call(callee, vals, site, f, e.span)
-            }
-        }
-    }
-
-    fn eval_l_call(
-        &self,
-        callee: &LCallee,
-        vals: Vec<Value>,
-        site: &CallSite,
-        f: &mut LFrame,
-        span: Span,
-    ) -> Eval {
-        match callee {
-            LCallee::Super(name) => {
-                let this = f
-                    .this
-                    .clone()
-                    .ok_or_else(|| Control::error("super call without this", span))?;
-                let class = f
-                    .class
-                    .ok_or_else(|| Control::error("super call without class", span))?;
-                let sup = self
-                    .ct
-                    .info(class)
-                    .borrow()
-                    .superclass
-                    .ok_or_else(|| Control::error("no superclass", span))?;
-                self.invoke_ic(Some(this), sup, *name, vals, site, span)
-            }
-            LCallee::Recv(recv, name) => {
-                let r = self.eval_l(recv, f)?;
-                match r {
-                    Value::ClassRef(c) => {
-                        self.ensure_init(c)?;
-                        self.invoke_ic(None, c, *name, vals, site, span)
-                            .map_err(|c| self.attach_frames(c))
-                    }
-                    Value::Null => Err(self.throw_simple("java.lang.NullPointerException", span)),
-                    other => {
-                        let class = other.class_of(&self.ct).ok_or_else(|| {
-                            Control::error(format!("cannot invoke {name} on {:?}", other), span)
-                        })?;
-                        self.invoke_ic(Some(other), class, *name, vals, site, span)
-                    }
-                }
-            }
-            LCallee::Implicit(name) => {
-                let class = f
-                    .class
-                    .ok_or_else(|| Control::error("call without enclosing class", span))?;
-                match f.this.clone() {
-                    Some(this) => {
-                        let dyn_class = this.class_of(&self.ct).ok_or_else(|| {
-                            Control::error(format!("cannot invoke {name} on {:?}", this), span)
-                        })?;
-                        self.invoke_ic(Some(this), dyn_class, *name, vals, site, span)
-                    }
-                    None => {
-                        self.ensure_init(class)?;
-                        self.invoke_ic(None, class, *name, vals, site, span)
-                            .map_err(|c| self.attach_frames(c))
-                    }
-                }
-            }
-        }
-    }
-
-    fn assign_l(&self, target: &LTarget, v: Value, f: &mut LFrame) -> Result<(), Control> {
-        match target {
-            LTarget::Local(slot) => {
-                f.slots[*slot as usize] = v;
-                Ok(())
-            }
-            LTarget::EnvName(name, span) => {
-                self.env_assign_name(*name, v, f.this.as_ref(), f.class, *span)
-            }
-            LTarget::Field { target, name, span } => {
-                let tv = self.eval_l(target, f)?;
-                match tv {
-                    Value::Object(obj) => {
-                        obj.set(*name, v);
-                        Ok(())
-                    }
-                    Value::ClassRef(c) => self.set_static_field(c, *name, v),
-                    Value::Null => {
-                        Err(self.throw_simple("java.lang.NullPointerException", *span))
-                    }
-                    other => Err(Control::error(
-                        format!("cannot assign field of {other:?}"),
-                        *span,
-                    )),
-                }
-            }
-            LTarget::Array { arr, idx, span } => {
-                let av = self.eval_l(arr, f)?;
-                let i = self.int_of(self.eval_l(idx, f)?, idx.span)?;
-                match av {
-                    Value::Array(a) => {
-                        let mut data = a.data.borrow_mut();
-                        let len = data.len();
-                        match data.get_mut(i as usize) {
-                            Some(slot) => {
-                                *slot = v;
-                                Ok(())
-                            }
-                            None => Err(Control::error(
-                                format!("array index {i} out of bounds ({len})"),
-                                *span,
-                            )),
-                        }
-                    }
-                    _ => Err(Control::error("not an array", *span)),
-                }
-            }
-            LTarget::Invalid(span) => Err(Control::error("invalid assignment target", *span)),
-        }
     }
 
     fn force_body(&self, body: &LazyNode, class: ClassId, span: Span) -> Result<(), Control> {
@@ -1932,7 +1316,7 @@ impl Interp {
 
     /// The environment tail of name resolution — everything after locals:
     /// implicit-`this` field, then (static) class field, then class name.
-    /// Shared by both execution paths.
+    /// Shared by both execution tiers.
     pub(crate) fn env_name(
         &self,
         name: Symbol,
@@ -1960,9 +1344,7 @@ impl Interp {
     pub(crate) fn field_of(&self, target: Value, name: Symbol, span: Span) -> Eval {
         match target {
             Value::ClassRef(c) => self.static_field(c, name),
-            Value::Object(obj) => obj
-                .get(name)
-                .ok_or_else(|| Control::error(format!("no field {name}"), span)),
+            Value::Object(obj) => self.obj_field(&obj, name, span),
             Value::Array(a) if name.as_str() == "length" => {
                 Ok(Value::Int(a.data.borrow().len() as i32))
             }
@@ -1971,6 +1353,41 @@ impl Interp {
                 format!("{other:?} has no field {name}"),
                 span,
             )),
+        }
+    }
+
+    /// Reads `obj.name`: an instance field, or the static field an
+    /// instance qualifier names (`this.s`, `c.s`).  Layouts hold instance
+    /// fields only.
+    pub(crate) fn obj_field(&self, obj: &Obj, name: Symbol, span: Span) -> Eval {
+        if let Some(v) = obj.get(name) {
+            return Ok(v);
+        }
+        match self.static_owner(obj.class, name) {
+            Some(owner) => self.static_field(owner, name),
+            None => Err(Control::error(format!("no field {name}"), span)),
+        }
+    }
+
+    /// Writes `obj.name`: an instance field, or the static field an
+    /// instance qualifier names.
+    pub(crate) fn set_obj_field(&self, obj: &Obj, name: Symbol, v: Value) -> Result<(), Control> {
+        match obj.layout.offset(name) {
+            Some(off) => obj.set_slot(off, v),
+            None => match self.static_owner(obj.class, name) {
+                Some(owner) => return self.set_static_field(owner, name, v),
+                None => obj.set(name, v),
+            },
+        }
+        Ok(())
+    }
+
+    /// The class declaring `name` when, seen from `class`, it is a static
+    /// field.
+    fn static_owner(&self, class: ClassId, name: Symbol) -> Option<ClassId> {
+        match self.ct.lookup_field(class, name) {
+            Some((owner, f)) if f.modifiers.is_static() => Some(owner),
+            _ => None,
         }
     }
 
@@ -2026,10 +1443,7 @@ impl Interp {
             ExprKind::FieldAccess(t, name) => {
                 let tv = self.eval(t, frame)?;
                 match tv {
-                    Value::Object(obj) => {
-                        obj.set(name.sym, v);
-                        Ok(())
-                    }
+                    Value::Object(obj) => self.set_obj_field(&obj, name.sym, v),
                     Value::ClassRef(c) => self.set_static_field(c, name.sym, v),
                     Value::Null => {
                         Err(self.throw_simple("java.lang.NullPointerException", target.span))
@@ -2079,7 +1493,7 @@ impl Interp {
     }
 
     /// The environment tail of name assignment (after locals): `this`
-    /// field, then static field.  Shared by both execution paths.
+    /// field, then static field.  Shared by both execution tiers.
     pub(crate) fn env_assign_name(
         &self,
         name: Symbol,
@@ -2094,12 +1508,8 @@ impl Interp {
                 return Ok(());
             }
         }
-        if let Some(class) = class {
-            if let Some((owner, f)) = self.ct.lookup_field(class, name) {
-                if f.modifiers.is_static() {
-                    return self.set_static_field(owner, name, v);
-                }
-            }
+        if let Some(owner) = class.and_then(|c| self.static_owner(c, name)) {
+            return self.set_static_field(owner, name, v);
         }
         Err(Control::error(format!("unresolved assignment to {name}"), span))
     }
@@ -2131,23 +1541,6 @@ impl Interp {
         })
     }
 
-    /// Records nested binary-operator pairs for the profiler: an operand
-    /// that is itself a binary operation forms an `(outer, inner)` pair —
-    /// the candidate set for superinstruction fusion (ROADMAP item 2).
-    /// `#[cold]` keeps the recording code out of the line of the
-    /// interpreter's hottest loop; when profiling is off the caller pays
-    /// one predictable untaken branch.
-    #[cold]
-    #[inline(never)]
-    fn prof_binop_l(&self, op: BinOp, l: &LExpr, r: &LExpr) {
-        if let LExprKind::Binary(inner, ..) = &l.kind {
-            maya_telemetry::prof_binop_pair(op.as_str(), inner.as_str());
-        }
-        if let LExprKind::Binary(inner, ..) = &r.kind {
-            maya_telemetry::prof_binop_pair(op.as_str(), inner.as_str());
-        }
-    }
-
     fn eval_binary(&self, op: BinOp, l: &Expr, r: &Expr, frame: &mut Frame, span: Span) -> Eval {
         if self.profile.get() {
             if let ExprKind::Binary(inner, ..) = &l.kind {
@@ -2172,7 +1565,7 @@ impl Interp {
     /// Applies a binary operator to already-evaluated values (borrowed —
     /// numeric and boolean results never need the operands moved).
     /// [`Interp::binary_values`] with an `int`⊗`int` fast path for the
-    /// lowered engine.  The specialized arms reproduce the generic path's
+    /// VM.  The specialized arms reproduce the generic path's
     /// promotion results exactly (all `i32` pairs are exact in `f64`, so
     /// even `==`/`!=` agree); anything fallible (`/`, `%`) or non-int falls
     /// through to the generic code.

@@ -1,10 +1,11 @@
 //! Class field layouts and epoch-guarded runtime caches.
 //!
 //! The fast runtime stores object fields in a `Vec<Value>` at fixed offsets
-//! instead of a per-instance `HashMap`.  A [`FieldLayout`] maps every field
-//! name visible on a class to its offset; layouts are *prefix layouts*
-//! (superclass fields first), so a subclass object can be viewed through its
-//! superclass's offsets unchanged.
+//! instead of a per-instance `HashMap`.  A [`FieldLayout`] maps every
+//! instance field name visible on a class to its offset (static fields live
+//! in the interpreter's per-class table, never in objects); layouts are
+//! *prefix layouts* (superclass fields first), so a subclass object can be
+//! viewed through its superclass's offsets unchanged.
 //!
 //! Layouts — like vtable rows and constructor rows — describe the *shape* of
 //! a class, and Maya classes mutate under intercession (metaprograms add
@@ -34,7 +35,8 @@ pub struct FieldLayout {
 }
 
 impl FieldLayout {
-    /// Computes the layout of `class` from the table's declared fields.
+    /// Computes the layout of `class` from the table's declared instance
+    /// fields.
     pub fn of(ct: &ClassTable, class: ClassId) -> FieldLayout {
         let ordered = ct.fields_in_layout_order(class);
         let mut names = Vec::with_capacity(ordered.len());
@@ -184,11 +186,19 @@ mod tests {
         }
     }
 
+    fn static_field(name: &str) -> FieldInfo {
+        FieldInfo {
+            modifiers: maya_ast::Modifiers::just(maya_ast::Modifier::Static),
+            ..field(name)
+        }
+    }
+
     #[test]
     fn prefix_layout_and_shadowing() {
         let ct = ClassTable::bootstrap();
         let sup = ct.declare(ClassInfo::new("A", false)).unwrap();
         ct.add_field(sup, field("x"));
+        ct.add_field(sup, static_field("count")); // no slot: statics live in the class
         ct.add_field(sup, field("y"));
         let mut sub_info = ClassInfo::new("B", false);
         sub_info.superclass = Some(sup);
@@ -200,6 +210,7 @@ mod tests {
         let lb = FieldLayout::of(&ct, sub);
         assert_eq!(la.offset(sym("x")), Some(0));
         assert_eq!(la.offset(sym("y")), Some(1));
+        assert_eq!(la.offset(sym("count")), None);
         assert_eq!(lb.offset(sym("x")), Some(0));
         assert_eq!(lb.offset(sym("y")), Some(1));
         assert_eq!(lb.offset(sym("z")), Some(2));

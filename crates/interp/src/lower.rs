@@ -1,4 +1,5 @@
-//! Runtime lowering: typed bodies → slot-resolved, pre-folded code.
+//! Runtime lowering: typed bodies → slot-resolved, pre-folded code, then
+//! bytecode.
 //!
 //! After type checking (and lazy forcing), a method or constructor body is
 //! lowered once into a [`LoweredBody`]:
@@ -12,15 +13,18 @@
 //!   fold (integer `/`/`%` can throw, so they never fold), and statements
 //!   are never folded away, keeping step counting identical to the
 //!   tree-walker.
-//! * **Site caches** — every call, field access, and type reference gets a
-//!   private inline cache ([`CallSite`], [`FieldSite`], [`TypeSlot`]) filled
-//!   at run time and guarded by the interpreter's cache *epoch* (see
+//! * **Bytecode** — the lowered IR is the input of the bytecode compiler
+//!   (`bytecode.rs`), which runs right away: every lowered body carries its
+//!   cold bytecode, and the VM (`vm.rs`) is the only executor of lowered
+//!   code.  Type references keep a private cache ([`TypeSlot`]) filled at
+//!   run time and guarded by the interpreter's cache *epoch* (see
 //!   `layout.rs`), so a lowered body contains no environment-dependent data
 //!   and can be shared between compilers in a session.
 //!
 //! Lowering is a pure function of the body's AST and its parameter names.
-//! Bodies containing unforced lazy nodes, templates, or poison nodes are
-//! *unlowerable* and keep executing on the legacy tree-walker; the
+//! Bodies containing `try`, unforced lazy nodes, templates, or poison
+//! nodes — and bodies the bytecode compiler declines — are *unlowerable*
+//! and execute on the reference tree walker in `interp.rs`; the
 //! [`LowerStore`] memoizes both outcomes per structural fingerprint so warm
 //! `mayad` runs skip the analysis entirely.
 //!
@@ -42,18 +46,19 @@ use std::rc::Rc;
 
 // ---- lowered IR --------------------------------------------------------------
 
-/// A lowered, directly executable body.
+/// A lowered body and its bytecode.
 pub struct LoweredBody {
     /// Number of leading slots filled from call arguments.
     pub n_params: usize,
     /// Total frame-slot count (params + every local ever declared).
     pub n_slots: usize,
-    /// Top-level statements (the body block's statements).
+    /// Top-level statements (the body block's statements): the input of
+    /// the bytecode compiler's refine pass.
     pub code: Vec<LStmt>,
-    /// Bytecode-tier state for this body (cold / compiled / unsupported).
-    /// Lives on the lowered body so it rides the [`LowerStore`] memo keying
-    /// and is shared between compilers in a session.
-    pub(crate) bc: RefCell<crate::bytecode::BcState>,
+    /// The body's bytecode. Lives on the lowered body so it rides the
+    /// [`LowerStore`] memo keying and is shared between compilers in a
+    /// session.
+    pub(crate) bc: crate::bytecode::BcState,
 }
 
 /// A lowered statement.
@@ -68,13 +73,6 @@ pub struct LDecl {
     /// Trailing `[]` pairs on the declarator.
     pub dims: u32,
     pub init: Option<LExpr>,
-}
-
-/// A lowered `catch` clause.
-pub struct LCatch {
-    pub ty: Rc<TypeSlot>,
-    pub param_slot: u32,
-    pub body: Vec<LStmt>,
 }
 
 /// The shape of a lowered statement.  Scoping is resolved at lowering time,
@@ -102,11 +100,6 @@ pub enum LStmtKind {
     Break,
     Continue,
     Throw(LExpr),
-    Try {
-        body: Vec<LStmt>,
-        catches: Vec<LCatch>,
-        finally: Option<Vec<LStmt>>,
-    },
     Empty,
 }
 
@@ -129,7 +122,6 @@ pub enum LExprKind {
     FieldGet {
         target: Box<LExpr>,
         name: Symbol,
-        site: FieldSite,
     },
     ArrayGet(Box<LExpr>, Box<LExpr>),
     New {
@@ -152,10 +144,10 @@ pub enum LExprKind {
         write: LTarget,
     },
     Assign {
-        op: Option<BinOp>,
-        /// For compound assignment: the place read as an r-value (legacy
-        /// evaluates the place twice; both copies are lowered separately).
-        read: Option<Box<LExpr>>,
+        /// For compound assignment: the operator and the place read as an
+        /// r-value (legacy evaluates the place twice; both copies are
+        /// lowered separately).
+        compound: Option<(BinOp, Box<LExpr>)>,
         write: LTarget,
         value: Box<LExpr>,
     },
@@ -171,7 +163,6 @@ pub enum LExprKind {
     Call {
         callee: LCallee,
         args: Vec<LExpr>,
-        site: CallSite,
     },
     /// `ExprKind::ClassRef` — a strict class reference by fully qualified
     /// name.
@@ -206,7 +197,7 @@ pub enum LTarget {
     Invalid(Span),
 }
 
-// ---- per-site caches ---------------------------------------------------------
+// ---- type-reference caches ---------------------------------------------------
 
 /// Epoch+class guard key. Class `None` (no enclosing class) maps to 0.
 pub(crate) fn class_key(class: Option<maya_types::ClassId>) -> u64 {
@@ -245,157 +236,6 @@ impl TypeSlot {
     pub fn fill(&self, epoch: u64, class: u64, ty: Type) {
         self.guard.set((epoch, class));
         *self.cached.borrow_mut() = Some(ty);
-    }
-}
-
-/// A monomorphic inline cache for one call site: the selected method for a
-/// single receiver class, guarded by (epoch, class).  Filled only when the
-/// method is the *sole* candidate at the call's arity, and re-verified
-/// against the actual argument types on every hit (dynamic values may
-/// violate static types), so the fast path can never select differently
-/// from the full search.
-pub struct CallSite {
-    guard: Cell<(u64, u64)>,
-    target: RefCell<Option<Rc<maya_types::MethodInfo>>>,
-    /// The cached target's lowered body, so a verified hit can jump
-    /// straight into lowered execution without re-probing the per-body
-    /// memo.  Reset by [`CallSite::fill`], so it can never outlive the
-    /// target it was derived from.
-    lowered: RefCell<Option<Rc<LoweredBody>>>,
-    /// Exactness cache: the [`ArgKey`]s of the last *verified* hit's
-    /// arguments.  If the current arguments have identical keys, their
-    /// runtime types are identical too, so the per-argument assignability
-    /// re-check would return the same verdict and can be skipped.  Reset
-    /// by [`CallSite::fill`] (a new target invalidates old verdicts).
-    exact: RefCell<Box<[ArgKey]>>,
-}
-
-/// A compact classification of a runtime argument, precise enough that two
-/// arguments with equal non-[`ArgKey::Other`] keys are guaranteed to have
-/// the same [`Value::runtime_type`].  `Other` (arrays, natives) never
-/// matches, so such arguments always take the full re-verification path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArgKey {
-    Null,
-    Prim(PrimKind),
-    Str,
-    Class(maya_types::ClassId),
-    Other,
-}
-
-impl ArgKey {
-    /// Classifies a runtime value.
-    pub fn of(v: &Value) -> ArgKey {
-        match v {
-            Value::Null => ArgKey::Null,
-            Value::Bool(_) => ArgKey::Prim(PrimKind::Boolean),
-            Value::Char(_) => ArgKey::Prim(PrimKind::Char),
-            Value::Int(_) => ArgKey::Prim(PrimKind::Int),
-            Value::Long(_) => ArgKey::Prim(PrimKind::Long),
-            Value::Float(_) => ArgKey::Prim(PrimKind::Float),
-            Value::Double(_) => ArgKey::Prim(PrimKind::Double),
-            Value::Str(_) => ArgKey::Str,
-            Value::Object(o) => ArgKey::Class(o.class),
-            _ => ArgKey::Other,
-        }
-    }
-
-    /// Whether `v` is classified by this key.  `Other` matches nothing.
-    pub fn matches(&self, v: &Value) -> bool {
-        !matches!(self, ArgKey::Other) && *self == ArgKey::of(v)
-    }
-}
-
-impl CallSite {
-    pub(crate) fn new() -> CallSite {
-        CallSite {
-            guard: Cell::new((0, u64::MAX)),
-            target: RefCell::new(None),
-            lowered: RefCell::new(None),
-            exact: RefCell::new(Box::from([])),
-        }
-    }
-
-    /// The cached method when the guard matches.
-    pub fn get(&self, epoch: u64, class: u64) -> Option<Rc<maya_types::MethodInfo>> {
-        if self.guard.get() == (epoch, class) {
-            return self.target.borrow().clone();
-        }
-        None
-    }
-
-    /// Caches `m` for `(epoch, class)`.
-    pub fn fill(&self, epoch: u64, class: u64, m: Rc<maya_types::MethodInfo>) {
-        self.guard.set((epoch, class));
-        *self.target.borrow_mut() = Some(m);
-        *self.lowered.borrow_mut() = None;
-        *self.exact.borrow_mut() = Box::from([]);
-    }
-
-    /// Whether `args` match the last verified hit's argument keys exactly.
-    /// Only meaningful right after [`CallSite::get`] returned a target.
-    pub fn exact_hit(&self, args: &[Value]) -> bool {
-        let keys = self.exact.borrow();
-        keys.len() == args.len() && keys.iter().zip(args).all(|(k, a)| k.matches(a))
-    }
-
-    /// Records the keys of a freshly verified hit's arguments.
-    pub fn note_exact(&self, args: &[Value]) {
-        *self.exact.borrow_mut() = args.iter().map(ArgKey::of).collect();
-    }
-
-    /// The cached target's lowered body.  Only meaningful right after
-    /// [`CallSite::get`] returned a verified target.
-    pub fn lowered_body(&self) -> Option<Rc<LoweredBody>> {
-        self.lowered.borrow().clone()
-    }
-
-    /// Remembers `m`'s lowered body — but only if `m` is still the cached
-    /// target.  The caller derives `lb` *after* invoking `m`, and a
-    /// recursive call through this same site may have re-filled it with a
-    /// different target in between; pairing that target with `m`'s body
-    /// would execute the wrong method on later hits.
-    pub fn set_lowered(&self, m: &Rc<maya_types::MethodInfo>, lb: Rc<LoweredBody>) {
-        if self
-            .target
-            .borrow()
-            .as_ref()
-            .is_some_and(|t| Rc::ptr_eq(t, m))
-        {
-            *self.lowered.borrow_mut() = Some(lb);
-        }
-    }
-}
-
-/// A monomorphic field-offset cache, guarded by the identity of the
-/// receiver's [`crate::FieldLayout`].  An object's layout never changes
-/// after construction (class mutation only gives *new* instances a new
-/// layout), so layout identity is a sound guard with no epoch check.
-pub struct FieldSite {
-    layout: Cell<usize>,
-    offset: Cell<u32>,
-}
-
-impl FieldSite {
-    pub(crate) fn new() -> FieldSite {
-        FieldSite {
-            layout: Cell::new(0),
-            offset: Cell::new(0),
-        }
-    }
-
-    /// The cached offset when this site last saw the layout at `layout_ptr`.
-    pub fn get(&self, layout_ptr: usize) -> Option<u32> {
-        if layout_ptr != 0 && self.layout.get() == layout_ptr {
-            return Some(self.offset.get());
-        }
-        None
-    }
-
-    /// Caches `offset` for the layout at `layout_ptr`.
-    pub fn fill(&self, layout_ptr: usize, offset: u32) {
-        self.layout.set(layout_ptr);
-        self.offset.set(offset);
     }
 }
 
@@ -538,12 +378,13 @@ pub fn body_fingerprint(block: &Block) -> Option<u128> {
 // every statement, expression, operator, literal, name *and span*, and the
 // disk key folds in the parameter names, so an equal key implies an AST
 // for which `lower_body` (a pure function) would produce exactly this
-// output. Site caches ([`CallSite`], [`FieldSite`], [`TypeSlot`]) hold
-// only process-local runtime state and are recreated empty on decode.
+// output. Site caches ([`TypeSlot`] and the bytecode's field and call
+// sites) hold only process-local runtime state and are recreated empty on
+// decode.
 
 /// Bumped whenever the encoded body layout changes (including the
 /// bytecode section in `bytecode.rs` and the token codes it references).
-const BODY_PAYLOAD_VERSION: u32 = 1;
+const BODY_PAYLOAD_VERSION: u32 = 2;
 
 use crate::codec::{
     binop_code, binop_from, incdec_code, incdec_from, prim_code, prim_from, unop_code, unop_from,
@@ -551,10 +392,9 @@ use crate::codec::{
 };
 
 /// Encodes a lowering outcome, or `None` when it contains something the
-/// codec cannot represent (which simply skips persisting this body). For
-/// lowerable bodies the cold bytecode is compiled eagerly (it would be
-/// compiled on first execution anyway) so a warm-store hit skips the
-/// bytecode tier's compile as well.
+/// codec cannot represent (which simply skips persisting this body). A
+/// lowered body is encoded with its cold bytecode, so a warm-store hit
+/// skips the bytecode compile as well.
 pub(crate) fn encode_outcome(outcome: &Option<Rc<LoweredBody>>) -> Option<Vec<u8>> {
     let mut w = W::new();
     w.u32(BODY_PAYLOAD_VERSION);
@@ -564,17 +404,8 @@ pub(crate) fn encode_outcome(outcome: &Option<Rc<LoweredBody>>) -> Option<Vec<u8
             w.u8(1);
             w.u32(u32::try_from(lb.n_params).ok()?);
             w.u32(u32::try_from(lb.n_slots).ok()?);
-            w.len(lb.code.len())?;
-            for s in &lb.code {
-                enc_stmt(&mut w, s)?;
-            }
-            match crate::bytecode::bc_of(lb) {
-                Some(bc) => {
-                    w.u8(1);
-                    crate::bytecode::encode_bc(&mut w, &bc)?;
-                }
-                None => w.u8(2), // Unsupported verdict: skip recompiling.
-            }
+            enc_stmts(&mut w, &lb.code)?;
+            crate::bytecode::encode_bc(&mut w, &lb.bc.current())?;
         }
     }
     Some(w.buf)
@@ -592,29 +423,13 @@ pub(crate) fn decode_outcome(bytes: &[u8]) -> Option<Option<Rc<LoweredBody>>> {
         1 => {
             let n_params = r.u32()? as usize;
             let n_slots = r.u32()? as usize;
-            let n = r.len()?;
-            let mut code = Vec::with_capacity(n);
-            for _ in 0..n {
-                code.push(dec_stmt(&mut r)?);
-            }
-            let bc = match r.u8()? {
-                0 => crate::bytecode::BcState::Cold,
-                1 => {
-                    let bc = Rc::new(crate::bytecode::decode_bc(&mut r)?);
-                    crate::bytecode::BcState::Ready {
-                        bc,
-                        execs: Cell::new(0),
-                        refined: Cell::new(false),
-                    }
-                }
-                2 => crate::bytecode::BcState::Unsupported,
-                _ => return None,
-            };
+            let code = dec_stmts(&mut r)?;
+            let bc = crate::bytecode::decode_bc(&mut r)?;
             Some(Rc::new(LoweredBody {
                 n_params,
                 n_slots,
                 code,
-                bc: RefCell::new(bc),
+                bc: crate::bytecode::BcState::new(bc),
             }))
         }
         _ => return None,
@@ -792,24 +607,7 @@ fn enc_stmt(w: &mut W, s: &LStmt) -> Option<()> {
             w.u8(10);
             enc_expr(w, e)?;
         }
-        LStmtKind::Try { body, catches, finally } => {
-            w.u8(11);
-            enc_stmts(w, body)?;
-            w.len(catches.len())?;
-            for c in catches {
-                enc_ty(w, &c.ty)?;
-                w.u32(c.param_slot);
-                enc_stmts(w, &c.body)?;
-            }
-            match finally {
-                None => w.u8(0),
-                Some(f) => {
-                    w.u8(1);
-                    enc_stmts(w, f)?;
-                }
-            }
-        }
-        LStmtKind::Empty => w.u8(12),
+        LStmtKind::Empty => w.u8(11),
     }
     Some(())
 }
@@ -873,24 +671,7 @@ fn dec_stmt(r: &mut R) -> Option<LStmt> {
         8 => LStmtKind::Break,
         9 => LStmtKind::Continue,
         10 => LStmtKind::Throw(dec_expr(r)?),
-        11 => {
-            let body = dec_stmts(r)?;
-            let n = r.len()?;
-            let mut catches = Vec::with_capacity(n);
-            for _ in 0..n {
-                let ty = dec_ty(r)?;
-                let param_slot = r.u32()?;
-                let body = dec_stmts(r)?;
-                catches.push(LCatch { ty, param_slot, body });
-            }
-            let finally = match r.u8()? {
-                0 => None,
-                1 => Some(dec_stmts(r)?),
-                _ => return None,
-            };
-            LStmtKind::Try { body, catches, finally }
-        }
-        12 => LStmtKind::Empty,
+        11 => LStmtKind::Empty,
         _ => return None,
     };
     Some(LStmt { span, kind })
@@ -965,9 +746,7 @@ fn enc_expr(w: &mut W, e: &LExpr) -> Option<()> {
             w.sym(*name)?;
         }
         LExprKind::This => w.u8(3),
-        // Per-site caches (`site`) hold process-local runtime state only;
-        // the decoder recreates them empty.
-        LExprKind::FieldGet { target, name, site: _ } => {
+        LExprKind::FieldGet { target, name } => {
             w.u8(4);
             enc_expr(w, target)?;
             w.sym(*name)?;
@@ -1012,20 +791,14 @@ fn enc_expr(w: &mut W, e: &LExpr) -> Option<()> {
             enc_expr(w, read)?;
             enc_target(w, write)?;
         }
-        LExprKind::Assign { op, read, write, value } => {
+        LExprKind::Assign { compound, write, value } => {
             w.u8(11);
-            match op {
+            match compound {
                 None => w.u8(0),
-                Some(op) => {
+                Some((op, read)) => {
                     w.u8(1);
                     w.u8(binop_code(*op));
-                }
-            }
-            match read {
-                None => w.u8(0),
-                Some(e) => {
-                    w.u8(1);
-                    enc_expr(w, e)?;
+                    enc_expr(w, read)?;
                 }
             }
             enc_target(w, write)?;
@@ -1047,7 +820,7 @@ fn enc_expr(w: &mut W, e: &LExpr) -> Option<()> {
             enc_expr(w, x)?;
             enc_ty(w, ty)?;
         }
-        LExprKind::Call { callee, args, site: _ } => {
+        LExprKind::Call { callee, args } => {
             w.u8(15);
             match callee {
                 LCallee::Recv(recv, name) => {
@@ -1086,7 +859,7 @@ fn dec_expr(r: &mut R) -> Option<LExpr> {
         3 => LExprKind::This,
         4 => {
             let target = Box::new(dec_expr(r)?);
-            LExprKind::FieldGet { target, name: r.sym()?, site: FieldSite::new() }
+            LExprKind::FieldGet { target, name: r.sym()? }
         }
         5 => {
             let arr = Box::new(dec_expr(r)?);
@@ -1127,18 +900,16 @@ fn dec_expr(r: &mut R) -> Option<LExpr> {
             LExprKind::IncDec { op, prefix, read, write: dec_target(r)? }
         }
         11 => {
-            let op = match r.u8()? {
+            let compound = match r.u8()? {
                 0 => None,
-                1 => Some(binop_from(r.u8()?)?),
-                _ => return None,
-            };
-            let read = match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(dec_expr(r)?)),
+                1 => {
+                    let op = binop_from(r.u8()?)?;
+                    Some((op, Box::new(dec_expr(r)?)))
+                }
                 _ => return None,
             };
             let write = dec_target(r)?;
-            LExprKind::Assign { op, read, write, value: Box::new(dec_expr(r)?) }
+            LExprKind::Assign { compound, write, value: Box::new(dec_expr(r)?) }
         }
         12 => {
             let c = Box::new(dec_expr(r)?);
@@ -1168,7 +939,7 @@ fn dec_expr(r: &mut R) -> Option<LExpr> {
             for _ in 0..n {
                 args.push(dec_expr(r)?);
             }
-            LExprKind::Call { callee, args, site: CallSite::new() }
+            LExprKind::Call { callee, args }
         }
         16 => LExprKind::ClassRefName(r.sym()?),
         _ => return None,
@@ -1178,23 +949,33 @@ fn dec_expr(r: &mut R) -> Option<LExpr> {
 
 // ---- the lowerer -------------------------------------------------------------
 
-/// The body contains syntax the lowerer cannot handle (lazy nodes,
-/// templates, poison nodes); it will run on the legacy tree-walker.
+/// The body contains syntax the lowerer or the bytecode compiler cannot
+/// handle (`try`, lazy nodes, templates, poison nodes, register
+/// exhaustion); it will run on the reference tree-walker.
 pub(crate) struct Unlowerable;
 
 type Lower<T> = Result<T, Unlowerable>;
 
-/// Lowers a body block.  Pure: depends only on the AST and `params`.
+/// Lowers a body block and compiles its cold bytecode.  Pure: depends only
+/// on the AST and `params`.
 pub(crate) fn lower_body(block: &Block, params: &[Symbol]) -> Result<LoweredBody, Unlowerable> {
     let mut lw = Lowerer::new(params);
     let code = lw.stmts(&block.stmts)?;
     maya_telemetry::add(maya_telemetry::Counter::SlotsResolved, lw.slots_resolved);
     maya_telemetry::add(maya_telemetry::Counter::ConstsFolded, lw.consts_folded);
+    let n_slots = lw.next_slot as usize;
+    let bc = crate::bytecode::compile(&code, params.len(), n_slots, &[], false)
+        .map_err(|_| Unlowerable)?;
+    maya_telemetry::count(maya_telemetry::Counter::BcCompiled);
+    maya_telemetry::add(
+        maya_telemetry::Counter::BcSuperinsts,
+        bc.super_pcs.len() as u64,
+    );
     Ok(LoweredBody {
         n_params: params.len(),
-        n_slots: lw.next_slot as usize,
+        n_slots,
         code,
-        bc: RefCell::new(crate::bytecode::BcState::Cold),
+        bc: crate::bytecode::BcState::new(bc),
     })
 }
 
@@ -1335,41 +1116,12 @@ impl Lowerer {
             StmtKind::Break => LStmtKind::Break,
             StmtKind::Continue => LStmtKind::Continue,
             StmtKind::Throw(e) => LStmtKind::Throw(self.expr(e)?),
-            StmtKind::Try {
-                body,
-                catches,
-                finally,
-            } => {
-                let body = self.block(&body.stmts)?;
-                let mut lcatches = Vec::with_capacity(catches.len());
-                for c in catches {
-                    self.push();
-                    let r = (|| {
-                        let param_slot = self.declare(c.param.name.sym);
-                        let body = self.stmts(&c.body.stmts)?;
-                        Ok(LCatch {
-                            ty: TypeSlot::new(c.param.ty.clone()),
-                            param_slot,
-                            body,
-                        })
-                    })();
-                    self.pop();
-                    lcatches.push(r?);
-                }
-                let finally = match finally {
-                    Some(f) => Some(self.block(&f.stmts)?),
-                    None => None,
-                };
-                LStmtKind::Try {
-                    body,
-                    catches: lcatches,
-                    finally,
-                }
-            }
             // Imports are compile-time; at runtime `use` is just a scope.
             StmtKind::Use(_, body) => LStmtKind::Block(self.block(&body.stmts)?),
             StmtKind::Empty => LStmtKind::Empty,
-            StmtKind::Lazy(_) | StmtKind::Error => return Err(Unlowerable),
+            // `try` runs on the reference walker: the bytecode has no
+            // exception handlers.
+            StmtKind::Try { .. } | StmtKind::Lazy(_) | StmtKind::Error => return Err(Unlowerable),
         };
         Ok(LStmt { span: s.span, kind })
     }
@@ -1405,7 +1157,6 @@ impl Lowerer {
             ExprKind::FieldAccess(target, name) => LExprKind::FieldGet {
                 target: Box::new(self.expr(target)?),
                 name: name.sym,
-                site: FieldSite::new(),
             },
             ExprKind::Call(mn, args) => self.call(mn, args)?,
             ExprKind::ArrayAccess(a, i) => {
@@ -1456,14 +1207,13 @@ impl Lowerer {
                 // ops) the place as an r-value, then store — re-evaluating
                 // the place's sub-expressions.
                 let value = Box::new(self.expr(r)?);
-                let read = match op {
-                    Some(_) => Some(Box::new(self.expr(l)?)),
+                let compound = match op {
+                    Some(op) => Some((*op, Box::new(self.expr(l)?))),
                     None => None,
                 };
                 let write = self.target(l)?;
                 LExprKind::Assign {
-                    op: *op,
-                    read,
+                    compound,
                     write,
                     value,
                 }
@@ -1536,7 +1286,6 @@ impl Lowerer {
         Ok(LExprKind::Call {
             callee,
             args: largs,
-            site: CallSite::new(),
         })
     }
 
@@ -1921,43 +1670,28 @@ mod tests {
         let outcome = Some(Rc::new(body));
         let bytes = enc(&outcome);
         assert_eq!(enc(&outcome), bytes, "encoding is deterministic");
-        // The encoder force-compiled the cold bytecode tier.
-        assert!(matches!(
-            &*outcome.as_ref().unwrap().bc.borrow(),
-            crate::bytecode::BcState::Ready { .. }
-        ));
         let decoded = decode_outcome(&bytes).expect("decodes").expect("a body");
         assert_eq!(decoded.n_params, 2);
         assert_eq!(decoded.n_slots, outcome.as_ref().unwrap().n_slots);
-        assert!(matches!(
-            &*decoded.bc.borrow(),
-            crate::bytecode::BcState::Ready { .. }
-        ));
+        assert_eq!(
+            decoded.bc.current().code.len(),
+            outcome.as_ref().unwrap().bc.current().code.len()
+        );
         // Full structural fidelity: the decoded body re-encodes byte-equal.
         assert_eq!(enc(&Some(decoded)), bytes);
     }
 
     #[test]
-    fn body_codec_round_trips_unsupported_bytecode_and_verdicts() {
-        // try/finally makes the bytecode tier bail: bc section = Unsupported.
-        let body = lower(
-            vec![Stmt::synth(StmtKind::Try {
-                body: Block::synth(vec![Stmt::expr(Expr::int(1))]),
-                catches: vec![],
-                finally: Some(Block::synth(vec![Stmt::expr(Expr::int(2))])),
-            })],
-            &[],
-        );
-        let outcome = Some(Rc::new(body));
-        let bytes = enc(&outcome);
-        let decoded = decode_outcome(&bytes).expect("decodes").expect("a body");
-        assert!(matches!(
-            &*decoded.bc.borrow(),
-            crate::bytecode::BcState::Unsupported
-        ));
-        assert_eq!(enc(&Some(decoded)), bytes);
+    fn try_body_is_unlowerable_and_the_verdict_round_trips() {
+        // try/finally has no bytecode: the body is unlowerable.
+        let stmts = vec![Stmt::synth(StmtKind::Try {
+            body: Block::synth(vec![Stmt::expr(Expr::int(1))]),
+            catches: vec![],
+            finally: Some(Block::synth(vec![Stmt::expr(Expr::int(2))])),
+        })];
+        assert!(lower_body(&Block::synth(stmts), &[]).is_err());
 
-        // The memoized *unlowerable* verdict round-trips too.
+        // The memoized *unlowerable* verdict round-trips.
         let verdict_bytes = enc(&None);
         assert!(matches!(decode_outcome(&verdict_bytes), Some(None)));
     }

@@ -1,11 +1,12 @@
-//! The bytecode VM — third execution tier.
+//! The bytecode VM — the fast execution tier.
 //!
-//! [`crate::bytecode`] compiles a [`LoweredBody`] into flat register
-//! bytecode; this module executes it.  The dispatch loop below must remain
-//! *observationally identical* to the lowered tree walker in `interp.rs`
+//! [`crate::bytecode`] compiles every lowered body into flat register
+//! bytecode; this module executes it.  Unlowerable bodies (`try`, lazy
+//! nodes, templates) run on the reference tree walker in `interp.rs`, and
+//! the dispatch loop below must remain *observationally identical* to it
 //! (same output bytes, same error text and spans, same step counts, same
-//! telemetry call counters) — `MAYA_NO_BYTECODE=1` pins the tree walker for
-//! differential testing, and the fuzzer runs all three tiers against each
+//! telemetry call counters) — `MAYA_NO_LOWER=1` pins the walker for
+//! differential testing, and the fuzzer runs both tiers against each
 //! other.
 //!
 //! Call dispatch goes through [`PolySite`] polymorphic inline caches keyed
@@ -16,15 +17,14 @@
 //! [`Instr::GuardInline`] handler re-validates the snapshot (epoch, receiver
 //! class, argument keys) and falls back to the generic call on mismatch.
 
-use crate::bytecode::{self, BcBody, BcState, Instr, PolySite, REFINE_EXECS};
+use crate::bytecode::{self, ArgKey, BcBody, Instr, PolySite};
 use crate::interp::{Control, Eval, Interp};
-use crate::lower::{class_key, ArgKey, LoweredBody};
+use crate::lower::{class_key, LoweredBody};
 use crate::value::Value;
 use maya_ast::LazyNode;
 use maya_lexer::{Span, Symbol};
 use maya_telemetry::Counter;
 use maya_types::{ClassId, MethodInfo, Type};
-use std::cell::Cell;
 use std::rc::Rc;
 
 /// Where Break/Continue routed to (see `route_control`).
@@ -36,7 +36,7 @@ enum Route {
 }
 
 /// `++`/`--` on a value; shared by `IncDecVal` and `IncLocal`.  Mirrors the
-/// tree walker's `LExprKind::IncDec` arm exactly.
+/// reference walker's `ExprKind::IncDec` arm exactly.
 fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
     Ok(match v {
         Value::Int(v) => Value::Int(v.wrapping_add(delta)),
@@ -49,70 +49,41 @@ fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
 }
 
 impl Interp {
-    /// Bytecode for `lb`: compiles cold on first execution, and recompiles
-    /// *once* with inline splicing after [`REFINE_EXECS`] runs (by then the
-    /// PICs are warm, so monomorphic sites are visible).  The refine pass
-    /// reuses the cold pass's call sites, keeping warmed cache lines.
-    pub(crate) fn bytecode_for(&self, lb: &LoweredBody) -> Option<Rc<BcBody>> {
-        enum Plan {
-            Use(Rc<BcBody>),
-            Cold,
-            Refine(Rc<BcBody>),
+    /// Bytecode for `lb`: the cold compile, recompiled *once* with inline
+    /// splicing after [`bytecode::REFINE_EXECS`] runs (by then the PICs are
+    /// warm, so monomorphic sites are visible).  The refine pass reuses the
+    /// cold pass's call sites, keeping warmed cache lines.
+    pub(crate) fn bytecode_for(&self, lb: &LoweredBody) -> Rc<BcBody> {
+        let old = lb.bc.current();
+        // The counter saturates before compiling: the splicer reads callee
+        // bodies' bytecode, and a self-recursive callee must see a settled
+        // state.
+        if !lb.bc.note_exec() {
+            return old;
         }
-        let plan = match &*lb.bc.borrow() {
-            BcState::Unsupported => return None,
-            BcState::Cold => Plan::Cold,
-            BcState::Ready { bc, execs, refined } => {
-                if refined.get() {
-                    Plan::Use(Rc::clone(bc))
-                } else {
-                    let n = execs.get() + 1;
-                    execs.set(n);
-                    if n >= REFINE_EXECS {
-                        // Mark refined *before* compiling: the splicer calls
-                        // back into `bc_of` for callee bodies, and a
-                        // self-recursive callee must see a settled state.
-                        refined.set(true);
-                        Plan::Refine(Rc::clone(bc))
-                    } else {
-                        Plan::Use(Rc::clone(bc))
-                    }
-                }
+        match bytecode::compile(&lb.code, lb.n_params, lb.n_slots, &old.sites, true) {
+            Ok(bc) => {
+                let bc = Rc::new(bc);
+                maya_telemetry::count(Counter::BcCompiled);
+                maya_telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
+                lb.bc.replace(Rc::clone(&bc));
+                bc
             }
-        };
-        match plan {
-            Plan::Use(bc) => Some(bc),
-            Plan::Cold => bytecode::bc_of(lb),
-            Plan::Refine(old) => match bytecode::compile(lb, &old.sites, true) {
-                Ok(bc) => {
-                    let bc = Rc::new(bc);
-                    maya_telemetry::count(Counter::BcCompiled);
-                    maya_telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
-                    *lb.bc.borrow_mut() = BcState::Ready {
-                        bc: Rc::clone(&bc),
-                        execs: Cell::new(REFINE_EXECS),
-                        refined: Cell::new(true),
-                    };
-                    Some(bc)
-                }
-                // A refine failure keeps the (working) cold bytecode.
-                Err(_) => Some(old),
-            },
+            // A refine failure keeps the (working) cold bytecode.
+            Err(_) => old,
         }
     }
 
-    /// Disassembly of `body`'s bytecode for `mayac --dump-bytecode`,
-    /// compiling cold if needed.  `None` when the body can't be lowered or
-    /// can't be compiled (e.g. contains try/catch).
+    /// Disassembly of `body`'s bytecode for `mayac --dump-bytecode`.
+    /// `None` when the body is unlowerable (e.g. contains try/catch).
     pub fn bytecode_listing(&self, body: &LazyNode, params: &[Symbol]) -> Option<String> {
         let lb = self.lowered_body(body, params)?;
-        let bc = bytecode::bc_of(&lb)?;
-        Some(bytecode::disasm(&bc, &self.ct))
+        Some(bytecode::disasm(&lb.bc.current(), &self.ct))
     }
 
     /// The lowered body for a resolved method, if it is already forced and
     /// lowerable.  Used to prime/backfill PIC entries so hits dispatch
-    /// straight to lowered (and thence bytecode) execution.
+    /// straight to bytecode execution.
     fn lowered_for_method(&self, m: &Rc<MethodInfo>) -> Option<Rc<LoweredBody>> {
         if m.native.is_some() {
             return None;
@@ -124,8 +95,8 @@ impl Interp {
         self.lowered_body(body, &m.param_names)
     }
 
-    /// Dispatches through a polymorphic inline cache — the bytecode tier's
-    /// analog of `invoke_ic`.  Entries are keyed by (receiver class, exact
+    /// Dispatches through a polymorphic inline cache.  Entries are keyed by
+    /// (receiver class, exact
     /// [`ArgKey`]s): an exact-key hit implies the arguments' runtime types
     /// are identical to the install-time ones, so `select_from_row` would
     /// pick the same target — no per-argument assignability re-check needed.
@@ -149,7 +120,7 @@ impl Interp {
                 });
             }
             // Fast path: the entry carries the target's lowered body, so a
-            // hit goes straight to lowered/bytecode execution.  Mirrors
+            // hit goes straight to bytecode execution.  Mirrors
             // `invoke`/`invoke_inner` exactly (same depth guard and error,
             // same counters).
             if let Some(lb) = lowered {
@@ -253,16 +224,18 @@ impl Interp {
 }
 
 impl Interp {
-    /// Executes a compiled body.  `args` becomes the register file (locals
-    /// first, then preloaded constants, then temporaries); the buffer comes
-    /// from — and returns to — the frame pool shared with the tree walker.
-    pub(crate) fn run_bc(
+    /// Runs a lowered body's bytecode.  The argument vector `regs` becomes
+    /// the register file (locals first, then temporaries, then preloaded
+    /// constants); the buffer comes from — and returns to — the frame pool
+    /// that call sites draw their argument vectors from.
+    pub(crate) fn exec_lowered(
         &self,
-        bc: &BcBody,
+        lb: &LoweredBody,
         this: Option<Value>,
         class: ClassId,
         mut regs: Vec<Value>,
     ) -> Eval {
+        let bc = &*self.bytecode_for(lb);
         regs.truncate(bc.n_params as usize);
         regs.resize(bc.n_regs as usize, Value::Null);
         for (r, v) in &bc.preloads {
@@ -307,7 +280,7 @@ impl Interp {
             let ins = bc.code[pc as usize];
             if profiled {
                 maya_telemetry::prof_opcode(ins.mnemonic());
-                // prof_binop_l parity: hot-pair samples are recorded before
+                // `eval_binary` parity: hot-pair samples are recorded before
                 // the operands evaluate, so they hang off the first
                 // instruction of the expression, not the Binary itself.
                 if let Some(pairs) = bc.pairs.get(&pc) {
@@ -371,9 +344,7 @@ impl Interp {
                                 fs.fill(lp, off);
                                 Ok(o.get_slot(off))
                             } else {
-                                o.get(name).ok_or_else(|| {
-                                    Control::error(format!("no field {name}"), span)
-                                })
+                                self.obj_field(o, name, span)
                             }
                         }
                         other => self.field_of(other.clone(), name, span),
@@ -383,8 +354,7 @@ impl Interp {
                 Instr::FieldSet { obj, val, name, span } => {
                     let r = match regs[obj as usize].clone() {
                         Value::Object(o) => {
-                            o.set(name, regs[val as usize].clone());
-                            Ok(())
+                            self.set_obj_field(&o, name, regs[val as usize].clone())
                         }
                         Value::ClassRef(c) => {
                             self.set_static_field(c, name, regs[val as usize].clone())

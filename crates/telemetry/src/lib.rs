@@ -241,13 +241,6 @@ pub enum Counter {
     /// cache (same purity regime as `UnitCacheHits`, applied to the
     /// deferred `ClassBody` parse that shapes a class's members).
     ClassBodyCacheHits,
-    /// Virtual-call sites answered by their monomorphic inline cache
-    /// (receiver class matched and the cached target re-verified).
-    IcHits,
-    /// Virtual-call sites that fell back to full by-name method
-    /// selection (first execution, polymorphic receiver, or a class
-    /// shape change since the cache was filled).
-    IcMisses,
     /// Local/parameter references resolved to fixed frame slots by the
     /// runtime lowering pass.
     SlotsResolved,
@@ -276,7 +269,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 47] = [
+    pub const ALL: [Counter; 45] = [
         Counter::TokensLexed,
         Counter::TokenTreesBuilt,
         Counter::FilesLexed,
@@ -314,8 +307,6 @@ impl Counter {
         Counter::ForceCacheHits,
         Counter::UnitCacheHits,
         Counter::ClassBodyCacheHits,
-        Counter::IcHits,
-        Counter::IcMisses,
         Counter::SlotsResolved,
         Counter::ConstsFolded,
         Counter::ServerPanicsIsolated,
@@ -366,8 +357,6 @@ impl Counter {
             Counter::ForceCacheHits => "force_cache_hits",
             Counter::UnitCacheHits => "unit_cache_hits",
             Counter::ClassBodyCacheHits => "class_body_cache_hits",
-            Counter::IcHits => "ic_hits",
-            Counter::IcMisses => "ic_misses",
             Counter::SlotsResolved => "slots_resolved",
             Counter::ConstsFolded => "consts_folded",
             Counter::ServerPanicsIsolated => "server_panics_isolated",

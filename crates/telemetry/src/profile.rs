@@ -2,11 +2,10 @@
 //!
 //! Per-method invocation counts with inclusive/exclusive wall time,
 //! per-call-site inline-cache hit/miss counts, and a tally of nested
-//! binary-operator pairs — the data ROADMAP item 2 (a bytecode VM with
-//! superinstructions) needs to pick which op sequences deserve fused
-//! handlers.
+//! binary-operator pairs — the data the bytecode VM's superinstructions
+//! were picked from.
 //!
-//! The recording API is keyed by raw addresses (`&MethodInfo`, `&CallSite`
+//! The recording API is keyed by raw addresses (`&MethodInfo`, `&PolySite`
 //! — both live behind `Rc`s for the interpreter's lifetime) so the hot
 //! path never hashes a string; names are rendered lazily by a closure that
 //! only runs the first time a key is seen. The interpreter keeps its own

@@ -346,7 +346,7 @@ impl ClassTable {
         for c in chain.into_iter().rev() {
             let info = self.info(c);
             let info = info.borrow();
-            for f in &info.fields {
+            for f in info.fields.iter().filter(|f| !f.modifiers.is_static()) {
                 if !out.iter().any(|(_, g)| g.name == f.name) {
                     out.push((c, f.clone()));
                 }

@@ -6,11 +6,10 @@
 //! for the invalid-input half. Every case runs through six differential
 //! oracles, each an invariant the system already promises:
 //!
-//! * **engine** — all three execution tiers must produce byte-identical
-//!   outcomes: the bytecode VM (default), the lowered tree walker
-//!   (`Interp::set_bytecode(false)`, the in-process face of
-//!   `MAYA_NO_BYTECODE`), and the legacy tree walker
-//!   (`Interp::set_lowering(false)`, the face of `MAYA_NO_LOWER`);
+//! * **engine** — both execution tiers must produce byte-identical
+//!   outcomes: the bytecode VM (default) and the legacy tree walker
+//!   (`Interp::set_lowering(false)`, the in-process face of
+//!   `MAYA_NO_LOWER`);
 //! * **warm/post-edit** — a persistent [`Session`] (the `mayad` shape)
 //!   fed hundreds of unrelated programs must match a cold batch compile,
 //!   including after an edit/revert cycle through the same session;
@@ -24,7 +23,7 @@
 //!   cold-process-with-warm-`--cache-dir` shape) must both be
 //!   byte-identical to a store-less cold compile;
 //! * **faults** — under a sampled `MAYA_FAULTS`-style injection, armed
-//!   identically on all three engines, diagnostics may differ from the
+//!   identically on both engines, diagnostics may differ from the
 //!   clean run but the engines must still agree, and no panic may escape
 //!   the driver boundary.
 //!
@@ -588,47 +587,21 @@ fn fuzz_options(jobs: usize) -> CompileOptions {
 }
 
 /// One execution tier of the interpreter (see `maya_interp`): the engine
-/// oracle requires all three to be observationally identical.
+/// oracle requires both to be observationally identical.
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
     /// Legacy tree walker (`MAYA_NO_LOWER=1`).
     Legacy,
-    /// Lowered fast runtime on the tree walker (`MAYA_NO_BYTECODE=1`).
-    Lowered,
     /// Lowered + compiled register bytecode — the default tier.
     Bytecode,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Legacy => "legacy",
-            Engine::Lowered => "lowered",
-            Engine::Bytecode => "bytecode",
-        }
-    }
 }
 
 fn installer(engine: Engine) -> Rc<dyn Fn(&Compiler)> {
     Rc::new(move |c: &Compiler| {
         maya::macrolib::install(c);
         maya::multijava::install(c);
-        // Explicit on both axes so ambient MAYA_NO_LOWER/MAYA_NO_BYTECODE
-        // can't skew the differential.
-        let i = c.interp();
-        match engine {
-            Engine::Legacy => {
-                i.set_lowering(false);
-            }
-            Engine::Lowered => {
-                i.set_lowering(true);
-                i.set_bytecode(false);
-            }
-            Engine::Bytecode => {
-                i.set_lowering(true);
-                i.set_bytecode(true);
-            }
-        }
+        // Explicit so an ambient MAYA_NO_LOWER can't skew the differential.
+        c.interp().set_lowering(engine == Engine::Bytecode);
     })
 }
 
@@ -656,9 +629,7 @@ fn fuzz_pool(workers: usize) -> CompilePool {
         installer: Some(Arc::new(|c: &Compiler| {
             maya::macrolib::install(c);
             maya::multijava::install(c);
-            let i = c.interp();
-            i.set_lowering(true);
-            i.set_bytecode(true);
+            c.interp().set_lowering(true);
         })),
         ..PoolConfig::default()
     })
@@ -734,24 +705,16 @@ fn run_fresh(
     r
 }
 
-/// The engine oracle's pairwise sweep: the bytecode tier (the default)
-/// against each other tier, under an optional shared fault.  Returns the
-/// first divergence.
+/// The engine oracle: the bytecode tier (the default) against the legacy
+/// tree walker, under an optional shared fault.
 fn compare_engines(sources: &[(String, String)], fault: Option<&str>) -> Option<String> {
     let suffix = if fault.is_some() { "+fault" } else { "" };
-    let bc = run_fresh(sources, Engine::Bytecode, 1, fault);
-    for other in [Engine::Legacy, Engine::Lowered] {
-        let detail = compare(
-            bc.clone(),
-            run_fresh(sources, other, 1, fault),
-            &format!("bytecode{suffix}"),
-            &format!("{}{suffix}", other.name()),
-        );
-        if detail.is_some() {
-            return detail;
-        }
-    }
-    None
+    compare(
+        run_fresh(sources, Engine::Bytecode, 1, fault),
+        run_fresh(sources, Engine::Legacy, 1, fault),
+        &format!("bytecode{suffix}"),
+        &format!("legacy{suffix}"),
+    )
 }
 
 fn diff_block(an: &str, a: &Outcome, bn: &str, b: &Outcome) -> String {
@@ -787,8 +750,7 @@ fn compare(
 enum Oracle {
     /// A fresh bytecode-tier compile panicked out of the driver.
     Panic,
-    /// Three-engine sweep: bytecode VM vs legacy tree walker and vs the
-    /// lowered runtime.
+    /// Bytecode VM vs legacy tree walker.
     Engine,
     /// Same session, same input, compiled twice: replay must match.
     WarmReplay,
@@ -801,7 +763,7 @@ enum Oracle {
     /// Fresh sessions against an empty then a prewarmed persistent
     /// artifact store vs a store-less cold compile.
     Store,
-    /// All three engines under the same armed fault.
+    /// Both engines under the same armed fault.
     Faults(String),
     /// Fault armed on the legacy side only (`--induce`): a guaranteed
     /// divergence that proves the minimizer.
@@ -1048,11 +1010,10 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
     let gen = GrammarGen::new();
     let opts = req_opts();
 
-    // The persistent trio: one session per execution tier, all living
+    // The persistent pair: one session per execution tier, both living
     // across the whole campaign like a long-running `mayad` fed hundreds
     // of unrelated requests.
     let mut warm = fresh_session(Engine::Bytecode, 1);
-    let mut lowered = fresh_session(Engine::Lowered, 1);
     let mut legacy = fresh_session(Engine::Legacy, 1);
     // ... plus the concurrent face of the same shape: a 4-worker pool fed
     // every case for a rotating client, like `mayad --workers=4` serving
@@ -1182,7 +1143,7 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
             record(Oracle::WarmReplay, i, sources, detail, &mut reports, &mut stats);
         }
 
-        // Oracle: the other two tiers (persistent sessions) must match the
+        // Oracle: the legacy tier (a persistent session) must match the
         // bytecode baseline byte for byte.
         stats.engine_runs += 1;
         let legacy_out = maya::core::catch_ice(AssertUnwindSafe(|| {
@@ -1190,13 +1151,6 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
         }));
         if let Some(detail) = compare(Ok(cold.clone()), legacy_out, "bytecode", "legacy") {
             legacy.reset();
-            record(Oracle::Engine, i, sources, detail, &mut reports, &mut stats);
-        }
-        let lowered_out = maya::core::catch_ice(AssertUnwindSafe(|| {
-            lowered.compile_sources(sources, &opts)
-        }));
-        if let Some(detail) = compare(Ok(cold.clone()), lowered_out, "bytecode", "lowered") {
-            lowered.reset();
             record(Oracle::Engine, i, sources, detail, &mut reports, &mut stats);
         }
 
@@ -1240,7 +1194,7 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
             record(Oracle::PostEdit, i, sources, detail, &mut reports, &mut stats);
         }
 
-        // Oracle: sampled fault injection, armed identically on all three
+        // Oracle: sampled fault injection, armed identically on both
         // engines. Diagnostics may differ from the clean run; the engines
         // must still agree, and no panic may escape.
         if i % 4 == 0 {

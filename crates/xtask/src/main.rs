@@ -24,9 +24,9 @@
 //! indexed dispatch does not beat the seed's 782/470 tests-per-reduction
 //! linear scan, or (c) any fast-path run's wall clock regressed more than
 //! 20% against the committed snapshot. It also times the `interp_hot`
-//! workload (the interpreter-bound corpus programs) through the legacy
-//! tree walker and the lowered fast runtime, and fails unless the lowered
-//! runtime is at least 3x faster with a >= 90% inline-cache hit rate.
+//! workload (the interpreter-bound corpus programs) through the reference
+//! tree walker and the bytecode VM, and fails unless the VM is at least 6x
+//! faster with a >= 95% polymorphic-inline-cache hit rate.
 //! The `service` bench drives concurrent clients through the worker-pool
 //! service (`mayad --workers=8`) and fails unless it delivers at least 4x
 //! the compiles/sec of a stateless single-worker loop (fresh session per
@@ -44,7 +44,7 @@
 //! producing a diagnostic or a clean run. Resource guards are tightened
 //! so pathological inputs terminate quickly; the whole run is
 //! deterministic for a given seed. The corpus replay runs every program
-//! through two compile-server sessions — lowered runtime and legacy tree
+//! through two compile-server sessions — bytecode VM and reference tree
 //! walker — and fails on any output divergence between them. Part of the
 //! pre-merge verify flow.
 //!
@@ -318,7 +318,7 @@ fn disabled_interp_hot_ms(root: &Path) -> f64 {
     );
     let mut best = f64::INFINITY;
     for _ in 0..OVERHEAD_REPS {
-        best = best.min(interp_hot_pass(root, true, true));
+        best = best.min(interp_hot_pass(root, true));
     }
     best
 }
@@ -459,7 +459,7 @@ fn profile_report(top: usize) -> ExitCode {
         profile_interp: Some(top),
         ..telemetry::Config::default()
     });
-    interp_hot_pass(&root, true, true);
+    interp_hot_pass(&root, true);
     let r = s.finish();
     print!("{}", r.time_passes_table());
     match &r.interp_profile {
@@ -891,8 +891,6 @@ fn service_bench() -> ServiceBench {
 /// container, so 6.0 fails any real slowdown of the VM loop while
 /// tolerating the run-to-run frequency lottery.
 const INTERP_MIN_SPEEDUP: f64 = 6.0;
-/// Minimum inline-cache hit rate over the interp_hot workload.
-const INTERP_MIN_IC_HIT_RATE: f64 = 0.90;
 /// Minimum polymorphic-inline-cache hit rate in the bytecode tier: the
 /// monomorphic-to-lightly-polymorphic call sites of the hot corpus must
 /// stay pinned in their PIC rows after warmup.
@@ -909,16 +907,11 @@ const INTERP_HOT_PROGRAMS: [(&str, &str); 3] = [
 struct InterpBench {
     /// Best wall-clock for one pass over the programs, legacy tree walker.
     seed_ms: f64,
-    /// Best wall-clock for one pass, lowered runtime with bytecode off.
-    lowered_ms: f64,
     /// Best wall-clock for one pass, bytecode VM tier (the default).
     fast_ms: f64,
     /// Every rep's wall clock per configuration, in measurement order.
     seed_samples: Vec<f64>,
-    lowered_samples: Vec<f64>,
     fast_samples: Vec<f64>,
-    ic_hits: u64,
-    ic_misses: u64,
     pic_hits: u64,
     pic_misses: u64,
     pic_evictions: u64,
@@ -931,15 +924,6 @@ struct InterpBench {
 impl InterpBench {
     fn speedup(&self) -> f64 {
         self.seed_ms / self.fast_ms.max(1e-9)
-    }
-
-    fn ic_hit_rate(&self) -> f64 {
-        let total = self.ic_hits + self.ic_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.ic_hits as f64 / total as f64
-        }
     }
 
     fn pic_hit_rate(&self) -> f64 {
@@ -955,7 +939,8 @@ impl InterpBench {
 /// One pass over the interp_hot programs: compile untimed, then time only
 /// `run_main` — the compile front end is identical in both configurations,
 /// so timing it would just dilute the interpreter speedup being measured.
-fn interp_hot_pass(root: &Path, lowering: bool, bytecode: bool) -> f64 {
+/// `lowering` picks the tier: the bytecode VM, or the reference walker.
+fn interp_hot_pass(root: &Path, lowering: bool) -> f64 {
     let mut ms = 0.0;
     for (name, expected) in INTERP_HOT_PROGRAMS {
         let src = std::fs::read_to_string(root.join("tests/corpus").join(name))
@@ -966,7 +951,6 @@ fn interp_hot_pass(root: &Path, lowering: bool, bytecode: bool) -> f64 {
             ..Default::default()
         });
         c.interp().set_lowering(lowering);
-        c.interp().set_bytecode(bytecode);
         c.add_source(name, &src).expect("interp_hot program compiles");
         c.compile().expect("interp_hot program compiles");
         let started = std::time::Instant::now();
@@ -982,49 +966,37 @@ fn interp_hot_pass(root: &Path, lowering: bool, bytecode: bool) -> f64 {
 }
 
 /// Times the interpreter-bound workload through the legacy tree walker and
-/// the lowered fast runtime, capturing the lowering/IC counters from the
-/// fast configuration.
+/// the bytecode VM, capturing the lowering/PIC counters from the VM
+/// configuration.
 fn interp_bench(root: &Path) -> InterpBench {
     // Counter capture first, untimed: a live telemetry collector taxes every
     // counter bump, so the wall-clock reps below run without a session and
-    // all configurations pay identical instrumentation costs (none). Two
-    // passes because the tiers shadow each other's counters: the bytecode
-    // tier drives PICs (its call sites never reach the tree walker's
-    // inline caches), so IC health is read from a lowered-only pass.
+    // both configurations pay identical instrumentation costs (none).
     let s = telemetry::Session::start(telemetry::Config::default());
-    interp_hot_pass(root, true, true);
+    interp_hot_pass(root, true);
     let r = s.finish();
-    let s = telemetry::Session::start(telemetry::Config::default());
-    interp_hot_pass(root, true, false);
-    let rl = s.finish();
 
     // Interleaved reps: a background load spike lands on every
     // configuration instead of skewing the ratios one way.
     let mut seed_samples = Vec::with_capacity(PERF_REPS);
-    let mut lowered_samples = Vec::with_capacity(PERF_REPS);
     let mut fast_samples = Vec::with_capacity(PERF_REPS);
     for _ in 0..PERF_REPS {
-        seed_samples.push(interp_hot_pass(root, false, false));
-        lowered_samples.push(interp_hot_pass(root, true, false));
-        fast_samples.push(interp_hot_pass(root, true, true));
+        seed_samples.push(interp_hot_pass(root, false));
+        fast_samples.push(interp_hot_pass(root, true));
     }
     let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     InterpBench {
         seed_ms: min(&seed_samples),
-        lowered_ms: min(&lowered_samples),
         fast_ms: min(&fast_samples),
         seed_samples,
-        lowered_samples,
         fast_samples,
-        ic_hits: rl.counter(Counter::IcHits),
-        ic_misses: rl.counter(Counter::IcMisses),
         pic_hits: r.counter(Counter::PicHits),
         pic_misses: r.counter(Counter::PicMisses),
         pic_evictions: r.counter(Counter::PicEvictions),
         bc_compiled: r.counter(Counter::BcCompiled),
         bc_superinsts: r.counter(Counter::BcSuperinsts),
-        slots_resolved: rl.counter(Counter::SlotsResolved),
-        consts_folded: rl.counter(Counter::ConstsFolded),
+        slots_resolved: r.counter(Counter::SlotsResolved),
+        consts_folded: r.counter(Counter::ConstsFolded),
     }
 }
 
@@ -1250,23 +1222,17 @@ fn render_perf(
     );
     let _ = writeln!(
         out,
-        "  \"interp_hot\": {{\n    \"interp_seed_ms\": {:.2},\n    \"interp_lowered_ms\": {:.2},\n    \
+        "  \"interp_hot\": {{\n    \"interp_seed_ms\": {:.2},\n    \
          \"interp_fast_ms\": {:.2},\n    \"speedup\": {:.2},\n    \
-         \"seed_samples_ms\": {},\n    \"lowered_samples_ms\": {},\n    \
-         \"fast_samples_ms\": {},\n    \"ic_hits\": {},\n    \"ic_misses\": {},\n    \
-         \"ic_hit_rate\": {:.4},\n    \"pic_hits\": {},\n    \"pic_misses\": {},\n    \
+         \"seed_samples_ms\": {},\n    \
+         \"fast_samples_ms\": {},\n    \"pic_hits\": {},\n    \"pic_misses\": {},\n    \
          \"pic_hit_rate\": {:.4},\n    \"pic_evictions\": {},\n    \"bc_compiled\": {},\n    \
          \"bc_superinsts\": {},\n    \"slots_resolved\": {},\n    \"consts_folded\": {}\n  }}",
         interp.seed_ms,
-        interp.lowered_ms,
         interp.fast_ms,
         interp.speedup(),
         json_samples(&interp.seed_samples),
-        json_samples(&interp.lowered_samples),
         json_samples(&interp.fast_samples),
-        interp.ic_hits,
-        interp.ic_misses,
-        interp.ic_hit_rate(),
         interp.pic_hits,
         interp.pic_misses,
         interp.pic_hit_rate(),
@@ -1395,37 +1361,24 @@ fn perf_gate() -> ExitCode {
     }
 
     // Gate 4 (absolute): the bytecode VM tier must beat the legacy tree
-    // walker on the interpreter-bound workload, with healthy inline-cache
-    // and PIC hit rates (the fast paths must actually be taken, not just
-    // exist).
+    // walker on the interpreter-bound workload, with a healthy PIC hit rate
+    // (the fast path must actually be taken, not just exist).
     let interp = interp_bench(&root);
     println!(
-        "xtask perf: interp_hot         seed {:>8.2}ms  lowered {:>8.2}ms  bytecode {:>8.2}ms  \
-         ({:.2}x)  IC {}/{} hits ({:.1}%)  PIC {}/{} hits ({:.1}%)",
+        "xtask perf: interp_hot         seed {:>8.2}ms  bytecode {:>8.2}ms  \
+         ({:.2}x)  PIC {}/{} hits ({:.1}%)",
         interp.seed_ms,
-        interp.lowered_ms,
         interp.fast_ms,
         interp.speedup(),
-        interp.ic_hits,
-        interp.ic_hits + interp.ic_misses,
-        interp.ic_hit_rate() * 100.0,
         interp.pic_hits,
         interp.pic_hits + interp.pic_misses,
         interp.pic_hit_rate() * 100.0,
     );
     if interp.speedup() < INTERP_MIN_SPEEDUP {
         eprintln!(
-            "xtask perf: lowered runtime too slow: only {:.2}x faster than the legacy \
+            "xtask perf: bytecode VM too slow: only {:.2}x faster than the legacy \
              tree walker (need {INTERP_MIN_SPEEDUP:.1}x)",
             interp.speedup()
-        );
-        failed = true;
-    }
-    if interp.ic_hit_rate() < INTERP_MIN_IC_HIT_RATE {
-        eprintln!(
-            "xtask perf: inline caches ineffective: hit rate {:.1}% (need {:.0}%)",
-            interp.ic_hit_rate() * 100.0,
-            INTERP_MIN_IC_HIT_RATE * 100.0
         );
         failed = true;
     }
@@ -1651,10 +1604,10 @@ fn fuzz_one(src: &str) -> Result<bool, String> {
 /// Replays the conformance corpus through the compile-server path: each
 /// program cold, warm (must be a byte-identical full reuse), through a
 /// second session pinned to the legacy tree-walking interpreter (must be
-/// byte-identical to the lowered run), and after an appended-class edit,
+/// byte-identical to the bytecode run), and after an appended-class edit,
 /// all inside the ICE boundary. A panic escaping a session, a warm replay
-/// diverging from its cold run, or the lowered runtime diverging from the
-/// legacy one fails the fuzz run — the same invariants the random cases
+/// diverging from its cold run, or the bytecode VM diverging from the
+/// legacy walker fails the fuzz run — the same invariants the random cases
 /// hunt for, on real programs.
 fn fuzz_corpus_server(root: &Path) -> Result<(usize, usize), String> {
     let dir = root.join("tests/corpus");
@@ -1671,7 +1624,7 @@ fn fuzz_corpus_server(root: &Path) -> Result<(usize, usize), String> {
         maya::multijava::install(c);
     });
     // Same extensions, but every compiler the session creates runs the
-    // legacy tree walker instead of the lowered fast runtime.
+    // legacy tree walker instead of the bytecode VM.
     let legacy_installer: std::rc::Rc<dyn Fn(&maya::Compiler)> = std::rc::Rc::new(|c| {
         maya::macrolib::install(c);
         maya::multijava::install(c);
@@ -1698,9 +1651,9 @@ fn fuzz_corpus_server(root: &Path) -> Result<(usize, usize), String> {
                 || legacy.stderr != cold.stderr
             {
                 return Err(format!(
-                    "{name}: lowered runtime diverged from the legacy tree walker\n\
-                     --- lowered stdout ---\n{}\n--- legacy stdout ---\n{}\n\
-                     --- lowered stderr ---\n{}\n--- legacy stderr ---\n{}",
+                    "{name}: bytecode VM diverged from the legacy tree walker\n\
+                     --- bytecode stdout ---\n{}\n--- legacy stdout ---\n{}\n\
+                     --- bytecode stderr ---\n{}\n--- legacy stderr ---\n{}",
                     cold.stdout, legacy.stdout, cold.stderr, legacy.stderr
                 ));
             }
@@ -1747,7 +1700,7 @@ fn fuzz_lite(cases: usize, seed: u64) -> ExitCode {
         Ok((clean, diagnosed)) => {
             println!(
                 "xtask fuzz-lite: corpus server replay: {} programs ({clean} clean, \
-                 {diagnosed} diagnosed), warm == cold, lowered == legacy, 0 panics",
+                 {diagnosed} diagnosed), warm == cold, bytecode == legacy, 0 panics",
                 clean + diagnosed
             );
             ExitCode::SUCCESS

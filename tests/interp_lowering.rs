@@ -1,16 +1,15 @@
-//! Differential testing of the fast runtimes.
+//! Differential testing of the fast runtime.
 //!
 //! Every program in `tests/corpus/` is executed through `mayac` once per
 //! execution tier:
 //!
 //! * **legacy** — `MAYA_NO_LOWER=1`: the tree-walking interpreter;
-//! * **lowered** — `MAYA_NO_BYTECODE=1`: slot-resolved, inline-cached
-//!   lowered execution on the tree walker;
 //! * **bytecode** — the default: lowered bodies compiled to flat register
-//!   bytecode with polymorphic inline caches and superinstructions.
+//!   bytecode with polymorphic inline caches and superinstructions
+//!   (bodies the lowering declines, such as `try`, stay on the walker).
 //!
-//! Stdout, stderr, and the exit status must be byte-identical across all
-//! three — each tier is an optimization, never a semantic change.
+//! Stdout, stderr, and the exit status must be byte-identical across
+//! both — the bytecode tier is an optimization, never a semantic change.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -34,42 +33,20 @@ fn parse_directives(src: &str) -> Directives {
     Directives { args }
 }
 
-#[derive(Clone, Copy)]
-enum Tier {
-    Legacy,
-    Lowered,
-    Bytecode,
-}
-
-impl Tier {
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Legacy => "legacy",
-            Tier::Lowered => "lowered",
-            Tier::Bytecode => "bytecode",
-        }
-    }
-}
-
-fn run(cwd: &Path, d: &Directives, file: &str, tier: Tier) -> Output {
+/// Runs `file` on the legacy walker (`lowering` off) or the bytecode VM.
+fn run(cwd: &Path, d: &Directives, file: &str, lowering: bool) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_mayac"));
     cmd.current_dir(cwd).args(&d.args).arg(file);
-    // The variables are set on the child only; the test process environment
+    // The variable is set on the child only; the test process environment
     // is never mutated.
-    let (no_lower, no_bc) = match tier {
-        Tier::Legacy => ("1", "1"),
-        Tier::Lowered => ("0", "1"),
-        Tier::Bytecode => ("0", "0"),
-    };
-    cmd.env("MAYA_NO_LOWER", no_lower);
-    cmd.env("MAYA_NO_BYTECODE", no_bc);
+    cmd.env("MAYA_NO_LOWER", if lowering { "0" } else { "1" });
     cmd.output().unwrap()
 }
 
 /// One test over the whole corpus (not one per program) so the report shows
 /// every divergence at once and the corpus never partially runs.
 #[test]
-fn all_three_tiers_agree() {
+fn both_tiers_agree() {
     let dir = corpus_dir();
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -85,31 +62,26 @@ fn all_three_tiers_agree() {
     for name in &names {
         let src = std::fs::read_to_string(dir.join(name)).unwrap();
         let d = parse_directives(&src);
-        let baseline = run(&dir, &d, name, Tier::Legacy);
-        for tier in [Tier::Lowered, Tier::Bytecode] {
-            let fast = run(&dir, &d, name, tier);
-            if fast.status.code() != baseline.status.code() {
+        let baseline = run(&dir, &d, name, false);
+        let fast = run(&dir, &d, name, true);
+        if fast.status.code() != baseline.status.code() {
+            failures.push(format!(
+                "{name}: exit status diverged (bytecode {:?}, legacy {:?})",
+                fast.status.code(),
+                baseline.status.code()
+            ));
+        }
+        for (channel, a, b) in [
+            ("stdout", &fast.stdout, &baseline.stdout),
+            ("stderr", &fast.stderr, &baseline.stderr),
+        ] {
+            if a != b {
                 failures.push(format!(
-                    "{name}: exit status diverged ({} {:?}, legacy {:?})",
-                    tier.name(),
-                    fast.status.code(),
-                    baseline.status.code()
+                    "{name}: {channel} diverged between bytecode and legacy\n\
+                     --- bytecode ---\n{}\n--- legacy ---\n{}",
+                    String::from_utf8_lossy(a),
+                    String::from_utf8_lossy(b)
                 ));
-            }
-            for (channel, a, b) in [
-                ("stdout", &fast.stdout, &baseline.stdout),
-                ("stderr", &fast.stderr, &baseline.stderr),
-            ] {
-                if a != b {
-                    failures.push(format!(
-                        "{name}: {channel} diverged between {} and legacy\n\
-                         --- {} ---\n{}\n--- legacy ---\n{}",
-                        tier.name(),
-                        tier.name(),
-                        String::from_utf8_lossy(a),
-                        String::from_utf8_lossy(b)
-                    ));
-                }
             }
         }
     }

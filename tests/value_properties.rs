@@ -5,8 +5,8 @@
 //! constant preloading and superinstruction fusion on top. These tests pin
 //! the observable semantics: boundary integer arithmetic (i64 wrap-around,
 //! `MIN / -1`, `MIN % -1`, int→long promotion) and interned-string
-//! equality/concatenation must be **bit-for-bit identical** across all
-//! three execution tiers, and must match host-computed expectations.
+//! equality/concatenation must be **bit-for-bit identical** across both
+//! execution tiers, and must match host-computed expectations.
 //!
 //! Random programs come from a deterministic xorshift PRNG (the build
 //! container has no registry access, so `proptest` is unavailable); seeds
@@ -14,36 +14,30 @@
 
 use maya::{CompileOptions, Compiler};
 
-/// (name, lowering, bytecode) — the three execution tiers.
-const TIERS: [(&str, bool, bool); 3] =
-    [("legacy", false, false), ("lowered", true, false), ("bytecode", true, true)];
-
-/// Runs `src` in-process through one tier; `Err` carries the full error
-/// rendering so diagnosed/thrown outcomes are compared too.
-fn run_tier(src: &str, lowering: bool, bytecode: bool) -> Result<String, String> {
+/// Runs `src` in-process on the legacy walker (`lowering` off) or the
+/// bytecode VM; `Err` carries the full error rendering so diagnosed/thrown
+/// outcomes are compared too.
+fn run_tier(src: &str, lowering: bool) -> Result<String, String> {
     let c = Compiler::with_options(CompileOptions {
         echo_output: false,
         jobs: 1,
         ..Default::default()
     });
     c.interp().set_lowering(lowering);
-    c.interp().set_bytecode(bytecode);
     c.add_source("Main.maya", src).map_err(|e| e.to_string())?;
     c.compile().map_err(|e| e.to_string())?;
     c.run_main("Main").map_err(|e| e.to_string())
 }
 
-/// Runs `src` through every tier and asserts the outcomes are identical;
+/// Runs `src` through both tiers and asserts the outcomes are identical;
 /// returns the agreed outcome.
 fn tiers_agree(label: &str, src: &str) -> Result<String, String> {
-    let baseline = run_tier(src, TIERS[0].1, TIERS[0].2);
-    for (name, lowering, bytecode) in &TIERS[1..] {
-        let out = run_tier(src, *lowering, *bytecode);
-        assert_eq!(
-            out, baseline,
-            "{label}: {name} diverged from legacy\n--- program ---\n{src}"
-        );
-    }
+    let baseline = run_tier(src, false);
+    let out = run_tier(src, true);
+    assert_eq!(
+        out, baseline,
+        "{label}: bytecode diverged from legacy\n--- program ---\n{src}"
+    );
     baseline
 }
 
@@ -147,9 +141,9 @@ const LONG_POOL: [&str; 10] = [
 ];
 
 /// Random straight-line long arithmetic threaded through mutable locals
-/// and a counted loop, so the lowered tier resolves slots and the bytecode
-/// tier compiles, fuses, and preloads constants — then every tier must
-/// print the same variable dump (or throw the same exception).
+/// and a counted loop, so lowering resolves slots and the bytecode tier
+/// compiles, fuses, and preloads constants — then both tiers must print
+/// the same variable dump (or throw the same exception).
 #[test]
 fn random_long_arithmetic_identical_across_tiers() {
     const VARS: usize = 6;
