@@ -619,8 +619,9 @@ fn ns_to_ms(ns: u64) -> f64 {
 }
 
 /// Renders the `stats` reply from the pool-wide aggregates: summed session
-/// counters, the merged request-latency histogram, per-phase times, and
-/// cache gauges merged from every worker's per-request reports.
+/// counters, the merged request-latency histogram, per-phase times,
+/// summed telemetry counters, and cache gauges merged from every worker's
+/// per-request reports.
 fn stats_response(m: &PoolMetrics) -> String {
     let s = &m.stats;
     let mut w = JsonWriter::new();
@@ -664,6 +665,16 @@ fn stats_response(m: &PoolMetrics) -> String {
             w.field_f64("ms", agg.phase_time(p).as_secs_f64() * 1e3)
                 .field_u64("calls", calls)
                 .end_obj();
+        }
+    }
+    w.end_obj();
+
+    // Every telemetry counter, summed over the requests: the names and
+    // meanings `mayac --stats` reports for one compile.
+    w.key("counters").begin_obj();
+    if let Some(agg) = &m.aggregate {
+        for c in Counter::ALL {
+            w.field_u64(c.name(), agg.counter(c));
         }
     }
     w.end_obj();

@@ -63,7 +63,7 @@ const LEX_PAYLOAD_VERSION: u32 = 1;
 /// Bumped whenever the outcome payload layout or key derivation changes,
 /// and whenever a fix changes what a stored program outputs (outcome keys
 /// carry no compiler-build identity yet).
-const OUTCOME_PAYLOAD_VERSION: u32 = 2;
+const OUTCOME_PAYLOAD_VERSION: u32 = 3;
 
 /// The artifact kinds the store persists. Each kind maps to a file
 /// extension (so `stats`/`gc` can attribute entries without opening them)

@@ -39,32 +39,65 @@ pub(crate) const REFINE_EXECS: u32 = 3;
 /// Max callee instruction count eligible for inline splicing.
 pub(crate) const INLINE_MAX: usize = 24;
 
-/// The bytecode memoized on each `LoweredBody`: the cold compile, swapped
-/// once for the refine (inlining) recompile after [`REFINE_EXECS`] runs.
+/// The bytecode memoized on each `LoweredBody`: the cold compile, plus the
+/// refine (inlining) recompile made after [`REFINE_EXECS`] runs.
+///
+/// Splice guards compare the PIC epoch they were built under, and every
+/// interpreter allocates fresh epochs, so a refined body that a session's
+/// `LowerStore` shares with a later request's compiler could never pass
+/// one of its guards again. Runs are therefore counted per epoch: the
+/// first run under a new epoch drops a refined body that holds splices,
+/// the body runs cold, and it is refined again after `REFINE_EXECS` runs
+/// under the new epoch.
 pub(crate) struct BcState {
-    bc: RefCell<Rc<BcBody>>,
-    /// Runs so far; saturates at `REFINE_EXECS + 1`.
+    /// Never changes; the body codec persists it.
+    cold: Rc<BcBody>,
+    refined: RefCell<Option<Rc<BcBody>>>,
+    /// The epoch `execs` counts runs under.
+    epoch: Cell<u64>,
+    /// Runs under `epoch` so far; saturates at `REFINE_EXECS + 1`.
     execs: Cell<u32>,
 }
 
 impl BcState {
     pub(crate) fn new(bc: BcBody) -> BcState {
         BcState {
-            bc: RefCell::new(Rc::new(bc)),
+            cold: Rc::new(bc),
+            refined: RefCell::new(None),
+            epoch: Cell::new(u64::MAX),
             execs: Cell::new(0),
         }
     }
 
-    /// The current compile (cold or refined). Used as is by the inliner,
-    /// the disassembler and the body codec; the interpreter's
-    /// `bytecode_for` adds the exec-counted refine step.
-    pub(crate) fn current(&self) -> Rc<BcBody> {
-        Rc::clone(&self.bc.borrow())
+    /// The cold compile: what the codec persists and the splicer copies.
+    pub(crate) fn cold(&self) -> &Rc<BcBody> {
+        &self.cold
     }
 
-    /// Counts one run; true exactly on the first run after
-    /// `REFINE_EXECS` runs, so the refine pass fires once.
-    pub(crate) fn note_exec(&self) -> bool {
+    /// The bytecode a run uses now: the refined compile once there is one.
+    pub(crate) fn current(&self) -> Rc<BcBody> {
+        match &*self.refined.borrow() {
+            Some(bc) => Rc::clone(bc),
+            None => Rc::clone(&self.cold),
+        }
+    }
+
+    /// Counts one run under `epoch`; true exactly on the first run after
+    /// `REFINE_EXECS` runs under it, so the refine pass fires once per
+    /// epoch that outdates a refined body's splices.
+    pub(crate) fn note_exec(&self, epoch: u64) -> bool {
+        if self.epoch.get() != epoch {
+            self.epoch.set(epoch);
+            let stale = self
+                .refined
+                .borrow()
+                .as_ref()
+                .is_some_and(|bc| !bc.guards.is_empty());
+            if stale {
+                self.refined.replace(None);
+                self.execs.set(0);
+            }
+        }
         let n = self.execs.get();
         if n > REFINE_EXECS {
             return false;
@@ -73,8 +106,8 @@ impl BcState {
         n == REFINE_EXECS
     }
 
-    pub(crate) fn replace(&self, bc: Rc<BcBody>) {
-        *self.bc.borrow_mut() = bc;
+    pub(crate) fn set_refined(&self, bc: Rc<BcBody>) {
+        self.refined.replace(Some(bc));
     }
 }
 
@@ -84,6 +117,10 @@ pub(crate) enum Instr {
     Move { dst: u16, src: u16 },
     LoadThis { dst: u16, span: Span },
     EnvLoad { dst: u16, name: Symbol, site: u16, span: Span },
+    /// A spliced callee's `EnvLoad`: resolves `name` against the `this`
+    /// and class of the callee frame that `guard` stands in for (its
+    /// receiver register, or the caller's `this` for an implicit call).
+    EnvLoadAt { dst: u16, guard: u16, name: Symbol, site: u16, span: Span },
     EnvStore { src: u16, name: Symbol, span: Span },
     ClassRef { dst: u16, fqcn: Symbol, span: Span },
     FieldGet { dst: u16, obj: u16, name: Symbol, site: u16, span: Span },
@@ -146,6 +183,7 @@ impl Instr {
             Instr::Move { .. } => "move",
             Instr::LoadThis { .. } => "load_this",
             Instr::EnvLoad { .. } => "env_load",
+            Instr::EnvLoadAt { .. } => "env_load_at",
             Instr::EnvStore { .. } => "env_store",
             Instr::ClassRef { .. } => "class_ref",
             Instr::FieldGet { .. } => "field_get",
@@ -364,11 +402,13 @@ impl PolySite {
     }
 
     /// Snapshot a monomorphic, fully-exact, lowered-cached site for inline
-    /// splicing. Returns None if the site is polymorphic, has inexact keys,
-    /// targets a native, or has no lowered body yet.
-    pub(crate) fn mono_snapshot(&self) -> Option<MonoSnapshot> {
+    /// splicing under `epoch`. Returns None if the line was filled under
+    /// another epoch (a guard built from it could never pass), or the site
+    /// is polymorphic, has inexact keys, targets a native, or has no
+    /// lowered body yet.
+    pub(crate) fn mono_snapshot(&self, epoch: u64) -> Option<MonoSnapshot> {
         let entries = self.entries.borrow();
-        if entries.len() != 1 {
+        if self.epoch.get() != epoch || entries.len() != 1 {
             return None;
         }
         let e = &entries[0];
@@ -377,7 +417,7 @@ impl PolySite {
         }
         let lowered = e.lowered.clone()?;
         Some(MonoSnapshot {
-            epoch: self.epoch.get(),
+            epoch,
             ck: e.ck,
             class: e.class,
             keys: e.keys.clone(),
@@ -409,11 +449,15 @@ pub(crate) struct InlineGuard {
     pub epoch: u64,
     pub ck: u64,
     pub keys: Box<[ArgKey]>,
-    /// Receiver register; None = implicit `this`.
+    /// Receiver register; None = an implicit call, whose callee shares the
+    /// caller's `this` (and, in a static frame, dispatches on the frame's
+    /// class).
     pub recv: Option<u16>,
     pub base: u16,
     pub site: Rc<PolySite>,
     pub name: Symbol,
+    /// The class the callee frame runs under: the receiver's class, or the
+    /// frame's class at a static implicit call site.
     pub class: ClassId,
 }
 
@@ -517,11 +561,12 @@ fn tn_is_prim(tn: &TypeName) -> bool {
 }
 
 /// True iff `bc` is a leaf body eligible for inline splicing: short, no
-/// calls/guards, no env access, and only context-free types.  `has_recv`
-/// permits `LoadThis` — with a guarded receiver register in the caller the
-/// splicer rewrites it to a plain `Move`, so instance leaves (field
-/// getters, `side * side` areas) inline too.
-pub(crate) fn inline_ok(bc: &BcBody, n_args: usize, has_recv: bool) -> bool {
+/// calls/guards, no name stores, and only context-free types.  Reads of
+/// `this` and of bare names are fine: the splicer rewrites `LoadThis` to
+/// the guarded receiver register (an implicit call's callee shares the
+/// caller's `this`) and `EnvLoad` to `EnvLoadAt`, which resolves in the
+/// callee's class — so field getters and `side * side` areas inline too.
+pub(crate) fn inline_ok(bc: &BcBody, n_args: usize) -> bool {
     if !bc.guards.is_empty() || bc.code.len() > INLINE_MAX {
         return false;
     }
@@ -532,12 +577,11 @@ pub(crate) fn inline_ok(bc: &BcBody, n_args: usize, has_recv: bool) -> bool {
         return false;
     }
     bc.code.iter().all(|i| {
-        if matches!(i, Instr::LoadThis { .. }) {
-            return has_recv;
-        }
         matches!(
             i,
             Instr::Move { .. }
+                | Instr::LoadThis { .. }
+                | Instr::EnvLoad { .. }
                 | Instr::Binary { .. }
                 | Instr::Unary { .. }
                 | Instr::IncDecVal { .. }
@@ -606,8 +650,8 @@ struct Emit<'a> {
     super_pcs: Vec<u32>,
     /// Current static ty-stack depth (for region capture).
     ty_depth: u16,
-    /// Whether this is the refine pass (inline splicing enabled).
-    inline: bool,
+    /// On the refine pass, the epoch whose PIC lines splices snapshot.
+    refine_epoch: Option<u64>,
     methods: Vec<(Rc<MethodInfo>, ClassId)>,
     guards: Vec<InlineGuard>,
     inlined: Vec<(u32, u32, u16)>,
@@ -638,6 +682,7 @@ fn map_regs(ins: &mut Instr, f: impl Fn(u16) -> u16) {
         }
         Instr::LoadThis { dst, .. }
         | Instr::EnvLoad { dst, .. }
+        | Instr::EnvLoadAt { dst, .. }
         | Instr::ClassRef { dst, .. }
         | Instr::DefaultVal { dst, .. } => *dst = f(*dst),
         Instr::EnvStore { src, .. }
@@ -1360,9 +1405,7 @@ impl<'a> Emit<'a> {
                 let (r, _) = self.operand(recv, false)?;
                 let generic =
                     Instr::CallRecv { dst, recv: r, base, n, name: *name, site: site_idx, span };
-                if self.inline
-                    && self.maybe_inline(dst, Some(r), base, args.len(), *name, &site, span, generic)?
-                {
+                if self.maybe_inline(dst, Some(r), base, args.len(), *name, &site, span, generic)? {
                     return Ok(());
                 }
                 self.emit(generic);
@@ -1373,9 +1416,7 @@ impl<'a> Emit<'a> {
             LCallee::Implicit(name) => {
                 let generic =
                     Instr::CallImplicit { dst, base, n, name: *name, site: site_idx, span };
-                if self.inline
-                    && self.maybe_inline(dst, None, base, args.len(), *name, &site, span, generic)?
-                {
+                if self.maybe_inline(dst, None, base, args.len(), *name, &site, span, generic)? {
                     return Ok(());
                 }
                 self.emit(generic);
@@ -1384,10 +1425,10 @@ impl<'a> Emit<'a> {
         Ok(())
     }
 
-    /// Try to splice a monomorphic leaf callee inline behind a PIC-shape
-    /// guard. Emits `GuardInline` + the remapped callee body + the generic
-    /// call as the guard's fallback. Returns false (emitting nothing) when
-    /// the site isn't eligible.
+    /// On the refine pass, try to splice a monomorphic leaf callee inline
+    /// behind a PIC-shape guard. Emits `GuardInline` + the remapped callee
+    /// body + the generic call as the guard's fallback. Returns false
+    /// (emitting nothing) when the site isn't eligible.
     #[allow(clippy::too_many_arguments)]
     fn maybe_inline(
         &mut self,
@@ -1400,11 +1441,14 @@ impl<'a> Emit<'a> {
         span: Span,
         generic: Instr,
     ) -> Result<bool, Unsupported> {
-        let Some(snap) = site.mono_snapshot() else {
+        let Some(snap) = self
+            .refine_epoch
+            .and_then(|epoch| site.mono_snapshot(epoch))
+        else {
             return Ok(false);
         };
-        let callee = snap.lowered.bc.current();
-        if !inline_ok(&callee, n_args, recv.is_some()) {
+        let callee = snap.lowered.bc.cold();
+        if !inline_ok(callee, n_args) {
             return Ok(false);
         }
         let guard_idx = idx16(self.guards.len())?;
@@ -1474,12 +1518,27 @@ impl<'a> Emit<'a> {
         let lexit = pos;
         for ins in &callee.code {
             match *ins {
-                Instr::LoadThis { dst: d, .. } => {
+                Instr::LoadThis { dst: d, span } => match recv {
                     // The guard proved the receiver register holds an
                     // object of the expected class, so the callee's
                     // `this` is exactly that register — never absent.
-                    let r = recv.expect("LoadThis only passes inline_ok with a receiver");
-                    self.emit(Instr::Move { dst: rb(d), src: r });
+                    Some(r) => {
+                        self.emit(Instr::Move { dst: rb(d), src: r });
+                    }
+                    // An implicit call passes the caller's own `this`
+                    // (none in a static frame, with the same error).
+                    None => {
+                        self.emit(Instr::LoadThis { dst: rb(d), span });
+                    }
+                },
+                Instr::EnvLoad { dst: d, name, site, span } => {
+                    self.emit(Instr::EnvLoadAt {
+                        dst: rb(d),
+                        guard: guard_idx,
+                        name,
+                        site: site + fs_b,
+                        span,
+                    });
                 }
                 Instr::Move { dst: d, src } => {
                     self.emit(Instr::Move { dst: rb(d), src: rb(src) });
@@ -1640,13 +1699,14 @@ impl<'a> Emit<'a> {
 /// Compile a lowered body (`code` over `n_slots` frame slots, the first
 /// `n_params` of them arguments) to bytecode. `old_sites` seeds call-site
 /// reuse in emission order (the refine pass keeps the cold pass's warmed
-/// PIC lines); `inline` enables leaf-callee splicing.
+/// PIC lines); `refine_epoch` enables leaf-callee splicing at the sites
+/// whose lines were filled under that epoch.
 pub(crate) fn compile(
     code: &[LStmt],
     n_params: usize,
     n_slots: usize,
     old_sites: &[Rc<PolySite>],
-    inline: bool,
+    refine_epoch: Option<u64>,
 ) -> Result<BcBody, Unsupported> {
     let n_slots = idx16(n_slots)?;
     let n_params = idx16(n_params)?;
@@ -1671,7 +1731,7 @@ pub(crate) fn compile(
         pairs: HashMap::new(),
         super_pcs: Vec::new(),
         ty_depth: 0,
-        inline,
+        refine_epoch,
         methods: Vec::new(),
         guards: Vec::new(),
         inlined: Vec::new(),
@@ -1727,7 +1787,7 @@ pub(crate) fn compile(
 
 // ---- the bytecode codec ------------------------------------------------------
 //
-// Serializes *cold* compiles only (the output of `compile(lb, &[], false)`):
+// Serializes *cold* compiles only (the output of `compile(lb, &[], None)`):
 // cold bodies never contain inline splices, so `guards`/`methods`/`inlined`
 // are empty and every instruction is position-independent of runtime state.
 // Site tables (`field_sites`, `sites`, `tys`) carry no data beyond their
@@ -2090,9 +2150,12 @@ fn enc_instr(w: &mut W, ins: &Instr) -> Option<()> {
             w.u16(*site);
             w.span(*span);
         }
-        // Tags 37–39 (GuardInline/CallEnter/CallExit) only appear in
-        // refined bodies, which this codec declines above.
-        Instr::GuardInline { .. } | Instr::CallEnter { .. } | Instr::CallExit => return None,
+        // Splice instructions only appear in refined bodies, which this
+        // codec declines above.
+        Instr::EnvLoadAt { .. }
+        | Instr::GuardInline { .. }
+        | Instr::CallEnter { .. }
+        | Instr::CallExit => return None,
     }
     Some(())
 }
@@ -2247,7 +2310,10 @@ fn validate_bc(bc: &BcBody) -> bool {
             reg(dst) && args(base, n) && site(s)
         }
         // Never produced by `dec_instr`, but keep the check total.
-        Instr::GuardInline { .. } | Instr::CallEnter { .. } | Instr::CallExit => false,
+        Instr::EnvLoadAt { .. }
+        | Instr::GuardInline { .. }
+        | Instr::CallEnter { .. }
+        | Instr::CallExit => false,
     })
 }
 
@@ -2284,6 +2350,12 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
             Instr::Move { dst, src } => format!("r{dst}, r{src}"),
             Instr::LoadThis { dst, .. } => format!("r{dst}"),
             Instr::EnvLoad { dst, name, site, .. } => format!("r{dst}, {name} [fs{site}]"),
+            Instr::EnvLoadAt { dst, guard, name, site, .. } => {
+                let g = &bc.guards[guard as usize];
+                let this = g.recv.map_or("this".to_owned(), |r| format!("r{r}"));
+                let cname = ct.info(g.class).borrow().fqcn;
+                format!("r{dst}, {name} of {this} in {cname} [fs{site}]")
+            }
             Instr::EnvStore { src, name, .. } => format!("{name}, r{src}"),
             Instr::ClassRef { dst, fqcn, .. } => format!("r{dst}, {fqcn}"),
             Instr::FieldGet { dst, obj, name, site, .. } => {

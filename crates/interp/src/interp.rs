@@ -817,22 +817,30 @@ impl Interp {
     }
 
     /// Charges one step against the budget (statements are the unit:
-    /// every loop iteration executes at least one).
+    /// every loop iteration executes at least one).  Inlined, so the VM's
+    /// `Step` arm finishes a step under the limit without a call.
+    #[inline]
     pub(crate) fn count_step(&self, span: Span) -> Result<(), Control> {
         let n = self.steps.get() + 1;
         self.steps.set(n);
-        let limit = self.step_limit.get();
-        if n > limit {
-            maya_telemetry::count(maya_telemetry::Counter::StepLimitHits);
-            return Err(Control::error(
-                format!(
-                    "interpreter step limit ({limit}) exceeded; \
-                     the program or a metaprogram may be stuck in an infinite loop"
-                ),
-                span,
-            ));
+        if n > self.step_limit.get() {
+            return Err(self.step_limit_exceeded(span));
         }
         Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn step_limit_exceeded(&self, span: Span) -> Control {
+        maya_telemetry::count(maya_telemetry::Counter::StepLimitHits);
+        let limit = self.step_limit.get();
+        Control::error(
+            format!(
+                "interpreter step limit ({limit}) exceeded; \
+                 the program or a metaprogram may be stuck in an infinite loop"
+            ),
+            span,
+        )
     }
 
     /// Executes one statement.
@@ -1457,25 +1465,32 @@ impl Interp {
             ExprKind::ArrayAccess(a, i) => {
                 let arr = self.eval(a, frame)?;
                 let idx = self.int_of(self.eval(i, frame)?, i.span)?;
-                match arr {
-                    Value::Array(a) => {
-                        let mut data = a.data.borrow_mut();
-                        let len = data.len();
-                        match data.get_mut(idx as usize) {
-                            Some(slot) => {
-                                *slot = v;
-                                Ok(())
-                            }
-                            None => Err(Control::error(
-                                format!("array index {idx} out of bounds ({len})"),
-                                target.span,
-                            )),
-                        }
-                    }
-                    _ => Err(Control::error("not an array", target.span)),
-                }
+                self.array_store(&arr, idx, v, target.span)
             }
             _ => Err(Control::error("invalid assignment target", target.span)),
+        }
+    }
+
+    /// `arr[idx] = v`, shared by both tiers: throws like a read does —
+    /// `ArrayIndexOutOfBoundsException` outside the array, and
+    /// `NullPointerException` on a `null` array.
+    pub(crate) fn array_store(
+        &self,
+        arr: &Value,
+        idx: i32,
+        v: Value,
+        span: Span,
+    ) -> Result<(), Control> {
+        match arr {
+            Value::Array(a) => match a.data.borrow_mut().get_mut(idx as usize) {
+                Some(slot) => {
+                    *slot = v;
+                    Ok(())
+                }
+                None => Err(self.throw_simple("java.lang.ArrayIndexOutOfBoundsException", span)),
+            },
+            Value::Null => Err(self.throw_simple("java.lang.NullPointerException", span)),
+            _ => Err(Control::error("not an array", span)),
         }
     }
 
@@ -1563,43 +1578,13 @@ impl Interp {
     }
 
     /// Applies a binary operator to already-evaluated values (borrowed —
-    /// numeric and boolean results never need the operands moved).
-    /// [`Interp::binary_values`] with an `int`⊗`int` fast path for the
-    /// VM.  The specialized arms reproduce the generic path's
-    /// promotion results exactly (all `i32` pairs are exact in `f64`, so
-    /// even `==`/`!=` agree); anything fallible (`/`, `%`) or non-int falls
-    /// through to the generic code.
-    #[inline]
+    /// numeric and boolean results never need the operands moved):
+    /// [`Interp::binary_values`] with a `long` fast path, for the VM's
+    /// `Binary`/`JmpIfCmp` arms once [`int_binary`] declined the operands.
     pub(crate) fn binary_l_values(&self, op: BinOp, lv: &Value, rv: &Value, span: Span) -> Eval {
         use BinOp::*;
-        if let (Value::Int(a), Value::Int(b)) = (lv, rv) {
-            let (a, b) = (*a, *b);
-            match op {
-                Add => return Ok(Value::Int(a.wrapping_add(b))),
-                Sub => return Ok(Value::Int(a.wrapping_sub(b))),
-                Mul => return Ok(Value::Int(a.wrapping_mul(b))),
-                Shl => return Ok(Value::Int(a.wrapping_shl(b as u32 & 31))),
-                Shr => return Ok(Value::Int(a.wrapping_shr(b as u32 & 31))),
-                Ushr => return Ok(Value::Int(((a as u32) >> (b as u32 & 31)) as i32)),
-                BitAnd => return Ok(Value::Int(a & b)),
-                BitOr => return Ok(Value::Int(a | b)),
-                BitXor => return Ok(Value::Int(a ^ b)),
-                Lt => return Ok(Value::Bool(a < b)),
-                Gt => return Ok(Value::Bool(a > b)),
-                Le => return Ok(Value::Bool(a <= b)),
-                Ge => return Ok(Value::Bool(a >= b)),
-                Eq => return Ok(Value::Bool(a == b)),
-                Ne => return Ok(Value::Bool(a != b)),
-                // Division by zero throws; only that case needs the
-                // generic path.  Wrapping div/rem matches the promoted
-                // `i64` computation on the MIN/-1 edge.
-                Div if b != 0 => return Ok(Value::Int(a.wrapping_div(b))),
-                Rem if b != 0 => return Ok(Value::Int(a.wrapping_rem(b))),
-                Div | Rem | And | Or => {}
-            }
-        }
         // `long` fast path, including the int→long promoted pairs.  Same
-        // contract as the int path: every arm reproduces the generic
+        // contract as `int_binary`: every arm reproduces the generic
         // promotion result bit for bit.  Eq/Ne stay in `f64` because the
         // generic path compares all numeric pairs there — an exact `i64`
         // compare would *diverge* from the tree walker above 2^53.
@@ -1769,6 +1754,38 @@ impl Interp {
             }
         })
     }
+}
+
+/// `int`⊗`int` for every operator that cannot fail — all but `/` and `%`
+/// by zero (which throw) and the short-circuit `&&`/`||` (never a binary
+/// instruction); `None` leaves the case to [`Interp::binary_l_values`].
+/// The VM's `Binary` and `JmpIfCmp` arms call it in the dispatch loop.
+/// Every arm reproduces the generic path's promotion result exactly (all
+/// `i32` pairs are exact in `f64`, so even `==`/`!=` agree), and wrapping
+/// div/rem matches the promoted `i64` computation on the MIN/-1 edge.
+#[inline]
+pub(crate) fn int_binary(op: BinOp, a: i32, b: i32) -> Option<Value> {
+    use BinOp::*;
+    Some(match op {
+        Add => Value::Int(a.wrapping_add(b)),
+        Sub => Value::Int(a.wrapping_sub(b)),
+        Mul => Value::Int(a.wrapping_mul(b)),
+        Shl => Value::Int(a.wrapping_shl(b as u32 & 31)),
+        Shr => Value::Int(a.wrapping_shr(b as u32 & 31)),
+        Ushr => Value::Int(((a as u32) >> (b as u32 & 31)) as i32),
+        BitAnd => Value::Int(a & b),
+        BitOr => Value::Int(a | b),
+        BitXor => Value::Int(a ^ b),
+        Lt => Value::Bool(a < b),
+        Gt => Value::Bool(a > b),
+        Le => Value::Bool(a <= b),
+        Ge => Value::Bool(a >= b),
+        Eq => Value::Bool(a == b),
+        Ne => Value::Bool(a != b),
+        Div if b != 0 => Value::Int(a.wrapping_div(b)),
+        Rem if b != 0 => Value::Int(a.wrapping_rem(b)),
+        Div | Rem | And | Or => return None,
+    })
 }
 
 enum IntOut {

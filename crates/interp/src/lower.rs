@@ -405,7 +405,7 @@ pub(crate) fn encode_outcome(outcome: &Option<Rc<LoweredBody>>) -> Option<Vec<u8
             w.u32(u32::try_from(lb.n_params).ok()?);
             w.u32(u32::try_from(lb.n_slots).ok()?);
             enc_stmts(&mut w, &lb.code)?;
-            crate::bytecode::encode_bc(&mut w, &lb.bc.current())?;
+            crate::bytecode::encode_bc(&mut w, lb.bc.cold())?;
         }
     }
     Some(w.buf)
@@ -964,7 +964,7 @@ pub(crate) fn lower_body(block: &Block, params: &[Symbol]) -> Result<LoweredBody
     maya_telemetry::add(maya_telemetry::Counter::SlotsResolved, lw.slots_resolved);
     maya_telemetry::add(maya_telemetry::Counter::ConstsFolded, lw.consts_folded);
     let n_slots = lw.next_slot as usize;
-    let bc = crate::bytecode::compile(&code, params.len(), n_slots, &[], false)
+    let bc = crate::bytecode::compile(&code, params.len(), n_slots, &[], None)
         .map_err(|_| Unlowerable)?;
     maya_telemetry::count(maya_telemetry::Counter::BcCompiled);
     maya_telemetry::add(

@@ -14,11 +14,16 @@
 //! runtime types, so the full `select_from_row` search is deterministic for
 //! a hit and can be skipped entirely.  Monomorphic sites with compiled
 //! callees are additionally *spliced inline* by the refine pass; the
-//! [`Instr::GuardInline`] handler re-validates the snapshot (epoch, receiver
-//! class, argument keys) and falls back to the generic call on mismatch.
+//! [`Instr::GuardInline`] handler re-validates the snapshot (epoch, the
+//! class the call dispatches on, argument keys) and falls back to the
+//! generic call on mismatch.
+//!
+//! The arms finish the common cases in the loop itself — `int` arithmetic
+//! and compares, `int` increments, a step under its limit — and hand every
+//! other case to the out-of-line helpers the walker shares.
 
-use crate::bytecode::{self, ArgKey, BcBody, Instr, PolySite};
-use crate::interp::{Control, Eval, Interp};
+use crate::bytecode::{self, ArgKey, BcBody, FieldSite, InlineGuard, Instr, PolySite};
+use crate::interp::{int_binary, Control, Eval, Interp};
 use crate::lower::{class_key, LoweredBody};
 use crate::value::Value;
 use maya_ast::LazyNode;
@@ -35,6 +40,19 @@ enum Route {
     Out(Control),
 }
 
+/// The `this` of the callee frame a splice stands in for: the guarded
+/// receiver register, or for an implicit call the caller's own `this`.
+fn splice_this<'a>(
+    g: &InlineGuard,
+    regs: &'a [Value],
+    this: &'a Option<Value>,
+) -> Option<&'a Value> {
+    match g.recv {
+        Some(r) => Some(&regs[r as usize]),
+        None => this.as_ref(),
+    }
+}
+
 /// `++`/`--` on a value; shared by `IncDecVal` and `IncLocal`.  Mirrors the
 /// reference walker's `ExprKind::IncDec` arm exactly.
 fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
@@ -49,28 +67,30 @@ fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
 }
 
 impl Interp {
-    /// Bytecode for `lb`: the cold compile, recompiled *once* with inline
+    /// Bytecode for `lb`: the cold compile, recompiled with inline
     /// splicing after [`bytecode::REFINE_EXECS`] runs (by then the PICs are
     /// warm, so monomorphic sites are visible).  The refine pass reuses the
     /// cold pass's call sites, keeping warmed cache lines.
+    ///
+    /// Runs are counted per PIC epoch (see [`bytecode::BcState`]): a body
+    /// shared from an earlier request's compiler runs cold until it is
+    /// refined under this interpreter's epoch.
     pub(crate) fn bytecode_for(&self, lb: &LoweredBody) -> Rc<BcBody> {
-        let old = lb.bc.current();
-        // The counter saturates before compiling: the splicer reads callee
-        // bodies' bytecode, and a self-recursive callee must see a settled
-        // state.
-        if !lb.bc.note_exec() {
-            return old;
+        let epoch = self.caches.sync(&self.ct);
+        if !lb.bc.note_exec(epoch) {
+            return lb.bc.current();
         }
-        match bytecode::compile(&lb.code, lb.n_params, lb.n_slots, &old.sites, true) {
+        let cold = lb.bc.cold();
+        match bytecode::compile(&lb.code, lb.n_params, lb.n_slots, &cold.sites, Some(epoch)) {
             Ok(bc) => {
                 let bc = Rc::new(bc);
                 maya_telemetry::count(Counter::BcCompiled);
                 maya_telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
-                lb.bc.replace(Rc::clone(&bc));
+                lb.bc.set_refined(Rc::clone(&bc));
                 bc
             }
             // A refine failure keeps the (working) cold bytecode.
-            Err(_) => old,
+            Err(_) => Rc::clone(cold),
         }
     }
 
@@ -177,6 +197,32 @@ impl Interp {
             site.backfill_lowered(&m, lb);
         }
         r
+    }
+
+    /// `EnvLoad`'s resolution, shared with `EnvLoadAt`: `this.<field>` by
+    /// declared layout slot through the site's (layout → offset) cache —
+    /// `env_name`'s first probe — and the full name resolution for
+    /// anything else (overflow fields, statics, class refs).
+    #[inline(always)]
+    fn env_load(
+        &self,
+        fs: &FieldSite,
+        name: Symbol,
+        this: Option<&Value>,
+        class: ClassId,
+        span: Span,
+    ) -> Eval {
+        if let Some(Value::Object(o)) = this {
+            let lp = Rc::as_ptr(&o.layout) as usize;
+            if let Some(off) = fs.get(lp) {
+                return Ok(o.get_slot(off));
+            }
+            if let Some(off) = o.layout.offset(name) {
+                fs.fill(lp, off);
+                return Ok(o.get_slot(off));
+            }
+        }
+        self.env_name(name, this, Some(class), span)
     }
 
     /// Pop `n` spliced inline frames: profiler exits + call-depth credits.
@@ -300,26 +346,16 @@ impl Interp {
                     regs[dst as usize] = tryc!(r);
                 }
                 Instr::EnvLoad { dst, name, site, span } => {
-                    // Fast path mirrors `env_name`'s first probe —
-                    // `this.<field>` by declared layout slot — through the
-                    // per-site (layout → offset) cache; anything else
-                    // (overflow fields, statics, class refs) falls back to
-                    // the full name resolution for identical semantics.
-                    let r = match &this {
-                        Some(Value::Object(o)) => {
-                            let fs = &bc.field_sites[site as usize];
-                            let lp = Rc::as_ptr(&o.layout) as usize;
-                            if let Some(off) = fs.get(lp) {
-                                Ok(o.get_slot(off))
-                            } else if let Some(off) = o.layout.offset(name) {
-                                fs.fill(lp, off);
-                                Ok(o.get_slot(off))
-                            } else {
-                                self.env_name(name, this.as_ref(), cls, span)
-                            }
-                        }
-                        _ => self.env_name(name, this.as_ref(), cls, span),
-                    };
+                    let fs = &bc.field_sites[site as usize];
+                    let r = self.env_load(fs, name, this.as_ref(), class, span);
+                    regs[dst as usize] = tryc!(r);
+                }
+                Instr::EnvLoadAt { dst, guard, name, site, span } => {
+                    // Resolved as the spliced callee's frame would: its
+                    // `this` and the class it runs under.
+                    let g = &bc.guards[guard as usize];
+                    let fs = &bc.field_sites[site as usize];
+                    let r = self.env_load(fs, name, splice_this(g, &regs, &this), g.class, span);
                     regs[dst as usize] = tryc!(r);
                 }
                 Instr::EnvStore { src, name, span } => {
@@ -396,22 +432,9 @@ impl Interp {
                     let (espan, ispan) = bc.span_pairs[spans as usize];
                     let r = self
                         .int_of(regs[idx as usize].clone(), ispan)
-                        .and_then(|i| match &regs[arr as usize] {
-                            Value::Array(a) => {
-                                let mut data = a.data.borrow_mut();
-                                let len = data.len();
-                                match data.get_mut(i as usize) {
-                                    Some(slot) => {
-                                        *slot = regs[val as usize].clone();
-                                        Ok(())
-                                    }
-                                    None => Err(Control::error(
-                                        format!("array index {i} out of bounds ({len})"),
-                                        espan,
-                                    )),
-                                }
-                            }
-                            _ => Err(Control::error("not an array", espan)),
+                        .and_then(|i| {
+                            let v = regs[val as usize].clone();
+                            self.array_store(&regs[arr as usize], i, v, espan)
                         });
                     tryc!(r);
                 }
@@ -471,9 +494,17 @@ impl Interp {
                     tys.pop();
                 }
                 Instr::Binary { op, dst, a, b, span } => {
-                    let r =
-                        self.binary_l_values(op, &regs[a as usize], &regs[b as usize], span);
-                    regs[dst as usize] = tryc!(r);
+                    let v = match (&regs[a as usize], &regs[b as usize]) {
+                        (Value::Int(x), Value::Int(y)) => int_binary(op, *x, *y),
+                        _ => None,
+                    };
+                    regs[dst as usize] = match v {
+                        Some(v) => v,
+                        None => {
+                            let (x, y) = (&regs[a as usize], &regs[b as usize]);
+                            tryc!(self.binary_l_values(op, x, y, span))
+                        }
+                    };
                 }
                 Instr::Unary { op, dst, src, span } => {
                     let r = self.eval_unary(op, regs[src as usize].clone(), span);
@@ -484,8 +515,12 @@ impl Interp {
                     regs[dst as usize] = tryc!(r);
                 }
                 Instr::IncLocal { slot, delta, span } => {
-                    let r = incdec_value(&regs[slot as usize], delta, span);
-                    regs[slot as usize] = tryc!(r);
+                    if let Value::Int(v) = &mut regs[slot as usize] {
+                        *v = v.wrapping_add(delta);
+                    } else {
+                        let r = incdec_value(&regs[slot as usize], delta, span);
+                        regs[slot as usize] = tryc!(r);
+                    }
                 }
                 Instr::CastV { dst, src, ty, span } => {
                     let r = self
@@ -536,9 +571,18 @@ impl Interp {
                     }
                 }
                 Instr::JmpIfCmp { op, a, b, when, target, span } => {
-                    let r =
-                        self.binary_l_values(op, &regs[a as usize], &regs[b as usize], span);
-                    let t = match tryc!(r) {
+                    let v = match (&regs[a as usize], &regs[b as usize]) {
+                        (Value::Int(x), Value::Int(y)) => int_binary(op, *x, *y),
+                        _ => None,
+                    };
+                    let v = match v {
+                        Some(v) => v,
+                        None => {
+                            let (x, y) = (&regs[a as usize], &regs[b as usize]);
+                            tryc!(self.binary_l_values(op, x, y, span))
+                        }
+                    };
+                    let t = match v {
                         Value::Bool(b) => b,
                         other => {
                             let r: Result<bool, Control> = Err(Control::error(
@@ -647,25 +691,27 @@ impl Interp {
                 }
                 Instr::GuardInline { guard, fallback } => {
                     let g = &bc.guards[guard as usize];
-                    let ok = self.caches.sync(&self.ct) == g.epoch && {
-                        let recv_v = match g.recv {
-                            Some(r) => Some(&regs[r as usize]),
-                            None => this.as_ref(),
-                        };
-                        match recv_v {
-                            Some(Value::Object(o)) => {
-                                class_key(Some(o.class)) == g.ck
-                                    && g.keys.iter().enumerate().all(|(i, k)| {
-                                        k.matches(&regs[g.base as usize + i])
-                                    })
-                            }
-                            _ => false,
-                        }
+                    // The class the generic call would dispatch on: the
+                    // receiver object's, or — with no receiver and no
+                    // `this` — the static frame's own.  A static frame's
+                    // class is initialized before its body runs, so the
+                    // generic path's `ensure_init` is a no-op there.
+                    let dispatch = match splice_this(g, &regs, &this) {
+                        Some(Value::Object(o)) => Some(o.class),
+                        Some(_) => None,
+                        None => Some(class),
                     };
+                    let ok = dispatch.is_some_and(|c| class_key(Some(c)) == g.ck)
+                        && self.caches.sync(&self.ct) == g.epoch
+                        && g.keys
+                            .iter()
+                            .enumerate()
+                            .all(|(i, k)| k.matches(&regs[g.base as usize + i]));
                     if ok {
                         // The splice is a verified PIC hit: same counter and
                         // profiler sample as the generic path would record.
                         maya_telemetry::count(Counter::PicHits);
+                        maya_telemetry::count(Counter::BcInlineEntries);
                         if profiled {
                             maya_telemetry::prof_site(Rc::as_ptr(&g.site) as usize, true, || {
                                 format!(
@@ -677,6 +723,7 @@ impl Interp {
                             });
                         }
                     } else {
+                        maya_telemetry::count(Counter::BcInlineFallbacks);
                         pc = fallback;
                         continue 'run;
                     }

@@ -265,11 +265,17 @@ pub enum Counter {
     /// Polymorphic-cache entries evicted (LRU) to make room for a new
     /// receiver class at an already-full site.
     PicEvictions,
+    /// Calls that entered a callee spliced inline by the bytecode refine
+    /// pass (its guard passed; each also counts as a `PicHits`).
+    BcInlineEntries,
+    /// Splice guards that failed and fell back to the generic call (which
+    /// then counts its own PIC hit or miss).
+    BcInlineFallbacks,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 45] = [
+    pub const ALL: [Counter; 47] = [
         Counter::TokensLexed,
         Counter::TokenTreesBuilt,
         Counter::FilesLexed,
@@ -315,6 +321,8 @@ impl Counter {
         Counter::PicHits,
         Counter::PicMisses,
         Counter::PicEvictions,
+        Counter::BcInlineEntries,
+        Counter::BcInlineFallbacks,
     ];
 
     /// Stable snake_case name (the JSON key).
@@ -365,6 +373,8 @@ impl Counter {
             Counter::PicHits => "pic_hits",
             Counter::PicMisses => "pic_misses",
             Counter::PicEvictions => "pic_evictions",
+            Counter::BcInlineEntries => "bc_inline_entries",
+            Counter::BcInlineFallbacks => "bc_inline_fallbacks",
         }
     }
 

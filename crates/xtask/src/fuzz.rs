@@ -497,6 +497,7 @@ fn gen_case(rng: &mut XorShift, gen: &GrammarGen, tag: usize) -> Case {
         app.push('\n');
     }
     app.push_str("    }\n}\n");
+    app.push_str(HOT_HELPER);
     sources.push(("fuzz_app.maya".to_owned(), app));
 
     // Mutation layer: the invalid-input half. Token splices, line
@@ -506,6 +507,23 @@ fn gen_case(rng: &mut XorShift, gen: &GrammarGen, tag: usize) -> Case {
     }
     Case { sources, extensions: ext_specs.len() }
 }
+
+/// A helper class every application carries. Statements run once, from
+/// `main`, and the bytecode tier refines a body on its fourth run, so
+/// without a method that a loop calls more often the engine oracle would
+/// never compare a refined body or an inline splice. Called from the
+/// hot-helper statement in [`VALID_STMTS`], `twice` and `fold` splice
+/// the field getter `get` (as an implicit call and with a receiver) and
+/// the static leaf `leaf` (from an instance and from a static frame).
+const HOT_HELPER: &str = "class FuzzHot {
+    int v;
+    FuzzHot(int v) { this.v = v; }
+    int get() { return v; }
+    static int leaf(int x) { return x * 3 + 1; }
+    int twice(int k) { return get() + leaf(k); }
+    static int fold(FuzzHot h, int k) { return h.get() - leaf(k); }
+}
+";
 
 /// Statements that type-check and run over the `main` prelude locals
 /// (`int a`, `int b`, `String s`): interleaved with grammar-derived
@@ -521,6 +539,7 @@ const VALID_STMTS: &[&str] = &[
     "for (int i = 0; i < 3; i = i + 1) { b = b + i; }",
     "{ int c = a; a = b; b = c; }",
     "if (s != null) { System.out.println(\"ok\"); }",
+    "{ FuzzHot h = new FuzzHot(a); for (int i = 0; i < 6; i = i + 1) { b = b + h.twice(i) + FuzzHot.fold(h, b); } }",
 ];
 
 /// Raw fragments spliced in by the corruption pass.

@@ -44,7 +44,8 @@
 //!  "files_recompiled": 1, "grammar_reuses": 3}
 //! ```
 //!
-//! Control requests: `{"cmd": "ping"}`, `{"cmd": "stats"}`,
+//! Control requests: `{"cmd": "ping"}`, `{"cmd": "stats"}` (pool-wide
+//! latency, phases, `counters` and cache gauges),
 //! `{"cmd": "sleep", "ms": N}` (test aid; occupies one worker), and
 //! `{"cmd": "shutdown"}`. A malformed line gets
 //! `{"ok": false, "error": "..."}` and the connection stays open.

@@ -80,6 +80,36 @@ fn ok(v: &Json) -> bool {
     v.get("ok").and_then(Json::as_bool) == Some(true)
 }
 
+/// `{"cmd":"stats"}` carries every telemetry counter, so an operator can
+/// tell whether the bytecode inliner fired without a disassembly — and on
+/// a later request too: each request's compiler refines the bodies the
+/// worker's session shares under its own epoch.
+#[test]
+fn stats_counters_show_inline_splices_on_every_request() {
+    let srv = Mayad::start(&[]);
+    let src = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/interp_hot_calls.maya"),
+    )
+    .unwrap();
+    let file = srv.dir().join("hot.maya");
+    let counter = |name: &str| -> u64 {
+        let stats = srv.raw_request(r#"{"cmd":"stats"}"#);
+        let counters = stats.get("stats").unwrap().get("counters").unwrap();
+        counters.get(name).and_then(Json::as_u64).unwrap()
+    };
+    let rounds = [src.clone(), format!("{src}\nclass Pad {{ }}\n")];
+    for (round, text) in rounds.iter().enumerate() {
+        std::fs::write(&file, text).unwrap();
+        let resp = srv.raw_request(r#"{"files": ["hot.maya"]}"#);
+        assert!(ok(&resp), "{resp:?}");
+        assert_eq!(resp.get("full_reuse").and_then(Json::as_bool), Some(false));
+        let entries = counter("bc_inline_entries");
+        let floor = 19_000 * (round as u64 + 1);
+        assert!(entries >= floor, "round {round}: {entries} entries");
+        assert_eq!(counter("bc_inline_fallbacks"), 0, "round {round}");
+    }
+}
+
 #[test]
 fn mayad_protocol_round_trip() {
     let srv = Mayad::start(&["--max-inflight=2".to_owned()]);
