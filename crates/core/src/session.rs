@@ -146,7 +146,7 @@ pub struct SessionStats {
 }
 
 /// One file's front-end result in the `Send` form the process-global lex
-/// share and the persistent store hold.
+/// share holds.
 type SendLex = Result<Vec<SendTree>, LexError>;
 
 /// One file's front-end result in the compiler's `Rc` form.
@@ -406,10 +406,7 @@ impl Session {
             }
             // Global share probe first: another pool worker may have
             // already lexed identical content under the same FileId.
-            // Behind it, the persistent store (when installed) answers
-            // with trees lexed by an earlier *process*.
             let share_on = lex_share_enabled();
-            let disk = crate::store::active();
             let mut entries: BTreeMap<usize, Lexed> = BTreeMap::new();
             let mut need: Vec<FileId> = Vec::new();
             let mut need_at: Vec<(usize, u128)> = Vec::new();
@@ -431,30 +428,12 @@ impl Session {
                     }
                     maya_telemetry::cache_miss(maya_telemetry::CacheId::LexShare);
                 }
-                if let Some(store) = &disk {
-                    let hydrated = store
-                        .load(crate::store::Kind::Lex, crate::store::lex_key(content, id.0))
-                        .and_then(|p| crate::store::decode_lex(&p));
-                    if let Some(result) = hydrated {
-                        entries.insert(i, to_lexed(&result));
-                        continue;
-                    }
-                }
                 need.push(id);
                 need_at.push((i, content));
             }
             let results = lex_files(&scratch, &need, self.base_options.jobs);
             for ((&(i, content), id), result) in need_at.iter().zip(&need).zip(results) {
                 entries.insert(i, to_lexed(&result));
-                if let Some(store) = &disk {
-                    if let Some(payload) = crate::store::encode_lex(&result) {
-                        store.save(
-                            crate::store::Kind::Lex,
-                            crate::store::lex_key(content, id.0),
-                            &payload,
-                        );
-                    }
-                }
                 if share_on {
                     let mut share = lex_share().write().expect("lex share poisoned");
                     if share.len() >= LEX_SHARE_CAP {
@@ -742,8 +721,35 @@ impl Session {
     /// file's identity and span-inclusive token-stream hash (imports are
     /// folded in because the importing *and* the declaring file are both
     /// in the closure) plus every option that can change
-    /// stdout/stderr/exit status.
+    /// stdout/stderr/exit status. Both option structs are destructured
+    /// without `..`, so a new field does not compile until it is keyed
+    /// here or exempted with a reason.
     fn outcome_key(&self, opts: &RequestOpts) -> u128 {
+        let RequestOpts {
+            uses,
+            main_class,
+            run,
+            expand,
+            dump_bytecode,
+            error_format,
+            max_errors,
+            deny_warnings,
+            fuel,
+        } = opts;
+        let CompileOptions {
+            // Echoes to the process's stdout; the outcome is the same.
+            echo_output: _,
+            // Replaced by the request's `uses`.
+            uses: _,
+            max_expand_depth,
+            expand_fuel,
+            interp_step_limit,
+            interp_stack_limit,
+            // Output is identical for every `--jobs` value.
+            jobs: _,
+            // A memo of pure parses: hits and misses print the same.
+            force_cache: _,
+        } = &self.base_options;
         let mut h = crate::store::outcome_key_hasher();
         h.u32(self.files.len() as u32);
         for f in &self.files {
@@ -752,37 +758,33 @@ impl Session {
             h.bytes(&f.raw_hash.to_le_bytes());
             h.bytes(&f.token_hash.to_le_bytes());
         }
-        h.u32(opts.uses.len() as u32);
-        for u in &opts.uses {
+        h.u32(uses.len() as u32);
+        for u in uses {
             h.str(u);
         }
-        h.str(&opts.main_class);
-        h.byte(u8::from(opts.run));
-        h.byte(u8::from(opts.expand));
-        match &opts.dump_bytecode {
+        h.str(main_class);
+        h.byte(u8::from(*run));
+        h.byte(u8::from(*expand));
+        match dump_bytecode {
             None => h.byte(0),
             Some(f) => {
                 h.byte(1);
                 h.str(f);
             }
         }
-        h.byte(match opts.error_format {
+        h.byte(match error_format {
             ErrorFormat::Human => 0,
             ErrorFormat::Json => 1,
         });
-        h.u32(opts.max_errors as u32);
-        h.byte(u8::from(opts.deny_warnings));
+        h.u32(*max_errors as u32);
+        h.byte(u8::from(*deny_warnings));
         // Limits outside `RequestOpts` that alter observable output when
         // a program runs into them.
-        let fuel = opts
-            .fuel
-            .map_or(self.base_options.expand_fuel, |f| {
-                f.min(self.base_options.expand_fuel)
-            });
+        let fuel = fuel.map_or(*expand_fuel, |f| f.min(*expand_fuel));
         h.bytes(&fuel.to_le_bytes());
-        h.bytes(&self.base_options.interp_step_limit.to_le_bytes());
-        h.u32(self.base_options.max_expand_depth);
-        h.u32(self.base_options.interp_stack_limit);
+        h.bytes(&interp_step_limit.to_le_bytes());
+        h.u32(*max_expand_depth);
+        h.u32(*interp_stack_limit);
         h.finish()
     }
 }

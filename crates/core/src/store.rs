@@ -1,41 +1,39 @@
 //! The content-addressed persistent artifact store (`--cache-dir`).
 //!
 //! Cold starts repeat work whose inputs rarely change between runs: LALR
-//! table construction for already-seen grammars, lexing of unchanged
-//! files, lowering + bytecode compilation of unchanged bodies, and — when
-//! nothing at all changed — the entire compile. This module persists each
-//! of those artifacts on disk, keyed purely by content hash, so a fresh
-//! process (or a restarted `mayad`) starts warm.
+//! table construction for already-seen grammars, and — when nothing at all
+//! changed — the entire compile. This module persists both artifacts on
+//! disk, keyed purely by content hash, so a fresh process (or a restarted
+//! `mayad`) starts warm.
 //!
 //! **Soundness model.** Every key is a content hash of everything the
 //! artifact is a function of — bytes, spans, options, format versions —
-//! so an equal key means the cached value is interchangeable with a
-//! recomputation. Nothing environment- or process-dependent is stored:
-//! table payloads are index-based, token trees re-intern their symbols on
-//! load, and lowered bodies recreate their (empty) inline-cache sites.
-//! The four kinds:
+//! and every entry carries the `BUILD_ID` of the compiler that wrote it,
+//! so an equal key under the same build means the cached value is
+//! interchangeable with a recomputation. Nothing environment- or
+//! process-dependent is stored: table payloads are index-based. The two
+//! kinds:
 //!
-//! * [`Kind::Tables`] — LALR tables keyed by the grammar content hash
-//!   (the generalization of the old `--table-cache` flag);
-//! * [`Kind::Lex`] — lexed token trees keyed by (content `hash128`,
-//!   positional `FileId`), the same key as the in-process lex share;
+//! * [`Kind::Tables`] — LALR tables keyed by the grammar content hash;
 //! * [`Kind::Outcome`] — whole-request compile outcomes (the compiled
 //!   extension closure: stdout, stderr, exit status) keyed by the
 //!   source-closure hash — every file's span-inclusive token-stream hash
-//!   plus the full request options, so imports are folded in;
-//! * [`Kind::Body`] — lowered bodies + cold bytecode keyed by the
-//!   span-inclusive body fingerprint and parameter names.
+//!   plus the full request options, so imports are folded in.
 //!
-//! **Robustness.** Every entry carries a magic, a format version, its own
-//! key, and a trailing checksum; a mismatch on any of them is a silent
-//! miss (the entry is deleted and rebuilt). Writes go to a unique temp
-//! file in the store directory and are `rename`d into place, so readers
-//! never observe a torn entry and concurrent writers of the same key are
-//! idempotent. Eviction is LRU by file mtime (loads touch their entry):
-//! `mayac cache gc` evicts to the configured cap, and saves trigger the
-//! same sweep automatically once the store grows past it.
+//! Earlier builds also stored lexed token trees (`.lex`) and lowered
+//! bodies (`.body`). Neither paid for its I/O, so nothing loads them any
+//! more; `gc` and `clear` delete them.
+//!
+//! **Robustness.** Every entry carries a magic, a format version, the
+//! build id, its own key, and a trailing checksum; a mismatch on any of
+//! them is a silent miss (the entry is deleted and rebuilt), so entries
+//! left by another build are replaced on their first lookup. Writes go to
+//! a unique temp file in the store directory and are `rename`d into place,
+//! so readers never observe a torn entry and concurrent writers of the
+//! same key are idempotent. Eviction is LRU by file mtime (loads touch
+//! their entry): `mayac cache gc` evicts to the configured cap, and saves
+//! trigger the same sweep automatically once the store grows past it.
 
-use maya_lexer::{sym, Delim, FileId, LexError, SendTree, Span, Token, TokenKind};
 use maya_telemetry::CacheId;
 use std::cell::RefCell;
 use std::fs;
@@ -49,21 +47,25 @@ use std::time::SystemTime;
 use maya_lexer::Fnv2;
 
 /// Bumped whenever the container layout changes. Payload layers carry
-/// their own versions (table/lex/body payloads), so this only guards the
-/// envelope itself.
-const STORE_FORMAT_VERSION: u32 = 1;
+/// their own versions (table and outcome payloads), so this only guards
+/// the envelope itself.
+const STORE_FORMAT_VERSION: u32 = 2;
+
+/// The compiler build: an FNV-1a hash of the workspace's `.rs` sources,
+/// computed by `build.rs` over their sorted workspace-relative paths and
+/// contents. Stamped into every entry header; an entry from another build
+/// is a miss.
+const BUILD_ID: u64 = include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
 
 /// Container magic: identifies store entries regardless of extension.
 const MAGIC: &[u8; 8] = b"MAYASTOR";
 
-/// Bumped whenever the lex payload layout changes — including the
-/// `TokenKind::code()` table it embeds.
-const LEX_PAYLOAD_VERSION: u32 = 1;
-
-/// Bumped whenever the outcome payload layout or key derivation changes,
-/// and whenever a fix changes what a stored program outputs (outcome keys
-/// carry no compiler-build identity yet).
+/// Bumped whenever the outcome payload layout or key derivation changes.
 const OUTCOME_PAYLOAD_VERSION: u32 = 3;
+
+/// Extensions of the kinds earlier builds stored: lexed token trees and
+/// lowered bodies. Nothing loads them; `gc` and `clear` delete them.
+const RETIRED_EXTS: [&str; 2] = ["lex", "body"];
 
 /// The artifact kinds the store persists. Each kind maps to a file
 /// extension (so `stats`/`gc` can attribute entries without opening them)
@@ -72,24 +74,18 @@ const OUTCOME_PAYLOAD_VERSION: u32 = 3;
 pub enum Kind {
     /// LALR tables keyed by grammar content hash.
     Tables,
-    /// Lexed token trees keyed by (content hash, `FileId`).
-    Lex,
     /// Whole-request compile outcomes keyed by the source-closure hash.
     Outcome,
-    /// Lowered bodies + cold bytecode keyed by body fingerprint + params.
-    Body,
 }
 
 impl Kind {
-    pub const ALL: [Kind; 4] = [Kind::Tables, Kind::Lex, Kind::Outcome, Kind::Body];
+    pub const ALL: [Kind; 2] = [Kind::Tables, Kind::Outcome];
 
     /// File extension for entries of this kind.
     pub fn ext(self) -> &'static str {
         match self {
             Kind::Tables => "tbl",
-            Kind::Lex => "lex",
             Kind::Outcome => "out",
-            Kind::Body => "body",
         }
     }
 
@@ -97,28 +93,22 @@ impl Kind {
     pub fn label(self) -> &'static str {
         match self {
             Kind::Tables => "tables",
-            Kind::Lex => "lex",
             Kind::Outcome => "outcome",
-            Kind::Body => "body",
         }
     }
 
     fn cache_id(self) -> CacheId {
         match self {
             Kind::Tables => CacheId::StoreTables,
-            Kind::Lex => CacheId::StoreLex,
             Kind::Outcome => CacheId::StoreOutcome,
-            Kind::Body => CacheId::StoreBody,
         }
     }
 
-    /// Container tag byte (also what `from_ext` recovers for GC).
+    /// Container tag byte, and the kind's index in [`Kind::ALL`].
     fn tag(self) -> u8 {
         match self {
             Kind::Tables => 0,
-            Kind::Lex => 1,
-            Kind::Outcome => 2,
-            Kind::Body => 3,
+            Kind::Outcome => 1,
         }
     }
 
@@ -241,7 +231,8 @@ impl ArtifactStore {
     }
 
     /// Every store entry in the directory (temp files and foreign files
-    /// excluded), with its kind, size, and mtime.
+    /// excluded), with its kind (`None` for a retired kind), size, and
+    /// mtime.
     fn entries(&self) -> Vec<Entry> {
         let mut out = Vec::new();
         let Ok(rd) = fs::read_dir(&self.dir) else {
@@ -252,9 +243,10 @@ impl ArtifactStore {
             let Some(ext) = path.extension().and_then(|e| e.to_str()) else {
                 continue;
             };
-            let Some(kind) = Kind::from_ext(ext) else {
+            let kind = Kind::from_ext(ext);
+            if kind.is_none() && !RETIRED_EXTS.contains(&ext) {
                 continue;
-            };
+            }
             let Ok(meta) = item.metadata() else {
                 continue;
             };
@@ -272,30 +264,35 @@ impl ArtifactStore {
     }
 
     /// Per-kind entry counts and byte totals (exact, from a directory
-    /// scan), in [`Kind::ALL`] order.
-    pub fn stats(&self) -> [(Kind, KindStats); 4] {
+    /// scan), in [`Kind::ALL`] order. Retired entries are not counted.
+    pub fn stats(&self) -> [(Kind, KindStats); 2] {
         let mut out = Kind::ALL.map(|k| (k, KindStats::default()));
         for e in self.entries() {
-            let slot = &mut out[usize::from(e.kind.tag())].1;
-            slot.entries += 1;
-            slot.bytes += e.bytes;
+            if let Some(kind) = e.kind {
+                let slot = &mut out[usize::from(kind.tag())].1;
+                slot.entries += 1;
+                slot.bytes += e.bytes;
+            }
         }
         out
     }
 
-    /// Evicts least-recently-used entries (oldest mtime first) until the
-    /// store fits in `cap_bytes`. Returns (entries evicted, bytes freed).
+    /// Deletes every retired entry, then evicts least-recently-used
+    /// entries (oldest mtime first) until the store fits in `cap_bytes`.
+    /// Returns (entries removed, bytes freed).
     pub fn gc(&self, cap_bytes: u64) -> (u64, u64) {
         let mut entries = self.entries();
         let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
-        entries.sort_by_key(|e| e.mtime);
+        entries.sort_by_key(|e| (e.kind.is_some(), e.mtime));
         let (mut evicted, mut freed) = (0u64, 0u64);
         for e in &entries {
-            if total <= cap_bytes {
+            if total <= cap_bytes && e.kind.is_some() {
                 break;
             }
             if fs::remove_file(&e.path).is_ok() {
-                maya_telemetry::cache_eviction(e.kind.cache_id());
+                if let Some(kind) = e.kind {
+                    maya_telemetry::cache_eviction(kind.cache_id());
+                }
                 total = total.saturating_sub(e.bytes);
                 evicted += 1;
                 freed += e.bytes;
@@ -305,7 +302,8 @@ impl ArtifactStore {
         (evicted, freed)
     }
 
-    /// Deletes every entry. Returns the number removed.
+    /// Deletes every entry, retired ones included. Returns the number
+    /// removed.
     pub fn clear(&self) -> u64 {
         let mut removed = 0;
         for e in self.entries() {
@@ -320,18 +318,19 @@ impl ArtifactStore {
 
 struct Entry {
     path: PathBuf,
-    kind: Kind,
+    kind: Option<Kind>,
     bytes: u64,
     mtime: SystemTime,
 }
 
 // ---- the container codec -----------------------------------------------------
 //
-// entry := MAGIC version:u32 kind:u8 key:u128 payload checksum:u64
+// entry := MAGIC version:u32 build:u64 kind:u8 key:u128 payload checksum:u64
 //
 // The checksum (single-stream FNV-1a over everything before it) rejects
 // bit flips and truncation; the key echo rejects renamed files; the
-// version rejects entries written by an older layout.
+// version rejects entries written by another layout and the build id
+// entries written by another compiler build.
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -341,12 +340,20 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn encode_entry(kind: Kind, key: u128, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(MAGIC.len() + 29 + payload.len() + 8);
+/// Everything an entry of (`kind`, `key`) written by this build holds
+/// before its payload.
+fn header(kind: Kind, key: u128) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(MAGIC.len() + 29);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&BUILD_ID.to_le_bytes());
     buf.push(kind.tag());
     buf.extend_from_slice(&key.to_le_bytes());
+    buf
+}
+
+fn encode_entry(kind: Kind, key: u128, payload: &[u8]) -> Vec<u8> {
+    let mut buf = header(kind, key);
     buf.extend_from_slice(payload);
     let sum = fnv64(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
@@ -354,31 +361,11 @@ fn encode_entry(kind: Kind, key: u128, payload: &[u8]) -> Vec<u8> {
 }
 
 fn decode_entry(bytes: &[u8], kind: Kind, key: u128) -> Option<&[u8]> {
-    let header = MAGIC.len() + 4 + 1 + 16;
-    if bytes.len() < header + 8 {
-        return None;
-    }
-    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    let (body, sum) = bytes.split_at(bytes.len().checked_sub(8)?);
     if fnv64(body) != u64::from_le_bytes(sum.try_into().ok()?) {
         return None;
     }
-    let (magic, rest) = body.split_at(MAGIC.len());
-    if magic != MAGIC {
-        return None;
-    }
-    let (ver, rest) = rest.split_at(4);
-    if u32::from_le_bytes(ver.try_into().ok()?) != STORE_FORMAT_VERSION {
-        return None;
-    }
-    let (tag, rest) = rest.split_at(1);
-    if tag[0] != kind.tag() {
-        return None;
-    }
-    let (echo, payload) = rest.split_at(16);
-    if u128::from_le_bytes(echo.try_into().ok()?) != key {
-        return None;
-    }
-    Some(payload)
+    body.strip_prefix(header(kind, key).as_slice())
 }
 
 // ---- the thread-active store -------------------------------------------------
@@ -404,33 +391,13 @@ impl maya_grammar::TableDisk for TableAdapter {
     }
 }
 
-struct BodyAdapter(Arc<ArtifactStore>);
-
-impl maya_interp::BodyDisk for BodyAdapter {
-    fn load(&self, key: u128) -> Option<Vec<u8>> {
-        self.0.load(Kind::Body, key)
-    }
-
-    fn save(&self, key: u128, payload: &[u8]) {
-        self.0.save(Kind::Body, key, payload);
-    }
-}
-
 /// Installs `store` as this thread's artifact store — wiring the grammar
-/// crate's table-disk hook and the interpreter's body-disk hook to it —
-/// or uninstalls everything with `None`.
+/// crate's table-disk hook to it — or uninstalls it with `None`.
 pub fn install_thread(store: Option<Arc<ArtifactStore>>) {
     ACTIVE.with(|a| a.borrow_mut().clone_from(&store));
-    match store {
-        Some(s) => {
-            maya_grammar::set_table_disk(Some(Rc::new(TableAdapter(Arc::clone(&s)))));
-            maya_interp::set_body_disk(Some(Rc::new(BodyAdapter(s))));
-        }
-        None => {
-            maya_grammar::set_table_disk(None);
-            maya_interp::set_body_disk(None);
-        }
-    }
+    maya_grammar::set_table_disk(
+        store.map(|s| Rc::new(TableAdapter(s)) as Rc<dyn maya_grammar::TableDisk>),
+    );
 }
 
 /// The store installed on this thread, if any.
@@ -464,12 +431,6 @@ impl Buf {
         self.u32(u32::try_from(s.len()).ok()?);
         self.b.extend_from_slice(s.as_bytes());
         Some(())
-    }
-
-    fn span(&mut self, s: Span) {
-        self.u32(s.file.0);
-        self.u32(s.lo);
-        self.u32(s.hi);
     }
 }
 
@@ -511,151 +472,9 @@ impl<'a> Cur<'a> {
         std::str::from_utf8(self.take(n)?).ok()
     }
 
-    fn span(&mut self) -> Option<Span> {
-        let file = FileId(self.u32()?);
-        let lo = self.u32()?;
-        Some(Span::new(file, lo, self.u32()?))
-    }
-
     fn done(&self) -> bool {
         self.at == self.b.len()
     }
-}
-
-// ---- lex artifacts -----------------------------------------------------------
-
-/// The store key for a lexed file: content hash, the positional `FileId`
-/// its spans were minted under (the in-process lex share's key), and the
-/// payload version, so a token-code reshuffle invalidates cleanly.
-pub(crate) fn lex_key(content: u128, file: u32) -> u128 {
-    let mut h = Fnv2::new();
-    h.str("store-lex");
-    h.u32(LEX_PAYLOAD_VERSION);
-    h.bytes(&content.to_le_bytes());
-    h.u32(file);
-    h.finish()
-}
-
-/// Encodes a front-end result (token trees or the lex error).
-pub(crate) fn encode_lex(result: &Result<Vec<SendTree>, LexError>) -> Option<Vec<u8>> {
-    let mut w = Buf::new();
-    w.u32(LEX_PAYLOAD_VERSION);
-    match result {
-        Ok(trees) => {
-            w.u8(1);
-            w.u32(u32::try_from(trees.len()).ok()?);
-            for t in trees {
-                enc_send_tree(&mut w, t)?;
-            }
-        }
-        Err(e) => {
-            w.u8(0);
-            w.str(&e.message)?;
-            w.span(e.span);
-        }
-    }
-    Some(w.b)
-}
-
-/// Decodes a front-end result; `None` = corrupt or stale (a miss).
-pub(crate) fn decode_lex(bytes: &[u8]) -> Option<Result<Vec<SendTree>, LexError>> {
-    let mut r = Cur::new(bytes);
-    if r.u32()? != LEX_PAYLOAD_VERSION {
-        return None;
-    }
-    let out = match r.u8()? {
-        0 => {
-            let message = r.str()?.to_owned();
-            Err(LexError {
-                message,
-                span: r.span()?,
-            })
-        }
-        1 => {
-            let n = r.len()?;
-            let mut trees = Vec::with_capacity(n);
-            for _ in 0..n {
-                trees.push(dec_send_tree(&mut r)?);
-            }
-            Ok(trees)
-        }
-        _ => return None,
-    };
-    if !r.done() {
-        return None;
-    }
-    Some(out)
-}
-
-fn delim_tag(d: Delim) -> u8 {
-    match d {
-        Delim::Paren => 0,
-        Delim::Brace => 1,
-        Delim::Brack => 2,
-    }
-}
-
-fn delim_from(tag: u8) -> Option<Delim> {
-    match tag {
-        0 => Some(Delim::Paren),
-        1 => Some(Delim::Brace),
-        2 => Some(Delim::Brack),
-        _ => None,
-    }
-}
-
-fn enc_send_tree(w: &mut Buf, t: &SendTree) -> Option<()> {
-    match t {
-        SendTree::Token(t) => {
-            w.u8(0);
-            w.u8(t.kind.code());
-            w.str(t.text.as_str())?;
-            w.span(t.span);
-        }
-        SendTree::Delim {
-            delim,
-            trees,
-            open,
-            close,
-        } => {
-            w.u8(1);
-            w.u8(delim_tag(*delim));
-            w.span(*open);
-            w.span(*close);
-            w.u32(u32::try_from(trees.len()).ok()?);
-            for t in trees {
-                enc_send_tree(w, t)?;
-            }
-        }
-    }
-    Some(())
-}
-
-fn dec_send_tree(r: &mut Cur) -> Option<SendTree> {
-    Some(match r.u8()? {
-        0 => {
-            let kind = TokenKind::from_code(r.u8()?)?;
-            let text = sym(r.str()?);
-            SendTree::Token(Token::new(kind, text, r.span()?))
-        }
-        1 => {
-            let delim = delim_from(r.u8()?)?;
-            let open = r.span()?;
-            let close = r.span()?;
-            let n = r.len()?;
-            let mut trees = Vec::with_capacity(n);
-            for _ in 0..n {
-                trees.push(dec_send_tree(r)?);
-            }
-            SendTree::Delim {
-                delim,
-                trees,
-                open,
-                close,
-            }
-        }
-        _ => return None,
-    })
 }
 
 // ---- outcome artifacts -------------------------------------------------------
@@ -718,7 +537,7 @@ mod tests {
         store.save(Kind::Tables, 42, b"payload");
         assert_eq!(store.load(Kind::Tables, 42).as_deref(), Some(&b"payload"[..]));
         // Wrong kind and wrong key are misses, not mixups.
-        assert_eq!(store.load(Kind::Lex, 42), None);
+        assert_eq!(store.load(Kind::Outcome, 42), None);
         assert_eq!(store.load(Kind::Tables, 43), None);
 
         // A bit flip is silently dropped and rebuilt.
@@ -744,24 +563,24 @@ mod tests {
         let dir = tmp_dir("gc");
         let store = ArtifactStore::open(&dir, None).unwrap();
         for key in 0u128..4 {
-            store.save(Kind::Body, key, &[0u8; 100]);
+            store.save(Kind::Outcome, key, &[0u8; 100]);
             let when = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1000 + key as u64);
             fs::File::options()
                 .write(true)
-                .open(store.path_of(Kind::Body, key))
+                .open(store.path_of(Kind::Outcome, key))
                 .unwrap()
                 .set_modified(when)
                 .unwrap();
         }
-        let per = fs::metadata(store.path_of(Kind::Body, 0)).unwrap().len();
+        let per = fs::metadata(store.path_of(Kind::Outcome, 0)).unwrap().len();
         let (evicted, freed) = store.gc(per * 2);
         assert_eq!(evicted, 2);
         assert_eq!(freed, per * 2);
         // Oldest mtimes went first.
-        assert_eq!(store.load(Kind::Body, 0), None);
-        assert_eq!(store.load(Kind::Body, 1), None);
-        assert!(store.load(Kind::Body, 2).is_some());
-        assert!(store.load(Kind::Body, 3).is_some());
+        assert_eq!(store.load(Kind::Outcome, 0), None);
+        assert_eq!(store.load(Kind::Outcome, 1), None);
+        assert!(store.load(Kind::Outcome, 2).is_some());
+        assert!(store.load(Kind::Outcome, 3).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -770,57 +589,48 @@ mod tests {
         let dir = tmp_dir("stats");
         let store = ArtifactStore::open(&dir, None).unwrap();
         store.save(Kind::Tables, 1, b"t");
-        store.save(Kind::Lex, 2, b"l");
-        store.save(Kind::Lex, 3, b"l2");
+        store.save(Kind::Outcome, 2, b"o");
+        store.save(Kind::Outcome, 3, b"o2");
         let stats = store.stats();
         let of = |k: Kind| stats.iter().find(|(q, _)| *q == k).unwrap().1;
         assert_eq!(of(Kind::Tables).entries, 1);
-        assert_eq!(of(Kind::Lex).entries, 2);
-        assert_eq!(of(Kind::Outcome).entries, 0);
-        assert!(of(Kind::Lex).bytes > 0);
+        assert_eq!(of(Kind::Outcome).entries, 2);
+        assert!(of(Kind::Outcome).bytes > 0);
         assert_eq!(store.clear(), 3);
         assert!(store.stats().iter().all(|(_, s)| s.entries == 0));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn lex_payload_round_trips() {
-        let span = |lo, hi| Span::new(FileId(2), lo, hi);
-        let trees = vec![
-            SendTree::Token(Token::new(TokenKind::Ident, sym("x"), span(0, 1))),
-            SendTree::Delim {
-                delim: Delim::Paren,
-                trees: vec![SendTree::Token(Token::new(
-                    TokenKind::IntLit,
-                    sym("7"),
-                    span(3, 4),
-                ))],
-                open: span(2, 3),
-                close: span(4, 5),
-            },
-        ];
-        let ok: Result<Vec<SendTree>, LexError> = Ok(trees);
-        let bytes = encode_lex(&ok).unwrap();
-        let back = decode_lex(&bytes).unwrap().unwrap();
-        assert_eq!(back.len(), 2);
-        match &back[1] {
-            SendTree::Delim { delim, trees, .. } => {
-                assert_eq!(*delim, Delim::Paren);
-                assert_eq!(trees.len(), 1);
-            }
-            SendTree::Token(_) => panic!("expected delim"),
+    fn entries_from_another_build_are_deleted_misses() {
+        let dir = tmp_dir("build");
+        let store = ArtifactStore::open(&dir, None).unwrap();
+        store.save(Kind::Outcome, 7, b"payload");
+        let path = store.path_of(Kind::Outcome, 7);
+        let mut bytes = fs::read(&path).unwrap();
+        let build = MAGIC.len() + 4;
+        let other = BUILD_ID ^ 1;
+        bytes[build..build + 8].copy_from_slice(&other.to_le_bytes());
+        let n = bytes.len() - 8;
+        let sum = fnv64(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.load(Kind::Outcome, 7), None);
+        assert!(!path.exists(), "an entry from another build is deleted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_deletes_retired_kinds_whatever_the_cap() {
+        let dir = tmp_dir("retired");
+        let store = ArtifactStore::open(&dir, None).unwrap();
+        store.save(Kind::Tables, 1, b"t");
+        for ext in RETIRED_EXTS {
+            fs::write(dir.join(format!("{:032x}.{ext}", 2)), b"old").unwrap();
         }
-
-        let err: Result<Vec<SendTree>, LexError> = Err(LexError {
-            message: "unterminated string".to_owned(),
-            span: span(9, 10),
-        });
-        let bytes = encode_lex(&err).unwrap();
-        let back = decode_lex(&bytes).unwrap().unwrap_err();
-        assert_eq!(back.message, "unterminated string");
-        assert_eq!(back.span, span(9, 10));
-
-        assert!(decode_lex(&bytes[..bytes.len() - 1]).is_none(), "truncated");
+        assert_eq!(store.gc(u64::MAX), (2, 6));
+        assert!(store.load(Kind::Tables, 1).is_some(), "live entries stay");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //!    thread is sound by construction (content-hash keys never need
 //!    invalidation), and
 //! 3. an optional persistent layer behind the [`TableDisk`] hook
-//!    (`mayac --cache-dir=DIR`, with `--table-cache=DIR` as the older
-//!    alias). This module only encodes/decodes the versioned table
-//!    *payload* ([`encode_tables`]/[`decode_tables`]); the artifact store
-//!    in `maya-core` owns the files, checksums, atomic writes, and
-//!    eviction. Any malformed, truncated, or stale payload decodes as a
-//!    miss and is rebuilt — a bad cache can cost time, never correctness.
+//!    (`mayac --cache-dir=DIR`). This module only encodes/decodes the
+//!    versioned table *payload* ([`encode_tables`]/[`decode_tables`]);
+//!    the artifact store in `maya-core` owns the files, checksums, atomic
+//!    writes, and eviction. Any malformed, truncated, or stale payload
+//!    decodes as a miss and is rebuilt — a bad cache can cost time, never
+//!    correctness.
 //!
 //! The hash is computed from grammar *content* (strings, token-kind names,
 //! numeric ids), never from interner indices, so it is stable across
@@ -231,7 +231,7 @@ pub fn table_cache_shared() -> bool {
 
 /// Installs (or clears) this thread's persistent table layer. Wired up by
 /// `maya-core`'s artifact store when a cache directory is configured
-/// (`mayac --cache-dir`, `--table-cache` alias, `MAYA_CACHE_DIR`).
+/// (`mayac --cache-dir`, `MAYA_CACHE_DIR`).
 pub fn set_table_disk(disk: Option<Rc<dyn TableDisk>>) {
     DISK.with(|d| *d.borrow_mut() = disk);
 }
@@ -335,8 +335,9 @@ fn remember(hash: u128, t: &Arc<Tables>) {
 //
 // All integers little-endian. This is only the table *payload*: the
 // artifact store wraps it in a container carrying the magic, the store
-// format version, the key echo, and a whole-entry checksum, and verifies
-// all of that before the payload reaches `decode_tables`. Layout:
+// format version, the build id, the key echo, and a whole-entry checksum,
+// and verifies all of that before the payload reaches `decode_tables`.
+// Layout:
 //
 //   version  u32 (TABLES_PAYLOAD_VERSION)
 //   n_states u32

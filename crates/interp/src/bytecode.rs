@@ -7,7 +7,9 @@
 //! unlowerable and runs on the reference tree walker in `interp.rs`. The
 //! compiler preserves the walker's observable semantics exactly — step
 //! counts, error strings, error spans, evaluation order — so both tiers
-//! stay byte-identical over the corpus.
+//! stay byte-identical over the corpus. Bytecode never leaves the process:
+//! the VM runs only what [`compile`] emitted, so its register, site and
+//! jump operands are in bounds by construction.
 //!
 //! Highlights:
 //! - no `Const` instruction: constants are preloaded into dedicated
@@ -50,7 +52,7 @@ pub(crate) const INLINE_MAX: usize = 24;
 /// the body runs cold, and it is refined again after `REFINE_EXECS` runs
 /// under the new epoch.
 pub(crate) struct BcState {
-    /// Never changes; the body codec persists it.
+    /// Never changes.
     cold: Rc<BcBody>,
     refined: RefCell<Option<Rc<BcBody>>>,
     /// The epoch `execs` counts runs under.
@@ -69,7 +71,7 @@ impl BcState {
         }
     }
 
-    /// The cold compile: what the codec persists and the splicer copies.
+    /// The cold compile: what the splicer copies.
     pub(crate) fn cold(&self) -> &Rc<BcBody> {
         &self.cold
     }
@@ -1782,538 +1784,6 @@ pub(crate) fn compile(
         pairs: e.pairs,
         super_pcs: e.super_pcs,
         inlined: e.inlined,
-    })
-}
-
-// ---- the bytecode codec ------------------------------------------------------
-//
-// Serializes *cold* compiles only (the output of `compile(lb, &[], None)`):
-// cold bodies never contain inline splices, so `guards`/`methods`/`inlined`
-// are empty and every instruction is position-independent of runtime state.
-// Site tables (`field_sites`, `sites`, `tys`) carry no data beyond their
-// arity — the decoder recreates empty caches, which is observably identical
-// to a fresh cold compile. Instruction tags are declaration order of
-// [`Instr`]; any layout change requires bumping `BODY_PAYLOAD_VERSION` in
-// `lower.rs`.
-
-use crate::codec::{binop_code, binop_from, binop_from_str, unop_code, unop_from, R, W};
-
-/// Encodes a cold `BcBody`, or `None` if it contains anything the codec
-/// does not cover (refined bodies, non-binop profiler labels) — the caller
-/// then skips persisting the body.
-pub(crate) fn encode_bc(w: &mut W, bc: &BcBody) -> Option<()> {
-    if !bc.guards.is_empty() || !bc.methods.is_empty() || !bc.inlined.is_empty() {
-        return None; // refined (inlined) body: cold-only codec
-    }
-    w.u16(bc.n_params);
-    w.u16(bc.n_locals);
-    w.u16(bc.n_regs);
-    w.len(bc.code.len())?;
-    for ins in &bc.code {
-        enc_instr(w, ins)?;
-    }
-    w.len(bc.preloads.len())?;
-    for (reg, v) in &bc.preloads {
-        w.u16(*reg);
-        w.value(v)?;
-    }
-    w.len(bc.field_sites.len())?;
-    w.len(bc.sites.len())?;
-    w.len(bc.tys.len())?;
-    for ty in &bc.tys {
-        crate::lower::enc_tn(w, &ty.tn)?;
-    }
-    w.len(bc.span_pairs.len())?;
-    for (a, b) in &bc.span_pairs {
-        w.span(*a);
-        w.span(*b);
-    }
-    w.len(bc.regions.len())?;
-    for r in &bc.regions {
-        w.u32(r.start);
-        w.u32(r.end);
-        w.u32(r.brk);
-        w.u32(r.cont);
-        w.u16(r.ty_depth);
-        w.u16(r.inline_depth);
-    }
-    // HashMap iteration order is nondeterministic; sort by pc so equal
-    // bodies encode to equal bytes.
-    let mut pairs: Vec<_> = bc.pairs.iter().collect();
-    pairs.sort_by_key(|(pc, _)| **pc);
-    w.len(pairs.len())?;
-    for (pc, labels) in pairs {
-        w.u32(*pc);
-        w.len(labels.len())?;
-        for (a, b) in labels {
-            w.u8(binop_code(binop_from_str(a)?));
-            w.u8(binop_code(binop_from_str(b)?));
-        }
-    }
-    w.len(bc.super_pcs.len())?;
-    for pc in &bc.super_pcs {
-        w.u32(*pc);
-    }
-    Some(())
-}
-
-/// Decodes a cold `BcBody`, validating every register, site index, and jump
-/// target so a colliding or hand-edited payload can never index out of
-/// bounds in the VM. `None` = treat as a cache miss.
-pub(crate) fn decode_bc(r: &mut R) -> Option<BcBody> {
-    let n_params = r.u16()?;
-    let n_locals = r.u16()?;
-    let n_regs = r.u16()?;
-    let n = r.len()?;
-    let mut code = Vec::with_capacity(n);
-    for _ in 0..n {
-        code.push(dec_instr(r)?);
-    }
-    let n = r.len()?;
-    let mut preloads = Vec::with_capacity(n);
-    for _ in 0..n {
-        let reg = r.u16()?;
-        preloads.push((reg, r.value()?));
-    }
-    let field_sites: Vec<FieldSite> = (0..r.len()?).map(|_| FieldSite::new()).collect();
-    let sites: Vec<Rc<PolySite>> = (0..r.len()?).map(|_| PolySite::new()).collect();
-    let n = r.len()?;
-    let mut tys = Vec::with_capacity(n);
-    for _ in 0..n {
-        tys.push(TypeSlot::new(crate::lower::dec_tn(r)?));
-    }
-    let n = r.len()?;
-    let mut span_pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let a = r.span()?;
-        span_pairs.push((a, r.span()?));
-    }
-    let n = r.len()?;
-    let mut regions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (start, end, brk, cont) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-        let (ty_depth, inline_depth) = (r.u16()?, r.u16()?);
-        regions.push(Region { start, end, brk, cont, ty_depth, inline_depth });
-    }
-    let n = r.len()?;
-    let mut pairs = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let pc = r.u32()?;
-        let m = r.len()?;
-        let mut labels = Vec::with_capacity(m);
-        for _ in 0..m {
-            let a = binop_from(r.u8()?)?.as_str();
-            labels.push((a, binop_from(r.u8()?)?.as_str()));
-        }
-        pairs.insert(pc, labels);
-    }
-    let n = r.len()?;
-    let mut super_pcs = Vec::with_capacity(n);
-    for _ in 0..n {
-        super_pcs.push(r.u32()?);
-    }
-    let bc = BcBody {
-        n_params,
-        n_locals,
-        n_regs,
-        code,
-        preloads,
-        field_sites,
-        sites,
-        tys,
-        span_pairs,
-        methods: Vec::new(),
-        guards: Vec::new(),
-        regions,
-        pairs,
-        super_pcs,
-        inlined: Vec::new(),
-    };
-    if !validate_bc(&bc) {
-        return None;
-    }
-    Some(bc)
-}
-
-fn enc_instr(w: &mut W, ins: &Instr) -> Option<()> {
-    match ins {
-        Instr::Move { dst, src } => {
-            w.u8(0);
-            w.u16(*dst);
-            w.u16(*src);
-        }
-        Instr::LoadThis { dst, span } => {
-            w.u8(1);
-            w.u16(*dst);
-            w.span(*span);
-        }
-        Instr::EnvLoad { dst, name, site, span } => {
-            w.u8(2);
-            w.u16(*dst);
-            w.sym(*name)?;
-            w.u16(*site);
-            w.span(*span);
-        }
-        Instr::EnvStore { src, name, span } => {
-            w.u8(3);
-            w.u16(*src);
-            w.sym(*name)?;
-            w.span(*span);
-        }
-        Instr::ClassRef { dst, fqcn, span } => {
-            w.u8(4);
-            w.u16(*dst);
-            w.sym(*fqcn)?;
-            w.span(*span);
-        }
-        Instr::FieldGet { dst, obj, name, site, span } => {
-            w.u8(5);
-            w.u16(*dst);
-            w.u16(*obj);
-            w.sym(*name)?;
-            w.u16(*site);
-            w.span(*span);
-        }
-        Instr::FieldSet { obj, val, name, span } => {
-            w.u8(6);
-            w.u16(*obj);
-            w.u16(*val);
-            w.sym(*name)?;
-            w.span(*span);
-        }
-        Instr::ArrGet { dst, arr, idx, spans } => {
-            w.u8(7);
-            w.u16(*dst);
-            w.u16(*arr);
-            w.u16(*idx);
-            w.u16(*spans);
-        }
-        Instr::ArrSet { arr, idx, val, spans } => {
-            w.u8(8);
-            w.u16(*arr);
-            w.u16(*idx);
-            w.u16(*val);
-            w.u16(*spans);
-        }
-        Instr::NewClass { ty, span } => {
-            w.u8(9);
-            w.u16(*ty);
-            w.span(*span);
-        }
-        Instr::NewFinish { dst, base, n, span } => {
-            w.u8(10);
-            w.u16(*dst);
-            w.u16(*base);
-            w.u16(*n);
-            w.span(*span);
-        }
-        Instr::TyElem { ty, extra_dims, span } => {
-            w.u8(11);
-            w.u16(*ty);
-            w.u32(*extra_dims);
-            w.span(*span);
-        }
-        Instr::NewArrayFinish { dst, base, n, span } => {
-            w.u8(12);
-            w.u16(*dst);
-            w.u16(*base);
-            w.u16(*n);
-            w.span(*span);
-        }
-        Instr::ToInt { reg, span } => {
-            w.u8(13);
-            w.u16(*reg);
-            w.span(*span);
-        }
-        Instr::TyDecl { ty, span } => {
-            w.u8(14);
-            w.u16(*ty);
-            w.span(*span);
-        }
-        Instr::DefaultVal { dst, dims } => {
-            w.u8(15);
-            w.u16(*dst);
-            w.u32(*dims);
-        }
-        Instr::TyPop => w.u8(16),
-        Instr::Binary { op, dst, a, b, span } => {
-            w.u8(17);
-            w.u8(binop_code(*op));
-            w.u16(*dst);
-            w.u16(*a);
-            w.u16(*b);
-            w.span(*span);
-        }
-        Instr::Unary { op, dst, src, span } => {
-            w.u8(18);
-            w.u8(unop_code(*op));
-            w.u16(*dst);
-            w.u16(*src);
-            w.span(*span);
-        }
-        Instr::IncDecVal { dst, src, delta, span } => {
-            w.u8(19);
-            w.u16(*dst);
-            w.u16(*src);
-            w.i32(*delta);
-            w.span(*span);
-        }
-        Instr::IncLocal { slot, delta, span } => {
-            w.u8(20);
-            w.u16(*slot);
-            w.i32(*delta);
-            w.span(*span);
-        }
-        Instr::CastV { dst, src, ty, span } => {
-            w.u8(21);
-            w.u16(*dst);
-            w.u16(*src);
-            w.u16(*ty);
-            w.span(*span);
-        }
-        Instr::InstOf { dst, src, ty, span } => {
-            w.u8(22);
-            w.u16(*dst);
-            w.u16(*src);
-            w.u16(*ty);
-            w.span(*span);
-        }
-        Instr::Jmp { target } => {
-            w.u8(23);
-            w.u32(*target);
-        }
-        Instr::JmpIfFalse { src, target, span } => {
-            w.u8(24);
-            w.u16(*src);
-            w.u32(*target);
-            w.span(*span);
-        }
-        Instr::JmpIfTrue { src, target, span } => {
-            w.u8(25);
-            w.u16(*src);
-            w.u32(*target);
-            w.span(*span);
-        }
-        Instr::JmpIfCmp { op, a, b, when, target, span } => {
-            w.u8(26);
-            w.u8(binop_code(*op));
-            w.u16(*a);
-            w.u16(*b);
-            w.bool(*when);
-            w.u32(*target);
-            w.span(*span);
-        }
-        Instr::Step { span } => {
-            w.u8(27);
-            w.span(*span);
-        }
-        Instr::Ret { src } => {
-            w.u8(28);
-            w.u16(*src);
-        }
-        Instr::RetNull => w.u8(29),
-        Instr::RaiseBreak => w.u8(30),
-        Instr::RaiseContinue => w.u8(31),
-        Instr::Throw { src } => {
-            w.u8(32);
-            w.u16(*src);
-        }
-        Instr::RaiseInvalidAssign { span } => {
-            w.u8(33);
-            w.span(*span);
-        }
-        Instr::CallRecv { dst, recv, base, n, name, site, span } => {
-            w.u8(34);
-            w.u16(*dst);
-            w.u16(*recv);
-            w.u16(*base);
-            w.u16(*n);
-            w.sym(*name)?;
-            w.u16(*site);
-            w.span(*span);
-        }
-        Instr::CallSuper { dst, base, n, name, site, span } => {
-            w.u8(35);
-            w.u16(*dst);
-            w.u16(*base);
-            w.u16(*n);
-            w.sym(*name)?;
-            w.u16(*site);
-            w.span(*span);
-        }
-        Instr::CallImplicit { dst, base, n, name, site, span } => {
-            w.u8(36);
-            w.u16(*dst);
-            w.u16(*base);
-            w.u16(*n);
-            w.sym(*name)?;
-            w.u16(*site);
-            w.span(*span);
-        }
-        // Splice instructions only appear in refined bodies, which this
-        // codec declines above.
-        Instr::EnvLoadAt { .. }
-        | Instr::GuardInline { .. }
-        | Instr::CallEnter { .. }
-        | Instr::CallExit => return None,
-    }
-    Some(())
-}
-
-fn dec_instr(r: &mut R) -> Option<Instr> {
-    Some(match r.u8()? {
-        0 => Instr::Move { dst: r.u16()?, src: r.u16()? },
-        1 => Instr::LoadThis { dst: r.u16()?, span: r.span()? },
-        2 => Instr::EnvLoad { dst: r.u16()?, name: r.sym()?, site: r.u16()?, span: r.span()? },
-        3 => Instr::EnvStore { src: r.u16()?, name: r.sym()?, span: r.span()? },
-        4 => Instr::ClassRef { dst: r.u16()?, fqcn: r.sym()?, span: r.span()? },
-        5 => Instr::FieldGet {
-            dst: r.u16()?,
-            obj: r.u16()?,
-            name: r.sym()?,
-            site: r.u16()?,
-            span: r.span()?,
-        },
-        6 => Instr::FieldSet { obj: r.u16()?, val: r.u16()?, name: r.sym()?, span: r.span()? },
-        7 => Instr::ArrGet { dst: r.u16()?, arr: r.u16()?, idx: r.u16()?, spans: r.u16()? },
-        8 => Instr::ArrSet { arr: r.u16()?, idx: r.u16()?, val: r.u16()?, spans: r.u16()? },
-        9 => Instr::NewClass { ty: r.u16()?, span: r.span()? },
-        10 => Instr::NewFinish { dst: r.u16()?, base: r.u16()?, n: r.u16()?, span: r.span()? },
-        11 => Instr::TyElem { ty: r.u16()?, extra_dims: r.u32()?, span: r.span()? },
-        12 => Instr::NewArrayFinish { dst: r.u16()?, base: r.u16()?, n: r.u16()?, span: r.span()? },
-        13 => Instr::ToInt { reg: r.u16()?, span: r.span()? },
-        14 => Instr::TyDecl { ty: r.u16()?, span: r.span()? },
-        15 => Instr::DefaultVal { dst: r.u16()?, dims: r.u32()? },
-        16 => Instr::TyPop,
-        17 => {
-            let op = binop_from(r.u8()?)?;
-            Instr::Binary { op, dst: r.u16()?, a: r.u16()?, b: r.u16()?, span: r.span()? }
-        }
-        18 => {
-            let op = unop_from(r.u8()?)?;
-            Instr::Unary { op, dst: r.u16()?, src: r.u16()?, span: r.span()? }
-        }
-        19 => Instr::IncDecVal { dst: r.u16()?, src: r.u16()?, delta: r.i32()?, span: r.span()? },
-        20 => Instr::IncLocal { slot: r.u16()?, delta: r.i32()?, span: r.span()? },
-        21 => Instr::CastV { dst: r.u16()?, src: r.u16()?, ty: r.u16()?, span: r.span()? },
-        22 => Instr::InstOf { dst: r.u16()?, src: r.u16()?, ty: r.u16()?, span: r.span()? },
-        23 => Instr::Jmp { target: r.u32()? },
-        24 => Instr::JmpIfFalse { src: r.u16()?, target: r.u32()?, span: r.span()? },
-        25 => Instr::JmpIfTrue { src: r.u16()?, target: r.u32()?, span: r.span()? },
-        26 => {
-            let op = binop_from(r.u8()?)?;
-            Instr::JmpIfCmp {
-                op,
-                a: r.u16()?,
-                b: r.u16()?,
-                when: r.bool()?,
-                target: r.u32()?,
-                span: r.span()?,
-            }
-        }
-        27 => Instr::Step { span: r.span()? },
-        28 => Instr::Ret { src: r.u16()? },
-        29 => Instr::RetNull,
-        30 => Instr::RaiseBreak,
-        31 => Instr::RaiseContinue,
-        32 => Instr::Throw { src: r.u16()? },
-        33 => Instr::RaiseInvalidAssign { span: r.span()? },
-        34 => Instr::CallRecv {
-            dst: r.u16()?,
-            recv: r.u16()?,
-            base: r.u16()?,
-            n: r.u16()?,
-            name: r.sym()?,
-            site: r.u16()?,
-            span: r.span()?,
-        },
-        35 => Instr::CallSuper {
-            dst: r.u16()?,
-            base: r.u16()?,
-            n: r.u16()?,
-            name: r.sym()?,
-            site: r.u16()?,
-            span: r.span()?,
-        },
-        36 => Instr::CallImplicit {
-            dst: r.u16()?,
-            base: r.u16()?,
-            n: r.u16()?,
-            name: r.sym()?,
-            site: r.u16()?,
-            span: r.span()?,
-        },
-        _ => return None,
-    })
-}
-
-/// Every register, table index, and jump target in bounds.
-fn validate_bc(bc: &BcBody) -> bool {
-    let reg = |r: u16| r < bc.n_regs;
-    let site = |s: u16| usize::from(s) < bc.sites.len();
-    let fsite = |s: u16| usize::from(s) < bc.field_sites.len();
-    let ty = |t: u16| usize::from(t) < bc.tys.len();
-    let sp = |s: u16| usize::from(s) < bc.span_pairs.len();
-    let pc = |t: u32| (t as usize) < bc.code.len();
-    let args = |base: u16, n: u16| match base.checked_add(n) {
-        Some(end) => end <= bc.n_regs,
-        None => false,
-    };
-    if bc.n_locals > bc.n_regs || bc.n_params > bc.n_locals {
-        return false;
-    }
-    if !bc.preloads.iter().all(|(r, _)| reg(*r)) {
-        return false;
-    }
-    if !bc.pairs.keys().chain(bc.super_pcs.iter()).all(|p| pc(*p)) {
-        return false;
-    }
-    bc.code.iter().all(|ins| match *ins {
-        Instr::Move { dst, src } => reg(dst) && reg(src),
-        Instr::LoadThis { dst, .. } => reg(dst),
-        Instr::EnvLoad { dst, site: s, .. } => reg(dst) && site(s),
-        Instr::EnvStore { src, .. } => reg(src),
-        Instr::ClassRef { dst, .. } => reg(dst),
-        Instr::FieldGet { dst, obj, site: s, .. } => reg(dst) && reg(obj) && fsite(s),
-        Instr::FieldSet { obj, val, .. } => reg(obj) && reg(val),
-        Instr::ArrGet { dst, arr, idx, spans } => {
-            reg(dst) && reg(arr) && reg(idx) && sp(spans)
-        }
-        Instr::ArrSet { arr, idx, val, spans } => {
-            reg(arr) && reg(idx) && reg(val) && sp(spans)
-        }
-        Instr::NewClass { ty: t, .. } => ty(t),
-        Instr::NewFinish { dst, base, n, .. } => reg(dst) && args(base, n),
-        Instr::TyElem { ty: t, .. } => ty(t),
-        Instr::NewArrayFinish { dst, base, n, .. } => reg(dst) && args(base, n),
-        Instr::ToInt { reg: x, .. } => reg(x),
-        Instr::TyDecl { ty: t, .. } => ty(t),
-        Instr::DefaultVal { dst, .. } => reg(dst),
-        Instr::TyPop | Instr::RetNull | Instr::RaiseBreak | Instr::RaiseContinue => true,
-        Instr::Binary { dst, a, b, .. } => reg(dst) && reg(a) && reg(b),
-        Instr::Unary { dst, src, .. } => reg(dst) && reg(src),
-        Instr::IncDecVal { dst, src, .. } => reg(dst) && reg(src),
-        Instr::IncLocal { slot, .. } => slot < bc.n_locals,
-        Instr::CastV { dst, src, ty: t, .. } => reg(dst) && reg(src) && ty(t),
-        Instr::InstOf { dst, src, ty: t, .. } => reg(dst) && reg(src) && ty(t),
-        Instr::Jmp { target } => pc(target),
-        Instr::JmpIfFalse { src, target, .. } => reg(src) && pc(target),
-        Instr::JmpIfTrue { src, target, .. } => reg(src) && pc(target),
-        Instr::JmpIfCmp { a, b, target, .. } => reg(a) && reg(b) && pc(target),
-        Instr::Step { .. } | Instr::RaiseInvalidAssign { .. } => true,
-        Instr::Ret { src } | Instr::Throw { src } => reg(src),
-        Instr::CallRecv { dst, recv, base, n, site: s, .. } => {
-            reg(dst) && reg(recv) && args(base, n) && site(s)
-        }
-        Instr::CallSuper { dst, base, n, site: s, .. }
-        | Instr::CallImplicit { dst, base, n, site: s, .. } => {
-            reg(dst) && args(base, n) && site(s)
-        }
-        // Never produced by `dec_instr`, but keep the check total.
-        Instr::EnvLoadAt { .. }
-        | Instr::GuardInline { .. }
-        | Instr::CallEnter { .. }
-        | Instr::CallExit => false,
     })
 }
 

@@ -12,7 +12,6 @@
 //! mayac's lazy compilation.
 
 mod bytecode;
-mod codec;
 mod error;
 mod interp;
 mod layout;
@@ -25,7 +24,7 @@ mod vm;
 pub use error::RuntimeError;
 pub use interp::{Control, Eval, Frame, Interp};
 pub use layout::{FieldLayout, RuntimeCaches};
-pub use lower::{set_body_disk, BodyDisk, LowerStore, LoweredBody};
+pub use lower::{LowerStore, LoweredBody};
 pub use native::{native_as, NativeFn, NativeObject};
 pub use runtime::{install_runtime, EnumObj, HashObj, PrintObj, SbObj, VecObj};
 pub use value::{ArrayObj, Obj, RtStr, Value};

@@ -26,7 +26,9 @@
 //! nodes — and bodies the bytecode compiler declines — are *unlowerable*
 //! and execute on the reference tree walker in `interp.rs`; the
 //! [`LowerStore`] memoizes both outcomes per structural fingerprint so warm
-//! `mayad` runs skip the analysis entirely.
+//! `mayad` runs skip the analysis entirely. The memo is in-memory only:
+//! the persistent store (`--cache-dir`) keeps LALR tables and whole-request
+//! outcomes, never bodies, so a fresh process lowers every body it runs.
 //!
 //! Evaluation order, error messages, error spans, and observable side
 //! effects are mirrored from `interp.rs` exactly — the conformance corpus
@@ -241,60 +243,12 @@ impl TypeSlot {
 
 // ---- the shared store --------------------------------------------------------
 
-thread_local! {
-    static BODY_DISK: RefCell<Option<Rc<dyn BodyDisk>>> = const { RefCell::new(None) };
-}
-
-/// The persistent layer behind the in-session [`LowerStore`]. The interp
-/// crate only defines the interface; `maya-core`'s artifact store
-/// implements it (file layout, checksums, atomic writes, eviction) and
-/// installs itself per thread. Payloads are produced by this module's body
-/// codec; `load` returns a payload previously passed to `save` under the
-/// same key, or `None` on any miss or corruption.
-pub trait BodyDisk {
-    /// The stored payload for `key`, if present and intact.
-    fn load(&self, key: u128) -> Option<Vec<u8>>;
-    /// Persists `payload` under `key`. Failures are silent.
-    fn save(&self, key: u128, payload: &[u8]);
-}
-
-/// Installs (or clears) this thread's persistent lowered-body layer.
-pub fn set_body_disk(disk: Option<Rc<dyn BodyDisk>>) {
-    BODY_DISK.with(|d| *d.borrow_mut() = disk);
-}
-
-/// The on-disk key for a lowered body: the structural fingerprint with the
-/// parameter names folded in (slot assignment depends on them). Parameter
-/// text — never interner indices — keeps the key stable across processes.
-fn body_disk_key(fp: u128, params: &[Symbol]) -> u128 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a = 0xcbf2_9ce4_8422_2325u64;
-    let mut b = 0x6c62_272e_07bb_0142u64;
-    let mut eat = |bytes: &[u8]| {
-        for &x in bytes {
-            a = (a ^ u64::from(x)).wrapping_mul(PRIME);
-            b = (b ^ u64::from(x.rotate_left(3))).wrapping_mul(PRIME);
-        }
-    };
-    eat(&fp.to_le_bytes());
-    eat(&(params.len() as u32).to_le_bytes());
-    for p in params {
-        let s = p.as_str();
-        eat(&(s.len() as u32).to_le_bytes());
-        eat(s.as_bytes());
-    }
-    (u128::from(a) << 64) | u128::from(b)
-}
-
 /// Session-wide memo of lowered bodies, keyed by the body's structural
 /// fingerprint plus its parameter names (slot assignment depends on them).
 /// `None` records the *unlowerable* verdict so it is not re-derived.
 /// Held in the session force cache so warm `mayad` runs reuse lowered code
 /// across compilers, and bounded like it (see [`GenMemo`]): bodies no
-/// recent request ran are evicted. When a persistent layer is installed
-/// ([`set_body_disk`]), memo misses probe it and fresh outcomes are saved
-/// to it — a cold process with a warm store skips lowering *and* the cold
-/// bytecode compile.
+/// recent request ran are evicted.
 pub struct LowerStore {
     map: RefCell<GenMemo<(u128, Box<[Symbol]>), Option<Rc<LoweredBody>>>>,
 }
@@ -313,40 +267,18 @@ impl LowerStore {
         LowerStore::default()
     }
 
-    /// Looks up a memoized outcome, falling back to the persistent layer.
+    /// Looks up a memoized outcome.
     pub fn get(&self, fp: u128, params: &[Symbol]) -> Option<Option<Rc<LoweredBody>>> {
-        let key = (fp, params.to_vec().into_boxed_slice());
-        let hit = self.map.borrow_mut().get(&key);
-        if hit.is_some() {
-            return hit;
-        }
-        let disk = BODY_DISK.with(|d| d.borrow().clone());
-        if let Some(disk) = &disk {
-            if let Some(outcome) = disk
-                .load(body_disk_key(fp, params))
-                .and_then(|payload| decode_outcome(&payload))
-            {
-                // Hydrated entries go straight into the memo (not through
-                // `insert`) so they are never written back to the store.
-                self.map.borrow_mut().insert(key, outcome.clone());
-                return Some(outcome);
-            }
-        }
-        None
+        self.map
+            .borrow_mut()
+            .get(&(fp, params.to_vec().into_boxed_slice()))
     }
 
-    /// Records a freshly derived outcome (and persists it, when a disk
-    /// layer is installed).
+    /// Records a freshly derived outcome.
     pub fn insert(&self, fp: u128, params: &[Symbol], outcome: Option<Rc<LoweredBody>>) {
         self.map
             .borrow_mut()
-            .insert((fp, params.to_vec().into_boxed_slice()), outcome.clone());
-        let disk = BODY_DISK.with(|d| d.borrow().clone());
-        if let Some(disk) = &disk {
-            if let Some(payload) = encode_outcome(&outcome) {
-                disk.save(body_disk_key(fp, params), &payload);
-            }
-        }
+            .insert((fp, params.to_vec().into_boxed_slice()), outcome);
     }
 
     /// Marks the end of one request (see [`GenMemo::end_request`]).
@@ -368,583 +300,6 @@ impl LowerStore {
 /// Fingerprints a body block for the shared store (None: no stable shape).
 pub fn body_fingerprint(block: &Block) -> Option<u128> {
     fingerprint_block(block)
-}
-
-// ---- the body codec ----------------------------------------------------------
-//
-// Serializes a [`LowerStore`] outcome — the *unlowerable* verdict or a
-// full [`LoweredBody`] plus its cold bytecode — for the persistent
-// artifact store. Soundness rests on the key: `fingerprint_block` hashes
-// every statement, expression, operator, literal, name *and span*, and the
-// disk key folds in the parameter names, so an equal key implies an AST
-// for which `lower_body` (a pure function) would produce exactly this
-// output. Site caches ([`TypeSlot`] and the bytecode's field and call
-// sites) hold only process-local runtime state and are recreated empty on
-// decode.
-
-/// Bumped whenever the encoded body layout changes (including the
-/// bytecode section in `bytecode.rs` and the token codes it references).
-const BODY_PAYLOAD_VERSION: u32 = 2;
-
-use crate::codec::{
-    binop_code, binop_from, incdec_code, incdec_from, prim_code, prim_from, unop_code, unop_from,
-    R, W,
-};
-
-/// Encodes a lowering outcome, or `None` when it contains something the
-/// codec cannot represent (which simply skips persisting this body). A
-/// lowered body is encoded with its cold bytecode, so a warm-store hit
-/// skips the bytecode compile as well.
-pub(crate) fn encode_outcome(outcome: &Option<Rc<LoweredBody>>) -> Option<Vec<u8>> {
-    let mut w = W::new();
-    w.u32(BODY_PAYLOAD_VERSION);
-    match outcome {
-        None => w.u8(0),
-        Some(lb) => {
-            w.u8(1);
-            w.u32(u32::try_from(lb.n_params).ok()?);
-            w.u32(u32::try_from(lb.n_slots).ok()?);
-            enc_stmts(&mut w, &lb.code)?;
-            crate::bytecode::encode_bc(&mut w, lb.bc.cold())?;
-        }
-    }
-    Some(w.buf)
-}
-
-/// Decodes a lowering outcome. Outer `None` = corrupt/stale payload (a
-/// miss); inner `None` = the memoized *unlowerable* verdict.
-pub(crate) fn decode_outcome(bytes: &[u8]) -> Option<Option<Rc<LoweredBody>>> {
-    let mut r = R::new(bytes);
-    if r.u32()? != BODY_PAYLOAD_VERSION {
-        return None;
-    }
-    let out = match r.u8()? {
-        0 => None,
-        1 => {
-            let n_params = r.u32()? as usize;
-            let n_slots = r.u32()? as usize;
-            let code = dec_stmts(&mut r)?;
-            let bc = crate::bytecode::decode_bc(&mut r)?;
-            Some(Rc::new(LoweredBody {
-                n_params,
-                n_slots,
-                code,
-                bc: crate::bytecode::BcState::new(bc),
-            }))
-        }
-        _ => return None,
-    };
-    if !r.done() {
-        return None; // trailing garbage: treat as corrupt
-    }
-    Some(out)
-}
-
-pub(crate) fn enc_tn(w: &mut W, tn: &TypeName) -> Option<()> {
-    w.span(tn.span);
-    match &tn.kind {
-        TypeNameKind::Prim(p) => {
-            w.u8(0);
-            w.u8(prim_code(*p));
-        }
-        TypeNameKind::Void => w.u8(1),
-        TypeNameKind::Named(ids) => {
-            w.u8(2);
-            w.len(ids.len())?;
-            for id in ids {
-                w.sym(id.sym)?;
-                w.span(id.span);
-            }
-        }
-        TypeNameKind::Array(inner) => {
-            w.u8(3);
-            enc_tn(w, inner)?;
-        }
-        TypeNameKind::Strict(s) => {
-            w.u8(4);
-            w.sym(*s)?;
-        }
-    }
-    Some(())
-}
-
-pub(crate) fn dec_tn(r: &mut R) -> Option<TypeName> {
-    let span = r.span()?;
-    let kind = match r.u8()? {
-        0 => TypeNameKind::Prim(prim_from(r.u8()?)?),
-        1 => TypeNameKind::Void,
-        2 => {
-            let n = r.len()?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sym = r.sym()?;
-                let span = r.span()?;
-                ids.push(maya_ast::Ident { sym, span });
-            }
-            TypeNameKind::Named(ids)
-        }
-        3 => TypeNameKind::Array(Box::new(dec_tn(r)?)),
-        4 => TypeNameKind::Strict(r.sym()?),
-        _ => return None,
-    };
-    Some(TypeName { span, kind })
-}
-
-fn enc_ty(w: &mut W, ty: &TypeSlot) -> Option<()> {
-    enc_tn(w, &ty.tn)
-}
-
-fn dec_ty(r: &mut R) -> Option<Rc<TypeSlot>> {
-    Some(TypeSlot::new(dec_tn(r)?))
-}
-
-fn enc_opt_expr(w: &mut W, e: &Option<LExpr>) -> Option<()> {
-    match e {
-        None => w.u8(0),
-        Some(e) => {
-            w.u8(1);
-            enc_expr(w, e)?;
-        }
-    }
-    Some(())
-}
-
-fn dec_opt_expr(r: &mut R) -> Option<Option<LExpr>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => Some(Some(dec_expr(r)?)),
-        _ => None,
-    }
-}
-
-fn enc_stmts(w: &mut W, stmts: &[LStmt]) -> Option<()> {
-    w.len(stmts.len())?;
-    for s in stmts {
-        enc_stmt(w, s)?;
-    }
-    Some(())
-}
-
-fn dec_stmts(r: &mut R) -> Option<Vec<LStmt>> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec_stmt(r)?);
-    }
-    Some(out)
-}
-
-fn enc_stmt(w: &mut W, s: &LStmt) -> Option<()> {
-    w.span(s.span);
-    match &s.kind {
-        LStmtKind::Block(stmts) => {
-            w.u8(0);
-            enc_stmts(w, stmts)?;
-        }
-        LStmtKind::Expr(e) => {
-            w.u8(1);
-            enc_expr(w, e)?;
-        }
-        LStmtKind::Decl { ty, decls } => {
-            w.u8(2);
-            enc_ty(w, ty)?;
-            w.len(decls.len())?;
-            for d in decls {
-                w.u32(d.slot);
-                w.u32(d.dims);
-                enc_opt_expr(w, &d.init)?;
-            }
-        }
-        LStmtKind::If(c, t, f) => {
-            w.u8(3);
-            enc_expr(w, c)?;
-            enc_stmt(w, t)?;
-            match f {
-                None => w.u8(0),
-                Some(f) => {
-                    w.u8(1);
-                    enc_stmt(w, f)?;
-                }
-            }
-        }
-        LStmtKind::While(c, body) => {
-            w.u8(4);
-            enc_expr(w, c)?;
-            enc_stmt(w, body)?;
-        }
-        LStmtKind::Do(body, c) => {
-            w.u8(5);
-            enc_stmt(w, body)?;
-            enc_expr(w, c)?;
-        }
-        LStmtKind::For { init_decl, init_exprs, cond, update, body } => {
-            w.u8(6);
-            match init_decl {
-                None => w.u8(0),
-                Some(d) => {
-                    w.u8(1);
-                    enc_stmt(w, d)?;
-                }
-            }
-            w.len(init_exprs.len())?;
-            for e in init_exprs {
-                enc_expr(w, e)?;
-            }
-            enc_opt_expr(w, cond)?;
-            w.len(update.len())?;
-            for e in update {
-                enc_expr(w, e)?;
-            }
-            enc_stmt(w, body)?;
-        }
-        LStmtKind::Return(e) => {
-            w.u8(7);
-            enc_opt_expr(w, e)?;
-        }
-        LStmtKind::Break => w.u8(8),
-        LStmtKind::Continue => w.u8(9),
-        LStmtKind::Throw(e) => {
-            w.u8(10);
-            enc_expr(w, e)?;
-        }
-        LStmtKind::Empty => w.u8(11),
-    }
-    Some(())
-}
-
-fn dec_stmt(r: &mut R) -> Option<LStmt> {
-    let span = r.span()?;
-    let kind = match r.u8()? {
-        0 => LStmtKind::Block(dec_stmts(r)?),
-        1 => LStmtKind::Expr(dec_expr(r)?),
-        2 => {
-            let ty = dec_ty(r)?;
-            let n = r.len()?;
-            let mut decls = Vec::with_capacity(n);
-            for _ in 0..n {
-                let slot = r.u32()?;
-                let dims = r.u32()?;
-                let init = dec_opt_expr(r)?;
-                decls.push(LDecl { slot, dims, init });
-            }
-            LStmtKind::Decl { ty, decls }
-        }
-        3 => {
-            let c = dec_expr(r)?;
-            let t = Box::new(dec_stmt(r)?);
-            let f = match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(dec_stmt(r)?)),
-                _ => return None,
-            };
-            LStmtKind::If(c, t, f)
-        }
-        4 => {
-            let c = dec_expr(r)?;
-            LStmtKind::While(c, Box::new(dec_stmt(r)?))
-        }
-        5 => {
-            let body = Box::new(dec_stmt(r)?);
-            LStmtKind::Do(body, dec_expr(r)?)
-        }
-        6 => {
-            let init_decl = match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(dec_stmt(r)?)),
-                _ => return None,
-            };
-            let n = r.len()?;
-            let mut init_exprs = Vec::with_capacity(n);
-            for _ in 0..n {
-                init_exprs.push(dec_expr(r)?);
-            }
-            let cond = dec_opt_expr(r)?;
-            let n = r.len()?;
-            let mut update = Vec::with_capacity(n);
-            for _ in 0..n {
-                update.push(dec_expr(r)?);
-            }
-            let body = Box::new(dec_stmt(r)?);
-            LStmtKind::For { init_decl, init_exprs, cond, update, body }
-        }
-        7 => LStmtKind::Return(dec_opt_expr(r)?),
-        8 => LStmtKind::Break,
-        9 => LStmtKind::Continue,
-        10 => LStmtKind::Throw(dec_expr(r)?),
-        11 => LStmtKind::Empty,
-        _ => return None,
-    };
-    Some(LStmt { span, kind })
-}
-
-fn enc_target(w: &mut W, t: &LTarget) -> Option<()> {
-    match t {
-        LTarget::Local(slot) => {
-            w.u8(0);
-            w.u32(*slot);
-        }
-        LTarget::EnvName(name, span) => {
-            w.u8(1);
-            w.sym(*name)?;
-            w.span(*span);
-        }
-        LTarget::Field { target, name, span } => {
-            w.u8(2);
-            enc_expr(w, target)?;
-            w.sym(*name)?;
-            w.span(*span);
-        }
-        LTarget::Array { arr, idx, span } => {
-            w.u8(3);
-            enc_expr(w, arr)?;
-            enc_expr(w, idx)?;
-            w.span(*span);
-        }
-        LTarget::Invalid(span) => {
-            w.u8(4);
-            w.span(*span);
-        }
-    }
-    Some(())
-}
-
-fn dec_target(r: &mut R) -> Option<LTarget> {
-    Some(match r.u8()? {
-        0 => LTarget::Local(r.u32()?),
-        1 => {
-            let name = r.sym()?;
-            LTarget::EnvName(name, r.span()?)
-        }
-        2 => {
-            let target = Box::new(dec_expr(r)?);
-            let name = r.sym()?;
-            LTarget::Field { target, name, span: r.span()? }
-        }
-        3 => {
-            let arr = Box::new(dec_expr(r)?);
-            let idx = Box::new(dec_expr(r)?);
-            LTarget::Array { arr, idx, span: r.span()? }
-        }
-        4 => LTarget::Invalid(r.span()?),
-        _ => return None,
-    })
-}
-
-fn enc_expr(w: &mut W, e: &LExpr) -> Option<()> {
-    w.span(e.span);
-    match &e.kind {
-        LExprKind::Const(v) => {
-            w.u8(0);
-            w.value(v)?;
-        }
-        LExprKind::Local(slot) => {
-            w.u8(1);
-            w.u32(*slot);
-        }
-        LExprKind::EnvName(name) => {
-            w.u8(2);
-            w.sym(*name)?;
-        }
-        LExprKind::This => w.u8(3),
-        LExprKind::FieldGet { target, name } => {
-            w.u8(4);
-            enc_expr(w, target)?;
-            w.sym(*name)?;
-        }
-        LExprKind::ArrayGet(arr, idx) => {
-            w.u8(5);
-            enc_expr(w, arr)?;
-            enc_expr(w, idx)?;
-        }
-        LExprKind::New { ty, args } => {
-            w.u8(6);
-            enc_ty(w, ty)?;
-            w.len(args.len())?;
-            for a in args {
-                enc_expr(w, a)?;
-            }
-        }
-        LExprKind::NewArray { elem, extra_dims, dims } => {
-            w.u8(7);
-            enc_ty(w, elem)?;
-            w.u32(*extra_dims);
-            w.len(dims.len())?;
-            for d in dims {
-                enc_expr(w, d)?;
-            }
-        }
-        LExprKind::Binary(op, l, x) => {
-            w.u8(8);
-            w.u8(binop_code(*op));
-            enc_expr(w, l)?;
-            enc_expr(w, x)?;
-        }
-        LExprKind::Unary(op, x) => {
-            w.u8(9);
-            w.u8(unop_code(*op));
-            enc_expr(w, x)?;
-        }
-        LExprKind::IncDec { op, prefix, read, write } => {
-            w.u8(10);
-            w.u8(incdec_code(*op));
-            w.bool(*prefix);
-            enc_expr(w, read)?;
-            enc_target(w, write)?;
-        }
-        LExprKind::Assign { compound, write, value } => {
-            w.u8(11);
-            match compound {
-                None => w.u8(0),
-                Some((op, read)) => {
-                    w.u8(1);
-                    w.u8(binop_code(*op));
-                    enc_expr(w, read)?;
-                }
-            }
-            enc_target(w, write)?;
-            enc_expr(w, value)?;
-        }
-        LExprKind::Cond(c, t, f) => {
-            w.u8(12);
-            enc_expr(w, c)?;
-            enc_expr(w, t)?;
-            enc_expr(w, f)?;
-        }
-        LExprKind::Cast { ty, x } => {
-            w.u8(13);
-            enc_ty(w, ty)?;
-            enc_expr(w, x)?;
-        }
-        LExprKind::Instanceof { x, ty } => {
-            w.u8(14);
-            enc_expr(w, x)?;
-            enc_ty(w, ty)?;
-        }
-        LExprKind::Call { callee, args } => {
-            w.u8(15);
-            match callee {
-                LCallee::Recv(recv, name) => {
-                    w.u8(0);
-                    enc_expr(w, recv)?;
-                    w.sym(*name)?;
-                }
-                LCallee::Super(name) => {
-                    w.u8(1);
-                    w.sym(*name)?;
-                }
-                LCallee::Implicit(name) => {
-                    w.u8(2);
-                    w.sym(*name)?;
-                }
-            }
-            w.len(args.len())?;
-            for a in args {
-                enc_expr(w, a)?;
-            }
-        }
-        LExprKind::ClassRefName(fqcn) => {
-            w.u8(16);
-            w.sym(*fqcn)?;
-        }
-    }
-    Some(())
-}
-
-fn dec_expr(r: &mut R) -> Option<LExpr> {
-    let span = r.span()?;
-    let kind = match r.u8()? {
-        0 => LExprKind::Const(r.value()?),
-        1 => LExprKind::Local(r.u32()?),
-        2 => LExprKind::EnvName(r.sym()?),
-        3 => LExprKind::This,
-        4 => {
-            let target = Box::new(dec_expr(r)?);
-            LExprKind::FieldGet { target, name: r.sym()? }
-        }
-        5 => {
-            let arr = Box::new(dec_expr(r)?);
-            LExprKind::ArrayGet(arr, Box::new(dec_expr(r)?))
-        }
-        6 => {
-            let ty = dec_ty(r)?;
-            let n = r.len()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(dec_expr(r)?);
-            }
-            LExprKind::New { ty, args }
-        }
-        7 => {
-            let elem = dec_ty(r)?;
-            let extra_dims = r.u32()?;
-            let n = r.len()?;
-            let mut dims = Vec::with_capacity(n);
-            for _ in 0..n {
-                dims.push(dec_expr(r)?);
-            }
-            LExprKind::NewArray { elem, extra_dims, dims }
-        }
-        8 => {
-            let op = binop_from(r.u8()?)?;
-            let l = Box::new(dec_expr(r)?);
-            LExprKind::Binary(op, l, Box::new(dec_expr(r)?))
-        }
-        9 => {
-            let op = unop_from(r.u8()?)?;
-            LExprKind::Unary(op, Box::new(dec_expr(r)?))
-        }
-        10 => {
-            let op = incdec_from(r.u8()?)?;
-            let prefix = r.bool()?;
-            let read = Box::new(dec_expr(r)?);
-            LExprKind::IncDec { op, prefix, read, write: dec_target(r)? }
-        }
-        11 => {
-            let compound = match r.u8()? {
-                0 => None,
-                1 => {
-                    let op = binop_from(r.u8()?)?;
-                    Some((op, Box::new(dec_expr(r)?)))
-                }
-                _ => return None,
-            };
-            let write = dec_target(r)?;
-            LExprKind::Assign { compound, write, value: Box::new(dec_expr(r)?) }
-        }
-        12 => {
-            let c = Box::new(dec_expr(r)?);
-            let t = Box::new(dec_expr(r)?);
-            LExprKind::Cond(c, t, Box::new(dec_expr(r)?))
-        }
-        13 => {
-            let ty = dec_ty(r)?;
-            LExprKind::Cast { ty, x: Box::new(dec_expr(r)?) }
-        }
-        14 => {
-            let x = Box::new(dec_expr(r)?);
-            LExprKind::Instanceof { x, ty: dec_ty(r)? }
-        }
-        15 => {
-            let callee = match r.u8()? {
-                0 => {
-                    let recv = Box::new(dec_expr(r)?);
-                    LCallee::Recv(recv, r.sym()?)
-                }
-                1 => LCallee::Super(r.sym()?),
-                2 => LCallee::Implicit(r.sym()?),
-                _ => return None,
-            };
-            let n = r.len()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(dec_expr(r)?);
-            }
-            LExprKind::Call { callee, args }
-        }
-        16 => LExprKind::ClassRefName(r.sym()?),
-        _ => return None,
-    };
-    Some(LExpr { span, kind })
 }
 
 // ---- the lowerer -------------------------------------------------------------
@@ -1635,54 +990,8 @@ mod tests {
         assert!(lower_body(&Block::synth(stmts), &[]).is_err());
     }
 
-    fn enc(outcome: &Option<Rc<LoweredBody>>) -> Vec<u8> {
-        encode_outcome(outcome).expect("encodable")
-    }
-
     #[test]
-    fn body_codec_round_trips_with_bytecode() {
-        let body = lower(
-            vec![
-                Stmt::synth(StmtKind::Decl(
-                    TypeName::prim(PrimKind::Int),
-                    vec![maya_ast::LocalDeclarator {
-                        name: Ident::from_str("i"),
-                        dims: 0,
-                        init: Some(Expr::int(0)),
-                    }],
-                )),
-                Stmt::synth(StmtKind::While(
-                    bin(BinOp::Lt, Expr::name("i"), Expr::name("n")),
-                    Box::new(Stmt::expr(Expr::call_on(
-                        Expr::name("out"),
-                        "println",
-                        vec![bin(BinOp::Add, Expr::str_lit("i="), Expr::name("i"))],
-                    ))),
-                )),
-                Stmt::synth(StmtKind::If(
-                    bin(BinOp::Eq, Expr::name("i"), Expr::int(3)),
-                    Box::new(Stmt::synth(StmtKind::Return(Some(Expr::name("i"))))),
-                    Some(Box::new(Stmt::synth(StmtKind::Empty))),
-                )),
-            ],
-            &["n", "out"],
-        );
-        let outcome = Some(Rc::new(body));
-        let bytes = enc(&outcome);
-        assert_eq!(enc(&outcome), bytes, "encoding is deterministic");
-        let decoded = decode_outcome(&bytes).expect("decodes").expect("a body");
-        assert_eq!(decoded.n_params, 2);
-        assert_eq!(decoded.n_slots, outcome.as_ref().unwrap().n_slots);
-        assert_eq!(
-            decoded.bc.current().code.len(),
-            outcome.as_ref().unwrap().bc.current().code.len()
-        );
-        // Full structural fidelity: the decoded body re-encodes byte-equal.
-        assert_eq!(enc(&Some(decoded)), bytes);
-    }
-
-    #[test]
-    fn try_body_is_unlowerable_and_the_verdict_round_trips() {
+    fn try_body_is_unlowerable() {
         // try/finally has no bytecode: the body is unlowerable.
         let stmts = vec![Stmt::synth(StmtKind::Try {
             body: Block::synth(vec![Stmt::expr(Expr::int(1))]),
@@ -1690,21 +999,5 @@ mod tests {
             finally: Some(Block::synth(vec![Stmt::expr(Expr::int(2))])),
         })];
         assert!(lower_body(&Block::synth(stmts), &[]).is_err());
-
-        // The memoized *unlowerable* verdict round-trips.
-        let verdict_bytes = enc(&None);
-        assert!(matches!(decode_outcome(&verdict_bytes), Some(None)));
-    }
-
-    #[test]
-    fn body_codec_rejects_corrupt_payloads() {
-        let bytes = enc(&Some(Rc::new(lower(vec![Stmt::expr(Expr::int(1))], &[]))));
-        assert!(decode_outcome(&bytes[..bytes.len() - 1]).is_none(), "truncated");
-        let mut stale = bytes.clone();
-        stale[0] ^= 0xff; // payload-version skew
-        assert!(decode_outcome(&stale).is_none(), "stale version");
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(decode_outcome(&trailing).is_none(), "trailing garbage");
     }
 }

@@ -316,41 +316,6 @@ impl TokenKind {
             Eof => "<eof>",
         }
     }
-
-    /// Every kind, in declaration order. The index of a kind in this table
-    /// is its [`TokenKind::code`].
-    pub const ALL: [TokenKind; 109] = {
-        use TokenKind::*;
-        [
-            Ident, IntLit, LongLit, FloatLit, DoubleLit, CharLit, StringLit, KwAbstract,
-            KwBoolean, KwBreak, KwByte, KwCase, KwCatch, KwChar, KwClass, KwConst, KwContinue,
-            KwDefault, KwDo, KwDouble, KwElse, KwExtends, KwFalse, KwFinal, KwFinally, KwFloat,
-            KwFor, KwGoto, KwIf, KwImplements, KwImport, KwInstanceof, KwInt, KwInterface,
-            KwLong, KwNative, KwNew, KwNull, KwPackage, KwPrivate, KwProtected, KwPublic,
-            KwReturn, KwShort, KwStatic, KwSuper, KwSwitch, KwSynchronized, KwSyntax, KwThis,
-            KwThrow, KwThrows, KwTransient, KwTrue, KwTry, KwUse, KwVoid, KwVolatile, KwWhile,
-            LParen, RParen, LBrace, RBrace, LBrack, RBrack, Semi, Comma, Dot, Assign, Lt, Gt,
-            Bang, Tilde, Question, Colon, EqEq, Le, Ge, Ne, AndAnd, OrOr, PlusPlus, MinusMinus,
-            Plus, Minus, Star, Slash, Amp, Pipe, Caret, Percent, Shl, Shr, Ushr, PlusEq,
-            MinusEq, StarEq, SlashEq, AmpEq, PipeEq, CaretEq, PercentEq, ShlEq, ShrEq, UshrEq,
-            At, Dollar, Backslash, Eof,
-        ]
-    };
-
-    /// A dense, stable byte code for this kind (its declaration-order
-    /// discriminant), used by the persistent artifact store's token-tree
-    /// codec. Inserting or reordering variants renumbers codes — any such
-    /// change must bump the store's lex payload version so stale entries
-    /// decode as misses.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// The kind for a byte code produced by [`TokenKind::code`], or `None`
-    /// for an out-of-range byte (a stale or corrupt cache entry).
-    pub fn from_code(code: u8) -> Option<TokenKind> {
-        TokenKind::ALL.get(code as usize).copied()
-    }
 }
 
 /// Maps an identifier's text to its keyword kind, if it is a keyword.
@@ -485,15 +450,5 @@ mod tests {
         assert_eq!(TokenKind::Ushr.name(), ">>>");
         assert_eq!(TokenKind::KwInstanceof.name(), "instanceof");
         assert_eq!(TokenKind::Ident.name(), "identifier");
-    }
-
-    #[test]
-    fn codes_round_trip_every_kind() {
-        for (i, k) in TokenKind::ALL.iter().enumerate() {
-            assert_eq!(k.code() as usize, i, "{k:?} out of order in ALL");
-            assert_eq!(TokenKind::from_code(k.code()), Some(*k));
-        }
-        assert_eq!(TokenKind::from_code(TokenKind::ALL.len() as u8), None);
-        assert_eq!(TokenKind::from_code(u8::MAX), None);
     }
 }

@@ -44,18 +44,14 @@ pub enum CacheId {
     LexShare,
     /// Persistent artifact store: LALR tables (`--cache-dir`).
     StoreTables,
-    /// Persistent artifact store: lexed token trees.
-    StoreLex,
     /// Persistent artifact store: compiled-request outcomes (the
     /// source-closure-keyed extension artifacts).
     StoreOutcome,
-    /// Persistent artifact store: lowered bodies + bytecode.
-    StoreBody,
 }
 
 impl CacheId {
     /// Every cache, in report order.
-    pub const ALL: [CacheId; 11] = [
+    pub const ALL: [CacheId; 9] = [
         CacheId::LalrMemo,
         CacheId::ForceCache,
         CacheId::UnitCache,
@@ -64,9 +60,7 @@ impl CacheId {
         CacheId::DispatchMemo,
         CacheId::LexShare,
         CacheId::StoreTables,
-        CacheId::StoreLex,
         CacheId::StoreOutcome,
-        CacheId::StoreBody,
     ];
 
     /// Stable snake_case name (the JSON key).
@@ -80,9 +74,7 @@ impl CacheId {
             CacheId::DispatchMemo => "dispatch_memo",
             CacheId::LexShare => "lex_share",
             CacheId::StoreTables => "store_tables",
-            CacheId::StoreLex => "store_lex",
             CacheId::StoreOutcome => "store_outcome",
-            CacheId::StoreBody => "store_body",
         }
     }
 
@@ -92,11 +84,7 @@ impl CacheId {
     pub fn process_wide(self) -> bool {
         matches!(
             self,
-            CacheId::LexShare
-                | CacheId::StoreTables
-                | CacheId::StoreLex
-                | CacheId::StoreOutcome
-                | CacheId::StoreBody
+            CacheId::LexShare | CacheId::StoreTables | CacheId::StoreOutcome
         )
     }
 

@@ -7,7 +7,7 @@
 //!       [--max-errors=N] [--error-format=human|json] [--deny-warnings]
 //!       [--time-passes[=tree]] [--stats[=FILE]] [--trace-expansion[=FILTER]]
 //!       [--trace-out=FILE] [--profile-interp[=N]]
-//!       [--jobs=N] [--table-cache=DIR] [--watch]
+//!       [--jobs=N] [--cache-dir=DIR] [--cache-max-mb=N] [--watch]
 //!       FILE...
 //! ```
 //!
@@ -54,16 +54,14 @@
 //!   (default: available parallelism). Output, diagnostics, and their
 //!   order are identical for every N.
 //! * `--cache-dir=DIR` — the persistent compilation cache (see README.md
-//!   § Persistent compilation cache): LALR tables, lexed token trees,
-//!   lowered bodies + bytecode, and whole-request outcomes are stored
-//!   under DIR keyed by content hash, so later *processes* start warm.
+//!   § Persistent compilation cache): LALR tables and whole-request
+//!   outcomes are stored under DIR keyed by content hash, so later
+//!   *processes* start warm.
 //!   The `MAYA_CACHE_DIR` environment variable supplies a default; the
 //!   directory (with any missing parents) is created; corrupt or stale
 //!   entries are ignored and rebuilt silently.
 //! * `--cache-max-mb=N` — size-cap the cache: saves that push past N MB
 //!   evict least-recently-used entries automatically.
-//! * `--table-cache=DIR` — deprecated alias for `--cache-dir=DIR` (kept
-//!   from when only LALR tables were persisted).
 //!
 //! Cache maintenance: `mayac cache stats|gc|clear [--cache-dir=DIR]`
 //! prints per-kind entry counts and sizes, evicts to the cap, or empties
@@ -108,8 +106,7 @@ struct Cli {
     profile_interp: Option<usize>,
     /// Front-end worker threads; `None` = available parallelism.
     jobs: Option<usize>,
-    /// Persistent artifact store directory (`--cache-dir`, or its
-    /// deprecated alias `--table-cache`).
+    /// Persistent artifact store directory (`--cache-dir`).
     cache_dir: Option<String>,
     /// Automatic-eviction threshold for the store, in megabytes.
     cache_max_mb: Option<u64>,
@@ -196,13 +193,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                         Ok(n) if n > 0 => cli.cache_max_mb = Some(n),
                         _ => return Err(format!("invalid --cache-max-mb value {n:?}")),
                     }
-                } else if let Some(dir) = other.strip_prefix("--table-cache=") {
-                    // Deprecated alias: the table cache grew into the
-                    // artifact store; same directory, same key scheme.
-                    if dir.is_empty() {
-                        return Err("missing directory after --table-cache=".into());
-                    }
-                    cli.cache_dir = Some(dir.to_owned());
                 } else if let Some(fmt) = other.strip_prefix("--error-format=") {
                     cli.error_format = match fmt {
                         "human" => ErrorFormat::Human,
@@ -305,14 +295,13 @@ fn finish_telemetry(cli: &Cli, session: Option<telemetry::Session>) -> bool {
 const DEFAULT_CACHE_MAX_MB: u64 = 512;
 
 /// `mayac cache stats|gc|clear`: maintenance on the persistent store.
-/// Runs against `--cache-dir` / `--table-cache` / `$MAYA_CACHE_DIR`.
+/// Runs against `--cache-dir` / `$MAYA_CACHE_DIR`.
 fn cache_command(args: &[String]) -> ExitCode {
     let mut action = None;
     let mut dir = None;
     let mut max_mb = None;
     for a in args {
-        if let Some(d) = a.strip_prefix("--cache-dir=").or_else(|| a.strip_prefix("--table-cache="))
-        {
+        if let Some(d) = a.strip_prefix("--cache-dir=") {
             dir = Some(d.to_owned());
         } else if let Some(n) = a.strip_prefix("--cache-max-mb=") {
             match n.parse::<u64>() {
@@ -520,7 +509,6 @@ fn usage(err: &str) -> ExitCode {
          \x20            [--jobs=N] [--cache-dir=DIR] [--cache-max-mb=N] [--watch] FILE...\n\
          \x20      mayac cache stats|gc|clear [--cache-dir=DIR] [--cache-max-mb=N]\n\
          \x20\n\
-         \x20      --table-cache=DIR is a deprecated alias for --cache-dir=DIR;\n\
          \x20      MAYA_CACHE_DIR supplies a default cache directory."
     );
     if err.is_empty() {

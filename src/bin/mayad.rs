@@ -8,11 +8,10 @@
 //!       [--jobs=N] [--cache-dir=DIR] [--cache-max-mb=N] [--stats=FILE]
 //! ```
 //!
-//! `--cache-dir=DIR` (default `$MAYA_CACHE_DIR`; deprecated alias
-//! `--table-cache=DIR`) opens the persistent compilation cache and shares
-//! it across every worker: a restarted daemon starts warm from the
-//! artifacts the previous one persisted. See README.md § Persistent
-//! compilation cache.
+//! `--cache-dir=DIR` (default `$MAYA_CACHE_DIR`) opens the persistent
+//! compilation cache and shares it across every worker: a restarted
+//! daemon starts warm from the artifacts the previous one persisted. See
+//! README.md § Persistent compilation cache.
 //!
 //! `mayad` serves compile requests over a unix domain socket (and, with
 //! `--tcp=ADDR`, over TCP with the same protocol), one newline-delimited
@@ -139,12 +138,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     cli.cache_dir = Some(d.to_owned());
                 } else if let Some(n) = other.strip_prefix("--cache-max-mb=") {
                     cli.cache_max_mb = Some(positive("--cache-max-mb", n)?);
-                } else if let Some(d) = other.strip_prefix("--table-cache=") {
-                    // Deprecated alias for --cache-dir.
-                    if d.is_empty() {
-                        return Err("missing directory after --table-cache=".into());
-                    }
-                    cli.cache_dir = Some(d.to_owned());
                 } else if let Some(f) = other.strip_prefix("--stats=") {
                     if f.is_empty() {
                         return Err("missing file after --stats=".into());
@@ -460,7 +453,6 @@ fn usage(err: &str) -> ExitCode {
          \x20            [--max-inflight=N] [--max-request-bytes=N] [--fuel=N]\n\
          \x20            [--jobs=N] [--cache-dir=DIR] [--cache-max-mb=N] [--stats=FILE]\n\
          \x20\n\
-         \x20      --table-cache=DIR is a deprecated alias for --cache-dir=DIR;\n\
          \x20      MAYA_CACHE_DIR supplies a default cache directory."
     );
     if err.is_empty() {

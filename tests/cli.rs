@@ -421,14 +421,25 @@ fn table_cache_creates_missing_parent_dirs() {
     );
     let cache = f.parent().unwrap().join("cache/goes/here");
     let out = mayac()
-        .arg(format!("--table-cache={}", cache.display()))
+        .arg(format!("--cache-dir={}", cache.display()))
         .arg(&f)
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(cache.is_dir(), "--table-cache must create the directory tree");
+    assert!(cache.is_dir(), "--cache-dir must create the directory tree");
     let entries = std::fs::read_dir(&cache).unwrap().count();
     assert!(entries >= 1, "at least one LALR table should be cached on disk");
+
+    // The retired `--table-cache=` alias is an unknown option now.
+    let out = mayac()
+        .arg(format!("--table-cache={}", cache.display()))
+        .arg(&f)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--table-cache= must be rejected");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --table-cache="), "{err}");
+    assert!(err.contains("usage:"), "{err}");
 }
 
 #[test]

@@ -1,12 +1,15 @@
 //! The persistent compilation cache (`--cache-dir`): every artifact kind
-//! round-trips through real `mayac` processes, corrupt and
-//! future-versioned entries are silently rebuilt, `mayac cache
-//! stats|gc|clear` maintain the directory, and four concurrent processes
-//! can hammer one store without corrupting it or each other's output.
+//! round-trips through real `mayac` processes, an edited program misses
+//! only its outcome, corrupt, future-versioned and other-build entries are
+//! silently rebuilt, `mayac cache stats|gc|clear` maintain the directory
+//! (deleting the retired `.lex` and `.body` kinds), and four concurrent
+//! processes can hammer one store without corrupting it or each other's
+//! output.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use maya::core::json::{parse_json, Json};
 use maya::core::store::{ArtifactStore, Kind};
 
 fn mayac() -> Command {
@@ -21,8 +24,8 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A program whose main body is worth lowering (loop + calls), so a run
-/// persists all four artifact kinds: tables, lex, outcome, and bodies.
+/// A program with a loop and calls; a run persists both artifact kinds:
+/// tables and the outcome.
 const LOOPY: &str = r#"class Main {
     static int triple(int n) { return n * 3; }
     static void main() {
@@ -51,6 +54,20 @@ fn entries_with_ext(cache: &Path, ext: &str) -> Vec<PathBuf> {
             (p.extension().and_then(|e| e.to_str()) == Some(ext)).then_some(p)
         })
         .collect()
+}
+
+/// Every entry in the store, by file name, with its bytes.
+fn snapshot(cache: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(cache)
+        .unwrap()
+        .map(|e| {
+            let p = e.unwrap().path();
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
 }
 
 #[test]
@@ -148,8 +165,141 @@ fn future_format_version_is_silently_invalidated() {
     for p in std::fs::read_dir(&cache).unwrap().map(|e| e.unwrap().path()) {
         let bytes = std::fs::read(&p).unwrap();
         assert_eq!(&bytes[..8], b"MAYASTOR");
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn entries_from_another_build_rebuild_byte_identically() {
+    let dir = scratch("build");
+    let cache = dir.join("cache");
+    let file = dir.join("loopy.maya");
+    std::fs::write(&file, LOOPY).unwrap();
+    let cold = run_mayac(&file, &cache);
+    assert!(cold.0);
+    let written = snapshot(&cache);
+
+    // Re-stamp every entry with another build id (the u64 after the
+    // format version) and re-seal it, as if another compiler build had
+    // written it.
+    for (name, bytes) in &written {
+        let mut bytes = bytes.clone();
+        for b in &mut bytes[12..20] {
+            *b ^= 0xa5;
+        }
+        reseal(&mut bytes);
+        std::fs::write(cache.join(name), &bytes).unwrap();
+    }
+    let rebuilt = run_mayac(&file, &cache);
+    assert_eq!(
+        rebuilt, cold,
+        "entries from another build must rebuild silently"
+    );
+    assert_eq!(
+        snapshot(&cache),
+        written,
+        "the rebuild must replace every stale entry with this build's bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn edited_program_against_a_warm_store_misses_only_its_outcome() {
+    let dir = scratch("edit");
+    let cache = dir.join("cache");
+    let file = dir.join("loopy.maya");
+    std::fs::write(&file, LOOPY).unwrap();
+    assert!(run_mayac(&file, &cache).0);
+
+    // The edit the `cli_store` benchmark makes: an empty class appended.
+    std::fs::write(&file, format!("{LOOPY}\nclass ZZEdit1 {{ }}\n")).unwrap();
+    let stats = dir.join("stats.json");
+    let warm = mayac()
+        .arg(format!("--cache-dir={}", cache.display()))
+        .arg(format!("--stats={}", stats.display()))
+        .arg(&file)
+        .env_remove("MAYA_CACHE_DIR")
+        .output()
+        .unwrap();
+    let storeless = mayac()
+        .arg(&file)
+        .env_remove("MAYA_CACHE_DIR")
+        .output()
+        .unwrap();
+    assert_eq!(warm.status.code(), storeless.status.code());
+    assert_eq!(warm.stdout, storeless.stdout);
+    assert_eq!(warm.stderr, storeless.stderr);
+    assert_eq!(warm.stdout, b"30\n");
+
+    let doc = parse_json(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+    let gauge = |cache: &str, field: &str| {
+        doc.get("caches")
+            .and_then(|c| c.get(cache))
+            .and_then(|c| c.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats lack caches.{cache}.{field}"))
+    };
+    assert_eq!(
+        gauge("store_outcome", "hits"),
+        0,
+        "the edited program has a new outcome key"
+    );
+    assert!(gauge("store_outcome", "misses") >= 1);
+    assert!(
+        gauge("store_tables", "hits") >= 1,
+        "its grammar's tables come from the store"
+    );
+
+    for (name, _) in snapshot(&cache) {
+        assert!(
+            name.ends_with(".tbl") || name.ends_with(".out"),
+            "the store holds only tables and outcomes, found {name}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_lex_and_body_entries_do_not_survive_gc_or_clear() {
+    let dir = scratch("retired");
+    let cache = dir.join("cache");
+    let file = dir.join("loopy.maya");
+    std::fs::write(&file, LOOPY).unwrap();
+    assert!(run_mayac(&file, &cache).0);
+    let live = snapshot(&cache);
+    // Entries of the kinds earlier builds stored.
+    let plant = || {
+        for ext in ["lex", "body"] {
+            std::fs::write(cache.join(format!("{:032x}.{ext}", 7)), b"MAYASTOR old").unwrap();
+        }
+    };
+    let cache_cmd = |action: &str| {
+        let out = mayac()
+            .args(["cache", action, &format!("--cache-dir={}", cache.display())])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+
+    plant();
+    cache_cmd("gc");
+    assert_eq!(
+        snapshot(&cache),
+        live,
+        "gc must delete retired entries and keep live ones"
+    );
+
+    plant();
+    cache_cmd("clear");
+    assert!(
+        snapshot(&cache).is_empty(),
+        "clear must delete retired entries too"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -160,7 +310,7 @@ fn cache_subcommands_report_gc_and_clear_the_store() {
     // Oversize the store deterministically: 8 payloads of ~400 KiB.
     let store = ArtifactStore::open(&cache, None).unwrap();
     for i in 0..8u8 {
-        store.save(Kind::Lex, u128::from(i) + 1, &vec![i; 400 * 1024]);
+        store.save(Kind::Outcome, u128::from(i) + 1, &vec![i; 400 * 1024]);
     }
     drop(store);
 
@@ -170,10 +320,10 @@ fn cache_subcommands_report_gc_and_clear_the_store() {
         .unwrap();
     assert!(stats.status.success(), "{}", String::from_utf8_lossy(&stats.stderr));
     let text = String::from_utf8_lossy(&stats.stdout).to_string();
-    for label in ["tables", "lex", "outcome", "body", "total"] {
+    for label in ["tables", "outcome", "total"] {
         assert!(text.contains(label), "stats must list {label}: {text}");
     }
-    assert!(text.contains("8 entries"), "stats must count the 8 lex entries: {text}");
+    assert!(text.contains("8 entries"), "stats must count the 8 outcome entries: {text}");
 
     // GC to a 1 MB cap: the directory must shrink under the cap (evicting
     // oldest-first) but keep at least one entry.
@@ -212,12 +362,12 @@ fn automatic_gc_keeps_the_store_under_cache_max_mb() {
     // automatic sweep must pull the directory back under the cap.
     let filler = ArtifactStore::open(&cache, None).unwrap();
     for i in 0..10u8 {
-        filler.save(Kind::Body, u128::from(i) + 1, &vec![i; 400 * 1024]);
+        filler.save(Kind::Tables, u128::from(i) + 1, &vec![i; 400 * 1024]);
     }
     drop(filler);
 
     let capped = ArtifactStore::open(&cache, Some(1)).unwrap();
-    capped.save(Kind::Lex, 0xfeed, &[1, 2, 3]);
+    capped.save(Kind::Outcome, 0xfeed, &[1, 2, 3]);
     let total: u64 = std::fs::read_dir(&cache)
         .unwrap()
         .map(|e| e.unwrap().metadata().unwrap().len())
@@ -227,7 +377,7 @@ fn automatic_gc_keeps_the_store_under_cache_max_mb() {
         "a save past --cache-max-mb must trigger the automatic sweep, left {total} bytes"
     );
     assert!(
-        capped.load(Kind::Lex, 0xfeed).is_some(),
+        capped.load(Kind::Outcome, 0xfeed).is_some(),
         "the just-written entry should survive the sweep"
     );
     let _ = std::fs::remove_dir_all(&dir);
