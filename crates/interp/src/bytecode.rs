@@ -1,15 +1,16 @@
 //! Flat register bytecode: the fast execution tier.
 //!
-//! Lowering (`lower.rs`) compiles every lowerable body to a `BcBody` right
-//! away: a dense `Vec<Instr>` over a flat register file (locals, preloaded
-//! constants, and per-statement temporaries), executed by the
-//! match-dispatch loop in `vm.rs`. A body the compiler declines is
+//! [`compile`] turns a typed body straight into a `BcBody` — a dense
+//! `Vec<Instr>` over a flat register file (locals, per-statement
+//! temporaries, and preloaded constants) — after the pre-pass in
+//! `lower.rs` has sized the frame and folded constants. The match-dispatch
+//! loop in `vm.rs` executes it. A body the compiler declines is
 //! unlowerable and runs on the reference tree walker in `interp.rs`. The
 //! compiler preserves the walker's observable semantics exactly — step
 //! counts, error strings, error spans, evaluation order — so both tiers
 //! stay byte-identical over the corpus. Bytecode never leaves the process:
-//! the VM runs only what [`compile`] emitted, so its register, site and
-//! jump operands are in bounds by construction.
+//! the VM runs only what [`compile`] and [`refine`] produced, so its
+//! register, site and jump operands are in bounds by construction.
 //!
 //! Highlights:
 //! - no `Const` instruction: constants are preloaded into dedicated
@@ -18,8 +19,9 @@
 //!   increment (`IncLocal`), and store-fused binary ops (dst = local slot);
 //! - polymorphic inline caches (`PolySite`, 2–4 entries keyed by receiver
 //!   class + exact argument keys, MRU-front);
-//! - tiny leaf callees (≤ `INLINE_MAX` instrs) are spliced inline at the
-//!   refine recompile (`REFINE_EXECS`) behind `GuardInline` checks;
+//! - after `REFINE_EXECS` runs, [`refine`] copies the cold code and splices
+//!   tiny leaf callees (≤ `INLINE_MAX` instrs) in behind `GuardInline`
+//!   checks;
 //! - `Break`/`Continue` surfacing from calls inside loop bodies are routed
 //!   through a static region table (`Region`) instead of unwinding.
 
@@ -27,11 +29,17 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use maya_ast::{BinOp, IncDecOp, PrimKind, TypeName, TypeNameKind, UnOp};
+use maya_ast::{
+    BinOp, Block, Expr, ExprKind, ForInit, IncDecOp, LocalDeclarator, MethodName, PrimKind, Stmt,
+    StmtKind, TypeName, TypeNameKind, UnOp,
+};
 use maya_lexer::{Span, Symbol};
+use maya_telemetry::{self as telemetry, Counter};
 use maya_types::{ClassId, ClassTable, MethodInfo};
 
-use crate::lower::{LCallee, LExpr, LExprKind, LStmt, LStmtKind, LTarget, LoweredBody, TypeSlot};
+use crate::lower::{
+    is_place, lit_value, name_of, operands, Fold, LoweredBody, Shape, TypeSlot, Unlowerable,
+};
 use crate::value::Value;
 
 /// Max entries in a polymorphic inline cache line.
@@ -40,78 +48,6 @@ pub(crate) const PIC_CAP: usize = 4;
 pub(crate) const REFINE_EXECS: u32 = 3;
 /// Max callee instruction count eligible for inline splicing.
 pub(crate) const INLINE_MAX: usize = 24;
-
-/// The bytecode memoized on each `LoweredBody`: the cold compile, plus the
-/// refine (inlining) recompile made after [`REFINE_EXECS`] runs.
-///
-/// Splice guards compare the PIC epoch they were built under, and every
-/// interpreter allocates fresh epochs, so a refined body that a session's
-/// `LowerStore` shares with a later request's compiler could never pass
-/// one of its guards again. Runs are therefore counted per epoch: the
-/// first run under a new epoch drops a refined body that holds splices,
-/// the body runs cold, and it is refined again after `REFINE_EXECS` runs
-/// under the new epoch.
-pub(crate) struct BcState {
-    /// Never changes.
-    cold: Rc<BcBody>,
-    refined: RefCell<Option<Rc<BcBody>>>,
-    /// The epoch `execs` counts runs under.
-    epoch: Cell<u64>,
-    /// Runs under `epoch` so far; saturates at `REFINE_EXECS + 1`.
-    execs: Cell<u32>,
-}
-
-impl BcState {
-    pub(crate) fn new(bc: BcBody) -> BcState {
-        BcState {
-            cold: Rc::new(bc),
-            refined: RefCell::new(None),
-            epoch: Cell::new(u64::MAX),
-            execs: Cell::new(0),
-        }
-    }
-
-    /// The cold compile: what the splicer copies.
-    pub(crate) fn cold(&self) -> &Rc<BcBody> {
-        &self.cold
-    }
-
-    /// The bytecode a run uses now: the refined compile once there is one.
-    pub(crate) fn current(&self) -> Rc<BcBody> {
-        match &*self.refined.borrow() {
-            Some(bc) => Rc::clone(bc),
-            None => Rc::clone(&self.cold),
-        }
-    }
-
-    /// Counts one run under `epoch`; true exactly on the first run after
-    /// `REFINE_EXECS` runs under it, so the refine pass fires once per
-    /// epoch that outdates a refined body's splices.
-    pub(crate) fn note_exec(&self, epoch: u64) -> bool {
-        if self.epoch.get() != epoch {
-            self.epoch.set(epoch);
-            let stale = self
-                .refined
-                .borrow()
-                .as_ref()
-                .is_some_and(|bc| !bc.guards.is_empty());
-            if stale {
-                self.refined.replace(None);
-                self.execs.set(0);
-            }
-        }
-        let n = self.execs.get();
-        if n > REFINE_EXECS {
-            return false;
-        }
-        self.execs.set(n + 1);
-        n == REFINE_EXECS
-    }
-
-    pub(crate) fn set_refined(&self, bc: Rc<BcBody>) {
-        self.refined.replace(Some(bc));
-    }
-}
 
 /// One bytecode instruction. All operand types are `Copy`.
 #[derive(Clone, Copy)]
@@ -308,6 +244,7 @@ impl FieldSite {
 }
 
 /// One entry in a polymorphic inline cache line.
+#[derive(Clone)]
 pub(crate) struct PicEntry {
     pub ck: u64,
     pub class: ClassId,
@@ -320,16 +257,6 @@ pub(crate) struct PicEntry {
 pub(crate) struct PolySite {
     pub epoch: Cell<u64>,
     pub entries: RefCell<Vec<PicEntry>>,
-}
-
-/// Snapshot of a monomorphic site used to build an inline-splice guard.
-pub(crate) struct MonoSnapshot {
-    pub epoch: u64,
-    pub ck: u64,
-    pub class: ClassId,
-    pub keys: Box<[ArgKey]>,
-    pub target: Rc<MethodInfo>,
-    pub lowered: Rc<LoweredBody>,
 }
 
 impl PolySite {
@@ -403,29 +330,22 @@ impl PolySite {
         }
     }
 
-    /// Snapshot a monomorphic, fully-exact, lowered-cached site for inline
-    /// splicing under `epoch`. Returns None if the line was filled under
-    /// another epoch (a guard built from it could never pass), or the site
-    /// is polymorphic, has inexact keys, targets a native, or has no
-    /// lowered body yet.
-    pub(crate) fn mono_snapshot(&self, epoch: u64) -> Option<MonoSnapshot> {
+    /// The line's only entry and its callee's cold bytecode, for inline
+    /// splicing under `epoch`. None if the line was filled under another
+    /// epoch (a guard built from it could never pass), or the site is
+    /// polymorphic, has inexact keys, targets a native, or has no lowered
+    /// body yet.
+    pub(crate) fn mono_snapshot(&self, epoch: u64) -> Option<(PicEntry, Rc<BcBody>)> {
         let entries = self.entries.borrow();
-        if self.epoch.get() != epoch || entries.len() != 1 {
+        let [e] = &entries[..] else { return None };
+        if self.epoch.get() != epoch
+            || e.keys.iter().any(|k| matches!(k, ArgKey::Other))
+            || e.target.native.is_some()
+        {
             return None;
         }
-        let e = &entries[0];
-        if e.keys.iter().any(|k| matches!(k, ArgKey::Other)) || e.target.native.is_some() {
-            return None;
-        }
-        let lowered = e.lowered.clone()?;
-        Some(MonoSnapshot {
-            epoch,
-            ck: e.ck,
-            class: e.class,
-            keys: e.keys.clone(),
-            target: Rc::clone(&e.target),
-            lowered,
-        })
+        let callee = Rc::clone(e.lowered.as_ref()?.cold());
+        Some((e.clone(), callee))
     }
 
     /// Human-readable PIC shape for the disassembler.
@@ -464,6 +384,7 @@ pub(crate) struct InlineGuard {
 }
 
 /// A compiled body.
+#[derive(Default)]
 pub(crate) struct BcBody {
     pub n_params: u16,
     pub n_locals: u16,
@@ -481,7 +402,9 @@ pub(crate) struct BcBody {
     pub guards: Vec<InlineGuard>,
     pub regions: Vec<Region>,
     /// pc -> hot binary-op pair labels (profiler parity with the reference
-    /// walker's `eval_binary`).
+    /// walker's `eval_binary`, keyed on the source operands). A
+    /// subexpression that folds whole, such as `(1 + 2) * 3`, runs no
+    /// instruction and so records no pair, where the walker records one.
     pub pairs: HashMap<u32, Vec<(&'static str, &'static str)>>,
     /// pcs of superinstructions (for telemetry + disasm annotation).
     pub super_pcs: Vec<u32>,
@@ -497,57 +420,6 @@ impl BcBody {
             .filter(|r| r.start <= pc && pc < r.end)
             .max_by_key(|r| r.start)
             .copied()
-    }
-}
-
-/// Compile-time bailout: this body can't be expressed in bytecode
-/// (register pool exhausted, …); lowering then records it unlowerable.
-pub(crate) struct Unsupported;
-
-/// True iff evaluating `e` can write a local slot (Assign/IncDec with a
-/// Local target anywhere inside). Calls cannot write caller locals.
-fn writes_locals(e: &LExpr) -> bool {
-    match &e.kind {
-        LExprKind::Const(_)
-        | LExprKind::Local(_)
-        | LExprKind::EnvName(_)
-        | LExprKind::This
-        | LExprKind::ClassRefName(_) => false,
-        LExprKind::FieldGet { target, .. } => writes_locals(target),
-        LExprKind::ArrayGet(arr, idx) => writes_locals(arr) || writes_locals(idx),
-        LExprKind::New { args, .. } => args.iter().any(writes_locals),
-        LExprKind::NewArray { dims, .. } => dims.iter().any(writes_locals),
-        LExprKind::Binary(_, l, r) => writes_locals(l) || writes_locals(r),
-        LExprKind::Unary(_, x) => writes_locals(x),
-        LExprKind::IncDec { read, write, .. } => {
-            matches!(write, LTarget::Local(_)) || writes_locals(read) || target_writes(write)
-        }
-        LExprKind::Assign { compound, write, value } => {
-            matches!(write, LTarget::Local(_))
-                || compound.as_ref().is_some_and(|(_, read)| writes_locals(read))
-                || target_writes(write)
-                || writes_locals(value)
-        }
-        LExprKind::Cond(c, t, f) => writes_locals(c) || writes_locals(t) || writes_locals(f),
-        LExprKind::Cast { x, .. } => writes_locals(x),
-        LExprKind::Instanceof { x, .. } => writes_locals(x),
-        LExprKind::Call { callee, args, .. } => {
-            let recv = match callee {
-                LCallee::Recv(r, _) => writes_locals(r),
-                LCallee::Super(_) | LCallee::Implicit(_) => false,
-            };
-            recv || args.iter().any(writes_locals)
-        }
-    }
-}
-
-/// True iff evaluating the subexpressions of target `t` can write a local.
-fn target_writes(t: &LTarget) -> bool {
-    match t {
-        LTarget::Local(_) => true,
-        LTarget::EnvName(..) | LTarget::Invalid(_) => false,
-        LTarget::Field { target, .. } => writes_locals(target),
-        LTarget::Array { arr, idx, .. } => writes_locals(arr) || writes_locals(idx),
     }
 }
 
@@ -614,53 +486,98 @@ pub(crate) fn inline_ok(bc: &BcBody, n_args: usize) -> bool {
 // ---- compiler ----------------------------------------------------------------
 
 /// Pending break/continue jump fixups for the innermost loop being compiled.
+#[derive(Default)]
 struct LoopCtx {
     break_fixups: Vec<u32>,
     continue_fixups: Vec<u32>,
 }
 
-/// Single-pass bytecode emitter over a [`LoweredBody`].
-///
-/// Register file layout: `[0, n_slots)` are the lowered frame slots (params
-/// then locals), above that live preloaded constant registers (permanent,
-/// tracked by `perm_base`) interleaved with per-statement temporaries
-/// (released at each statement boundary by resetting `next_reg`).
-struct Emit<'a> {
-    code: Vec<Instr>,
-    n_slots: u16,
-    /// Next free register (temporaries and constants share the counter).
-    next_reg: u32,
-    /// Registers below this are permanent (slots + constants).
-    perm_base: u32,
-    /// High-water mark -> `BcBody::n_regs`.
-    high_water: u32,
-    preloads: Vec<(u16, Value)>,
-    c_true: Option<u16>,
-    c_false: Option<u16>,
-    c_null: Option<u16>,
-    field_sites: Vec<FieldSite>,
-    sites: Vec<Rc<PolySite>>,
-    /// Call-emission-order cursor into `old_sites` (refine pass reuses the
-    /// cold pass's PolySites so warmed-up cache lines survive recompile).
-    site_counter: usize,
-    old_sites: &'a [Rc<PolySite>],
-    tys: Vec<Rc<TypeSlot>>,
-    span_pairs: Vec<(Span, Span)>,
-    loops: Vec<LoopCtx>,
-    regions: Vec<Region>,
-    pairs: HashMap<u32, Vec<(&'static str, &'static str)>>,
-    super_pcs: Vec<u32>,
-    /// Current static ty-stack depth (for region capture).
-    ty_depth: u16,
-    /// On the refine pass, the epoch whose PIC lines splices snapshot.
-    refine_epoch: Option<u64>,
-    methods: Vec<(Rc<MethodInfo>, ClassId)>,
-    guards: Vec<InlineGuard>,
-    inlined: Vec<(u32, u32, u16)>,
+/// An expression as lowering sees it before any code is emitted for it.
+/// `e` is the node it lowers to — a `?:` with a constant condition lowers
+/// to the branch it picks — and the lowered form carries `e`'s span.
+struct Low<'a> {
+    e: &'a Expr,
+    kind: LowKind,
 }
 
-fn idx16(n: usize) -> Result<u16, Unsupported> {
-    u16::try_from(n).map_err(|_| Unsupported)
+enum LowKind {
+    /// A literal or folded constant: no code.
+    Const(Value),
+    /// A statically resolved local or parameter slot: no code.
+    Local(u16),
+    /// A name with no static binding: implicit-`this` field, static field,
+    /// or class reference — resolved by the environment walk.
+    Env(Symbol),
+    /// Anything else: the code of `e` itself.
+    Code,
+}
+
+/// A resolved assignment target.
+enum Place<'a> {
+    Local(u16),
+    Env(Symbol, Span),
+    Field(&'a Expr, Symbol, Span),
+    Array(&'a Expr, &'a Expr, Span),
+    /// The walker reports "invalid assignment target" at run time.
+    Invalid(Span),
+}
+
+/// Single-pass bytecode emitter over a body's typed AST.
+///
+/// Register file layout: `[0, n_locals)` are the frame slots (params, then
+/// one per local declarator in declaration order); above that live
+/// per-statement temporaries (released at each statement boundary by
+/// resetting `next_reg`), and above every temporary the preloaded
+/// constants (see [`CONST_BASE`]).
+struct Emit<'a> {
+    shape: &'a Shape,
+    /// The body being emitted.
+    bc: BcBody,
+    /// Lexical scopes of (name → slot), flattened: innermost last, each
+    /// open scope starting at its entry in `scope_marks`. Parameters live in
+    /// the outermost scope, like the walker frame's starting scope.
+    names: Vec<(Symbol, u16)>,
+    scope_marks: Vec<usize>,
+    /// Next slot to declare; slots are never reused, so a frame is one flat
+    /// register range.
+    next_slot: u16,
+    slots_resolved: u64,
+    consts_folded: u64,
+    /// Next free register (temporaries).
+    next_reg: u32,
+    /// High-water mark of temporaries: constants land above it.
+    high_water: u32,
+    /// The constant registers of `true`, `false` and `null`, which every
+    /// use shares.
+    shared_consts: [Option<u16>; 3],
+    loops: Vec<LoopCtx>,
+    /// Current static ty-stack depth (for region capture).
+    ty_depth: u16,
+}
+
+fn idx16(n: usize) -> Result<u16, Unlowerable> {
+    u16::try_from(n).map_err(|_| Unlowerable)
+}
+
+/// Appends `x` to a side table; its index is the instruction operand.
+fn push_index<T>(table: &mut Vec<T>, x: T) -> Result<u16, Unlowerable> {
+    let i = idx16(table.len())?;
+    table.push(x);
+    Ok(i)
+}
+
+/// Points the jumps at `pcs` to `to`.
+fn patch(code: &mut [Instr], pcs: &[u32], to: u32) {
+    for &pc in pcs {
+        match &mut code[pc as usize] {
+            Instr::Jmp { target }
+            | Instr::JmpIfFalse { target, .. }
+            | Instr::JmpIfTrue { target, .. }
+            | Instr::JmpIfCmp { target, .. } => *target = to,
+            Instr::GuardInline { fallback, .. } => *fallback = to,
+            _ => unreachable!("patch target is not a jump"),
+        }
+    }
 }
 
 /// Sentinel base for constant registers during emission.  Temp register
@@ -752,180 +669,233 @@ fn map_regs(ins: &mut Instr, f: impl Fn(u16) -> u16) {
 
 impl<'a> Emit<'a> {
     fn pc(&self) -> u32 {
-        self.code.len() as u32
+        self.bc.pc()
     }
 
     fn emit(&mut self, i: Instr) -> u32 {
-        let pc = self.pc();
-        self.code.push(i);
-        pc
+        self.bc.push(i)
     }
 
-    fn bump(&mut self, n: u32) -> Result<u16, Unsupported> {
+    fn patch(&mut self, pcs: &[u32], to: u32) {
+        patch(&mut self.bc.code, pcs, to);
+    }
+
+    /// A contiguous block of `n` temporaries (call/ctor/array-dim arguments).
+    fn alloc_block(&mut self, n: usize) -> Result<u16, Unlowerable> {
         let r = self.next_reg;
-        let end = r + n;
-        if end >= u32::from(CONST_BASE) {
-            return Err(Unsupported);
+        let end = r as usize + n;
+        if end >= usize::from(CONST_BASE) {
+            return Err(Unlowerable);
         }
-        self.next_reg = end;
-        self.high_water = self.high_water.max(end);
+        self.next_reg = end as u32;
+        self.high_water = self.high_water.max(self.next_reg);
         Ok(r as u16)
     }
 
-    fn alloc_temp(&mut self) -> Result<u16, Unsupported> {
-        self.bump(1)
-    }
-
-    /// A contiguous block of `n` registers (call/ctor/array-dim arguments).
-    fn alloc_block(&mut self, n: usize) -> Result<u16, Unsupported> {
-        self.bump(u32::try_from(n).map_err(|_| Unsupported)?)
+    fn alloc_temp(&mut self) -> Result<u16, Unlowerable> {
+        self.alloc_block(1)
     }
 
     /// A constant register preloaded with `v` at frame entry.  Allocated
     /// in the sentinel space (see [`CONST_BASE`]) and remapped above the
     /// temp high-water mark when compilation finishes.
-    fn alloc_const(&mut self, v: Value) -> Result<u16, Unsupported> {
-        let k = self.preloads.len();
+    fn alloc_const(&mut self, v: Value) -> Result<u16, Unlowerable> {
+        let k = self.bc.preloads.len();
         if k >= usize::from(u16::MAX - CONST_BASE) {
-            return Err(Unsupported);
+            return Err(Unlowerable);
         }
         let r = CONST_BASE + k as u16;
-        self.preloads.push((r, v));
+        self.bc.preloads.push((r, v));
         Ok(r)
     }
 
     /// Constant register for `v`; `true`/`false`/`null` are deduplicated.
-    fn const_reg(&mut self, v: &Value) -> Result<u16, Unsupported> {
-        match v {
-            Value::Bool(true) => {
-                if let Some(r) = self.c_true {
-                    return Ok(r);
-                }
-                let r = self.alloc_const(Value::Bool(true))?;
-                self.c_true = Some(r);
-                Ok(r)
-            }
-            Value::Bool(false) => {
-                if let Some(r) = self.c_false {
-                    return Ok(r);
-                }
-                let r = self.alloc_const(Value::Bool(false))?;
-                self.c_false = Some(r);
-                Ok(r)
-            }
-            Value::Null => Ok(self.null_reg()?),
-            other => self.alloc_const(other.clone()),
-        }
-    }
-
-    fn null_reg(&mut self) -> Result<u16, Unsupported> {
-        if let Some(r) = self.c_null {
+    fn const_reg(&mut self, v: Value) -> Result<u16, Unlowerable> {
+        let k = match v {
+            Value::Bool(true) => 0,
+            Value::Bool(false) => 1,
+            Value::Null => 2,
+            other => return self.alloc_const(other),
+        };
+        if let Some(r) = self.shared_consts[k] {
             return Ok(r);
         }
-        let r = self.alloc_const(Value::Null)?;
-        self.c_null = Some(r);
+        let r = self.alloc_const(v)?;
+        self.shared_consts[k] = Some(r);
         Ok(r)
     }
 
-    fn field_site(&mut self) -> Result<u16, Unsupported> {
-        let i = idx16(self.field_sites.len())?;
-        self.field_sites.push(FieldSite::new());
-        Ok(i)
+    fn ty_slot(&mut self, tn: &TypeName) -> Result<u16, Unlowerable> {
+        push_index(&mut self.bc.tys, TypeSlot::new(tn.clone()))
     }
 
-    fn ty_slot(&mut self, ts: &Rc<TypeSlot>) -> Result<u16, Unsupported> {
-        let i = idx16(self.tys.len())?;
-        self.tys.push(Rc::clone(ts));
-        Ok(i)
-    }
-
-    fn span_pair(&mut self, expr: Span, idx: Span) -> Result<u16, Unsupported> {
-        let i = idx16(self.span_pairs.len())?;
-        self.span_pairs.push((expr, idx));
-        Ok(i)
-    }
-
-    /// Next call site: reuse the cold pass's PolySite in emission order so
-    /// warmed cache lines survive the refine recompile.
-    fn call_site(&mut self) -> Result<(u16, Rc<PolySite>), Unsupported> {
-        let site = match self.old_sites.get(self.site_counter) {
-            Some(s) => Rc::clone(s),
-            None => PolySite::new(),
-        };
-        self.site_counter += 1;
-        let i = idx16(self.sites.len())?;
-        self.sites.push(Rc::clone(&site));
-        Ok((i, site))
-    }
-
-    fn patch(&mut self, pcs: &[u32], to: u32) {
-        for &pc in pcs {
-            match &mut self.code[pc as usize] {
-                Instr::Jmp { target }
-                | Instr::JmpIfFalse { target, .. }
-                | Instr::JmpIfTrue { target, .. }
-                | Instr::JmpIfCmp { target, .. } => *target = to,
-                Instr::GuardInline { fallback, .. } => *fallback = to,
-                _ => unreachable!("patch target is not a jump"),
+    /// Hot-pair labels for the binary `l op r` at `pc`, keyed on the source
+    /// operands as the walker's `eval_binary` keys them: an operand that
+    /// folded to a constant still counts as the nested operator it was.
+    fn attach_pairs(&mut self, pc: u32, op: BinOp, l: &Expr, r: &Expr) {
+        for x in [l, r] {
+            if let ExprKind::Binary(inner, ..) = &x.kind {
+                let pairs = self.bc.pairs.entry(pc).or_default();
+                pairs.push((op.as_str(), inner.as_str()));
             }
         }
     }
 
-    fn attach_pairs(&mut self, pc: u32, op: BinOp, l: &LExpr, r: &LExpr) {
-        let mut v = Vec::new();
-        if let LExprKind::Binary(inner, ..) = &l.kind {
-            v.push((op.as_str(), inner.as_str()));
+    // ---- scopes and the lowered view -----------------------------------------
+
+    fn push_scope(&mut self) {
+        self.scope_marks.push(self.names.len());
+    }
+
+    fn pop_scope(&mut self) {
+        let mark = self.scope_marks.pop().expect("an open scope");
+        self.names.truncate(mark);
+    }
+
+    /// Binds `name` to the next slot in the innermost scope.  A
+    /// redeclaration in the same scope gets a new slot; later references
+    /// resolve to it, which observes identically to the walker's map
+    /// overwrite.
+    fn declare(&mut self, name: Symbol) {
+        self.names.push((name, self.next_slot));
+        self.next_slot += 1;
+    }
+
+    /// The slot `name` is bound to, innermost binding first.
+    fn lookup(&self, name: Symbol) -> Option<u16> {
+        let found = self.names.iter().rev().find(|(n, _)| *n == name);
+        found.map(|&(_, slot)| slot)
+    }
+
+    /// [`Emit::lookup`], counted as a slot resolution when bound.
+    fn resolve(&mut self, name: Symbol) -> Option<u16> {
+        let slot = self.lookup(name);
+        self.slots_resolved += u64::from(slot.is_some());
+        slot
+    }
+
+    /// Lowers `e` one level without emitting anything.  Called once for
+    /// each evaluation of `e` the code performs (a compound assignment's
+    /// place is evaluated twice), which is what the `slots_resolved` and
+    /// `consts_folded` counters count.
+    fn view(&mut self, e: &'a Expr) -> Low<'a> {
+        let shape = self.shape;
+        let kind = match (&e.kind, shape.fold(e)) {
+            (ExprKind::Literal(l), _) => LowKind::Const(lit_value(l)),
+            (ExprKind::Cond(c, t, f), Some(Fold::Pick(then))) => {
+                self.consts_folded += 1;
+                let (live, dead) = if *then { (t, f) } else { (f, t) };
+                self.count_folded(c);
+                self.count_folded(dead);
+                return self.view(live);
+            }
+            (_, Some(Fold::Const(v))) => {
+                self.count_folded(e);
+                LowKind::Const(v.clone())
+            }
+            _ => match name_of(e) {
+                Some(name) => match self.resolve(name) {
+                    Some(slot) => LowKind::Local(slot),
+                    None => LowKind::Env(name),
+                },
+                None => LowKind::Code,
+            },
+        };
+        Low { e, kind }
+    }
+
+    /// Counts the slot resolutions and folds in a subtree that folding
+    /// removed, as if it were lowered: the counters describe the source,
+    /// whatever a fold discarded.  Counting a place that is stored to is
+    /// counting it as read.
+    fn count_folded(&mut self, e: &Expr) {
+        self.consts_folded += u64::from(self.shape.fold(e).is_some());
+        if let Some(name) = name_of(e) {
+            self.resolve(name);
         }
-        if let LExprKind::Binary(inner, ..) = &r.kind {
-            v.push((op.as_str(), inner.as_str()));
+        for (x, store) in operands(e) {
+            if !store || is_place(x) {
+                self.count_folded(x);
+            }
         }
-        if !v.is_empty() {
-            self.pairs.entry(pc).or_default().extend(v);
+    }
+
+    /// Resolves an assignment target; its operands are lowered when the
+    /// store evaluates them.
+    fn place(&mut self, e: &'a Expr) -> Place<'a> {
+        match &e.kind {
+            ExprKind::FieldAccess(x, name) => Place::Field(x, name.sym, e.span),
+            ExprKind::ArrayAccess(a, i) => Place::Array(a, i, e.span),
+            _ => match name_of(e) {
+                Some(name) => match self.resolve(name) {
+                    Some(slot) => Place::Local(slot),
+                    None => Place::Env(name, e.span),
+                },
+                None => Place::Invalid(e.span),
+            },
+        }
+    }
+
+    /// True iff evaluating `e` can write a local slot (an assignment or
+    /// `++`/`--` of one anywhere inside).  Calls cannot write caller
+    /// locals, and folded subtrees run no code.
+    fn writes_locals(&self, e: &Expr) -> bool {
+        match (self.shape.fold(e), &e.kind) {
+            (Some(Fold::Const(_)), _) => false,
+            (Some(Fold::Pick(then)), ExprKind::Cond(_, t, f)) => {
+                self.writes_locals(if *then { t } else { f })
+            }
+            _ => operands(e).any(|(x, store)| {
+                if store {
+                    self.store_writes(x)
+                } else {
+                    self.writes_locals(x)
+                }
+            }),
+        }
+    }
+
+    /// True iff a store to target `e` — its operands, then the store
+    /// itself — can write a local slot.
+    fn store_writes(&self, e: &Expr) -> bool {
+        match name_of(e) {
+            Some(name) => self.lookup(name).is_some(),
+            None => is_place(e) && self.writes_locals(e),
         }
     }
 
     // ---- statements ----------------------------------------------------------
 
-    fn stmt(&mut self, s: &LStmt) -> Result<(), Unsupported> {
+    fn block(&mut self, stmts: &'a [Stmt]) -> Result<(), Unlowerable> {
+        self.push_scope();
+        for s in stmts {
+            self.stmt(s)?;
+        }
+        self.pop_scope();
+        Ok(())
+    }
+
+    /// Closes the innermost loop: its `break`s jump to `brk`, its
+    /// `continue`s to `cont`, and its body `start..end` becomes a region
+    /// that routes the ones raised by calls the same way.
+    fn end_loop(&mut self, start: u32, end: u32, brk: u32, cont: u32) {
+        let ctx = self.loops.pop().expect("loop ctx");
+        self.patch(&ctx.break_fixups, brk);
+        self.patch(&ctx.continue_fixups, cont);
+        let ty_depth = self.ty_depth;
+        let r = Region { start, end, brk, cont, ty_depth, inline_depth: 0 };
+        self.bc.regions.push(r);
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), Unlowerable> {
         let mark = self.next_reg;
         self.emit(Instr::Step { span: s.span });
         match &s.kind {
-            LStmtKind::Block(stmts) => {
-                for c in stmts {
-                    self.stmt(c)?;
-                }
-            }
-            LStmtKind::Expr(e) => self.discard_expr(e)?,
-            LStmtKind::Decl { ty, decls } => {
-                // Fully-initialized primitive decls skip the runtime type
-                // stack: no DefaultVal ever reads the resolved type, and
-                // primitive resolution is infallible and context-free, so
-                // the elision is unobservable (class-typed decls keep the
-                // resolve so "unknown class" errors stay tier-identical).
-                if tn_is_prim(&ty.tn) && decls.iter().all(|d| d.init.is_some()) {
-                    for d in decls {
-                        let dst = idx16(d.slot as usize)?;
-                        let e = d.init.as_ref().expect("checked initialized");
-                        self.expr_into(dst, e)?;
-                    }
-                } else {
-                    let t = self.ty_slot(ty)?;
-                    self.emit(Instr::TyDecl { ty: t, span: s.span });
-                    self.ty_depth += 1;
-                    for d in decls {
-                        let dst = idx16(d.slot as usize)?;
-                        match &d.init {
-                            Some(e) => self.expr_into(dst, e)?,
-                            None => {
-                                self.emit(Instr::DefaultVal { dst, dims: d.dims });
-                            }
-                        }
-                    }
-                    self.emit(Instr::TyPop);
-                    self.ty_depth -= 1;
-                }
-            }
-            LStmtKind::If(c, t, e) => {
+            // Imports are compile-time; at runtime `use` is just a scope.
+            StmtKind::Block(b) | StmtKind::Use(_, b) => self.block(&b.stmts)?,
+            StmtKind::Expr(e) => self.discard_expr(e)?,
+            StmtKind::Decl(tn, decls) => self.decl(s.span, tn, decls)?,
+            StmtKind::If(c, t, e) => {
                 let to_else = self.branch(c, false)?;
                 self.stmt(t)?;
                 match e {
@@ -943,53 +913,49 @@ impl<'a> Emit<'a> {
                     }
                 }
             }
-            LStmtKind::While(c, body) => {
+            StmtKind::While(c, body) => {
                 let l_cond = self.pc();
                 let to_exit = self.branch(c, false)?;
                 let l_body = self.pc();
-                self.loops.push(LoopCtx { break_fixups: Vec::new(), continue_fixups: Vec::new() });
+                self.loops.push(LoopCtx::default());
                 self.stmt(body)?;
-                let ctx = self.loops.pop().expect("loop ctx");
                 let back = self.emit(Instr::Jmp { target: l_cond });
                 let l_end = self.pc();
                 self.patch(&to_exit, l_end);
-                self.patch(&ctx.break_fixups, l_end);
-                self.patch(&ctx.continue_fixups, l_cond);
-                self.regions.push(Region {
-                    start: l_body,
-                    end: back,
-                    brk: l_end,
-                    cont: l_cond,
-                    ty_depth: self.ty_depth,
-                    inline_depth: 0,
-                });
+                self.end_loop(l_body, back, l_end, l_cond);
             }
-            LStmtKind::Do(body, c) => {
+            StmtKind::Do(body, c) => {
                 let l_body = self.pc();
-                self.loops.push(LoopCtx { break_fixups: Vec::new(), continue_fixups: Vec::new() });
+                self.loops.push(LoopCtx::default());
                 self.stmt(body)?;
-                let ctx = self.loops.pop().expect("loop ctx");
                 let l_cond = self.pc();
                 let back = self.branch(c, true)?;
                 self.patch(&back, l_body);
                 let l_end = self.pc();
-                self.patch(&ctx.break_fixups, l_end);
-                self.patch(&ctx.continue_fixups, l_cond);
-                self.regions.push(Region {
-                    start: l_body,
-                    end: l_cond,
-                    brk: l_end,
-                    cont: l_cond,
-                    ty_depth: self.ty_depth,
-                    inline_depth: 0,
-                });
+                self.end_loop(l_body, l_cond, l_end, l_cond);
             }
-            LStmtKind::For { init_decl, init_exprs, cond, update, body } => {
-                if let Some(d) = init_decl {
-                    self.stmt(d)?;
-                }
-                for e in init_exprs {
-                    self.discard_expr(e)?;
+            StmtKind::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                self.push_scope();
+                match init {
+                    ForInit::None => {}
+                    // The walker runs the init declaration as a statement of
+                    // its own with a dummy span, charging one step.
+                    ForInit::Decl(tn, decls) => {
+                        let mark = self.next_reg;
+                        self.emit(Instr::Step { span: Span::DUMMY });
+                        self.decl(Span::DUMMY, tn, decls)?;
+                        self.next_reg = mark;
+                    }
+                    ForInit::Exprs(es) => {
+                        for e in es {
+                            self.discard_expr(e)?;
+                        }
+                    }
                 }
                 let l_cond = self.pc();
                 let to_exit = match cond {
@@ -997,9 +963,12 @@ impl<'a> Emit<'a> {
                     None => Vec::new(),
                 };
                 let l_body = self.pc();
-                self.loops.push(LoopCtx { break_fixups: Vec::new(), continue_fixups: Vec::new() });
+                self.loops.push(LoopCtx::default());
+                // Names resolve statically, so a bare declaration as the
+                // body stays invisible to the update, as to the condition.
+                self.push_scope();
                 self.stmt(body)?;
-                let ctx = self.loops.pop().expect("loop ctx");
+                self.pop_scope();
                 let l_cont = self.pc();
                 for u in update {
                     self.discard_expr(u)?;
@@ -1007,18 +976,10 @@ impl<'a> Emit<'a> {
                 self.emit(Instr::Jmp { target: l_cond });
                 let l_end = self.pc();
                 self.patch(&to_exit, l_end);
-                self.patch(&ctx.break_fixups, l_end);
-                self.patch(&ctx.continue_fixups, l_cont);
-                self.regions.push(Region {
-                    start: l_body,
-                    end: l_cont,
-                    brk: l_end,
-                    cont: l_cont,
-                    ty_depth: self.ty_depth,
-                    inline_depth: 0,
-                });
+                self.end_loop(l_body, l_cont, l_end, l_cont);
+                self.pop_scope();
             }
-            LStmtKind::Return(e) => match e {
+            StmtKind::Return(e) => match e {
                 Some(e) => {
                     let (src, _) = self.operand(e, false)?;
                     self.emit(Instr::Ret { src });
@@ -1027,31 +988,72 @@ impl<'a> Emit<'a> {
                     self.emit(Instr::RetNull);
                 }
             },
-            LStmtKind::Break => match self.loops.last_mut() {
-                Some(_) => {
-                    let pc = self.emit(Instr::Jmp { target: u32::MAX });
-                    self.loops.last_mut().expect("loop ctx").break_fixups.push(pc);
+            StmtKind::Break | StmtKind::Continue => {
+                let brk = matches!(s.kind, StmtKind::Break);
+                let pc = self.pc();
+                match self.loops.last_mut() {
+                    Some(ctx) => {
+                        let fixups = match brk {
+                            true => &mut ctx.break_fixups,
+                            false => &mut ctx.continue_fixups,
+                        };
+                        fixups.push(pc);
+                        self.emit(Instr::Jmp { target: u32::MAX });
+                    }
+                    // No enclosing loop in this body: surface as control for
+                    // the caller, routed by its region table.
+                    None => {
+                        self.emit(if brk { Instr::RaiseBreak } else { Instr::RaiseContinue });
+                    }
                 }
-                None => {
-                    self.emit(Instr::RaiseBreak);
-                }
-            },
-            LStmtKind::Continue => match self.loops.last_mut() {
-                Some(_) => {
-                    let pc = self.emit(Instr::Jmp { target: u32::MAX });
-                    self.loops.last_mut().expect("loop ctx").continue_fixups.push(pc);
-                }
-                None => {
-                    self.emit(Instr::RaiseContinue);
-                }
-            },
-            LStmtKind::Throw(e) => {
+            }
+            StmtKind::Throw(e) => {
                 let (src, _) = self.operand(e, false)?;
                 self.emit(Instr::Throw { src });
             }
-            LStmtKind::Empty => {}
+            StmtKind::Empty => {}
+            // `try` runs on the reference walker: the bytecode has no
+            // exception handlers.
+            StmtKind::Try { .. } | StmtKind::Lazy(_) | StmtKind::Error => return Err(Unlowerable),
         }
-        self.next_reg = mark.max(self.perm_base);
+        self.next_reg = mark;
+        Ok(())
+    }
+
+    /// A local declaration.  Each initializer is emitted before its name
+    /// is bound, so `int x = x;` reads the outer binding (or the
+    /// environment), exactly like the walker's eval-then-declare order.
+    fn decl(
+        &mut self,
+        span: Span,
+        tn: &TypeName,
+        decls: &'a [LocalDeclarator],
+    ) -> Result<(), Unlowerable> {
+        // Fully-initialized primitive decls skip the runtime type stack: no
+        // DefaultVal ever reads the resolved type, and primitive resolution
+        // is infallible and context-free, so the elision is unobservable
+        // (class-typed decls keep the resolve so "unknown class" errors stay
+        // tier-identical).
+        let typed = !(tn_is_prim(tn) && decls.iter().all(|d| d.init.is_some()));
+        if typed {
+            let t = self.ty_slot(tn)?;
+            self.emit(Instr::TyDecl { ty: t, span });
+            self.ty_depth += 1;
+        }
+        for d in decls {
+            let dst = self.next_slot;
+            match &d.init {
+                Some(e) => self.expr_into(dst, e)?,
+                None => {
+                    self.emit(Instr::DefaultVal { dst, dims: d.dims });
+                }
+            }
+            self.declare(d.name.sym);
+        }
+        if typed {
+            self.emit(Instr::TyPop);
+            self.ty_depth -= 1;
+        }
         Ok(())
     }
 
@@ -1059,59 +1061,55 @@ impl<'a> Emit<'a> {
 
     /// Evaluate `e` for side effects only (expression statements, `for`
     /// inits/updates), fusing local increments and local-store compounds.
-    fn discard_expr(&mut self, e: &LExpr) -> Result<(), Unsupported> {
-        match &e.kind {
+    fn discard_expr(&mut self, e: &'a Expr) -> Result<(), Unlowerable> {
+        let low = self.view(e);
+        let e = low.e;
+        match (&low.kind, &e.kind) {
             // Side-effect-free leaves: nothing to do.
-            LExprKind::Const(_) | LExprKind::Local(_) => Ok(()),
-            // `x++` / `x--` on a local slot: one superinstruction.
-            LExprKind::IncDec { op, read, write, .. } => {
-                if let (LExprKind::Local(rs), LTarget::Local(ws)) = (&read.kind, write) {
-                    if rs == ws {
-                        let slot = idx16(*rs as usize)?;
+            (LowKind::Const(_) | LowKind::Local(_), _) => Ok(()),
+            (LowKind::Code, ExprKind::IncDec(op, prefix, x)) => {
+                let read = self.view(x);
+                let write = self.place(x);
+                // `x++` / `x--` on a local slot: one superinstruction.
+                match (&read.kind, write) {
+                    (LowKind::Local(rs), Place::Local(slot)) if *rs == slot => {
                         let delta = if *op == IncDecOp::Inc { 1 } else { -1 };
                         let pc = self.emit(Instr::IncLocal { slot, delta, span: e.span });
-                        self.super_pcs.push(pc);
-                        return Ok(());
+                        self.bc.super_pcs.push(pc);
+                        Ok(())
+                    }
+                    (_, write) => {
+                        let t = self.alloc_temp()?;
+                        self.incdec_into(t, *op, *prefix, read, write, e.span)
                     }
                 }
-                let t = self.alloc_temp()?;
-                self.expr_into(t, e)
             }
-            // `x = v`: compile the value straight into the slot.
-            LExprKind::Assign { compound: None, write: LTarget::Local(ws), value } => {
-                let dst = idx16(*ws as usize)?;
-                self.expr_into(dst, value)
-            }
-            // `x op= v`: store-fused binary (reads the slot at execution
-            // time, after the value — legacy's value-then-read order).
-            // The reference walker records no hot pairs for compound
-            // assignment, so no pairs entry here.
-            LExprKind::Assign {
-                compound: Some((op, read)),
-                write: LTarget::Local(ws),
-                value,
-            } => {
-                if let LExprKind::Local(rs) = &read.kind {
-                    if rs == ws {
-                        let slot = idx16(*ws as usize)?;
-                        let (b, _) = self.operand(value, false)?;
-                        let pc = self.emit(Instr::Binary {
-                            op: *op,
-                            dst: slot,
-                            a: slot,
-                            b,
-                            span: e.span,
-                        });
-                        self.super_pcs.push(pc);
-                        return Ok(());
+            (LowKind::Code, ExprKind::Assign(op, l, r)) => {
+                let read = op.map(|_| self.view(l));
+                let write = self.place(l);
+                match (op, read.as_ref().map(|r| &r.kind), write) {
+                    // `x = v`: compile the value straight into the slot.
+                    (None, _, Place::Local(slot)) => self.expr_into(slot, r),
+                    // `x op= v`: store-fused binary (reads the slot at
+                    // execution time, after the value — the walker's
+                    // value-then-read order).  The walker records no hot
+                    // pairs for compound assignment, so no pairs entry here.
+                    (Some(op), Some(LowKind::Local(rs)), Place::Local(slot)) if *rs == slot => {
+                        let (b, _) = self.operand(r, false)?;
+                        let (op, span) = (*op, e.span);
+                        let pc = self.emit(Instr::Binary { op, dst: slot, a: slot, b, span });
+                        self.bc.super_pcs.push(pc);
+                        Ok(())
+                    }
+                    (_, _, write) => {
+                        let t = self.alloc_temp()?;
+                        self.assign_into(t, *op, l, read, write, r, e.span)
                     }
                 }
-                let t = self.alloc_temp()?;
-                self.expr_into(t, e)
             }
             _ => {
                 let t = self.alloc_temp()?;
-                self.expr_into(t, e)
+                self.low_into(t, low)
             }
         }
     }
@@ -1120,246 +1118,228 @@ impl<'a> Emit<'a> {
     /// as-is; `hazard` forces a copy when code evaluated *after* this
     /// operand (but before the consuming instruction) could overwrite a
     /// local slot.
-    fn operand(&mut self, e: &LExpr, hazard: bool) -> Result<(u16, bool), Unsupported> {
-        match &e.kind {
-            LExprKind::Local(slot) if !hazard => Ok((idx16(*slot as usize)?, true)),
-            LExprKind::Const(v) => {
-                let v = v.clone();
-                Ok((self.const_reg(&v)?, true))
-            }
+    fn operand(&mut self, e: &'a Expr, hazard: bool) -> Result<(u16, bool), Unlowerable> {
+        let low = self.view(e);
+        self.operand_low(low, hazard)
+    }
+
+    fn operand_low(&mut self, low: Low<'a>, hazard: bool) -> Result<(u16, bool), Unlowerable> {
+        match low.kind {
+            LowKind::Local(slot) if !hazard => Ok((slot, true)),
+            LowKind::Const(v) => Ok((self.const_reg(v)?, true)),
             _ => {
                 let t = self.alloc_temp()?;
-                self.expr_into(t, e)?;
+                self.low_into(t, low)?;
                 Ok((t, false))
             }
         }
     }
 
+    /// A conditional jump on `src`, taken when it holds `when`.
+    fn jump_if(&mut self, when: bool, src: u16, span: Span) -> u32 {
+        let target = u32::MAX;
+        self.emit(if when {
+            Instr::JmpIfTrue { src, target, span }
+        } else {
+            Instr::JmpIfFalse { src, target, span }
+        })
+    }
+
     /// Compile condition `c` and emit a conditional jump taken when the
     /// condition equals `jump_when`; returns the jump pcs to patch.
     /// Comparison conditions fuse into `JmpIfCmp`.
-    fn branch(&mut self, c: &LExpr, jump_when: bool) -> Result<Vec<u32>, Unsupported> {
+    fn branch(&mut self, c: &'a Expr, jump_when: bool) -> Result<Vec<u32>, Unlowerable> {
         use BinOp::*;
-        if let LExprKind::Binary(op, l, r) = &c.kind {
-            if matches!(op, Lt | Le | Gt | Ge | Eq | Ne) {
-                let pc_before = self.pc();
-                self.attach_pairs(pc_before, *op, l, r);
-                let hazard_l = writes_locals(r);
-                let (a, _) = self.operand(l, hazard_l)?;
-                let (b, _) = self.operand(r, false)?;
-                let pc = self.emit(Instr::JmpIfCmp {
-                    op: *op,
-                    a,
-                    b,
-                    when: jump_when,
-                    target: u32::MAX,
-                    span: c.span,
-                });
-                self.super_pcs.push(pc);
-                return Ok(vec![pc]);
-            }
+        let low = self.view(c);
+        let span = low.e.span;
+        if let (LowKind::Code, ExprKind::Binary(op @ (Lt | Le | Gt | Ge | Eq | Ne), l, r)) =
+            (&low.kind, &low.e.kind)
+        {
+            let pc_before = self.pc();
+            self.attach_pairs(pc_before, *op, l, r);
+            let hazard_l = self.writes_locals(r);
+            let (a, _) = self.operand(l, hazard_l)?;
+            let (b, _) = self.operand(r, false)?;
+            let (op, target) = (*op, u32::MAX);
+            let pc = self.emit(Instr::JmpIfCmp { op, a, b, when: jump_when, target, span });
+            self.bc.super_pcs.push(pc);
+            return Ok(vec![pc]);
         }
-        let (src, _) = self.operand(c, false)?;
-        let pc = if jump_when {
-            self.emit(Instr::JmpIfTrue { src, target: u32::MAX, span: c.span })
-        } else {
-            self.emit(Instr::JmpIfFalse { src, target: u32::MAX, span: c.span })
-        };
-        Ok(vec![pc])
+        let (src, _) = self.operand_low(low, false)?;
+        Ok(vec![self.jump_if(jump_when, src, span)])
     }
 
     /// Store an already-computed value into an assignment target (target
-    /// subexpressions evaluate *after* the value, matching legacy order).
-    fn store(&mut self, t: &LTarget, val: u16) -> Result<(), Unsupported> {
+    /// subexpressions evaluate *after* the value, matching walker order).
+    fn store(&mut self, t: Place<'a>, val: u16) -> Result<(), Unlowerable> {
         match t {
-            LTarget::Local(slot) => {
-                let dst = idx16(*slot as usize)?;
+            Place::Local(dst) => {
                 if dst != val {
                     self.emit(Instr::Move { dst, src: val });
                 }
             }
-            LTarget::EnvName(name, span) => {
-                self.emit(Instr::EnvStore { src: val, name: *name, span: *span });
+            Place::Env(name, span) => {
+                self.emit(Instr::EnvStore { src: val, name, span });
             }
-            LTarget::Field { target, name, span } => {
+            Place::Field(target, name, span) => {
                 let (obj, _) = self.operand(target, false)?;
-                self.emit(Instr::FieldSet { obj, val, name: *name, span: *span });
+                self.emit(Instr::FieldSet { obj, val, name, span });
             }
-            LTarget::Array { arr, idx, span } => {
-                let (a, _) = self.operand(arr, writes_locals(idx))?;
-                let (i, _) = self.operand(idx, false)?;
-                let spans = self.span_pair(*span, idx.span)?;
-                self.emit(Instr::ArrSet { arr: a, idx: i, val, spans });
+            Place::Array(arr, idx, span) => {
+                let (arr, idx, spans) = self.array_operands(arr, idx, span)?;
+                self.emit(Instr::ArrSet { arr, idx, val, spans });
             }
-            LTarget::Invalid(span) => {
-                self.emit(Instr::RaiseInvalidAssign { span: *span });
+            Place::Invalid(span) => {
+                self.emit(Instr::RaiseInvalidAssign { span });
             }
         }
         Ok(())
     }
 
+    /// The array and index registers of `arr[idx]`, plus its span pair.
+    fn array_operands(
+        &mut self,
+        arr: &'a Expr,
+        idx: &'a Expr,
+        span: Span,
+    ) -> Result<(u16, u16, u16), Unlowerable> {
+        let hazard = self.writes_locals(idx);
+        let (a, _) = self.operand(arr, hazard)?;
+        let idx = self.view(idx);
+        let idx_span = idx.e.span;
+        let (i, _) = self.operand_low(idx, false)?;
+        Ok((a, i, push_index(&mut self.bc.span_pairs, (span, idx_span))?))
+    }
+
     /// Compile `e` so its value lands in `dst`. Contract: on every path,
     /// only the final emitted instruction writes `dst` (protects fused
     /// stores whose target is re-read by intervening code).
-    fn expr_into(&mut self, dst: u16, e: &LExpr) -> Result<(), Unsupported> {
+    fn expr_into(&mut self, dst: u16, e: &'a Expr) -> Result<(), Unlowerable> {
+        let low = self.view(e);
+        self.low_into(dst, low)
+    }
+
+    fn low_into(&mut self, dst: u16, low: Low<'a>) -> Result<(), Unlowerable> {
+        let src = match low.kind {
+            LowKind::Const(v) => self.const_reg(v)?,
+            LowKind::Local(slot) => slot,
+            LowKind::Env(name) => {
+                // The site caches (layout → slot) for the dominant case: an
+                // unqualified read of one of `this`'s fields.
+                let site = push_index(&mut self.bc.field_sites, FieldSite::new())?;
+                let span = low.e.span;
+                self.emit(Instr::EnvLoad { dst, name, site, span });
+                return Ok(());
+            }
+            LowKind::Code => return self.code_into(dst, low.e),
+        };
+        if dst != src {
+            self.emit(Instr::Move { dst, src });
+        }
+        Ok(())
+    }
+
+    /// The code of an expression that is neither a constant nor a name.
+    fn code_into(&mut self, dst: u16, e: &'a Expr) -> Result<(), Unlowerable> {
+        let span = e.span;
         match &e.kind {
-            LExprKind::Const(v) => {
-                let v = v.clone();
-                let r = self.const_reg(&v)?;
-                if dst != r {
-                    self.emit(Instr::Move { dst, src: r });
-                }
+            ExprKind::This => {
+                self.emit(Instr::LoadThis { dst, span });
             }
-            LExprKind::Local(slot) => {
-                let src = idx16(*slot as usize)?;
-                if dst != src {
-                    self.emit(Instr::Move { dst, src });
-                }
+            ExprKind::ClassRef(fqcn) => {
+                self.emit(Instr::ClassRef { dst, fqcn: *fqcn, span });
             }
-            LExprKind::EnvName(name) => {
-                // The site caches (layout → slot) for the dominant case:
-                // an unqualified read of one of `this`'s fields.
-                let site = self.field_site()?;
-                self.emit(Instr::EnvLoad { dst, name: *name, site, span: e.span });
-            }
-            LExprKind::This => {
-                self.emit(Instr::LoadThis { dst, span: e.span });
-            }
-            LExprKind::ClassRefName(fqcn) => {
-                self.emit(Instr::ClassRef { dst, fqcn: *fqcn, span: e.span });
-            }
-            LExprKind::FieldGet { target, name, .. } => {
+            ExprKind::FieldAccess(target, name) => {
                 let (obj, _) = self.operand(target, false)?;
-                let site = self.field_site()?;
-                self.emit(Instr::FieldGet { dst, obj, name: *name, site, span: e.span });
+                let site = push_index(&mut self.bc.field_sites, FieldSite::new())?;
+                let name = name.sym;
+                self.emit(Instr::FieldGet { dst, obj, name, site, span });
             }
-            LExprKind::ArrayGet(arr, idx) => {
-                let (a, _) = self.operand(arr, writes_locals(idx))?;
-                let (i, _) = self.operand(idx, false)?;
-                let spans = self.span_pair(e.span, idx.span)?;
-                self.emit(Instr::ArrGet { dst, arr: a, idx: i, spans });
+            ExprKind::ArrayAccess(arr, idx) => {
+                let (arr, idx, spans) = self.array_operands(arr, idx, span)?;
+                self.emit(Instr::ArrGet { dst, arr, idx, spans });
             }
-            LExprKind::New { ty, args } => {
-                let ty = self.ty_slot(ty)?;
-                self.emit(Instr::NewClass { ty, span: e.span });
+            ExprKind::New(tn, args) => {
+                let ty = self.ty_slot(tn)?;
+                self.emit(Instr::NewClass { ty, span });
                 self.ty_depth += 1;
-                let n = idx16(args.len())?;
-                let base = self.alloc_block(args.len())?;
-                for (k, a) in args.iter().enumerate() {
-                    self.expr_into(base + k as u16, a)?;
-                }
-                self.emit(Instr::NewFinish { dst, base, n, span: e.span });
+                let (base, n) = self.args_into(args)?;
+                self.emit(Instr::NewFinish { dst, base, n, span });
                 self.ty_depth -= 1;
             }
-            LExprKind::NewArray { elem, extra_dims, dims } => {
+            ExprKind::NewArray {
+                elem,
+                dims,
+                extra_dims,
+            } => {
                 let ty = self.ty_slot(elem)?;
-                self.emit(Instr::TyElem { ty, extra_dims: *extra_dims, span: e.span });
+                self.emit(Instr::TyElem { ty, extra_dims: *extra_dims, span });
                 self.ty_depth += 1;
                 let n = idx16(dims.len())?;
                 let base = self.alloc_block(dims.len())?;
-                for (k, d) in dims.iter().enumerate() {
-                    let reg = base + k as u16;
-                    self.expr_into(reg, d)?;
-                    self.emit(Instr::ToInt { reg, span: d.span });
+                for (reg, d) in (base..).zip(dims) {
+                    let d = self.view(d);
+                    let span = d.e.span;
+                    self.low_into(reg, d)?;
+                    self.emit(Instr::ToInt { reg, span });
                 }
-                self.emit(Instr::NewArrayFinish { dst, base, n, span: e.span });
+                self.emit(Instr::NewArrayFinish { dst, base, n, span });
                 self.ty_depth -= 1;
             }
-            LExprKind::Binary(op, l, r) => {
+            ExprKind::Binary(op, l, r) => {
                 let pc_before = self.pc();
                 self.attach_pairs(pc_before, *op, l, r);
                 match op {
                     // Short-circuit chains with truthiness-check parity:
                     // each operand's non-boolean error fires at its own span.
-                    BinOp::And => {
-                        let t = self.const_reg(&Value::Bool(true))?;
-                        let f = self.const_reg(&Value::Bool(false))?;
-                        let (sl, _) = self.operand(l, false)?;
-                        let j1 =
-                            self.emit(Instr::JmpIfFalse { src: sl, target: u32::MAX, span: l.span });
-                        let (sr, _) = self.operand(r, false)?;
-                        let j2 =
-                            self.emit(Instr::JmpIfFalse { src: sr, target: u32::MAX, span: r.span });
-                        self.emit(Instr::Move { dst, src: t });
+                    BinOp::And | BinOp::Or => {
+                        let and = *op == BinOp::And;
+                        let t = self.const_reg(Value::Bool(true))?;
+                        let f = self.const_reg(Value::Bool(false))?;
+                        let mut shorts = Vec::with_capacity(2);
+                        for x in [l, r] {
+                            let x = self.view(x);
+                            let x_span = x.e.span;
+                            let (src, _) = self.operand_low(x, false)?;
+                            shorts.push(self.jump_if(!and, src, x_span));
+                        }
+                        let (full, short) = if and { (t, f) } else { (f, t) };
+                        self.emit(Instr::Move { dst, src: full });
                         let je = self.emit(Instr::Jmp { target: u32::MAX });
-                        let l_false = self.pc();
-                        self.patch(&[j1, j2], l_false);
-                        self.emit(Instr::Move { dst, src: f });
-                        let l_end = self.pc();
-                        self.patch(&[je], l_end);
-                    }
-                    BinOp::Or => {
-                        let t = self.const_reg(&Value::Bool(true))?;
-                        let f = self.const_reg(&Value::Bool(false))?;
-                        let (sl, _) = self.operand(l, false)?;
-                        let j1 =
-                            self.emit(Instr::JmpIfTrue { src: sl, target: u32::MAX, span: l.span });
-                        let (sr, _) = self.operand(r, false)?;
-                        let j2 =
-                            self.emit(Instr::JmpIfTrue { src: sr, target: u32::MAX, span: r.span });
-                        self.emit(Instr::Move { dst, src: f });
-                        let je = self.emit(Instr::Jmp { target: u32::MAX });
-                        let l_true = self.pc();
-                        self.patch(&[j1, j2], l_true);
-                        self.emit(Instr::Move { dst, src: t });
+                        let l_short = self.pc();
+                        self.patch(&shorts, l_short);
+                        self.emit(Instr::Move { dst, src: short });
                         let l_end = self.pc();
                         self.patch(&[je], l_end);
                     }
                     _ => {
-                        let hazard_l = writes_locals(r);
+                        let hazard_l = self.writes_locals(r);
                         let (a, da) = self.operand(l, hazard_l)?;
                         let (b, db) = self.operand(r, false)?;
-                        let pc = self.emit(Instr::Binary { op: *op, dst, a, b, span: e.span });
+                        let pc = self.emit(Instr::Binary { op: *op, dst, a, b, span });
                         // Superinstruction forms: both operands direct
                         // (load+load+op) or store-fused into a local slot.
-                        if (da && db) || dst < self.n_slots {
-                            self.super_pcs.push(pc);
+                        if (da && db) || dst < self.bc.n_locals {
+                            self.bc.super_pcs.push(pc);
                         }
                     }
                 }
             }
-            LExprKind::Unary(op, x) => {
+            ExprKind::Unary(op, x) => {
                 let (src, _) = self.operand(x, false)?;
-                self.emit(Instr::Unary { op: *op, dst, src, span: e.span });
+                self.emit(Instr::Unary { op: *op, dst, src, span });
             }
-            LExprKind::IncDec { op, prefix, read, write } => {
-                let delta = if *op == IncDecOp::Inc { 1 } else { -1 };
-                if *prefix {
-                    let (r, _) = self.operand(read, false)?;
-                    let t_new = self.alloc_temp()?;
-                    self.emit(Instr::IncDecVal { dst: t_new, src: r, delta, span: e.span });
-                    self.store(write, t_new)?;
-                    self.emit(Instr::Move { dst, src: t_new });
-                } else {
-                    // Postfix must copy the old value before the store.
-                    let t_old = self.alloc_temp()?;
-                    self.expr_into(t_old, read)?;
-                    let t_new = self.alloc_temp()?;
-                    self.emit(Instr::IncDecVal { dst: t_new, src: t_old, delta, span: e.span });
-                    self.store(write, t_new)?;
-                    self.emit(Instr::Move { dst, src: t_old });
-                }
+            ExprKind::IncDec(op, prefix, x) => {
+                let read = self.view(x);
+                let write = self.place(x);
+                self.incdec_into(dst, *op, *prefix, read, write, span)?;
             }
-            LExprKind::Assign { compound, write, value } => match compound {
-                None => {
-                    let hazard = target_writes(write);
-                    let (rv, _) = self.operand(value, hazard)?;
-                    self.store(write, rv)?;
-                    if dst != rv {
-                        self.emit(Instr::Move { dst, src: rv });
-                    }
-                }
-                Some((binop, read)) => {
-                    let hazard = writes_locals(read) || target_writes(write);
-                    let (rv, _) = self.operand(value, hazard)?;
-                    let (lv, _) = self.operand(read, false)?;
-                    let t = self.alloc_temp()?;
-                    self.emit(Instr::Binary { op: *binop, dst: t, a: lv, b: rv, span: e.span });
-                    self.store(write, t)?;
-                    self.emit(Instr::Move { dst, src: t });
-                }
-            },
-            LExprKind::Cond(c, t, f) => {
+            ExprKind::Assign(op, l, r) => {
+                let read = op.map(|_| self.view(l));
+                let write = self.place(l);
+                self.assign_into(dst, *op, l, read, write, r, span)?;
+            }
+            ExprKind::Cond(c, t, f) => {
                 let to_else = self.branch(c, false)?;
                 self.expr_into(dst, t)?;
                 let je = self.emit(Instr::Jmp { target: u32::MAX });
@@ -1369,386 +1349,168 @@ impl<'a> Emit<'a> {
                 let l_end = self.pc();
                 self.patch(&[je], l_end);
             }
-            LExprKind::Cast { ty, x } => {
+            ExprKind::Cast(tn, x) => {
                 let (src, _) = self.operand(x, false)?;
-                let ty = self.ty_slot(ty)?;
-                self.emit(Instr::CastV { dst, src, ty, span: e.span });
+                let ty = self.ty_slot(tn)?;
+                self.emit(Instr::CastV { dst, src, ty, span });
             }
-            LExprKind::Instanceof { x, ty } => {
+            ExprKind::Instanceof(x, tn) => {
                 let (src, _) = self.operand(x, false)?;
-                let ty = self.ty_slot(ty)?;
-                self.emit(Instr::InstOf { dst, src, ty, span: e.span });
+                let ty = self.ty_slot(tn)?;
+                self.emit(Instr::InstOf { dst, src, ty, span });
             }
-            LExprKind::Call { callee, args, .. } => {
-                self.compile_call(dst, callee, args, e.span)?;
+            ExprKind::Call(mn, args) => self.call(dst, mn, args, span)?,
+            // Constants and names lower in `view`; the pre-pass rejects
+            // the rest.
+            ExprKind::Literal(_)
+            | ExprKind::Name(_)
+            | ExprKind::VarRef(_)
+            | ExprKind::Template(_)
+            | ExprKind::Lazy(_)
+            | ExprKind::TypeDims(_) => return Err(Unlowerable),
+        }
+        Ok(())
+    }
+
+    /// `x++`/`--x`/…: the place read as an r-value, then stored through
+    /// `write`, which re-evaluates the place's operands like the walker.
+    fn incdec_into(
+        &mut self,
+        dst: u16,
+        op: IncDecOp,
+        prefix: bool,
+        read: Low<'a>,
+        write: Place<'a>,
+        span: Span,
+    ) -> Result<(), Unlowerable> {
+        let delta = if op == IncDecOp::Inc { 1 } else { -1 };
+        if prefix {
+            let (r, _) = self.operand_low(read, false)?;
+            let t_new = self.alloc_temp()?;
+            self.emit(Instr::IncDecVal { dst: t_new, src: r, delta, span });
+            self.store(write, t_new)?;
+            self.emit(Instr::Move { dst, src: t_new });
+        } else {
+            // Postfix must copy the old value before the store.
+            let t_old = self.alloc_temp()?;
+            self.low_into(t_old, read)?;
+            let t_new = self.alloc_temp()?;
+            self.emit(Instr::IncDecVal { dst: t_new, src: t_old, delta, span });
+            self.store(write, t_new)?;
+            self.emit(Instr::Move { dst, src: t_old });
+        }
+        Ok(())
+    }
+
+    /// `l = value` or `l op= value`: the walker evaluates the value, then
+    /// (for compound ops) the place `l` as an r-value (`read`), then stores
+    /// — re-evaluating the place's operands.
+    #[allow(clippy::too_many_arguments)]
+    fn assign_into(
+        &mut self,
+        dst: u16,
+        op: Option<BinOp>,
+        l: &'a Expr,
+        read: Option<Low<'a>>,
+        write: Place<'a>,
+        value: &'a Expr,
+        span: Span,
+    ) -> Result<(), Unlowerable> {
+        let hazard = self.store_writes(l) || (read.is_some() && self.writes_locals(l));
+        let (rv, _) = self.operand(value, hazard)?;
+        match (op, read) {
+            (Some(op), Some(read)) => {
+                let (lv, _) = self.operand_low(read, false)?;
+                let t = self.alloc_temp()?;
+                self.emit(Instr::Binary { op, dst: t, a: lv, b: rv, span });
+                self.store(write, t)?;
+                self.emit(Instr::Move { dst, src: t });
+            }
+            _ => {
+                self.store(write, rv)?;
+                if dst != rv {
+                    self.emit(Instr::Move { dst, src: rv });
+                }
             }
         }
         Ok(())
+    }
+
+    /// Arguments evaluated in order into a fresh contiguous block.
+    fn args_into(&mut self, args: &'a [Expr]) -> Result<(u16, u16), Unlowerable> {
+        let n = idx16(args.len())?;
+        let base = self.alloc_block(args.len())?;
+        for (reg, a) in (base..).zip(args) {
+            self.expr_into(reg, a)?;
+        }
+        Ok((base, n))
     }
 
     /// Compile a call: arguments first into a contiguous block, then the
-    /// receiver (legacy order), then the call instruction — possibly
-    /// guarded by an inline splice on the refine pass.
-    fn compile_call(
+    /// receiver (the walker's order), then the call instruction.
+    fn call(
         &mut self,
         dst: u16,
-        callee: &LCallee,
-        args: &[LExpr],
+        mn: &'a MethodName,
+        args: &'a [Expr],
         span: Span,
-    ) -> Result<(), Unsupported> {
-        let (site_idx, site) = self.call_site()?;
-        let n = idx16(args.len())?;
-        let base = self.alloc_block(args.len())?;
-        for (k, a) in args.iter().enumerate() {
-            self.expr_into(base + k as u16, a)?;
-        }
-        match callee {
-            LCallee::Recv(recv, name) => {
-                let (r, _) = self.operand(recv, false)?;
-                let generic =
-                    Instr::CallRecv { dst, recv: r, base, n, name: *name, site: site_idx, span };
-                if self.maybe_inline(dst, Some(r), base, args.len(), *name, &site, span, generic)? {
-                    return Ok(());
-                }
-                self.emit(generic);
-            }
-            LCallee::Super(name) => {
-                self.emit(Instr::CallSuper { dst, base, n, name: *name, site: site_idx, span });
-            }
-            LCallee::Implicit(name) => {
-                let generic =
-                    Instr::CallImplicit { dst, base, n, name: *name, site: site_idx, span };
-                if self.maybe_inline(dst, None, base, args.len(), *name, &site, span, generic)? {
-                    return Ok(());
-                }
-                self.emit(generic);
-            }
-        }
-        Ok(())
-    }
-
-    /// On the refine pass, try to splice a monomorphic leaf callee inline
-    /// behind a PIC-shape guard. Emits `GuardInline` + the remapped callee
-    /// body + the generic call as the guard's fallback. Returns false
-    /// (emitting nothing) when the site isn't eligible.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_inline(
-        &mut self,
-        dst: u16,
-        recv: Option<u16>,
-        base: u16,
-        n_args: usize,
-        name: Symbol,
-        site: &Rc<PolySite>,
-        span: Span,
-        generic: Instr,
-    ) -> Result<bool, Unsupported> {
-        let Some(snap) = self
-            .refine_epoch
-            .and_then(|epoch| site.mono_snapshot(epoch))
-        else {
-            return Ok(false);
+    ) -> Result<(), Unlowerable> {
+        let site = push_index(&mut self.bc.sites, PolySite::new())?;
+        let (base, n) = self.args_into(args)?;
+        let name = mn.name.sym;
+        let call = if mn.super_recv {
+            Instr::CallSuper { dst, base, n, name, site, span }
+        } else if let Some(recv) = &mn.receiver {
+            let (recv, _) = self.operand(recv, false)?;
+            Instr::CallRecv { dst, recv, base, n, name, site, span }
+        } else {
+            Instr::CallImplicit { dst, base, n, name, site, span }
         };
-        let callee = snap.lowered.bc.cold();
-        if !inline_ok(callee, n_args) {
-            return Ok(false);
-        }
-        let guard_idx = idx16(self.guards.len())?;
-        self.guards.push(InlineGuard {
-            epoch: snap.epoch,
-            ck: snap.ck,
-            keys: snap.keys.clone(),
-            recv,
-            base,
-            site: Rc::clone(site),
-            name,
-            class: snap.class,
-        });
-        let gpc = self.emit(Instr::GuardInline { guard: guard_idx, fallback: u32::MAX });
-        let m_idx = idx16(self.methods.len())?;
-        self.methods.push((Rc::clone(&snap.target), snap.class));
-        let ibase = self.alloc_block(callee.n_regs as usize)?;
-        // Inlined frames are permanent register space: a loop around the
-        // call site re-enters the splice, which must not collide with
-        // temporaries of later statements.
-        self.perm_base = self.perm_base.max(self.next_reg);
-        let nullr = self.null_reg()?;
-        self.emit(Instr::CallEnter { m: m_idx, span });
-        for i in 0..callee.n_params {
-            self.emit(Instr::Move { dst: ibase + i, src: base + i });
-        }
-        // Fresh-frame parity: callee non-param locals start at Null
-        // (definite assignment is not guaranteed before declaration).
-        for i in callee.n_params..callee.n_locals {
-            self.emit(Instr::Move { dst: ibase + i, src: nullr });
-        }
-        // Index rebases for the callee's side tables.
-        let fs_b = idx16(self.field_sites.len())?;
-        let sp_b = idx16(self.span_pairs.len())?;
-        let ty_b = idx16(self.tys.len())?;
-        for _ in 0..callee.field_sites.len() {
-            self.field_sites.push(FieldSite::new());
-        }
-        idx16(self.field_sites.len())?;
-        self.span_pairs.extend(callee.span_pairs.iter().copied());
-        idx16(self.span_pairs.len())?;
-        for t in &callee.tys {
-            self.tys.push(Rc::clone(t));
-        }
-        idx16(self.tys.len())?;
-        // Callee constants re-enter the caller's const pool (sentinel
-        // space): rebasing them by `ibase` would place preloaded registers
-        // inside temp space, where an earlier statement's temporaries can
-        // overwrite them before the splice runs.
-        let mut cmap: HashMap<u16, u16> = HashMap::new();
-        for &(r, ref v) in &callee.preloads {
-            cmap.insert(r, self.const_reg(v)?);
-        }
-        let rb = |r: u16| cmap.get(&r).copied().unwrap_or(r + ibase);
-        // pc map: Ret/RetNull expand to two instructions; newpos[len] is
-        // the exit label (jump-to-end targets land there).
-        let mut newpos = vec![0u32; callee.code.len() + 1];
-        let mut pos = self.pc();
-        for (i, ins) in callee.code.iter().enumerate() {
-            newpos[i] = pos;
-            pos += match ins {
-                Instr::Ret { .. } | Instr::RetNull => 2,
-                _ => 1,
-            };
-        }
-        newpos[callee.code.len()] = pos;
-        let lexit = pos;
-        for ins in &callee.code {
-            match *ins {
-                Instr::LoadThis { dst: d, span } => match recv {
-                    // The guard proved the receiver register holds an
-                    // object of the expected class, so the callee's
-                    // `this` is exactly that register — never absent.
-                    Some(r) => {
-                        self.emit(Instr::Move { dst: rb(d), src: r });
-                    }
-                    // An implicit call passes the caller's own `this`
-                    // (none in a static frame, with the same error).
-                    None => {
-                        self.emit(Instr::LoadThis { dst: rb(d), span });
-                    }
-                },
-                Instr::EnvLoad { dst: d, name, site, span } => {
-                    self.emit(Instr::EnvLoadAt {
-                        dst: rb(d),
-                        guard: guard_idx,
-                        name,
-                        site: site + fs_b,
-                        span,
-                    });
-                }
-                Instr::Move { dst: d, src } => {
-                    self.emit(Instr::Move { dst: rb(d), src: rb(src) });
-                }
-                Instr::Binary { op, dst: d, a, b, span } => {
-                    self.emit(Instr::Binary {
-                        op,
-                        dst: rb(d),
-                        a: rb(a),
-                        b: rb(b),
-                        span,
-                    });
-                }
-                Instr::Unary { op, dst: d, src, span } => {
-                    self.emit(Instr::Unary { op, dst: rb(d), src: rb(src), span });
-                }
-                Instr::IncDecVal { dst: d, src, delta, span } => {
-                    self.emit(Instr::IncDecVal {
-                        dst: rb(d),
-                        src: rb(src),
-                        delta,
-                        span,
-                    });
-                }
-                Instr::IncLocal { slot, delta, span } => {
-                    self.emit(Instr::IncLocal { slot: rb(slot), delta, span });
-                }
-                Instr::Jmp { target } => {
-                    self.emit(Instr::Jmp { target: newpos[target as usize] });
-                }
-                Instr::JmpIfFalse { src, target, span } => {
-                    self.emit(Instr::JmpIfFalse {
-                        src: rb(src),
-                        target: newpos[target as usize],
-                        span,
-                    });
-                }
-                Instr::JmpIfTrue { src, target, span } => {
-                    self.emit(Instr::JmpIfTrue {
-                        src: rb(src),
-                        target: newpos[target as usize],
-                        span,
-                    });
-                }
-                Instr::JmpIfCmp { op, a, b, when, target, span } => {
-                    self.emit(Instr::JmpIfCmp {
-                        op,
-                        a: rb(a),
-                        b: rb(b),
-                        when,
-                        target: newpos[target as usize],
-                        span,
-                    });
-                }
-                Instr::Step { span } => {
-                    self.emit(Instr::Step { span });
-                }
-                Instr::Ret { src } => {
-                    self.emit(Instr::Move { dst, src: rb(src) });
-                    self.emit(Instr::Jmp { target: lexit });
-                }
-                Instr::RetNull => {
-                    self.emit(Instr::Move { dst, src: nullr });
-                    self.emit(Instr::Jmp { target: lexit });
-                }
-                Instr::RaiseBreak => {
-                    self.emit(Instr::RaiseBreak);
-                }
-                Instr::RaiseContinue => {
-                    self.emit(Instr::RaiseContinue);
-                }
-                Instr::Throw { src } => {
-                    self.emit(Instr::Throw { src: rb(src) });
-                }
-                Instr::RaiseInvalidAssign { span } => {
-                    self.emit(Instr::RaiseInvalidAssign { span });
-                }
-                Instr::ToInt { reg, span } => {
-                    self.emit(Instr::ToInt { reg: rb(reg), span });
-                }
-                Instr::ArrGet { dst: d, arr, idx, spans } => {
-                    self.emit(Instr::ArrGet {
-                        dst: rb(d),
-                        arr: rb(arr),
-                        idx: rb(idx),
-                        spans: spans + sp_b,
-                    });
-                }
-                Instr::ArrSet { arr, idx, val, spans } => {
-                    self.emit(Instr::ArrSet {
-                        arr: rb(arr),
-                        idx: rb(idx),
-                        val: rb(val),
-                        spans: spans + sp_b,
-                    });
-                }
-                Instr::FieldGet { dst: d, obj, name, site, span } => {
-                    self.emit(Instr::FieldGet {
-                        dst: rb(d),
-                        obj: rb(obj),
-                        name,
-                        site: site + fs_b,
-                        span,
-                    });
-                }
-                Instr::FieldSet { obj, val, name, span } => {
-                    self.emit(Instr::FieldSet {
-                        obj: rb(obj),
-                        val: rb(val),
-                        name,
-                        span,
-                    });
-                }
-                Instr::DefaultVal { dst: d, dims } => {
-                    self.emit(Instr::DefaultVal { dst: rb(d), dims });
-                }
-                Instr::TyDecl { ty, span } => {
-                    self.emit(Instr::TyDecl { ty: ty + ty_b, span });
-                }
-                Instr::TyPop => {
-                    self.emit(Instr::TyPop);
-                }
-                _ => unreachable!("instruction rejected by inline_ok"),
-            }
-        }
-        debug_assert_eq!(self.pc(), lexit);
-        self.emit(Instr::CallExit);
-        let je = self.emit(Instr::Jmp { target: u32::MAX });
-        let fallback = self.pc();
-        self.patch(&[gpc], fallback);
-        self.emit(generic);
-        let done = self.pc();
-        self.patch(&[je], done);
-        for (pc, v) in &callee.pairs {
-            self.pairs
-                .entry(newpos[*pc as usize])
-                .or_default()
-                .extend(v.iter().copied());
-        }
-        for pc in &callee.super_pcs {
-            self.super_pcs.push(newpos[*pc as usize]);
-        }
-        for r in &callee.regions {
-            self.regions.push(Region {
-                start: newpos[r.start as usize],
-                end: newpos[r.end as usize],
-                brk: newpos[r.brk as usize],
-                cont: newpos[r.cont as usize],
-                ty_depth: r.ty_depth + self.ty_depth,
-                inline_depth: r.inline_depth + 1,
-            });
-        }
-        self.inlined.push((gpc, lexit, m_idx));
-        Ok(true)
+        self.emit(call);
+        Ok(())
     }
 }
 
-/// Compile a lowered body (`code` over `n_slots` frame slots, the first
-/// `n_params` of them arguments) to bytecode. `old_sites` seeds call-site
-/// reuse in emission order (the refine pass keeps the cold pass's warmed
-/// PIC lines); `refine_epoch` enables leaf-callee splicing at the sites
-/// whose lines were filled under that epoch.
-pub(crate) fn compile(
-    code: &[LStmt],
-    n_params: usize,
-    n_slots: usize,
-    old_sites: &[Rc<PolySite>],
-    refine_epoch: Option<u64>,
-) -> Result<BcBody, Unsupported> {
-    let n_slots = idx16(n_slots)?;
-    let n_params = idx16(n_params)?;
+/// Compiles a typed body (`block`, with `params` bound to the first
+/// frame slots) straight to its cold bytecode: the pre-pass
+/// ([`crate::lower::shape`]) sizes the frame and folds constants, then one
+/// emission pass resolves names to slots and emits.  Pure: depends only
+/// on the AST and `params`.
+pub(crate) fn compile(block: &Block, params: &[Symbol]) -> Result<BcBody, Unlowerable> {
+    let shape = crate::lower::shape(block, params.len())?;
+    let n_slots = idx16(shape.n_slots)?;
+    let n_params = idx16(params.len())?;
     let mut e = Emit {
-        code: Vec::new(),
-        n_slots,
+        shape: &shape,
+        bc: BcBody {
+            n_params,
+            n_locals: n_slots,
+            ..BcBody::default()
+        },
+        names: params.iter().copied().zip(0..).collect(),
+        scope_marks: Vec::new(),
+        next_slot: n_params,
+        slots_resolved: 0,
+        consts_folded: 0,
         next_reg: u32::from(n_slots),
-        perm_base: u32::from(n_slots),
         high_water: u32::from(n_slots),
-        preloads: Vec::new(),
-        c_true: None,
-        c_false: None,
-        c_null: None,
-        field_sites: Vec::new(),
-        sites: Vec::new(),
-        site_counter: 0,
-        old_sites,
-        tys: Vec::new(),
-        span_pairs: Vec::new(),
+        shared_consts: [None; 3],
         loops: Vec::new(),
-        regions: Vec::new(),
-        pairs: HashMap::new(),
-        super_pcs: Vec::new(),
         ty_depth: 0,
-        refine_epoch,
-        methods: Vec::new(),
-        guards: Vec::new(),
-        inlined: Vec::new(),
     };
-    for s in code {
+    for s in &block.stmts {
         e.stmt(s)?;
     }
     e.emit(Instr::RetNull);
+    debug_assert_eq!(e.next_slot, n_slots, "the pre-pass counts every declarator");
     // Final register layout: [locals | temps | consts].  Constants were
     // emitted in the sentinel space (`CONST_BASE + k`, see `alloc_const`);
     // now that the temp high-water mark is known, land them above it.
+    let mut bc = e.bc;
     let n_temps = idx16(e.high_water as usize)?;
-    let n_consts = idx16(e.preloads.len())?;
+    let n_consts = idx16(bc.preloads.len())?;
     if usize::from(n_temps) + usize::from(n_consts) > usize::from(CONST_BASE) {
-        return Err(Unsupported);
+        return Err(Unlowerable);
     }
     let remap = |r: u16| {
         if r >= CONST_BASE {
@@ -1757,34 +1519,267 @@ pub(crate) fn compile(
             r
         }
     };
-    let mut code = e.code;
-    for ins in &mut code {
+    for ins in &mut bc.code {
         map_regs(ins, remap);
     }
-    let preloads: Vec<(u16, Value)> =
-        e.preloads.into_iter().map(|(r, v)| (remap(r), v)).collect();
-    let mut guards = e.guards;
-    for g in &mut guards {
-        g.recv = g.recv.map(remap);
-        g.base = remap(g.base);
+    for (r, _) in &mut bc.preloads {
+        *r = remap(*r);
     }
-    Ok(BcBody {
-        n_params,
-        n_locals: n_slots,
-        n_regs: n_temps + n_consts,
-        code,
-        preloads,
-        field_sites: e.field_sites,
-        sites: e.sites,
-        tys: e.tys,
-        span_pairs: e.span_pairs,
-        methods: e.methods,
-        guards,
-        regions: e.regions,
-        pairs: e.pairs,
-        super_pcs: e.super_pcs,
-        inlined: e.inlined,
-    })
+    bc.n_regs = n_temps + n_consts;
+    telemetry::add(Counter::SlotsResolved, e.slots_resolved);
+    telemetry::add(Counter::ConstsFolded, e.consts_folded);
+    telemetry::count(Counter::BcCompiled);
+    telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
+    Ok(bc)
+}
+
+// ---- refine: splicing leaf callees -------------------------------------------
+
+/// Where a copied body's side tables start in the body it is copied into.
+#[derive(Clone, Copy, Default)]
+struct Bases {
+    field_sites: u16,
+    span_pairs: u16,
+    tys: u16,
+}
+
+/// `ins` for a copy: registers through `reg`, side-table indices past `b`.
+/// Jump targets are left for [`BcBody::remap`].
+fn relocate(mut ins: Instr, reg: impl Fn(u16) -> u16, b: Bases) -> Instr {
+    map_regs(&mut ins, reg);
+    match &mut ins {
+        Instr::EnvLoad { site, .. }
+        | Instr::EnvLoadAt { site, .. }
+        | Instr::FieldGet { site, .. } => *site += b.field_sites,
+        Instr::ArrGet { spans, .. } | Instr::ArrSet { spans, .. } => *spans += b.span_pairs,
+        Instr::NewClass { ty, .. }
+        | Instr::TyElem { ty, .. }
+        | Instr::TyDecl { ty, .. }
+        | Instr::CastV { ty, .. }
+        | Instr::InstOf { ty, .. } => *ty += b.tys,
+        _ => {}
+    }
+    ins
+}
+
+/// How `ins` moves the VM's type stack.  Every push and its pop bracket
+/// one statement or expression, so the running sum over the code is the
+/// static depth at each pc.
+fn ty_effect(ins: &Instr) -> i32 {
+    match ins {
+        Instr::NewClass { .. } | Instr::TyElem { .. } | Instr::TyDecl { .. } => 1,
+        Instr::NewFinish { .. } | Instr::NewArrayFinish { .. } | Instr::TyPop => -1,
+        _ => 0,
+    }
+}
+
+impl BcBody {
+    fn pc(&self) -> u32 {
+        self.code.len() as u32
+    }
+
+    fn push(&mut self, i: Instr) -> u32 {
+        let pc = self.pc();
+        self.code.push(i);
+        pc
+    }
+
+    /// `n` fresh registers above the current register file.
+    fn grow_regs(&mut self, n: u16) -> Result<u16, Unlowerable> {
+        let base = self.n_regs;
+        self.n_regs = idx16(usize::from(base) + usize::from(n))?;
+        Ok(base)
+    }
+
+    /// Appends fresh field sites and `src`'s span pairs and type slots;
+    /// returns where they start.
+    fn append_tables(&mut self, src: &BcBody) -> Result<Bases, Unlowerable> {
+        let b = Bases {
+            field_sites: self.field_sites.len() as u16,
+            span_pairs: self.span_pairs.len() as u16,
+            tys: self.tys.len() as u16,
+        };
+        self.field_sites
+            .extend(src.field_sites.iter().map(|_| FieldSite::new()));
+        self.span_pairs.extend_from_slice(&src.span_pairs);
+        self.tys.extend(src.tys.iter().cloned());
+        idx16(self.field_sites.len().max(self.span_pairs.len()).max(self.tys.len()))?;
+        Ok(b)
+    }
+
+    /// Moves what refers to `src`'s pcs — jump targets, regions, hot
+    /// pairs and superinstructions — to where its code was copied: pc `i`
+    /// of `src` landed at `pcs[i]`, and `pcs[src.code.len()]` is the end.
+    /// Copied regions sit `ty_depth` deeper in the type stack and
+    /// `inline_depth` deeper in spliced frames than in `src`.
+    fn remap(&mut self, src: &BcBody, pcs: &[u32], ty_depth: u16, inline_depth: u16) {
+        let at = |pc: u32| pcs[pc as usize];
+        for &pc in &pcs[..src.code.len()] {
+            if let Instr::Jmp { target }
+            | Instr::JmpIfFalse { target, .. }
+            | Instr::JmpIfTrue { target, .. }
+            | Instr::JmpIfCmp { target, .. } = &mut self.code[pc as usize]
+            {
+                *target = at(*target);
+            }
+        }
+        self.regions.extend(src.regions.iter().map(|r| Region {
+            start: at(r.start),
+            end: at(r.end),
+            brk: at(r.brk),
+            cont: at(r.cont),
+            ty_depth: r.ty_depth + ty_depth,
+            inline_depth: r.inline_depth + inline_depth,
+        }));
+        for (&pc, pairs) in &src.pairs {
+            self.pairs.entry(at(pc)).or_default().extend_from_slice(pairs);
+        }
+        self.super_pcs.extend(src.super_pcs.iter().map(|&pc| at(pc)));
+    }
+
+    /// Splices `callee`, the cold bytecode behind `call`'s monomorphic PIC
+    /// `entry` (see [`PolySite::mono_snapshot`]), in place of `call` at
+    /// static type-stack depth `ty_depth`: `GuardInline`, the callee
+    /// frame's entry, the callee's code over registers of its own, the
+    /// exit, and the generic call as the guard's fallback.  `null` is the
+    /// null register, made by the first splice.
+    fn splice(
+        &mut self,
+        call: Instr,
+        (entry, callee): (PicEntry, Rc<BcBody>),
+        epoch: u64,
+        ty_depth: u16,
+        null: &mut Option<u16>,
+    ) -> Result<(), Unlowerable> {
+        let (Instr::CallRecv { dst, base, name, site, span, .. }
+        | Instr::CallImplicit { dst, base, name, site, span, .. }) = call
+        else {
+            unreachable!("only receiver and implicit calls splice")
+        };
+        let recv = match call {
+            Instr::CallRecv { recv, .. } => Some(recv),
+            _ => None,
+        };
+        let guard = idx16(self.guards.len())?;
+        self.guards.push(InlineGuard {
+            epoch,
+            ck: entry.ck,
+            keys: entry.keys,
+            recv,
+            base,
+            site: Rc::clone(&self.sites[site as usize]),
+            name,
+            class: entry.class,
+        });
+        let m = idx16(self.methods.len())?;
+        self.methods.push((entry.target, entry.class));
+        let nullr = match *null {
+            Some(r) => r,
+            None => *null.insert(self.grow_regs(1)?),
+        };
+        // The callee frame, constants included, sits above every register
+        // the caller or an earlier splice uses, so none of them can clobber
+        // its preloaded constants before the splice runs.
+        let ibase = self.grow_regs(callee.n_regs)?;
+        let rb = |r: u16| r + ibase;
+        let consts = callee.preloads.iter().map(|(r, v)| (rb(*r), v.clone()));
+        self.preloads.extend(consts);
+        let b = self.append_tables(&callee)?;
+        let gpc = self.push(Instr::GuardInline { guard, fallback: u32::MAX });
+        self.push(Instr::CallEnter { m, span });
+        // Fresh-frame parity: callee non-param locals start at Null
+        // (definite assignment is not guaranteed before declaration).
+        for i in 0..callee.n_locals {
+            let src = if i < callee.n_params { base + i } else { nullr };
+            self.push(Instr::Move { dst: rb(i), src });
+        }
+        let mut pcs = Vec::with_capacity(callee.code.len() + 1);
+        let mut exits = Vec::new();
+        for &ins in &callee.code {
+            pcs.push(self.pc());
+            let copy = match ins {
+                // The guard proved the receiver register holds an object of
+                // the expected class, so the callee's `this` is exactly
+                // that register; an implicit call passes the caller's own
+                // `this` (none in a static frame, with the same error).
+                Instr::LoadThis { dst: d, span } => match recv {
+                    Some(r) => Instr::Move { dst: rb(d), src: r },
+                    None => Instr::LoadThis { dst: rb(d), span },
+                },
+                Instr::EnvLoad { dst: d, name, site, span } => {
+                    let site = site + b.field_sites;
+                    Instr::EnvLoadAt { dst: rb(d), guard, name, site, span }
+                }
+                Instr::Ret { src } => Instr::Move { dst, src: rb(src) },
+                Instr::RetNull => Instr::Move { dst, src: nullr },
+                other => relocate(other, rb, b),
+            };
+            self.push(copy);
+            if matches!(ins, Instr::Ret { .. } | Instr::RetNull) {
+                exits.push(self.push(Instr::Jmp { target: u32::MAX }));
+            }
+        }
+        let lexit = self.pc();
+        pcs.push(lexit);
+        patch(&mut self.code, &exits, lexit);
+        self.remap(&callee, &pcs, ty_depth, 1);
+        self.push(Instr::CallExit);
+        let done = self.push(Instr::Jmp { target: u32::MAX });
+        let fallback = self.push(call);
+        patch(&mut self.code, &[gpc], fallback);
+        patch(&mut self.code, &[done], fallback + 1);
+        self.inlined.push((gpc, lexit, m));
+        Ok(())
+    }
+}
+
+/// The refine pass: a copy of `cold` in which every `CallRecv` or
+/// `CallImplicit` whose PIC line was filled monomorphically under `epoch`,
+/// with a callee that passes [`inline_ok`], runs the callee's cold code in
+/// place behind a `GuardInline` (see [`BcBody::splice`]).  Caller and
+/// callee code are copied by the same [`relocate`]; the caller keeps its
+/// registers and side-table indices, and one pc map moves its jump
+/// targets, regions, hot pairs and superinstructions past the splices.
+/// The copy shares the cold body's call sites, so warmed cache lines carry
+/// over.
+pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<BcBody, Unlowerable> {
+    let mut bc = BcBody {
+        n_params: cold.n_params,
+        n_locals: cold.n_locals,
+        n_regs: cold.n_regs,
+        preloads: cold.preloads.clone(),
+        sites: cold.sites.clone(),
+        ..BcBody::default()
+    };
+    let b = bc.append_tables(cold)?;
+    let mut pcs = Vec::with_capacity(cold.code.len() + 1);
+    let mut null = None;
+    let mut ty_depth = 0;
+    for &ins in &cold.code {
+        pcs.push(bc.pc());
+        let snap = match ins {
+            Instr::CallRecv { site, n, .. } | Instr::CallImplicit { site, n, .. } => cold.sites
+                [site as usize]
+                .mono_snapshot(epoch)
+                .filter(|(_, callee)| inline_ok(callee, usize::from(n))),
+            _ => None,
+        };
+        match snap {
+            Some(snap) => bc.splice(ins, snap, epoch, ty_depth as u16, &mut null)?,
+            None => {
+                bc.push(relocate(ins, |r| r, b));
+            }
+        }
+        ty_depth += ty_effect(&ins);
+    }
+    pcs.push(bc.pc());
+    bc.remap(cold, &pcs, 0, 0);
+    if let Some(r) = null {
+        bc.preloads.push((r, Value::Null));
+    }
+    telemetry::count(Counter::BcCompiled);
+    telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
+    Ok(bc)
 }
 
 // ---- disassembler ------------------------------------------------------------

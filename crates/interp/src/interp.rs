@@ -2,16 +2,17 @@
 //!
 //! A body runs on one of two tiers.  The *reference* tree-walker in this
 //! file executes typed AST directly (and re-clones each lazy body per
-//! call); it defines the semantics.  The *fast* tier lowers a body once
-//! (`lower.rs`), compiles it to register bytecode (`bytecode.rs`), and runs
-//! it on the VM (`vm.rs`).  Unlowerable bodies — `try`, unforced lazy
-//! nodes, templates — stay on the walker.  Both tiers must be
-//! observationally identical — same output bytes, same error text, same
-//! spans, same step counts; `MAYA_NO_LOWER=1` (or [`Interp::set_lowering`])
-//! pins the walker for differential testing.
+//! call); it defines the semantics.  The *fast* tier compiles a body once,
+//! straight from its typed AST, to register bytecode (`lower.rs` sizes the
+//! frame and folds constants, `bytecode.rs` emits), and runs it on the VM
+//! (`vm.rs`).  Unlowerable bodies — `try`, unforced lazy nodes, templates
+//! — stay on the walker.  Both tiers must be observationally identical —
+//! same output bytes, same error text, same spans, same step counts;
+//! `MAYA_NO_LOWER=1` (or [`Interp::set_lowering`]) pins the walker for
+//! differential testing.
 
 use crate::layout::RuntimeCaches;
-use crate::lower::{self, class_key, LowerStore, LoweredBody, TypeSlot};
+use crate::lower::{class_key, LowerStore, LoweredBody, TypeSlot};
 use crate::{NativeFn, Obj, RuntimeError, Value};
 use maya_ast::{
     BinOp, Expr, ExprKind, ForInit, IncDecOp, LazyNode, Lit, MethodName, Node, Stmt, StmtKind,
@@ -631,12 +632,14 @@ impl Interp {
         };
         // Unfingerprintable bodies (unforced lazy statements, templates,
         // poison nodes) are unlowerable too.
-        let fp = lower::body_fingerprint(&block)?;
+        let fp = maya_ast::fingerprint_block(&block)?;
         let store = self.lower_store.borrow().clone();
         if let Some(hit) = store.get(fp, params) {
             return hit;
         }
-        let result = lower::lower_body(&block, params).ok().map(Rc::new);
+        let result = crate::bytecode::compile(&block, params)
+            .ok()
+            .map(|bc| Rc::new(LoweredBody::new(bc)));
         store.insert(fp, params, result.clone());
         result
     }

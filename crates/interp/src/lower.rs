@@ -1,202 +1,126 @@
-//! Runtime lowering: typed bodies → slot-resolved, pre-folded code, then
-//! bytecode.
+//! Runtime lowering: typed bodies → register bytecode, shared per session.
 //!
 //! After type checking (and lazy forcing), a method or constructor body is
-//! lowered once into a [`LoweredBody`]:
+//! compiled once, straight from its typed AST, into a [`LoweredBody`]: cold
+//! bytecode (`bytecode.rs`) that the VM (`vm.rs`) runs. Compilation makes
+//! two passes over the AST:
 //!
-//! * **Slot resolution** — every local/parameter reference becomes a fixed
-//!   frame-slot index; only names that are *not* statically bound (implicit
-//!   `this` fields, statics, class names) stay symbolic ([`LExprKind::EnvName`]).
-//! * **Constant folding** — literal arithmetic, constant string
-//!   concatenation, constant conditionals, `null instanceof T`, and numeric
-//!   primitive casts are folded bottom-up.  Only *infallible* operations
-//!   fold (integer `/`/`%` can throw, so they never fold), and statements
-//!   are never folded away, keeping step counting identical to the
-//!   tree-walker.
-//! * **Bytecode** — the lowered IR is the input of the bytecode compiler
-//!   (`bytecode.rs`), which runs right away: every lowered body carries its
-//!   cold bytecode, and the VM (`vm.rs`) is the only executor of lowered
-//!   code.  Type references keep a private cache ([`TypeSlot`]) filled at
-//!   run time and guarded by the interpreter's cache *epoch* (see
-//!   `layout.rs`), so a lowered body contains no environment-dependent data
-//!   and can be shared between compilers in a session.
+//! * **The pre-pass** ([`shape`], here) sizes the frame — parameters plus
+//!   one slot per local declarator, so temporaries start above every slot
+//!   — and folds constants bottom-up, once per body: literal arithmetic,
+//!   constant string concatenation, constant conditionals, `null
+//!   instanceof T`, and numeric primitive casts. Only *infallible*
+//!   operations fold (integer `/`/`%` can throw, so they never fold), and
+//!   statements are never folded away, keeping step counting identical to
+//!   the tree-walker. It also gives the verdict: bodies containing `try`,
+//!   unforced lazy nodes, templates, or poison nodes are [`Unlowerable`]
+//!   and execute on the reference tree walker in `interp.rs`.
+//! * **The emitter** (`bytecode.rs`) resolves every local and parameter
+//!   reference to its frame slot through a scope stack — names that are
+//!   *not* statically bound (implicit `this` fields, statics, class names)
+//!   stay symbolic — and emits instructions, reading the pre-pass's fold
+//!   table instead of the subtrees that folded.
 //!
-//! Lowering is a pure function of the body's AST and its parameter names.
-//! Bodies containing `try`, unforced lazy nodes, templates, or poison
-//! nodes — and bodies the bytecode compiler declines — are *unlowerable*
-//! and execute on the reference tree walker in `interp.rs`; the
-//! [`LowerStore`] memoizes both outcomes per structural fingerprint so warm
-//! `mayad` runs skip the analysis entirely. The memo is in-memory only:
-//! the persistent store (`--cache-dir`) keeps LALR tables and whole-request
-//! outcomes, never bodies, so a fresh process lowers every body it runs.
+//! Type references keep a private cache ([`TypeSlot`]) filled at run time
+//! and guarded by the interpreter's cache *epoch* (see `layout.rs`), so a
+//! lowered body contains no environment-dependent data and can be shared
+//! between compilers in a session. The [`LowerStore`] memoizes both
+//! outcomes per structural fingerprint so warm `mayad` runs skip the work
+//! entirely. The memo is in-memory only: the persistent store
+//! (`--cache-dir`) keeps LALR tables and whole-request outcomes, never
+//! bodies, so a fresh process lowers every body it runs.
 //!
 //! Evaluation order, error messages, error spans, and observable side
 //! effects are mirrored from `interp.rs` exactly — the conformance corpus
 //! must be byte-identical with lowering on and off.
 
+use crate::bytecode::{BcBody, REFINE_EXECS};
 use crate::Value;
 use maya_ast::{
-    fingerprint_block, BinOp, Block, Expr, ExprKind, ForInit, IncDecOp, Lit, MethodName, PrimKind,
-    Stmt, StmtKind, TypeName, TypeNameKind, UnOp,
+    BinOp, Block, Expr, ExprKind, ForInit, Lit, LocalDeclarator, PrimKind, Stmt, StmtKind,
+    TypeName, TypeNameKind, UnOp,
 };
-use maya_lexer::{Span, Symbol};
+use maya_lexer::Symbol;
 use maya_telemetry as telemetry;
 use maya_telemetry::GenMemo;
 use maya_types::Type;
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
-// ---- lowered IR --------------------------------------------------------------
+// ---- the lowered body --------------------------------------------------------
 
-/// A lowered body and its bytecode.
+/// A lowered body: its cold bytecode, plus the refined copy that splices
+/// leaf callees inline, made after [`REFINE_EXECS`] runs (see
+/// `bytecode::refine`).
+///
+/// Splice guards compare the PIC epoch they were built under, and every
+/// interpreter allocates fresh epochs, so a refined body that a session's
+/// `LowerStore` shares with a later request's compiler could never pass
+/// one of its guards again. Runs are therefore counted per epoch: the
+/// first run under a new epoch drops a refined body that holds splices,
+/// the body runs cold, and it is refined again after `REFINE_EXECS` runs
+/// under the new epoch.
 pub struct LoweredBody {
-    /// Number of leading slots filled from call arguments.
-    pub n_params: usize,
-    /// Total frame-slot count (params + every local ever declared).
-    pub n_slots: usize,
-    /// Top-level statements (the body block's statements): the input of
-    /// the bytecode compiler's refine pass.
-    pub code: Vec<LStmt>,
-    /// The body's bytecode. Lives on the lowered body so it rides the
-    /// [`LowerStore`] memo keying and is shared between compilers in a
-    /// session.
-    pub(crate) bc: crate::bytecode::BcState,
+    /// Never changes.
+    cold: Rc<BcBody>,
+    refined: RefCell<Option<Rc<BcBody>>>,
+    /// The epoch `execs` counts runs under.
+    epoch: Cell<u64>,
+    /// Runs under `epoch` so far; saturates at `REFINE_EXECS + 1`.
+    execs: Cell<u32>,
 }
 
-/// A lowered statement.
-pub struct LStmt {
-    pub span: Span,
-    pub kind: LStmtKind,
-}
+impl LoweredBody {
+    pub(crate) fn new(bc: BcBody) -> LoweredBody {
+        LoweredBody {
+            cold: Rc::new(bc),
+            refined: RefCell::new(None),
+            epoch: Cell::new(u64::MAX),
+            execs: Cell::new(0),
+        }
+    }
 
-/// One declarator of a lowered local declaration.
-pub struct LDecl {
-    pub slot: u32,
-    /// Trailing `[]` pairs on the declarator.
-    pub dims: u32,
-    pub init: Option<LExpr>,
-}
+    /// The cold compile: what the refine pass and the splicer copy.
+    pub(crate) fn cold(&self) -> &Rc<BcBody> {
+        &self.cold
+    }
 
-/// The shape of a lowered statement.  Scoping is resolved at lowering time,
-/// so blocks are plain statement lists.
-pub enum LStmtKind {
-    Block(Vec<LStmt>),
-    Expr(LExpr),
-    Decl {
-        ty: Rc<TypeSlot>,
-        decls: Vec<LDecl>,
-    },
-    If(LExpr, Box<LStmt>, Option<Box<LStmt>>),
-    While(LExpr, Box<LStmt>),
-    Do(Box<LStmt>, LExpr),
-    For {
-        /// A synthesized `Decl` statement (legacy executes the init decl as
-        /// a statement with a dummy span, charging one step).
-        init_decl: Option<Box<LStmt>>,
-        init_exprs: Vec<LExpr>,
-        cond: Option<LExpr>,
-        update: Vec<LExpr>,
-        body: Box<LStmt>,
-    },
-    Return(Option<LExpr>),
-    Break,
-    Continue,
-    Throw(LExpr),
-    Empty,
-}
+    /// The bytecode a run uses now: the refined copy once there is one.
+    pub(crate) fn current(&self) -> Rc<BcBody> {
+        match &*self.refined.borrow() {
+            Some(bc) => Rc::clone(bc),
+            None => Rc::clone(&self.cold),
+        }
+    }
 
-/// A lowered expression.
-pub struct LExpr {
-    pub span: Span,
-    pub kind: LExprKind,
-}
+    /// Counts one run under `epoch`; true exactly on the first run after
+    /// `REFINE_EXECS` runs under it, so the refine pass fires once per
+    /// epoch that outdates a refined body's splices.
+    pub(crate) fn note_exec(&self, epoch: u64) -> bool {
+        if self.epoch.get() != epoch {
+            self.epoch.set(epoch);
+            let stale = self
+                .refined
+                .borrow()
+                .as_ref()
+                .is_some_and(|bc| !bc.guards.is_empty());
+            if stale {
+                self.refined.replace(None);
+                self.execs.set(0);
+            }
+        }
+        let n = self.execs.get();
+        if n > REFINE_EXECS {
+            return false;
+        }
+        self.execs.set(n + 1);
+        n == REFINE_EXECS
+    }
 
-/// The shape of a lowered expression.
-pub enum LExprKind {
-    /// A literal or folded constant.
-    Const(Value),
-    /// A statically resolved local/parameter slot.
-    Local(u32),
-    /// A name with no static binding: implicit-`this` field, static field,
-    /// or class reference — resolved by the legacy environment walk.
-    EnvName(Symbol),
-    This,
-    FieldGet {
-        target: Box<LExpr>,
-        name: Symbol,
-    },
-    ArrayGet(Box<LExpr>, Box<LExpr>),
-    New {
-        ty: Rc<TypeSlot>,
-        args: Vec<LExpr>,
-    },
-    NewArray {
-        elem: Rc<TypeSlot>,
-        extra_dims: u32,
-        dims: Vec<LExpr>,
-    },
-    Binary(BinOp, Box<LExpr>, Box<LExpr>),
-    Unary(UnOp, Box<LExpr>),
-    IncDec {
-        op: IncDecOp,
-        prefix: bool,
-        /// The place read as an r-value (legacy evaluates it once…)
-        read: Box<LExpr>,
-        /// …then re-evaluates its sub-expressions when storing.
-        write: LTarget,
-    },
-    Assign {
-        /// For compound assignment: the operator and the place read as an
-        /// r-value (legacy evaluates the place twice; both copies are
-        /// lowered separately).
-        compound: Option<(BinOp, Box<LExpr>)>,
-        write: LTarget,
-        value: Box<LExpr>,
-    },
-    Cond(Box<LExpr>, Box<LExpr>, Box<LExpr>),
-    Cast {
-        ty: Rc<TypeSlot>,
-        x: Box<LExpr>,
-    },
-    Instanceof {
-        x: Box<LExpr>,
-        ty: Rc<TypeSlot>,
-    },
-    Call {
-        callee: LCallee,
-        args: Vec<LExpr>,
-    },
-    /// `ExprKind::ClassRef` — a strict class reference by fully qualified
-    /// name.
-    ClassRefName(Symbol),
-}
-
-/// What is left of `(` in a lowered call.
-pub enum LCallee {
-    /// `recv.name(...)`.
-    Recv(Box<LExpr>, Symbol),
-    /// `super.name(...)`.
-    Super(Symbol),
-    /// `name(...)` — implicit `this` or static context.
-    Implicit(Symbol),
-}
-
-/// A lowered assignment target.
-pub enum LTarget {
-    Local(u32),
-    EnvName(Symbol, Span),
-    Field {
-        target: Box<LExpr>,
-        name: Symbol,
-        span: Span,
-    },
-    Array {
-        arr: Box<LExpr>,
-        idx: Box<LExpr>,
-        span: Span,
-    },
-    /// Legacy reports "invalid assignment target" at run time.
-    Invalid(Span),
+    pub(crate) fn set_refined(&self, bc: Rc<BcBody>) {
+        self.refined.replace(Some(bc));
+    }
 }
 
 // ---- type-reference caches ---------------------------------------------------
@@ -297,384 +221,224 @@ impl LowerStore {
     }
 }
 
-/// Fingerprints a body block for the shared store (None: no stable shape).
-pub fn body_fingerprint(block: &Block) -> Option<u128> {
-    fingerprint_block(block)
-}
+// ---- the pre-pass ------------------------------------------------------------
 
-// ---- the lowerer -------------------------------------------------------------
-
-/// The body contains syntax the lowerer or the bytecode compiler cannot
-/// handle (`try`, lazy nodes, templates, poison nodes, register
-/// exhaustion); it will run on the reference tree-walker.
+/// The body contains syntax the bytecode cannot express (`try`, lazy
+/// nodes, templates, poison nodes) or exhausts its registers; it will run
+/// on the reference tree-walker.
 pub(crate) struct Unlowerable;
 
-type Lower<T> = Result<T, Unlowerable>;
-
-/// Lowers a body block and compiles its cold bytecode.  Pure: depends only
-/// on the AST and `params`.
-pub(crate) fn lower_body(block: &Block, params: &[Symbol]) -> Result<LoweredBody, Unlowerable> {
-    let mut lw = Lowerer::new(params);
-    let code = lw.stmts(&block.stmts)?;
-    maya_telemetry::add(maya_telemetry::Counter::SlotsResolved, lw.slots_resolved);
-    maya_telemetry::add(maya_telemetry::Counter::ConstsFolded, lw.consts_folded);
-    let n_slots = lw.next_slot as usize;
-    let bc = crate::bytecode::compile(&code, params.len(), n_slots, &[], None)
-        .map_err(|_| Unlowerable)?;
-    maya_telemetry::count(maya_telemetry::Counter::BcCompiled);
-    maya_telemetry::add(
-        maya_telemetry::Counter::BcSuperinsts,
-        bc.super_pcs.len() as u64,
-    );
-    Ok(LoweredBody {
-        n_params: params.len(),
-        n_slots,
-        code,
-        bc: crate::bytecode::BcState::new(bc),
-    })
+/// What constant folding made of one expression.
+pub(crate) enum Fold {
+    /// It lowers to this constant.
+    Const(Value),
+    /// A `?:` whose condition is constant lowers to the branch that the
+    /// condition picks: the first when true.
+    Pick(bool),
 }
 
-struct Lowerer {
-    /// Lexical scopes of (name → slot); innermost last.  Parameters live in
-    /// the outermost scope, like the legacy frame's single starting scope.
-    scopes: Vec<Vec<(Symbol, u32)>>,
-    /// Monotonic; slots are never reused, so a frame is one flat `Vec`.
-    next_slot: u32,
-    slots_resolved: u64,
-    consts_folded: u64,
+/// What the emitter needs to know about a body before it emits it.
+pub(crate) struct Shape {
+    /// Frame slots: the parameters, then one per local declarator.
+    pub n_slots: usize,
+    /// Every expression that folds, by address in the AST being compiled.
+    folds: HashMap<*const Expr, Fold>,
 }
 
-impl Lowerer {
-    fn new(params: &[Symbol]) -> Lowerer {
-        let mut lw = Lowerer {
-            scopes: vec![Vec::new()],
-            next_slot: 0,
-            slots_resolved: 0,
-            consts_folded: 0,
-        };
-        for p in params {
-            let slot = lw.next_slot;
-            lw.next_slot += 1;
-            lw.scopes[0].push((*p, slot));
-        }
-        lw
+/// The pre-pass: sizes `block`'s frame and folds its constants bottom-up,
+/// or rejects the body as unlowerable. Pure: depends only on the AST.
+pub(crate) fn shape(block: &Block, n_params: usize) -> Result<Shape, Unlowerable> {
+    let mut shape = Shape {
+        n_slots: n_params,
+        folds: HashMap::new(),
+    };
+    for s in &block.stmts {
+        shape.stmt(s)?;
+    }
+    Ok(shape)
+}
+
+impl Shape {
+    /// What `e` folded to, if anything.
+    pub(crate) fn fold(&self, e: &Expr) -> Option<&Fold> {
+        self.folds.get(&(e as *const Expr))
     }
 
-    fn push(&mut self) {
-        self.scopes.push(Vec::new());
-    }
-
-    fn pop(&mut self) {
-        self.scopes.pop();
-    }
-
-    /// Declares a fresh slot for `name` in the innermost scope.  A
-    /// redeclaration in the same scope gets a new slot; later references
-    /// resolve to it, which observes identically to the legacy HashMap
-    /// overwrite.
-    fn declare(&mut self, name: Symbol) -> u32 {
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        self.scopes
-            .last_mut()
-            .expect("lowerer has a scope")
-            .push((name, slot));
-        slot
-    }
-
-    fn resolve(&mut self, name: Symbol) -> Option<u32> {
-        for scope in self.scopes.iter().rev() {
-            if let Some((_, slot)) = scope.iter().rev().find(|(n, _)| *n == name) {
-                self.slots_resolved += 1;
-                return Some(*slot);
+    fn stmt(&mut self, s: &Stmt) -> Result<(), Unlowerable> {
+        match &s.kind {
+            StmtKind::Block(b) | StmtKind::Use(_, b) => {
+                for s in &b.stmts {
+                    self.stmt(s)?;
+                }
             }
-        }
-        None
-    }
-
-    fn stmts(&mut self, stmts: &[Stmt]) -> Lower<Vec<LStmt>> {
-        stmts.iter().map(|s| self.stmt(s)).collect()
-    }
-
-    /// Lowers a block with its own scope.
-    fn block(&mut self, stmts: &[Stmt]) -> Lower<Vec<LStmt>> {
-        self.push();
-        let r = self.stmts(stmts);
-        self.pop();
-        r
-    }
-
-    fn stmt(&mut self, s: &Stmt) -> Lower<LStmt> {
-        let kind = match &s.kind {
-            StmtKind::Block(b) => LStmtKind::Block(self.block(&b.stmts)?),
-            StmtKind::Expr(e) => LStmtKind::Expr(self.expr(e)?),
-            StmtKind::Decl(tn, decls) => self.decl(tn, decls)?,
-            StmtKind::If(c, t, f) => LStmtKind::If(
-                self.expr(c)?,
-                Box::new(self.stmt(t)?),
-                match f {
-                    Some(f) => Some(Box::new(self.stmt(f)?)),
-                    None => None,
-                },
-            ),
-            StmtKind::While(c, body) => {
-                LStmtKind::While(self.expr(c)?, Box::new(self.stmt(body)?))
+            StmtKind::Expr(e) | StmtKind::Throw(e) | StmtKind::Return(Some(e)) => {
+                self.expr(e)?;
             }
-            StmtKind::Do(body, c) => LStmtKind::Do(Box::new(self.stmt(body)?), self.expr(c)?),
+            StmtKind::Decl(_, decls) => self.decls(decls)?,
+            StmtKind::If(c, t, f) => {
+                self.expr(c)?;
+                self.stmt(t)?;
+                if let Some(f) = f {
+                    self.stmt(f)?;
+                }
+            }
+            StmtKind::While(c, body) | StmtKind::Do(body, c) => {
+                self.expr(c)?;
+                self.stmt(body)?;
+            }
             StmtKind::For {
                 init,
                 cond,
                 update,
                 body,
             } => {
-                self.push();
-                let r = (|| {
-                    let (init_decl, init_exprs) = match init {
-                        ForInit::None => (None, Vec::new()),
-                        ForInit::Decl(tn, decls) => {
-                            // Legacy synthesizes a dummy-span Decl statement
-                            // and executes it (one step charged).
-                            let kind = self.decl(tn, decls)?;
-                            (
-                                Some(Box::new(LStmt {
-                                    span: Span::DUMMY,
-                                    kind,
-                                })),
-                                Vec::new(),
-                            )
-                        }
-                        ForInit::Exprs(es) => {
-                            (None, es.iter().map(|e| self.expr(e)).collect::<Lower<_>>()?)
-                        }
-                    };
-                    let cond = match cond {
-                        Some(c) => Some(self.expr(c)?),
-                        None => None,
-                    };
-                    let update = update.iter().map(|u| self.expr(u)).collect::<Lower<_>>()?;
-                    let body = Box::new(self.stmt(body)?);
-                    Ok(LStmtKind::For {
-                        init_decl,
-                        init_exprs,
-                        cond,
-                        update,
-                        body,
-                    })
-                })();
-                self.pop();
-                r?
+                let init = match init {
+                    ForInit::None => &[],
+                    ForInit::Decl(_, decls) => {
+                        self.decls(decls)?;
+                        &[]
+                    }
+                    ForInit::Exprs(es) => &es[..],
+                };
+                for e in init.iter().chain(cond).chain(update) {
+                    self.expr(e)?;
+                }
+                self.stmt(body)?;
             }
-            StmtKind::Return(e) => LStmtKind::Return(match e {
-                Some(e) => Some(self.expr(e)?),
-                None => None,
-            }),
-            StmtKind::Break => LStmtKind::Break,
-            StmtKind::Continue => LStmtKind::Continue,
-            StmtKind::Throw(e) => LStmtKind::Throw(self.expr(e)?),
-            // Imports are compile-time; at runtime `use` is just a scope.
-            StmtKind::Use(_, body) => LStmtKind::Block(self.block(&body.stmts)?),
-            StmtKind::Empty => LStmtKind::Empty,
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Empty => {}
             // `try` runs on the reference walker: the bytecode has no
             // exception handlers.
             StmtKind::Try { .. } | StmtKind::Lazy(_) | StmtKind::Error => return Err(Unlowerable),
-        };
-        Ok(LStmt { span: s.span, kind })
-    }
-
-    fn decl(&mut self, tn: &TypeName, decls: &[maya_ast::LocalDeclarator]) -> Lower<LStmtKind> {
-        let ty = TypeSlot::new(tn.clone());
-        let mut out = Vec::with_capacity(decls.len());
-        for d in decls {
-            // The initializer is lowered *before* the name is bound, so
-            // `int x = x;` resolves the right-hand `x` to the outer
-            // binding (or the environment), exactly like the legacy
-            // eval-then-declare order.
-            let init = match &d.init {
-                Some(e) => Some(self.expr(e)?),
-                None => None,
-            };
-            let slot = self.declare(d.name.sym);
-            out.push(LDecl {
-                slot,
-                dims: d.dims,
-                init,
-            });
         }
-        Ok(LStmtKind::Decl { ty, decls: out })
+        Ok(())
     }
 
-    fn expr(&mut self, e: &Expr) -> Lower<LExpr> {
-        let kind = match &e.kind {
-            ExprKind::Literal(l) => LExprKind::Const(lit_value(l)),
-            ExprKind::Name(id) => self.name(id.sym),
-            ExprKind::VarRef(name) => self.name(*name),
-            ExprKind::ClassRef(fqcn) => LExprKind::ClassRefName(*fqcn),
-            ExprKind::FieldAccess(target, name) => LExprKind::FieldGet {
-                target: Box::new(self.expr(target)?),
-                name: name.sym,
-            },
-            ExprKind::Call(mn, args) => self.call(mn, args)?,
-            ExprKind::ArrayAccess(a, i) => {
-                LExprKind::ArrayGet(Box::new(self.expr(a)?), Box::new(self.expr(i)?))
+    fn decls(&mut self, decls: &[LocalDeclarator]) -> Result<(), Unlowerable> {
+        for d in decls {
+            if let Some(e) = &d.init {
+                self.expr(e)?;
             }
-            ExprKind::New(tn, args) => LExprKind::New {
-                ty: TypeSlot::new(tn.clone()),
-                args: args.iter().map(|a| self.expr(a)).collect::<Lower<_>>()?,
-            },
-            ExprKind::NewArray {
-                elem,
-                dims,
-                extra_dims,
-            } => LExprKind::NewArray {
-                elem: TypeSlot::new(elem.clone()),
-                extra_dims: *extra_dims,
-                dims: dims.iter().map(|d| self.expr(d)).collect::<Lower<_>>()?,
-            },
+            self.n_slots += 1;
+        }
+        Ok(())
+    }
+
+    /// Folds `e` bottom-up: the constant it lowers to, if any.
+    fn expr(&mut self, e: &Expr) -> Result<Option<Value>, Unlowerable> {
+        let folded = match &e.kind {
+            ExprKind::Literal(l) => return Ok(Some(lit_value(l))),
             ExprKind::Binary(op, l, r) => {
                 let l = self.expr(l)?;
                 let r = self.expr(r)?;
-                match fold_binary(*op, &l, &r) {
-                    Some(v) => {
-                        self.consts_folded += 1;
-                        LExprKind::Const(v)
-                    }
-                    None => LExprKind::Binary(*op, Box::new(l), Box::new(r)),
-                }
+                fold_binary(*op, l.as_ref(), r.as_ref())
             }
-            ExprKind::Unary(op, x) => {
-                let x = self.expr(x)?;
-                match fold_unary(*op, &x) {
-                    Some(v) => {
-                        self.consts_folded += 1;
-                        LExprKind::Const(v)
-                    }
-                    None => LExprKind::Unary(*op, Box::new(x)),
-                }
-            }
-            ExprKind::IncDec(op, prefix, x) => LExprKind::IncDec {
-                op: *op,
-                prefix: *prefix,
-                read: Box::new(self.expr(x)?),
-                write: self.target(x)?,
-            },
-            ExprKind::Assign(op, l, r) => {
-                // Legacy order: evaluate the r-value, then (for compound
-                // ops) the place as an r-value, then store — re-evaluating
-                // the place's sub-expressions.
-                let value = Box::new(self.expr(r)?);
-                let compound = match op {
-                    Some(op) => Some((*op, Box::new(self.expr(l)?))),
-                    None => None,
-                };
-                let write = self.target(l)?;
-                LExprKind::Assign {
-                    compound,
-                    write,
-                    value,
-                }
+            ExprKind::Unary(op, x) => self.expr(x)?.and_then(|v| fold_unary(*op, &v)),
+            ExprKind::Cast(tn, x) => self.expr(x)?.and_then(|v| fold_cast(tn, &v)),
+            // `null instanceof T` is false for every T; no static type info
+            // is available here, so only the null case folds.
+            ExprKind::Instanceof(x, _) => {
+                matches!(self.expr(x)?, Some(Value::Null)).then_some(Value::Bool(false))
             }
             ExprKind::Cond(c, t, f) => {
                 let c = self.expr(c)?;
                 let t = self.expr(t)?;
                 let f = self.expr(f)?;
-                // A constant condition has no effects; legacy evaluates it
-                // and then exactly one branch.
-                if let LExprKind::Const(Value::Bool(b)) = c.kind {
-                    self.consts_folded += 1;
-                    return Ok(if b { t } else { f });
+                // A constant condition has no effects; the walker evaluates
+                // it and then exactly one branch.
+                if let Some(Value::Bool(then)) = c {
+                    self.folds.insert(e, Fold::Pick(then));
+                    return Ok(if then { t } else { f });
                 }
-                LExprKind::Cond(Box::new(c), Box::new(t), Box::new(f))
+                None
             }
-            ExprKind::Cast(tn, x) => {
-                let x = self.expr(x)?;
-                if let Some(v) = fold_cast(tn, &x) {
-                    self.consts_folded += 1;
-                    LExprKind::Const(v)
-                } else {
-                    LExprKind::Cast {
-                        ty: TypeSlot::new(tn.clone()),
-                        x: Box::new(x),
-                    }
-                }
-            }
-            ExprKind::Instanceof(x, tn) => {
-                let x = self.expr(x)?;
-                // `null instanceof T` is false for every T; no static type
-                // info is available at lowering time, so only the null case
-                // folds.
-                if let LExprKind::Const(Value::Null) = x.kind {
-                    self.consts_folded += 1;
-                    LExprKind::Const(Value::Bool(false))
-                } else {
-                    LExprKind::Instanceof {
-                        x: Box::new(x),
-                        ty: TypeSlot::new(tn.clone()),
-                    }
-                }
-            }
-            ExprKind::This => LExprKind::This,
             ExprKind::Template(_) | ExprKind::Lazy(_) | ExprKind::TypeDims(_) => {
                 return Err(Unlowerable)
             }
+            _ => {
+                for (x, store) in operands(e) {
+                    // A store evaluates only its target's operands.
+                    if !store || is_place(x) || no_bytecode(x) {
+                        self.expr(x)?;
+                    }
+                }
+                None
+            }
         };
-        Ok(LExpr { span: e.span, kind })
-    }
-
-    fn name(&mut self, name: Symbol) -> LExprKind {
-        match self.resolve(name) {
-            Some(slot) => LExprKind::Local(slot),
-            None => LExprKind::EnvName(name),
+        if let Some(v) = &folded {
+            self.folds.insert(e, Fold::Const(v.clone()));
         }
+        Ok(folded)
     }
+}
 
-    fn call(&mut self, mn: &MethodName, args: &[Expr]) -> Lower<LExprKind> {
-        // Legacy evaluates arguments first, then the receiver.
-        let largs = args.iter().map(|a| self.expr(a)).collect::<Lower<_>>()?;
-        let callee = if mn.super_recv {
-            LCallee::Super(mn.name.sym)
-        } else {
-            match &mn.receiver {
-                Some(recv) => LCallee::Recv(Box::new(self.expr(recv)?), mn.name.sym),
-                None => LCallee::Implicit(mn.name.sym),
-            }
-        };
-        Ok(LExprKind::Call {
-            callee,
-            args: largs,
-        })
-    }
+/// Expressions with no bytecode: the body is unlowerable.
+fn no_bytecode(e: &Expr) -> bool {
+    matches!(
+        e.kind,
+        ExprKind::Template(_) | ExprKind::Lazy(_) | ExprKind::TypeDims(_)
+    )
+}
 
-    fn target(&mut self, e: &Expr) -> Lower<LTarget> {
-        Ok(match &e.kind {
-            ExprKind::Name(id) => match self.resolve(id.sym) {
-                Some(slot) => LTarget::Local(slot),
-                None => LTarget::EnvName(id.sym, e.span),
-            },
-            ExprKind::VarRef(name) => match self.resolve(*name) {
-                Some(slot) => LTarget::Local(slot),
-                None => LTarget::EnvName(*name, e.span),
-            },
-            ExprKind::FieldAccess(t, name) => LTarget::Field {
-                target: Box::new(self.expr(t)?),
-                name: name.sym,
-                span: e.span,
-            },
-            ExprKind::ArrayAccess(a, i) => LTarget::Array {
-                arr: Box::new(self.expr(a)?),
-                idx: Box::new(self.expr(i)?),
-                span: e.span,
-            },
-            ExprKind::Lazy(_) | ExprKind::Template(_) | ExprKind::TypeDims(_) => {
-                return Err(Unlowerable)
-            }
-            _ => LTarget::Invalid(e.span),
-        })
+/// The variable a name expression reads or writes.
+pub(crate) fn name_of(e: &Expr) -> Option<Symbol> {
+    match &e.kind {
+        ExprKind::Name(id) => Some(id.sym),
+        ExprKind::VarRef(name) => Some(*name),
+        _ => None,
     }
+}
+
+/// True for the expressions an assignment can store to; any other target
+/// is the walker's run-time "invalid assignment target".
+pub(crate) fn is_place(e: &Expr) -> bool {
+    matches!(
+        e.kind,
+        ExprKind::Name(_)
+            | ExprKind::VarRef(_)
+            | ExprKind::FieldAccess(..)
+            | ExprKind::ArrayAccess(..)
+    )
+}
+
+/// The operands lowering evaluates under `e`, in the walker's order, each
+/// flagged `true` when it is the target of a store: a compound assignment
+/// or `++`/`--` evaluates its place twice, read and then stored.
+pub(crate) fn operands(e: &Expr) -> impl Iterator<Item = (&Expr, bool)> {
+    let none: &[Expr] = &[];
+    let (fixed, list, recv) = match &e.kind {
+        ExprKind::FieldAccess(x, _)
+        | ExprKind::Unary(_, x)
+        | ExprKind::Cast(_, x)
+        | ExprKind::Instanceof(x, _) => ([Some((&**x, false)), None, None], none, None),
+        ExprKind::ArrayAccess(a, b) | ExprKind::Binary(_, a, b) => {
+            ([Some((&**a, false)), Some((&**b, false)), None], none, None)
+        }
+        ExprKind::IncDec(_, _, x) => ([Some((&**x, false)), Some((&**x, true)), None], none, None),
+        ExprKind::Assign(op, l, r) => {
+            let read = op.map(|_| (&**l, false));
+            ([Some((&**r, false)), read, Some((&**l, true))], none, None)
+        }
+        ExprKind::Cond(c, t, f) => ([c, t, f].map(|x| Some((&**x, false))), none, None),
+        ExprKind::New(_, args) | ExprKind::NewArray { dims: args, .. } => {
+            ([None; 3], &args[..], None)
+        }
+        // Arguments first, then the receiver; `super.m()` evaluates none.
+        ExprKind::Call(mn, args) => {
+            let recv = mn.receiver.as_deref().filter(|_| !mn.super_recv);
+            ([None; 3], &args[..], recv)
+        }
+        _ => ([None; 3], none, None),
+    };
+    fixed
+        .into_iter()
+        .flatten()
+        .chain(list.iter().map(|a| (a, false)))
+        .chain(recv.map(|r| (r, false)))
 }
 
 // ---- constant folding --------------------------------------------------------
 
-fn lit_value(l: &Lit) -> Value {
+pub(crate) fn lit_value(l: &Lit) -> Value {
     match l {
         Lit::Int(v) => Value::Int(*v),
         Lit::Long(v) => Value::Long(*v),
@@ -684,13 +448,6 @@ fn lit_value(l: &Lit) -> Value {
         Lit::Char(c) => Value::Char(*c),
         Lit::Str(s) => Value::str(s.as_str()),
         Lit::Null => Value::Null,
-    }
-}
-
-fn const_of(e: &LExpr) -> Option<&Value> {
-    match &e.kind {
-        LExprKind::Const(v) => Some(v),
-        _ => None,
     }
 }
 
@@ -739,24 +496,19 @@ fn as_i64(v: &Value) -> i64 {
     }
 }
 
-/// Folds `l op r` when both sides are constants and the operation is
-/// *infallible* — it can neither throw (integer `/ 0`) nor dispatch.  The
-/// arithmetic mirrors `Interp::binary_values` exactly.
-fn fold_binary(op: BinOp, le: &LExpr, re: &LExpr) -> Option<Value> {
+/// Folds `l op r` over the sides' constants (`None`: not constant) when
+/// the operation is *infallible* — it can neither throw (integer `/ 0`)
+/// nor dispatch.  The arithmetic mirrors `Interp::binary_values` exactly.
+fn fold_binary(op: BinOp, lv: Option<&Value>, rv: Option<&Value>) -> Option<Value> {
     use BinOp::*;
     // Short-circuit folds that do not need the right side evaluated.
-    if op == And {
-        if let Some(Value::Bool(false)) = const_of(le) {
-            return Some(Value::Bool(false));
-        }
+    if op == And && matches!(lv, Some(Value::Bool(false))) {
+        return Some(Value::Bool(false));
     }
-    if op == Or {
-        if let Some(Value::Bool(true)) = const_of(le) {
-            return Some(Value::Bool(true));
-        }
+    if op == Or && matches!(lv, Some(Value::Bool(true))) {
+        return Some(Value::Bool(true));
     }
-    let lv = const_of(le)?;
-    let rv = const_of(re)?;
+    let (lv, rv) = (lv?, rv?);
     // String concatenation of constants.
     if op == Add && (matches!(lv, Value::Str(_)) || matches!(rv, Value::Str(_))) {
         let s = format!("{}{}", display_const(lv)?, display_const(rv)?);
@@ -858,8 +610,7 @@ fn fold_binary(op: BinOp, le: &LExpr, re: &LExpr) -> Option<Value> {
 
 /// Folds unary operators on matching constants (mirrors
 /// `Interp::eval_unary`; invalid combinations stay for the runtime error).
-fn fold_unary(op: UnOp, xe: &LExpr) -> Option<Value> {
-    let v = const_of(xe)?;
+fn fold_unary(op: UnOp, v: &Value) -> Option<Value> {
     Some(match (op, v) {
         (UnOp::Neg, Value::Int(i)) => Value::Int(i.wrapping_neg()),
         (UnOp::Neg, Value::Long(l)) => Value::Long(l.wrapping_neg()),
@@ -878,11 +629,10 @@ fn fold_unary(op: UnOp, xe: &LExpr) -> Option<Value> {
 /// Folds primitive casts of numeric constants (mirrors `Interp::cast`).
 /// Boolean targets error at runtime and reference targets need resolution,
 /// so neither folds.
-fn fold_cast(tn: &TypeName, xe: &LExpr) -> Option<Value> {
+fn fold_cast(tn: &TypeName, v: &Value) -> Option<Value> {
     let TypeNameKind::Prim(p) = &tn.kind else {
         return None;
     };
-    let v = const_of(xe)?;
     let d = match v {
         Value::Int(i) => *i as f64,
         Value::Long(l) => *l as f64,
@@ -906,12 +656,24 @@ fn fold_cast(tn: &TypeName, xe: &LExpr) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::{compile, Instr};
     use maya_ast::Ident;
     use maya_lexer::sym;
 
-    fn lower(stmts: Vec<Stmt>, params: &[&str]) -> LoweredBody {
+    fn lower(stmts: Vec<Stmt>, params: &[&str]) -> Result<BcBody, Unlowerable> {
         let params: Vec<Symbol> = params.iter().map(|p| sym(p)).collect();
-        lower_body(&Block::synth(stmts), &params).ok().expect("lowerable")
+        compile(&Block::synth(stmts), &params)
+    }
+
+    fn decl(ty: TypeName, name: &str, init: Expr) -> Stmt {
+        Stmt::synth(StmtKind::Decl(
+            ty,
+            vec![LocalDeclarator {
+                name: Ident::from_str(name),
+                dims: 0,
+                init: Some(init),
+            }],
+        ))
     }
 
     fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
@@ -920,74 +682,73 @@ mod tests {
 
     #[test]
     fn params_and_locals_get_slots() {
-        let body = lower(
+        let bc = lower(
             vec![
-                Stmt::synth(StmtKind::Decl(
-                    TypeName::prim(PrimKind::Int),
-                    vec![maya_ast::LocalDeclarator {
-                        name: Ident::from_str("x"),
-                        dims: 0,
-                        init: Some(Expr::name("a")),
-                    }],
-                )),
+                decl(TypeName::prim(PrimKind::Int), "x", Expr::name("a")),
                 Stmt::expr(Expr::name("x")),
             ],
             &["a", "b"],
-        );
-        assert_eq!(body.n_params, 2);
-        assert_eq!(body.n_slots, 3);
-        // The init reads param slot 0; the statement reads local slot 2.
-        let LStmtKind::Decl { decls, .. } = &body.code[0].kind else {
-            panic!("decl");
-        };
-        assert_eq!(decls[0].slot, 2);
-        assert!(matches!(
-            decls[0].init.as_ref().unwrap().kind,
-            LExprKind::Local(0)
-        ));
-        let LStmtKind::Expr(e) = &body.code[1].kind else {
-            panic!("expr");
-        };
-        assert!(matches!(e.kind, LExprKind::Local(2)));
+        )
+        .ok()
+        .expect("lowerable");
+        assert_eq!(bc.n_params, 2);
+        assert_eq!(bc.n_locals, 3);
+        // The init copies param slot 0 into local slot 2; the statement
+        // `x;` reads a slot and emits nothing.
+        assert!(bc
+            .code
+            .iter()
+            .any(|i| matches!(i, Instr::Move { dst: 2, src: 0 })));
     }
 
     #[test]
     fn unbound_names_stay_symbolic() {
-        let body = lower(vec![Stmt::expr(Expr::name("field"))], &[]);
-        let LStmtKind::Expr(e) = &body.code[0].kind else {
-            panic!("expr");
-        };
-        assert!(matches!(e.kind, LExprKind::EnvName(_)));
+        let bc = lower(vec![Stmt::expr(Expr::name("field"))], &[])
+            .ok()
+            .expect("lowerable");
+        assert!(bc.code.iter().any(|i| matches!(i, Instr::EnvLoad { .. })));
     }
 
     #[test]
     fn folding_arithmetic_and_strings() {
-        let body = lower(
+        let bc = lower(
             vec![
-                Stmt::expr(bin(BinOp::Add, Expr::int(2), Expr::int(3))),
-                Stmt::expr(bin(BinOp::Add, Expr::str_lit("n="), Expr::int(7))),
+                decl(
+                    TypeName::prim(PrimKind::Int),
+                    "five",
+                    bin(BinOp::Add, Expr::int(2), Expr::int(3)),
+                ),
+                decl(
+                    TypeName::named("String"),
+                    "s",
+                    bin(BinOp::Add, Expr::str_lit("n="), Expr::int(7)),
+                ),
                 Stmt::expr(bin(BinOp::Div, Expr::int(1), Expr::int(0))),
             ],
             &[],
-        );
-        let consts: Vec<Option<&Value>> = body
+        )
+        .ok()
+        .expect("lowerable");
+        let preloads: Vec<&Value> = bc.preloads.iter().map(|(_, v)| v).collect();
+        assert!(preloads.iter().any(|v| matches!(v, Value::Int(5))));
+        assert!(preloads
+            .iter()
+            .any(|v| matches!(v, Value::Str(s) if &**s == "n=7")));
+        // Folded operands are never materialized.
+        assert!(!preloads
+            .iter()
+            .any(|v| matches!(v, Value::Int(2) | Value::Int(3))));
+        // Integer division can throw: never folded.
+        assert!(bc
             .code
             .iter()
-            .map(|s| match &s.kind {
-                LStmtKind::Expr(e) => const_of(e),
-                _ => None,
-            })
-            .collect();
-        assert!(matches!(consts[0], Some(Value::Int(5))));
-        assert!(matches!(consts[1], Some(Value::Str(s)) if &**s == "n=7"));
-        // Integer division can throw: never folded.
-        assert!(consts[2].is_none());
+            .any(|i| matches!(i, Instr::Binary { op: BinOp::Div, .. })));
     }
 
     #[test]
     fn lazy_statement_is_unlowerable() {
         let stmts = vec![Stmt::synth(StmtKind::Error)];
-        assert!(lower_body(&Block::synth(stmts), &[]).is_err());
+        assert!(lower(stmts, &[]).is_err());
     }
 
     #[test]
@@ -998,6 +759,6 @@ mod tests {
             catches: vec![],
             finally: Some(Block::synth(vec![Stmt::expr(Expr::int(2))])),
         })];
-        assert!(lower_body(&Block::synth(stmts), &[]).is_err());
+        assert!(lower(stmts, &[]).is_err());
     }
 }

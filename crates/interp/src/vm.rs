@@ -1,22 +1,22 @@
 //! The bytecode VM — the fast execution tier.
 //!
-//! [`crate::bytecode`] compiles every lowered body into flat register
-//! bytecode; this module executes it.  Unlowerable bodies (`try`, lazy
-//! nodes, templates) run on the reference tree walker in `interp.rs`, and
-//! the dispatch loop below must remain *observationally identical* to it
-//! (same output bytes, same error text and spans, same step counts, same
-//! telemetry call counters) — `MAYA_NO_LOWER=1` pins the walker for
-//! differential testing, and the fuzzer runs both tiers against each
-//! other.
+//! [`crate::bytecode`] compiles every lowerable body, straight from its
+//! typed AST, into flat register bytecode; this module executes it.
+//! Unlowerable bodies (`try`, lazy nodes, templates) run on the reference
+//! tree walker in `interp.rs`, and the dispatch loop below must remain
+//! *observationally identical* to it (same output bytes, same error text
+//! and spans, same step counts, same telemetry call counters) —
+//! `MAYA_NO_LOWER=1` pins the walker for differential testing, and the
+//! fuzzer runs both tiers against each other.
 //!
 //! Call dispatch goes through [`PolySite`] polymorphic inline caches keyed
 //! by (receiver class, exact argument keys): exact keys mean identical
 //! runtime types, so the full `select_from_row` search is deterministic for
 //! a hit and can be skipped entirely.  Monomorphic sites with compiled
-//! callees are additionally *spliced inline* by the refine pass; the
-//! [`Instr::GuardInline`] handler re-validates the snapshot (epoch, the
-//! class the call dispatches on, argument keys) and falls back to the
-//! generic call on mismatch.
+//! callees are additionally *spliced inline* by the refine pass, which
+//! rewrites a copy of the body's cold bytecode; the [`Instr::GuardInline`]
+//! handler re-validates the snapshot (epoch, the class the call dispatches
+//! on, argument keys) and falls back to the generic call on mismatch.
 //!
 //! The arms finish the common cases in the loop itself — `int` arithmetic
 //! and compares, `int` increments, a step under its limit — and hand every
@@ -67,30 +67,28 @@ fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
 }
 
 impl Interp {
-    /// Bytecode for `lb`: the cold compile, recompiled with inline
-    /// splicing after [`bytecode::REFINE_EXECS`] runs (by then the PICs are
-    /// warm, so monomorphic sites are visible).  The refine pass reuses the
-    /// cold pass's call sites, keeping warmed cache lines.
+    /// Bytecode for `lb`: the cold compile, replaced after
+    /// [`bytecode::REFINE_EXECS`] runs by the refine pass's copy with leaf
+    /// callees spliced in (by then the PICs are warm, so monomorphic sites
+    /// are visible).  The copy shares the cold body's call sites, keeping
+    /// warmed cache lines.
     ///
-    /// Runs are counted per PIC epoch (see [`bytecode::BcState`]): a body
-    /// shared from an earlier request's compiler runs cold until it is
-    /// refined under this interpreter's epoch.
+    /// Runs are counted per PIC epoch (see [`LoweredBody`]): a body shared
+    /// from an earlier request's compiler runs cold until it is refined
+    /// under this interpreter's epoch.
     pub(crate) fn bytecode_for(&self, lb: &LoweredBody) -> Rc<BcBody> {
         let epoch = self.caches.sync(&self.ct);
-        if !lb.bc.note_exec(epoch) {
-            return lb.bc.current();
+        if !lb.note_exec(epoch) {
+            return lb.current();
         }
-        let cold = lb.bc.cold();
-        match bytecode::compile(&lb.code, lb.n_params, lb.n_slots, &cold.sites, Some(epoch)) {
+        match bytecode::refine(lb.cold(), epoch) {
             Ok(bc) => {
                 let bc = Rc::new(bc);
-                maya_telemetry::count(Counter::BcCompiled);
-                maya_telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
-                lb.bc.set_refined(Rc::clone(&bc));
+                lb.set_refined(Rc::clone(&bc));
                 bc
             }
             // A refine failure keeps the (working) cold bytecode.
-            Err(_) => Rc::clone(cold),
+            Err(_) => Rc::clone(lb.cold()),
         }
     }
 
@@ -98,7 +96,7 @@ impl Interp {
     /// `None` when the body is unlowerable (e.g. contains try/catch).
     pub fn bytecode_listing(&self, body: &LazyNode, params: &[Symbol]) -> Option<String> {
         let lb = self.lowered_body(body, params)?;
-        Some(bytecode::disasm(&lb.bc.current(), &self.ct))
+        Some(bytecode::disasm(&lb.current(), &self.ct))
     }
 
     /// The lowered body for a resolved method, if it is already forced and

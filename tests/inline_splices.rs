@@ -82,6 +82,81 @@ fn field_reading_leaves_splice_and_resolve_in_the_callees_class() {
 }
 
 #[test]
+fn a_splice_with_a_loop_inside_a_constructor_argument_enters() {
+    // `sq` has a loop of its own and a constant; spliced into `new P(..)`
+    // of a class-typed declaration, it sits at type-stack depth 2 and
+    // carries its loop region. `build` refines on its 4th run: three runs
+    // of 5 iterations, each entering the `sq` and `q.get` splices.
+    let (entries, fallbacks, out) = splice_counts(
+        r#"
+        class P {
+            int v;
+            P(int v) { this.v = v; }
+        }
+        class Q {
+            int w;
+            Q(int w) { this.w = w; }
+            int get() { return w; }
+        }
+        class Main {
+            static int sq(int x) {
+                int s = 0;
+                int k = 0;
+                while (k < x) { s = s + x; k++; }
+                return s + 1;
+            }
+            static int build(Q q, int n) {
+                int t = 0;
+                for (int i = 0; i < n; i++) {
+                    P p = new P(sq(i) + q.get());
+                    t = t + p.v;
+                }
+                return t;
+            }
+            static void main() {
+                Q q = new Q(2);
+                int all = 0;
+                for (int r = 0; r < 6; r++) { all = all + build(q, 5); }
+                System.out.println(all);
+            }
+        }
+        "#,
+    );
+    assert_eq!(out, "270\n");
+    assert_eq!((entries, fallbacks), (30, 0));
+}
+
+#[test]
+fn continue_past_a_splice_in_a_conditional_arm_keeps_its_target() {
+    // The `for` condition calls the leaf `lim`, and the `continue` jumps
+    // over a `?:` arm that splices `half`. Per refined run: 9 `lim` entries
+    // and 2 `half` entries (i = 2, 4).
+    let (entries, fallbacks, out) = splice_counts(
+        r#"
+        class Main {
+            static int lim(int n) { return n; }
+            static int half(int x) { return x / 2; }
+            static int walk(int n) {
+                int s = 0;
+                for (int i = 0; i < lim(n); i++) {
+                    if (i % 3 == 0) { continue; }
+                    s = s + (i % 2 == 0 ? half(i) : i * 10);
+                }
+                return s;
+            }
+            static void main() {
+                int all = 0;
+                for (int r = 0; r < 6; r++) { all = all + walk(8); }
+                System.out.println(all);
+            }
+        }
+        "#,
+    );
+    assert_eq!(out, "798\n");
+    assert_eq!((entries, fallbacks), (33, 0));
+}
+
+#[test]
 fn a_session_re_refines_shared_bodies_for_each_request() {
     // `Helper.total`'s lowered body lives in the session's store and is
     // shared by every request's compiler. Each request must refine it

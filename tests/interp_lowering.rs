@@ -87,3 +87,111 @@ fn both_tiers_agree() {
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n======\n"));
 }
+
+/// Compiles and runs `src` in-process on one tier under a telemetry
+/// session configured by `config`.
+fn run_in_process(
+    src: &str,
+    lowering: bool,
+    config: maya::telemetry::Config,
+) -> (String, maya::telemetry::Report) {
+    let session = maya::telemetry::Session::start(config);
+    let c = maya::Compiler::with_options(maya::CompileOptions {
+        echo_output: false,
+        jobs: 1,
+        ..Default::default()
+    });
+    c.interp().set_lowering(lowering);
+    let out = c.compile_and_run("Main.maya", src, "Main").unwrap();
+    (out, session.finish())
+}
+
+/// One program that exercises slot resolution and constant folding: a
+/// nested block that shadows a static field, places that resolve twice
+/// (`x2 += b`, `j++`, `arr[..] += 5`, `arr[1]++`), folds of every kind
+/// (`2 * 3`, `"n=" + (4 + 5)`, casts, `null instanceof`, a constant `?:`
+/// and a short-circuit with a name in its dead operand) and `k / 1`, which
+/// never folds because integer division can throw.
+#[test]
+fn lowering_counters_are_pinned_on_one_program() {
+    use maya::telemetry::{Config, Counter};
+    let src = r#"
+class Main {
+    static int x = 7;
+    static int f(int b, int k) {
+        int j = 0;
+        {
+            int x = b;
+            int x2 = b;
+            x2 += b;
+            j++;
+            j = j + x + x2;
+        }
+        int c = 2 * 3;
+        String s = "n=" + (4 + 5);
+        int d = (int) 3.9 + (char) 66;
+        boolean no = null instanceof String;
+        boolean z = false && b > 0;
+        int t = true ? x : b;
+        int q = k / 1;
+        int[] arr = new int[2];
+        arr[j % 2] += 5;
+        arr[1]++;
+        if (no || z) { return 0; }
+        System.out.println(s);
+        return j + c + d + t + q + x + arr[0] + arr[1];
+    }
+    static void main() {
+        System.out.println(f(100, 200));
+    }
+}
+"#;
+    let (walker, _) = run_in_process(src, false, Config::default());
+    let (vm, r) = run_in_process(src, true, Config::default());
+    assert_eq!(walker, "n=9\n596\n");
+    assert_eq!(vm, walker);
+    let counts = [
+        Counter::SlotsResolved,
+        Counter::ConstsFolded,
+        Counter::BcCompiled,
+        Counter::BcSuperinsts,
+    ]
+    .map(|c| r.counter(c));
+    assert_eq!(counts, [30, 9, 2, 8]);
+}
+
+/// The VM keys hot binary-op pairs on the source operands, as the walker's
+/// `eval_binary` does, so an operand that folded to a constant (`2 + 3`)
+/// still counts as a nested `+` under its `*`.
+#[test]
+fn hot_pair_profile_is_the_same_on_both_tiers() {
+    use maya::telemetry::Config;
+    let src = r#"
+class Main {
+    static int f(int x) { return x * (2 + 3) + x * x; }
+    static void main() {
+        int s = 0;
+        for (int i = 0; i < 1000; i++) { s = s + f(i % 7); }
+        System.out.println(s);
+    }
+}
+"#;
+    let config = || Config {
+        profile_interp: Some(10),
+        ..Config::default()
+    };
+    let pairs = |lowering: bool| {
+        let (out, r) = run_in_process(src, lowering, config());
+        assert_eq!(out, "27962\n");
+        r.interp_profile.expect("profile captured").pairs
+    };
+    let walker = pairs(false);
+    assert_eq!(
+        walker,
+        [
+            ("+ \u{227A} *".to_owned(), 2000),
+            ("* \u{227A} +".to_owned(), 1000)
+        ]
+    );
+    assert_eq!(pairs(true), walker);
+}
