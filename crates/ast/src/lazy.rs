@@ -25,8 +25,9 @@ pub enum LazyCell {
     },
     /// Currently being forced (used for cycle detection).
     InProgress,
-    /// Parsed.
-    Forced(Node),
+    /// Parsed. The node is immutable once forced, so the cell, the
+    /// session's force cache and every reader share it.
+    Forced(Rc<Node>),
 }
 
 impl fmt::Debug for LazyCell {
@@ -67,7 +68,7 @@ impl LazyNode {
     pub fn forced(goal: NodeKind, node: Node) -> LazyNode {
         LazyNode {
             goal,
-            cell: Rc::new(RefCell::new(LazyCell::Forced(node))),
+            cell: Rc::new(RefCell::new(LazyCell::Forced(Rc::new(node)))),
         }
     }
 
@@ -84,8 +85,8 @@ impl LazyNode {
         }
     }
 
-    /// The parsed node, if forced.
-    pub fn forced_node(&self) -> Option<Node> {
+    /// The parsed node, if forced: a shared handle, not a copy.
+    pub fn forced_node(&self) -> Option<Rc<Node>> {
         match &*self.cell.borrow() {
             LazyCell::Forced(n) => Some(n.clone()),
             _ => None,
@@ -115,7 +116,7 @@ impl LazyNode {
     /// # Panics
     ///
     /// Panics if the cell is not in progress.
-    pub fn fulfill(&self, node: Node) {
+    pub fn fulfill(&self, node: Rc<Node>) {
         let mut cell = self.cell.borrow_mut();
         assert!(
             matches!(*cell, LazyCell::InProgress),
@@ -155,9 +156,9 @@ mod tests {
         assert!(env.is_none());
         assert!(lazy.begin_force().is_none(), "reentrant force blocked");
         assert_eq!(tree.delim, Delim::Brace);
-        lazy.fulfill(Node::Unit);
+        lazy.fulfill(Rc::new(Node::Unit));
         assert!(lazy.is_forced());
-        assert_eq!(lazy.forced_node(), Some(Node::Unit));
+        assert_eq!(lazy.forced_node().as_deref(), Some(&Node::Unit));
         assert!(lazy.begin_force().is_none());
     }
 
@@ -166,7 +167,7 @@ mod tests {
         let lazy = LazyNode::new(NodeKind::BlockStmts, dummy_tree(), None);
         let clone = lazy.clone();
         let (t, e) = lazy.begin_force().unwrap();
-        lazy.fulfill(Node::Unit);
+        lazy.fulfill(Rc::new(Node::Unit));
         let _ = (t, e);
         assert!(clone.is_forced());
         assert_eq!(lazy, clone);

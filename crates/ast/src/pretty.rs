@@ -466,7 +466,7 @@ pub fn expr_str(e: &Expr) -> String {
         ExprKind::VarRef(s) => s.as_str().to_owned(),
         ExprKind::ClassRef(s) => s.as_str().to_owned(),
         ExprKind::Template(t) => format!("new {} {}", t.goal.name(), t.body),
-        ExprKind::Lazy(l) => match l.forced_node().and_then(|n| n.into_expr()) {
+        ExprKind::Lazy(l) => match l.forced_node().and_then(|n| Node::clone(&n).into_expr()) {
             Some(inner) => expr_str(&inner),
             None => "<lazy expr>".to_owned(),
         },

@@ -86,6 +86,11 @@ impl Default for CompileOptions {
 /// expands a Mayan) are recomputed every time, preserving byte-identical
 /// diagnostics and expansion behaviour.
 ///
+/// A fourth layer records **clean checks**: members whose type check an
+/// earlier request ran, under the same key, without a diagnostic, a
+/// dependency, or a lazy node (see `crate::check_memo`). A member whose
+/// key is recorded is still forced, but the checker does not run on it.
+///
 /// Every layer is a [`GenMemo`]: the sessions sharing the cache report
 /// their request boundaries ([`ForceCache::end_request`]), and entries no
 /// recent request touched — parses an edit superseded — are evicted, so a
@@ -93,7 +98,9 @@ impl Default for CompileOptions {
 /// recent requests touched. Sessions sharing one cache (the clients of
 /// one worker) share that bound and can evict each other's entries.
 pub struct ForceCache {
-    map: RefCell<GenMemo<(NodeKind, u128), Node>>,
+    /// Forced lazy bodies. A hit is an `Rc` clone: forced nodes are
+    /// immutable and shared by every compiler that forces the same tokens.
+    map: RefCell<GenMemo<(NodeKind, u128), Rc<Node>>>,
     /// Lowered method/ctor bodies keyed by structural fingerprint (see
     /// `maya_interp::LowerStore`).  Lowered code is environment-free, so it
     /// is shared verbatim across the session's compilers — warm runs skip
@@ -110,6 +117,8 @@ pub struct ForceCache {
     /// signatures and their nested formal-list sub-parses dominate warm
     /// recompiles once units and lazy bodies are cached).
     bodies: RefCell<GenMemo<u128, Node>>,
+    /// Member keys whose check ran clean (`check_memo::Signatures::member_key`).
+    checks: RefCell<GenMemo<u128, ()>>,
 }
 
 impl ForceCache {
@@ -120,6 +129,7 @@ impl ForceCache {
             lowered: Rc::new(maya_interp::LowerStore::new()),
             units: RefCell::new(GenMemo::new(telemetry::CacheId::UnitCache)),
             bodies: RefCell::new(GenMemo::new(telemetry::CacheId::ClassBodyCache)),
+            checks: RefCell::new(GenMemo::new(telemetry::CacheId::CheckCache)),
         }
     }
 
@@ -134,15 +144,25 @@ impl ForceCache {
         self.map.borrow_mut().end_request();
         self.units.borrow_mut().end_request();
         self.bodies.borrow_mut().end_request();
+        self.checks.borrow_mut().end_request();
         self.lowered.end_request();
     }
 
-    pub(crate) fn get(&self, key: &(NodeKind, u128)) -> Option<Node> {
+    pub(crate) fn get(&self, key: &(NodeKind, u128)) -> Option<Rc<Node>> {
         self.map.borrow_mut().get(key)
     }
 
-    pub(crate) fn insert(&self, key: (NodeKind, u128), node: Node) {
+    pub(crate) fn insert(&self, key: (NodeKind, u128), node: Rc<Node>) {
         self.map.borrow_mut().insert(key, node);
+    }
+
+    /// True when a member with this key was checked clean before.
+    pub(crate) fn check_hit(&self, key: u128) -> bool {
+        self.checks.borrow_mut().get(&key).is_some()
+    }
+
+    pub(crate) fn record_check(&self, key: u128) {
+        self.checks.borrow_mut().insert(key, ());
     }
 
     pub(crate) fn get_unit(&self, key: u128) -> Option<Node> {
@@ -161,9 +181,13 @@ impl ForceCache {
         self.bodies.borrow_mut().insert(key, node);
     }
 
-    /// Number of memoized parses (lazy bodies, class bodies, whole units).
+    /// Number of memoized entries (lazy bodies, class bodies, whole units
+    /// and clean checks).
     pub fn len(&self) -> usize {
-        self.map.borrow().len() + self.units.borrow().len() + self.bodies.borrow().len()
+        self.map.borrow().len()
+            + self.units.borrow().len()
+            + self.bodies.borrow().len()
+            + self.checks.borrow().len()
     }
 
     /// True when nothing is memoized.
@@ -216,6 +240,30 @@ pub(crate) struct ClassMeta {
     pub ctx: ResolveCtx,
 }
 
+/// What a memoizable step must leave unchanged: the dependency log's
+/// length, the lazy-creation counter and the diagnostic counts (see
+/// [`ForceCache`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PurityMarks {
+    deps: usize,
+    lazies: u64,
+    diags: Option<(usize, usize)>,
+}
+
+impl CompilerInner {
+    pub(crate) fn purity_marks(&self) -> PurityMarks {
+        PurityMarks {
+            deps: self.dep_log.borrow().len(),
+            lazies: self.lazy_created.get(),
+            diags: self
+                .diags
+                .borrow()
+                .as_ref()
+                .map(|d| (d.error_count(), d.warning_count())),
+        }
+    }
+}
+
 struct Unit {
     #[allow(dead_code)]
     file: FileId,
@@ -260,6 +308,10 @@ pub struct CompilerInner {
     /// Lazy nodes created so far (the force cache's purity gate: a parse
     /// that defers work captures an environment and is not memoizable).
     pub(crate) lazy_created: Cell<u64>,
+    /// This request's class-signature digest for the clean-check layer,
+    /// taken after the class hooks when a force cache is attached and no
+    /// fault is armed.
+    signatures: RefCell<Option<Rc<crate::check_memo::Signatures>>>,
     /// Class-processing hooks, run as a class declaration leaves the shaper
     /// (paper §4: "Maya provides class-processing hooks").
     pub class_hooks: RefCell<Vec<Rc<dyn Fn(&Rc<CompilerInner>, ClassId) -> Result<(), CompileError>>>>,
@@ -598,6 +650,7 @@ impl Compiler {
             diags: RefCell::new(None),
             pristine_env,
             lazy_created: Cell::new(0),
+            signatures: RefCell::new(None),
             class_hooks: RefCell::new(Vec::new()),
             options,
             uses_applied: RefCell::new(false),
@@ -1044,6 +1097,7 @@ impl Compiler {
                 }
             }
         }
+        self.take_signatures();
         // Pass 4: force + check every member, continuing across members.
         for (class, ..) in &shaped {
             if broken.contains(class) || diags.at_cap() {
@@ -1123,6 +1177,7 @@ impl Compiler {
                 h(&self.inner, *class)?;
             }
         }
+        self.take_signatures();
         // Pass 4: compile (force + check) every member.
         for (class, ..) in &shaped {
             self.check_class(*class)?;
@@ -1474,6 +1529,19 @@ impl Compiler {
         Ok(())
     }
 
+    /// Digests the class signatures for the clean-check layer, once the
+    /// class hooks have run (see `crate::check_memo`).
+    fn take_signatures(&self) {
+        let sigs = self
+            .inner
+            .options
+            .force_cache
+            .as_ref()
+            .filter(|_| !crate::faults::any_armed())
+            .map(|_| Rc::new(crate::check_memo::Signatures::of(&self.inner.classes)));
+        *self.inner.signatures.borrow_mut() = sigs;
+    }
+
     /// Forces and type-checks every member of a class.
     fn check_class(&self, class: ClassId) -> Result<(), CompileError> {
         self.check_class_with(class, None)
@@ -1519,68 +1587,104 @@ impl Compiler {
                 info.fields.clone(),
             )
         };
-        let cxc = Cx {
-            cx: self.inner.clone(),
-            pair: meta.env.clone(),
-            ctx: meta.ctx.clone(),
-            class: Some(class),
-            scope: Rc::new(RefCell::new(Scope::new())),
+        let pristine = self.inner.pristine_env;
+        // The clean-check layer serves this class only while its
+        // environment is pristine and the table is the one digested.
+        let checks = match (
+            &self.inner.options.force_cache,
+            self.inner.signatures.borrow().clone(),
+        ) {
+            (Some(cache), Some(sigs))
+                if classes.version() == sigs.version
+                    && (meta.env.grammar.content_hash(), meta.env.denv.version()) == pristine =>
+            {
+                Some((cache.clone(), sigs))
+            }
+            _ => None,
+        };
+        let host = || ForceHost {
+            c: Cx {
+                cx: self.inner.clone(),
+                pair: meta.env.clone(),
+                ctx: meta.ctx.clone(),
+                class: Some(class),
+                scope: Rc::new(RefCell::new(Scope::new())),
+            },
         };
         let check_body = |body: &LazyNode,
-                          params: &[(Symbol, Type)],
-                          ret: Type,
+                          param_names: &[Symbol],
+                          params: &[Type],
+                          ret: &Type,
                           is_static: bool|
          -> Result<(), CompileError> {
-            let mut scope = Scope::new();
-            scope.this_class = Some(class);
-            scope.static_ctx = is_static;
-            scope.return_type = ret;
-            for (name, ty) in params {
-                scope.declare(
-                    *name,
-                    VarBinding {
-                        ty: ty.clone(),
-                        kind: VarKind::Param,
-                        is_final: false,
-                    },
-                );
-            }
+            // The key is read before forcing, from the unforced cell.
+            let memo = checks.as_ref().and_then(|(cache, sigs)| {
+                let key = sigs.member_key(
+                    class,
+                    &meta.ctx,
+                    body,
+                    is_static,
+                    ret,
+                    param_names,
+                    params,
+                    pristine,
+                )?;
+                Some((cache, key, self.inner.purity_marks()))
+            });
+            let make_scope = || {
+                let mut scope = Scope::new();
+                scope.this_class = Some(class);
+                scope.static_ctx = is_static;
+                scope.return_type = ret.clone();
+                for (name, ty) in param_names.iter().zip(params) {
+                    scope.declare(
+                        *name,
+                        VarBinding {
+                            ty: ty.clone(),
+                            kind: VarKind::Param,
+                            is_final: false,
+                        },
+                    );
+                }
+                scope
+            };
             // Force with a scratch copy (parse-time dispatch bindings),
-            // then check with the clean scope.
-            let cell = Rc::new(RefCell::new(scope.clone()));
-            force_lazy(&self.inner, body, cell)?;
+            // then check with a clean scope.
+            force_lazy(&self.inner, body, || Rc::new(RefCell::new(make_scope())))?;
+            if let Some((cache, key, _)) = memo {
+                if cache.check_hit(key) {
+                    return Ok(());
+                }
+            }
             let node = body
                 .forced_node()
                 .ok_or_else(|| CompileError::new("internal: body not forced", Span::DUMMY))?;
-            let mut host = ForceHost { c: cxc.clone() };
+            let mut host = host();
             let mut checker = Checker::new(classes, &meta.ctx, &mut host);
-            let mut clean_scope = scope;
-            checker.check_node(&node, &mut clean_scope)?;
+            checker.check_node(&node, &mut make_scope())?;
+            // Only a check that reported nothing, and whose force and
+            // check observed no `use` and deferred nothing, is recorded:
+            // a member that reports anything is checked on every request.
+            if let Some((cache, key, before)) = memo {
+                if self.inner.purity_marks() == before {
+                    cache.record_check(key);
+                }
+            }
             Ok(())
         };
 
         for m in &methods {
             if let Some(body) = &m.body {
-                let params: Vec<(Symbol, Type)> = m
-                    .param_names
-                    .iter()
-                    .copied()
-                    .zip(m.params.iter().cloned())
-                    .collect();
-                if settle(check_body(body, &params, m.ret.clone(), m.is_static()))? {
+                let r = check_body(body, &m.param_names, &m.params, &m.ret, m.is_static());
+                if settle(r)? {
                     return Ok(());
                 }
             }
         }
         for c in &ctors {
             if let Some(body) = &c.body {
-                let params: Vec<(Symbol, Type)> = c
-                    .param_names
-                    .iter()
-                    .copied()
-                    .zip(c.params.iter().cloned())
-                    .collect();
-                if settle(check_body(body, &params, Type::Void, false))? {
+                let r = check_body(body, &c.param_names, &c.params, &Type::Void, false);
+                if settle(r)? {
                     return Ok(());
                 }
             }
@@ -1591,7 +1695,7 @@ impl Compiler {
                     let mut scope = Scope::new();
                     scope.this_class = Some(class);
                     scope.static_ctx = f.modifiers.is_static();
-                    let mut host = ForceHost { c: cxc.clone() };
+                    let mut host = host();
                     let mut checker = Checker::new(classes, &meta.ctx, &mut host);
                     let ty = checker.type_of_expr(init, &mut scope)?;
                     if !classes.is_assignable(&ty, &f.ty) {
@@ -1642,8 +1746,7 @@ impl Compiler {
                     Span::DUMMY,
                 ));
             };
-            let cell = Rc::new(RefCell::new(Scope::new()));
-            force_lazy(&inner, lazy, cell)
+            force_lazy(&inner, lazy, || Rc::new(RefCell::new(Scope::new())))
                 .map_err(|e| maya_interp::RuntimeError::new(e.message, e.span))
         }));
     }

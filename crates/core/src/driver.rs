@@ -464,7 +464,9 @@ impl Driver for CoreDriver {
 
 // ---- forcing -----------------------------------------------------------------
 
-/// Forces a lazy node under a shared scope cell.
+/// Forces a lazy node. `scope` builds the scope cell the parse sees; it
+/// runs only when the force parses, so a force-cache hit builds no forcing
+/// context at all.
 ///
 /// # Errors
 ///
@@ -472,7 +474,7 @@ impl Driver for CoreDriver {
 pub fn force_lazy(
     cx: &Rc<CompilerInner>,
     lazy: &LazyNode,
-    scope: Rc<RefCell<Scope>>,
+    scope: impl FnOnce() -> Rc<RefCell<Scope>>,
 ) -> Result<(), CompileError> {
     if lazy.is_forced() {
         return Ok(());
@@ -508,8 +510,8 @@ fn force_payload(
     goal_kind: NodeKind,
     tree: &DelimTree,
     env: Option<Rc<dyn std::any::Any>>,
-    scope: Rc<RefCell<Scope>>,
-) -> Result<Node, CompileError> {
+    scope: impl FnOnce() -> Rc<RefCell<Scope>>,
+) -> Result<Rc<Node>, CompileError> {
     // Template thunk: replay the compiled sub-recipe.
     if let Some(payload) = env.as_ref() {
         if let Some(thunk) = payload.downcast_ref::<TemplateThunk>() {
@@ -523,89 +525,77 @@ fn force_payload(
                     pair: p.pair.clone(),
                     ctx: p.ctx.clone(),
                     class: p.class,
-                    scope,
+                    scope: scope(),
                 },
                 None => Cx {
                     cx: cx.clone(),
                     pair: cx.global.borrow().clone(),
                     ctx: ResolveCtx::default(),
                     class: None,
-                    scope,
+                    scope: scope(),
                 },
             };
             let mut host = CoreInstHost { c };
-            return thunk.replay(&mut host).map_err(CompileError::from);
+            return thunk
+                .replay(&mut host)
+                .map(Rc::new)
+                .map_err(CompileError::from);
         }
         if let Some(p) = payload.downcast_ref::<LazyEnvPayload>() {
-            let c = Cx {
+            return forced_parse_memo(cx, &p.pair, goal_kind, tree, || Cx {
                 cx: cx.clone(),
                 pair: p.pair.clone(),
                 ctx: p.ctx.clone(),
                 class: p.class,
-                scope,
-            };
-            return forced_parse_memo(&c, goal_kind, tree);
+                scope: scope(),
+            });
         }
     }
     // No payload: use the global environment.
-    let c = Cx {
+    let pair = cx.global.borrow().clone();
+    forced_parse_memo(cx, &pair, goal_kind, tree, || Cx {
         cx: cx.clone(),
-        pair: cx.global.borrow().clone(),
+        pair: pair.clone(),
         ctx: ResolveCtx::default(),
         class: None,
-        scope,
-    };
-    forced_parse_memo(&c, goal_kind, tree)
+        scope: scope(),
+    })
 }
 
 /// [`Cx::parse_tree_kind_goal`] through the session's [`ForceCache`],
-/// when one is attached and the parse is provably pure.
+/// when one is attached and the parse is provably pure. The forcing
+/// context comes from `make_cx`, called only on a miss: a hit is one
+/// probe and an `Rc` clone of the shared, immutable node.
 ///
 /// A memoized result may only be served or recorded when the forcing
-/// environment is the compiler's pristine base environment (grammar
-/// content hash and dispatch-env version both match construction time):
-/// under that environment every reachable semantic action is a built-in
-/// constructor whose output is a function of the tokens alone. Recording
-/// additionally requires that the parse imported no metaprogram (the
-/// dep log did not grow), created no lazy node (nothing captured an
-/// environment), and emitted no diagnostic — any of those makes the
-/// result context-dependent, so it is recomputed on every run exactly as
-/// a cold compiler would.
+/// environment `pair` is the compiler's pristine base environment
+/// (grammar content hash and dispatch-env version both match
+/// construction time): under that environment every reachable semantic
+/// action is a built-in constructor whose output is a function of the
+/// tokens alone. Recording additionally requires that the parse imported
+/// no metaprogram (the dep log did not grow), created no lazy node
+/// (nothing captured an environment), and emitted no diagnostic — any of
+/// those makes the result context-dependent, so it is recomputed on
+/// every run exactly as a cold compiler would.
 fn forced_parse_memo(
-    c: &Cx,
+    cx: &Rc<CompilerInner>,
+    pair: &EnvPair,
     goal_kind: NodeKind,
     tree: &DelimTree,
-) -> Result<Node, CompileError> {
-    let Some(cache) = c.cx.options.force_cache.clone() else {
-        return c.parse_tree_kind_goal(goal_kind, tree);
+    make_cx: impl FnOnce() -> Cx,
+) -> Result<Rc<Node>, CompileError> {
+    let pristine = (pair.grammar.content_hash(), pair.denv.version()) == cx.pristine_env;
+    let Some(cache) = cx.options.force_cache.as_ref().filter(|_| pristine) else {
+        return make_cx().parse_tree_kind_goal(goal_kind, tree).map(Rc::new);
     };
-    if (c.pair.grammar.content_hash(), c.pair.denv.version()) != c.cx.pristine_env {
-        return c.parse_tree_kind_goal(goal_kind, tree);
-    }
     let key = (goal_kind, tree.fingerprint());
     if let Some(hit) = cache.get(&key) {
         maya_telemetry::count(maya_telemetry::Counter::ForceCacheHits);
         return Ok(hit);
     }
-    let deps_before = c.cx.dep_log.borrow().len();
-    let lazies_before = c.cx.lazy_created.get();
-    let diags_before = c
-        .cx
-        .diags
-        .borrow()
-        .as_ref()
-        .map(|d| (d.error_count(), d.warning_count()));
-    let node = c.parse_tree_kind_goal(goal_kind, tree)?;
-    let diags_after = c
-        .cx
-        .diags
-        .borrow()
-        .as_ref()
-        .map(|d| (d.error_count(), d.warning_count()));
-    if c.cx.dep_log.borrow().len() == deps_before
-        && c.cx.lazy_created.get() == lazies_before
-        && diags_before == diags_after
-    {
+    let before = cx.purity_marks();
+    let node = Rc::new(make_cx().parse_tree_kind_goal(goal_kind, tree)?);
+    if cx.purity_marks() == before {
         cache.insert(key, node.clone());
     }
     Ok(node)
@@ -801,8 +791,7 @@ pub fn force_lazy_scoped(
     // The force gets a *copy*: bindings the parse registers for
     // type-directed dispatch are scratch state; the checker re-declares
     // everything properly while walking the forced tree.
-    let cell = Rc::new(RefCell::new(scope.clone()));
-    force_lazy(cx, lazy, cell)
+    force_lazy(cx, lazy, || Rc::new(RefCell::new(scope.clone())))
 }
 
 /// The [`CheckHost`] used throughout compilation.

@@ -15,6 +15,7 @@
 mod base;
 mod bridge;
 mod builtins;
+mod check_memo;
 mod compiler;
 mod diag;
 mod driver;

@@ -627,17 +627,17 @@ impl Interp {
 
     fn lower_uncached(&self, body: &LazyNode, params: &[Symbol]) -> Option<Rc<LoweredBody>> {
         let node = body.forced_node()?;
-        let Node::Block(block) = node else {
+        let Node::Block(block) = &*node else {
             return None;
         };
         // Unfingerprintable bodies (unforced lazy statements, templates,
         // poison nodes) are unlowerable too.
-        let fp = maya_ast::fingerprint_block(&block)?;
+        let fp = maya_ast::fingerprint_block(block)?;
         let store = self.lower_store.borrow().clone();
         if let Some(hit) = store.get(fp, params) {
             return hit;
         }
-        let result = crate::bytecode::compile(&block, params)
+        let result = crate::bytecode::compile(block, params)
             .ok()
             .map(|bc| Rc::new(LoweredBody::new(bc)));
         store.insert(fp, params, result.clone());
@@ -1205,7 +1205,7 @@ impl Interp {
                 let node = l
                     .forced_node()
                     .ok_or_else(|| Control::error("lazy expression not forced", e.span))?;
-                match node.into_expr() {
+                match Node::clone(&node).into_expr() {
                     Some(inner) => self.eval(&inner, frame),
                     None => Err(Control::error("lazy node is not an expression", e.span)),
                 }

@@ -291,6 +291,18 @@ fn mj_hook(cx: &Rc<CompilerInner>, class: ClassId, state: &MjState) -> Result<()
     drop(externals);
 
     // 2. Multimethod groups (own methods with at least one specializer).
+    // A class none of whose methods has a specializer has no generic
+    // function: most classes, and every class of a program that never
+    // imports MultiJava, stop here before any method is cloned.
+    let specialized = classes
+        .info(class)
+        .borrow()
+        .methods
+        .iter()
+        .any(|m| m.specializers.iter().any(Option::is_some));
+    if !specialized {
+        return Ok(());
+    }
     let methods: Vec<MethodInfo> = classes.info(class).borrow().methods.clone();
     let mut groups: Vec<(Symbol, Vec<Type>, Vec<MethodInfo>)> = Vec::new();
     for m in &methods {

@@ -35,6 +35,8 @@ pub enum CacheId {
     UnitCache,
     /// The session force cache's class-body member-list memo.
     ClassBodyCache,
+    /// The session force cache's memo of members checked clean.
+    CheckCache,
     /// The session-shared lowered-body store.
     LowerStore,
     /// The dispatch `(production, signature) → ordered candidates` memo.
@@ -51,11 +53,12 @@ pub enum CacheId {
 
 impl CacheId {
     /// Every cache, in report order.
-    pub const ALL: [CacheId; 9] = [
+    pub const ALL: [CacheId; 10] = [
         CacheId::LalrMemo,
         CacheId::ForceCache,
         CacheId::UnitCache,
         CacheId::ClassBodyCache,
+        CacheId::CheckCache,
         CacheId::LowerStore,
         CacheId::DispatchMemo,
         CacheId::LexShare,
@@ -70,6 +73,7 @@ impl CacheId {
             CacheId::ForceCache => "force_cache",
             CacheId::UnitCache => "unit_cache",
             CacheId::ClassBodyCache => "class_body_cache",
+            CacheId::CheckCache => "check_cache",
             CacheId::LowerStore => "lower_store",
             CacheId::DispatchMemo => "dispatch_memo",
             CacheId::LexShare => "lex_share",

@@ -312,7 +312,7 @@ impl<'a> Checker<'a> {
                 let node = l.forced_node().ok_or_else(|| {
                     TypeError::new("internal error: lazy node not fulfilled", span)
                 })?;
-                match node.into_expr() {
+                match Node::clone(&node).into_expr() {
                     Some(inner) => self.denot_expr(&inner, scope),
                     None => self.err("lazy node did not produce an expression", span),
                 }
@@ -748,6 +748,10 @@ impl<'a> Checker<'a> {
                 Ok(())
             }
             StmtKind::If(c, t, f) => {
+                self.reject_bare_declaration(t)?;
+                if let Some(f) = f {
+                    self.reject_bare_declaration(f)?;
+                }
                 self.check_bool(c, scope)?;
                 self.check_stmt(t, scope)?;
                 if let Some(f) = f {
@@ -756,6 +760,7 @@ impl<'a> Checker<'a> {
                 Ok(())
             }
             StmtKind::While(c, body) => {
+                self.reject_bare_declaration(body)?;
                 self.check_bool(c, scope)?;
                 self.loop_depth += 1;
                 let r = self.check_stmt(body, scope);
@@ -763,6 +768,7 @@ impl<'a> Checker<'a> {
                 r
             }
             StmtKind::Do(body, c) => {
+                self.reject_bare_declaration(body)?;
                 self.loop_depth += 1;
                 let r = self.check_stmt(body, scope);
                 self.loop_depth -= 1;
@@ -775,6 +781,7 @@ impl<'a> Checker<'a> {
                 update,
                 body,
             } => {
+                self.reject_bare_declaration(body)?;
                 scope.push();
                 let result = (|| {
                     match init {
@@ -890,6 +897,17 @@ impl<'a> Checker<'a> {
                 })?;
                 self.check_node(&node, scope)
             }
+        }
+    }
+
+    /// Rejects a local declaration standing as a loop body or an `if`
+    /// branch, as javac does. Java's grammar has no declaration there,
+    /// and the two execution tiers would disagree on whether a loop's
+    /// update and later iterations see the variable.
+    fn reject_bare_declaration(&self, s: &Stmt) -> Result<(), TypeError> {
+        match s.kind {
+            StmtKind::Decl(..) => self.err("variable declaration not allowed here", s.span),
+            _ => Ok(()),
         }
     }
 
@@ -1124,6 +1142,48 @@ mod tests {
             .expect("decl then use");
         // The variable is now visible.
         assert!(scope.lookup(sym("i")).is_some());
+    }
+
+    #[test]
+    fn a_declaration_is_no_loop_body_or_if_branch() {
+        let (ct, ctx) = setup();
+        let mut host = NoHost;
+        let mut checker = Checker::new(&ct, &ctx, &mut host);
+        let decl = || {
+            Box::new(Stmt::synth(StmtKind::Decl(
+                TypeName::prim(PrimKind::Int),
+                vec![LocalDeclarator {
+                    name: Ident::from_str("y"),
+                    dims: 0,
+                    init: Some(Expr::int(1)),
+                }],
+            )))
+        };
+        let cond = || Expr::synth(ExprKind::Literal(Lit::Bool(true)));
+        let empty = || Box::new(Stmt::synth(StmtKind::Empty));
+        for s in [
+            StmtKind::If(cond(), decl(), None),
+            StmtKind::If(cond(), empty(), Some(decl())),
+            StmtKind::While(cond(), decl()),
+            StmtKind::Do(decl(), cond()),
+            StmtKind::For {
+                init: maya_ast::ForInit::None,
+                cond: Some(cond()),
+                update: vec![],
+                body: decl(),
+            },
+        ] {
+            let err = checker
+                .check_stmt(&Stmt::synth(s), &mut Scope::new())
+                .expect_err("a bare declaration is rejected");
+            assert_eq!(err.message, "variable declaration not allowed here");
+        }
+        // Braced, the same declaration is fine.
+        let block = maya_ast::Block::synth(vec![*decl()]);
+        let braced = StmtKind::While(cond(), Box::new(Stmt::synth(StmtKind::Block(block))));
+        checker
+            .check_stmt(&Stmt::synth(braced), &mut Scope::new())
+            .expect("a declaration inside a block");
     }
 
     #[test]

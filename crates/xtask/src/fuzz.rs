@@ -12,7 +12,8 @@
 //!   `MAYA_NO_LOWER`);
 //! * **warm/post-edit** — a persistent [`Session`] (the `mayad` shape)
 //!   fed hundreds of unrelated programs must match a cold batch compile,
-//!   including after an edit/revert cycle through the same session;
+//!   and so must each of its edits — an appended class and a signature
+//!   edit that retypes a method `main` calls — and the revert after them;
 //! * **jobs** — `--jobs=1` vs `--jobs=4` must be byte-identical;
 //! * **pool** — a campaign-persistent 4-worker [`CompilePool`] (the
 //!   concurrent `mayad` service shape, Arc-shared warm tiers) answers
@@ -880,29 +881,63 @@ fn diverges(sources: &[(String, String)], oracle: &Oracle) -> Option<String> {
             }
         }
         Oracle::PostEdit => {
-            let r = maya::core::catch_ice(AssertUnwindSafe(|| {
-                let mut s = fresh_session(Engine::Bytecode, 1);
-                let first = s.compile_sources(sources, &req_opts());
-                let mut edited = sources.to_vec();
-                if let Some(last) = edited.last_mut() {
-                    last.1.push_str("\nclass ZZFuzzEdit { }\n");
-                }
-                s.compile_sources(&edited, &req_opts());
-                let back = s.compile_sources(sources, &req_opts());
-                (first, back)
-            }));
-            match r {
+            let mut s = fresh_session(Engine::Bytecode, 1);
+            match maya::core::catch_ice(AssertUnwindSafe(|| {
+                s.compile_sources(sources, &req_opts())
+            })) {
                 Err(m) => Some(format!("post-edit cycle panicked: {m}")),
-                Ok((first, back)) => {
-                    if outcome_sig(&first) == outcome_sig(&back) {
-                        None
-                    } else {
-                        Some(diff_block("original", &first, "post-edit revert", &back))
-                    }
-                }
+                Ok(first) => post_edit_check(&mut s, sources, &first),
             }
         }
     }
+}
+
+/// `FuzzHot.twice` as [`HOT_HELPER`] declares it, and retyped to return
+/// `String`.
+const TWICE_INT: &str = "int twice(int k) { return get() + leaf(k); }";
+const TWICE_STRING: &str = "String twice(int k) { return \"\" + get() + leaf(k); }";
+
+/// The post-edit oracle's edits of `sources`: a class appended to the last
+/// file, then a signature edit that retypes `FuzzHot.twice` to return
+/// `String`. The helper sits after `main`, so `main` keeps its tokens and
+/// spans while the type of its call `h.twice(i)` changes. A case whose
+/// helper a mutation broke gets the first edit only.
+fn post_edits(sources: &[(String, String)]) -> Vec<Vec<(String, String)>> {
+    let mut appended = sources.to_vec();
+    if let Some(last) = appended.last_mut() {
+        last.1.push_str("\nclass ZZFuzzEdit { }\n");
+    }
+    let mut edits = vec![appended];
+    if sources.iter().any(|(_, src)| src.contains(TWICE_INT)) {
+        edits.push(
+            sources
+                .iter()
+                .map(|(n, src)| (n.clone(), src.replacen(TWICE_INT, TWICE_STRING, 1)))
+                .collect(),
+        );
+    }
+    edits
+}
+
+/// Drives one warm session through [`post_edits`] and back: every edited
+/// outcome must equal a cold compile of the edited sources, and the
+/// revert must land on `original`, the cold outcome of `sources`.
+fn post_edit_check(
+    s: &mut Session,
+    sources: &[(String, String)],
+    original: &Outcome,
+) -> Option<String> {
+    for (k, edited) in post_edits(sources).iter().enumerate() {
+        let warm =
+            maya::core::catch_ice(AssertUnwindSafe(|| s.compile_sources(edited, &req_opts())));
+        let cold = run_fresh(edited, Engine::Bytecode, 1, None);
+        let (cn, wn) = (format!("cold edit {k}"), format!("warm edit {k}"));
+        if let Some(d) = compare(cold, warm, &cn, &wn) {
+            return Some(d);
+        }
+    }
+    let back = maya::core::catch_ice(AssertUnwindSafe(|| s.compile_sources(sources, &req_opts())));
+    compare(Ok(original.clone()), back, "cold", "post-edit revert")
 }
 
 // ---- minimization ------------------------------------------------------------
@@ -1197,18 +1232,11 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
             record(Oracle::Store, i, sources, detail, &mut reports, &mut stats);
         }
 
-        // Oracle: edit + revert through the warm session lands back on the
-        // cold outcome (the invalidation cone must be exact both ways).
+        // Oracle: edits through the warm session match cold compiles of
+        // the edited sources, and the revert lands back on the cold
+        // outcome (the invalidation cone must be exact both ways).
         stats.post_edit_runs += 1;
-        let back = maya::core::catch_ice(AssertUnwindSafe(|| {
-            let mut edited = sources.to_vec();
-            if let Some(last) = edited.last_mut() {
-                last.1.push_str("\nclass ZZFuzzEdit { }\n");
-            }
-            warm.compile_sources(&edited, &opts);
-            warm.compile_sources(sources, &opts)
-        }));
-        if let Some(detail) = compare(Ok(cold.clone()), back, "cold", "post-edit revert") {
+        if let Some(detail) = post_edit_check(&mut warm, sources, &cold) {
             warm.reset();
             record(Oracle::PostEdit, i, sources, detail, &mut reports, &mut stats);
         }
