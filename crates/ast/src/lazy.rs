@@ -72,6 +72,19 @@ impl LazyNode {
         }
     }
 
+    /// Builds a lazy node already forced to a body a session cache kept
+    /// from an earlier compilation of the same tokens. It counts as created
+    /// and forced, as the cold node it stands for would, but emits no trace
+    /// event: nothing was deferred or parsed.
+    pub fn replayed(goal: NodeKind, node: Rc<Node>) -> LazyNode {
+        maya_telemetry::count(maya_telemetry::Counter::LazyNodesCreated);
+        maya_telemetry::count(maya_telemetry::Counter::LazyNodesForced);
+        LazyNode {
+            goal,
+            cell: Rc::new(RefCell::new(LazyCell::Forced(node))),
+        }
+    }
+
     /// True if the node has been parsed.
     pub fn is_forced(&self) -> bool {
         matches!(*self.cell.borrow(), LazyCell::Forced(_))

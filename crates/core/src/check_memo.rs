@@ -1,4 +1,4 @@
-//! Keys for the force cache's clean-check layer.
+//! Keys for the force cache's class and clean-check layers.
 //!
 //! A member's check is a function of its forced body, the scope it is
 //! checked in (class, static flag, return and parameter types), the
@@ -9,6 +9,11 @@
 //! coarse: any signature change anywhere gives every member a new key, so
 //! only body edits leave other members' keys alone.
 //!
+//! A class's installed signatures are a function of its member list, its
+//! name, its resolve context and the names the table declares.
+//! [`DeclTable`] digests the last once per request, after every class is
+//! declared; [`DeclTable::class_key`] keys the rest.
+//!
 //! Classes are hashed by interned name, never by `ClassId`: ids are per
 //! compiler and shift when an edit adds or removes a class. The check
 //! memo lives in one process, where interned names are stable.
@@ -18,15 +23,95 @@
 //! it is keyed here or exempted with a reason.
 
 use crate::driver::LazyEnvPayload;
-use maya_ast::{LazyCell, LazyNode, Modifiers};
+use maya_ast::{LazyCell, LazyNode, Modifiers, NodeKind};
 use maya_lexer::{Fnv2, Symbol};
 use maya_types::{
     ClassId, ClassInfo, ClassTable, CtorInfo, FieldInfo, MethodInfo, ResolveCtx, Type,
 };
+use std::rc::Rc;
+
+/// The declared-class table once every class is declared: each class's
+/// interned name and kind, in id order. Installed signatures hold
+/// `ClassId`s, so the class layer replays them only under the table they
+/// were resolved under.
+pub(crate) struct DeclTable {
+    pub(crate) digest: u128,
+    names: Vec<Symbol>,
+}
+
+impl DeclTable {
+    /// Digests the classes `classes` declares.
+    pub(crate) fn of(classes: &ClassTable) -> DeclTable {
+        let mut h = Fnv2::new();
+        let names: Vec<Symbol> = (0..classes.len())
+            .map(|i| {
+                let info = classes.info(ClassId(i as u32));
+                let info = info.borrow();
+                h.u32(info.fqcn.index());
+                h.byte(u8::from(info.is_interface));
+                info.fqcn
+            })
+            .collect();
+        h.u32(names.len() as u32);
+        DeclTable {
+            digest: h.finish(),
+            names,
+        }
+    }
+
+    /// True while `classes` declares no class beyond the digested ones.
+    pub(crate) fn current(&self, classes: &ClassTable) -> bool {
+        classes.len() == self.names.len()
+    }
+
+    /// The class layer's key: the class body's token fingerprint, the
+    /// class's interned name, the environment the body is parsed under and
+    /// the resolve context of its unit.
+    pub(crate) fn class_key(
+        &self,
+        body: u128,
+        name: Symbol,
+        env: (u128, u64),
+        unit_ctx: &ResolveCtx,
+    ) -> u128 {
+        let mut k = KeyHasher {
+            h: Fnv2::new(),
+            names: &self.names,
+        };
+        k.h.bytes(&body.to_le_bytes());
+        k.sym(name);
+        k.h.bytes(&env.0.to_le_bytes());
+        k.h.bytes(&env.1.to_le_bytes());
+        k.ctx(unit_ctx);
+        k.h.finish()
+    }
+}
+
+/// The force key of an unforced lazy body and the payload it captured,
+/// when that payload is the `pristine` environment's. Read before
+/// forcing: the fingerprint comes from the cell's token tree.
+pub(crate) fn unforced_source(
+    body: &LazyNode,
+    pristine: (u128, u64),
+) -> Option<(u128, Rc<LazyEnvPayload>)> {
+    let cell = body.cell.borrow();
+    let LazyCell::Unforced { tree, env } = &*cell else {
+        return None;
+    };
+    let payload = env.clone()?.downcast::<LazyEnvPayload>().ok()?;
+    if (
+        payload.pair.grammar.content_hash(),
+        payload.pair.denv.version(),
+    ) != pristine
+    {
+        return None;
+    }
+    Some((tree.fingerprint(), payload))
+}
 
 /// One request's class-signature digest, taken after the class hooks.
 pub(crate) struct Signatures {
-    digest: u128,
+    pub(crate) digest: u128,
     /// The table version the digest was taken at; a member is looked up
     /// only while the table still has it.
     pub(crate) version: u64,
@@ -133,34 +218,21 @@ impl Signatures {
         }
     }
 
-    /// The clean-check key of one member body, or `None` when the body is
-    /// not an unforced lazy whose payload captured the `pristine`
-    /// environment. Read before forcing: the key takes the token tree's
-    /// memoised fingerprint from the unforced cell, an O(1) read.
+    /// The clean-check key of one member body: its force key
+    /// (`goal`, `fingerprint`), the resolve context and class its payload
+    /// captured, and the scope it is checked in.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn member_key(
         &self,
         class: ClassId,
         class_ctx: &ResolveCtx,
-        body: &LazyNode,
+        (goal, fingerprint): (NodeKind, u128),
+        (payload_ctx, payload_class): (&ResolveCtx, Option<ClassId>),
         is_static: bool,
         ret: &Type,
         param_names: &[Symbol],
         params: &[Type],
-        pristine: (u128, u64),
-    ) -> Option<u128> {
-        let cell = body.cell.borrow();
-        let LazyCell::Unforced { tree, env } = &*cell else {
-            return None;
-        };
-        let payload = env.as_ref()?.downcast_ref::<LazyEnvPayload>()?;
-        if (
-            payload.pair.grammar.content_hash(),
-            payload.pair.denv.version(),
-        ) != pristine
-        {
-            return None;
-        }
+    ) -> u128 {
         let mut k = KeyHasher {
             h: Fnv2::new(),
             names: &self.names,
@@ -168,14 +240,14 @@ impl Signatures {
         k.h.bytes(&self.digest.to_le_bytes());
         k.class(class);
         k.ctx(class_ctx);
-        k.ctx(&payload.ctx);
-        k.opt_class(payload.class);
+        k.ctx(payload_ctx);
+        k.opt_class(payload_class);
         k.h.byte(u8::from(is_static));
         k.ty(ret);
         k.params(param_names, params);
-        k.h.str(body.goal.name());
-        k.h.bytes(&tree.fingerprint().to_le_bytes());
-        Some(k.h.finish())
+        k.h.str(goal.name());
+        k.h.bytes(&fingerprint.to_le_bytes());
+        k.h.finish()
     }
 }
 

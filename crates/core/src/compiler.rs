@@ -5,9 +5,7 @@ use crate::base::Base;
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::driver::{force_lazy, Cx, EnvPair, ForceHost};
 use crate::CompileError;
-use maya_ast::{
-    Decl, Ident, LazyNode, Node, NodeKind, TypeName,
-};
+use maya_ast::{Decl, Ident, LazyCell, LazyNode, Node, NodeKind, TypeName};
 use maya_dispatch::{DestructorFn, DispatchError, ImportEnv, Mayan, MetaProgram};
 use maya_grammar::{Grammar, GrammarBuilder, ProdId, RhsItem};
 use maya_interp::{install_runtime, Interp};
@@ -91,6 +89,14 @@ impl Default for CompileOptions {
 /// dependency, or a lazy node (see `crate::check_memo`). A member whose
 /// key is recorded is still forced, but the checker does not run on it.
 ///
+/// The **class layer** keeps one [`ClassEntry`] per class body, so that
+/// an unchanged class replays in one probe per pass: its member templates,
+/// its installed signatures, its forced bodies and the record of a clean
+/// check of all its members. A hit stamps the per-member force and check
+/// entries it stands for, so that a request falling back to them (the
+/// edited class, a signature edit, a class added or removed, another
+/// client of the same cache) finds them warm.
+///
 /// Every layer is a [`GenMemo`]: the sessions sharing the cache report
 /// their request boundaries ([`ForceCache::end_request`]), and entries no
 /// recent request touched — parses an edit superseded — are evicted, so a
@@ -112,11 +118,8 @@ pub struct ForceCache {
     /// at the borrowing compiler's own pristine environment (see
     /// `driver::refresh_unit`), so no state is shared across compilers.
     units: RefCell<GenMemo<u128, Node>>,
-    /// Class-body member-list parses, keyed by the body's delimiter-tree
-    /// fingerprint. Stored and refreshed exactly like `units` (the member
-    /// signatures and their nested formal-list sub-parses dominate warm
-    /// recompiles once units and lazy bodies are cached).
-    bodies: RefCell<GenMemo<u128, Node>>,
+    /// The class layer, keyed by `check_memo::DeclTable::class_key`.
+    classes: RefCell<GenMemo<u128, Rc<ClassEntry>>>,
     /// Member keys whose check ran clean (`check_memo::Signatures::member_key`).
     checks: RefCell<GenMemo<u128, ()>>,
 }
@@ -128,7 +131,7 @@ impl ForceCache {
             map: RefCell::new(GenMemo::new(telemetry::CacheId::ForceCache)),
             lowered: Rc::new(maya_interp::LowerStore::new()),
             units: RefCell::new(GenMemo::new(telemetry::CacheId::UnitCache)),
-            bodies: RefCell::new(GenMemo::new(telemetry::CacheId::ClassBodyCache)),
+            classes: RefCell::new(GenMemo::new(telemetry::CacheId::ClassBodyCache)),
             checks: RefCell::new(GenMemo::new(telemetry::CacheId::CheckCache)),
         }
     }
@@ -143,7 +146,7 @@ impl ForceCache {
     pub fn end_request(&self) {
         self.map.borrow_mut().end_request();
         self.units.borrow_mut().end_request();
-        self.bodies.borrow_mut().end_request();
+        self.classes.borrow_mut().end_request();
         self.checks.borrow_mut().end_request();
         self.lowered.end_request();
     }
@@ -173,20 +176,36 @@ impl ForceCache {
         self.units.borrow_mut().insert(key, node);
     }
 
-    pub(crate) fn get_body(&self, key: u128) -> Option<Node> {
-        self.bodies.borrow_mut().get(&key)
+    pub(crate) fn get_class(&self, key: u128) -> Option<Rc<ClassEntry>> {
+        self.classes.borrow_mut().get(&key)
     }
 
-    pub(crate) fn insert_body(&self, key: u128, node: Node) {
-        self.bodies.borrow_mut().insert(key, node);
+    pub(crate) fn insert_class(&self, key: u128, entry: Rc<ClassEntry>) {
+        self.classes.borrow_mut().insert(key, entry);
     }
 
-    /// Number of memoized entries (lazy bodies, class bodies, whole units
-    /// and clean checks).
+    /// Keeps the force entries of a replayed class's bodies alive.
+    fn touch_bodies(&self, entry: &ClassEntry) {
+        let mut map = self.map.borrow_mut();
+        for b in &entry.bodies {
+            map.touch(&(b.goal, b.fingerprint));
+        }
+    }
+
+    /// Keeps the clean-check entries of a class's members alive.
+    fn touch_checks(&self, keys: &[u128]) {
+        let mut checks = self.checks.borrow_mut();
+        for k in keys {
+            checks.touch(k);
+        }
+    }
+
+    /// Number of memoized entries (lazy bodies, classes, whole units and
+    /// clean checks).
     pub fn len(&self) -> usize {
         self.map.borrow().len()
             + self.units.borrow().len()
-            + self.bodies.borrow().len()
+            + self.classes.borrow().len()
             + self.checks.borrow().len()
     }
 
@@ -205,6 +224,192 @@ impl Default for ForceCache {
 impl std::fmt::Debug for ForceCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ForceCache({} entries)", self.len())
+    }
+}
+
+/// The class layer's entry for one class body (see [`ForceCache`]).
+///
+/// The member templates are valid wherever the key matches. The rest is
+/// filled in by the requests that use the entry, and each part holds
+/// only under the condition stored with it: the signatures under one
+/// declared-class table, the clean-check record under one signature
+/// digest. The forced bodies are pure parses of the key's tokens.
+pub(crate) struct ClassEntry {
+    /// The member-list parse, in declaration order: lazies unforced, with
+    /// the canonical payload (`class: None`).
+    members: Vec<Decl>,
+    /// Every member body, in check order: method bodies in declaration
+    /// order, then constructor bodies.
+    bodies: Vec<BodyTemplate>,
+    /// Method bodies at the front of `bodies`.
+    method_bodies: usize,
+    /// The installed signatures, and the `DeclTable` digest they were
+    /// resolved under.
+    shaped: RefCell<Option<(u128, Rc<[Sig]>)>>,
+    /// The forced bodies, in check order, once a request forced them all
+    /// purely.
+    forced: RefCell<Option<Rc<[Rc<Node>]>>>,
+    /// The signature digest every member checked clean under, and the
+    /// members' clean-check keys in check order.
+    clean: RefCell<Option<(u128, Rc<[u128]>)>>,
+}
+
+/// One member body of a [`ClassEntry`]: its goal, its token tree and the
+/// tree's fingerprint (the force key is `(goal, fingerprint)`).
+struct BodyTemplate {
+    goal: NodeKind,
+    tree: maya_lexer::DelimTree,
+    fingerprint: u128,
+}
+
+/// One installed member signature, without its body.
+pub(crate) enum Sig {
+    /// A method, and whether it has a body.
+    Method(MethodInfo, bool),
+    Ctor(CtorInfo),
+    Field(FieldInfo),
+}
+
+impl ClassEntry {
+    /// An entry for a member list whose lazies are unforced templates.
+    fn new(members: Vec<Decl>) -> ClassEntry {
+        let template = |l: &LazyNode| {
+            let tree = l.unforced_tree().expect("member templates are unforced");
+            BodyTemplate {
+                goal: l.goal,
+                fingerprint: tree.fingerprint(),
+                tree,
+            }
+        };
+        let mut bodies: Vec<BodyTemplate> = members
+            .iter()
+            .filter_map(|m| match m {
+                Decl::Method(md) => md.body.as_ref().map(template),
+                _ => None,
+            })
+            .collect();
+        let method_bodies = bodies.len();
+        bodies.extend(members.iter().filter_map(|m| match m {
+            Decl::Ctor(cd) => Some(template(&cd.body)),
+            _ => None,
+        }));
+        ClassEntry {
+            members,
+            bodies,
+            method_bodies,
+            shaped: RefCell::new(None),
+            forced: RefCell::new(None),
+            clean: RefCell::new(None),
+        }
+    }
+}
+
+/// Makes the bodies of a replayed class in installation order: the
+/// entry's forced bodies, or fresh unforced lazies under `payload`.
+struct ReplayBodies<'a> {
+    entry: &'a ClassEntry,
+    forced: Option<&'a [Rc<Node>]>,
+    payload: Option<Rc<dyn std::any::Any>>,
+    methods: usize,
+    ctors: usize,
+}
+
+impl ReplayBodies<'_> {
+    fn next(&mut self, ctor: bool) -> LazyNode {
+        let i = if ctor {
+            self.ctors += 1;
+            self.entry.method_bodies + self.ctors - 1
+        } else {
+            self.methods += 1;
+            self.methods - 1
+        };
+        let b = &self.entry.bodies[i];
+        match self.forced {
+            Some(forced) => LazyNode::replayed(b.goal, forced[i].clone()),
+            None => LazyNode::new(b.goal, b.tree.clone(), self.payload.clone()),
+        }
+    }
+}
+
+/// What the clean-check pass learns about a class with a [`ClassEntry`]:
+/// whether its bodies are exactly the entry's, all forced purely and all
+/// checked clean.
+struct ClassRecord {
+    forced: Vec<Rc<Node>>,
+    keys: Vec<u128>,
+    exact: bool,
+    pure: bool,
+    clean: bool,
+}
+
+/// The declarations of a class-body parse: `Node::Decls`, or a
+/// `Node::List` whose declarations are kept.
+fn member_decls(node: Node) -> Option<Vec<Decl>> {
+    match node {
+        Node::Decls(d) => Some(d),
+        Node::List(items) => Some(
+            items
+                .into_iter()
+                .filter_map(|n| match n {
+                    Node::Decl(d) => Some(d),
+                    _ => None,
+                })
+                .collect(),
+        ),
+        _ => None,
+    }
+}
+
+/// Adds one member to a class: `sig` with `body` as its body.
+fn push_sig(info: &mut ClassInfo, sig: &Sig, body: Option<LazyNode>) {
+    match sig {
+        Sig::Method(
+            MethodInfo {
+                name,
+                params,
+                param_names,
+                ret,
+                modifiers,
+                // Bodies are not part of a signature.
+                body: _,
+                native,
+                specializers,
+            },
+            _,
+        ) => info.methods.push(MethodInfo {
+            name: *name,
+            params: params.clone(),
+            param_names: param_names.clone(),
+            ret: ret.clone(),
+            modifiers: *modifiers,
+            body,
+            native: *native,
+            specializers: specializers.clone(),
+        }),
+        Sig::Ctor(CtorInfo {
+            params,
+            param_names,
+            modifiers,
+            body: _,
+            native,
+        }) => info.ctors.push(CtorInfo {
+            params: params.clone(),
+            param_names: param_names.clone(),
+            modifiers: *modifiers,
+            body,
+            native: *native,
+        }),
+        Sig::Field(FieldInfo {
+            name,
+            ty,
+            modifiers,
+            init,
+        }) => info.fields.push(FieldInfo {
+            name: *name,
+            ty: ty.clone(),
+            modifiers: *modifiers,
+            init: init.clone(),
+        }),
     }
 }
 
@@ -234,10 +439,14 @@ pub struct DepEdge {
 }
 
 /// Per-class compile metadata.
-#[derive(Clone)]
 pub(crate) struct ClassMeta {
     pub env: EnvPair,
     pub ctx: ResolveCtx,
+    /// The class layer's entry for this class's member list, when it has
+    /// one.
+    pub entry: Option<Rc<ClassEntry>>,
+    /// The entry's forced bodies, when the class was installed with them.
+    pub forced: Option<Rc<[Rc<Node>]>>,
 }
 
 /// What a memoizable step must leave unchanged: the dependency log's
@@ -285,7 +494,7 @@ pub struct CompilerInner {
     /// Syntax-import events observed during this compilation, in import
     /// order (see [`DepEdge`]).
     pub(crate) dep_log: RefCell<Vec<DepEdge>>,
-    pub(crate) class_meta: RefCell<HashMap<ClassId, ClassMeta>>,
+    pub(crate) class_meta: RefCell<HashMap<ClassId, Rc<ClassMeta>>>,
     /// Environment snapshots captured when class declarations were parsed,
     /// keyed by the body tree's span start (a `use` earlier in the file may
     /// have extended the grammar the body must be shaped under).
@@ -308,6 +517,9 @@ pub struct CompilerInner {
     /// Lazy nodes created so far (the force cache's purity gate: a parse
     /// that defers work captures an environment and is not memoizable).
     pub(crate) lazy_created: Cell<u64>,
+    /// This request's declared-class table for the class layer, taken
+    /// once every class is declared when a force cache is attached.
+    decl_table: RefCell<Option<Rc<crate::check_memo::DeclTable>>>,
     /// This request's class-signature digest for the clean-check layer,
     /// taken after the class hooks when a force cache is attached and no
     /// fault is armed.
@@ -650,6 +862,7 @@ impl Compiler {
             diags: RefCell::new(None),
             pristine_env,
             lazy_created: Cell::new(0),
+            decl_table: RefCell::new(None),
             signatures: RefCell::new(None),
             class_hooks: RefCell::new(Vec::new()),
             options,
@@ -1050,6 +1263,7 @@ impl Compiler {
                 ),
             }
         }
+        self.take_decl_table();
         // Pass 2: shape each class; a broken class is excluded from later
         // passes so its errors don't cascade.
         let mut broken: HashSet<ClassId> = HashSet::new();
@@ -1166,6 +1380,7 @@ impl Compiler {
             };
             self.declare_decls(&decls, &ctx, package.as_deref(), ui, &mut shaped)?;
         }
+        self.take_decl_table();
         // Pass 2: shape each class (parse bodies, compute member types).
         for (class, decl, ctx, _ui) in &shaped {
             self.shape_class(*class, decl, ctx)?;
@@ -1308,21 +1523,48 @@ impl Compiler {
             return Ok(());
         };
         let pair = self.env_for_body(tree.span());
-        // Record per-class metadata before parsing members, so nested
-        // lookups see it.
+        let (name, simple) = {
+            let info = self.inner.classes.info(class);
+            let info = info.borrow();
+            (info.fqcn, info.simple)
+        };
         let mut class_ctx = ctx.clone();
-        class_ctx
-            .local_classes
-            .push((self.inner.classes.info(class).borrow().simple, class));
-        self.inner.class_meta.borrow_mut().insert(
-            class,
-            ClassMeta {
-                env: pair.clone(),
-                ctx: class_ctx.clone(),
-            },
-        );
+        class_ctx.local_classes.push((simple, class));
         self.inner.interp.set_class_ctx(class, class_ctx.clone());
 
+        // Class layer: under the pristine base environment the member list
+        // is a pure function of the body tree, so an entry can replay it
+        // (with fresh lazy cells bound to *this* class) instead of
+        // re-parsing.
+        let env = (pair.grammar.content_hash(), pair.denv.version());
+        let layer = match (
+            &self.inner.options.force_cache,
+            &*self.inner.decl_table.borrow(),
+        ) {
+            (Some(cache), Some(table)) if env == self.inner.pristine_env => {
+                let key = table.class_key(tree.fingerprint(), name, env, ctx);
+                Some((cache.clone(), table.clone(), key))
+            }
+            _ => None,
+        };
+        if let Some((cache, table, key)) = &layer {
+            if let Some(entry) = cache.get_class(*key) {
+                maya_telemetry::count(maya_telemetry::Counter::ClassBodyCacheHits);
+                return self.replay_class(class, entry, pair, class_ctx, cache, table);
+            }
+        }
+
+        // Record per-class metadata before parsing members, so nested
+        // lookups see it.
+        self.inner.class_meta.borrow_mut().insert(
+            class,
+            Rc::new(ClassMeta {
+                env: pair.clone(),
+                ctx: class_ctx.clone(),
+                entry: None,
+                forced: None,
+            }),
+        );
         let cx = Cx {
             cx: self.inner.clone(),
             pair: pair.clone(),
@@ -1334,112 +1576,180 @@ impl Compiler {
             .grammar
             .nt_for_kind(NodeKind::ClassBody)
             .expect("ClassBody nt");
-        // Class-body cache: under the pristine base environment the member
-        // list is a pure function of the body tree; replay it (with fresh
-        // lazy cells bound to *this* class) instead of re-parsing.
-        let cache = self.inner.options.force_cache.clone();
-        let body_key = match &cache {
-            Some(_)
-                if (pair.grammar.content_hash(), pair.denv.version())
-                    == self.inner.pristine_env =>
-            {
-                Some(tree.fingerprint())
-            }
-            _ => None,
+        let diag_counts = || {
+            self.inner
+                .diags
+                .borrow()
+                .as_ref()
+                .map(|d| (d.error_count(), d.warning_count()))
         };
+        let deps_before = self.inner.dep_log.borrow().len();
+        let diags_before = diag_counts();
+        let members_node = cx.parse_trees(&tree.trees, goal)?;
         // Templates are stored class-agnostic (`class: None` payloads):
-        // class ids are per-compiler and shift under edits, so the borrower
-        // rebinds every lazy to its own class id here.
-        let fresh_payload = Rc::new(crate::driver::LazyEnvPayload {
-            pair: pair.clone(),
-            ctx: class_ctx.clone(),
-            class: Some(class),
+        // class ids are per-compiler and shift under edits, so a borrower
+        // binds every lazy to its own class id.
+        let entry = layer.as_ref().and_then(|(cache, _, key)| {
+            let global = self.inner.global.borrow();
+            let still_pristine =
+                (global.grammar.content_hash(), global.denv.version()) == self.inner.pristine_env;
+            drop(global);
+            if !still_pristine
+                || self.inner.dep_log.borrow().len() != deps_before
+                || diag_counts() != diags_before
+            {
+                return None;
+            }
+            let canonical = Rc::new(crate::driver::LazyEnvPayload {
+                pair: pair.clone(),
+                ctx: ResolveCtx::default(),
+                class: None,
+            });
+            let template = crate::driver::refresh_members(
+                &members_node,
+                self.inner.pristine_env,
+                &canonical,
+                Some(class),
+            )?;
+            let entry = Rc::new(ClassEntry::new(member_decls(template)?));
+            cache.insert_class(*key, entry.clone());
+            Some(entry)
         });
-        let cached_members = match (&cache, body_key) {
-            (Some(c), Some(key)) => c.get_body(key).and_then(|template| {
-                crate::driver::refresh_members(
-                    &template,
-                    self.inner.pristine_env,
-                    &fresh_payload,
-                    None,
-                )
-            }),
-            _ => None,
-        };
-        let members_node = if let Some(m) = cached_members {
-            maya_telemetry::count(maya_telemetry::Counter::ClassBodyCacheHits);
-            m
-        } else {
-            let deps_before = self.inner.dep_log.borrow().len();
-            let diags_before = self
-                .inner
-                .diags
-                .borrow()
-                .as_ref()
-                .map(|d| (d.error_count(), d.warning_count()));
-            let members_node = cx.parse_trees(&tree.trees, goal)?;
-            let diags_after = self
-                .inner
-                .diags
-                .borrow()
-                .as_ref()
-                .map(|d| (d.error_count(), d.warning_count()));
-            if let (Some(c), Some(key)) = (&cache, body_key) {
-                let global = self.inner.global.borrow();
-                let still_pristine = (global.grammar.content_hash(), global.denv.version())
-                    == self.inner.pristine_env;
-                drop(global);
-                if still_pristine
-                    && self.inner.dep_log.borrow().len() == deps_before
-                    && diags_before == diags_after
-                {
-                    let canonical = Rc::new(crate::driver::LazyEnvPayload {
-                        pair: pair.clone(),
-                        ctx: ResolveCtx::default(),
-                        class: None,
-                    });
-                    if let Some(template) = crate::driver::refresh_members(
-                        &members_node,
-                        self.inner.pristine_env,
-                        &canonical,
-                        Some(class),
-                    ) {
-                        c.insert_body(key, template);
-                    }
-                }
-            }
-            members_node
-        };
-        let members = match members_node {
-            Node::Decls(d) => d,
-            Node::List(items) => items
-                .into_iter()
-                .filter_map(|n| match n {
-                    Node::Decl(d) => Some(d),
-                    _ => None,
-                })
-                .collect(),
-            _ => {
-                return Err(CompileError::new(
-                    "internal: class body shape",
-                    tree.span(),
-                ))
-            }
-        };
-        self.install_members(class, &members, &class_ctx)?;
+        let members = member_decls(members_node)
+            .ok_or_else(|| CompileError::new("internal: class body shape", tree.span()))?;
+        let mut sigs = layer
+            .as_ref()
+            .filter(|(_, table, _)| entry.is_some() && self.can_replay(table))
+            .map(|_| Vec::new());
+        self.install_members(
+            class,
+            &members,
+            &class_ctx,
+            &mut |l, _| l.clone(),
+            sigs.as_mut(),
+        )?;
+        if let (Some(entry), Some(sigs), Some((_, table, _))) = (&entry, sigs, &layer) {
+            *entry.shaped.borrow_mut() = Some((table.digest, sigs.into()));
+        }
+        if entry.is_some() {
+            self.inner.class_meta.borrow_mut().insert(
+                class,
+                Rc::new(ClassMeta {
+                    env: pair,
+                    ctx: class_ctx,
+                    entry,
+                    forced: None,
+                }),
+            );
+        }
         Ok(())
     }
 
+    /// True when the class layer may replay signatures and bodies resolved
+    /// under `table`: no fault is armed, and no class was declared since
+    /// the table was taken.
+    fn can_replay(&self, table: &crate::check_memo::DeclTable) -> bool {
+        !crate::faults::any_armed() && table.current(&self.inner.classes)
+    }
+
+    /// Installs a class's members from its class-layer entry: straight from
+    /// the recorded signatures when they were resolved under this request's
+    /// declared-class table, else by resolving the member templates again.
+    /// Bodies come forced from the entry when it has them.
+    fn replay_class(
+        &self,
+        class: ClassId,
+        entry: Rc<ClassEntry>,
+        pair: EnvPair,
+        class_ctx: ResolveCtx,
+        cache: &ForceCache,
+        table: &crate::check_memo::DeclTable,
+    ) -> Result<(), CompileError> {
+        let replay = self.can_replay(table);
+        let forced = entry.forced.borrow().clone().filter(|_| replay);
+        let shaped = entry
+            .shaped
+            .borrow()
+            .clone()
+            .filter(|(digest, _)| replay && *digest == table.digest);
+        let payload = forced.is_none().then(|| {
+            Rc::new(crate::driver::LazyEnvPayload {
+                pair: pair.clone(),
+                ctx: class_ctx.clone(),
+                class: Some(class),
+            }) as Rc<dyn std::any::Any>
+        });
+        let meta = Rc::new(ClassMeta {
+            env: pair,
+            ctx: class_ctx,
+            entry: Some(entry.clone()),
+            forced: forced.clone(),
+        });
+        self.inner
+            .class_meta
+            .borrow_mut()
+            .insert(class, meta.clone());
+        let mut bodies = ReplayBodies {
+            entry: &entry,
+            forced: forced.as_deref(),
+            payload,
+            methods: 0,
+            ctors: 0,
+        };
+        let classes = &self.inner.classes;
+        match shaped {
+            Some((_, sigs)) => {
+                let info = classes.info(class);
+                let mut info = info.borrow_mut();
+                let methods = sigs.iter().filter(|s| matches!(s, Sig::Method(..))).count();
+                info.methods.reserve(methods);
+                for sig in sigs.iter() {
+                    let body = match sig {
+                        Sig::Method(_, true) => Some(bodies.next(false)),
+                        Sig::Ctor(_) => Some(bodies.next(true)),
+                        Sig::Method(_, false) | Sig::Field(_) => None,
+                    };
+                    push_sig(&mut info, sig, body);
+                }
+                drop(info);
+                classes.bump_version();
+            }
+            None => {
+                let mut sigs = replay.then(Vec::new);
+                self.install_members(
+                    class,
+                    &entry.members,
+                    &meta.ctx,
+                    &mut |_, ctor| bodies.next(ctor),
+                    sigs.as_mut(),
+                )?;
+                if let Some(sigs) = sigs {
+                    *entry.shaped.borrow_mut() = Some((table.digest, sigs.into()));
+                }
+            }
+        }
+        if forced.is_some() {
+            cache.touch_bodies(&entry);
+        }
+        Ok(())
+    }
+
+    /// Resolves and installs a member list. `body` gives the lazy to
+    /// install for each method and constructor body (`true` for a
+    /// constructor); `sigs`, when given, receives every installed
+    /// signature.
     fn install_members(
         &self,
         class: ClassId,
         members: &[Decl],
         ctx: &ResolveCtx,
+        body: &mut dyn FnMut(&LazyNode, bool) -> LazyNode,
+        mut sigs: Option<&mut Vec<Sig>>,
     ) -> Result<(), CompileError> {
         let classes = &self.inner.classes;
         let simple = classes.info(class).borrow().simple;
         for m in members {
-            match m {
+            let (sig, lazy) = match m {
                 Decl::Method(md) => {
                     let ret = classes.resolve_type_name(&md.ret, ctx)?;
                     let mut params = Vec::new();
@@ -1453,19 +1763,18 @@ impl Compiler {
                             None => None,
                         });
                     }
-                    classes.add_method(
-                        class,
-                        MethodInfo {
-                            name: md.name.sym,
-                            params,
-                            param_names: names,
-                            ret,
-                            modifiers: md.modifiers,
-                            body: md.body.clone(),
-                            native: None,
-                            specializers,
-                        },
-                    );
+                    let info = MethodInfo {
+                        name: md.name.sym,
+                        params,
+                        param_names: names,
+                        ret,
+                        modifiers: md.modifiers,
+                        body: None,
+                        native: None,
+                        specializers,
+                    };
+                    let lazy = md.body.as_ref().map(|l| body(l, false));
+                    (Sig::Method(info, lazy.is_some()), lazy)
                 }
                 Decl::Ctor(cd) => {
                     if cd.name.sym != simple {
@@ -1483,50 +1792,64 @@ impl Compiler {
                         params.push(classes.resolve_type_name(&f.ty, ctx)?);
                         names.push(f.name.sym);
                     }
-                    classes.add_ctor(
-                        class,
-                        CtorInfo {
-                            params,
-                            param_names: names,
-                            modifiers: cd.modifiers,
-                            body: Some(cd.body.clone()),
-                            native: None,
-                        },
-                    );
+                    let info = CtorInfo {
+                        params,
+                        param_names: names,
+                        modifiers: cd.modifiers,
+                        body: None,
+                        native: None,
+                    };
+                    (Sig::Ctor(info), Some(body(&cd.body, true)))
                 }
                 Decl::Field(fd) => {
-                    let ty = classes.resolve_type_name(&fd.ty, ctx)?;
-                    classes.add_field(
-                        class,
-                        FieldInfo {
-                            name: fd.name.sym,
-                            ty,
-                            modifiers: fd.modifiers,
-                            init: fd.init.clone(),
-                        },
-                    );
+                    let info = FieldInfo {
+                        name: fd.name.sym,
+                        ty: classes.resolve_type_name(&fd.ty, ctx)?,
+                        modifiers: fd.modifiers,
+                        init: fd.init.clone(),
+                    };
+                    (Sig::Field(info), None)
                 }
                 Decl::Use(_, inner) => {
-                    self.install_members(class, inner, ctx)?;
+                    self.install_members(class, inner, ctx, body, sigs.as_deref_mut())?;
+                    continue;
                 }
                 Decl::Production(p) => {
                     crate::extension::register_production_decl(&self.inner, p, ctx)?;
+                    continue;
                 }
                 Decl::Mayan(md) => {
                     crate::extension::register_mayan_decl(&self.inner, md, ctx, None)?;
+                    continue;
                 }
-                Decl::Empty | Decl::Import(_) => {}
-                // Poison node from parser recovery: already reported.
-                Decl::Error(_) => {}
+                // Poison nodes from parser recovery were already reported.
+                Decl::Empty | Decl::Import(_) | Decl::Error(_) => continue,
                 other => {
                     return Err(CompileError::new(
                         format!("unsupported member {}", other.node_kind().name()),
                         Span::DUMMY,
                     ))
                 }
+            };
+            push_sig(&mut classes.info(class).borrow_mut(), &sig, lazy);
+            classes.bump_version();
+            if let Some(sigs) = sigs.as_deref_mut() {
+                sigs.push(sig);
             }
         }
         Ok(())
+    }
+
+    /// Takes the declared-class table for the class layer, once every
+    /// class is declared (see `crate::check_memo::DeclTable`).
+    fn take_decl_table(&self) {
+        let table = self
+            .inner
+            .options
+            .force_cache
+            .as_ref()
+            .map(|_| Rc::new(crate::check_memo::DeclTable::of(&self.inner.classes)));
+        *self.inner.decl_table.borrow_mut() = table;
     }
 
     /// Digests the class signatures for the clean-check layer, once the
@@ -1573,21 +1896,15 @@ impl Compiler {
             .borrow()
             .get(&class)
             .cloned()
-            .unwrap_or_else(|| ClassMeta {
-                env: self.inner.global.borrow().clone(),
-                ctx: ResolveCtx::default(),
+            .unwrap_or_else(|| {
+                Rc::new(ClassMeta {
+                    env: self.inner.global.borrow().clone(),
+                    ctx: ResolveCtx::default(),
+                    entry: None,
+                    forced: None,
+                })
             });
         let classes = &self.inner.classes;
-        let (methods, ctors, fields): (Vec<MethodInfo>, Vec<CtorInfo>, Vec<FieldInfo>) = {
-            let info = classes.info(class);
-            let info = info.borrow();
-            (
-                info.methods.clone(),
-                info.ctors.clone(),
-                info.fields.clone(),
-            )
-        };
-        let pristine = self.inner.pristine_env;
         // The clean-check layer serves this class only while its
         // environment is pristine and the table is the one digested.
         let checks = match (
@@ -1596,12 +1913,37 @@ impl Compiler {
         ) {
             (Some(cache), Some(sigs))
                 if classes.version() == sigs.version
-                    && (meta.env.grammar.content_hash(), meta.env.denv.version()) == pristine =>
+                    && (meta.env.grammar.content_hash(), meta.env.denv.version())
+                        == self.inner.pristine_env =>
             {
                 Some((cache.clone(), sigs))
             }
             _ => None,
         };
+        // A class installed with its entry's forced bodies, whose members
+        // an earlier request checked clean under this signature digest,
+        // skips their checks.
+        let clean = match (&checks, &meta.entry, &meta.forced) {
+            (Some((cache, sigs)), Some(entry), Some(forced)) => {
+                let keys = self.clean_replay(class, entry, forced, sigs.digest);
+                if let Some(keys) = &keys {
+                    cache.touch_checks(keys);
+                }
+                keys.is_some()
+            }
+            _ => false,
+        };
+        if !clean && self.check_members(class, &meta, checks.as_ref(), &settle)? {
+            return Ok(());
+        }
+        let fields: Vec<FieldInfo> = classes
+            .info(class)
+            .borrow()
+            .fields
+            .iter()
+            .filter(|f| f.init.is_some())
+            .cloned()
+            .collect();
         let host = || ForceHost {
             c: Cx {
                 cx: self.inner.clone(),
@@ -1611,84 +1953,6 @@ impl Compiler {
                 scope: Rc::new(RefCell::new(Scope::new())),
             },
         };
-        let check_body = |body: &LazyNode,
-                          param_names: &[Symbol],
-                          params: &[Type],
-                          ret: &Type,
-                          is_static: bool|
-         -> Result<(), CompileError> {
-            // The key is read before forcing, from the unforced cell.
-            let memo = checks.as_ref().and_then(|(cache, sigs)| {
-                let key = sigs.member_key(
-                    class,
-                    &meta.ctx,
-                    body,
-                    is_static,
-                    ret,
-                    param_names,
-                    params,
-                    pristine,
-                )?;
-                Some((cache, key, self.inner.purity_marks()))
-            });
-            let make_scope = || {
-                let mut scope = Scope::new();
-                scope.this_class = Some(class);
-                scope.static_ctx = is_static;
-                scope.return_type = ret.clone();
-                for (name, ty) in param_names.iter().zip(params) {
-                    scope.declare(
-                        *name,
-                        VarBinding {
-                            ty: ty.clone(),
-                            kind: VarKind::Param,
-                            is_final: false,
-                        },
-                    );
-                }
-                scope
-            };
-            // Force with a scratch copy (parse-time dispatch bindings),
-            // then check with a clean scope.
-            force_lazy(&self.inner, body, || Rc::new(RefCell::new(make_scope())))?;
-            if let Some((cache, key, _)) = memo {
-                if cache.check_hit(key) {
-                    return Ok(());
-                }
-            }
-            let node = body
-                .forced_node()
-                .ok_or_else(|| CompileError::new("internal: body not forced", Span::DUMMY))?;
-            let mut host = host();
-            let mut checker = Checker::new(classes, &meta.ctx, &mut host);
-            checker.check_node(&node, &mut make_scope())?;
-            // Only a check that reported nothing, and whose force and
-            // check observed no `use` and deferred nothing, is recorded:
-            // a member that reports anything is checked on every request.
-            if let Some((cache, key, before)) = memo {
-                if self.inner.purity_marks() == before {
-                    cache.record_check(key);
-                }
-            }
-            Ok(())
-        };
-
-        for m in &methods {
-            if let Some(body) = &m.body {
-                let r = check_body(body, &m.param_names, &m.params, &m.ret, m.is_static());
-                if settle(r)? {
-                    return Ok(());
-                }
-            }
-        }
-        for c in &ctors {
-            if let Some(body) = &c.body {
-                let r = check_body(body, &c.param_names, &c.params, &Type::Void, false);
-                if settle(r)? {
-                    return Ok(());
-                }
-            }
-        }
         for f in &fields {
             if let Some(init) = &f.init {
                 let r = (|| -> Result<(), CompileError> {
@@ -1717,6 +1981,232 @@ impl Compiler {
             }
         }
         Ok(())
+    }
+
+    /// The clean-check keys a replayed class's entry recorded under
+    /// `digest`, when the class's bodies after the hooks are exactly the
+    /// forced bodies it was installed with, in check order. A hook may add
+    /// members whose bodies live elsewhere (MultiJava's external methods);
+    /// such a class is checked member by member.
+    fn clean_replay(
+        &self,
+        class: ClassId,
+        entry: &ClassEntry,
+        forced: &[Rc<Node>],
+        digest: u128,
+    ) -> Option<Rc<[u128]>> {
+        let keys = entry
+            .clean
+            .borrow()
+            .as_ref()
+            .filter(|(d, _)| *d == digest)
+            .map(|(_, keys)| keys.clone())?;
+        let info = self.inner.classes.info(class);
+        let info = info.borrow();
+        let mut bodies = info
+            .methods
+            .iter()
+            .filter_map(|m| m.body.as_ref())
+            .chain(info.ctors.iter().filter_map(|c| c.body.as_ref()));
+        let exact = forced.iter().all(|f| {
+            bodies.next().is_some_and(
+                |b| matches!(&*b.cell.borrow(), LazyCell::Forced(n) if Rc::ptr_eq(n, f)),
+            )
+        }) && bodies.next().is_none();
+        exact.then_some(keys)
+    }
+
+    /// Forces and checks every method and constructor body of a class,
+    /// skipping members recorded clean; for a class with a class-layer
+    /// entry, records the forced bodies and the clean check when every
+    /// member qualifies. Returns `Ok(true)` when `settle` stopped at the
+    /// error cap.
+    fn check_members(
+        &self,
+        class: ClassId,
+        meta: &ClassMeta,
+        checks: Option<&(Rc<ForceCache>, Rc<crate::check_memo::Signatures>)>,
+        settle: &dyn Fn(Result<(), CompileError>) -> Result<bool, CompileError>,
+    ) -> Result<bool, CompileError> {
+        let classes = &self.inner.classes;
+        let (methods, ctors): (Vec<MethodInfo>, Vec<CtorInfo>) = {
+            let info = classes.info(class);
+            let info = info.borrow();
+            (info.methods.clone(), info.ctors.clone())
+        };
+        let pristine = self.inner.pristine_env;
+        let entry = meta.entry.as_ref().filter(|_| checks.is_some());
+        let mut record = entry.map(|e| ClassRecord {
+            forced: Vec::with_capacity(e.bodies.len()),
+            keys: Vec::with_capacity(e.bodies.len()),
+            exact: true,
+            pure: true,
+            clean: true,
+        });
+        let start = self.inner.purity_marks();
+        let mut index = 0;
+        let mut check_body = |body: &LazyNode,
+                              param_names: &[Symbol],
+                              params: &[Type],
+                              ret: &Type,
+                              is_static: bool,
+                              mut record: Option<&mut ClassRecord>|
+         -> Result<(), CompileError> {
+            let i = index;
+            index += 1;
+            // The force key and the payload's context are read before
+            // forcing: from the unforced cell, or from the entry for a body
+            // installed forced from it.
+            let source = match crate::check_memo::unforced_source(body, pristine) {
+                Some((fingerprint, payload)) => Some(((body.goal, fingerprint), Some(payload))),
+                None => {
+                    meta.forced
+                        .as_ref()
+                        .zip(meta.entry.as_ref())
+                        .and_then(|(forced, entry)| {
+                            let cell = body.cell.borrow();
+                            let LazyCell::Forced(node) = &*cell else {
+                                return None;
+                            };
+                            // Usually at its own index; after bodies a hook
+                            // added, further on.
+                            let is = |f: &Rc<Node>| Rc::ptr_eq(node, f);
+                            let at = match forced.get(i) {
+                                Some(f) if is(f) => i,
+                                _ => forced.iter().position(is)?,
+                            };
+                            let b = &entry.bodies[at];
+                            Some(((b.goal, b.fingerprint), None))
+                        })
+                }
+            };
+            let memo = checks
+                .zip(source.as_ref())
+                .map(|((cache, sigs), (force_key, payload))| {
+                    let payload_ctx = match payload {
+                        Some(p) => (&p.ctx, p.class),
+                        None => (&meta.ctx, Some(class)),
+                    };
+                    let key = sigs.member_key(
+                        class,
+                        &meta.ctx,
+                        *force_key,
+                        payload_ctx,
+                        is_static,
+                        ret,
+                        param_names,
+                        params,
+                    );
+                    (cache, key)
+                });
+            let make_scope = || {
+                let mut scope = Scope::new();
+                scope.this_class = Some(class);
+                scope.static_ctx = is_static;
+                scope.return_type = ret.clone();
+                for (name, ty) in param_names.iter().zip(params) {
+                    scope.declare(
+                        *name,
+                        VarBinding {
+                            ty: ty.clone(),
+                            kind: VarKind::Param,
+                            is_final: false,
+                        },
+                    );
+                }
+                scope
+            };
+            if let Some(r) = record.as_deref_mut() {
+                r.exact &= entry
+                    .and_then(|e| e.bodies.get(i))
+                    .map(|b| (b.goal, b.fingerprint))
+                    == source.as_ref().map(|(k, _)| *k);
+            }
+            // Force with a scratch copy (parse-time dispatch bindings),
+            // then check with a clean scope.
+            let before = self.inner.purity_marks();
+            force_lazy(&self.inner, body, || Rc::new(RefCell::new(make_scope())))?;
+            let node = body
+                .forced_node()
+                .ok_or_else(|| CompileError::new("internal: body not forced", Span::DUMMY))?;
+            if let Some(r) = record {
+                r.pure &= self.inner.purity_marks() == before;
+                r.forced.push(node.clone());
+                match &memo {
+                    Some((_, key)) => r.keys.push(*key),
+                    None => r.clean = false,
+                }
+            }
+            if let Some((cache, key)) = &memo {
+                if cache.check_hit(*key) {
+                    return Ok(());
+                }
+            }
+            let mut host = ForceHost {
+                c: Cx {
+                    cx: self.inner.clone(),
+                    pair: meta.env.clone(),
+                    ctx: meta.ctx.clone(),
+                    class: Some(class),
+                    scope: Rc::new(RefCell::new(Scope::new())),
+                },
+            };
+            let mut checker = Checker::new(classes, &meta.ctx, &mut host);
+            checker.check_node(&node, &mut make_scope())?;
+            // Only a check that reported nothing, and whose force and
+            // check observed no `use` and deferred nothing, is recorded:
+            // a member that reports anything is checked on every request.
+            if let Some((cache, key)) = memo {
+                if self.inner.purity_marks() == before {
+                    cache.record_check(key);
+                }
+            }
+            Ok(())
+        };
+
+        let bodies = methods
+            .iter()
+            .filter_map(|m| {
+                let body = m.body.as_ref()?;
+                Some((body, &m.param_names, &m.params, &m.ret, m.is_static()))
+            })
+            .chain(ctors.iter().filter_map(|c| {
+                Some((
+                    c.body.as_ref()?,
+                    &c.param_names,
+                    &c.params,
+                    &Type::Void,
+                    false,
+                ))
+            }));
+        for (body, param_names, params, ret, is_static) in bodies {
+            let r = check_body(body, param_names, params, ret, is_static, record.as_mut());
+            if r.is_err() {
+                if let Some(r) = record.as_mut() {
+                    r.clean = false;
+                }
+            }
+            if settle(r)? {
+                return Ok(true);
+            }
+        }
+        // Record what this pass learned, when the class's bodies are
+        // exactly its entry's: the forced bodies once every force was pure,
+        // and the clean check once, besides, every member checked clean and
+        // the purity marks did not move across the class.
+        if let (Some(entry), Some(r), Some((_, sigs))) = (entry, record, checks) {
+            let n = entry.bodies.len();
+            if r.exact && r.pure && index == n && r.forced.len() == n {
+                let mut forced = entry.forced.borrow_mut();
+                if forced.is_none() {
+                    *forced = Some(r.forced.into());
+                }
+                if r.clean && r.keys.len() == n && self.inner.purity_marks() == start {
+                    *entry.clean.borrow_mut() = Some((sigs.digest, r.keys.into()));
+                }
+            }
+        }
+        Ok(false)
     }
 
     /// Compiles everything and runs `Class.main()`, returning captured

@@ -642,11 +642,10 @@ pub(crate) fn refresh_unit(
 /// the same walk, with an explicit `expected` class. Lazies parsed inside a
 /// class body capture that class in their payload, so the inserting
 /// compiler verifies `expected = Some(its class)` while canonicalizing the
-/// template to `class: None`; a borrowing compiler verifies
-/// `expected = None` and rebinds the lazies to *its own* class via `fresh`
-/// (class ids are per-compiler and shift when an edit adds or removes a
-/// class). The member list comes back as `Node::Decls` or a `Node::List`
-/// of declarations.
+/// template to `class: None` (class ids are per-compiler and shift when an
+/// edit adds or removes a class); a borrower builds its body cells from the
+/// class layer's entry instead. The member list comes back as
+/// `Node::Decls` or a `Node::List` of declarations.
 pub(crate) fn refresh_members(
     node: &Node,
     pristine: (u128, u64),

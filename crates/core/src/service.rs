@@ -157,6 +157,18 @@ struct PoolMetrics {
     /// reports keep one size per cache, which is only right for one
     /// thread's successive reports.
     sizes: Vec<[u64; N_CACHES]>,
+    /// Requests [`CompilePool::submit`] refused, by reason. Counted there:
+    /// a refusal never reaches a worker or its telemetry session.
+    refusals: Refusals,
+}
+
+/// Refused requests by reason (the `quota` names of the replies, and the
+/// queue-saturation refusal).
+#[derive(Default)]
+struct Refusals {
+    request_bytes: u64,
+    max_inflight: u64,
+    overloaded: u64,
 }
 
 impl PoolMetrics {
@@ -259,6 +271,7 @@ impl CompilePool {
         }
         if let PoolRequest::Line(line) = &request {
             if line.len() > self.max_request_bytes {
+                self.refused(|r| &mut r.request_bytes);
                 let _ = tx.send(quota_response(
                     &format!(
                         "request of {} bytes exceeds the {} byte limit",
@@ -275,6 +288,7 @@ impl CompilePool {
         // before it sends the reply, or below on any refusal.
         if inflight.fetch_add(1, Ordering::SeqCst) >= self.max_inflight {
             inflight.fetch_sub(1, Ordering::SeqCst);
+            self.refused(|r| &mut r.max_inflight);
             let _ = tx.send(quota_response(
                 &format!(
                     "client has {} requests in flight (limit {})",
@@ -299,6 +313,7 @@ impl CompilePool {
                 Ok(()) => return rx,
                 Err(mpsc::TrySendError::Full(m)) => {
                     if Instant::now() >= deadline {
+                        self.refused(|r| &mut r.overloaded);
                         if let Msg::Job(job) = m {
                             job.inflight.fetch_sub(1, Ordering::SeqCst);
                             let _ = job.reply.send(overloaded_response());
@@ -317,6 +332,11 @@ impl CompilePool {
                 }
             }
         }
+    }
+
+    /// Counts one refusal under the reason `reason` selects.
+    fn refused(&self, reason: impl FnOnce(&mut Refusals) -> &mut u64) {
+        *reason(&mut self.metrics.lock().expect("metrics poisoned").refusals) += 1;
     }
 
     /// The sticky worker for `client`, assigned round-robin on first
@@ -619,9 +639,9 @@ fn ns_to_ms(ns: u64) -> f64 {
 }
 
 /// Renders the `stats` reply from the pool-wide aggregates: summed session
-/// counters, the merged request-latency histogram, per-phase times,
-/// summed telemetry counters, and cache gauges merged from every worker's
-/// per-request reports.
+/// counters, the merged request-latency histogram, refusals by reason,
+/// per-phase times, summed telemetry counters, and cache gauges merged
+/// from every worker's per-request reports.
 fn stats_response(m: &PoolMetrics) -> String {
     let s = &m.stats;
     let mut w = JsonWriter::new();
@@ -652,6 +672,14 @@ fn stats_response(m: &PoolMetrics) -> String {
             .end_obj();
     }
     w.end_arr().end_obj();
+
+    // Requests refused before reaching a worker, by reason.
+    let r = &m.refusals;
+    w.key("refusals").begin_obj();
+    w.field_u64("request_bytes", r.request_bytes)
+        .field_u64("max_inflight", r.max_inflight)
+        .field_u64("overloaded", r.overloaded)
+        .end_obj();
 
     // Per-phase breakdown, aggregated across requests and workers.
     w.key("phases").begin_obj();

@@ -279,10 +279,12 @@ pub fn register_mayan(
     cx.classes.add_method(ext_class, expand);
     cx.class_meta.borrow_mut().insert(
         ext_class,
-        crate::compiler::ClassMeta {
+        Rc::new(crate::compiler::ClassMeta {
             env: global.clone(),
             ctx: ext_ctx.clone(),
-        },
+            entry: None,
+            forced: None,
+        }),
     );
     cx.interp.set_class_ctx(ext_class, ext_ctx);
 

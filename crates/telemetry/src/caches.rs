@@ -173,13 +173,15 @@ pub fn cache_snapshot() -> [CacheStats; N_CACHES] {
 
 /// A memo bounded by what recent requests used, with its gauges built in.
 ///
-/// Entries live in two generations. Inserts go to the young one, and a
-/// hit in the old one moves the entry to the young one, so the young
-/// generation holds exactly the entries touched since the last rotation.
-/// At a request boundary ([`GenMemo::end_request`]) the memo rotates when
-/// the young generation has outgrown the old: the old one — entries no
-/// request touched since the last rotation — is dropped and counted as
-/// evictions, and the young one becomes the old.
+/// Every entry carries the generation that last touched it. Inserts,
+/// hits and [`GenMemo::touch`] stamp an entry with the current
+/// generation in place, so the entries stamped current are exactly those
+/// touched since the last rotation (the young ones), and every other
+/// entry was touched in the interval before (the old ones). At a request
+/// boundary ([`GenMemo::end_request`]) the memo rotates when the young
+/// entries outnumber the old: the old ones — entries no request touched
+/// since the last rotation — are dropped and counted as evictions, and a
+/// new generation begins.
 ///
 /// After every boundary the memo holds at most twice the entries touched
 /// between the last two rotations, so a long edit stream keeps the live
@@ -188,8 +190,10 @@ pub fn cache_snapshot() -> [CacheStats; N_CACHES] {
 /// generation rotates out the entries another has not touched since.
 pub struct GenMemo<K, V> {
     id: CacheId,
-    young: HashMap<K, V>,
-    old: HashMap<K, V>,
+    map: HashMap<K, (V, u64)>,
+    generation: u64,
+    /// Entries stamped with the current generation.
+    young: usize,
 }
 
 impl<K: Hash + Eq, V: Clone> GenMemo<K, V> {
@@ -197,9 +201,25 @@ impl<K: Hash + Eq, V: Clone> GenMemo<K, V> {
     pub fn new(id: CacheId) -> GenMemo<K, V> {
         GenMemo {
             id,
-            young: HashMap::new(),
-            old: HashMap::new(),
+            map: HashMap::new(),
+            generation: 0,
+            young: 0,
         }
+    }
+
+    /// Stamps the entry for `key` with the current generation, returning
+    /// it.
+    fn stamp<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (value, stamp) = self.map.get_mut(key)?;
+        if *stamp != self.generation {
+            *stamp = self.generation;
+            self.young += 1;
+        }
+        Some(value)
     }
 
     /// Looks `key` up, recording a hit or a miss.
@@ -208,13 +228,7 @@ impl<K: Hash + Eq, V: Clone> GenMemo<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let hit = match self.young.get(key) {
-            Some(v) => Some(v.clone()),
-            None => self.old.remove_entry(key).map(|(k, v)| {
-                self.young.insert(k, v.clone());
-                v
-            }),
-        };
+        let hit = self.stamp(key).cloned();
         if hit.is_some() {
             cache_hit(self.id);
         } else {
@@ -223,21 +237,39 @@ impl<K: Hash + Eq, V: Clone> GenMemo<K, V> {
         hit
     }
 
-    /// Records an entry in the young generation.
+    /// Keeps the entry for `key` alive as a hit would, without recording
+    /// one: for an entry a caller stands for without reading it. Returns
+    /// whether the entry is present.
+    pub fn touch<Q>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.stamp(key).is_some()
+    }
+
+    /// Records an entry in the current generation.
     pub fn insert(&mut self, key: K, value: V) {
-        self.old.remove(&key);
-        self.young.insert(key, value);
+        match self.map.insert(key, (value, self.generation)) {
+            Some((_, stamp)) if stamp == self.generation => {}
+            _ => self.young += 1,
+        }
         cache_sized(self.id, self.len());
     }
 
     /// Ends one request's use of the memo, rotating the generations when
-    /// the young one has outgrown the old. Returns the number of entries
+    /// the young entries outnumber the old. Returns the number of entries
     /// evicted.
     pub fn end_request(&mut self) -> usize {
-        if self.young.len() <= self.old.len() {
+        if self.young <= self.map.len() - self.young {
             return 0;
         }
-        let evicted = std::mem::replace(&mut self.old, std::mem::take(&mut self.young)).len();
+        let before = self.map.len();
+        let current = self.generation;
+        self.map.retain(|_, (_, stamp)| *stamp == current);
+        let evicted = before - self.map.len();
+        self.generation += 1;
+        self.young = 0;
         cache_evictions(self.id, evicted);
         cache_sized(self.id, self.len());
         evicted
@@ -245,7 +277,7 @@ impl<K: Hash + Eq, V: Clone> GenMemo<K, V> {
 
     /// Entries held in both generations.
     pub fn len(&self) -> usize {
-        self.young.len() + self.old.len()
+        self.map.len()
     }
 
     /// True when nothing is memoised.
@@ -312,6 +344,33 @@ mod tests {
             assert_eq!(m.get(&0), None);
             let s = cache_stats(CacheId::UnitCache);
             assert_eq!((s.hits, s.misses, s.size, s.evictions), (3, 5, 4, 1));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn gen_memo_touch_keeps_an_entry_without_a_hit() {
+        std::thread::spawn(|| {
+            let mut m: GenMemo<u32, u32> = GenMemo::new(CacheId::CheckCache);
+            for k in 0..4 {
+                m.insert(k, k);
+            }
+            assert_eq!(m.end_request(), 0);
+            // Entry 0 is only touched, entry 1 not at all; 4 and 5 grow the
+            // young generation past the old one.
+            assert!(m.touch(&0));
+            assert!(!m.touch(&9));
+            for k in [2, 3] {
+                assert_eq!(m.get(&k), Some(k));
+            }
+            m.insert(4, 4);
+            m.insert(5, 5);
+            assert_eq!(m.end_request(), 1);
+            assert_eq!(m.get(&0), Some(0));
+            assert_eq!(m.get(&1), None);
+            let s = cache_stats(CacheId::CheckCache);
+            assert_eq!((s.hits, s.misses, s.size, s.evictions), (3, 1, 5, 1));
         })
         .join()
         .unwrap();

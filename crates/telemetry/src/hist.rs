@@ -1,23 +1,30 @@
-//! Log₂-bucketed duration histograms.
+//! Log-linear duration histograms.
 //!
 //! The server (`mayad`) answers `stats` requests with per-request latency
-//! percentiles; a fixed array of power-of-two buckets gives O(1) record,
-//! O(1) merge, and percentile estimates good to a factor of two worst-case
-//! (linear interpolation inside the winning bucket does much better in
-//! practice) — without allocating or depending on anything.
+//! percentiles. Each power-of-two octave is split into 16 equal
+//! sub-buckets, so a bucket is at most 1/16 of its lower bound wide, and
+//! a percentile interpolated inside its bucket lies within 6.25% of the
+//! exact order statistic. Values below 16 get a bucket each. Only the
+//! window of buckets between the lowest and the highest sample is stored,
+//! allocated on the first sample: a histogram with one sample holds one
+//! counter, which keeps the one a telemetry session starts per request
+//! cheap to create and to merge.
 
 use std::fmt::Write as _;
 
-/// Number of buckets: bucket `i` holds values whose highest set bit is
-/// `i-1` (bucket 0 holds the value 0). Covers the full `u64` range.
-const N_BUCKETS: usize = 65;
+/// Sub-buckets per octave, as a power of two.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
 
 /// A histogram of non-negative integer samples (nanoseconds, by
-/// convention). Buckets are powers of two; exact count/sum/min/max are
-/// tracked alongside so means and extremes are not bucket-quantized.
+/// convention). Exact count/sum/min/max are tracked alongside the buckets
+/// so means and extremes are not bucket-quantized.
 #[derive(Clone)]
 pub struct Histogram {
-    counts: [u64; N_BUCKETS],
+    /// Index of the bucket `counts[0]` counts.
+    first: usize,
+    /// Counts of the buckets `first..first + counts.len()`.
+    counts: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -43,26 +50,35 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// The bucket index of a sample: 0 for 0, else one past the highest set
-/// bit, so bucket `i` spans `[2^(i-1), 2^i)`.
+/// The bucket index of a sample: the value itself below 16; above, 16
+/// buckets per octave, indexed by the octave and the four bits after the
+/// leading one.
 fn bucket_of(v: u64) -> usize {
-    (64 - v.leading_zeros()) as usize
+    if v < SUB as u64 {
+        return v as usize;
+    }
+    let octave = 63 - v.leading_zeros();
+    let sub = (v >> (octave - SUB_BITS)) as usize & (SUB - 1);
+    SUB + (octave - SUB_BITS) as usize * SUB + sub
 }
 
 /// The half-open value range `[lo, hi)` of bucket `i`.
 fn bucket_range(i: usize) -> (u64, u64) {
-    if i == 0 {
-        (0, 1)
-    } else {
-        (1u64 << (i - 1), (1u64 << (i - 1)).saturating_mul(2))
+    if i < SUB {
+        return (i as u64, i as u64 + 1);
     }
+    let octave = ((i - SUB) / SUB) as u32 + SUB_BITS;
+    let width = 1u64 << (octave - SUB_BITS);
+    let lo = (1u64 << octave) + ((i - SUB) % SUB) as u64 * width;
+    (lo, lo.saturating_add(width))
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram (allocates nothing).
     pub fn new() -> Histogram {
         Histogram {
-            counts: [0; N_BUCKETS],
+            first: 0,
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -70,9 +86,26 @@ impl Histogram {
         }
     }
 
+    /// Widens the stored window to cover buckets `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let grow = self.first - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        let len = hi + 1 - self.first;
+        if self.counts.len() < len {
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_of(v)] += 1;
+        let i = bucket_of(v);
+        self.cover(i, i);
+        self.counts[i - self.first] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -81,7 +114,12 @@ impl Histogram {
 
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        if other.counts.is_empty() {
+            return;
+        }
+        self.cover(other.first, other.first + other.counts.len() - 1);
+        let at = other.first - self.first;
+        for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.count += other.count;
@@ -137,7 +175,7 @@ impl Histogram {
                 continue;
             }
             if (seen + n) as f64 >= rank {
-                let (lo, hi) = bucket_range(i);
+                let (lo, hi) = bucket_range(self.first + i);
                 let into = ((rank - seen as f64) / n as f64).clamp(0.0, 1.0);
                 let est = lo as f64 + into * (hi - lo) as f64;
                 return (est as u64).clamp(self.min(), self.max);
@@ -155,7 +193,7 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| {
-                let (lo, hi) = bucket_range(i);
+                let (lo, hi) = bucket_range(self.first + i);
                 (lo, hi, n)
             })
             .collect()
@@ -226,6 +264,74 @@ mod tests {
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
         assert_eq!(a.buckets(), all.buckets());
+    }
+
+    #[test]
+    fn buckets_tile_the_value_range() {
+        for v in (0..4096u64).chain([u64::MAX / 3, u64::MAX - 1, u64::MAX]) {
+            let (lo, hi) = bucket_range(bucket_of(v));
+            assert!(lo <= v && (v < hi || hi == u64::MAX), "{v} in [{lo}, {hi})");
+            assert!(
+                hi - lo <= lo.max(16) / 16,
+                "{v}: bucket [{lo}, {hi}) too wide"
+            );
+        }
+        for i in 1..bucket_of(u64::MAX) {
+            assert_eq!(
+                bucket_range(i - 1).1,
+                bucket_range(i).0,
+                "gap before bucket {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn percentiles_stay_within_a_sixteenth_of_the_exact_order_statistic() {
+        // A skewed latency-like sample: most requests between 2.1 and
+        // 4.2 ms, a slower tail out to 60 ms.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut samples: Vec<u64> = (0..4001)
+            .map(|i| {
+                let r = next();
+                if i % 8 == 0 {
+                    4_200_000 + r % 56_000_000
+                } else {
+                    2_100_000 + r % 2_100_000
+                }
+            })
+            .collect();
+        let mut h = Histogram::new();
+        for &v in &samples {
+            h.record(v);
+        }
+        samples.sort_unstable();
+        for p in [50.0, 90.0, 99.0] {
+            let rank = (p / 100.0 * samples.len() as f64).ceil() as usize;
+            let exact = samples[rank - 1] as f64;
+            let est = h.percentile(p) as f64;
+            assert!(
+                (est - exact).abs() <= exact / 16.0,
+                "p{p}: estimated {est}, exact {exact}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_sample_holds_one_bucket() {
+        let mut h = Histogram::new();
+        h.record(3_300_000);
+        assert_eq!(h.counts.len(), 1);
+        let mut merged = Histogram::new();
+        merged.merge(&h);
+        merged.merge(&Histogram::new());
+        assert_eq!(merged.counts.len(), 1);
+        assert_eq!(merged.percentile(50.0), 3_300_000);
     }
 
     #[test]

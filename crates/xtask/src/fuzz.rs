@@ -12,8 +12,9 @@
 //!   `MAYA_NO_LOWER`);
 //! * **warm/post-edit** — a persistent [`Session`] (the `mayad` shape)
 //!   fed hundreds of unrelated programs must match a cold batch compile,
-//!   and so must each of its edits — an appended class and a signature
-//!   edit that retypes a method `main` calls — and the revert after them;
+//!   and so must each of its edits — an appended class, a signature edit
+//!   that retypes a method `main` calls, and a class appended to the first
+//!   file that shifts every later class's id — and the revert after them;
 //! * **jobs** — `--jobs=1` vs `--jobs=4` must be byte-identical;
 //! * **pool** — a campaign-persistent 4-worker [`CompilePool`] (the
 //!   concurrent `mayad` service shape, Arc-shared warm tiers) answers
@@ -898,16 +899,24 @@ const TWICE_INT: &str = "int twice(int k) { return get() + leaf(k); }";
 const TWICE_STRING: &str = "String twice(int k) { return \"\" + get() + leaf(k); }";
 
 /// The post-edit oracle's edits of `sources`: a class appended to the last
-/// file, then a signature edit that retypes `FuzzHot.twice` to return
-/// `String`. The helper sits after `main`, so `main` keeps its tokens and
-/// spans while the type of its call `h.twice(i)` changes. A case whose
-/// helper a mutation broke gets the first edit only.
+/// file; a signature edit that retypes `FuzzHot.twice` to return
+/// `String`; and, in a case with more than one file, an empty class
+/// appended to the first file. The helper sits after `main`, so `main`
+/// keeps its tokens and spans while the type of its call `h.twice(i)`
+/// changes. The class in the first file shifts the `ClassId` of every
+/// class declared in a later file while their tokens stay the same, and
+/// the revert that follows the last edit shifts them back. A case whose
+/// helper a mutation broke gets no signature edit.
 fn post_edits(sources: &[(String, String)]) -> Vec<Vec<(String, String)>> {
-    let mut appended = sources.to_vec();
-    if let Some(last) = appended.last_mut() {
-        last.1.push_str("\nclass ZZFuzzEdit { }\n");
+    let appended = |at: usize, class: &str| {
+        let mut edited = sources.to_vec();
+        edited[at].1.push_str(&format!("\nclass {class} {{ }}\n"));
+        edited
+    };
+    let mut edits = Vec::new();
+    if let Some(last) = sources.len().checked_sub(1) {
+        edits.push(appended(last, "ZZFuzzEdit"));
     }
-    let mut edits = vec![appended];
     if sources.iter().any(|(_, src)| src.contains(TWICE_INT)) {
         edits.push(
             sources
@@ -915,6 +924,9 @@ fn post_edits(sources: &[(String, String)]) -> Vec<Vec<(String, String)>> {
                 .map(|(n, src)| (n.clone(), src.replacen(TWICE_INT, TWICE_STRING, 1)))
                 .collect(),
         );
+    }
+    if sources.len() > 1 {
+        edits.push(appended(0, "ZZFuzzFirst"));
     }
     edits
 }

@@ -11,7 +11,9 @@
 //! emitted by the span layer must validate (complete events, per-track
 //! nesting, phase coverage), and the interp_hot workload run with
 //! telemetry fully disabled must stay within 2% (+10ms) of the committed
-//! snapshot — instrumentation may not tax the common case.
+//! snapshot — instrumentation may not tax the common case. A passing run
+//! rewrites the counters but keeps the committed timing, so the timing
+//! gate only moves when someone edits that number.
 //!
 //! `cargo xtask profile [--top=N]` runs the interp_hot corpus under the
 //! interpreter profiler and prints the phase table, the hottest methods
@@ -216,6 +218,23 @@ fn render(runs: &[WorkloadRun], trace: &TraceCheck, disabled_ms: f64) -> String 
     out
 }
 
+/// The snapshot a passing run writes: this run's counters and trace, and
+/// the committed disabled-path timing when there is one. A passing run
+/// never moves the timing its own gate reads, so one slow pass cannot
+/// loosen the next limit; re-baselining the timing is an edit of the
+/// committed file. Only a first snapshot records the measured timing.
+fn snapshot(
+    runs: &[WorkloadRun],
+    trace: &TraceCheck,
+    measured_ms: f64,
+    committed: Option<&str>,
+) -> String {
+    let timing = committed
+        .and_then(|doc| json_f64(doc, "interp_hot_disabled_ms"))
+        .unwrap_or(measured_ms);
+    render(runs, trace, timing)
+}
+
 /// What trace validation measured, for the snapshot.
 struct TraceCheck {
     events: usize,
@@ -385,11 +404,12 @@ fn telemetry_gate() -> ExitCode {
     // The price of saying no: interp_hot with telemetry fully disabled.
     let disabled_ms = disabled_interp_hot_ms(&root);
 
-    let doc = render(&runs, &trace, disabled_ms);
     let baseline_path = root.join("BENCH_telemetry.json");
+    let committed = std::fs::read_to_string(&baseline_path).ok();
+    let doc = snapshot(&runs, &trace, disabled_ms, committed.as_deref());
     let mut failed = false;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(baseline) => {
+    match committed {
+        Some(baseline) => {
             for c in GATED {
                 let old = json_counter(&baseline, c.name());
                 let new = json_counter(&doc, c.name()).expect("freshly rendered key");
@@ -430,7 +450,7 @@ fn telemetry_gate() -> ExitCode {
                 ),
             }
         }
-        Err(_) => {
+        None => {
             println!("xtask telemetry: no committed baseline; writing the first snapshot");
         }
     }
@@ -1895,5 +1915,28 @@ fn main() -> ExitCode {
             );
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_passing_snapshot_refreshes_counters_and_keeps_the_committed_timing() {
+        let runs = [WorkloadRun {
+            name: "w",
+            counters: Counter::ALL.iter().map(|&c| (c, 7)).collect(),
+        }];
+        let trace = TraceCheck {
+            events: 3,
+            phases_covered: 2,
+        };
+        let committed = render(&[], &trace, 17.83);
+        let doc = snapshot(&runs, &trace, 31.57, Some(&committed));
+        assert_eq!(json_f64(&doc, "interp_hot_disabled_ms"), Some(17.83));
+        assert_eq!(json_counter(&doc, Counter::LazyNodesForced.name()), Some(7));
+        let first = snapshot(&runs, &trace, 31.57, None);
+        assert_eq!(json_f64(&first, "interp_hot_disabled_ms"), Some(31.57));
     }
 }

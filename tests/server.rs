@@ -692,6 +692,51 @@ fn saturated_queue_replies_overloaded_within_bounded_time() {
     assert!(ok(&pong) && pong.get("pong").and_then(Json::as_bool) == Some(true));
 }
 
+/// `{"cmd":"stats"}` counts refusals by reason: one oversized line, one
+/// request over a client's in-flight quota, and one that found the queue
+/// full for the whole bounded wait.
+#[test]
+fn stats_count_refusals_by_reason() {
+    let srv = Mayad::start(&[
+        "--workers=1".to_owned(),
+        "--queue-cap=1".to_owned(),
+        "--max-inflight=2".to_owned(),
+        "--max-request-bytes=1024".to_owned(),
+    ]);
+    let mut conn = Pipelined::connect(&srv);
+    // Client a's first sleep occupies the worker and its second the one
+    // queue slot, which fills a's quota; client b then finds the queue
+    // full for longer than the bounded wait.
+    conn.send(r#"{"cmd":"sleep","ms":900,"client":"a"}"#);
+    conn.send(r#"{"cmd":"sleep","ms":900,"client":"a"}"#);
+    conn.send(r#"{"cmd":"ping","client":"a"}"#);
+    conn.send(r#"{"cmd":"ping","client":"b"}"#);
+    conn.send(&format!(r#"{{"cmd":"ping","pad":"{}"}}"#, "x".repeat(2000)));
+    let replies: Vec<Json> = (0..5).map(|_| conn.recv()).collect();
+    assert!(ok(&replies[0]) && ok(&replies[1]), "{replies:?}");
+    let quota = |r: &Json| r.get("quota").and_then(Json::as_str).map(str::to_owned);
+    assert_eq!(quota(&replies[2]).as_deref(), Some("max_inflight"));
+    assert_eq!(
+        replies[3].get("overloaded").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(quota(&replies[4]).as_deref(), Some("request_bytes"));
+
+    conn.send(r#"{"cmd":"stats"}"#);
+    let stats = conn.recv();
+    let refusals = stats
+        .get("stats")
+        .and_then(|s| s.get("refusals"))
+        .unwrap_or_else(|| panic!("no refusals in {stats:?}"));
+    for reason in ["request_bytes", "max_inflight", "overloaded"] {
+        assert_eq!(
+            refusals.get(reason).and_then(Json::as_u64),
+            Some(1),
+            "{reason}: {refusals:?}"
+        );
+    }
+}
+
 // ---- persistent artifact store ----------------------------------------------
 
 /// `mayad --cache-dir`: a daemon persists artifacts to the store, and a

@@ -1,13 +1,15 @@
-//! Warm requests that skip the checks of unchanged members must still
-//! answer exactly what a cold compile answers.
+//! Warm requests that replay unchanged classes must still answer exactly
+//! what a cold compile answers.
 //!
-//! A session's force cache records the members whose check ran clean,
-//! keyed by one digest of every class signature plus the member's own
-//! inputs. Each hazard below edits, through one warm session, something a
-//! member's check depends on without touching that member's tokens, and
-//! compares every outcome with a fresh session compiling the same sources.
-//! The last test pins the mechanism itself: after a body edit, only the
-//! edited file's members are checked again.
+//! A session's force cache records, per class, the member templates, the
+//! installed signatures, the forced bodies and a clean-check record, and
+//! per member the checks that ran clean, keyed by one digest of every
+//! class signature plus the member's own inputs. Each hazard below edits,
+//! through one warm session, something a class's shape or a member's check
+//! depends on without touching that member's tokens, and compares every
+//! outcome with a fresh session compiling the same sources. The last test
+//! pins the mechanism itself: after a body edit, only the edited class is
+//! shaped and checked again.
 
 use std::rc::Rc;
 
@@ -278,6 +280,223 @@ class Other {{ static int n() {{ return {n}; }} }}
     assert_eq!(out[1].stdout, "handled click\nignored event\nclick!\n10\n");
 }
 
+/// Runs one request under its own telemetry session.
+fn traced(
+    s: &mut Session,
+    files: &[(String, String)],
+    opts: &RequestOpts,
+) -> (Outcome, telemetry::Report) {
+    let t = telemetry::Session::start(telemetry::Config::default());
+    let out = s.compile_sources(files, opts);
+    (out, t.finish())
+}
+
+#[test]
+fn a_class_added_to_the_first_file_shifts_every_later_class_id() {
+    // Every class of b.maya, c.maya and main.maya gets a new `ClassId`
+    // when a.maya gains a class, while its tokens stay the same: resolved
+    // signatures must follow the ids, not be replayed from before.
+    let a = "class A { static B pick() { return new B(); } }\n";
+    let b = "class B { C next() { return new C(); } int v() { return 2; } }\n";
+    let c = "class C extends B { int v() { return 3; } static int w(B x) { return x.v(); } }\n";
+    let main = "class Main {
+    static void main() {
+        System.out.println(A.pick().next().v() + C.w(new C()) + A.pick().v());
+    }
+}
+";
+    let files = |a: &str| {
+        sources(&[
+            ("a.maya", a),
+            ("b.maya", b),
+            ("c.maya", c),
+            ("main.maya", main),
+        ])
+    };
+    let added = format!("{a}class Extra {{ int e() {{ return 5; }} }}\n");
+    let steps = [files(a), files(&added), files(a), files(&added)];
+    let opts = RequestOpts::default();
+    let mut warm = session();
+    for (i, step) in steps.iter().enumerate() {
+        let (w, report) = traced(&mut warm, step, &opts);
+        let c = session().compile_sources(step, &opts);
+        assert_eq!(sig(&w), sig(&c), "request {i}: warm differs from cold");
+        assert_eq!(w.stdout, "8\n", "request {i}: {}", w.stderr);
+        // Adding the class parses only its one body; removing it parses
+        // nothing. (Re-adding it may miss: the removal request did not
+        // touch its entry.)
+        let parsed = report.cache(CacheId::ForceCache).misses;
+        match i {
+            1 => assert_eq!(parsed, 1, "only the new class's body is parsed"),
+            2 => assert_eq!(parsed, 0, "no unchanged body is parsed again"),
+            3 => assert!(parsed <= 1, "request {i}: {parsed} bodies parsed"),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_header_edit_with_an_unchanged_body_rechecks_the_body() {
+    // `extends A` becomes `extends B`: the body's tokens and spans stay
+    // the same, but the call to `f()` no longer resolves.
+    let a = "class A { int f() { return 1; } }\nclass B { int g() { return 2; } }\n";
+    let main = "class Main { static void main() { System.out.println(new C().h()); } }\n";
+    let c = |sup: &str| {
+        let c = format!("class C extends {sup} {{ int h() {{ return f() + 10; }} }}\n");
+        sources(&[("a.maya", a), ("c.maya", &c), ("main.maya", main)])
+    };
+    let out = warm_matches_cold(&[c("A"), c("B"), c("A")], &RequestOpts::default());
+    assert_eq!(out[0].stdout, "11\n");
+    assert!(
+        !out[1].success && out[1].stderr.contains("c.maya:1:"),
+        "{}",
+        out[1].stderr
+    );
+    assert_eq!(out[2].stdout, "11\n");
+}
+
+#[test]
+fn an_import_edit_changes_what_a_signature_resolves_to() {
+    // Same-length import edit in U's own unit: U's body tokens are
+    // unchanged, but `V` in its signature and body now names q.V.
+    let p = "package p;\nclass V { int n() { return 1; } }\n";
+    let q = "package q;\nclass V { int n() { return 2; } int m() { return 3; } }\n";
+    let main = "class Main { static void main() { System.out.println(U.make().n()); } }\n";
+    let step = |pkg: &str| {
+        let u = format!("import {pkg}.V;\nclass U {{ static V make() {{ return new V(); }} }}\n");
+        sources(&[
+            ("p.maya", p),
+            ("q.maya", q),
+            ("u.maya", &u),
+            ("main.maya", main),
+        ])
+    };
+    let out = warm_matches_cold(&[step("p"), step("q"), step("p")], &RequestOpts::default());
+    let stdout: Vec<&str> = out.iter().map(|o| o.stdout.as_str()).collect();
+    assert_eq!(stdout, ["1\n", "2\n", "1\n"]);
+}
+
+#[test]
+fn an_edited_external_method_body_is_rechecked_on_an_unchanged_class() {
+    // MultiJava adds `Event.shout` to the unchanged class `Event` from
+    // another file; editing only that body must reach the check and the
+    // run.
+    let event = "class Event { String tag() { return \"event\"; } }\n";
+    let main = "class Main { static void main() { System.out.println(new Event().shout()); } }\n";
+    let step = |body: &str| {
+        let x = format!("use MultiJava;\nString Event.shout() {{ {body} }}\n");
+        sources(&[("e.maya", event), ("x.maya", &x), ("main.maya", main)])
+    };
+    let steps = [
+        step("return this.tag() + \"!\";"),
+        step("return this.tag() + \"?\";"),
+        step("return 7;"),
+        step("return this.tag() + \"!\";"),
+    ];
+    let out = warm_matches_cold(&steps, &RequestOpts::default());
+    assert_eq!(out[0].stdout, "event!\n");
+    assert_eq!(out[1].stdout, "event?\n");
+    assert!(
+        !out[2].success && out[2].stderr.contains("x.maya:2:"),
+        "{}",
+        out[2].stderr
+    );
+    assert_eq!(out[3].stdout, "event!\n");
+}
+
+#[test]
+fn a_failing_member_among_clean_ones_reports_when_its_file_is_edited() {
+    // A's bodies all force purely, but `bad` never checks: its class is
+    // never recorded clean, so every request checks it again, including
+    // those that edit another class of the same file after it.
+    let step = |n: &str| {
+        let a = format!(
+            "class A {{
+    static int ok1() {{ return 1; }}
+    static int bad() {{ return \"not an int\"; }}
+    static int ok2() {{ return 2; }}
+}}
+class B {{ static int n() {{ return {n}; }} }}
+"
+        );
+        let main = "class Main { static void main() { System.out.println(A.ok1() + B.n()); } }\n";
+        sources(&[("a.maya", &a), ("main.maya", main)])
+    };
+    for o in warm_matches_cold(
+        &[step("1"), step("2"), step("3"), step("2")],
+        &RequestOpts::default(),
+    ) {
+        assert!(!o.success);
+        assert!(
+            o.stderr
+                .contains("a.maya:3:31: error: cannot return java.lang.String"),
+            "{}",
+            o.stderr
+        );
+    }
+}
+
+#[test]
+fn expanded_output_after_warm_edits_equals_cold() {
+    let opts = RequestOpts {
+        expand: true,
+        ..RequestOpts::default()
+    };
+    let steps = [
+        six_files("return 1;"),
+        six_files("int z = 40; return z + 1;"),
+        six_files("return 1;"),
+        six_files("return 1 + 0;"),
+    ];
+    let out = warm_matches_cold(&steps, &opts);
+    assert!(out.iter().all(|o| o.success));
+    assert!(out[1].stdout.contains("int z = 40;"), "{}", out[1].stdout);
+}
+
+#[test]
+fn sessions_sharing_one_force_cache_keep_their_own_classes() {
+    // A `mayad` worker's clients share one force cache. Both have a class
+    // `K` with different bodies, and an identical `S` in the same file
+    // slot whose class id differs between them.
+    let cache = Rc::new(maya::core::ForceCache::new());
+    let installer: Rc<dyn Fn(&Compiler)> = Rc::new(|c: &Compiler| {
+        maya::macrolib::install(c);
+        maya::multijava::install(c);
+    });
+    let mut clients: Vec<Session> = (0..2)
+        .map(|_| {
+            Session::new(
+                CompileOptions {
+                    force_cache: Some(cache.clone()),
+                    ..CompileOptions::default()
+                },
+                Some(installer.clone()),
+            )
+        })
+        .collect();
+    let s = "class S { static int s() { return 100; } }\n";
+    let main = "class Main { static void main() { System.out.println(new K().f() + S.s()); } }\n";
+    let files = |client: usize, n: u32| {
+        let k = if client == 0 {
+            format!("class K {{ int f() {{ return {n}; }} }}\n")
+        } else {
+            format!("class Pad {{ }}\nclass K {{ int f() {{ return {n} * 2; }} }}\n")
+        };
+        sources(&[("k.maya", &k), ("s.maya", s), ("main.maya", main)])
+    };
+    let opts = RequestOpts::default();
+    for round in 0..4u32 {
+        for (client, warm) in clients.iter_mut().enumerate() {
+            let step = files(client, 1 + round % 2);
+            let w = warm.compile_sources(&step, &opts);
+            let c = session().compile_sources(&step, &opts);
+            assert_eq!(sig(&w), sig(&c), "round {round}, client {client}");
+            let k = (1 + round % 2) * if client == 0 { 1 } else { 2 };
+            assert_eq!(w.stdout, format!("{}\n", k + 100));
+        }
+    }
+}
+
 /// Five library files of three methods each, and `Main`.
 fn six_files(edit: &str) -> Vec<(String, String)> {
     let mut files = Vec::new();
@@ -311,33 +530,41 @@ fn six_files(edit: &str) -> Vec<(String, String)> {
 #[test]
 fn a_body_edit_rechecks_only_its_file() {
     let opts = RequestOpts::default();
-    let request = |s: &mut Session, files: &[(String, String)]| {
-        let t = telemetry::Session::start(telemetry::Config::default());
-        let out = s.compile_sources(files, &opts);
-        (out, t.finish())
-    };
     let mut warm = session();
-    let (first, cold) = request(&mut warm, &six_files("return 1;"));
+    let (first, cold) = traced(&mut warm, &six_files("return 1;"), &opts);
     assert!(first.success, "{}", first.stderr);
     let members = cold.cache(CacheId::CheckCache).misses;
     assert_eq!(members, 16, "every member is keyed on a cold request");
     assert_eq!(cold.cache(CacheId::CheckCache).hits, 0);
+    assert_eq!(cold.cache(CacheId::ClassBodyCache).misses, 6);
 
     // A longer first body shifts every member of c2.maya.
     let edited = six_files("int z = 40; return z + 1;");
-    let (out, warm_report) = request(&mut warm, &edited);
-    let (fresh, fresh_report) = request(&mut session(), &edited);
+    let (out, warm_report) = traced(&mut warm, &edited, &opts);
+    let (fresh, fresh_report) = traced(&mut session(), &edited, &opts);
     assert_eq!(sig(&out), sig(&fresh));
     assert_eq!(out.stdout, "51\n");
+    let classes = warm_report.cache(CacheId::ClassBodyCache);
+    assert_eq!(
+        (classes.hits, classes.misses),
+        (5, 1),
+        "the five unchanged classes replay in one probe each"
+    );
     let checks = warm_report.cache(CacheId::CheckCache);
     assert_eq!(
-        checks.misses, 3,
-        "the edited file's three members are checked"
+        (checks.hits, checks.misses),
+        (0, 3),
+        "the edited class's three members are checked, and no member of an \
+         unchanged class is even probed"
     );
-    assert_eq!(checks.hits, members - 3, "every other member is not");
+    assert_eq!(
+        warm_report.cache(CacheId::ForceCache).hits,
+        0,
+        "replayed bodies are installed forced, without a force-cache probe"
+    );
     assert_eq!(
         warm_report.counter(Counter::LazyNodesForced),
         fresh_report.counter(Counter::LazyNodesForced),
-        "skipped checks still force every body a cold compile forces"
+        "replayed bodies count as forced, as a cold compile's are"
     );
 }
