@@ -63,6 +63,16 @@ impl LazyNode {
         }
     }
 
+    /// Builds an unforced lazy node for a session cache's template: no
+    /// compilation created it, so it is neither counted nor traced (the
+    /// nodes a compile instantiates from the template are).
+    pub fn template(goal: NodeKind, tree: DelimTree, env: Option<Rc<dyn Any>>) -> LazyNode {
+        LazyNode {
+            goal,
+            cell: Rc::new(RefCell::new(LazyCell::Unforced { tree, env })),
+        }
+    }
+
     /// Builds an already-forced lazy node (used when a template splices an
     /// eager value where lazy syntax is expected).
     pub fn forced(goal: NodeKind, node: Node) -> LazyNode {

@@ -1,11 +1,14 @@
 //! E15: LALR(1) table (re)generation — the cost of extending the grammar,
-//! which every `use` of a syntax-adding extension pays (paper §4.1) — and,
-//! for E26, what a persistent-store hit costs instead of a build.
+//! which every `use` of a syntax-adding extension pays (paper §4.1); for
+//! E26, what a persistent-store hit costs instead of a build; and for E34,
+//! what a process pays for the base tables compiled into it, and an
+//! extension's tables derived from its parent's automaton against a full
+//! build.
 
 use maya_ast::NodeKind;
 use maya_bench::timing::{bench_with, Options};
-use maya_core::Base;
-use maya_grammar::{RhsItem, TableDisk};
+use maya_core::{Base, Compiler};
+use maya_grammar::{Grammar, RhsItem, TableDisk};
 use maya_lexer::Delim;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,6 +30,39 @@ impl TableDisk for MemDisk {
     }
 }
 
+/// The E15 extension: `n` foreach-like statement productions.
+fn base_plus(base: &Base, n: usize) -> Grammar {
+    let mut ext = base.grammar.extend();
+    for i in 0..n {
+        ext.add_production(
+            NodeKind::Statement,
+            &[
+                RhsItem::word(&format!("kw{i}")),
+                RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::Expression)]),
+                RhsItem::Lazy(Delim::Brace, NodeKind::BlockStmts),
+            ],
+            None,
+        )
+        .unwrap();
+    }
+    ext.finish()
+}
+
+/// The grammars along the import chain Foreach → MultiJava → Assert →
+/// Format → Typedef, each extending the one before it.
+fn import_chain() -> Vec<(&'static str, Grammar)> {
+    let c = Compiler::new();
+    maya_macrolib::install(&c);
+    maya_multijava::install(&c);
+    ["Foreach", "MultiJava", "Assert", "Format", "Typedef"]
+        .into_iter()
+        .map(|name| {
+            c.use_globally(name).expect("the extension imports");
+            (name, c.inner().global.borrow().grammar.clone())
+        })
+        .collect()
+}
+
 fn main() {
     let base = Base::build();
     let opts = Options {
@@ -37,7 +73,8 @@ fn main() {
     println!("table_generation");
     // The extended snapshots share the base grammar's content hash (or one
     // another's across iterations), so with the table memo on every timed
-    // build after the first would be a memo hit.
+    // build after the first would be a memo hit; off, every lookup is a
+    // full build.
     maya_grammar::set_table_cache_enabled(false);
 
     bench_with("base_grammar", opts.clone(), || {
@@ -46,34 +83,60 @@ fn main() {
     });
 
     for n in [1usize, 4, 16] {
-        bench_with(&format!("base_plus_n_productions/{n}"), opts.clone(), || {
-            let mut ext = base.grammar.extend();
-            for i in 0..n {
-                ext.add_production(
-                    NodeKind::Statement,
-                    &[
-                        RhsItem::word(Box::leak(format!("kw{i}").into_boxed_str())),
-                        RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::Expression)]),
-                        RhsItem::Lazy(Delim::Brace, NodeKind::BlockStmts),
-                    ],
-                    None,
-                )
-                .unwrap();
-            }
-            let g = ext.finish();
-            g.tables().expect("LALR(1)")
-        });
+        bench_with(
+            &format!("base_plus_n_productions/{n}"),
+            opts.clone(),
+            || base_plus(&base, n).tables().expect("LALR(1)"),
+        );
     }
     maya_grammar::set_table_cache_enabled(true);
 
-    // A store hit for the base grammar: the in-process memo is cleared
-    // before every lookup, so each one reads the stored payload.
+    // What every process pays for the base tables now: the content hash of
+    // a fresh snapshot and the lookup of the embedded tables (decoded once
+    // per process, before the first sample).
+    bench_with("base_grammar/embedded", opts.clone(), || {
+        let g = base.grammar.extend().finish();
+        g.tables().expect("LALR(1)")
+    });
+
+    // Derivations from the base automaton against full builds of the same
+    // grammars.
+    let base_built = base.grammar.build_full().expect("LALR(1)");
+    for n in [1usize, 4, 16] {
+        let g = base_plus(&base, n);
+        bench_with(
+            &format!("base_plus_n_productions/{n}/derived"),
+            opts.clone(),
+            || {
+                g.derive_from(&base_built)
+                    .expect("derivable")
+                    .expect("LALR(1)")
+            },
+        );
+    }
+
+    // The real imports, each derived from the grammar it extends.
+    let mut parent = base_built;
+    for (name, g) in import_chain() {
+        bench_with(&format!("import/{name}/full"), opts.clone(), || {
+            g.build_full().expect("LALR(1)")
+        });
+        bench_with(&format!("import/{name}/derived"), opts.clone(), || {
+            g.derive_from(&parent).expect("derivable").expect("LALR(1)")
+        });
+        parent = g.build_full().expect("LALR(1)");
+    }
+
+    // A store hit for an extension (the base grammar never reaches the
+    // store): the in-process memo is cleared before every lookup, so each
+    // one reads the stored payload.
     maya_grammar::clear_table_cache();
     maya_grammar::set_table_disk(Some(Rc::new(MemDisk::default())));
-    base.grammar.extend().finish().tables().expect("LALR(1)");
-    bench_with("base_grammar/store_hit", opts, || {
+    let g = base_plus(&base, 1);
+    g.extend().finish().tables().expect("LALR(1)");
+    bench_with("base_plus_n_productions/1/store_hit", opts, || {
         maya_grammar::clear_table_cache();
-        let g = base.grammar.extend().finish();
+        let g = g.extend().finish();
         g.tables().expect("LALR(1)")
     });
     maya_grammar::set_table_disk(None);

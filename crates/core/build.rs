@@ -8,6 +8,11 @@
 //! Absolute paths, the build profile and the target directory never reach
 //! the hash: a crate that builds this library from its own workspace gets
 //! the same id as the `mayac` it talks to.
+//!
+//! It also builds the base grammar's LALR(1) tables with the same generator
+//! the compiler runs and writes them, with the automaton that extensions
+//! derive their tables from and the grammar's content hash, for
+//! `src/base.rs` to embed: no process builds the base tables at run time.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,6 +43,16 @@ fn main() {
     }
     let out = PathBuf::from(std::env::var_os("OUT_DIR").expect("set by cargo"));
     fs::write(out.join("build_id.rs"), format!("{h:#018x}\n")).expect("write build_id.rs");
+
+    let base = maya_basegrammar::build();
+    let embedded = maya_grammar::embedding(&base.grammar).expect("the base grammar is LALR(1)");
+    fs::write(out.join("base_tables.bin"), &embedded.tables).expect("write base_tables.bin");
+    fs::write(out.join("base_automaton.rs"), &embedded.automaton).expect("write base_automaton.rs");
+    fs::write(
+        out.join("base_hash.rs"),
+        format!("{:#034x}\n", embedded.hash),
+    )
+    .expect("write base_hash.rs");
 }
 
 /// Appends the `.rs` files under `root/rel` as `/`-separated paths relative

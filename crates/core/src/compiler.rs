@@ -1014,7 +1014,12 @@ impl Compiler {
         });
         let cached_unit = match (&cache, unit_key) {
             (Some(c), Some(key)) => c.get_unit(key).and_then(|template| {
-                crate::driver::refresh_unit(&template, self.inner.pristine_env, &fresh_payload)
+                crate::driver::refresh_unit(
+                    &template,
+                    self.inner.pristine_env,
+                    &fresh_payload,
+                    LazyNode::new,
+                )
             }),
             _ => None,
         };
@@ -1049,6 +1054,7 @@ impl Compiler {
                         &unit_node,
                         self.inner.pristine_env,
                         &fresh_payload,
+                        LazyNode::template,
                     ) {
                         c.insert_unit(key, template);
                     }
@@ -1610,6 +1616,7 @@ impl Compiler {
                 self.inner.pristine_env,
                 &canonical,
                 Some(class),
+                LazyNode::template,
             )?;
             let entry = Rc::new(ClassEntry::new(member_decls(template)?));
             cache.insert_class(*key, entry.clone());

@@ -621,6 +621,7 @@ pub(crate) fn refresh_unit(
     node: &Node,
     pristine: (u128, u64),
     fresh: &Rc<LazyEnvPayload>,
+    make: MakeLazy,
 ) -> Option<Node> {
     let Node::List(parts) = node else { return None };
     if parts.len() != 3 {
@@ -629,7 +630,7 @@ pub(crate) fn refresh_unit(
     let Node::Decls(decls) = &parts[2] else { return None };
     let mut out = Vec::with_capacity(decls.len());
     for d in decls {
-        out.push(refresh_decl(d, pristine, fresh, None)?);
+        out.push(refresh_decl(d, pristine, fresh, None, make)?);
     }
     Some(Node::List(vec![
         parts[0].clone(),
@@ -651,12 +652,13 @@ pub(crate) fn refresh_members(
     pristine: (u128, u64),
     fresh: &Rc<LazyEnvPayload>,
     expected: Option<ClassId>,
+    make: MakeLazy,
 ) -> Option<Node> {
     match node {
         Node::Decls(decls) => {
             let mut out = Vec::with_capacity(decls.len());
             for d in decls {
-                out.push(refresh_decl(d, pristine, fresh, expected)?);
+                out.push(refresh_decl(d, pristine, fresh, expected, make)?);
             }
             Some(Node::Decls(out))
         }
@@ -664,7 +666,9 @@ pub(crate) fn refresh_members(
             let mut out = Vec::with_capacity(items.len());
             for item in items {
                 let Node::Decl(d) = item else { return None };
-                out.push(Node::Decl(refresh_decl(d, pristine, fresh, expected)?));
+                out.push(Node::Decl(refresh_decl(
+                    d, pristine, fresh, expected, make,
+                )?));
             }
             Some(Node::List(out))
         }
@@ -677,31 +681,32 @@ fn refresh_decl(
     pristine: (u128, u64),
     fresh: &Rc<LazyEnvPayload>,
     expected: Option<ClassId>,
+    make: MakeLazy,
 ) -> Option<Decl> {
     Some(match d {
         Decl::Class(c) => {
             let mut members = Vec::with_capacity(c.members.len());
             for m in &c.members {
-                members.push(refresh_decl(m, pristine, fresh, expected)?);
+                members.push(refresh_decl(m, pristine, fresh, expected, make)?);
             }
             Decl::Class(ClassDecl { members, ..c.clone() })
         }
         Decl::Interface(i) => {
             let mut members = Vec::with_capacity(i.members.len());
             for m in &i.members {
-                members.push(refresh_decl(m, pristine, fresh, expected)?);
+                members.push(refresh_decl(m, pristine, fresh, expected, make)?);
             }
             Decl::Interface(InterfaceDecl { members, ..i.clone() })
         }
         Decl::Method(m) => {
             let body = match &m.body {
-                Some(l) => Some(refresh_lazy(l, pristine, fresh, expected)?),
+                Some(l) => Some(refresh_lazy(l, pristine, fresh, expected, make)?),
                 None => None,
             };
             Decl::Method(MethodDecl { body, ..m.clone() })
         }
         Decl::Ctor(c) => Decl::Ctor(CtorDecl {
-            body: refresh_lazy(&c.body, pristine, fresh, expected)?,
+            body: refresh_lazy(&c.body, pristine, fresh, expected, make)?,
             ..c.clone()
         }),
         Decl::Field(f) => {
@@ -722,6 +727,7 @@ fn refresh_lazy(
     pristine: (u128, u64),
     fresh: &Rc<LazyEnvPayload>,
     expected: Option<ClassId>,
+    make: MakeLazy,
 ) -> Option<LazyNode> {
     let cell = l.cell.borrow();
     let LazyCell::Unforced { tree, env } = &*cell else { return None };
@@ -731,12 +737,17 @@ fn refresh_lazy(
     {
         return None;
     }
-    Some(LazyNode::new(
+    Some(make(
         l.goal,
         tree.clone(),
         Some(fresh.clone() as Rc<dyn std::any::Any>),
     ))
 }
+
+/// How the `refresh_*` walks make each fresh cell: [`LazyNode::new`] when a
+/// compile instantiates a template (the cells stand for the ones a cold
+/// parse creates), [`LazyNode::template`] when it stores one.
+pub(crate) type MakeLazy = fn(NodeKind, DelimTree, Option<Rc<dyn std::any::Any>>) -> LazyNode;
 
 impl Cx {
     fn parse_tree_kind_goal(

@@ -126,6 +126,8 @@ struct Job {
     request: PoolRequest,
     reply: mpsc::Sender<String>,
     inflight: Arc<AtomicUsize>,
+    /// When [`CompilePool::submit`] queued it.
+    submitted: Instant,
 }
 
 enum Msg {
@@ -147,8 +149,16 @@ struct ClientMap {
 /// Lifetime aggregates over every request served by any worker.
 #[derive(Default)]
 struct PoolMetrics {
-    /// Wall time of each compile request, in nanoseconds.
+    /// Wall time of each compile request inside its session, in
+    /// nanoseconds.
     latency: Histogram,
+    /// Per compile request, from [`CompilePool::submit`] to a worker taking
+    /// it off its queue.
+    queue_wait: Histogram,
+    /// Per compile request, from the worker taking it off the queue to its
+    /// reply being ready to send: request decoding, file reads, the compile
+    /// and the encoding.
+    service: Histogram,
     /// Every per-request telemetry [`Report`] merged together.
     aggregate: Option<Report>,
     /// Session counters summed across every client session.
@@ -172,9 +182,14 @@ struct Refusals {
 }
 
 impl PoolMetrics {
-    fn record(&mut self, worker: usize, report: Report, delta: SessionStats) {
-        if let Some(h) = report.hist("request_ns") {
+    /// Folds in one request's report; `waits` is its queue wait and service
+    /// time, recorded when the request compiled.
+    fn record(&mut self, worker: usize, report: Report, delta: SessionStats, waits: [Duration; 2]) {
+        if let Some(h) = report.hist("request_ns").filter(|h| h.count() > 0) {
             self.latency.merge(h);
+            let [queue_wait, service] = waits;
+            self.queue_wait.record(queue_wait.as_nanos() as u64);
+            self.service.record(service.as_nanos() as u64);
         }
         if self.sizes.len() <= worker {
             self.sizes.resize(worker + 1, [0; N_CACHES]);
@@ -303,6 +318,7 @@ impl CompilePool {
             request,
             reply: tx,
             inflight: inflight.clone(),
+            submitted: Instant::now(),
         }));
         // `std::sync::mpsc` has no `send_timeout`; a bounded retry loop
         // turns queue saturation into an explicit reply within
@@ -434,6 +450,7 @@ fn worker_main(
     let mut sessions: HashMap<String, Session> = HashMap::new();
     for msg in rx {
         let Msg::Job(job) = msg else { break };
+        let dequeued = Instant::now();
         let t = telemetry::Session::start(telemetry::Config::default());
         let session = sessions
             .entry(job.client.clone())
@@ -463,10 +480,11 @@ fn worker_main(
             files_recompiled: after.files_recompiled - before.files_recompiled,
             grammar_reuses: after.grammar_reuses - before.grammar_reuses,
         };
+        let waits = [dequeued.duration_since(job.submitted), dequeued.elapsed()];
         metrics
             .lock()
             .expect("metrics poisoned")
-            .record(worker, t.finish(), delta);
+            .record(worker, t.finish(), delta, waits);
         // Release the quota slot before replying, so a strictly
         // synchronous client never collides with its own last request.
         job.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -639,7 +657,8 @@ fn ns_to_ms(ns: u64) -> f64 {
 }
 
 /// Renders the `stats` reply from the pool-wide aggregates: summed session
-/// counters, the merged request-latency histogram, refusals by reason,
+/// counters, the merged request-latency, queue-wait and service
+/// histograms, refusals by reason,
 /// per-phase times, summed telemetry counters, and cache gauges merged
 /// from every worker's per-request reports.
 fn stats_response(m: &PoolMetrics) -> String {
@@ -654,24 +673,30 @@ fn stats_response(m: &PoolMetrics) -> String {
         .field_u64("grammar_reuses", s.grammar_reuses)
         .field_u64("table_memo", maya_grammar::table_cache_len() as u64);
 
-    // Compile-request latency: percentiles over every served request.
-    let h = &m.latency;
-    w.key("latency").begin_obj();
-    w.field_u64("count", h.count())
-        .field_f64("mean_ms", h.mean() / 1e6)
-        .field_f64("p50_ms", ns_to_ms(h.percentile(50.0)))
-        .field_f64("p95_ms", ns_to_ms(h.percentile(95.0)))
-        .field_f64("p99_ms", ns_to_ms(h.percentile(99.0)))
-        .field_f64("max_ms", ns_to_ms(h.max()));
-    w.key("buckets").begin_arr();
-    for (lo, hi, n) in h.buckets() {
-        w.begin_obj()
-            .field_f64("lo_ms", ns_to_ms(lo))
-            .field_f64("hi_ms", ns_to_ms(hi))
-            .field_u64("count", n)
-            .end_obj();
+    // Compile-request times: inside the session, waiting in the queue,
+    // and from dequeue to reply.
+    for (name, h) in [
+        ("latency", &m.latency),
+        ("queue_wait", &m.queue_wait),
+        ("service", &m.service),
+    ] {
+        w.key(name).begin_obj();
+        w.field_u64("count", h.count())
+            .field_f64("mean_ms", h.mean() / 1e6)
+            .field_f64("p50_ms", ns_to_ms(h.percentile(50.0)))
+            .field_f64("p95_ms", ns_to_ms(h.percentile(95.0)))
+            .field_f64("p99_ms", ns_to_ms(h.percentile(99.0)))
+            .field_f64("max_ms", ns_to_ms(h.max()));
+        w.key("buckets").begin_arr();
+        for (lo, hi, n) in h.buckets() {
+            w.begin_obj()
+                .field_f64("lo_ms", ns_to_ms(lo))
+                .field_f64("hi_ms", ns_to_ms(hi))
+                .field_u64("count", n)
+                .end_obj();
+        }
+        w.end_arr().end_obj();
     }
-    w.end_arr().end_obj();
 
     // Requests refused before reaching a worker, by reason.
     let r = &m.refusals;

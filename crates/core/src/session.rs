@@ -814,7 +814,7 @@ fn render_bytecode(compiler: &Compiler, filter: &str) -> String {
             if m.native.is_some() || !body.is_forced() {
                 continue;
             }
-            if let Some(text) = interp.bytecode_listing(body, &m.param_names) {
+            if let Some(text) = interp.bytecode_listing(body, m) {
                 let _ = writeln!(out, "--- bytecode {label} ---");
                 let _ = write!(out, "{text}");
                 if !text.ends_with('\n') {

@@ -7,13 +7,20 @@
 //! terminals are written by content, never by `TermId` or `Symbol` index.
 //! The digests were recorded with the hash-map generator this one replaced,
 //! so any change to the automaton other than state numbering fails here.
+//!
+//! The base grammar's tables reach every process compiled in, and an
+//! extension's are derived from its parent's automaton; the tests after the
+//! digests hold both to a full build of the same grammar.
 
 use maya_ast::NodeKind;
-use maya_core::{Base, Compiler};
-use maya_grammar::{ActionEntry, Grammar, NtId, RhsItem, Tables, Terminal};
+use maya_core::{Base, CompileOptions, Compiler, RequestOpts, Session};
+use maya_grammar::{ActionEntry, Built, Grammar, NtId, RhsItem, Tables, Terminal};
 use maya_lexer::Delim;
+use maya_telemetry as telemetry;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Orders terminals by what they are, never by interner index.
 fn content_key(t: Terminal) -> (u8, &'static str, u32) {
@@ -168,4 +175,137 @@ fn table_digests_match_the_reference_generator() {
             rendered.join("\n")
         );
     }
+}
+
+#[test]
+fn the_embedded_base_tables_are_a_fresh_build() {
+    let base = Base::build();
+    let embedded = maya_core::embedded_base_tables();
+    let fresh = maya_grammar::embedding(&base.grammar).expect("the base grammar is LALR(1)");
+    assert_eq!(
+        embedded.hash(),
+        base.grammar.content_hash(),
+        "run-time base grammar"
+    );
+    assert_eq!(embedded.hash(), fresh.hash);
+    assert!(
+        embedded.tables() == fresh.tables.as_slice(),
+        "embedded payload"
+    );
+    // A cold thread serves the base grammar from them, building nothing.
+    std::thread::spawn(|| {
+        let s = telemetry::Session::start(telemetry::Config::default());
+        let tables = Base::build().grammar.extend().finish().tables().unwrap();
+        let r = s.finish();
+        assert_eq!(r.counter(telemetry::Counter::TablesBuilt), 0);
+        assert_eq!(r.counter(telemetry::Counter::TableCacheHits), 1);
+        let full = Base::build().grammar.build_full().unwrap();
+        assert!(*tables == **full.tables());
+    })
+    .join()
+    .unwrap();
+}
+
+/// `g` derived from `from`, which must equal a full build of `g`.
+fn derive_checked(g: &Grammar, from: &Built, what: &str) -> Built {
+    let derived = g
+        .derive_from(from)
+        .unwrap_or_else(|| panic!("{what}: not derivable"))
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let full = g.build_full().unwrap();
+    assert!(
+        **derived.tables() == **full.tables(),
+        "{what}: derived differs from full"
+    );
+    derived
+}
+
+#[test]
+fn derived_tables_equal_full_builds_for_e15_and_the_real_imports() {
+    let base = Base::build();
+    let base_built = base.grammar.build_full().unwrap();
+    for n in [1, 4, 16] {
+        derive_checked(&base_plus(&base, n), &base_built, &format!("base+{n}"));
+    }
+    let c = Compiler::new();
+    maya_macrolib::install(&c);
+    maya_multijava::install(&c);
+    let mut parent = base_built.clone();
+    for name in ["Foreach", "MultiJava", "Assert", "Format", "Typedef"] {
+        c.use_globally(name).expect("the extension imports");
+        let g = global_grammar(&c);
+        // From the grammar it extends, and from the base directly.
+        derive_checked(&g, &base_built, &format!("base..{name}"));
+        parent = derive_checked(&g, &parent, name);
+    }
+}
+
+/// The `-use` arguments of a corpus program's `// mayac:` lines.
+fn uses_of(text: &str) -> Vec<String> {
+    let mut uses = Vec::new();
+    for line in text.lines() {
+        if let Some(args) = line.trim().strip_prefix("// mayac:") {
+            let mut it = args.split_whitespace();
+            while let Some(a) = it.next() {
+                if a == "-use" {
+                    uses.extend(it.next().map(str::to_owned));
+                }
+            }
+        }
+    }
+    uses
+}
+
+/// Every program of the three corpora compiles through the table cache,
+/// which in a debug build holds each derived table set to a full build of
+/// the same grammar.
+#[cfg(debug_assertions)]
+#[test]
+fn every_corpus_import_chain_derives_what_a_full_build_makes() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let derived = Rc::new(Cell::new(0u32));
+    let seen = derived.clone();
+    let installer: Rc<dyn Fn(&Compiler)> = Rc::new(|c: &Compiler| {
+        maya_macrolib::install(c);
+        maya_multijava::install(c);
+    });
+    let mut programs = 0;
+    for dir in ["tests/corpus", "mayabench/corpus", "examples/maya"] {
+        let mut files: Vec<_> = std::fs::read_dir(format!("{root}/{dir}"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "maya"))
+            .collect();
+        files.sort();
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let opts = RequestOpts {
+                uses: uses_of(&text),
+                ..RequestOpts::default()
+            };
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            maya_grammar::clear_table_cache();
+            let seen = seen.clone();
+            let s = telemetry::Session::start(telemetry::Config {
+                sink: Some(Rc::new(move |e: &telemetry::TraceEvent| {
+                    if e.kind == telemetry::TraceKind::TableBuild && e.detail.starts_with("derived")
+                    {
+                        seen.set(seen.get() + 1);
+                    }
+                })),
+                ..telemetry::Config::default()
+            });
+            let mut session = Session::new(CompileOptions::default(), Some(installer.clone()));
+            let out = session.compile_sources(&[(name.clone(), text)], &opts);
+            s.finish();
+            assert!(
+                !out.stderr.contains("derived tables"),
+                "{name}: {}",
+                out.stderr
+            );
+            programs += 1;
+        }
+    }
+    assert!(programs > 80, "{programs} programs");
+    assert!(derived.get() > 40, "only {} derivations ran", derived.get());
 }

@@ -151,6 +151,9 @@ pub(crate) struct GrammarData {
     tables: OnceCell<Result<Arc<Tables>, GrammarError>>,
     /// Lazily computed content hash (see [`crate::cache`]).
     hash: OnceCell<u128>,
+    /// The snapshot this one extends, whose automaton its tables can be
+    /// derived from (see [`crate::derive`]).
+    parent: Option<Grammar>,
 }
 
 impl Clone for GrammarData {
@@ -166,6 +169,7 @@ impl Clone for GrammarData {
             version: self.version,
             tables: OnceCell::new(), // tables are per-snapshot
             hash: OnceCell::new(),   // content may change under the builder
+            parent: self.parent.clone(),
         }
     }
 }
@@ -212,9 +216,9 @@ impl Grammar {
     /// Starts an extension of this snapshot.
     pub fn extend(&self) -> GrammarBuilder {
         maya_telemetry::count(maya_telemetry::Counter::GrammarExtensions);
-        GrammarBuilder {
-            data: (*self.inner).clone(),
-        }
+        let mut data = (*self.inner).clone();
+        data.parent = Some(self.clone());
+        GrammarBuilder { data }
     }
 
     /// The snapshot version (monotonically increasing along an extension
@@ -307,6 +311,11 @@ impl Grammar {
         &self.inner
     }
 
+    /// The snapshot this one was extended from, if any.
+    pub(crate) fn parent(&self) -> Option<&Grammar> {
+        self.inner.parent.as_ref()
+    }
+
     /// The helper nonterminal for a `lazy(delim, kind)` symbol, if this
     /// snapshot has one (used to type named lazy parameters in Mayan
     /// declarations).
@@ -392,6 +401,7 @@ impl GrammarBuilder {
                 version: 0,
                 tables: OnceCell::new(),
                 hash: OnceCell::new(),
+                parent: None,
             },
         }
     }

@@ -32,7 +32,8 @@
 //! here; the per-snapshot `OnceCell` still memoizes the error locally.
 
 use crate::build::{Grammar, GrammarData, GrammarError};
-use crate::lalr::{build_tables, intern_terms};
+use crate::embed::{embedded_built, embedded_tables, Built};
+use crate::lalr::{build_tables, generate, intern_terms};
 use crate::prod::{Action, Assoc, BuiltinAction};
 use crate::symbol::{Sym, Terminal};
 use crate::tables::{ActionEntry, Rows, Tables, NO_DEFAULT};
@@ -173,10 +174,16 @@ fn assoc_tag(a: Assoc) -> u8 {
 /// against degenerate grammar-fuzzing loops.
 const MEMO_CAP: usize = 256;
 
+/// Automata of this thread's latest builds kept for their extensions to
+/// derive from: an import chain needs its innermost grammar's, and the
+/// base grammar's is embedded.
+const RETAINED_CAP: usize = 1;
+
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(true) };
     static SHARED: Cell<bool> = const { Cell::new(false) };
     static MEMO: RefCell<HashMap<u128, Arc<Tables>>> = RefCell::new(HashMap::new());
+    static RETAINED: RefCell<Vec<Built>> = const { RefCell::new(Vec::new()) };
     static DISK: RefCell<Option<Rc<dyn TableDisk>>> = const { RefCell::new(None) };
 }
 
@@ -203,9 +210,10 @@ fn shared_memo() -> &'static RwLock<HashMap<u128, Arc<Tables>>> {
     SHARED_MEMO.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Turns the table cache (both layers) on or off for this thread. The
-/// cache is on by default; the perf harness turns it off to measure the
-/// seed path.
+/// Turns the table cache (every layer, the embedded tables and derivation
+/// included) on or off for this thread: off, every lookup is a full build.
+/// The cache is on by default; the perf harness turns it off to measure
+/// the seed path.
 pub fn set_table_cache_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
 }
@@ -236,10 +244,12 @@ pub fn set_table_disk(disk: Option<Rc<dyn TableDisk>>) {
     DISK.with(|d| *d.borrow_mut() = disk);
 }
 
-/// Drops every in-process cache entry — this thread's memo *and* the
-/// process-global one (test isolation; the on-disk cache is left alone).
+/// Drops every in-process cache entry — this thread's memo and retained
+/// automata *and* the process-global memo (test isolation; the on-disk
+/// cache and the tables compiled into the binary are left alone).
 pub fn clear_table_cache() {
     MEMO.with(|m| m.borrow_mut().clear());
+    RETAINED.with(|r| r.borrow_mut().clear());
     shared_memo().write().expect("table memo poisoned").clear();
 }
 
@@ -265,14 +275,21 @@ pub fn table_cache_contains(hash: u128) -> bool {
     MEMO.with(|m| m.borrow().contains_key(&hash))
 }
 
-/// The table lookup behind [`Grammar::tables`]: thread-local memo, then
-/// (when shared) the process-global memo, then the on-disk cache, then a
-/// real build (whose result populates every layer the thread uses).
+/// The table lookup behind [`Grammar::tables`]: the tables compiled into
+/// the binary, then the thread-local memo, then (when shared) the
+/// process-global memo, then the on-disk cache, then a build (whose result
+/// populates every layer the thread uses). A build derives the tables from
+/// the automaton of the nearest ancestor at hand when there is one.
 pub(crate) fn tables_for(g: &Grammar) -> Result<Arc<Tables>, GrammarError> {
     if !table_cache_enabled() {
         return build_tables(g.data()).map(Arc::new);
     }
     let hash = g.content_hash();
+    if let Some(t) = embedded_tables(g, hash) {
+        maya_telemetry::count(Counter::TableCacheHits);
+        maya_telemetry::cache_hit(maya_telemetry::CacheId::LalrMemo);
+        return Ok(t);
+    }
     if let Some(t) = MEMO.with(|m| m.borrow().get(&hash).cloned()) {
         maya_telemetry::count(Counter::TableCacheHits);
         maya_telemetry::cache_hit(maya_telemetry::CacheId::LalrMemo);
@@ -302,7 +319,22 @@ pub(crate) fn tables_for(g: &Grammar) -> Result<Arc<Tables>, GrammarError> {
     }
     maya_telemetry::count(Counter::TableCacheMisses);
     maya_telemetry::cache_miss(maya_telemetry::CacheId::LalrMemo);
-    let t = build_tables(g.data()).map(Arc::new)?;
+    let parent = ancestor_built(g);
+    let parent = parent.as_ref().map(|b| (&*b.automaton, &*b.tables));
+    let built = generate(g.data(), parent, false).expect("a build may always fall back")?;
+    let built = Built::new(g, built);
+    // Debug builds hold every derivation to a full build of the same
+    // grammar, so each test that imports an extension checks one.
+    #[cfg(debug_assertions)]
+    if parent.is_some() {
+        let full = g.build_full();
+        assert!(
+            full.is_ok_and(|f| *f.tables == *built.tables),
+            "derived tables differ from a full build"
+        );
+    }
+    let t = built.tables.clone();
+    retain(built);
     remember(hash, &t);
     if let Some(disk) = &disk {
         // Save failures (read-only dir, disk full) are the store's problem
@@ -310,6 +342,37 @@ pub(crate) fn tables_for(g: &Grammar) -> Result<Arc<Tables>, GrammarError> {
         disk.save(hash, &encode_tables(&t));
     }
     Ok(t)
+}
+
+/// The built automaton of `g`'s nearest ancestor that has one at hand:
+/// embedded, or among the latest builds of this thread.
+fn ancestor_built(g: &Grammar) -> Option<Built> {
+    let mut at = g.parent();
+    while let Some(a) = at {
+        let hash = a.content_hash();
+        if let Some(built) = embedded_built(a, hash) {
+            return Some(built);
+        }
+        let retained = RETAINED.with(|r| r.borrow().iter().find(|b| b.hash == hash).cloned());
+        if retained.is_some() {
+            return retained;
+        }
+        at = a.parent();
+    }
+    None
+}
+
+/// Keeps `built`'s automaton for its extensions to derive from, dropping
+/// the oldest beyond [`RETAINED_CAP`].
+fn retain(built: Built) {
+    RETAINED.with(|r| {
+        let mut r = r.borrow_mut();
+        r.retain(|b| b.hash != built.hash);
+        if r.len() >= RETAINED_CAP {
+            r.remove(0);
+        }
+        r.push(built);
+    });
 }
 
 fn remember(hash: u128, t: &Arc<Tables>) {

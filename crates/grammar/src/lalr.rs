@@ -11,17 +11,24 @@
 //! nonterminal. Terminal ids follow [`Terminal::sort_key`], so sorting a
 //! state's successors by symbol number orders them by content, and state
 //! numbers do not depend on interner order.
+//!
+//! A state's closure ([`Closer`]), its lookahead analysis ([`Analyzer`])
+//! and its action rows ([`ActionBuilder`]) are the building blocks of both
+//! a full build and a derivation from a parent automaton
+//! ([`crate::derive`]), which runs them only for the states an extension
+//! changes.
 
 use crate::bitset::{bits, BitSet};
 use crate::build::{GrammarData, GrammarError};
 use crate::prod::{Assoc, ProdId};
 use crate::symbol::{NtId, Sym, Terminal};
 use crate::tables::{ActionEntry, Conflict, Rows, Tables, TermId, NO_DEFAULT};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// No symbol after the dot / no successor slot.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Interns every terminal of the extended grammar: those on the real
 /// productions' right-hand sides, plus `Goal(nt)` and `EndOf(nt)` for every
@@ -73,37 +80,37 @@ fn or_into(dst: &mut [u64], src: &[u64]) {
 /// The extended grammar in dense form. Productions are the real ones
 /// followed by one synthetic start production `__Start → Goal(nt) nt` per
 /// nonterminal.
-struct Gen<'g> {
-    g: &'g GrammarData,
-    real_count: usize,
-    n_terms: usize,
+pub(crate) struct Gen<'g> {
+    pub(crate) g: &'g GrammarData,
+    pub(crate) real_count: usize,
+    pub(crate) n_terms: usize,
     /// Words per lookahead set: `ceil(n_terms / 64)`.
-    w: usize,
-    terms: Vec<Terminal>,
-    term_ids: HashMap<Terminal, TermId>,
-    prod_lhs: Vec<u32>,
+    pub(crate) w: usize,
+    pub(crate) terms: Vec<Terminal>,
+    pub(crate) term_ids: HashMap<Terminal, TermId>,
+    pub(crate) prod_lhs: Vec<u32>,
     /// First item of each production, plus one past the last item.
-    off: Vec<u32>,
+    pub(crate) off: Vec<u32>,
     /// Precedence per terminal id.
-    term_prec: Vec<Option<(u16, Assoc)>>,
+    pub(crate) term_prec: Vec<Option<(u16, Assoc)>>,
     /// The symbol after the dot of each item, `NONE` when complete.
-    item_sym: Vec<u32>,
-    item_prod: Vec<u32>,
+    pub(crate) item_sym: Vec<u32>,
+    pub(crate) item_prod: Vec<u32>,
     /// FIRST per nonterminal, `w` words each.
-    first: Vec<u64>,
-    nullable: Vec<bool>,
+    pub(crate) first: Vec<u64>,
+    pub(crate) nullable: Vec<bool>,
     /// FIRST of each item's β (the symbols after the one after the dot),
     /// `w` words each, and whether β is nullable.
-    beta: Vec<u64>,
-    beta_nullable: Vec<bool>,
+    pub(crate) beta: Vec<u64>,
+    pub(crate) beta_nullable: Vec<bool>,
     /// Per nonterminal, every production whose LHS is one of its left
     /// corners (itself included), ascending: the non-kernel items its
     /// occurrence after a dot adds to an LR(0) closure.
-    left_corner: Rows<u32>,
+    pub(crate) left_corner: Rows<u32>,
 }
 
 impl<'g> Gen<'g> {
-    fn new(g: &'g GrammarData) -> Gen<'g> {
+    pub(crate) fn new(g: &'g GrammarData) -> Gen<'g> {
         let (terms, term_ids) = intern_terms(g);
         let n_terms = terms.len();
         let n_nts = g.nts.len();
@@ -158,7 +165,7 @@ impl<'g> Gen<'g> {
         gen
     }
 
-    fn n_prods(&self) -> usize {
+    pub(crate) fn n_prods(&self) -> usize {
         self.prod_lhs.len()
     }
 
@@ -174,7 +181,7 @@ impl<'g> Gen<'g> {
     }
 
     /// The nonterminal a symbol number names, if it names one.
-    fn nt_of(&self, sym: u32) -> Option<usize> {
+    pub(crate) fn nt_of(&self, sym: u32) -> Option<usize> {
         (sym != NONE && sym as usize >= self.n_terms).then(|| sym as usize - self.n_terms)
     }
 
@@ -279,6 +286,76 @@ impl<'g> Gen<'g> {
         }
         self.left_corner = lists;
     }
+
+    /// |FIRST(β)| of item `x`.
+    pub(crate) fn beta_count(&self, x: usize) -> u32 {
+        let w = self.w;
+        self.beta[x * w..(x + 1) * w]
+            .iter()
+            .map(|word| word.count_ones())
+            .sum()
+    }
+}
+
+/// Buffers for LR(0) closures: stamp arrays shared by every state.
+pub(crate) struct Closer {
+    prod_stamp: Vec<u32>,
+    nt_stamp: Vec<u32>,
+    stamp: u32,
+}
+
+impl Closer {
+    pub(crate) fn new(gen: &Gen<'_>) -> Closer {
+        Closer {
+            prod_stamp: vec![NONE; gen.n_prods()],
+            nt_stamp: vec![NONE; gen.g.nts.len()],
+            stamp: 0,
+        }
+    }
+
+    /// Appends the closure of `kernel` to `out`: the kernel items, then,
+    /// for each nonterminal after a kernel item's dot (first occurrence
+    /// only), the first items of its left-corner productions not there
+    /// yet, in list order.
+    pub(crate) fn close(&mut self, gen: &Gen<'_>, kernel: &[u32], out: &mut Vec<u32>) {
+        let stamp = self.stamp;
+        self.stamp += 1;
+        for &item in kernel {
+            out.push(item);
+            let p = gen.item_prod[item as usize];
+            if gen.off[p as usize] == item {
+                self.prod_stamp[p as usize] = stamp;
+            }
+        }
+        for &item in kernel {
+            let Some(a) = gen.nt_of(gen.item_sym[item as usize]) else {
+                continue;
+            };
+            if self.nt_stamp[a] == stamp {
+                continue;
+            }
+            self.nt_stamp[a] = stamp;
+            for &p in gen.left_corner.row(a) {
+                if self.prod_stamp[p as usize] != stamp {
+                    self.prod_stamp[p as usize] = stamp;
+                    out.push(gen.off[p as usize]);
+                }
+            }
+        }
+    }
+}
+
+/// The moves out of a closure as `(symbol, advanced item, closure index)`,
+/// sorted: each run of one symbol lists its target's kernel, ascending.
+pub(crate) fn moves_of(gen: &Gen<'_>, closure: &[u32], moves: &mut Vec<(u32, u32, u32)>) {
+    moves.clear();
+    for (ci, &item) in closure.iter().enumerate() {
+        let sym = gen.item_sym[item as usize];
+        if sym != NONE {
+            moves.push((sym, item + 1, ci as u32));
+        }
+    }
+    moves.sort_unstable();
 }
 
 /// The LR(0) automaton, with each closure item's successor recorded.
@@ -318,48 +395,17 @@ fn build_lr0(gen: &Gen<'_>) -> Lr0 {
     if let Some(&item) = start.first() {
         last_with[item as usize] = 0;
     }
-    let mut prod_stamp = vec![NONE; gen.n_prods()];
-    let mut nt_stamp = vec![NONE; gen.g.nts.len()];
-    let mut moves: Vec<(u32, u32, u32)> = Vec::new();
+    let mut closer = Closer::new(gen);
+    let mut moves = Vec::new();
     let mut kernel = Vec::new();
     let mut i = 0;
     while i < kernels.n_rows() {
-        let stamp = i as u32;
         let first = closures.cells.len();
-        for &item in kernels.row(i) {
-            closures.cells.push(item);
-            let p = gen.item_prod[item as usize];
-            if gen.off[p as usize] == item {
-                prod_stamp[p as usize] = stamp;
-            }
-        }
-        for &item in kernels.row(i) {
-            let Some(a) = gen.nt_of(gen.item_sym[item as usize]) else {
-                continue;
-            };
-            if nt_stamp[a] == stamp {
-                continue;
-            }
-            nt_stamp[a] = stamp;
-            for &p in gen.left_corner.row(a) {
-                if prod_stamp[p as usize] != stamp {
-                    prod_stamp[p as usize] = stamp;
-                    closures.cells.push(gen.off[p as usize]);
-                }
-            }
-        }
+        closer.close(gen, kernels.row(i), &mut closures.cells);
         closures.end_row();
         succ.resize(closures.cells.len(), NONE);
 
-        moves.clear();
-        for ci in first..closures.cells.len() {
-            let item = closures.cells[ci];
-            let sym = gen.item_sym[item as usize];
-            if sym != NONE {
-                moves.push((sym, item + 1, ci as u32));
-            }
-        }
-        moves.sort_unstable();
+        moves_of(gen, &closures.cells[first..], &mut moves);
         for run in moves.chunk_by(|a, b| a.0 == b.0) {
             kernel.clear();
             kernel.extend(run.iter().map(|m| m.1));
@@ -377,7 +423,7 @@ fn build_lr0(gen: &Gen<'_>) -> Lr0 {
             }
             let base = kernels.off[j as usize];
             for (pos, m) in run.iter().enumerate() {
-                succ[m.2 as usize] = base + pos as u32;
+                succ[first + m.2 as usize] = base + pos as u32;
             }
             trans.cells.push((run[0].0, j));
         }
@@ -394,88 +440,163 @@ fn build_lr0(gen: &Gen<'_>) -> Lr0 {
 
 /// Lookahead sets, `w` words per slot. Slots are the kernel items of every
 /// state (in kernel order), then one per complete non-kernel item (an
-/// ε-production in some closure).
-struct Lookaheads {
-    sets: Vec<u64>,
+/// ε-production in some closure), numbered in state and closure order.
+pub(crate) struct Lookaheads {
+    pub(crate) sets: Vec<u64>,
     /// Every complete item as `(state, production, slot)`, ascending.
-    complete: Vec<(u32, u32, u32)>,
+    pub(crate) complete: Vec<(u32, u32, u32)>,
+    /// The propagation links by source slot: slot `s` passes its set to
+    /// `link_to[link_off[s]..link_off[s + 1]]`.
+    pub(crate) link_off: Vec<u32>,
+    pub(crate) link_to: Vec<u32>,
 }
 
-/// LALR(1) lookaheads by spontaneous generation and propagation. Each
-/// state's closure is analysed per nonterminal: the non-kernel items of one
-/// nonterminal all receive the same spontaneous lookaheads and the same
-/// kernel items' propagated ones.
-fn lalr_lookaheads(gen: &Gen<'_>, aut: &Lr0) -> Lookaheads {
-    let w = gen.w;
-    let n_kernel_slots = aut.kernels.cells.len();
-    let mut sets = vec![0u64; n_kernel_slots * w];
-    for (slot, &item) in aut.kernels.row(0).iter().enumerate() {
-        // `__Start → . Goal(nt) nt` gets the end terminal of its own goal,
-        // keeping goals' lookaheads disjoint.
-        if let Some(nt) = gen.nt_of(gen.item_sym[item as usize + 1]) {
-            let end = gen.term_ids[&Terminal::EndOf(NtId(nt as u32))];
-            sets[slot * w + end as usize / 64] |= 1 << (end % 64);
+/// What the per-state analyses produce, before propagation.
+pub(crate) struct LaParts {
+    w: usize,
+    /// Kernel slots' sets; the ε slots' follow in `eps`.
+    pub(crate) sets: Vec<u64>,
+    pub(crate) eps: Vec<u64>,
+    pub(crate) n_kernel_slots: usize,
+    pub(crate) links: Vec<(u32, u32)>,
+    pub(crate) complete: Vec<(u32, u32, u32)>,
+}
+
+impl LaParts {
+    pub(crate) fn new(n_kernel_slots: usize, w: usize) -> LaParts {
+        LaParts {
+            w,
+            sets: vec![0u64; n_kernel_slots * w],
+            eps: Vec::new(),
+            n_kernel_slots,
+            links: Vec::new(),
+            complete: Vec::new(),
         }
     }
 
-    let mut links: Vec<(u32, u32)> = Vec::new();
-    let mut complete = Vec::new();
-    let mut nt_stamp = vec![NONE; gen.g.nts.len()];
-    let mut local = vec![0usize; gen.g.nts.len()];
-    let mut spont: Vec<u64> = Vec::new();
-    let mut reach: Vec<u64> = Vec::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut eps_sets: Vec<u64> = Vec::new();
-    let mut n_eps = 0;
-    for i in 0..aut.n_states() {
-        let stamp = i as u32;
-        let kbase = aut.kernels.off[i];
-        let klen = aut.kernels.row(i).len();
+    /// The slot the next ε item gets.
+    pub(crate) fn next_eps(&self) -> u32 {
+        (self.n_kernel_slots + self.eps.len() / self.w) as u32
+    }
+
+    /// `__Start → . Goal(nt) nt` gets the end terminal of its own goal,
+    /// keeping goals' lookaheads disjoint. `start` is state 0's kernel,
+    /// whose slots come first.
+    pub(crate) fn seed_start(&mut self, gen: &Gen<'_>, start: &[u32]) {
+        let w = self.w;
+        for (slot, &item) in start.iter().enumerate() {
+            if let Some(nt) = gen.nt_of(gen.item_sym[item as usize + 1]) {
+                let end = gen.term_ids[&Terminal::EndOf(NtId(nt as u32))];
+                self.sets[slot * w + end as usize / 64] |= 1 << (end % 64);
+            }
+        }
+    }
+
+    /// Propagates the sets along the links to the least fixpoint above
+    /// them, starting from the slots in `work` (every slot whose links may
+    /// not hold yet); `None` starts from all of them.
+    pub(crate) fn finish(mut self, work: Option<Vec<u32>>) -> Lookaheads {
+        let n_slots = self.n_kernel_slots + self.eps.len() / self.w;
+        self.sets.extend_from_slice(&self.eps);
+        let (link_off, link_to) = link_csr(n_slots, &self.links);
+        drop(self.links);
+        let work = work.unwrap_or_else(|| (0..n_slots as u32).rev().collect());
+        propagate(&mut self.sets, self.w, &link_off, &link_to, work);
+        self.complete.sort_unstable();
+        Lookaheads {
+            sets: self.sets,
+            complete: self.complete,
+            link_off,
+            link_to,
+        }
+    }
+}
+
+/// Buffers for one state's lookahead analysis. The closure is analysed per
+/// nonterminal: the non-kernel items of one nonterminal all receive the
+/// same spontaneous lookaheads and the same kernel items' propagated ones.
+pub(crate) struct Analyzer {
+    nt_stamp: Vec<u32>,
+    local: Vec<usize>,
+    stamp: u32,
+    spont: Vec<u64>,
+    reach: Vec<u64>,
+    edges: Vec<(usize, usize)>,
+}
+
+impl Analyzer {
+    pub(crate) fn new(gen: &Gen<'_>) -> Analyzer {
+        Analyzer {
+            nt_stamp: vec![NONE; gen.g.nts.len()],
+            local: vec![0; gen.g.nts.len()],
+            stamp: 0,
+            spont: Vec::new(),
+            reach: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// Analyses `state`, whose closure is `cl` (the `klen` kernel items
+    /// first, on slots from `kbase`) with successor slots `cl_succ`: ors
+    /// spontaneous lookaheads into successor slots, and records links,
+    /// complete items and ε slots in `out`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn analyze(
+        &mut self,
+        gen: &Gen<'_>,
+        state: u32,
+        kbase: u32,
+        klen: usize,
+        cl: &[u32],
+        cl_succ: &[u32],
+        out: &mut LaParts,
+    ) {
+        let w = gen.w;
+        let stamp = self.stamp;
+        self.stamp += 1;
         let kw = klen.div_ceil(64);
-        let cl = aut.closures.row(i);
-        let cl_succ = &aut.succ[aut.closures.off[i] as usize..aut.closures.off[i + 1] as usize];
         let lhs_of = |item: u32| gen.prod_lhs[gen.item_prod[item as usize] as usize] as usize;
 
         let mut n_local = 0;
         for &item in &cl[klen..] {
             let b = lhs_of(item);
-            if nt_stamp[b] != stamp {
-                nt_stamp[b] = stamp;
-                local[b] = n_local;
+            if self.nt_stamp[b] != stamp {
+                self.nt_stamp[b] = stamp;
+                self.local[b] = n_local;
                 n_local += 1;
             }
         }
-        spont.clear();
-        spont.resize(n_local * w, 0);
-        reach.clear();
-        reach.resize(n_local * kw, 0);
-        edges.clear();
+        self.spont.clear();
+        self.spont.resize(n_local * w, 0);
+        self.reach.clear();
+        self.reach.resize(n_local * kw, 0);
+        self.edges.clear();
         for (ci, &item) in cl.iter().enumerate() {
             let Some(c) = gen.nt_of(gen.item_sym[item as usize]) else {
                 continue;
             };
-            if nt_stamp[c] != stamp {
+            if self.nt_stamp[c] != stamp {
                 continue; // a nonterminal without productions
             }
-            let c = local[c];
+            let c = self.local[c];
             let x = item as usize;
             or_into(
-                &mut spont[c * w..(c + 1) * w],
+                &mut self.spont[c * w..(c + 1) * w],
                 &gen.beta[x * w..(x + 1) * w],
             );
             if gen.beta_nullable[x] {
                 if ci < klen {
-                    reach[c * kw + ci / 64] |= 1 << (ci % 64);
+                    self.reach[c * kw + ci / 64] |= 1 << (ci % 64);
                 } else {
-                    edges.push((local[lhs_of(item)], c));
+                    self.edges.push((self.local[lhs_of(item)], c));
                 }
             }
         }
         loop {
             let mut grew = false;
-            for &(b, c) in &edges {
-                grew |= union_rows(&mut spont, w, c, b);
-                grew |= union_rows(&mut reach, kw, c, b);
+            for &(b, c) in &self.edges {
+                grew |= union_rows(&mut self.spont, w, c, b);
+                grew |= union_rows(&mut self.reach, kw, c, b);
             }
             if !grew {
                 break;
@@ -486,61 +607,86 @@ fn lalr_lookaheads(gen: &Gen<'_>, aut: &Lr0) -> Lookaheads {
             if ci < klen {
                 let slot = kbase + ci as u32;
                 if to == NONE {
-                    complete.push((stamp, gen.item_prod[item as usize], slot));
+                    out.complete
+                        .push((state, gen.item_prod[item as usize], slot));
                 } else {
-                    links.push((slot, to));
+                    out.links.push((slot, to));
                 }
                 continue;
             }
-            let b = local[lhs_of(item)];
+            let b = self.local[lhs_of(item)];
+            let spont = &self.spont[b * w..(b + 1) * w];
             let to = if to == NONE {
                 // A complete non-kernel item (an ε-production) gets a slot
                 // of its own.
-                let slot = (n_kernel_slots + n_eps) as u32;
-                n_eps += 1;
-                eps_sets.extend_from_slice(&spont[b * w..(b + 1) * w]);
-                complete.push((stamp, gen.item_prod[item as usize], slot));
+                let slot = out.next_eps();
+                out.eps.extend_from_slice(spont);
+                out.complete
+                    .push((state, gen.item_prod[item as usize], slot));
                 slot
             } else {
-                or_into(
-                    &mut sets[to as usize * w..(to as usize + 1) * w],
-                    &spont[b * w..(b + 1) * w],
-                );
+                or_into(&mut out.sets[to as usize * w..(to as usize + 1) * w], spont);
                 to
             };
-            let reached = &reach[b * kw..(b + 1) * kw];
+            let reached = &self.reach[b * kw..(b + 1) * kw];
             if reached.iter().any(|&word| word != 0) {
-                links.extend(bits(reached).map(|k| (kbase + k, to)));
+                out.links.extend(bits(reached).map(|k| (kbase + k, to)));
             }
         }
     }
-    sets.extend_from_slice(&eps_sets);
-    propagate(&mut sets, w, n_kernel_slots + n_eps, &links);
-    complete.sort_unstable();
-    Lookaheads { sets, complete }
 }
 
-/// Pushes lookaheads along `links` until nothing grows, revisiting only
-/// slots whose set grew.
-fn propagate(sets: &mut [u64], w: usize, n_slots: usize, links: &[(u32, u32)]) {
-    let mut out = vec![0u32; n_slots + 1];
+/// LALR(1) lookaheads by spontaneous generation and propagation.
+fn lalr_lookaheads(gen: &Gen<'_>, aut: &Lr0) -> Lookaheads {
+    let mut parts = LaParts::new(aut.kernels.cells.len(), gen.w);
+    parts.seed_start(gen, aut.kernels.row(0));
+    let mut analyzer = Analyzer::new(gen);
+    for i in 0..aut.n_states() {
+        let (from, to) = (
+            aut.closures.off[i] as usize,
+            aut.closures.off[i + 1] as usize,
+        );
+        analyzer.analyze(
+            gen,
+            i as u32,
+            aut.kernels.off[i],
+            aut.kernels.row(i).len(),
+            &aut.closures.cells[from..to],
+            &aut.succ[from..to],
+            &mut parts,
+        );
+    }
+    parts.finish(None)
+}
+
+/// The links as compressed rows by source slot, in the order given.
+fn link_csr(n_slots: usize, links: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n_slots + 1];
     for &(from, _) in links {
-        out[from as usize + 1] += 1;
+        off[from as usize + 1] += 1;
     }
     for s in 0..n_slots {
-        out[s + 1] += out[s];
+        off[s + 1] += off[s];
     }
-    let mut fill = out.clone();
+    let mut fill = off.clone();
     let mut to = vec![0u32; links.len()];
     for &(from, dst) in links {
         to[fill[from as usize] as usize] = dst;
         fill[from as usize] += 1;
     }
-    let mut queued = vec![true; n_slots];
-    let mut work: Vec<u32> = (0..n_slots as u32).rev().collect();
+    (off, to)
+}
+
+/// Pushes lookaheads along the links from the slots in `work` until nothing
+/// grows, revisiting only slots whose set grew.
+fn propagate(sets: &mut [u64], w: usize, off: &[u32], to: &[u32], mut work: Vec<u32>) {
+    let mut queued = vec![false; off.len() - 1];
+    for &s in &work {
+        queued[s as usize] = true;
+    }
     while let Some(s) = work.pop() {
         queued[s as usize] = false;
-        for &dst in &to[out[s as usize] as usize..out[s as usize + 1] as usize] {
+        for &dst in &to[off[s as usize] as usize..off[s as usize + 1] as usize] {
             if dst != s && union_rows(sets, w, dst as usize, s as usize) && !queued[dst as usize] {
                 queued[dst as usize] = true;
                 work.push(dst);
@@ -551,35 +697,56 @@ fn propagate(sets: &mut [u64], w: usize, n_slots: usize, links: &[(u32, u32)]) {
 
 /// ACTION and GOTO rows, default reductions, and every conflict in
 /// (state, terminal) order.
-struct Actions {
-    action: Rows,
-    goto_: Rows,
-    default_reduce: Vec<u32>,
-    conflicts: Vec<Conflict>,
+pub(crate) struct Actions {
+    pub(crate) action: Rows,
+    pub(crate) goto_: Rows,
+    pub(crate) default_reduce: Vec<u32>,
+    pub(crate) conflicts: Vec<Conflict>,
 }
 
-fn build_actions(gen: &Gen<'_>, aut: &Lr0, la: &Lookaheads) -> Actions {
-    let n_states = aut.n_states();
-    assert!(
-        n_states < 1 << 30 && gen.n_prods() < 1 << 30,
-        "packed action entries hold 30-bit states and productions"
-    );
-    let w = gen.w;
-    let mut action = Rows::with_rows(n_states);
-    let mut goto_ = Rows::with_rows(n_states);
-    let mut default_reduce = Vec::with_capacity(n_states);
-    let mut conflicts = Vec::new();
-    let mut row: Vec<Option<ActionEntry>> = vec![None; gen.n_terms];
-    // This state's conflicts as (terminal, description), in the order found.
-    let mut state_conflicts: Vec<(TermId, String)> = Vec::new();
-    let mut complete = la.complete.iter().peekable();
-    for state in 0..n_states as u32 {
-        let mut n_complete = 0;
+impl Actions {
+    pub(crate) fn with_states(n_states: usize) -> Actions {
+        Actions {
+            action: Rows::with_rows(n_states),
+            goto_: Rows::with_rows(n_states),
+            default_reduce: Vec::with_capacity(n_states),
+            conflicts: Vec::new(),
+        }
+    }
+}
+
+/// Buffers for building one state's rows at a time.
+pub(crate) struct ActionBuilder {
+    row: Vec<Option<ActionEntry>>,
+    /// This state's conflicts as (terminal, description), in the order
+    /// found.
+    state_conflicts: Vec<(TermId, String)>,
+}
+
+impl ActionBuilder {
+    pub(crate) fn new(gen: &Gen<'_>) -> ActionBuilder {
+        ActionBuilder {
+            row: vec![None; gen.n_terms],
+            state_conflicts: Vec::new(),
+        }
+    }
+
+    /// Appends the rows of `state` to `out`: `complete` holds its complete
+    /// items by ascending production, `trans` its transitions.
+    pub(crate) fn state(
+        &mut self,
+        gen: &Gen<'_>,
+        state: u32,
+        complete: &[(u32, u32, u32)],
+        trans: &[(u32, u32)],
+        sets: &[u64],
+        out: &mut Actions,
+    ) {
+        let w = gen.w;
+        let row = &mut self.row;
         let mut only_reduce = None;
         // Reduce and accept actions, by ascending production.
-        while let Some(&&(_, prod, slot)) = complete.peek().filter(|c| c.0 == state) {
-            complete.next();
-            n_complete += 1;
+        for &(_, prod, slot) in complete {
             let entry = if prod as usize >= gen.real_count {
                 ActionEntry::Accept
             } else {
@@ -587,7 +754,7 @@ fn build_actions(gen: &Gen<'_>, aut: &Lr0, la: &Lookaheads) -> Actions {
                 ActionEntry::Reduce(ProdId(prod))
             };
             let slot = slot as usize;
-            for t in bits(&la.sets[slot * w..(slot + 1) * w]) {
+            for t in bits(&sets[slot * w..(slot + 1) * w]) {
                 let description = match row[t as usize] {
                     None => {
                         row[t as usize] = Some(entry);
@@ -600,15 +767,15 @@ fn build_actions(gen: &Gen<'_>, aut: &Lr0, la: &Lookaheads) -> Actions {
                     ),
                     Some(other) => format!("conflict between {entry:?} and {other:?}"),
                 };
-                state_conflicts.push((t, description));
+                self.state_conflicts.push((t, description));
             }
         }
 
         // Shifts and gotos, with precedence-based shift/reduce resolution.
         let mut shifts = false;
-        for &(t, j) in aut.trans.row(state as usize) {
+        for &(t, j) in trans {
             if let Some(nt) = gen.nt_of(t) {
-                goto_.cells.push((nt as u32, j));
+                out.goto_.cells.push((nt as u32, j));
                 continue;
             }
             shifts = true;
@@ -638,81 +805,269 @@ fn build_actions(gen: &Gen<'_>, aut: &Lr0, la: &Lookaheads) -> Actions {
                 }
                 Some(other) => format!("shift conflicts with {other:?}"),
             };
-            state_conflicts.push((t, description));
+            self.state_conflicts.push((t, description));
         }
 
         for (t, cell) in row.iter_mut().enumerate() {
             if let Some(entry) = cell.take() {
-                action.cells.push((t as TermId, entry.pack()));
+                out.action.cells.push((t as TermId, entry.pack()));
             }
         }
-        action.end_row();
-        goto_.end_row();
-        state_conflicts.sort_by_key(|(t, _)| *t);
-        conflicts.extend(state_conflicts.drain(..).map(|(t, description)| Conflict {
-            state,
-            on: gen.terms[t as usize],
-            description,
-        }));
+        out.action.end_row();
+        out.goto_.end_row();
+        self.state_conflicts.sort_by_key(|(t, _)| *t);
+        out.conflicts.extend(
+            self.state_conflicts
+                .drain(..)
+                .map(|(t, description)| Conflict {
+                    state,
+                    on: gen.terms[t as usize],
+                    description,
+                }),
+        );
         // A state with no shifts and exactly one complete item, a real
         // one, reduces without consulting the lookahead.
-        default_reduce.push(match only_reduce {
-            Some(prod) if !shifts && n_complete == 1 => prod,
+        out.default_reduce.push(match only_reduce {
+            Some(prod) if !shifts && complete.len() == 1 => prod,
             _ => NO_DEFAULT,
         });
     }
-    Actions {
-        action,
-        goto_,
-        default_reduce,
-        conflicts,
+}
+
+/// Packed action entries hold 30-bit states and productions.
+pub(crate) fn check_packable(n_states: usize, gen: &Gen<'_>) {
+    assert!(
+        n_states < 1 << 30 && gen.n_prods() < 1 << 30,
+        "packed action entries hold 30-bit states and productions"
+    );
+}
+
+fn build_actions(gen: &Gen<'_>, trans: &Rows, la: &Lookaheads) -> Actions {
+    let n_states = trans.n_rows();
+    check_packable(n_states, gen);
+    let mut out = Actions::with_states(n_states);
+    let mut builder = ActionBuilder::new(gen);
+    let mut at = 0;
+    for state in 0..n_states {
+        let end = at
+            + la.complete[at..]
+                .iter()
+                .take_while(|c| c.0 == state as u32)
+                .count();
+        builder.state(
+            gen,
+            state as u32,
+            &la.complete[at..end],
+            trans.row(state),
+            &la.sets,
+            &mut out,
+        );
+        at = end;
+    }
+    out
+}
+
+/// A slice an [`Automaton`] owns, or borrows from the binary (see
+/// [`crate::embed`]).
+pub(crate) type Store<T> = Cow<'static, [T]>;
+
+/// What a derivation reads of a built grammar's automaton: its dimensions,
+/// the inputs whose growth marks a state for re-analysis, the kernels and
+/// transitions, and the final lookaheads with the links that produced them.
+pub(crate) struct Automaton {
+    pub(crate) n_terms: usize,
+    pub(crate) n_real: usize,
+    pub(crate) n_nts: usize,
+    /// The first item of the start productions.
+    pub(crate) start_item: u32,
+    /// Precedence per terminal id, as [`prec_code`]s.
+    pub(crate) term_prec: Store<u32>,
+    /// The length of each nonterminal's left-corner list.
+    pub(crate) lc_len: Store<u32>,
+    /// |FIRST(β)| per item, and whether β is nullable.
+    pub(crate) beta_count: Store<u32>,
+    pub(crate) beta_nullable: Store<bool>,
+    /// Kernel items per state, as compressed rows.
+    pub(crate) kernel_off: Store<u32>,
+    pub(crate) kernel_items: Store<u32>,
+    /// Transitions per state as `(symbol, target)`, as compressed rows.
+    pub(crate) trans_off: Store<u32>,
+    pub(crate) trans_cells: Store<(u32, u32)>,
+    /// Final lookahead sets, `ceil(n_terms / 64)` words per slot.
+    pub(crate) sets: Store<u64>,
+    pub(crate) complete: Store<(u32, u32, u32)>,
+    pub(crate) link_off: Store<u32>,
+    pub(crate) link_to: Store<u32>,
+}
+
+impl Automaton {
+    pub(crate) fn n_states(&self) -> usize {
+        self.kernel_off.len() - 1
+    }
+
+    pub(crate) fn n_kernel_slots(&self) -> usize {
+        self.kernel_items.len()
+    }
+
+    pub(crate) fn kernel(&self, s: usize) -> &[u32] {
+        &self.kernel_items[self.kernel_off[s] as usize..self.kernel_off[s + 1] as usize]
+    }
+
+    pub(crate) fn trans(&self, s: usize) -> &[(u32, u32)] {
+        &self.trans_cells[self.trans_off[s] as usize..self.trans_off[s + 1] as usize]
+    }
+
+    /// Assembles the record from the generator and its results.
+    pub(crate) fn new(gen: &Gen<'_>, kernels: Rows<u32>, trans: Rows, la: Lookaheads) -> Automaton {
+        Automaton {
+            n_terms: gen.n_terms,
+            n_real: gen.real_count,
+            n_nts: gen.g.nts.len(),
+            start_item: gen.off[gen.real_count],
+            term_prec: gen.term_prec.iter().map(|&p| prec_code(p)).collect(),
+            lc_len: (0..gen.left_corner.n_rows())
+                .map(|a| gen.left_corner.row(a).len() as u32)
+                .collect(),
+            beta_count: (0..gen.item_sym.len()).map(|x| gen.beta_count(x)).collect(),
+            beta_nullable: gen.beta_nullable.clone().into(),
+            kernel_off: kernels.off.into(),
+            kernel_items: kernels.cells.into(),
+            trans_off: trans.off.into(),
+            trans_cells: trans.cells.into(),
+            sets: la.sets.into(),
+            complete: la.complete.into(),
+            link_off: la.link_off.into(),
+            link_to: la.link_to.into(),
+        }
     }
 }
 
-pub(crate) fn build_tables(g: &GrammarData) -> Result<Tables, GrammarError> {
-    let _p = maya_telemetry::phase(maya_telemetry::Phase::TableBuild);
-    maya_telemetry::count(maya_telemetry::Counter::TablesBuilt);
-    let t0 = Instant::now();
-    let gen = Gen::new(g);
-    let t1 = Instant::now();
-    let aut = build_lr0(&gen);
-    let t2 = Instant::now();
-    let la = lalr_lookaheads(&gen, &aut);
-    let t3 = Instant::now();
-    let actions = build_actions(&gen, &aut, &la);
-    let t4 = Instant::now();
-    maya_telemetry::trace(maya_telemetry::TraceKind::TableBuild, || {
-        (
-            format!(
-                "{} productions, {} LR(0) states",
-                g.prods.len(),
-                aut.n_states()
-            ),
-            format!(
-                "gen={:?} lr0={:?} la={:?} actions={:?}",
-                t1 - t0,
-                t2 - t1,
-                t3 - t2,
-                t4 - t3
-            ),
-        )
-    });
-    if !actions.conflicts.is_empty() {
-        return Err(GrammarError::Conflicts(actions.conflicts));
+/// A terminal's precedence as one number: 0 for none, else the level
+/// shifted past a two-bit associativity tag.
+pub(crate) fn prec_code(p: Option<(u16, Assoc)>) -> u32 {
+    match p {
+        None => 0,
+        Some((level, assoc)) => {
+            let tag = match assoc {
+                Assoc::Left => 1,
+                Assoc::Right => 2,
+                Assoc::NonAssoc => 3,
+            };
+            u32::from(level) << 2 | tag
+        }
     }
+}
+
+/// The tables of a conflict-free build.
+pub(crate) fn tables_from(gen: Gen<'_>, n_states: usize, actions: Actions) -> Tables {
     let w = gen.w;
-    Ok(Tables {
-        n_states: aut.n_states() as u32,
+    let n_nts = gen.g.nts.len();
+    Tables {
+        n_states: n_states as u32,
         action: actions.action,
         goto_: actions.goto_,
-        first_nt: (0..g.nts.len())
+        first_nt: (0..n_nts)
             .map(|nt| BitSet::from_words(gen.first[nt * w..(nt + 1) * w].to_vec()))
             .collect(),
         nullable_nt: gen.nullable,
         terms: gen.terms,
         term_ids: gen.term_ids,
         default_reduce: actions.default_reduce,
-    })
+    }
+}
+
+/// Builds `g`'s tables in full, keeping no automaton.
+pub(crate) fn build_tables(g: &GrammarData) -> Result<Tables, GrammarError> {
+    let _p = maya_telemetry::phase(maya_telemetry::Phase::TableBuild);
+    maya_telemetry::count(maya_telemetry::Counter::TablesBuilt);
+    let t0 = Instant::now();
+    let gen = Gen::new(g);
+    let (_, trans, _, actions) = full_stages(g, &gen, t0.elapsed());
+    if !actions.conflicts.is_empty() {
+        return Err(GrammarError::Conflicts(actions.conflicts));
+    }
+    Ok(tables_from(gen, trans.n_rows(), actions))
+}
+
+/// Builds `g`'s tables and automaton, derived from `parent`'s when one is
+/// given and [`crate::derive`] can, in full otherwise. A derivation
+/// that meets a conflict gives way to a full build, so a conflict report
+/// is the full build's. With `must_derive`, there is no full build: the
+/// result is `None` when `g` cannot be derived, and a derivation's own
+/// conflicts otherwise.
+pub(crate) fn generate(
+    g: &GrammarData,
+    parent: Option<(&Automaton, &Tables)>,
+    must_derive: bool,
+) -> Option<Result<(Tables, Automaton), GrammarError>> {
+    let _p = maya_telemetry::phase(maya_telemetry::Phase::TableBuild);
+    maya_telemetry::count(maya_telemetry::Counter::TablesBuilt);
+    let t0 = Instant::now();
+    let gen = Gen::new(g);
+    let t1 = Instant::now();
+    match parent.and_then(|(aut, tables)| crate::derive::derive(&gen, aut, tables)) {
+        Some((actions, automaton, [lr0, la, acts])) => {
+            trace_build(
+                g,
+                automaton.n_states(),
+                "derived ",
+                [t1 - t0, lr0, la, acts],
+            );
+            if actions.conflicts.is_empty() {
+                let n_states = automaton.n_states();
+                return Some(Ok((tables_from(gen, n_states, actions), automaton)));
+            }
+            if must_derive {
+                return Some(Err(GrammarError::Conflicts(actions.conflicts)));
+            }
+        }
+        None if must_derive => return None,
+        None => {}
+    }
+    let (kernels, trans, la, actions) = full_stages(g, &gen, t1 - t0);
+    if !actions.conflicts.is_empty() {
+        return Some(Err(GrammarError::Conflicts(actions.conflicts)));
+    }
+    let n_states = trans.n_rows();
+    let automaton = Automaton::new(&gen, kernels, trans, la);
+    Some(Ok((tables_from(gen, n_states, actions), automaton)))
+}
+
+/// The LR(0), lookahead and action stages of a full build, traced with
+/// `gen_time`, the time the generator's dense form took: the kernels and
+/// transitions per state, the lookaheads and the actions.
+fn full_stages(
+    g: &GrammarData,
+    gen: &Gen<'_>,
+    gen_time: Duration,
+) -> (Rows<u32>, Rows, Lookaheads, Actions) {
+    let t1 = Instant::now();
+    let aut = build_lr0(gen);
+    let t2 = Instant::now();
+    let la = lalr_lookaheads(gen, &aut);
+    let t3 = Instant::now();
+    // The closures are done with: free them before the rows grow.
+    let Lr0 { kernels, trans, .. } = aut;
+    let actions = build_actions(gen, &trans, &la);
+    let t4 = Instant::now();
+    trace_build(g, trans.n_rows(), "", [gen_time, t2 - t1, t3 - t2, t4 - t3]);
+    (kernels, trans, la, actions)
+}
+
+/// The `table-build` trace event: the grammar's size, then how the tables
+/// were made and the time of each stage.
+fn trace_build(
+    g: &GrammarData,
+    n_states: usize,
+    how: &str,
+    [gen, lr0, la, actions]: [Duration; 4],
+) {
+    maya_telemetry::trace(maya_telemetry::TraceKind::TableBuild, || {
+        (
+            format!("{} productions, {n_states} LR(0) states", g.prods.len()),
+            format!("{how}gen={gen:?} lr0={lr0:?} la={la:?} actions={actions:?}"),
+        )
+    });
 }
 
 #[cfg(test)]

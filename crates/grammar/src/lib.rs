@@ -25,6 +25,8 @@
 mod bitset;
 mod build;
 mod cache;
+mod derive;
+mod embed;
 mod lalr;
 mod prod;
 mod symbol;
@@ -32,6 +34,7 @@ mod tables;
 
 pub use bitset::BitSet;
 pub use build::{Grammar, GrammarBuilder, GrammarError, RhsItem};
+pub use embed::{embed_tables, embedding, Built, EmbeddedTables, Embedding, StaticAutomaton};
 pub use cache::{
     clear_table_cache, set_table_cache_enabled, set_table_cache_shared, set_table_disk,
     table_cache_contains, table_cache_enabled, table_cache_len, table_cache_shared, TableDisk,

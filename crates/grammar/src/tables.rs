@@ -107,6 +107,7 @@ impl fmt::Display for Conflict {
 }
 
 /// The generated tables: ACTION, GOTO, FIRST sets, and terminal interning.
+#[derive(PartialEq)]
 pub struct Tables {
     pub(crate) n_states: u32,
     /// ACTION: terminal id → packed [`ActionEntry`], per state.

@@ -41,6 +41,7 @@ use crate::lower::{
     is_place, lit_value, name_of, operands, Fold, LoweredBody, Shape, TypeSlot, Unlowerable,
 };
 use crate::value::Value;
+use crate::widen;
 
 /// Max entries in a polymorphic inline cache line.
 pub(crate) const PIC_CAP: usize = 4;
@@ -472,6 +473,7 @@ pub(crate) fn inline_ok(bc: &BcBody, n_args: usize) -> bool {
                 | Instr::Throw { .. }
                 | Instr::RaiseInvalidAssign { .. }
                 | Instr::ToInt { .. }
+                | Instr::CastV { .. }
                 | Instr::ArrGet { .. }
                 | Instr::ArrSet { .. }
                 | Instr::FieldGet { .. }
@@ -537,6 +539,10 @@ struct Emit<'a> {
     /// open scope starting at its entry in `scope_marks`. Parameters live in
     /// the outermost scope, like the walker frame's starting scope.
     names: Vec<(Symbol, u16)>,
+    /// Each slot's declared primitive type, if it has one.
+    slot_prims: Vec<Option<PrimKind>>,
+    /// The body's declared primitive return type, if it has one.
+    ret: Option<PrimKind>,
     scope_marks: Vec<usize>,
     /// Next slot to declare; slots are never reused, so a frame is one flat
     /// register range.
@@ -756,9 +762,35 @@ impl<'a> Emit<'a> {
     /// redeclaration in the same scope gets a new slot; later references
     /// resolve to it, which observes identically to the walker's map
     /// overwrite.
-    fn declare(&mut self, name: Symbol) {
+    fn declare(&mut self, name: Symbol, prim: Option<PrimKind>) {
         self.names.push((name, self.next_slot));
+        self.slot_prims.push(prim);
         self.next_slot += 1;
+    }
+
+    /// The primitive static type of `e` (see [`widen::static_prim`]).
+    fn static_prim(&self, e: &Expr) -> Option<PrimKind> {
+        let local = |name| self.lookup(name).map(|slot| self.slot_prims[slot as usize]);
+        widen::static_prim(e, &local)
+    }
+
+    /// Converts register `reg`, holding `value`, to the declared primitive
+    /// `to` when their static types call for it.
+    fn widen(&mut self, reg: u16, value: &Expr, to: Option<PrimKind>) -> Result<(), Unlowerable> {
+        let Some(to) = to else { return Ok(()) };
+        if self
+            .static_prim(value)
+            .is_some_and(|from| widen::converts(from, to))
+        {
+            let ty = self.ty_slot(&TypeName::prim(to))?;
+            self.emit(Instr::CastV {
+                dst: reg,
+                src: reg,
+                ty,
+                span: value.span,
+            });
+        }
+        Ok(())
     }
 
     /// The slot `name` is bound to, innermost binding first.
@@ -981,7 +1013,18 @@ impl<'a> Emit<'a> {
             }
             StmtKind::Return(e) => match e {
                 Some(e) => {
-                    let (src, _) = self.operand(e, false)?;
+                    let ret = self.ret;
+                    let src = if ret.is_some_and(|to| {
+                        self.static_prim(e)
+                            .is_some_and(|from| widen::converts(from, to))
+                    }) {
+                        let t = self.alloc_temp()?;
+                        self.expr_into(t, e)?;
+                        self.widen(t, e, ret)?;
+                        t
+                    } else {
+                        self.operand(e, false)?.0
+                    };
                     self.emit(Instr::Ret { src });
                 }
                 None => {
@@ -1040,15 +1083,20 @@ impl<'a> Emit<'a> {
             self.emit(Instr::TyDecl { ty: t, span });
             self.ty_depth += 1;
         }
+        let prim = widen::prim_of(tn);
         for d in decls {
             let dst = self.next_slot;
+            let prim = prim.filter(|_| d.dims == 0);
             match &d.init {
-                Some(e) => self.expr_into(dst, e)?,
+                Some(e) => {
+                    self.expr_into(dst, e)?;
+                    self.widen(dst, e, prim)?;
+                }
                 None => {
                     self.emit(Instr::DefaultVal { dst, dims: d.dims });
                 }
             }
-            self.declare(d.name.sym);
+            self.declare(d.name.sym, prim);
         }
         if typed {
             self.emit(Instr::TyPop);
@@ -1089,7 +1137,10 @@ impl<'a> Emit<'a> {
                 let write = self.place(l);
                 match (op, read.as_ref().map(|r| &r.kind), write) {
                     // `x = v`: compile the value straight into the slot.
-                    (None, _, Place::Local(slot)) => self.expr_into(slot, r),
+                    (None, _, Place::Local(slot)) => {
+                        self.expr_into(slot, r)?;
+                        self.widen(slot, r, self.slot_prims[slot as usize])
+                    }
                     // `x op= v`: store-fused binary (reads the slot at
                     // execution time, after the value — the walker's
                     // value-then-read order).  The walker records no hot
@@ -1427,6 +1478,23 @@ impl<'a> Emit<'a> {
                 self.emit(Instr::Move { dst, src: t });
             }
             _ => {
+                let to = match write {
+                    Place::Local(slot) => self.slot_prims[slot as usize],
+                    _ => None,
+                };
+                let rv = match to {
+                    Some(to)
+                        if self
+                            .static_prim(value)
+                            .is_some_and(|from| widen::converts(from, to)) =>
+                    {
+                        let t = self.alloc_temp()?;
+                        self.emit(Instr::Move { dst: t, src: rv });
+                        self.widen(t, value, Some(to))?;
+                        t
+                    }
+                    _ => rv,
+                };
                 self.store(write, rv)?;
                 if dst != rv {
                     self.emit(Instr::Move { dst, src: rv });
@@ -1475,8 +1543,14 @@ impl<'a> Emit<'a> {
 /// frame slots) straight to its cold bytecode: the pre-pass
 /// ([`crate::lower::shape`]) sizes the frame and folds constants, then one
 /// emission pass resolves names to slots and emits.  Pure: depends only
-/// on the AST and `params`.
-pub(crate) fn compile(block: &Block, params: &[Symbol]) -> Result<BcBody, Unlowerable> {
+/// on the AST, `params` and the body's signature `sig` (the declared
+/// primitive types of the parameters, then of the return type; see
+/// [`crate::widen`]).
+pub(crate) fn compile(
+    block: &Block,
+    params: &[Symbol],
+    sig: &[Option<PrimKind>],
+) -> Result<BcBody, Unlowerable> {
     let shape = crate::lower::shape(block, params.len())?;
     let n_slots = idx16(shape.n_slots)?;
     let n_params = idx16(params.len())?;
@@ -1488,6 +1562,10 @@ pub(crate) fn compile(block: &Block, params: &[Symbol]) -> Result<BcBody, Unlowe
             ..BcBody::default()
         },
         names: params.iter().copied().zip(0..).collect(),
+        slot_prims: (0..params.len())
+            .map(|i| sig.get(i).copied().flatten())
+            .collect(),
+        ret: sig.get(params.len()).copied().flatten(),
         scope_marks: Vec::new(),
         next_slot: n_params,
         slots_resolved: 0,
@@ -1498,6 +1576,18 @@ pub(crate) fn compile(block: &Block, params: &[Symbol]) -> Result<BcBody, Unlowe
         loops: Vec::new(),
         ty_depth: 0,
     };
+    // Parameters of wide primitive types convert their arguments on entry.
+    for slot in 0..n_params {
+        if let Some(to) = widen::entry_prim(e.slot_prims[slot as usize]) {
+            let ty = e.ty_slot(&TypeName::prim(to))?;
+            e.emit(Instr::CastV {
+                dst: slot,
+                src: slot,
+                ty,
+                span: Span::DUMMY,
+            });
+        }
+    }
     for s in &block.stmts {
         e.stmt(s)?;
     }

@@ -13,10 +13,11 @@
 
 use crate::layout::RuntimeCaches;
 use crate::lower::{class_key, LowerStore, LoweredBody, TypeSlot};
+use crate::widen;
 use crate::{NativeFn, Obj, RuntimeError, Value};
 use maya_ast::{
-    BinOp, Expr, ExprKind, ForInit, IncDecOp, LazyNode, Lit, MethodName, Node, Stmt, StmtKind,
-    TypeName, UnOp,
+    BinOp, Expr, ExprKind, ForInit, IncDecOp, LazyNode, Lit, MethodName, Node, PrimKind, Stmt,
+    StmtKind, TypeName, UnOp,
 };
 use maya_lexer::{sym, Span, Symbol};
 use maya_types::{ClassId, ClassTable, CtorInfo, MethodInfo, ResolveCtx, Type};
@@ -52,6 +53,11 @@ pub type Eval = Result<Value, Control>;
 #[derive(Default)]
 pub struct Frame {
     scopes: Vec<HashMap<Symbol, Value>>,
+    /// Per scope, the declared primitive types of its primitive locals
+    /// (widening conversions, see [`crate::widen`]).
+    prims: Vec<HashMap<Symbol, PrimKind>>,
+    /// The running method's declared primitive return type.
+    ret: Option<PrimKind>,
     pub this: Option<Value>,
     pub class: Option<ClassId>,
 }
@@ -61,6 +67,8 @@ impl Frame {
     pub fn new() -> Frame {
         Frame {
             scopes: vec![HashMap::new()],
+            prims: vec![HashMap::new()],
+            ret: None,
             this: None,
             class: None,
         }
@@ -68,18 +76,42 @@ impl Frame {
 
     fn push(&mut self) {
         self.scopes.push(HashMap::new());
+        self.prims.push(HashMap::new());
     }
 
     fn pop(&mut self) {
         self.scopes.pop();
+        self.prims.pop();
     }
 
     /// Declares a local in the innermost scope.
     pub fn declare(&mut self, name: Symbol, v: Value) {
+        self.declare_typed(name, v, None);
+    }
+
+    /// Declares a local of declared primitive type `prim` (`None` for any
+    /// other type) in the innermost scope.
+    fn declare_typed(&mut self, name: Symbol, v: Value, prim: Option<PrimKind>) {
         self.scopes
             .last_mut()
             .expect("frame has a scope")
             .insert(name, v);
+        let prims = self.prims.last_mut().expect("frame has a scope");
+        match prim {
+            Some(p) => prims.insert(name, p),
+            None => prims.remove(&name),
+        };
+    }
+
+    /// How `name` resolves for [`widen::static_prim`].
+    fn local_prim(&self, name: Symbol) -> Option<Option<PrimKind>> {
+        let at = self.scopes.iter().rposition(|s| s.contains_key(&name))?;
+        Some(self.prims.get(at).and_then(|p| p.get(&name)).copied())
+    }
+
+    /// The primitive static type of `e` in this frame.
+    fn static_prim(&self, e: &Expr) -> Option<PrimKind> {
+        widen::static_prim(e, &|name| self.local_prim(name))
     }
 
     fn lookup(&self, name: Symbol) -> Option<&Value> {
@@ -583,7 +615,7 @@ impl Interp {
             ));
         };
         self.force_body(body, class, span)?;
-        if let Some(lb) = self.lowered_body(body, &m.param_names) {
+        if let Some(lb) = self.lowered_body(body, &m.param_names, &m.params, Some(&m.ret)) {
             return self.exec_lowered(&lb, recv, class, args);
         }
         let node = body.forced_node().ok_or_else(|| {
@@ -592,9 +624,8 @@ impl Interp {
         let mut frame = Frame::new();
         frame.class = Some(class);
         frame.this = recv;
-        for (name, v) in m.param_names.iter().zip(args) {
-            frame.declare(*name, v);
-        }
+        frame.ret = widen::prim_of_type(&m.ret);
+        self.bind_params(&mut frame, &m.param_names, &m.params, args, span)?;
         match self.exec_node(&node, &mut frame) {
             Ok(()) => Ok(Value::Null), // void fall-through
             Err(Control::Return(v)) => Ok(v),
@@ -606,7 +637,13 @@ impl Interp {
     /// disabled or the body is unlowerable.  Memoized per body cell, and
     /// shared across interpreters through the [`LowerStore`] keyed by the
     /// body's structural fingerprint.
-    pub(crate) fn lowered_body(&self, body: &LazyNode, params: &[Symbol]) -> Option<Rc<LoweredBody>> {
+    pub(crate) fn lowered_body(
+        &self,
+        body: &LazyNode,
+        params: &[Symbol],
+        types: &[Type],
+        ret: Option<&Type>,
+    ) -> Option<Rc<LoweredBody>> {
         if !self.lower_enabled.get() {
             return None;
         }
@@ -614,7 +651,7 @@ impl Interp {
         if let Some(e) = self.lowered.borrow().get(&key) {
             return e.result.clone();
         }
-        let result = self.lower_uncached(body, params);
+        let result = self.lower_uncached(body, params, types, ret);
         self.lowered.borrow_mut().insert(
             key,
             LoweredEntry {
@@ -625,7 +662,13 @@ impl Interp {
         result
     }
 
-    fn lower_uncached(&self, body: &LazyNode, params: &[Symbol]) -> Option<Rc<LoweredBody>> {
+    fn lower_uncached(
+        &self,
+        body: &LazyNode,
+        params: &[Symbol],
+        types: &[Type],
+        ret: Option<&Type>,
+    ) -> Option<Rc<LoweredBody>> {
         let node = body.forced_node()?;
         let Node::Block(block) = &*node else {
             return None;
@@ -633,15 +676,39 @@ impl Interp {
         // Unfingerprintable bodies (unforced lazy statements, templates,
         // poison nodes) are unlowerable too.
         let fp = maya_ast::fingerprint_block(block)?;
+        let sig: Box<[Option<PrimKind>]> =
+            types.iter().chain(ret).map(widen::prim_of_type).collect();
+        let key = (fp, params.into(), sig);
         let store = self.lower_store.borrow().clone();
-        if let Some(hit) = store.get(fp, params) {
+        if let Some(hit) = store.get(&key) {
             return hit;
         }
-        let result = crate::bytecode::compile(block, params)
+        let result = crate::bytecode::compile(block, params, &key.2)
             .ok()
             .map(|bc| Rc::new(LoweredBody::new(bc)));
-        store.insert(fp, params, result.clone());
+        store.insert(key, result.clone());
         result
+    }
+
+    /// Binds the arguments of a walker call in `frame`: a parameter of a
+    /// wide primitive type converts its argument (see [`crate::widen`]).
+    fn bind_params(
+        &self,
+        frame: &mut Frame,
+        names: &[Symbol],
+        types: &[Type],
+        args: Vec<Value>,
+        span: Span,
+    ) -> Result<(), Control> {
+        for (i, (name, v)) in names.iter().zip(args).enumerate() {
+            let prim = types.get(i).and_then(widen::prim_of_type);
+            let v = match widen::entry_prim(prim) {
+                Some(to) => self.cast(v, &Type::Prim(to), span)?,
+                None => v,
+            };
+            frame.declare_typed(*name, v, prim);
+        }
+        Ok(())
     }
 
     /// Resolves a lowered type reference through its per-site cache.
@@ -714,7 +781,7 @@ impl Interp {
         if let Some(c) = ctor {
             if let Some(body) = &c.body {
                 self.force_body(body, class, span)?;
-                if let Some(lb) = self.lowered_body(body, &c.param_names) {
+                if let Some(lb) = self.lowered_body(body, &c.param_names, &c.params, None) {
                     // A ctor's return value (fall-through or `return`) is
                     // discarded; only abnormal completions propagate.
                     self.exec_lowered(&lb, Some(this.clone()), class, args)?;
@@ -726,9 +793,7 @@ impl Interp {
                 let mut frame = Frame::new();
                 frame.class = Some(class);
                 frame.this = Some(this.clone());
-                for (name, v) in c.param_names.iter().zip(args) {
-                    frame.declare(*name, v);
-                }
+                self.bind_params(&mut frame, &c.param_names, &c.params, args, span)?;
                 match self.exec_node(&node, &mut frame) {
                     Ok(()) | Err(Control::Return(_)) => {}
                     Err(other) => return Err(other),
@@ -869,11 +934,15 @@ impl Interp {
                     for _ in 0..d.dims {
                         ty = ty.array_of();
                     }
+                    let prim = widen::prim_of_type(&ty);
                     let v = match &d.init {
-                        Some(e) => self.eval(e, frame)?,
+                        Some(e) => {
+                            let v = self.eval(e, frame)?;
+                            self.widen(v, e, prim, frame)?
+                        }
                         None => Value::default_for(&ty),
                     };
-                    frame.declare(d.name.sym, v);
+                    frame.declare_typed(d.name.sym, v, prim);
                 }
                 Ok(())
             }
@@ -951,7 +1020,10 @@ impl Interp {
             }
             StmtKind::Return(v) => {
                 let value = match v {
-                    Some(e) => self.eval(e, frame)?,
+                    Some(e) => {
+                        let v = self.eval(e, frame)?;
+                        self.widen(v, e, frame.ret, frame)?
+                    }
                     None => Value::Null,
                 };
                 Err(Control::Return(value))
@@ -1150,7 +1222,12 @@ impl Interp {
             ExprKind::Assign(op, l, r) => {
                 let rv = self.eval(r, frame)?;
                 let value = match op {
-                    None => rv,
+                    None => {
+                        let to = crate::lower::name_of(l)
+                            .and_then(|n| frame.local_prim(n))
+                            .flatten();
+                        self.widen(rv, r, to, frame)?
+                    }
                     Some(binop) => {
                         let lv = self.eval(l, frame)?;
                         self.binary_values(*binop, &lv, &rv, e.span)?
@@ -1261,6 +1338,21 @@ impl Interp {
             elem: inner_elem,
             data: RefCell::new(data),
         })))
+    }
+
+    /// `v`, the value of `e`, converted to the declared primitive `to` when
+    /// their static types call for it (see [`crate::widen`]).
+    fn widen(&self, v: Value, e: &Expr, to: Option<PrimKind>, frame: &Frame) -> Eval {
+        match to {
+            Some(to)
+                if frame
+                    .static_prim(e)
+                    .is_some_and(|from| widen::converts(from, to)) =>
+            {
+                self.cast(v, &Type::Prim(to), e.span)
+            }
+            _ => Ok(v),
+        }
     }
 
     pub(crate) fn cast(&self, v: Value, target: &Type, span: Span) -> Eval {

@@ -20,6 +20,7 @@ mod native;
 mod runtime;
 mod value;
 mod vm;
+mod widen;
 
 pub use error::RuntimeError;
 pub use interp::{Control, Eval, Frame, Interp};

@@ -167,14 +167,19 @@ impl TypeSlot {
 
 // ---- the shared store --------------------------------------------------------
 
+/// A [`LowerStore`] key: the body's fingerprint, its parameter names, and
+/// the primitive types of its parameters and then of its return type.
+pub(crate) type LowerKey = (u128, Box<[Symbol]>, Box<[Option<PrimKind>]>);
+
 /// Session-wide memo of lowered bodies, keyed by the body's structural
-/// fingerprint plus its parameter names (slot assignment depends on them).
+/// fingerprint plus its parameter names (slot assignment depends on them)
+/// and its signature's primitive types (widening conversions do).
 /// `None` records the *unlowerable* verdict so it is not re-derived.
 /// Held in the session force cache so warm `mayad` runs reuse lowered code
 /// across compilers, and bounded like it (see [`GenMemo`]): bodies no
 /// recent request ran are evicted.
 pub struct LowerStore {
-    map: RefCell<GenMemo<(u128, Box<[Symbol]>), Option<Rc<LoweredBody>>>>,
+    map: RefCell<GenMemo<LowerKey, Option<Rc<LoweredBody>>>>,
 }
 
 impl Default for LowerStore {
@@ -192,17 +197,13 @@ impl LowerStore {
     }
 
     /// Looks up a memoized outcome.
-    pub fn get(&self, fp: u128, params: &[Symbol]) -> Option<Option<Rc<LoweredBody>>> {
-        self.map
-            .borrow_mut()
-            .get(&(fp, params.to_vec().into_boxed_slice()))
+    pub(crate) fn get(&self, key: &LowerKey) -> Option<Option<Rc<LoweredBody>>> {
+        self.map.borrow_mut().get(key)
     }
 
     /// Records a freshly derived outcome.
-    pub fn insert(&self, fp: u128, params: &[Symbol], outcome: Option<Rc<LoweredBody>>) {
-        self.map
-            .borrow_mut()
-            .insert((fp, params.to_vec().into_boxed_slice()), outcome);
+    pub(crate) fn insert(&self, key: LowerKey, outcome: Option<Rc<LoweredBody>>) {
+        self.map.borrow_mut().insert(key, outcome);
     }
 
     /// Marks the end of one request (see [`GenMemo::end_request`]).
@@ -662,7 +663,7 @@ mod tests {
 
     fn lower(stmts: Vec<Stmt>, params: &[&str]) -> Result<BcBody, Unlowerable> {
         let params: Vec<Symbol> = params.iter().map(|p| sym(p)).collect();
-        compile(&Block::synth(stmts), &params)
+        compile(&Block::synth(stmts), &params, &[])
     }
 
     fn decl(ty: TypeName, name: &str, init: Expr) -> Stmt {

@@ -94,8 +94,8 @@ impl Interp {
 
     /// Disassembly of `body`'s bytecode for `mayac --dump-bytecode`.
     /// `None` when the body is unlowerable (e.g. contains try/catch).
-    pub fn bytecode_listing(&self, body: &LazyNode, params: &[Symbol]) -> Option<String> {
-        let lb = self.lowered_body(body, params)?;
+    pub fn bytecode_listing(&self, body: &LazyNode, m: &MethodInfo) -> Option<String> {
+        let lb = self.lowered_body(body, &m.param_names, &m.params, Some(&m.ret))?;
         Some(bytecode::disasm(&lb.current(), &self.ct))
     }
 
@@ -110,7 +110,7 @@ impl Interp {
         if !body.is_forced() {
             return None;
         }
-        self.lowered_body(body, &m.param_names)
+        self.lowered_body(body, &m.param_names, &m.params, Some(&m.ret))
     }
 
     /// Dispatches through a polymorphic inline cache.  Entries are keyed by

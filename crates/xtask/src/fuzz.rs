@@ -27,7 +27,10 @@
 //! * **faults** — under a sampled `MAYA_FAULTS`-style injection, armed
 //!   identically on both engines, diagnostics may differ from the
 //!   clean run but the engines must still agree, and no panic may escape
-//!   the driver boundary.
+//!   the driver boundary;
+//! * **tables** — every generated extension's grammar, derived from the
+//!   automaton of the grammar it extends, must equal a full build of it
+//!   (tables, or conflict list).
 //!
 //! Coverage feedback comes from the telemetry counters and cache gauges
 //! that already exist: a case that lights a (counter, log2-magnitude)
@@ -396,6 +399,22 @@ impl ExtSpec {
         )
     }
 
+    /// The abstract production's right-hand side, as the metagrammar lowers
+    /// [`ExtSpec::decl_source`]'s.
+    fn rhs(&self) -> Vec<maya::grammar::RhsItem> {
+        use maya::grammar::RhsItem;
+        let mut rhs = vec![RhsItem::word(&self.marker)];
+        rhs.extend(self.items.iter().map(|item| match item {
+            ExtItem::Expr { .. } => RhsItem::Kind(NodeKind::Expression),
+            ExtItem::FormalSub { .. } => {
+                RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::Formal)])
+            }
+            ExtItem::Lazy { .. } => RhsItem::Lazy(Delim::Brace, NodeKind::BlockStmts),
+            ExtItem::Semi => RhsItem::tok(TokenKind::Semi),
+        }));
+        rhs
+    }
+
     /// One use-site statement matching the declared pattern.
     fn use_site(&self, rng: &mut XorShift, gen: &GrammarGen) -> String {
         let mut out = self.marker.clone();
@@ -443,8 +462,8 @@ impl ExtSpec {
 
 struct Case {
     sources: Vec<(String, String)>,
-    /// Number of generated Mayan extensions in this case.
-    extensions: usize,
+    /// The generated Mayan extensions' productions, in `use` order.
+    extensions: Vec<Vec<maya::grammar::RhsItem>>,
 }
 
 fn gen_case(rng: &mut XorShift, gen: &GrammarGen, tag: usize) -> Case {
@@ -507,7 +526,52 @@ fn gen_case(rng: &mut XorShift, gen: &GrammarGen, tag: usize) -> Case {
     if rng.below(100) < 35 {
         mutate(rng, &mut sources);
     }
-    Case { sources, extensions: ext_specs.len() }
+    Case {
+        sources,
+        extensions: ext_specs.iter().map(ExtSpec::rhs).collect(),
+    }
+}
+
+/// The tables oracle: the grammars a case's extensions make, each derived
+/// from the grammar it extends, against full builds. Returns how many it
+/// checked and the first mismatch.
+fn check_derivations(
+    base: &maya::grammar::Built,
+    extensions: &[Vec<maya::grammar::RhsItem>],
+) -> (usize, Option<String>) {
+    let mut g = maya::core::Base::cached().grammar;
+    let mut parent = base.clone();
+    for (k, rhs) in extensions.iter().enumerate() {
+        let mut b = g.extend();
+        if b.add_production(NodeKind::Statement, rhs, None).is_err() {
+            return (k, None);
+        }
+        g = b.finish();
+        let full = g.build_full();
+        let derived = match g.derive_from(&parent) {
+            Some(d) => d,
+            None => return (k + 1, Some(format!("extension {k}: not derivable"))),
+        };
+        match (full, derived) {
+            (Ok(f), Ok(d)) if **f.tables() == **d.tables() => parent = d,
+            (Err(f), Err(d)) if format!("{f:?}") == format!("{d:?}") => return (k + 1, None),
+            (f, d) => {
+                let show = |r: &Result<maya::grammar::Built, maya::grammar::GrammarError>| match r {
+                    Ok(_) => "tables".to_owned(),
+                    Err(e) => e.to_string(),
+                };
+                return (
+                    k + 1,
+                    Some(format!(
+                        "extension {k}: full build {} but derivation {}",
+                        show(&f),
+                        show(&d)
+                    )),
+                );
+            }
+        }
+    }
+    (extensions.len(), None)
 }
 
 /// A helper class every application carries. Statements run once, from
@@ -1068,6 +1132,8 @@ struct Stats {
     pool_runs: usize,
     store_runs: usize,
     fault_runs: usize,
+    table_runs: usize,
+    table_mismatches: usize,
 }
 
 pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
@@ -1075,6 +1141,10 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
     let root = crate::repo_root();
     let gen = GrammarGen::new();
     let opts = req_opts();
+    let base_built = maya::core::Base::cached()
+        .grammar
+        .build_full()
+        .expect("the base grammar is LALR(1)");
 
     // The persistent pair: one session per execution tier, both living
     // across the whole campaign like a long-running `mayad` fed hundreds
@@ -1159,13 +1229,22 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
         let case = if !corpus.is_empty() && rng.below(100) < 20 {
             let mut sources = corpus[rng.below(corpus.len())].clone();
             mutate(&mut rng, &mut sources);
-            Case { sources, extensions: 0 }
+            Case {
+                sources,
+                extensions: Vec::new(),
+            }
         } else {
             gen_case(&mut rng, &gen, i)
         };
-        if case.extensions > 0 {
+        if !case.extensions.is_empty() {
             stats.extension_cases += 1;
-            stats.generated_extensions += case.extensions;
+            stats.generated_extensions += case.extensions.len();
+            let (checked, mismatch) = check_derivations(&base_built, &case.extensions);
+            stats.table_runs += checked;
+            if let Some(detail) = mismatch {
+                eprintln!("xtask fuzz: case {i}: tables divergence: {detail}");
+                stats.table_mismatches += 1;
+            }
         }
         let sources = &case.sources;
         if std::env::var_os("MAYA_FUZZ_DUMP").is_some() {
@@ -1337,14 +1416,16 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
     );
     println!(
         "xtask fuzz: oracle runs: engine {}, warm {}, post-edit {}, jobs {}, pool {}, \
-         store {}, faults {}",
+         store {}, faults {}, tables {} ({} mismatched)",
         stats.engine_runs,
         stats.warm_runs,
         stats.post_edit_runs,
         stats.jobs_runs,
         stats.pool_runs,
         stats.store_runs,
-        stats.fault_runs
+        stats.fault_runs,
+        stats.table_runs,
+        stats.table_mismatches
     );
     println!(
         "xtask fuzz: {} escaped panics, {} divergences ({} induced), {} unminimized; \
@@ -1361,6 +1442,13 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
     let mut failed = false;
     if stats.escaped_panics > 0 {
         eprintln!("xtask fuzz: FAILED: {} panics escaped the driver", stats.escaped_panics);
+        failed = true;
+    }
+    if stats.table_mismatches > 0 {
+        eprintln!(
+            "xtask fuzz: FAILED: {} derived table sets differ from full builds",
+            stats.table_mismatches
+        );
         failed = true;
     }
     if !real.is_empty() {
@@ -1427,9 +1515,11 @@ fn render_report(
     let _ = writeln!(out, "    \"jobs\": {},", s.jobs_runs);
     let _ = writeln!(out, "    \"pool\": {},", s.pool_runs);
     let _ = writeln!(out, "    \"store\": {},", s.store_runs);
-    let _ = writeln!(out, "    \"faults\": {}", s.fault_runs);
+    let _ = writeln!(out, "    \"faults\": {},", s.fault_runs);
+    let _ = writeln!(out, "    \"tables\": {}", s.table_runs);
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"escaped_panics\": {},", s.escaped_panics);
+    let _ = writeln!(out, "  \"table_mismatches\": {},", s.table_mismatches);
     let _ = writeln!(out, "  \"divergences\": {},", reports.len());
     let _ = writeln!(
         out,

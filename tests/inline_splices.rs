@@ -48,6 +48,38 @@ fn static_implicit_call_sites_enter_their_splice() {
 }
 
 #[test]
+fn a_double_parameter_leaf_splices_with_its_entry_conversion() {
+    // `half`'s `double` parameter converts its `int` argument on entry (a
+    // `cast` at the top of its bytecode), so `x / 2` divides doubles. The
+    // cast must not keep `half` from splicing into the refined `f`, nor
+    // be lost by the splice.
+    let src = r#"
+        class Main {
+            static double half(double x) { return x / 2; }
+            static double f(int x) { return half(x) + 1; }
+            static void main() {
+                double s = 0;
+                for (int i = 0; i < 10; i++) { s = s + f(i); }
+                System.out.println(s);
+            }
+        }
+        "#;
+    let (entries, fallbacks, out) = splice_counts(src);
+    assert_eq!(out, "32.5\n");
+    assert_eq!((entries, fallbacks), (7, 0));
+    let walker = Compiler::with_options(CompileOptions {
+        echo_output: false,
+        jobs: 1,
+        ..CompileOptions::default()
+    });
+    walker.interp().set_lowering(false);
+    assert_eq!(
+        walker.compile_and_run("Main.maya", src, "Main").unwrap(),
+        out
+    );
+}
+
+#[test]
 fn field_reading_leaves_splice_and_resolve_in_the_callees_class() {
     // `Square.area` reads a field and a static by bare name. Spliced into
     // the static `Main.sum`, it must still resolve `k` in `Square`: the

@@ -157,13 +157,14 @@ fn mayad_protocol_round_trip() {
     assert_eq!(second.get("stdout").and_then(Json::as_str), Some("srv\n"));
     assert_eq!(second.get("full_reuse").and_then(Json::as_bool), Some(true));
 
-    // stats reflect the traffic and the retained LALR table memo
+    // stats reflect the traffic and the LALR table memo, which a program
+    // of the base grammar leaves empty: its tables are compiled in
     let stats = srv.raw_request(r#"{"cmd":"stats"}"#);
     assert!(ok(&stats));
     let s = stats.get("stats").unwrap();
     assert!(s.get("requests").and_then(Json::as_u64).unwrap() >= 3);
     assert_eq!(s.get("full_reuses").and_then(Json::as_u64), Some(1));
-    assert!(s.get("table_memo").and_then(Json::as_u64).unwrap() >= 1);
+    assert_eq!(s.get("table_memo").and_then(Json::as_u64), Some(0));
 
     fn num(v: Option<&Json>) -> f64 {
         match v {
@@ -225,7 +226,61 @@ fn mayad_protocol_round_trip() {
             >= 1,
         "LALR memo must have seen traffic"
     );
-    assert!(lalr.get("size").and_then(Json::as_u64).unwrap() >= 1);
+    assert_eq!(
+        lalr.get("size").and_then(Json::as_u64),
+        Some(0),
+        "the base tables are compiled in"
+    );
+}
+
+/// The `queue_wait` and `service` histograms beside `latency`: each counts
+/// every compile request of an edit stream, and service, which adds
+/// decoding the request, reading the files and encoding the reply to the
+/// compile, is never shorter than the compile alone.
+#[test]
+fn stats_split_what_the_client_waits_for() {
+    let srv = Mayad::start(&[]);
+    let file = srv.dir().join("edit.maya");
+    const EDITS: u64 = 12;
+    for i in 0..EDITS {
+        std::fs::write(
+            &file,
+            format!("class Main {{ static void main() {{ System.out.println({i}); }} }}"),
+        )
+        .unwrap();
+        let reply = srv.raw_request(r#"{"files": ["edit.maya"]}"#);
+        assert_eq!(
+            reply.get("stdout").and_then(Json::as_str),
+            Some(format!("{i}\n").as_str())
+        );
+    }
+    // A refused and a non-compile request add no sample.
+    srv.raw_request(r#"{"cmd":"ping"}"#);
+    srv.raw_request(r#"{"files": []}"#);
+    let stats = srv.raw_request(r#"{"cmd":"stats"}"#);
+    let s = stats.get("stats").unwrap();
+    let hist = |name: &str| s.get(name).unwrap_or_else(|| panic!("{name} missing"));
+    let count = |name: &str| hist(name).get("count").and_then(Json::as_u64);
+    let p50 = |name: &str| match hist(name).get("p50_ms") {
+        Some(Json::Num(n)) => *n,
+        other => panic!("{name}.p50_ms: {other:?}"),
+    };
+    for name in ["latency", "queue_wait", "service"] {
+        assert_eq!(
+            count(name),
+            Some(EDITS),
+            "{name} counts every compile request"
+        );
+        for k in ["mean_ms", "p95_ms", "p99_ms", "max_ms", "buckets"] {
+            assert!(hist(name).get(k).is_some(), "{name}.{k}");
+        }
+    }
+    assert!(
+        p50("service") >= p50("latency"),
+        "service p50 {} < latency p50 {}",
+        p50("service"),
+        p50("latency")
+    );
 }
 
 // ---- invalidation cone -------------------------------------------------------

@@ -1,6 +1,7 @@
 //! The persistent compilation cache (`--cache-dir`): every artifact kind
-//! round-trips through real `mayac` processes, an edited program misses
-//! only its outcome, corrupt, future-versioned and other-build entries are
+//! round-trips through real `mayac` processes, the base grammar's tables
+//! (compiled in) are never stored, an edited program misses only its
+//! outcome, corrupt, future-versioned and other-build entries are
 //! silently rebuilt, `mayac cache stats|gc|clear` maintain the directory
 //! (deleting the retired `.lex` and `.body` kinds), and four concurrent
 //! processes can hammer one store without corrupting it or each other's
@@ -31,6 +32,20 @@ const LOOPY: &str = r#"class Main {
     static void main() {
         int sum = 0;
         for (int i = 0; i < 5; i = i + 1) { sum = sum + triple(i); }
+        System.out.println(sum);
+    }
+}
+"#;
+
+/// LOOPY's sum under an imported extension: a run also persists the
+/// extended grammar's tables (the base grammar's are compiled in).
+const EXTENDED: &str = r#"class Main {
+    static int triple(int n) { return n * 3; }
+    static void main() {
+        int sum = 0;
+        for (int i = 0; i < 5; i = i + 1) { sum = sum + triple(i); }
+        use Assert;
+        assert(sum == 30);
         System.out.println(sum);
     }
 }
@@ -74,8 +89,8 @@ fn snapshot(cache: &Path) -> Vec<(String, Vec<u8>)> {
 fn every_artifact_kind_round_trips_through_real_processes() {
     let dir = scratch("kinds");
     let cache = dir.join("cache");
-    let file = dir.join("loopy.maya");
-    std::fs::write(&file, LOOPY).unwrap();
+    let file = dir.join("extended.maya");
+    std::fs::write(&file, EXTENDED).unwrap();
 
     let cold = run_mayac(&file, &cache);
     assert!(cold.0, "{}", String::from_utf8_lossy(&cold.2));
@@ -99,7 +114,7 @@ fn truncated_and_bit_flipped_entries_are_silently_rebuilt() {
     let dir = scratch("corrupt");
     let cache = dir.join("cache");
     let file = dir.join("loopy.maya");
-    std::fs::write(&file, LOOPY).unwrap();
+    std::fs::write(&file, EXTENDED).unwrap();
     let cold = run_mayac(&file, &cache);
     assert!(cold.0);
 
@@ -144,7 +159,7 @@ fn future_format_version_is_silently_invalidated() {
     let dir = scratch("version");
     let cache = dir.join("cache");
     let file = dir.join("loopy.maya");
-    std::fs::write(&file, LOOPY).unwrap();
+    std::fs::write(&file, EXTENDED).unwrap();
     let cold = run_mayac(&file, &cache);
     assert!(cold.0);
 
@@ -175,7 +190,7 @@ fn entries_from_another_build_rebuild_byte_identically() {
     let dir = scratch("build");
     let cache = dir.join("cache");
     let file = dir.join("loopy.maya");
-    std::fs::write(&file, LOOPY).unwrap();
+    std::fs::write(&file, EXTENDED).unwrap();
     let cold = run_mayac(&file, &cache);
     assert!(cold.0);
     let written = snapshot(&cache);
@@ -205,15 +220,31 @@ fn entries_from_another_build_rebuild_byte_identically() {
 }
 
 #[test]
-fn edited_program_against_a_warm_store_misses_only_its_outcome() {
-    let dir = scratch("edit");
+fn a_program_of_the_base_grammar_stores_no_tables() {
+    let dir = scratch("base");
     let cache = dir.join("cache");
     let file = dir.join("loopy.maya");
     std::fs::write(&file, LOOPY).unwrap();
+    let cold = run_mayac(&file, &cache);
+    assert!(cold.0, "{}", String::from_utf8_lossy(&cold.2));
+    assert!(
+        entries_with_ext(&cache, Kind::Tables.ext()).is_empty(),
+        "the base grammar's tables are compiled in, never stored"
+    );
+    assert!(!entries_with_ext(&cache, Kind::Outcome.ext()).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn edited_program_against_a_warm_store_misses_only_its_outcome() {
+    let dir = scratch("edit");
+    let cache = dir.join("cache");
+    let file = dir.join("extended.maya");
+    std::fs::write(&file, EXTENDED).unwrap();
     assert!(run_mayac(&file, &cache).0);
 
     // The edit the `cli_store` benchmark makes: an empty class appended.
-    std::fs::write(&file, format!("{LOOPY}\nclass ZZEdit1 {{ }}\n")).unwrap();
+    std::fs::write(&file, format!("{EXTENDED}\nclass ZZEdit1 {{ }}\n")).unwrap();
     let stats = dir.join("stats.json");
     let warm = mayac()
         .arg(format!("--cache-dir={}", cache.display()))

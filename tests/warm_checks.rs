@@ -567,4 +567,35 @@ fn a_body_edit_rechecks_only_its_file() {
         fresh_report.counter(Counter::LazyNodesForced),
         "replayed bodies count as forced, as a cold compile's are"
     );
+    assert_eq!(
+        warm_report.counter(Counter::LazyNodesCreated),
+        fresh_report.counter(Counter::LazyNodesCreated),
+        "replayed bodies count as created, as a cold compile's are"
+    );
+}
+
+#[test]
+fn a_cold_session_counts_the_lazies_a_plain_compile_creates() {
+    let files = six_files("return 1;");
+    let (out, cold) = traced(&mut session(), &files, &RequestOpts::default());
+    assert!(out.success, "{}", out.stderr);
+    let t = telemetry::Session::start(telemetry::Config::default());
+    let c = Compiler::new();
+    maya::macrolib::install(&c);
+    maya::multijava::install(&c);
+    for (name, text) in &files {
+        c.add_source(name, text).unwrap();
+    }
+    c.compile().unwrap();
+    assert_eq!(c.run_main("Main").unwrap(), out.stdout);
+    let plain = t.finish();
+    assert_eq!(
+        cold.counter(Counter::LazyNodesCreated),
+        plain.counter(Counter::LazyNodesCreated),
+        "a session's cache templates are not lazies a compile created"
+    );
+    assert_eq!(
+        cold.counter(Counter::LazyNodesForced),
+        plain.counter(Counter::LazyNodesForced)
+    );
 }
