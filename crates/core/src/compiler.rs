@@ -44,7 +44,9 @@ pub struct CompileOptions {
     pub interp_stack_limit: u32,
     /// Worker threads for the front end (lexing + token-tree construction
     /// of independent files in [`Compiler::add_sources_diags`]). `1`
-    /// disables the thread pool; output is identical either way.
+    /// disables the thread pool; `0` means one per available CPU, looked
+    /// up only when more than one file needs lexing. Output is identical
+    /// for every value.
     pub jobs: usize,
     /// A cross-compilation memo of pure lazy-body parses (see
     /// [`ForceCache`]); an incremental [`crate::Session`] threads one
@@ -680,8 +682,9 @@ impl CompilerInner {
 }
 
 /// Lexes `files` (already registered in `sm`) to `Send`-safe token trees,
-/// fanning the work out to scoped worker threads when `jobs > 1`. Results
-/// are returned in `files` order regardless of completion order; worker
+/// fanning the work out to scoped worker threads when `jobs > 1` (`0`:
+/// one per available CPU) and there is more than one file. Results are
+/// returned in `files` order regardless of completion order; worker
 /// telemetry is merged into this thread's session.
 ///
 /// This is the whole front end as a pure function of the source map, so
@@ -693,7 +696,12 @@ pub fn lex_files(
     files: &[FileId],
     jobs: usize,
 ) -> Vec<Result<Vec<SendTree>, LexError>> {
-    let jobs = jobs.max(1).min(files.len());
+    let jobs = match jobs {
+        _ if files.len() <= 1 => 1,
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+    .min(files.len());
     if jobs <= 1 {
         return files.iter().map(|&f| lex_one(sm, f)).collect();
     }
@@ -1969,7 +1977,7 @@ impl Compiler {
                     let mut host = host();
                     let mut checker = Checker::new(classes, &meta.ctx, &mut host);
                     let ty = checker.type_of_expr(init, &mut scope)?;
-                    if !classes.is_assignable(&ty, &f.ty) {
+                    if !classes.is_assignable_value(init, &ty, &f.ty) {
                         return Err(CompileError::new(
                             format!(
                                 "cannot initialize field {} : {} with {}",

@@ -1,28 +1,22 @@
 //! Content fingerprints for incremental reuse.
 //!
 //! One dual-stream FNV-1a hasher ([`maya_lexer::Fnv2`]) serves every reuse
-//! layer. The [`crate::Session`] hashes raw bytes to detect changed files
-//! and keys the lex share by a content hash; token trees carry their own
-//! memoised fingerprints ([`maya_lexer::TreeSeq::fingerprint`],
-//! [`maya_lexer::DelimTree::fingerprint`]), which key the unit,
-//! class-body and force caches and feed the persistent outcome key. Spans
-//! participate in every tree fingerprint, so two trees with equal
-//! fingerprints are interchangeable everywhere downstream, diagnostics
-//! included.
+//! layer. The [`crate::Session`] hashes each file's raw bytes once, and
+//! that hash detects changed files, keys the lex share and feeds the
+//! persistent outcome key; token trees carry their own memoised
+//! fingerprints ([`maya_lexer::TreeSeq::fingerprint`],
+//! [`maya_lexer::DelimTree::fingerprint`]), which key the unit, class-body
+//! and force caches. Spans participate in every tree fingerprint, so two
+//! trees with equal fingerprints are interchangeable everywhere
+//! downstream, diagnostics included.
 
 use maya_lexer::{Fnv2, LexError, TreeSeq};
 use std::rc::Rc;
 
-/// 64-bit byte hash (the cheap first-level change check).
-pub(crate) fn hash64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv2::new();
-    h.bytes(bytes);
-    h.finish64()
-}
-
-/// 128-bit byte hash — the process-global lex-share key. Both FNV streams
-/// are kept because entries are shared across every client of a compile
-/// service, a far larger collision surface than one session's files.
+/// 128-bit byte hash of a file's raw content. Both FNV streams are kept
+/// because it keys entries shared across every client of a compile
+/// service (the lex share) and across processes (the outcome store), a
+/// far larger collision surface than one session's files.
 pub(crate) fn hash128(bytes: &[u8]) -> u128 {
     let mut h = Fnv2::new();
     h.bytes(bytes);

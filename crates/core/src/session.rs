@@ -20,7 +20,13 @@
 //!   declared in which other file, so an **invalidation pass** can
 //!   recompile exactly the downstream cone of a change;
 //! * when *nothing* changed, the previous outcome is returned verbatim
-//!   and no compiler is even constructed.
+//!   and no compiler is even constructed;
+//! * with a persistent store installed, a session with no per-file state
+//!   probes it for the request's outcome before lexing anything: the key
+//!   is every file's name, readability and raw-content hash plus the
+//!   options, so a hit skips the front end too. A warm session probes
+//!   after change detection, so an in-memory full reuse never touches
+//!   disk.
 //!
 //! Change detection is two-level: a raw byte hash first, and for files
 //! whose bytes changed, a token-stream hash that *includes spans*. A
@@ -42,7 +48,7 @@
 //! the nothing-changed case — the entire previous outcome.
 
 use crate::compiler::lex_files;
-use crate::fingerprint::{hash128, hash64, lex_result_hash};
+use crate::fingerprint::{hash128, lex_result_hash};
 use crate::diag::Diagnostics;
 use crate::{CompileOptions, Compiler};
 use maya_lexer::{FileId, LexError, SendTree, SourceMap, Span, TreeSeq};
@@ -152,6 +158,25 @@ type SendLex = Result<Vec<SendTree>, LexError>;
 /// One file's front-end result in the compiler's `Rc` form.
 type Lexed = Result<Rc<TreeSeq>, LexError>;
 
+/// A file's raw-content hash: its bytes, or its read error's message.
+fn raw_hash(text: &Result<String, String>) -> u128 {
+    match text {
+        Ok(t) => hash128(t.as_bytes()),
+        Err(e) => hash128(e.as_bytes()),
+    }
+}
+
+/// A stored outcome: (stdout, stderr, success).
+type Stored = (String, String, bool);
+
+/// The outcome stored under `key`, if the store holds a sound one.
+fn load_outcome(store: &Option<(Arc<crate::store::ArtifactStore>, u128)>) -> Option<Stored> {
+    let (store, key) = store.as_ref()?;
+    store
+        .load(crate::store::Kind::Outcome, *key)
+        .and_then(|p| crate::store::decode_outcome_payload(&p))
+}
+
 fn to_lexed(result: &SendLex) -> Lexed {
     match result {
         Ok(trees) => Ok(Rc::new(TreeSeq::from_send(trees))),
@@ -165,8 +190,10 @@ struct SessionFile {
     /// `false` when the last request could not read the file (the read
     /// error is part of the cached behavior).
     ok: bool,
-    /// Hash of the raw bytes (or of the read-error message).
-    raw_hash: u64,
+    /// 128-bit hash of the raw bytes (or of the read-error message): the
+    /// first-level change check, the lex-share key and the file's part of
+    /// the persistent outcome key.
+    raw_hash: u128,
     /// Hash of the token stream *including spans*; equal hashes make
     /// byte-different contents behaviorally identical.
     token_hash: u128,
@@ -332,7 +359,6 @@ impl Session {
         inputs: &[(String, Result<String, String>)],
         opts: &RequestOpts,
     ) -> Outcome {
-
         // ---- change detection ------------------------------------------------
         // The file *structure* (names, order, readability) is part of the
         // session identity: when it shifts, FileIds shift, so every cached
@@ -349,18 +375,17 @@ impl Session {
             self.cached = None;
         }
 
-        // Raw-byte pass: which files even need re-lexing?
+        // Raw-byte pass: which files even need re-lexing? A session with
+        // no per-file state and no remembered outcome is cold: every
+        // readable file is new.
+        let cold = self.files.is_empty() && self.cached.is_none();
         let mut relex: Vec<usize> = Vec::new();
-        if self.files.is_empty() {
+        if cold {
             for (name, text) in inputs {
-                let (raw, ok) = match text {
-                    Ok(t) => (hash64(t.as_bytes()), true),
-                    Err(e) => (hash64(e.as_bytes()), false),
-                };
                 self.files.push(SessionFile {
                     name: name.clone(),
-                    ok,
-                    raw_hash: raw,
+                    ok: text.is_ok(),
+                    raw_hash: raw_hash(text),
                     token_hash: 0,
                     lexed: None,
                 });
@@ -368,10 +393,7 @@ impl Session {
             relex = (0..inputs.len()).filter(|&i| self.files[i].ok).collect();
         } else {
             for (i, (_, text)) in inputs.iter().enumerate() {
-                let raw = match text {
-                    Ok(t) => hash64(t.as_bytes()),
-                    Err(e) => hash64(e.as_bytes()),
-                };
+                let raw = raw_hash(text);
                 if self.files[i].raw_hash != raw {
                     self.files[i].raw_hash = raw;
                     if self.files[i].ok {
@@ -379,10 +401,37 @@ impl Session {
                     } else {
                         // A read error with a different message is a
                         // behavioral change (the diagnostic text differs).
-                        self.files[i].token_hash = hash64(b"read-error") as u128;
                         self.cached = None;
                     }
                 }
+            }
+        }
+
+        // ---- persistent outcome ----------------------------------------------
+        // With a store installed, a whole request can be answered by an
+        // earlier *process*: the key folds every file's raw-content hash
+        // and every output-affecting option, so a hit replays
+        // stdout/stderr/exit byte-identically. Gated off under armed
+        // faults (perturbed runs must not be replayed) and under
+        // `--dump-bytecode` (its output narrates runtime cache state).
+        let outcome_store = crate::store::active()
+            .filter(|_| opts.dump_bytecode.is_none() && !crate::faults::any_armed())
+            .map(|s| (s, self.outcome_key(opts)));
+        // A cold session probes once, here, before lexing: a hit skips the
+        // front end as well as the compile. A warm session probes after
+        // change detection instead (below), so an in-memory full reuse
+        // never touches disk.
+        if cold {
+            if let Some(stored) = load_outcome(&outcome_store) {
+                // Every readable file would have counted as changed.
+                let changed: BTreeSet<&str> = inputs
+                    .iter()
+                    .filter(|(_, text)| text.is_ok())
+                    .map(|(name, _)| name.as_str())
+                    .collect();
+                count_by(Counter::IncrFilesChanged, changed.len() as u64);
+                self.stats.files_changed += changed.len() as u64;
+                return self.replay(stored, inputs, changed.len(), &BTreeSet::new());
             }
         }
 
@@ -411,10 +460,7 @@ impl Session {
             let mut need: Vec<FileId> = Vec::new();
             let mut need_at: Vec<(usize, u128)> = Vec::new();
             for (&i, &id) in &ids {
-                let content = match &inputs[i].1 {
-                    Ok(t) => hash128(t.as_bytes()),
-                    Err(_) => unreachable!("only ok files are relexed"),
-                };
+                let content = self.files[i].raw_hash;
                 if share_on {
                     let hit = lex_share()
                         .read()
@@ -495,56 +541,9 @@ impl Session {
             }
         }
 
-        // ---- persistent outcome ----------------------------------------------
-        // With a store installed, a whole request can be answered by an
-        // earlier *process*: the key folds every file's span-inclusive
-        // token hash and every output-affecting option, so a hit replays
-        // stdout/stderr/exit byte-identically. Gated off under armed
-        // faults (perturbed runs must not be replayed) and under
-        // `--dump-bytecode` (its output narrates runtime cache state).
-        let outcome_store = crate::store::active()
-            .filter(|_| opts.dump_bytecode.is_none() && !crate::faults::any_armed())
-            .map(|s| (s, self.outcome_key(opts)));
-        if let Some((store, key)) = &outcome_store {
-            let hydrated = store
-                .load(crate::store::Kind::Outcome, *key)
-                .and_then(|p| crate::store::decode_outcome_payload(&p));
-            if let Some((stdout, stderr, success)) = hydrated {
-                // The same reuse accounting the compile path would report.
-                let mut reused = 0usize;
-                let mut recompiled = 0usize;
-                for (i, (name, text)) in inputs.iter().enumerate() {
-                    if text.is_ok() {
-                        if cone.contains(name) || self.files[i].lexed.is_none() {
-                            recompiled += 1;
-                        } else {
-                            reused += 1;
-                        }
-                    }
-                }
-                count_by(Counter::IncrFilesReused, reused as u64);
-                count_by(Counter::IncrFilesRecompiled, recompiled as u64);
-                self.stats.files_reused += reused as u64;
-                self.stats.files_recompiled += recompiled as u64;
-                // The hydrated answer skipped the compile, so the
-                // dependency graph this session would use for the *next*
-                // invalidation pass was not rebuilt. Reset per-file state:
-                // the next request starts cold (and likely hits the store
-                // again) instead of under-invalidating.
-                self.files.clear();
-                self.rdeps.clear();
-                self.seen_grammars.clear();
-                self.cached = None;
-                return Outcome {
-                    stdout,
-                    stderr,
-                    success,
-                    full_reuse: false,
-                    files_changed: changed.len(),
-                    files_reused: reused,
-                    files_recompiled: recompiled,
-                    grammar_reuses: 0,
-                };
+        if !cold {
+            if let Some(stored) = load_outcome(&outcome_store) {
+                return self.replay(stored, inputs, changed.len(), &cone);
             }
         }
 
@@ -717,13 +716,61 @@ impl Session {
         outcome
     }
 
+    /// Answers a request from a stored outcome, with the reuse accounting
+    /// the compile path would report for `files_changed` changed files and
+    /// invalidation `cone`.
+    ///
+    /// The replay skipped the compile, so the dependency graph this
+    /// session would use for the *next* invalidation pass was not rebuilt.
+    /// Per-file state is reset: the next request starts cold (and likely
+    /// hits the store again) instead of under-invalidating.
+    fn replay(
+        &mut self,
+        (stdout, stderr, success): Stored,
+        inputs: &[(String, Result<String, String>)],
+        files_changed: usize,
+        cone: &BTreeSet<String>,
+    ) -> Outcome {
+        let mut reused = 0usize;
+        let mut recompiled = 0usize;
+        for (i, (name, text)) in inputs.iter().enumerate() {
+            if text.is_ok() {
+                if cone.contains(name) || self.files[i].lexed.is_none() {
+                    recompiled += 1;
+                } else {
+                    reused += 1;
+                }
+            }
+        }
+        count_by(Counter::IncrFilesReused, reused as u64);
+        count_by(Counter::IncrFilesRecompiled, recompiled as u64);
+        self.stats.files_reused += reused as u64;
+        self.stats.files_recompiled += recompiled as u64;
+        self.files.clear();
+        self.rdeps.clear();
+        self.seen_grammars.clear();
+        self.cached = None;
+        Outcome {
+            stdout,
+            stderr,
+            success,
+            full_reuse: false,
+            files_changed,
+            files_reused: reused,
+            files_recompiled: recompiled,
+            grammar_reuses: 0,
+        }
+    }
+
     /// The source-closure key for a persistent outcome artifact: every
-    /// file's identity and span-inclusive token-stream hash (imports are
-    /// folded in because the importing *and* the declaring file are both
-    /// in the closure) plus every option that can change
-    /// stdout/stderr/exit status. Both option structs are destructured
-    /// without `..`, so a new field does not compile until it is keyed
-    /// here or exempted with a reason.
+    /// file's name, readability and raw-content hash (imports are folded
+    /// in because the importing *and* the declaring file are both in the
+    /// closure) plus every option that can change stdout/stderr/exit
+    /// status. A file's tokens are a function of its bytes and of its
+    /// position among the readable files, which the ordered names and
+    /// readability fix, so the key needs no lexing. Both option structs
+    /// are destructured without `..`, so a new field does not compile
+    /// until it is keyed here or exempted with a reason.
     fn outcome_key(&self, opts: &RequestOpts) -> u128 {
         let RequestOpts {
             uses,
@@ -756,7 +803,6 @@ impl Session {
             h.str(&f.name);
             h.byte(u8::from(f.ok));
             h.bytes(&f.raw_hash.to_le_bytes());
-            h.bytes(&f.token_hash.to_le_bytes());
         }
         h.u32(uses.len() as u32);
         for u in uses {

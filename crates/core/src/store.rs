@@ -17,8 +17,9 @@
 //! * [`Kind::Tables`] — LALR tables keyed by the grammar content hash;
 //! * [`Kind::Outcome`] — whole-request compile outcomes (the compiled
 //!   extension closure: stdout, stderr, exit status) keyed by the
-//!   source-closure hash — every file's span-inclusive token-stream hash
-//!   plus the full request options, so imports are folded in.
+//!   source-closure hash — every file's name, readability and raw-content
+//!   hash plus the full request options, so imports are folded in. The key
+//!   needs no lexing, so a fresh session probes it before its front end.
 //!
 //! Earlier builds also stored lexed token trees (`.lex`) and lowered
 //! bodies (`.body`). Neither paid for its I/O, so nothing loads them any
@@ -33,6 +34,9 @@
 //! same key are idempotent. Eviction is LRU by file mtime (loads touch
 //! their entry): `mayac cache gc` evicts to the configured cap, and saves
 //! trigger the same sweep automatically once the store grows past it.
+//! Opening a store reads nothing: the size estimate behind that sweep is
+//! taken by the first save into a capped store, and an uncapped store
+//! never lists its directory outside `stats`, `gc` and `clear`.
 
 use maya_telemetry::CacheId;
 use std::cell::RefCell;
@@ -61,7 +65,11 @@ const BUILD_ID: u64 = include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
 const MAGIC: &[u8; 8] = b"MAYASTOR";
 
 /// Bumped whenever the outcome payload layout or key derivation changes.
-const OUTCOME_PAYLOAD_VERSION: u32 = 3;
+const OUTCOME_PAYLOAD_VERSION: u32 = 4;
+
+/// [`ArtifactStore::approx_bytes`] before the first save into a capped
+/// store has measured the directory.
+const UNMEASURED: u64 = u64::MAX;
 
 /// Extensions of the kinds earlier builds stored: lexed token trees and
 /// lowered bodies. Nothing loads them; `gc` and `clear` delete them.
@@ -131,28 +139,27 @@ pub struct ArtifactStore {
     dir: PathBuf,
     /// Automatic-GC threshold; `None` disables automatic sweeps.
     max_bytes: Option<u64>,
-    /// Bytes written since open plus the size found at open — an estimate
-    /// that triggers the (exact, directory-scanning) automatic GC.
+    /// The store's size as measured by the first save into a capped
+    /// store, plus the bytes saved since ([`UNMEASURED`] until then): an
+    /// estimate that triggers the (exact, directory-scanning) automatic GC.
     approx_bytes: AtomicU64,
     /// Temp-file uniquifier within this handle.
     tmp_seq: AtomicU64,
 }
 
 impl ArtifactStore {
-    /// Opens (creating if needed) the store at `dir`. `max_mb` caps the
-    /// store size: saves that push past it trigger an LRU sweep.
+    /// Opens (creating if needed) the store at `dir` without reading it.
+    /// `max_mb` caps the store size: saves that push past it trigger an
+    /// LRU sweep.
     pub fn open(dir: impl Into<PathBuf>, max_mb: Option<u64>) -> io::Result<Arc<ArtifactStore>> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let store = ArtifactStore {
+        Ok(Arc::new(ArtifactStore {
             dir,
             max_bytes: max_mb.map(|mb| mb.saturating_mul(1024 * 1024)),
-            approx_bytes: AtomicU64::new(0),
+            approx_bytes: AtomicU64::new(UNMEASURED),
             tmp_seq: AtomicU64::new(0),
-        };
-        let used: u64 = store.entries().iter().map(|e| e.bytes).sum();
-        store.approx_bytes.store(used, Ordering::Relaxed);
-        Ok(Arc::new(store))
+        }))
     }
 
     /// The store directory.
@@ -219,14 +226,21 @@ impl ArtifactStore {
             let _ = fs::remove_file(&tmp);
             return;
         }
-        let used = self
-            .approx_bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed)
-            + bytes.len() as u64;
-        if let Some(cap) = self.max_bytes {
-            if used > cap {
-                self.gc(cap);
+        let Some(cap) = self.max_bytes else { return };
+        let added = bytes.len() as u64;
+        // The first save into a capped store measures it, the entry just
+        // written included; later saves add to that figure. Only this
+        // transition leaves `UNMEASURED`, so an add never wraps it.
+        let used = match self.approx_bytes.load(Ordering::Relaxed) {
+            UNMEASURED => {
+                let used = self.entries().iter().map(|e| e.bytes).sum();
+                self.approx_bytes.store(used, Ordering::Relaxed);
+                used
             }
+            _ => self.approx_bytes.fetch_add(added, Ordering::Relaxed) + added,
+        };
+        if used > cap {
+            self.gc(cap);
         }
     }
 
@@ -581,6 +595,39 @@ mod tests {
         assert_eq!(store.load(Kind::Outcome, 1), None);
         assert!(store.load(Kind::Outcome, 2).is_some());
         assert!(store.load(Kind::Outcome, 3).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_reads_nothing_and_the_first_capped_save_measures() {
+        let dir = tmp_dir("measure");
+        let uncapped = ArtifactStore::open(&dir, None).unwrap();
+        uncapped.save(Kind::Outcome, 1, &[0u8; 100]);
+        let approx = |s: &ArtifactStore| s.approx_bytes.load(Ordering::Relaxed);
+        assert_eq!(
+            approx(&uncapped),
+            UNMEASURED,
+            "an uncapped store never measures"
+        );
+        let capped = ArtifactStore::open(&dir, Some(1)).unwrap();
+        assert_eq!(approx(&capped), UNMEASURED, "open reads nothing");
+        capped.save(Kind::Outcome, 2, &[0u8; 100]);
+        let size = |key: u128| {
+            fs::metadata(capped.path_of(Kind::Outcome, key))
+                .unwrap()
+                .len()
+        };
+        assert_eq!(
+            approx(&capped),
+            size(1) + size(2),
+            "the first save measures"
+        );
+        capped.save(Kind::Outcome, 3, &[0u8; 10]);
+        assert_eq!(
+            approx(&capped),
+            size(1) + size(2) + size(3),
+            "later saves add"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -413,6 +413,7 @@ impl Interp {
                 }
                 None => Value::default_for(&ty),
             };
+            let v = widen::to_declared(v, widen::prim_of_type(&ty));
             self.statics.borrow_mut().insert((class, name), v);
         }
         self.initializing.borrow_mut().remove(&class);
@@ -437,11 +438,28 @@ impl Interp {
         ))
     }
 
-    /// Writes a static field.
+    /// Writes a static field, converted to its declared primitive type
+    /// (see [`widen::to_declared`]).
     pub fn set_static_field(&self, class: ClassId, name: Symbol, v: Value) -> Result<(), Control> {
         self.ensure_init(class)?;
+        let v = widen::to_declared(v, self.field_prim(class, name));
         self.statics.borrow_mut().insert((class, name), v);
         Ok(())
+    }
+
+    /// The declared primitive type of the field `name` seen from `class`,
+    /// if it has one.
+    fn field_prim(&self, class: ClassId, name: Symbol) -> Option<PrimKind> {
+        let mut cur = Some(class);
+        while let Some(c) = cur {
+            let info = self.ct.info(c);
+            let info = info.borrow();
+            if let Some(f) = info.fields.iter().find(|f| f.name == name) {
+                return widen::prim_of_type(&f.ty);
+            }
+            cur = info.superclass;
+        }
+        None
     }
 
     // ---- invocation ---------------------------------------------------------
@@ -1356,35 +1374,12 @@ impl Interp {
     }
 
     pub(crate) fn cast(&self, v: Value, target: &Type, span: Span) -> Eval {
-        use maya_ast::PrimKind::*;
         match target {
+            // A number fails to convert only to `boolean`.
             Type::Prim(p) => {
-                let d = match &v {
-                    Value::Int(i) => *i as f64,
-                    Value::Long(l) => *l as f64,
-                    Value::Float(f) => *f as f64,
-                    Value::Double(d) => *d,
-                    Value::Char(c) => *c as u32 as f64,
-                    other => {
-                        return Err(Control::error(
-                            format!("cannot cast {other:?} to {target:?}"),
-                            span,
-                        ))
-                    }
-                };
-                Ok(match p {
-                    Byte => Value::Int(d as i64 as i8 as i32),
-                    Short => Value::Int(d as i64 as i16 as i32),
-                    Int => Value::Int(d as i64 as i32),
-                    Long => Value::Long(d as i64),
-                    Float => Value::Float(d as f32),
-                    Double => Value::Double(d),
-                    Char => Value::Char(
-                        char::from_u32((d as i64 as u32) & 0xFFFF).unwrap_or('\0'),
-                    ),
-                    Boolean => {
-                        return Err(Control::error("cannot cast to boolean", span));
-                    }
+                widen::convert(&v, *p).ok_or_else(|| match widen::convert(&v, PrimKind::Int) {
+                    Some(_) => Control::error("cannot cast to boolean", span),
+                    None => Control::error(format!("cannot cast {v:?} to {target:?}"), span),
                 })
             }
             _ => {
@@ -1568,7 +1563,8 @@ impl Interp {
 
     /// `arr[idx] = v`, shared by both tiers: throws like a read does —
     /// `ArrayIndexOutOfBoundsException` outside the array, and
-    /// `NullPointerException` on a `null` array.
+    /// `NullPointerException` on a `null` array. A primitive element type
+    /// converts `v` (see [`widen::to_declared`]).
     pub(crate) fn array_store(
         &self,
         arr: &Value,
@@ -1579,7 +1575,7 @@ impl Interp {
         match arr {
             Value::Array(a) => match a.data.borrow_mut().get_mut(idx as usize) {
                 Some(slot) => {
-                    *slot = v;
+                    *slot = widen::to_declared(v, widen::prim_of_type(&a.elem));
                     Ok(())
                 }
                 None => Err(self.throw_simple("java.lang.ArrayIndexOutOfBoundsException", span)),

@@ -16,6 +16,7 @@
 //! re-observed (epochs come from a process-wide counter), which keeps the
 //! scheme sound even when lowered bodies are shared across interpreters.
 
+use maya_ast::PrimKind;
 use maya_lexer::{sym, Symbol};
 use maya_types::{ClassId, ClassTable, CtorInfo, MethodInfo};
 use std::cell::{Cell, RefCell};
@@ -28,6 +29,9 @@ pub struct FieldLayout {
     pub class: ClassId,
     /// Slot `i` holds the field named `names[i]`.
     pub names: Vec<Symbol>,
+    /// Slot `i`'s declared primitive type, if it has one: a store into
+    /// the slot converts to it (see [`crate::Obj::set_slot`]).
+    pub prims: Vec<Option<PrimKind>>,
     offsets: HashMap<Symbol, u32>,
     /// Offset of the `message` field, pre-resolved because the exception
     /// machinery reads it on every `getMessage`/`toString`.
@@ -40,15 +44,18 @@ impl FieldLayout {
     pub fn of(ct: &ClassTable, class: ClassId) -> FieldLayout {
         let ordered = ct.fields_in_layout_order(class);
         let mut names = Vec::with_capacity(ordered.len());
+        let mut prims = Vec::with_capacity(ordered.len());
         let mut offsets = HashMap::with_capacity(ordered.len());
         for (i, (_, f)) in ordered.iter().enumerate() {
             names.push(f.name);
+            prims.push(crate::widen::prim_of_type(&f.ty));
             offsets.insert(f.name, i as u32);
         }
         let message = offsets.get(&sym("message")).copied();
         FieldLayout {
             class,
             names,
+            prims,
             offsets,
             message,
         }
@@ -59,6 +66,7 @@ impl FieldLayout {
         Rc::new(FieldLayout {
             class,
             names: Vec::new(),
+            prims: Vec::new(),
             offsets: HashMap::new(),
             message: None,
         })

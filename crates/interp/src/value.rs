@@ -153,7 +153,7 @@ impl Obj {
     /// Writes a field by name (declared slot first, then overflow).
     pub fn set(&self, name: Symbol, v: Value) {
         if let Some(off) = self.layout.offset(name) {
-            self.slots.borrow_mut()[off as usize] = v;
+            self.set_slot(off, v);
             return;
         }
         let mut extra = self.extra.borrow_mut();
@@ -169,8 +169,10 @@ impl Obj {
         self.slots.borrow()[off as usize].clone()
     }
 
-    /// Writes a declared slot directly.
+    /// Writes a declared slot directly, converted to the slot's declared
+    /// primitive type (see [`crate::widen::to_declared`]).
     pub fn set_slot(&self, off: u32, v: Value) {
+        let v = crate::widen::to_declared(v, self.layout.prims[off as usize]);
         self.slots.borrow_mut()[off as usize] = v;
     }
 

@@ -1,19 +1,26 @@
-//! Widening primitive conversion (JLS §5.1.2) where a value meets a
-//! declared type: a local variable's initializer, a simple assignment to a
-//! local, a `return`, and a parameter.
+//! Assignment conversion (JLS §5.2) where a value meets a declared type:
+//! widening primitive conversion (§5.1.2), and the narrowing of a constant
+//! into a `byte`, `short` or `char` that the checker admits.
 //!
-//! Both execution tiers decide a conversion from static types: the declared
-//! type at the site, and the type [`static_prim`] reads off the value's
-//! expression and the declared types of the locals it names. A site
-//! converts only when both are known, the value's type widens to the
-//! declared one, and their run-time representations differ ([`converts`]:
-//! `byte`, `short` and `int` share `Value::Int`). A parameter declared
-//! `long`, `float` or `double` converts on entry instead (the bytecode as a
-//! prologue, [`entry_prim`]): the argument's static type stays with the
-//! caller, but a narrower static type always means a narrower
-//! representation.
+//! At a local variable's initializer, a simple assignment to a local, a
+//! `return` and a parameter, both execution tiers decide a conversion from
+//! static types: the declared type at the site, and the type
+//! [`static_prim`] reads off the value's expression and the declared types
+//! of the locals it names. A site converts only when both are known and
+//! their run-time representations differ ([`converts`]: `byte`, `short`
+//! and `int` share `Value::Int`). A parameter declared `long`, `float` or
+//! `double` converts on entry instead (the bytecode as a prologue,
+//! [`entry_prim`]): the argument's static type stays with the caller, but
+//! a narrower static type always means a narrower representation.
+//!
+//! A store into a field or an array element converts by the declared type
+//! of the field (its [`crate::FieldLayout`] slot, or the class table for a
+//! static) or of the element ([`crate::ArrayObj::elem`]) alone
+//! ([`to_declared`]): the checker lets only those conversions reach a
+//! store, so a value in another representation is one of them.
 
 use crate::lower::name_of;
+use crate::Value;
 use maya_ast::{BinOp, Expr, ExprKind, Lit, PrimKind, TypeName, TypeNameKind, UnOp};
 use maya_lexer::Symbol;
 use maya_types::Type;
@@ -64,17 +71,62 @@ pub(crate) fn static_prim(e: &Expr, local: LocalPrim<'_>) -> Option<PrimKind> {
     }
 }
 
-/// True when a value of static type `from` needs converting to `to`: a
-/// widening primitive conversion that changes the representation.
+/// True when a value of static type `from` needs converting to `to`: an
+/// assignment conversion that changes the representation (a widening, or
+/// a checked constant's narrowing between `char` and `byte`/`short`/`int`).
 pub(crate) fn converts(from: PrimKind, to: PrimKind) -> bool {
     use PrimKind::*;
     matches!(
         (from, to),
-        (Char, Int | Long | Float | Double)
-            | (Byte | Short | Int, Long | Float | Double)
+        (Char, Byte | Short | Int | Long | Float | Double)
+            | (Byte | Short | Int, Char | Long | Float | Double)
             | (Long, Float | Double)
             | (Float, Double)
     )
+}
+
+/// `v` converted to the primitive `p` as a cast converts it, or `None`
+/// when `v` is no number or `p` is `boolean`.
+pub(crate) fn convert(v: &Value, p: PrimKind) -> Option<Value> {
+    use PrimKind::*;
+    let d = match v {
+        Value::Int(i) => *i as f64,
+        Value::Long(l) => *l as f64,
+        Value::Float(f) => *f as f64,
+        Value::Double(d) => *d,
+        Value::Char(c) => *c as u32 as f64,
+        _ => return None,
+    };
+    Some(match p {
+        Byte => Value::Int(d as i64 as i8 as i32),
+        Short => Value::Int(d as i64 as i16 as i32),
+        Int => Value::Int(d as i64 as i32),
+        Long => Value::Long(d as i64),
+        Float => Value::Float(d as f32),
+        Double => Value::Double(d),
+        Char => Value::Char(char::from_u32((d as i64 as u32) & 0xFFFF).unwrap_or('\0')),
+        Boolean => return None,
+    })
+}
+
+/// `v` in the run-time representation of a field or array element
+/// declared `to`: converted only when `to` is primitive and the
+/// representations differ. Values that are no number pass unchanged.
+pub(crate) fn to_declared(v: Value, to: Option<PrimKind>) -> Value {
+    use PrimKind::*;
+    let Some(to) = to else { return v };
+    let same = match &v {
+        Value::Int(_) => matches!(to, Byte | Short | Int),
+        Value::Char(_) => to == Char,
+        Value::Long(_) => to == Long,
+        Value::Float(_) => to == Float,
+        Value::Double(_) => to == Double,
+        _ => true,
+    };
+    if same {
+        return v;
+    }
+    convert(&v, to).unwrap_or(v)
 }
 
 /// The primitive a type name denotes, if it denotes one.

@@ -63,11 +63,6 @@ impl Fnv2 {
         self.u32(s.hi);
     }
 
-    /// The first stream alone (a 64-bit hash).
-    pub fn finish64(&self) -> u64 {
-        self.a
-    }
-
     /// Both streams, as one 128-bit hash.
     pub fn finish(&self) -> u128 {
         (u128::from(self.a) << 64) | u128::from(self.b)

@@ -10,7 +10,7 @@ use crate::{
 };
 use maya_ast::{
     BinOp, Expr, ExprKind, LazyNode, Lit, MethodName, Node, NodeKind, PrimKind, Stmt, StmtKind,
-    UnOp,
+    TypeNameKind, UnOp,
 };
 use maya_lexer::{Span, Symbol};
 
@@ -218,7 +218,7 @@ impl<'a> Checker<'a> {
                 self.require_lvalue(l)?;
                 match op {
                     None => {
-                        if !self.ct.is_assignable(&rt, &lt) {
+                        if !self.ct.is_assignable_value(r, &rt, &lt) {
                             return self.err(
                                 format!(
                                     "cannot assign {} to {}",
@@ -722,7 +722,7 @@ impl<'a> Checker<'a> {
                     }
                     if let Some(init) = &d.init {
                         let it = self.type_of_expr(init, scope)?;
-                        if !self.ct.is_assignable(&it, &ty) {
+                        if !self.ct.is_assignable_value(init, &it, &ty) {
                             return self.err(
                                 format!(
                                     "cannot initialize {} {} with {}",
@@ -818,7 +818,7 @@ impl<'a> Checker<'a> {
                     (Some(_), true) => self.err("void method returns a value", s.span),
                     (Some(v), false) => {
                         let vt = self.type_of_expr(v, scope)?;
-                        if self.ct.is_assignable(&vt, &expected) {
+                        if self.ct.is_assignable_value(v, &vt, &expected) {
                             Ok(())
                         } else {
                             self.err(
@@ -986,6 +986,74 @@ fn binary_promote(a: &Type, b: &Type) -> Type {
         3 => Type::Prim(Float),
         2 => Type::Prim(Long),
         _ => Type::int(),
+    }
+}
+
+/// JLS §5.2's narrowing of a constant: `value`, a constant expression of
+/// type `byte`, `short`, `char` or `int`, initializes or is assigned to a
+/// `byte`, `short` or `char` whose range holds its value.
+pub(crate) fn narrows_constant(value: &Expr, from: &Type, to: &Type) -> bool {
+    use PrimKind::*;
+    let (Type::Prim(Byte | Short | Char | Int), Type::Prim(to @ (Byte | Short | Char))) =
+        (from, to)
+    else {
+        return false;
+    };
+    match (int_constant(value), to) {
+        (Some(v), Byte) => i8::try_from(v).is_ok(),
+        (Some(v), Short) => i16::try_from(v).is_ok(),
+        (Some(v), Char) => u16::try_from(v).is_ok(),
+        _ => false,
+    }
+}
+
+/// The value of `e` when it is a constant expression of an integral type
+/// no wider than `int` (JLS §15.29, constant variables aside): `int` and
+/// `char` literals combined by unary and binary operators and casts to
+/// `byte`, `short`, `char` or `int`, in Java's `int` arithmetic.
+fn int_constant(e: &Expr) -> Option<i32> {
+    use BinOp::*;
+    match &e.kind {
+        ExprKind::Literal(Lit::Int(v)) => Some(*v),
+        ExprKind::Literal(Lit::Char(c)) => Some(*c as i32),
+        ExprKind::Unary(op, x) => {
+            let v = int_constant(x)?;
+            match op {
+                UnOp::Neg => Some(v.wrapping_neg()),
+                UnOp::Plus => Some(v),
+                UnOp::BitNot => Some(!v),
+                UnOp::Not => None,
+            }
+        }
+        ExprKind::Binary(op, l, r) => {
+            let (a, b) = (int_constant(l)?, int_constant(r)?);
+            match op {
+                Add => Some(a.wrapping_add(b)),
+                Sub => Some(a.wrapping_sub(b)),
+                Mul => Some(a.wrapping_mul(b)),
+                Div => (b != 0).then(|| a.wrapping_div(b)),
+                Rem => (b != 0).then(|| a.wrapping_rem(b)),
+                Shl => Some(a.wrapping_shl(b as u32)),
+                Shr => Some(a.wrapping_shr(b as u32)),
+                Ushr => Some((a as u32).wrapping_shr(b as u32) as i32),
+                BitAnd => Some(a & b),
+                BitOr => Some(a | b),
+                BitXor => Some(a ^ b),
+                Lt | Gt | Le | Ge | Eq | Ne | And | Or => None,
+            }
+        }
+        ExprKind::Cast(tn, x) => {
+            let v = int_constant(x)?;
+            match tn.kind {
+                TypeNameKind::Prim(PrimKind::Byte) => Some(i32::from(v as i8)),
+                TypeNameKind::Prim(PrimKind::Short) => Some(i32::from(v as i16)),
+                TypeNameKind::Prim(PrimKind::Char) => Some(i32::from(v as u16)),
+                TypeNameKind::Prim(PrimKind::Int) => Some(v),
+                _ => None,
+            }
+        }
+        ExprKind::Lazy(l) => int_constant(&Node::clone(&*l.forced_node()?).into_expr()?),
+        _ => None,
     }
 }
 

@@ -316,6 +316,15 @@ impl ClassTable {
         }
     }
 
+    /// Whether `value`, of type `from`, may initialize or be assigned to a
+    /// variable, field or element of type `to` (an assignment context,
+    /// JLS §5.2): [`ClassTable::is_assignable`], or the narrowing of a
+    /// constant expression into a `byte`, `short` or `char` that holds its
+    /// value.
+    pub fn is_assignable_value(&self, value: &Expr, from: &Type, to: &Type) -> bool {
+        self.is_assignable(from, to) || crate::check::narrows_constant(value, from, to)
+    }
+
     /// Finds a field by name, walking up the hierarchy.
     pub fn lookup_field(&self, id: ClassId, name: Symbol) -> Option<(ClassId, FieldInfo)> {
         let mut cur = Some(id);

@@ -51,8 +51,9 @@
 //! Performance flags (see README.md § Performance):
 //!
 //! * `--jobs=N` — lex independent source files on N worker threads
-//!   (default: available parallelism). Output, diagnostics, and their
-//!   order are identical for every N.
+//!   (default: available parallelism, looked up only when more than one
+//!   file needs lexing). Output, diagnostics, and their order are
+//!   identical for every N.
 //! * `--cache-dir=DIR` — the persistent compilation cache (see README.md
 //!   § Persistent compilation cache): LALR tables and whole-request
 //!   outcomes are stored under DIR keyed by content hash, so later
@@ -104,7 +105,8 @@ struct Cli {
     trace_out: Option<String>,
     /// Interpreter profiler: report the top N entries.
     profile_interp: Option<usize>,
-    /// Front-end worker threads; `None` = available parallelism.
+    /// Front-end worker threads; `None` = available parallelism, looked
+    /// up only when more than one file needs lexing.
     jobs: Option<usize>,
     /// Persistent artifact store directory (`--cache-dir`).
     cache_dir: Option<String>,
@@ -376,11 +378,6 @@ fn main() -> ExitCode {
     };
 
     install_store(&cli);
-    let jobs = cli.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
     let installer = Rc::new(|c: &Compiler| {
         maya::macrolib::install(c);
         maya::multijava::install(c);
@@ -388,7 +385,7 @@ fn main() -> ExitCode {
     let mut session = Session::new(
         CompileOptions {
             echo_output: false,
-            jobs,
+            jobs: cli.jobs.unwrap_or(0),
             ..CompileOptions::default()
         },
         Some(installer),

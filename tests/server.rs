@@ -797,34 +797,72 @@ fn stats_count_refusals_by_reason() {
 /// `mayad --cache-dir`: a daemon persists artifacts to the store, and a
 /// *restarted* daemon (fresh process, same cache directory) starts warm —
 /// its first request hydrates from the store, byte-identical to the cold
-/// run, with the `store_*` gauges showing the hits.
+/// run and with the cold run's file accounting, with the `store_*` gauges
+/// showing the hits.
 #[test]
 fn restarted_mayad_starts_warm_from_cache_dir() {
     let cache = std::env::temp_dir().join(format!("mayad-restart-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache);
     let flags = vec![format!("--cache-dir={}", cache.display())];
-    let src = r#"class Main { static void main() { System.out.println("warmth"); } }"#;
+    let sources = [
+        (
+            "warm.maya",
+            r#"class Main { static void main() { System.out.println(Word.it()); } }"#,
+        ),
+        (
+            "word.maya",
+            r#"class Word { static String it() { return "warmth"; } }"#,
+        ),
+    ];
+    let request = r#"{"files": ["warm.maya", "word.maya"]}"#;
+    let write_sources = |srv: &Mayad| {
+        for (name, src) in sources {
+            std::fs::write(srv.dir().join(name), src).unwrap();
+        }
+    };
+    let files_fields = |r: &Json| {
+        ["files_changed", "files_recompiled", "files_reused"].map(|f| {
+            r.get(f)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("no {f}: {r:?}"))
+        })
+    };
 
-    let cold = {
+    let (cold, cold_files) = {
         let srv = Mayad::start(&flags);
-        std::fs::write(srv.dir().join("warm.maya"), src).unwrap();
-        let r = srv.raw_request(r#"{"files": ["warm.maya"]}"#);
+        write_sources(&srv);
+        let r = srv.raw_request(request);
         assert!(ok(&r), "{r:?}");
         assert_eq!(r.get("success").and_then(Json::as_bool), Some(true));
-        r.get("stdout").and_then(Json::as_str).unwrap().to_owned()
+        (
+            r.get("stdout").and_then(Json::as_str).unwrap().to_owned(),
+            files_fields(&r),
+        )
         // Drop: clean shutdown; the artifacts must outlive the process.
     };
     assert_eq!(cold, "warmth\n");
+    assert_eq!(
+        cold_files,
+        [2, 2, 0],
+        "changed, recompiled, reused on a cold compile"
+    );
     let persisted = std::fs::read_dir(&cache).unwrap().count();
     assert!(persisted > 0, "the first daemon must leave artifacts behind");
 
-    // Same request (same file name and content, different cwd and
-    // process) against a restarted daemon: byte-identical, via the store.
+    // Same request (same file names and contents, different cwd and
+    // process) against a restarted daemon: byte-identical, via the store,
+    // and accounted as the compile it replays.
     let srv = Mayad::start(&flags);
-    std::fs::write(srv.dir().join("warm.maya"), src).unwrap();
-    let r = srv.raw_request(r#"{"files": ["warm.maya"]}"#);
+    write_sources(&srv);
+    let r = srv.raw_request(request);
     assert!(ok(&r), "{r:?}");
     assert_eq!(r.get("stdout").and_then(Json::as_str), Some(cold.as_str()));
+    assert_eq!(r.get("full_reuse").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        files_fields(&r),
+        cold_files,
+        "a store hit reports the cold compile's accounting"
+    );
 
     let stats = srv.raw_request(r#"{"cmd":"stats"}"#);
     let caches = stats.get("stats").unwrap().get("caches").unwrap();

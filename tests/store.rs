@@ -1,7 +1,9 @@
 //! The persistent compilation cache (`--cache-dir`): every artifact kind
 //! round-trips through real `mayac` processes, the base grammar's tables
-//! (compiled in) are never stored, an edited program misses only its
-//! outcome, corrupt, future-versioned and other-build entries are
+//! (compiled in) are never stored, an unedited program replays its
+//! outcome without lexing, an edited program (a same-length comment edit
+//! included) misses only its outcome, corrupt, future-versioned and
+//! other-build entries are
 //! silently rebuilt, `mayac cache stats|gc|clear` maintain the directory
 //! (deleting the retired `.lex` and `.body` kinds), and four concurrent
 //! processes can hammer one store without corrupting it or each other's
@@ -264,21 +266,18 @@ fn edited_program_against_a_warm_store_misses_only_its_outcome() {
     assert_eq!(warm.stdout, b"30\n");
 
     let doc = parse_json(&std::fs::read_to_string(&stats).unwrap()).unwrap();
-    let gauge = |cache: &str, field: &str| {
-        doc.get("caches")
-            .and_then(|c| c.get(cache))
-            .and_then(|c| c.get(field))
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("stats lack caches.{cache}.{field}"))
-    };
     assert_eq!(
-        gauge("store_outcome", "hits"),
+        gauge(&doc, "store_outcome", "hits"),
         0,
         "the edited program has a new outcome key"
     );
-    assert!(gauge("store_outcome", "misses") >= 1);
+    assert_eq!(
+        gauge(&doc, "store_outcome", "misses"),
+        1,
+        "a fresh process probes the store once, before lexing, and never again"
+    );
     assert!(
-        gauge("store_tables", "hits") >= 1,
+        gauge(&doc, "store_tables", "hits") >= 1,
         "its grammar's tables come from the store"
     );
 
@@ -288,6 +287,97 @@ fn edited_program_against_a_warm_store_misses_only_its_outcome() {
             "the store holds only tables and outcomes, found {name}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `mayac` run's exit code, stdout and stderr.
+type Run = (Option<i32>, Vec<u8>, Vec<u8>);
+
+/// Runs `mayac --cache-dir=CACHE --stats=STATS FILE`; returns the run and
+/// the stats document.
+fn run_mayac_stats(file: &Path, cache: &Path, stats: &Path) -> (Run, Json) {
+    let out = mayac()
+        .arg(format!("--cache-dir={}", cache.display()))
+        .arg(format!("--stats={}", stats.display()))
+        .arg(file)
+        .env_remove("MAYA_CACHE_DIR")
+        .output()
+        .unwrap();
+    let doc = parse_json(&std::fs::read_to_string(stats).unwrap()).unwrap();
+    ((out.status.code(), out.stdout, out.stderr), doc)
+}
+
+/// `caches.NAME.FIELD` of a stats document.
+fn gauge(doc: &Json, cache: &str, field: &str) -> u64 {
+    doc.get("caches")
+        .and_then(|c| c.get(cache))
+        .and_then(|c| c.get(field))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats lack caches.{cache}.{field}"))
+}
+
+/// `counters.NAME` of a stats document.
+fn counter(doc: &Json, name: &str) -> u64 {
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats lack counters.{name}"))
+}
+
+#[test]
+fn an_unedited_program_replays_its_outcome_without_lexing() {
+    let dir = scratch("prelex");
+    let cache = dir.join("cache");
+    let file = dir.join("extended.maya");
+    std::fs::write(&file, EXTENDED).unwrap();
+    let (cold, doc) = run_mayac_stats(&file, &cache, &dir.join("cold.json"));
+    assert!(counter(&doc, "tokens_lexed") > 0);
+    assert_eq!(gauge(&doc, "store_outcome", "misses"), 1);
+
+    let (warm, doc) = run_mayac_stats(&file, &cache, &dir.join("warm.json"));
+    assert_eq!(warm, cold, "a replayed outcome is byte-identical");
+    assert_eq!(
+        counter(&doc, "tokens_lexed"),
+        0,
+        "the outcome key needs no tokens, so a hit lexes nothing"
+    );
+    assert_eq!(gauge(&doc, "store_outcome", "hits"), 1);
+    assert_eq!(gauge(&doc, "store_outcome", "misses"), 0);
+    // The accounting a compile of the same request would report.
+    assert_eq!(counter(&doc, "incr_files_changed"), 1);
+    assert_eq!(counter(&doc, "incr_files_recompiled"), 1);
+    assert_eq!(counter(&doc, "incr_files_reused"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_same_length_comment_edit_misses_its_outcome_and_rebuilds_byte_identically() {
+    let dir = scratch("comment");
+    let cache = dir.join("cache");
+    let file = dir.join("extended.maya");
+    std::fs::write(&file, format!("// revision aaaa\n{EXTENDED}")).unwrap();
+    let (cold, _) = run_mayac_stats(&file, &cache, &dir.join("cold.json"));
+    assert_eq!(cold.1, b"30\n", "{}", String::from_utf8_lossy(&cold.2));
+
+    // Token-identical, byte-different: the outcome is keyed on raw bytes.
+    std::fs::write(&file, format!("// revision bbbb\n{EXTENDED}")).unwrap();
+    let (edited, doc) = run_mayac_stats(&file, &cache, &dir.join("edited.json"));
+    assert_eq!(gauge(&doc, "store_outcome", "hits"), 0);
+    assert_eq!(gauge(&doc, "store_outcome", "misses"), 1);
+    assert_eq!(
+        edited, cold,
+        "the rebuild prints what the first run printed"
+    );
+    let storeless = mayac()
+        .arg(&file)
+        .env_remove("MAYA_CACHE_DIR")
+        .output()
+        .unwrap();
+    assert_eq!(
+        (storeless.status.code(), storeless.stdout, storeless.stderr),
+        edited,
+        "and what a run without a store prints"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
