@@ -21,7 +21,9 @@
 //!   class + exact argument keys, MRU-front);
 //! - after `REFINE_EXECS` runs, [`refine`] copies the cold code and splices
 //!   tiny leaf callees (≤ `INLINE_MAX` instrs) in behind `GuardInline`
-//!   checks;
+//!   checks; a run of the cold code that takes `OSR_BACKEDGES` loop
+//!   back-edges refines the body early and switches to the copy in place
+//!   (on-stack replacement, through the copy's `cold_pcs` map);
 //! - `Break`/`Continue` surfacing from calls inside loop bodies are routed
 //!   through a static region table (`Region`) instead of unwinding.
 
@@ -49,6 +51,17 @@ pub(crate) const PIC_CAP: usize = 4;
 pub(crate) const REFINE_EXECS: u32 = 3;
 /// Max callee instruction count eligible for inline splicing.
 pub(crate) const INLINE_MAX: usize = 24;
+/// Backward jumps one run of a body's cold bytecode takes before it
+/// refines the body on-stack and switches to the copy. A body that runs
+/// once, like a `main`, never reaches `REFINE_EXECS`, so without this its
+/// loops would make a real call per iteration for their whole run. The
+/// count is high enough that a loop's call sites have settled (a site
+/// still filling splices nothing, or a receiver the loop stops using) and
+/// that short loops, which would not repay the refine, never switch (a
+/// loop of 10 iterations splices only through the regular refine), and
+/// low enough that a loop of a few hundred iterations spends most of
+/// them spliced.
+pub(crate) const OSR_BACKEDGES: u32 = 64;
 
 /// One bytecode instruction. All operand types are `Copy`.
 #[derive(Clone, Copy)]
@@ -81,7 +94,11 @@ pub(crate) enum Instr {
     /// dst = default value of ty-stack top (+`dims` array dims).
     DefaultVal { dst: u16, dims: u32 },
     TyPop,
-    Binary { op: BinOp, dst: u16, a: u16, b: u16, span: Span },
+    /// `to`: a compound assignment's local of that declared type, which
+    /// a result in a wider representation converts back to (JLS
+    /// §15.26.2); only operands other than two `int`s can make one, so
+    /// only the general path reads it. `None` for any other binary.
+    Binary { op: BinOp, dst: u16, a: u16, b: u16, to: Option<PrimKind>, span: Span },
     Unary { op: UnOp, dst: u16, src: u16, span: Span },
     /// dst = src incremented/decremented (pure value op, no store).
     IncDecVal { dst: u16, src: u16, delta: i32, span: Span },
@@ -411,6 +428,12 @@ pub(crate) struct BcBody {
     pub super_pcs: Vec<u32>,
     /// (guard pc, exit pc, method index) per inline splice (for disasm).
     pub inlined: Vec<(u32, u32, u16)>,
+    /// A refined copy's pc map: pc `i` of the cold body landed at
+    /// `cold_pcs[i]` (a spliced call at its guard). An on-stack switch
+    /// resumes the running frame there; empty in a cold body.
+    pub cold_pcs: Vec<u32>,
+    /// Made by an on-stack switch rather than after `REFINE_EXECS` runs.
+    pub on_stack: bool,
 }
 
 impl BcBody {
@@ -1124,7 +1147,7 @@ impl<'a> Emit<'a> {
                         let delta = if *op == IncDecOp::Inc { 1 } else { -1 };
                         let pc = self.emit(Instr::IncLocal { slot, delta, span: e.span });
                         self.bc.super_pcs.push(pc);
-                        Ok(())
+                        self.narrow_for(slot, slot, e.span)
                     }
                     (_, write) => {
                         let t = self.alloc_temp()?;
@@ -1148,9 +1171,10 @@ impl<'a> Emit<'a> {
                     (Some(op), Some(LowKind::Local(rs)), Place::Local(slot)) if *rs == slot => {
                         let (b, _) = self.operand(r, false)?;
                         let (op, span) = (*op, e.span);
-                        let pc = self.emit(Instr::Binary { op, dst: slot, a: slot, b, span });
+                        let to = self.slot_prims[slot as usize];
+                        let pc = self.emit(Instr::Binary { op, dst: slot, a: slot, b, to, span });
                         self.bc.super_pcs.push(pc);
-                        Ok(())
+                        self.narrow_for(slot, slot, span)
                     }
                     (_, _, write) => {
                         let t = self.alloc_temp()?;
@@ -1367,7 +1391,8 @@ impl<'a> Emit<'a> {
                         let hazard_l = self.writes_locals(r);
                         let (a, da) = self.operand(l, hazard_l)?;
                         let (b, db) = self.operand(r, false)?;
-                        let pc = self.emit(Instr::Binary { op: *op, dst, a, b, span });
+                        let pc =
+                            self.emit(Instr::Binary { op: *op, dst, a, b, to: None, span });
                         // Superinstruction forms: both operands direct
                         // (load+load+op) or store-fused into a local slot.
                         if (da && db) || dst < self.bc.n_locals {
@@ -1439,6 +1464,7 @@ impl<'a> Emit<'a> {
             let (r, _) = self.operand_low(read, false)?;
             let t_new = self.alloc_temp()?;
             self.emit(Instr::IncDecVal { dst: t_new, src: r, delta, span });
+            self.narrow_for_place(t_new, &write, span)?;
             self.store(write, t_new)?;
             self.emit(Instr::Move { dst, src: t_new });
         } else {
@@ -1447,10 +1473,39 @@ impl<'a> Emit<'a> {
             self.low_into(t_old, read)?;
             let t_new = self.alloc_temp()?;
             self.emit(Instr::IncDecVal { dst: t_new, src: t_old, delta, span });
+            self.narrow_for_place(t_new, &write, span)?;
             self.store(write, t_new)?;
             self.emit(Instr::Move { dst, src: t_old });
         }
         Ok(())
+    }
+
+    /// Casts `reg`, the result of a compound assignment or `++`/`--` about
+    /// to be stored into the local `slot`, back to a `byte` or `short`
+    /// slot's type (JLS §15.26.2, §15.14.2). Their values share `int`'s
+    /// representation, so nothing else narrows them; every other local
+    /// keeps its representation through `++`/`--` and through a binary's
+    /// `to`. A field or an array element narrows as the store converts.
+    fn narrow_for(&mut self, reg: u16, slot: u16, span: Span) -> Result<(), Unlowerable> {
+        let to = self.slot_prims[slot as usize];
+        if let Some(to @ (PrimKind::Byte | PrimKind::Short)) = to {
+            let ty = self.ty_slot(&TypeName::prim(to))?;
+            self.emit(Instr::CastV { dst: reg, src: reg, ty, span });
+        }
+        Ok(())
+    }
+
+    /// [`Emit::narrow_for`] when `place` is a local.
+    fn narrow_for_place(
+        &mut self,
+        reg: u16,
+        place: &Place<'a>,
+        span: Span,
+    ) -> Result<(), Unlowerable> {
+        match *place {
+            Place::Local(slot) => self.narrow_for(reg, slot, span),
+            _ => Ok(()),
+        }
     }
 
     /// `l = value` or `l op= value`: the walker evaluates the value, then
@@ -1473,7 +1528,12 @@ impl<'a> Emit<'a> {
             (Some(op), Some(read)) => {
                 let (lv, _) = self.operand_low(read, false)?;
                 let t = self.alloc_temp()?;
-                self.emit(Instr::Binary { op, dst: t, a: lv, b: rv, span });
+                let to = match write {
+                    Place::Local(slot) => self.slot_prims[slot as usize],
+                    _ => None,
+                };
+                self.emit(Instr::Binary { op, dst: t, a: lv, b: rv, to, span });
+                self.narrow_for_place(t, &write, span)?;
                 self.store(write, t)?;
                 self.emit(Instr::Move { dst, src: t });
             }
@@ -1823,12 +1883,31 @@ impl BcBody {
     }
 }
 
-/// The refine pass: a copy of `cold` in which every `CallRecv` or
-/// `CallImplicit` whose PIC line was filled monomorphically under `epoch`,
-/// with a callee that passes [`inline_ok`], runs the callee's cold code in
-/// place behind a `GuardInline` (see [`BcBody::splice`]).  Caller and
-/// callee code are copied by the same [`relocate`]; the caller keeps its
-/// registers and side-table indices, and one pc map moves its jump
+/// What the refine pass splices in place of `ins`, an instruction of
+/// `cold`: a `CallRecv` or `CallImplicit` whose PIC line was filled
+/// monomorphically under `epoch`, with a callee that passes [`inline_ok`].
+fn splice_snapshot(cold: &BcBody, ins: Instr, epoch: u64) -> Option<(PicEntry, Rc<BcBody>)> {
+    match ins {
+        Instr::CallRecv { site, n, .. } | Instr::CallImplicit { site, n, .. } => cold.sites
+            [site as usize]
+            .mono_snapshot(epoch)
+            .filter(|(_, callee)| inline_ok(callee, usize::from(n))),
+        _ => None,
+    }
+}
+
+/// True iff [`refine`] would splice at least one call of `cold` now.
+pub(crate) fn splices_any(cold: &BcBody, epoch: u64) -> bool {
+    cold.code
+        .iter()
+        .any(|&ins| splice_snapshot(cold, ins, epoch).is_some())
+}
+
+/// The refine pass: a copy of `cold` in which every call that
+/// [`splice_snapshot`] admits runs the callee's cold code in place behind
+/// a `GuardInline` (see [`BcBody::splice`]).  Caller and callee code are
+/// copied by the same [`relocate`]; the caller keeps its registers and
+/// side-table indices, and one pc map, kept as `cold_pcs`, moves its jump
 /// targets, regions, hot pairs and superinstructions past the splices.
 /// The copy shares the cold body's call sites, so warmed cache lines carry
 /// over.
@@ -1847,14 +1926,7 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<BcBody, Unlowerable> {
     let mut ty_depth = 0;
     for &ins in &cold.code {
         pcs.push(bc.pc());
-        let snap = match ins {
-            Instr::CallRecv { site, n, .. } | Instr::CallImplicit { site, n, .. } => cold.sites
-                [site as usize]
-                .mono_snapshot(epoch)
-                .filter(|(_, callee)| inline_ok(callee, usize::from(n))),
-            _ => None,
-        };
-        match snap {
+        match splice_snapshot(cold, ins, epoch) {
             Some(snap) => bc.splice(ins, snap, epoch, ty_depth as u16, &mut null)?,
             None => {
                 bc.push(relocate(ins, |r| r, b));
@@ -1864,6 +1936,7 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<BcBody, Unlowerable> {
     }
     pcs.push(bc.pc());
     bc.remap(cold, &pcs, 0, 0);
+    bc.cold_pcs = pcs;
     if let Some(r) = null {
         bc.preloads.push((r, Value::Null));
     }
@@ -1890,6 +1963,9 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
         bc.sites.len(),
         bc.super_pcs.len(),
     );
+    if bc.on_stack {
+        let _ = writeln!(out, "refined on-stack: a cold run switched here at a loop back-edge");
+    }
     for &(guard_pc, exit_pc, m) in &bc.inlined {
         let (mi, c) = &bc.methods[m as usize];
         let cname = ct.info(*c).borrow().fqcn;

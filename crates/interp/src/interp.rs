@@ -109,6 +109,14 @@ impl Frame {
         Some(self.prims.get(at).and_then(|p| p.get(&name)).copied())
     }
 
+    /// The declared primitive type of `place` when it names a local of
+    /// one (fields and array elements convert as they are stored).
+    fn place_prim(&self, place: &Expr) -> Option<PrimKind> {
+        crate::lower::name_of(place)
+            .and_then(|n| self.local_prim(n))
+            .flatten()
+    }
+
     /// The primitive static type of `e` in this frame.
     fn static_prim(&self, e: &Expr) -> Option<PrimKind> {
         widen::static_prim(e, &|name| self.local_prim(name))
@@ -1229,26 +1237,23 @@ impl Interp {
                     Value::Long(v) => Value::Long(v.wrapping_add(delta as i64)),
                     Value::Double(v) => Value::Double(v + delta as f64),
                     Value::Float(v) => Value::Float(v + delta as f32),
-                    Value::Char(c) => Value::Int(c as i32 + delta),
+                    Value::Char(c) => widen::char_add(c, delta),
                     other => {
                         return Err(Control::error(format!("cannot ++/-- {other:?}"), e.span))
                     }
                 };
+                let new = widen::to_declared(new, frame.place_prim(x));
                 self.assign_to(x, new.clone(), frame)?;
                 Ok(if *prefix { new } else { old })
             }
             ExprKind::Assign(op, l, r) => {
                 let rv = self.eval(r, frame)?;
                 let value = match op {
-                    None => {
-                        let to = crate::lower::name_of(l)
-                            .and_then(|n| frame.local_prim(n))
-                            .flatten();
-                        self.widen(rv, r, to, frame)?
-                    }
+                    None => self.widen(rv, r, frame.place_prim(l), frame)?,
                     Some(binop) => {
                         let lv = self.eval(l, frame)?;
-                        self.binary_values(*binop, &lv, &rv, e.span)?
+                        let v = self.binary_values(*binop, &lv, &rv, e.span)?;
+                        widen::to_declared(v, frame.place_prim(l))
                     }
                 };
                 self.assign_to(l, value.clone(), frame)?;

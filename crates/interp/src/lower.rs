@@ -61,6 +61,11 @@ use std::rc::Rc;
 /// first run under a new epoch drops a refined body that holds splices,
 /// the body runs cold, and it is refined again after `REFINE_EXECS` runs
 /// under the new epoch.
+///
+/// A run of the cold code that loops long enough refines the body early,
+/// on-stack (see `Interp::refine_on_stack`). That copy is provisional: it
+/// leaves the run count alone, so the regular refine still replaces it
+/// after `REFINE_EXECS` runs, from PIC lines that have seen those runs.
 pub struct LoweredBody {
     /// Never changes.
     cold: Rc<BcBody>,
@@ -120,6 +125,12 @@ impl LoweredBody {
 
     pub(crate) fn set_refined(&self, bc: Rc<BcBody>) {
         self.refined.replace(Some(bc));
+    }
+
+    /// True while the body has no refined copy: every run since the epoch
+    /// last outdated one has run the cold code.
+    pub(crate) fn unrefined(&self) -> bool {
+        self.refined.borrow().is_none()
     }
 }
 

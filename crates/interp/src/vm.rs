@@ -16,7 +16,10 @@
 //! callees are additionally *spliced inline* by the refine pass, which
 //! rewrites a copy of the body's cold bytecode; the [`Instr::GuardInline`]
 //! handler re-validates the snapshot (epoch, the class the call dispatches
-//! on, argument keys) and falls back to the generic call on mismatch.
+//! on, argument keys) and falls back to the generic call on mismatch. A
+//! run of the cold code that loops [`bytecode::OSR_BACKEDGES`] times
+//! refines its body at the back-edge and continues in the copy (see
+//! [`Interp::refine_on_stack`]).
 //!
 //! The arms finish the common cases in the loop itself — `int` arithmetic
 //! and compares, `int` increments, a step under its limit — and hand every
@@ -26,6 +29,7 @@ use crate::bytecode::{self, ArgKey, BcBody, FieldSite, InlineGuard, Instr, PolyS
 use crate::interp::{int_binary, Control, Eval, Interp};
 use crate::lower::{class_key, LoweredBody};
 use crate::value::Value;
+use crate::widen;
 use maya_ast::LazyNode;
 use maya_lexer::{Span, Symbol};
 use maya_telemetry::Counter;
@@ -61,7 +65,7 @@ fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
         Value::Long(v) => Value::Long(v.wrapping_add(delta as i64)),
         Value::Double(v) => Value::Double(v + delta as f64),
         Value::Float(v) => Value::Float(v + delta as f32),
-        Value::Char(c) => Value::Int(*c as i32 + delta),
+        Value::Char(c) => widen::char_add(*c, delta),
         other => return Err(Control::error(format!("cannot ++/-- {other:?}"), span)),
     })
 }
@@ -90,6 +94,39 @@ impl Interp {
             // A refine failure keeps the (working) cold bytecode.
             Err(_) => Rc::clone(lb.cold()),
         }
+    }
+
+    /// The on-stack refine at a backward jump to `target` of a run of
+    /// `lb`'s cold code: a copy that splices at least one call becomes the
+    /// body's current bytecode, the frame's registers grow to the copy's
+    /// (with its preloads), and the running frame continues in the copy at
+    /// the pc `target` maps to. `None` when another activation refined the
+    /// body meanwhile (this one keeps running cold) or when nothing would
+    /// splice, which makes no copy. Out of line: the dispatch loop only
+    /// counts down to it.
+    #[cold]
+    #[inline(never)]
+    fn refine_on_stack(
+        &self,
+        lb: &LoweredBody,
+        regs: &mut Vec<Value>,
+        target: u32,
+    ) -> Option<(Rc<BcBody>, u32)> {
+        let epoch = self.caches.sync(&self.ct);
+        if !lb.unrefined() || !bytecode::splices_any(lb.cold(), epoch) {
+            return None;
+        }
+        let mut bc = bytecode::refine(lb.cold(), epoch).ok()?;
+        bc.on_stack = true;
+        let bc = Rc::new(bc);
+        lb.set_refined(Rc::clone(&bc));
+        maya_telemetry::count(Counter::BcOsrSwitches);
+        regs.resize(bc.n_regs as usize, Value::Null);
+        for (r, v) in &bc.preloads {
+            regs[*r as usize] = v.clone();
+        }
+        let pc = bc.cold_pcs[target as usize];
+        Some((bc, pc))
     }
 
     /// Disassembly of `body`'s bytecode for `mayac --dump-bytecode`.
@@ -272,6 +309,14 @@ impl Interp {
     /// the register file (locals first, then temporaries, then preloaded
     /// constants); the buffer comes from — and returns to — the frame pool
     /// that call sites draw their argument vectors from.
+    ///
+    /// A run of the cold code counts its backward jumps; at the
+    /// [`bytecode::OSR_BACKEDGES`]th it tries [`Interp::refine_on_stack`]
+    /// once and, given a copy, continues in it at the jump's target. The
+    /// switch keeps every live value where it is: the copy keeps the cold
+    /// register layout and adds registers above it, maps each cold pc
+    /// through `cold_pcs`, and has the same static type-stack depth at a
+    /// mapped pc, outside every splice (inline depth 0).
     pub(crate) fn exec_lowered(
         &self,
         lb: &LoweredBody,
@@ -279,12 +324,19 @@ impl Interp {
         class: ClassId,
         mut regs: Vec<Value>,
     ) -> Eval {
-        let bc = &*self.bytecode_for(lb);
-        regs.truncate(bc.n_params as usize);
-        regs.resize(bc.n_regs as usize, Value::Null);
-        for (r, v) in &bc.preloads {
+        let mut cur = self.bytecode_for(lb);
+        regs.truncate(cur.n_params as usize);
+        regs.resize(cur.n_regs as usize, Value::Null);
+        for (r, v) in &cur.preloads {
             regs[*r as usize] = v.clone();
         }
+        // Back-edges left before the on-stack refine; 0 once it is tried,
+        // and for a run of refined code, which never tries one.
+        let mut osr_in = if Rc::ptr_eq(&cur, lb.cold()) {
+            bytecode::OSR_BACKEDGES
+        } else {
+            0
+        };
         let profiled = self.profile.get();
         let cls = Some(class);
         // Type stack for New/NewArray/Decl sequences (balanced by compile).
@@ -301,8 +353,9 @@ impl Interp {
                 match $r {
                     Ok(v) => v,
                     Err(c) => {
-                        match self.route_control(bc, pc, c, &mut tys, &mut inline_depth, profiled)
-                        {
+                        let route =
+                            self.route_control(&cur, pc, c, &mut tys, &mut inline_depth, profiled);
+                        match route {
                             // Unlabeled on purpose: every tryc! use site
                             // sits directly in the 'run loop (labels are
                             // hygienic in macros and can't be named here).
@@ -320,7 +373,29 @@ impl Interp {
             };
         }
 
+        // Take the jump to `target`; a backward one may first switch the
+        // frame to an on-stack refined copy (see above).
+        macro_rules! jump {
+            ($target:expr) => {{
+                let target = $target;
+                if target <= pc && osr_in > 0 {
+                    osr_in -= 1;
+                    if osr_in == 0 {
+                        if let Some((copy, at)) = self.refine_on_stack(lb, &mut regs, target) {
+                            cur = copy;
+                            pc = at;
+                            continue;
+                        }
+                    }
+                }
+                pc = target;
+                // Unlabeled for the reason given in `tryc!`.
+                continue;
+            }};
+        }
+
         'run: loop {
+            let bc: &BcBody = &cur;
             let ins = bc.code[pc as usize];
             if profiled {
                 maya_telemetry::prof_opcode(ins.mnemonic());
@@ -491,7 +566,7 @@ impl Interp {
                 Instr::TyPop => {
                     tys.pop();
                 }
-                Instr::Binary { op, dst, a, b, span } => {
+                Instr::Binary { op, dst, a, b, to, span } => {
                     let v = match (&regs[a as usize], &regs[b as usize]) {
                         (Value::Int(x), Value::Int(y)) => int_binary(op, *x, *y),
                         _ => None,
@@ -500,7 +575,7 @@ impl Interp {
                         Some(v) => v,
                         None => {
                             let (x, y) = (&regs[a as usize], &regs[b as usize]);
-                            tryc!(self.binary_l_values(op, x, y, span))
+                            widen::to_declared(tryc!(self.binary_l_values(op, x, y, span)), to)
                         }
                     };
                 }
@@ -532,10 +607,7 @@ impl Interp {
                     regs[dst as usize] =
                         Value::Bool(self.value_instanceof(&regs[src as usize], &target));
                 }
-                Instr::Jmp { target } => {
-                    pc = target;
-                    continue 'run;
-                }
+                Instr::Jmp { target } => jump!(target),
                 Instr::JmpIfFalse { src, target, span } => {
                     let b = match &regs[src as usize] {
                         Value::Bool(b) => *b,
@@ -548,8 +620,7 @@ impl Interp {
                         }
                     };
                     if !b {
-                        pc = target;
-                        continue 'run;
+                        jump!(target);
                     }
                 }
                 Instr::JmpIfTrue { src, target, span } => {
@@ -564,8 +635,7 @@ impl Interp {
                         }
                     };
                     if b {
-                        pc = target;
-                        continue 'run;
+                        jump!(target);
                     }
                 }
                 Instr::JmpIfCmp { op, a, b, when, target, span } => {
@@ -591,8 +661,7 @@ impl Interp {
                         }
                     };
                     if t == when {
-                        pc = target;
-                        continue 'run;
+                        jump!(target);
                     }
                 }
                 Instr::Step { span } => {

@@ -18,6 +18,15 @@
 //! static) or of the element ([`crate::ArrayObj::elem`]) alone
 //! ([`to_declared`]): the checker lets only those conversions reach a
 //! store, so a value in another representation is one of them.
+//!
+//! A compound assignment or `++`/`--` stores its promoted result cast back
+//! to the variable's type (JLS §15.26.2, §15.14.2). A field or an array
+//! element narrows through the same [`to_declared`], which also truncates
+//! an `int` stored into a `byte` or `short` (a simple store's value is in
+//! range already). A local narrows by its declared type: both tiers pass
+//! the result through [`to_declared`] (the bytecode in a binary's general
+//! path, plus a `cast` for `byte` and `short`), and `++`/`--` keep a
+//! `char` a `char` ([`char_add`]).
 
 use crate::lower::name_of;
 use crate::Value;
@@ -109,24 +118,28 @@ pub(crate) fn convert(v: &Value, p: PrimKind) -> Option<Value> {
     })
 }
 
-/// `v` in the run-time representation of a field or array element
-/// declared `to`: converted only when `to` is primitive and the
-/// representations differ. Values that are no number pass unchanged.
+/// `v` in the run-time representation of a variable declared `to`:
+/// converted when `to` is primitive and the representations differ, and
+/// an `int` truncated to a `byte` or `short`. Values that are no number
+/// pass unchanged.
 pub(crate) fn to_declared(v: Value, to: Option<PrimKind>) -> Value {
     use PrimKind::*;
     let Some(to) = to else { return v };
-    let same = match &v {
-        Value::Int(_) => matches!(to, Byte | Short | Int),
-        Value::Char(_) => to == Char,
-        Value::Long(_) => to == Long,
-        Value::Float(_) => to == Float,
-        Value::Double(_) => to == Double,
-        _ => true,
-    };
-    if same {
-        return v;
+    match (&v, to) {
+        (Value::Int(i), Byte) => Value::Int(*i as i8 as i32),
+        (Value::Int(i), Short) => Value::Int(*i as i16 as i32),
+        (Value::Int(_), Int)
+        | (Value::Char(_), Char)
+        | (Value::Long(_), Long)
+        | (Value::Float(_), Float)
+        | (Value::Double(_), Double) => v,
+        _ => convert(&v, to).unwrap_or(v),
     }
-    convert(&v, to).unwrap_or(v)
+}
+
+/// `c + delta` as `++`/`--` leave a `char`: a `char`, wrapping at 16 bits.
+pub(crate) fn char_add(c: char, delta: i32) -> Value {
+    convert(&Value::Int(c as i32 + delta), PrimKind::Char).expect("an int converts to char")
 }
 
 /// The primitive a type name denotes, if it denotes one.

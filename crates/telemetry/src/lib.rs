@@ -271,11 +271,15 @@ pub enum Counter {
     /// Splice guards that failed and fell back to the generic call (which
     /// then counts its own PIC hit or miss).
     BcInlineFallbacks,
+    /// Activations that switched from a body's cold bytecode to a refined
+    /// copy at a loop back-edge (on-stack replacement); each copy also
+    /// counts as a `BcCompiled`.
+    BcOsrSwitches,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 47] = [
+    pub const ALL: [Counter; 48] = [
         Counter::TokensLexed,
         Counter::TokenTreesBuilt,
         Counter::FilesLexed,
@@ -323,6 +327,7 @@ impl Counter {
         Counter::PicEvictions,
         Counter::BcInlineEntries,
         Counter::BcInlineFallbacks,
+        Counter::BcOsrSwitches,
     ];
 
     /// Stable snake_case name (the JSON key).
@@ -375,6 +380,7 @@ impl Counter {
             Counter::PicEvictions => "pic_evictions",
             Counter::BcInlineEntries => "bc_inline_entries",
             Counter::BcInlineFallbacks => "bc_inline_fallbacks",
+            Counter::BcOsrSwitches => "bc_osr_switches",
         }
     }
 

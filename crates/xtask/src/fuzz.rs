@@ -581,6 +581,8 @@ fn check_derivations(
 /// hot-helper statement in [`VALID_STMTS`], `twice` and `fold` splice
 /// the field getter `get` (as an implicit call and with a receiver) and
 /// the static leaf `leaf` (from an instance and from a static frame).
+/// `FuzzHotter` overrides `get`, for the statement whose loop switches
+/// `main` to its refined copy on-stack and then changes the receiver.
 const HOT_HELPER: &str = "class FuzzHot {
     int v;
     FuzzHot(int v) { this.v = v; }
@@ -588,6 +590,10 @@ const HOT_HELPER: &str = "class FuzzHot {
     static int leaf(int x) { return x * 3 + 1; }
     int twice(int k) { return get() + leaf(k); }
     static int fold(FuzzHot h, int k) { return h.get() - leaf(k); }
+}
+class FuzzHotter extends FuzzHot {
+    FuzzHotter(int v) { this.v = v; }
+    int get() { return v + 7; }
 }
 ";
 
@@ -606,6 +612,11 @@ const VALID_STMTS: &[&str] = &[
     "{ int c = a; a = b; b = c; }",
     "if (s != null) { System.out.println(\"ok\"); }",
     "{ FuzzHot h = new FuzzHot(a); for (int i = 0; i < 6; i = i + 1) { b = b + h.twice(i) + FuzzHot.fold(h, b); } }",
+    // Past the on-stack refine's 64 back-edges with `get` spliced, then
+    // a receiver of the subclass fails the splice's guard; the second
+    // takes its back-edges by a `do` loop's conditional jump.
+    "{ FuzzHot h = new FuzzHot(a); for (int i = 0; i < 90; i = i + 1) { if (i == 75) { h = new FuzzHotter(b); } b = b + h.get() * i; } }",
+    "{ FuzzHot h = new FuzzHotter(b); int i = 0; do { i = i + 1; if (i % 9 == 0) { continue; } a = a + h.get() % 5; } while (i < 80); }",
 ];
 
 /// Raw fragments spliced in by the corruption pass.
@@ -1134,6 +1145,9 @@ struct Stats {
     fault_runs: usize,
     table_runs: usize,
     table_mismatches: usize,
+    /// Cases in which some run switched a frame to an on-stack refined
+    /// copy.
+    osr_cases: usize,
 }
 
 pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
@@ -1360,6 +1374,9 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
         // Coverage: keep the case as a seed iff it lit a new
         // (counter, magnitude) pair.
         let report = t.finish();
+        if report.counter(Counter::BcOsrSwitches) > 0 {
+            stats.osr_cases += 1;
+        }
         let mut new_pair = false;
         for p in coverage_pairs(&report) {
             if seen_pairs.insert(p) {
@@ -1426,6 +1443,10 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
         stats.fault_runs,
         stats.table_runs,
         stats.table_mismatches
+    );
+    println!(
+        "xtask fuzz: {} cases switched a frame to an on-stack refined copy",
+        stats.osr_cases
     );
     println!(
         "xtask fuzz: {} escaped panics, {} divergences ({} induced), {} unminimized; \
@@ -1520,6 +1541,7 @@ fn render_report(
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"escaped_panics\": {},", s.escaped_panics);
     let _ = writeln!(out, "  \"table_mismatches\": {},", s.table_mismatches);
+    let _ = writeln!(out, "  \"osr_cases\": {},", s.osr_cases);
     let _ = writeln!(out, "  \"divergences\": {},", reports.len());
     let _ = writeln!(
         out,

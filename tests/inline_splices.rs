@@ -294,3 +294,264 @@ fn hot_calls_program_splices_both_weighted_bodies() {
     assert!(counter("bc_inline_entries") > 19_000, "{stats}");
     assert_eq!(counter("bc_inline_fallbacks"), 0, "{stats}");
 }
+
+// ---- on-stack switches ---------------------------------------------------
+//
+// A run of a body's cold bytecode that takes `OSR_BACKEDGES` (64) loop
+// back-edges refines the body and continues in the copy. Each test below
+// runs its program on both tiers: the outputs (or error texts) must be
+// identical, and the bytecode run's counters are pinned.
+
+/// What one run of a program produced on the bytecode tier.
+struct Switched {
+    /// The program's output, or the error's message and source text.
+    out: Result<String, String>,
+    /// (splice entries, guard fallbacks, on-stack switches).
+    counts: (u64, u64, u64),
+}
+
+/// Runs `src` on the bytecode tier and on the walker with `options()`;
+/// asserts that both tiers print (or fail) identically.
+fn switched(src: &str, options: impl Fn() -> CompileOptions) -> Switched {
+    let run = |lowering: bool| {
+        let c = Compiler::with_options(options());
+        c.interp().set_lowering(lowering);
+        c.compile_and_run("Main.maya", src, "Main").map_err(|e| {
+            let at = &src[e.span.lo as usize..e.span.hi as usize];
+            format!("{e} at `{at}`")
+        })
+    };
+    let t = telemetry::Session::start(telemetry::Config::default());
+    let out = run(true);
+    let r = t.finish();
+    assert_eq!(out, run(false), "the tiers differ");
+    Switched {
+        out,
+        counts: (
+            r.counter(Counter::BcInlineEntries),
+            r.counter(Counter::BcInlineFallbacks),
+            r.counter(Counter::BcOsrSwitches),
+        ),
+    }
+}
+
+#[test]
+fn a_once_run_main_loop_splices_its_leaf_on_stack() {
+    // `main` runs once, so the regular refine never sees it. Its loop
+    // switches at the 64th back-edge, after iteration 63: the other 936
+    // calls enter the splice.
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return x * 3 + 1; }
+            static void main() {
+                int s = 0;
+                for (int i = 0; i < 1000; i++) { s = s + leaf(i); }
+                System.out.println(s);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("1499500\n"));
+    assert_eq!(run.counts, (936, 0, 1));
+}
+
+#[test]
+fn break_continue_and_a_class_typed_declaration_in_a_switched_loop() {
+    // Every iteration but the last takes one back-edge (`continue` is one
+    // too), so the loop switches after i = 64. Of i = 65..300, the 203
+    // that are no multiple of 7 enter two splices each: `leaf` inside
+    // `new P(..)` of a class-typed declaration, and `p.get()`.
+    let run = switched(
+        r#"
+        class P {
+            int v;
+            P(int v) { this.v = v; }
+            int get() { return v; }
+        }
+        class Main {
+            static int leaf(int x) { return x + 1; }
+            static void main() {
+                int s = 0;
+                int i = 0;
+                while (true) {
+                    i++;
+                    if (i % 7 == 0) { continue; }
+                    P p = new P(leaf(i));
+                    s = s + p.get();
+                    if (i >= 300) { break; }
+                }
+                System.out.println(s + " " + i);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("39087 300\n"));
+    assert_eq!(run.counts, (406, 0, 1));
+}
+
+#[test]
+fn a_receiver_class_change_after_the_switch_falls_back_until_the_regular_refine() {
+    // Run 1 of `run` switches after i = 63 with `A.f` spliced: i = 64..99
+    // enter it, and from i = 100 the `B` receiver fails the guard. Runs 2
+    // and 3 start in that provisional copy (100 entries, 50 fallbacks
+    // each); run 4's regular refine sees the site bimorphic and drops the
+    // splice, so runs 4 and 5 count neither.
+    let run = switched(
+        r#"
+        class A { int f() { return 1; } }
+        class B extends A { int f() { return 2; } }
+        class Main {
+            static int run(A a, A b, int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) {
+                    A x = a;
+                    if (i >= 100) { x = b; }
+                    s = s + x.f();
+                }
+                return s;
+            }
+            static void main() {
+                A a = new A();
+                A b = new B();
+                int t = 0;
+                for (int r = 0; r < 5; r++) { t = t + run(a, b, 150); }
+                System.out.println(t);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("1000\n"));
+    assert_eq!(run.counts, (236, 150, 1));
+}
+
+#[test]
+fn a_step_limit_inside_a_switched_loop_fails_like_the_walker() {
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return x + 1; }
+            static void main() {
+                int s = 0;
+                for (int i = 0; i < 100000; i++) { s = s + leaf(i); }
+                System.out.println(s);
+            }
+        }
+        "#,
+        || CompileOptions {
+            interp_step_limit: 1000,
+            ..CompileOptions::default()
+        },
+    );
+    let err = run.out.expect_err("the step limit stops the loop");
+    assert!(err.contains("step limit (1000) exceeded"), "{err}");
+    // The limit falls past the switch, in iteration ~330.
+    assert_eq!(run.counts.2, 1);
+    assert!(run.counts.0 > 200, "{:?}", run.counts);
+}
+
+#[test]
+fn a_stack_limit_at_a_splice_of_a_switched_loop_fails_like_the_walker() {
+    // `loop(10, 0)` fills the `leaf` site; `loop(100, 70)`, reached at the
+    // stack limit, switches at its 64th back-edge, and its first call, at
+    // i = 70, is the spliced one whose frame would pass the limit.
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return x + 1; }
+            static int loop(int n, int from) {
+                int s = 0;
+                for (int i = 0; i < n; i++) {
+                    if (i >= from) { s = s + leaf(i); }
+                }
+                return s;
+            }
+            static int down(int d) {
+                if (d == 0) { return loop(100, 70); }
+                return down(d - 1);
+            }
+            static void main() {
+                System.out.println(loop(10, 0));
+                System.out.println(down(17));
+            }
+        }
+        "#,
+        || CompileOptions {
+            interp_stack_limit: 20,
+            ..CompileOptions::default()
+        },
+    );
+    let err = run.out.expect_err("the stack limit stops the spliced call");
+    assert_eq!(err, "stack overflow (call depth > 20) at `leaf(i)`");
+    // The guard passes (a PIC hit, as on the generic path) before the
+    // callee frame's entry fails.
+    assert_eq!(run.counts, (1, 0, 1));
+}
+
+#[test]
+fn an_exception_from_a_splice_after_the_switch_reaches_a_walker_try() {
+    // `main` holds a `try`, so it runs on the walker. `run` switches after
+    // i = 63 and its spliced `leaf` divides by zero at i = 500; after the
+    // catch, the call depth the splice entered is credited back, and a
+    // second `run` finishes on the refined copy.
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return 1000 / (x - 500); }
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) { s = s + leaf(i); }
+                return s;
+            }
+            static void main() {
+                int r = 0;
+                try {
+                    r = run(1000);
+                } catch (ArithmeticException e) {
+                    System.out.println("caught");
+                }
+                System.out.println(r + " " + run(100));
+            }
+        }
+        "#,
+        || CompileOptions {
+            interp_stack_limit: 4,
+            ..CompileOptions::default()
+        },
+    );
+    assert_eq!(run.out.as_deref(), Ok("caught\n0 -200\n"));
+    // 437 entries (i = 64..500, the last one throwing) in the first run,
+    // 100 in the second, which starts in the copy.
+    assert_eq!(run.counts, (537, 0, 1));
+}
+
+#[test]
+fn a_recursive_body_switches_its_inner_activation_only() {
+    // The outer `rec` calls the inner one at i = 5; the inner one switches
+    // after i = 63 and installs the copy, so the outer one, still running
+    // the cold code when it reaches its own 64th back-edge, keeps doing so.
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return x * 2; }
+            static int rec(int depth, int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) {
+                    s = s + leaf(i);
+                    if (depth == 0 && i == 5) { s = s + rec(1, 100); }
+                }
+                return s;
+            }
+            static void main() {
+                System.out.println(rec(0, 100));
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("19800\n"));
+    assert_eq!(run.counts, (36, 0, 1));
+}
