@@ -23,7 +23,7 @@
 //!   tiny leaf callees (≤ `INLINE_MAX` instrs) in behind `GuardInline`
 //!   checks; a run of the cold code that takes `OSR_BACKEDGES` loop
 //!   back-edges refines the body early and switches to the copy in place
-//!   (on-stack replacement, through the copy's `cold_pcs` map);
+//!   (on-stack replacement, through `refine`'s cold→copy pc map);
 //! - `Break`/`Continue` surfacing from calls inside loop bodies are routed
 //!   through a static region table (`Region`) instead of unwinding.
 
@@ -73,13 +73,18 @@ pub(crate) enum Instr {
     /// and class of the callee frame that `guard` stands in for (its
     /// receiver register, or the caller's `this` for an implicit call).
     EnvLoadAt { dst: u16, guard: u16, name: Symbol, site: u16, span: Span },
-    EnvStore { src: u16, name: Symbol, span: Span },
+    /// `keep`, here and on `FieldSet` and `ArrSet`: after the store, the
+    /// stored register holds the value as stored, converted to the
+    /// place's type. Set for a compound assignment or prefix `++`/`--`,
+    /// whose value is the variable's after the store (JLS §15.26.2,
+    /// §15.15.1); the register is then the temporary with the result.
+    EnvStore { src: u16, name: Symbol, keep: bool, span: Span },
     ClassRef { dst: u16, fqcn: Symbol, span: Span },
     FieldGet { dst: u16, obj: u16, name: Symbol, site: u16, span: Span },
-    FieldSet { obj: u16, val: u16, name: Symbol, span: Span },
+    FieldSet { obj: u16, val: u16, name: Symbol, keep: bool, span: Span },
     /// `spans` indexes `BcBody::span_pairs` -> (expr span, index span).
     ArrGet { dst: u16, arr: u16, idx: u16, spans: u16 },
-    ArrSet { arr: u16, idx: u16, val: u16, spans: u16 },
+    ArrSet { arr: u16, idx: u16, val: u16, spans: u16, keep: bool },
     /// Resolve + class-check the constructed type; push it on the ty stack.
     NewClass { ty: u16, span: Span },
     /// Pop the ty stack and construct with args at regs[base..base+n].
@@ -428,10 +433,6 @@ pub(crate) struct BcBody {
     pub super_pcs: Vec<u32>,
     /// (guard pc, exit pc, method index) per inline splice (for disasm).
     pub inlined: Vec<(u32, u32, u16)>,
-    /// A refined copy's pc map: pc `i` of the cold body landed at
-    /// `cold_pcs[i]` (a spliced call at its guard). An on-stack switch
-    /// resumes the running frame there; empty in a cold body.
-    pub cold_pcs: Vec<u32>,
     /// Made by an on-stack switch rather than after `REFINE_EXECS` runs.
     pub on_stack: bool,
 }
@@ -1246,7 +1247,9 @@ impl<'a> Emit<'a> {
 
     /// Store an already-computed value into an assignment target (target
     /// subexpressions evaluate *after* the value, matching walker order).
-    fn store(&mut self, t: Place<'a>, val: u16) -> Result<(), Unlowerable> {
+    /// `keep`: `val` is a temporary that should hold the value as stored
+    /// (see [`Instr::EnvStore`]); a local is narrowed before its store.
+    fn store(&mut self, t: Place<'a>, val: u16, keep: bool) -> Result<(), Unlowerable> {
         match t {
             Place::Local(dst) => {
                 if dst != val {
@@ -1254,15 +1257,15 @@ impl<'a> Emit<'a> {
                 }
             }
             Place::Env(name, span) => {
-                self.emit(Instr::EnvStore { src: val, name, span });
+                self.emit(Instr::EnvStore { src: val, name, keep, span });
             }
             Place::Field(target, name, span) => {
                 let (obj, _) = self.operand(target, false)?;
-                self.emit(Instr::FieldSet { obj, val, name, span });
+                self.emit(Instr::FieldSet { obj, val, name, keep, span });
             }
             Place::Array(arr, idx, span) => {
                 let (arr, idx, spans) = self.array_operands(arr, idx, span)?;
-                self.emit(Instr::ArrSet { arr, idx, val, spans });
+                self.emit(Instr::ArrSet { arr, idx, val, spans, keep });
             }
             Place::Invalid(span) => {
                 self.emit(Instr::RaiseInvalidAssign { span });
@@ -1465,7 +1468,7 @@ impl<'a> Emit<'a> {
             let t_new = self.alloc_temp()?;
             self.emit(Instr::IncDecVal { dst: t_new, src: r, delta, span });
             self.narrow_for_place(t_new, &write, span)?;
-            self.store(write, t_new)?;
+            self.store(write, t_new, true)?;
             self.emit(Instr::Move { dst, src: t_new });
         } else {
             // Postfix must copy the old value before the store.
@@ -1474,21 +1477,22 @@ impl<'a> Emit<'a> {
             let t_new = self.alloc_temp()?;
             self.emit(Instr::IncDecVal { dst: t_new, src: t_old, delta, span });
             self.narrow_for_place(t_new, &write, span)?;
-            self.store(write, t_new)?;
+            self.store(write, t_new, false)?;
             self.emit(Instr::Move { dst, src: t_old });
         }
         Ok(())
     }
 
     /// Casts `reg`, the result of a compound assignment or `++`/`--` about
-    /// to be stored into the local `slot`, back to a `byte` or `short`
-    /// slot's type (JLS §15.26.2, §15.14.2). Their values share `int`'s
-    /// representation, so nothing else narrows them; every other local
-    /// keeps its representation through `++`/`--` and through a binary's
-    /// `to`. A field or an array element narrows as the store converts.
+    /// to be stored into the local `slot`, back to a `byte`, `short` or
+    /// `char` slot's type (JLS §15.26.2, §15.14.2). `++`/`--` and the
+    /// `int` fast path of a binary leave an `int` for them; every other
+    /// local keeps its representation through `++`/`--` and is converted
+    /// by a binary's `to`. A field or an array element narrows as the
+    /// store converts (see [`Instr::EnvStore`]'s `keep`).
     fn narrow_for(&mut self, reg: u16, slot: u16, span: Span) -> Result<(), Unlowerable> {
         let to = self.slot_prims[slot as usize];
-        if let Some(to @ (PrimKind::Byte | PrimKind::Short)) = to {
+        if let Some(to @ (PrimKind::Byte | PrimKind::Short | PrimKind::Char)) = to {
             let ty = self.ty_slot(&TypeName::prim(to))?;
             self.emit(Instr::CastV { dst: reg, src: reg, ty, span });
         }
@@ -1534,7 +1538,7 @@ impl<'a> Emit<'a> {
                 };
                 self.emit(Instr::Binary { op, dst: t, a: lv, b: rv, to, span });
                 self.narrow_for_place(t, &write, span)?;
-                self.store(write, t)?;
+                self.store(write, t, true)?;
                 self.emit(Instr::Move { dst, src: t });
             }
             _ => {
@@ -1555,7 +1559,7 @@ impl<'a> Emit<'a> {
                     }
                     _ => rv,
                 };
-                self.store(write, rv)?;
+                self.store(write, rv, false)?;
                 if dst != rv {
                     self.emit(Instr::Move { dst, src: rv });
                 }
@@ -1850,8 +1854,10 @@ impl BcBody {
             let copy = match ins {
                 // The guard proved the receiver register holds an object of
                 // the expected class, so the callee's `this` is exactly
-                // that register; an implicit call passes the caller's own
-                // `this` (none in a static frame, with the same error).
+                // that register (a class reference only reaches a static
+                // callee, which reads no `this`); an implicit call passes
+                // the caller's own `this` (none in a static frame, with
+                // the same error).
                 Instr::LoadThis { dst: d, span } => match recv {
                     Some(r) => Instr::Move { dst: rb(d), src: r },
                     None => Instr::LoadThis { dst: rb(d), span },
@@ -1907,11 +1913,14 @@ pub(crate) fn splices_any(cold: &BcBody, epoch: u64) -> bool {
 /// [`splice_snapshot`] admits runs the callee's cold code in place behind
 /// a `GuardInline` (see [`BcBody::splice`]).  Caller and callee code are
 /// copied by the same [`relocate`]; the caller keeps its registers and
-/// side-table indices, and one pc map, kept as `cold_pcs`, moves its jump
-/// targets, regions, hot pairs and superinstructions past the splices.
-/// The copy shares the cold body's call sites, so warmed cache lines carry
-/// over.
-pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<BcBody, Unlowerable> {
+/// side-table indices, and one pc map moves its jump targets, regions, hot
+/// pairs and superinstructions past the splices.  The copy shares the cold
+/// body's call sites, so warmed cache lines carry over.
+///
+/// Returns the copy with that map: pc `i` of `cold` lands at `pcs[i]` of
+/// the copy (a spliced call at its guard), where an on-stack switch
+/// resumes a frame that was running `cold`.
+pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<(BcBody, Vec<u32>), Unlowerable> {
     let mut bc = BcBody {
         n_params: cold.n_params,
         n_locals: cold.n_locals,
@@ -1936,13 +1945,12 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<BcBody, Unlowerable> {
     }
     pcs.push(bc.pc());
     bc.remap(cold, &pcs, 0, 0);
-    bc.cold_pcs = pcs;
     if let Some(r) = null {
         bc.preloads.push((r, Value::Null));
     }
     telemetry::count(Counter::BcCompiled);
     telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
-    Ok(bc)
+    Ok((bc, pcs))
 }
 
 // ---- disassembler ------------------------------------------------------------
@@ -1987,14 +1995,18 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
                 let cname = ct.info(g.class).borrow().fqcn;
                 format!("r{dst}, {name} of {this} in {cname} [fs{site}]")
             }
-            Instr::EnvStore { src, name, .. } => format!("{name}, r{src}"),
+            Instr::EnvStore { src, name, keep, .. } => format!("{name}, r{src}{}", kept(keep)),
             Instr::ClassRef { dst, fqcn, .. } => format!("r{dst}, {fqcn}"),
             Instr::FieldGet { dst, obj, name, site, .. } => {
                 format!("r{dst}, r{obj}.{name} [fs{site}]")
             }
-            Instr::FieldSet { obj, val, name, .. } => format!("r{obj}.{name}, r{val}"),
+            Instr::FieldSet { obj, val, name, keep, .. } => {
+                format!("r{obj}.{name}, r{val}{}", kept(keep))
+            }
             Instr::ArrGet { dst, arr, idx, .. } => format!("r{dst}, r{arr}[r{idx}]"),
-            Instr::ArrSet { arr, idx, val, .. } => format!("r{arr}[r{idx}], r{val}"),
+            Instr::ArrSet { arr, idx, val, keep, .. } => {
+                format!("r{arr}[r{idx}], r{val}{}", kept(keep))
+            }
             Instr::NewClass { ty, .. } => format!("ty{ty}"),
             Instr::NewFinish { dst, base, n, .. } => format!("r{dst}, r{base}..+{n}"),
             Instr::TyElem { ty, extra_dims, .. } => format!("ty{ty}, dims+{extra_dims}"),
@@ -2057,4 +2069,14 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
         let _ = writeln!(out, "  {pc:4}  {:<18} {body}{sup}", ins.mnemonic());
     }
     out
+}
+
+/// A store's `keep` mark in a listing: the stored register takes the
+/// value as stored.
+fn kept(keep: bool) -> &'static str {
+    if keep {
+        " (kept)"
+    } else {
+        ""
+    }
 }

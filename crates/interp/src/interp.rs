@@ -447,12 +447,12 @@ impl Interp {
     }
 
     /// Writes a static field, converted to its declared primitive type
-    /// (see [`widen::to_declared`]).
-    pub fn set_static_field(&self, class: ClassId, name: Symbol, v: Value) -> Result<(), Control> {
+    /// (see [`widen::to_declared`]); returns the value stored.
+    pub fn set_static_field(&self, class: ClassId, name: Symbol, v: Value) -> Eval {
         self.ensure_init(class)?;
         let v = widen::to_declared(v, self.field_prim(class, name));
-        self.statics.borrow_mut().insert((class, name), v);
-        Ok(())
+        self.statics.borrow_mut().insert((class, name), v.clone());
+        Ok(v)
     }
 
     /// The declared primitive type of the field `name` seen from `class`,
@@ -1237,27 +1237,31 @@ impl Interp {
                     Value::Long(v) => Value::Long(v.wrapping_add(delta as i64)),
                     Value::Double(v) => Value::Double(v + delta as f64),
                     Value::Float(v) => Value::Float(v + delta as f32),
-                    Value::Char(c) => widen::char_add(c, delta),
+                    Value::Char(c) => Value::Int(c as i32 + delta),
                     other => {
                         return Err(Control::error(format!("cannot ++/-- {other:?}"), e.span))
                     }
                 };
                 let new = widen::to_declared(new, frame.place_prim(x));
-                self.assign_to(x, new.clone(), frame)?;
-                Ok(if *prefix { new } else { old })
+                let stored = self.assign_to(x, new, frame)?;
+                Ok(if *prefix { stored } else { old })
             }
             ExprKind::Assign(op, l, r) => {
                 let rv = self.eval(r, frame)?;
-                let value = match op {
-                    None => self.widen(rv, r, frame.place_prim(l), frame)?,
+                match op {
+                    None => {
+                        let value = self.widen(rv, r, frame.place_prim(l), frame)?;
+                        self.assign_to(l, value.clone(), frame)?;
+                        Ok(value)
+                    }
+                    // The value is the variable's after the store, which
+                    // narrows to its type (JLS §15.26.2).
                     Some(binop) => {
                         let lv = self.eval(l, frame)?;
                         let v = self.binary_values(*binop, &lv, &rv, e.span)?;
-                        widen::to_declared(v, frame.place_prim(l))
+                        self.assign_to(l, widen::to_declared(v, frame.place_prim(l)), frame)
                     }
-                };
-                self.assign_to(l, value.clone(), frame)?;
-                Ok(value)
+                }
             }
             ExprKind::Cond(c, t, f) => {
                 if self.truthy(c, frame)? {
@@ -1473,16 +1477,15 @@ impl Interp {
     }
 
     /// Writes `obj.name`: an instance field, or the static field an
-    /// instance qualifier names.
-    pub(crate) fn set_obj_field(&self, obj: &Obj, name: Symbol, v: Value) -> Result<(), Control> {
+    /// instance qualifier names; returns the value stored.
+    pub(crate) fn set_obj_field(&self, obj: &Obj, name: Symbol, v: Value) -> Eval {
         match obj.layout.offset(name) {
-            Some(off) => obj.set_slot(off, v),
+            Some(off) => Ok(obj.set_slot(off, v)),
             None => match self.static_owner(obj.class, name) {
-                Some(owner) => return self.set_static_field(owner, name, v),
-                None => obj.set(name, v),
+                Some(owner) => self.set_static_field(owner, name, v),
+                None => Ok(obj.set(name, v)),
             },
         }
-        Ok(())
     }
 
     /// The class declaring `name` when, seen from `class`, it is a static
@@ -1539,23 +1542,15 @@ impl Interp {
         }
     }
 
-    fn assign_to(&self, target: &Expr, v: Value, frame: &mut Frame) -> Result<(), Control> {
+    /// Stores `v` into `target`; returns the value stored, which a field or
+    /// an array element converts to its declared type.
+    fn assign_to(&self, target: &Expr, v: Value, frame: &mut Frame) -> Eval {
         match &target.kind {
             ExprKind::Name(id) => self.assign_name(id.sym, v, frame, target.span),
             ExprKind::VarRef(name) => self.assign_name(*name, v, frame, target.span),
             ExprKind::FieldAccess(t, name) => {
                 let tv = self.eval(t, frame)?;
-                match tv {
-                    Value::Object(obj) => self.set_obj_field(&obj, name.sym, v),
-                    Value::ClassRef(c) => self.set_static_field(c, name.sym, v),
-                    Value::Null => {
-                        Err(self.throw_simple("java.lang.NullPointerException", target.span))
-                    }
-                    other => Err(Control::error(
-                        format!("cannot assign field of {other:?}"),
-                        target.span,
-                    )),
-                }
+                self.field_store(&tv, name.sym, v, target.span)
             }
             ExprKind::ArrayAccess(a, i) => {
                 let arr = self.eval(a, frame)?;
@@ -1566,22 +1561,27 @@ impl Interp {
         }
     }
 
+    /// `target.name = v`, shared by both tiers: an object's field or a
+    /// class's static field; returns the value stored.
+    pub(crate) fn field_store(&self, target: &Value, name: Symbol, v: Value, span: Span) -> Eval {
+        match target {
+            Value::Object(obj) => self.set_obj_field(obj, name, v),
+            Value::ClassRef(c) => self.set_static_field(*c, name, v),
+            Value::Null => Err(self.throw_simple("java.lang.NullPointerException", span)),
+            other => Err(Control::error(format!("cannot assign field of {other:?}"), span)),
+        }
+    }
+
     /// `arr[idx] = v`, shared by both tiers: throws like a read does —
     /// `ArrayIndexOutOfBoundsException` outside the array, and
     /// `NullPointerException` on a `null` array. A primitive element type
-    /// converts `v` (see [`widen::to_declared`]).
-    pub(crate) fn array_store(
-        &self,
-        arr: &Value,
-        idx: i32,
-        v: Value,
-        span: Span,
-    ) -> Result<(), Control> {
+    /// converts `v` (see [`widen::to_declared`]); returns the value stored.
+    pub(crate) fn array_store(&self, arr: &Value, idx: i32, v: Value, span: Span) -> Eval {
         match arr {
             Value::Array(a) => match a.data.borrow_mut().get_mut(idx as usize) {
                 Some(slot) => {
                     *slot = widen::to_declared(v, widen::prim_of_type(&a.elem));
-                    Ok(())
+                    Ok(slot.clone())
                 }
                 None => Err(self.throw_simple("java.lang.ArrayIndexOutOfBoundsException", span)),
             },
@@ -1590,21 +1590,16 @@ impl Interp {
         }
     }
 
-    fn assign_name(
-        &self,
-        name: Symbol,
-        v: Value,
-        frame: &mut Frame,
-        span: Span,
-    ) -> Result<(), Control> {
+    fn assign_name(&self, name: Symbol, v: Value, frame: &mut Frame, span: Span) -> Eval {
         if frame.assign(name, v.clone()) {
-            return Ok(());
+            return Ok(v);
         }
         self.env_assign_name(name, v, frame.this.as_ref(), frame.class, span)
     }
 
     /// The environment tail of name assignment (after locals): `this`
-    /// field, then static field.  Shared by both execution tiers.
+    /// field, then static field.  Shared by both execution tiers; returns
+    /// the value stored.
     pub(crate) fn env_assign_name(
         &self,
         name: Symbol,
@@ -1612,11 +1607,10 @@ impl Interp {
         this: Option<&Value>,
         class: Option<ClassId>,
         span: Span,
-    ) -> Result<(), Control> {
+    ) -> Eval {
         if let Some(Value::Object(obj)) = this {
             if obj.get(name).is_some() {
-                obj.set(name, v);
-                return Ok(());
+                return Ok(obj.set(name, v));
             }
         }
         if let Some(owner) = class.and_then(|c| self.static_owner(c, name)) {

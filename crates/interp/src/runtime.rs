@@ -714,7 +714,7 @@ fn make_exception(i: &Interp, fqcn: Symbol, message: Option<Value>) -> Eval {
     match obj.layout.message {
         Some(off) => obj.set_slot(off, msg),
         None => obj.set(sym("message"), msg),
-    }
+    };
     Ok(Value::Object(obj.into()))
 }
 

@@ -150,18 +150,19 @@ impl Obj {
             .map(|(_, v)| v.clone())
     }
 
-    /// Writes a field by name (declared slot first, then overflow).
-    pub fn set(&self, name: Symbol, v: Value) {
+    /// Writes a field by name (declared slot first, then overflow);
+    /// returns the value stored.
+    pub fn set(&self, name: Symbol, v: Value) -> Value {
         if let Some(off) = self.layout.offset(name) {
-            self.set_slot(off, v);
-            return;
+            return self.set_slot(off, v);
         }
         let mut extra = self.extra.borrow_mut();
         if let Some(slot) = extra.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = v;
+            slot.1 = v.clone();
         } else {
-            extra.push((name, v));
+            extra.push((name, v.clone()));
         }
+        v
     }
 
     /// Reads a declared slot directly (offset from the layout).
@@ -170,10 +171,12 @@ impl Obj {
     }
 
     /// Writes a declared slot directly, converted to the slot's declared
-    /// primitive type (see [`crate::widen::to_declared`]).
-    pub fn set_slot(&self, off: u32, v: Value) {
+    /// primitive type (see [`crate::widen::to_declared`]); returns the
+    /// value stored.
+    pub fn set_slot(&self, off: u32, v: Value) -> Value {
         let v = crate::widen::to_declared(v, self.layout.prims[off as usize]);
-        self.slots.borrow_mut()[off as usize] = v;
+        self.slots.borrow_mut()[off as usize] = v.clone();
+        v
     }
 
     /// The `message` field through its pre-resolved offset (exceptions).

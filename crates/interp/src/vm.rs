@@ -65,7 +65,7 @@ fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
         Value::Long(v) => Value::Long(v.wrapping_add(delta as i64)),
         Value::Double(v) => Value::Double(v + delta as f64),
         Value::Float(v) => Value::Float(v + delta as f32),
-        Value::Char(c) => widen::char_add(*c, delta),
+        Value::Char(c) => Value::Int(*c as i32 + delta),
         other => return Err(Control::error(format!("cannot ++/-- {other:?}"), span)),
     })
 }
@@ -86,7 +86,7 @@ impl Interp {
             return lb.current();
         }
         match bytecode::refine(lb.cold(), epoch) {
-            Ok(bc) => {
+            Ok((bc, _)) => {
                 let bc = Rc::new(bc);
                 lb.set_refined(Rc::clone(&bc));
                 bc
@@ -116,7 +116,7 @@ impl Interp {
         if !lb.unrefined() || !bytecode::splices_any(lb.cold(), epoch) {
             return None;
         }
-        let mut bc = bytecode::refine(lb.cold(), epoch).ok()?;
+        let (mut bc, pcs) = bytecode::refine(lb.cold(), epoch).ok()?;
         bc.on_stack = true;
         let bc = Rc::new(bc);
         lb.set_refined(Rc::clone(&bc));
@@ -125,8 +125,7 @@ impl Interp {
         for (r, v) in &bc.preloads {
             regs[*r as usize] = v.clone();
         }
-        let pc = bc.cold_pcs[target as usize];
-        Some((bc, pc))
+        Some((bc, pcs[target as usize]))
     }
 
     /// Disassembly of `body`'s bytecode for `mayac --dump-bytecode`.
@@ -314,9 +313,10 @@ impl Interp {
     /// [`bytecode::OSR_BACKEDGES`]th it tries [`Interp::refine_on_stack`]
     /// once and, given a copy, continues in it at the jump's target. The
     /// switch keeps every live value where it is: the copy keeps the cold
-    /// register layout and adds registers above it, maps each cold pc
-    /// through `cold_pcs`, and has the same static type-stack depth at a
-    /// mapped pc, outside every splice (inline depth 0).
+    /// register layout and adds registers above it, the pc map `refine`
+    /// returns sends each cold pc to its place in the copy, and a mapped
+    /// pc has the same static type-stack depth and lies outside every
+    /// splice (inline depth 0).
     pub(crate) fn exec_lowered(
         &self,
         lb: &LoweredBody,
@@ -431,9 +431,12 @@ impl Interp {
                     let r = self.env_load(fs, name, splice_this(g, &regs, &this), g.class, span);
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::EnvStore { src, name, span } => {
+                Instr::EnvStore { src, name, keep, span } => {
                     let v = regs[src as usize].clone();
-                    tryc!(self.env_assign_name(name, v, this.as_ref(), cls, span));
+                    let stored = tryc!(self.env_assign_name(name, v, this.as_ref(), cls, span));
+                    if keep {
+                        regs[src as usize] = stored;
+                    }
                 }
                 Instr::ClassRef { dst, fqcn, span } => {
                     let r = self
@@ -460,23 +463,12 @@ impl Interp {
                     };
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::FieldSet { obj, val, name, span } => {
-                    let r = match regs[obj as usize].clone() {
-                        Value::Object(o) => {
-                            self.set_obj_field(&o, name, regs[val as usize].clone())
-                        }
-                        Value::ClassRef(c) => {
-                            self.set_static_field(c, name, regs[val as usize].clone())
-                        }
-                        Value::Null => {
-                            Err(self.throw_simple("java.lang.NullPointerException", span))
-                        }
-                        other => Err(Control::error(
-                            format!("cannot assign field of {other:?}"),
-                            span,
-                        )),
-                    };
-                    tryc!(r);
+                Instr::FieldSet { obj, val, name, keep, span } => {
+                    let v = regs[val as usize].clone();
+                    let stored = tryc!(self.field_store(&regs[obj as usize], name, v, span));
+                    if keep {
+                        regs[val as usize] = stored;
+                    }
                 }
                 Instr::ArrGet { dst, arr, idx, spans } => {
                     let (espan, ispan) = bc.span_pairs[spans as usize];
@@ -501,7 +493,7 @@ impl Interp {
                         });
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::ArrSet { arr, idx, val, spans } => {
+                Instr::ArrSet { arr, idx, val, spans, keep } => {
                     let (espan, ispan) = bc.span_pairs[spans as usize];
                     let r = self
                         .int_of(regs[idx as usize].clone(), ispan)
@@ -509,7 +501,10 @@ impl Interp {
                             let v = regs[val as usize].clone();
                             self.array_store(&regs[arr as usize], i, v, espan)
                         });
-                    tryc!(r);
+                    let stored = tryc!(r);
+                    if keep {
+                        regs[val as usize] = stored;
+                    }
                 }
                 Instr::NewClass { ty, span } => {
                     let r = self
@@ -759,12 +754,16 @@ impl Interp {
                 Instr::GuardInline { guard, fallback } => {
                     let g = &bc.guards[guard as usize];
                     // The class the generic call would dispatch on: the
-                    // receiver object's, or — with no receiver and no
-                    // `this` — the static frame's own.  A static frame's
-                    // class is initialized before its body runs, so the
-                    // generic path's `ensure_init` is a no-op there.
+                    // receiver object's, the class a qualified static call
+                    // names (`Main.f(x)`), or — with no receiver and no
+                    // `this` — the static frame's own.  The generic path's
+                    // `ensure_init` is a no-op for the last two: a static
+                    // frame's class is initialized before its body runs,
+                    // and a named class before the call that filled the
+                    // PIC line the guard was built from.
                     let dispatch = match splice_this(g, &regs, &this) {
                         Some(Value::Object(o)) => Some(o.class),
+                        Some(Value::ClassRef(c)) => Some(*c),
                         Some(_) => None,
                         None => Some(class),
                     };

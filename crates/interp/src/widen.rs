@@ -20,13 +20,14 @@
 //! store, so a value in another representation is one of them.
 //!
 //! A compound assignment or `++`/`--` stores its promoted result cast back
-//! to the variable's type (JLS §15.26.2, §15.14.2). A field or an array
-//! element narrows through the same [`to_declared`], which also truncates
-//! an `int` stored into a `byte` or `short` (a simple store's value is in
-//! range already). A local narrows by its declared type: both tiers pass
-//! the result through [`to_declared`] (the bytecode in a binary's general
-//! path, plus a `cast` for `byte` and `short`), and `++`/`--` keep a
-//! `char` a `char` ([`char_add`]).
+//! to the variable's type (JLS §15.26.2, §15.14.2), and that stored value
+//! is the expression's. A field or an array element narrows through the
+//! same [`to_declared`], which also truncates an `int` stored into a
+//! `byte` or `short` (a simple store's value is in range already), and
+//! the store hands the converted value back. A local narrows by its
+//! declared type: both tiers pass the result through [`to_declared`]
+//! (the bytecode in a binary's general path, plus a `cast` for `byte`,
+//! `short` and `char`, which `++`/`--` promote to `int`).
 
 use crate::lower::name_of;
 use crate::Value;
@@ -135,11 +136,6 @@ pub(crate) fn to_declared(v: Value, to: Option<PrimKind>) -> Value {
         | (Value::Double(_), Double) => v,
         _ => convert(&v, to).unwrap_or(v),
     }
-}
-
-/// `c + delta` as `++`/`--` leave a `char`: a `char`, wrapping at 16 bits.
-pub(crate) fn char_add(c: char, delta: i32) -> Value {
-    convert(&Value::Int(c as i32 + delta), PrimKind::Char).expect("an int converts to char")
 }
 
 /// The primitive a type name denotes, if it denotes one.

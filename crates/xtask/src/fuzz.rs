@@ -617,6 +617,10 @@ const VALID_STMTS: &[&str] = &[
     // takes its back-edges by a `do` loop's conditional jump.
     "{ FuzzHot h = new FuzzHot(a); for (int i = 0; i < 90; i = i + 1) { if (i == 75) { h = new FuzzHotter(b); } b = b + h.get() * i; } }",
     "{ FuzzHot h = new FuzzHotter(b); int i = 0; do { i = i + 1; if (i % 9 == 0) { continue; } a = a + h.get() % 5; } while (i < 80); }",
+    // Compound assignment and `++` narrow to the variable's type, and the
+    // expression's value is the variable's after the store; an `int`
+    // holding a `char`'s value stays an `int`.
+    "{ int c = \"q\".charAt(0); c++; byte[] e = new byte[1]; int y = (e[0] += a + b); char d = 'x'; d += a % 3; System.out.println(c + \" \" + y + \" \" + e[0] + d); }",
 ];
 
 /// Raw fragments spliced in by the corruption pass.

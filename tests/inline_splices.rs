@@ -358,6 +358,32 @@ fn a_once_run_main_loop_splices_its_leaf_on_stack() {
 }
 
 #[test]
+fn a_class_qualified_static_leaf_enters_its_splice_after_the_switch() {
+    // `Util.leaf(i)` dispatches on the class its receiver names, which the
+    // guard checks as it checks an object's class; the spliced body reads
+    // the static `k` in `Util`. As above, 936 calls enter the splice and
+    // none falls back.
+    let run = switched(
+        r#"
+        class Util {
+            static int k = 3;
+            static int leaf(int x) { return x * k + 1; }
+        }
+        class Main {
+            static void main() {
+                int s = 0;
+                for (int i = 0; i < 1000; i++) { s = s + Util.leaf(i); }
+                System.out.println(s);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("1499500\n"));
+    assert_eq!(run.counts, (936, 0, 1));
+}
+
+#[test]
 fn break_continue_and_a_class_typed_declaration_in_a_switched_loop() {
     // Every iteration but the last takes one back-edge (`continue` is one
     // too), so the loop switches after i = 64. Of i = 65..300, the 203
