@@ -20,8 +20,10 @@
 //! - polymorphic inline caches (`PolySite`, 2–4 entries keyed by receiver
 //!   class + exact argument keys, MRU-front);
 //! - after `REFINE_EXECS` runs, [`refine`] copies the cold code and splices
-//!   tiny leaf callees (≤ `INLINE_MAX` instrs) in behind `GuardInline`
-//!   checks; a run of the cold code that takes `OSR_BACKEDGES` loop
+//!   the hot call graph into it: each entry of a call's inline cache line
+//!   as one member of a chain of `GuardInline` checks, copying the
+//!   callee's refined copy (≤ `INLINE_MAX` instrs) with its own splices
+//!   nested; a run of the cold code that takes `OSR_BACKEDGES` loop
 //!   back-edges refines the body early and switches to the copy in place
 //!   (on-stack replacement, through `refine`'s cold→copy pc map);
 //! - `Break`/`Continue` surfacing from calls inside loop bodies are routed
@@ -73,18 +75,18 @@ pub(crate) enum Instr {
     /// and class of the callee frame that `guard` stands in for (its
     /// receiver register, or the caller's `this` for an implicit call).
     EnvLoadAt { dst: u16, guard: u16, name: Symbol, site: u16, span: Span },
-    /// `keep`, here and on `FieldSet` and `ArrSet`: after the store, the
-    /// stored register holds the value as stored, converted to the
-    /// place's type. Set for a compound assignment or prefix `++`/`--`,
-    /// whose value is the variable's after the store (JLS §15.26.2,
-    /// §15.15.1); the register is then the temporary with the result.
-    EnvStore { src: u16, name: Symbol, keep: bool, span: Span },
+    /// `out`, here and on `FieldSet` and `ArrSet`: the register that takes
+    /// the value as stored, converted to the place's type, which is the
+    /// value of an assignment, a compound assignment or a prefix `++`/`--`
+    /// (JLS §15.26, §15.15.1): the expression's destination, never the
+    /// stored register, which may be a local or a constant.
+    EnvStore { src: u16, name: Symbol, out: Option<u16>, span: Span },
     ClassRef { dst: u16, fqcn: Symbol, span: Span },
     FieldGet { dst: u16, obj: u16, name: Symbol, site: u16, span: Span },
-    FieldSet { obj: u16, val: u16, name: Symbol, keep: bool, span: Span },
+    FieldSet { obj: u16, val: u16, name: Symbol, out: Option<u16>, span: Span },
     /// `spans` indexes `BcBody::span_pairs` -> (expr span, index span).
     ArrGet { dst: u16, arr: u16, idx: u16, spans: u16 },
-    ArrSet { arr: u16, idx: u16, val: u16, spans: u16, keep: bool },
+    ArrSet { arr: u16, idx: u16, val: u16, spans: u16, out: Option<u16> },
     /// Resolve + class-check the constructed type; push it on the ty stack.
     NewClass { ty: u16, span: Span },
     /// Pop the ty stack and construct with args at regs[base..base+n].
@@ -130,12 +132,14 @@ pub(crate) enum Instr {
     CallRecv { dst: u16, recv: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
     CallSuper { dst: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
     CallImplicit { dst: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
-    /// Inline-splice guard: if the guard's PIC shape no longer matches,
-    /// jump to `fallback` (the generic call instruction).
+    /// Inline-splice guard: when the guard's PIC entry still matches, enter
+    /// the spliced callee frame (depth guard, call counter, profiler) and
+    /// run on; else jump to `fallback`, the next guard of the call's chain
+    /// or the generic call.
     GuardInline { guard: u16, fallback: u32 },
-    /// Enter an inlined frame (depth guard + profiler enter).
-    CallEnter { m: u16, span: Span },
-    CallExit,
+    /// Leave a spliced callee frame and continue at `next`, the
+    /// instruction after the call's generic fallback.
+    CallExit { next: u32 },
 }
 
 impl Instr {
@@ -180,8 +184,7 @@ impl Instr {
             Instr::CallSuper { .. } => "call_super",
             Instr::CallImplicit { .. } => "call_implicit",
             Instr::GuardInline { .. } => "guard_inline",
-            Instr::CallEnter { .. } => "call_enter",
-            Instr::CallExit => "call_exit",
+            Instr::CallExit { .. } => "call_exit",
         }
     }
 }
@@ -353,24 +356,6 @@ impl PolySite {
         }
     }
 
-    /// The line's only entry and its callee's cold bytecode, for inline
-    /// splicing under `epoch`. None if the line was filled under another
-    /// epoch (a guard built from it could never pass), or the site is
-    /// polymorphic, has inexact keys, targets a native, or has no lowered
-    /// body yet.
-    pub(crate) fn mono_snapshot(&self, epoch: u64) -> Option<(PicEntry, Rc<BcBody>)> {
-        let entries = self.entries.borrow();
-        let [e] = &entries[..] else { return None };
-        if self.epoch.get() != epoch
-            || e.keys.iter().any(|k| matches!(k, ArgKey::Other))
-            || e.target.native.is_some()
-        {
-            return None;
-        }
-        let callee = Rc::clone(e.lowered.as_ref()?.cold());
-        Some((e.clone(), callee))
-    }
-
     /// Human-readable PIC shape for the disassembler.
     pub(crate) fn describe(&self, ct: &ClassTable) -> String {
         let entries = self.entries.borrow();
@@ -389,7 +374,8 @@ impl PolySite {
     }
 }
 
-/// Guard metadata for one inline splice site.
+/// Guard metadata for one inline splice: one member of a call's chain.
+#[derive(Clone)]
 pub(crate) struct InlineGuard {
     pub epoch: u64,
     pub ck: u64,
@@ -404,6 +390,10 @@ pub(crate) struct InlineGuard {
     /// The class the callee frame runs under: the receiver's class, or the
     /// frame's class at a static implicit call site.
     pub class: ClassId,
+    /// The spliced method (an index into `BcBody::methods`) and the call's
+    /// span, for the frame entry a passing guard makes.
+    pub m: u16,
+    pub span: Span,
 }
 
 /// A compiled body.
@@ -431,7 +421,8 @@ pub(crate) struct BcBody {
     pub pairs: HashMap<u32, Vec<(&'static str, &'static str)>>,
     /// pcs of superinstructions (for telemetry + disasm annotation).
     pub super_pcs: Vec<u32>,
-    /// (guard pc, exit pc, method index) per inline splice (for disasm).
+    /// (guard pc, `call_exit` pc, method index) per inline splice, nested
+    /// ones included (for disasm).
     pub inlined: Vec<(u32, u32, u16)>,
     /// Made by an on-stack switch rather than after `REFINE_EXECS` runs.
     pub on_stack: bool,
@@ -457,56 +448,6 @@ fn tn_is_prim(tn: &TypeName) -> bool {
         TypeNameKind::Array(inner) => tn_is_prim(inner),
         _ => false,
     }
-}
-
-/// True iff `bc` is a leaf body eligible for inline splicing: short, no
-/// calls/guards, no name stores, and only context-free types.  Reads of
-/// `this` and of bare names are fine: the splicer rewrites `LoadThis` to
-/// the guarded receiver register (an implicit call's callee shares the
-/// caller's `this`) and `EnvLoad` to `EnvLoadAt`, which resolves in the
-/// callee's class — so field getters and `side * side` areas inline too.
-pub(crate) fn inline_ok(bc: &BcBody, n_args: usize) -> bool {
-    if !bc.guards.is_empty() || bc.code.len() > INLINE_MAX {
-        return false;
-    }
-    if bc.n_params as usize != n_args {
-        return false;
-    }
-    if !bc.tys.iter().all(|t| tn_is_prim(&t.tn)) {
-        return false;
-    }
-    bc.code.iter().all(|i| {
-        matches!(
-            i,
-            Instr::Move { .. }
-                | Instr::LoadThis { .. }
-                | Instr::EnvLoad { .. }
-                | Instr::Binary { .. }
-                | Instr::Unary { .. }
-                | Instr::IncDecVal { .. }
-                | Instr::IncLocal { .. }
-                | Instr::Jmp { .. }
-                | Instr::JmpIfFalse { .. }
-                | Instr::JmpIfTrue { .. }
-                | Instr::JmpIfCmp { .. }
-                | Instr::Step { .. }
-                | Instr::Ret { .. }
-                | Instr::RetNull
-                | Instr::RaiseBreak
-                | Instr::RaiseContinue
-                | Instr::Throw { .. }
-                | Instr::RaiseInvalidAssign { .. }
-                | Instr::ToInt { .. }
-                | Instr::CastV { .. }
-                | Instr::ArrGet { .. }
-                | Instr::ArrSet { .. }
-                | Instr::FieldGet { .. }
-                | Instr::FieldSet { .. }
-                | Instr::DefaultVal { .. }
-                | Instr::TyPop
-                | Instr::TyDecl { .. }
-        )
-    })
 }
 
 // ---- compiler ----------------------------------------------------------------
@@ -596,17 +537,29 @@ fn push_index<T>(table: &mut Vec<T>, x: T) -> Result<u16, Unlowerable> {
     Ok(i)
 }
 
+/// The pc `ins` may transfer control to: a jump's target, a guard's
+/// fallback, a splice exit's continuation.
+fn target_mut(ins: &mut Instr) -> Option<&mut u32> {
+    match ins {
+        Instr::Jmp { target }
+        | Instr::JmpIfFalse { target, .. }
+        | Instr::JmpIfTrue { target, .. }
+        | Instr::JmpIfCmp { target, .. }
+        | Instr::GuardInline { fallback: target, .. }
+        | Instr::CallExit { next: target } => Some(target),
+        _ => None,
+    }
+}
+
+/// [`target_mut`] read-only.
+fn target(mut ins: Instr) -> Option<u32> {
+    target_mut(&mut ins).copied()
+}
+
 /// Points the jumps at `pcs` to `to`.
 fn patch(code: &mut [Instr], pcs: &[u32], to: u32) {
     for &pc in pcs {
-        match &mut code[pc as usize] {
-            Instr::Jmp { target }
-            | Instr::JmpIfFalse { target, .. }
-            | Instr::JmpIfTrue { target, .. }
-            | Instr::JmpIfCmp { target, .. } => *target = to,
-            Instr::GuardInline { fallback, .. } => *fallback = to,
-            _ => unreachable!("patch target is not a jump"),
-        }
+        *target_mut(&mut code[pc as usize]).expect("patch target is a jump") = to;
     }
 }
 
@@ -634,28 +587,33 @@ fn map_regs(ins: &mut Instr, f: impl Fn(u16) -> u16) {
         | Instr::EnvLoadAt { dst, .. }
         | Instr::ClassRef { dst, .. }
         | Instr::DefaultVal { dst, .. } => *dst = f(*dst),
-        Instr::EnvStore { src, .. }
-        | Instr::JmpIfFalse { src, .. }
+        Instr::JmpIfFalse { src, .. }
         | Instr::JmpIfTrue { src, .. }
         | Instr::Ret { src }
         | Instr::Throw { src } => *src = f(*src),
+        Instr::EnvStore { src, out, .. } => {
+            *src = f(*src);
+            *out = out.map(&f);
+        }
         Instr::FieldGet { dst, obj, .. } => {
             *dst = f(*dst);
             *obj = f(*obj);
         }
-        Instr::FieldSet { obj, val, .. } => {
+        Instr::FieldSet { obj, val, out, .. } => {
             *obj = f(*obj);
             *val = f(*val);
+            *out = out.map(&f);
         }
         Instr::ArrGet { dst, arr, idx, .. } => {
             *dst = f(*dst);
             *arr = f(*arr);
             *idx = f(*idx);
         }
-        Instr::ArrSet { arr, idx, val, .. } => {
+        Instr::ArrSet { arr, idx, val, out, .. } => {
             *arr = f(*arr);
             *idx = f(*idx);
             *val = f(*val);
+            *out = out.map(&f);
         }
         Instr::NewFinish { dst, base, .. } | Instr::NewArrayFinish { dst, base, .. } => {
             *dst = f(*dst);
@@ -692,8 +650,52 @@ fn map_regs(ins: &mut Instr, f: impl Fn(u16) -> u16) {
         | Instr::RaiseContinue
         | Instr::RaiseInvalidAssign { .. }
         | Instr::GuardInline { .. }
-        | Instr::CallEnter { .. }
-        | Instr::CallExit => {}
+        | Instr::CallExit { .. } => {}
+    }
+}
+
+/// The register `ins` writes, if any.
+fn written_reg(ins: &Instr) -> Option<u16> {
+    match *ins {
+        Instr::Move { dst, .. }
+        | Instr::LoadThis { dst, .. }
+        | Instr::EnvLoad { dst, .. }
+        | Instr::EnvLoadAt { dst, .. }
+        | Instr::ClassRef { dst, .. }
+        | Instr::FieldGet { dst, .. }
+        | Instr::ArrGet { dst, .. }
+        | Instr::NewFinish { dst, .. }
+        | Instr::NewArrayFinish { dst, .. }
+        | Instr::DefaultVal { dst, .. }
+        | Instr::Binary { dst, .. }
+        | Instr::Unary { dst, .. }
+        | Instr::IncDecVal { dst, .. }
+        | Instr::CastV { dst, .. }
+        | Instr::InstOf { dst, .. }
+        | Instr::CallRecv { dst, .. }
+        | Instr::CallSuper { dst, .. }
+        | Instr::CallImplicit { dst, .. } => Some(dst),
+        Instr::ToInt { reg, .. } | Instr::IncLocal { slot: reg, .. } => Some(reg),
+        Instr::EnvStore { out, .. } | Instr::FieldSet { out, .. } | Instr::ArrSet { out, .. } => {
+            out
+        }
+        Instr::NewClass { .. }
+        | Instr::TyElem { .. }
+        | Instr::TyDecl { .. }
+        | Instr::TyPop
+        | Instr::Jmp { .. }
+        | Instr::JmpIfFalse { .. }
+        | Instr::JmpIfTrue { .. }
+        | Instr::JmpIfCmp { .. }
+        | Instr::Step { .. }
+        | Instr::Ret { .. }
+        | Instr::RetNull
+        | Instr::RaiseBreak
+        | Instr::RaiseContinue
+        | Instr::Throw { .. }
+        | Instr::RaiseInvalidAssign { .. }
+        | Instr::GuardInline { .. }
+        | Instr::CallExit { .. } => None,
     }
 }
 
@@ -1247,25 +1249,29 @@ impl<'a> Emit<'a> {
 
     /// Store an already-computed value into an assignment target (target
     /// subexpressions evaluate *after* the value, matching walker order).
-    /// `keep`: `val` is a temporary that should hold the value as stored
-    /// (see [`Instr::EnvStore`]); a local is narrowed before its store.
-    fn store(&mut self, t: Place<'a>, val: u16, keep: bool) -> Result<(), Unlowerable> {
+    /// `out`: the register that takes the value as stored (see
+    /// [`Instr::EnvStore`]); a local is converted before its store, so it
+    /// stores `val` itself.
+    fn store(&mut self, t: Place<'a>, val: u16, out: Option<u16>) -> Result<(), Unlowerable> {
         match t {
             Place::Local(dst) => {
                 if dst != val {
                     self.emit(Instr::Move { dst, src: val });
                 }
+                if let Some(o) = out.filter(|&o| o != val && o != dst) {
+                    self.emit(Instr::Move { dst: o, src: val });
+                }
             }
             Place::Env(name, span) => {
-                self.emit(Instr::EnvStore { src: val, name, keep, span });
+                self.emit(Instr::EnvStore { src: val, name, out, span });
             }
             Place::Field(target, name, span) => {
                 let (obj, _) = self.operand(target, false)?;
-                self.emit(Instr::FieldSet { obj, val, name, keep, span });
+                self.emit(Instr::FieldSet { obj, val, name, out, span });
             }
             Place::Array(arr, idx, span) => {
                 let (arr, idx, spans) = self.array_operands(arr, idx, span)?;
-                self.emit(Instr::ArrSet { arr, idx, val, spans, keep });
+                self.emit(Instr::ArrSet { arr, idx, val, spans, out });
             }
             Place::Invalid(span) => {
                 self.emit(Instr::RaiseInvalidAssign { span });
@@ -1468,8 +1474,7 @@ impl<'a> Emit<'a> {
             let t_new = self.alloc_temp()?;
             self.emit(Instr::IncDecVal { dst: t_new, src: r, delta, span });
             self.narrow_for_place(t_new, &write, span)?;
-            self.store(write, t_new, true)?;
-            self.emit(Instr::Move { dst, src: t_new });
+            self.store(write, t_new, Some(dst))?;
         } else {
             // Postfix must copy the old value before the store.
             let t_old = self.alloc_temp()?;
@@ -1477,7 +1482,7 @@ impl<'a> Emit<'a> {
             let t_new = self.alloc_temp()?;
             self.emit(Instr::IncDecVal { dst: t_new, src: t_old, delta, span });
             self.narrow_for_place(t_new, &write, span)?;
-            self.store(write, t_new, false)?;
+            self.store(write, t_new, None)?;
             self.emit(Instr::Move { dst, src: t_old });
         }
         Ok(())
@@ -1489,7 +1494,7 @@ impl<'a> Emit<'a> {
     /// `int` fast path of a binary leave an `int` for them; every other
     /// local keeps its representation through `++`/`--` and is converted
     /// by a binary's `to`. A field or an array element narrows as the
-    /// store converts (see [`Instr::EnvStore`]'s `keep`).
+    /// store converts (see [`Instr::EnvStore`]'s `out`).
     fn narrow_for(&mut self, reg: u16, slot: u16, span: Span) -> Result<(), Unlowerable> {
         let to = self.slot_prims[slot as usize];
         if let Some(to @ (PrimKind::Byte | PrimKind::Short | PrimKind::Char)) = to {
@@ -1538,8 +1543,7 @@ impl<'a> Emit<'a> {
                 };
                 self.emit(Instr::Binary { op, dst: t, a: lv, b: rv, to, span });
                 self.narrow_for_place(t, &write, span)?;
-                self.store(write, t, true)?;
-                self.emit(Instr::Move { dst, src: t });
+                self.store(write, t, Some(dst))?;
             }
             _ => {
                 let to = match write {
@@ -1559,10 +1563,7 @@ impl<'a> Emit<'a> {
                     }
                     _ => rv,
                 };
-                self.store(write, rv, false)?;
-                if dst != rv {
-                    self.emit(Instr::Move { dst, src: rv });
-                }
+                self.store(write, rv, Some(dst))?;
             }
         }
         Ok(())
@@ -1687,7 +1688,7 @@ pub(crate) fn compile(
     Ok(bc)
 }
 
-// ---- refine: splicing leaf callees -------------------------------------------
+// ---- refine: splicing the hot call graph -------------------------------------
 
 /// Where a copied body's side tables start in the body it is copied into.
 #[derive(Clone, Copy, Default)]
@@ -1695,6 +1696,8 @@ struct Bases {
     field_sites: u16,
     span_pairs: u16,
     tys: u16,
+    sites: u16,
+    guards: u16,
 }
 
 /// `ins` for a copy: registers through `reg`, side-table indices past `b`.
@@ -1702,15 +1705,21 @@ struct Bases {
 fn relocate(mut ins: Instr, reg: impl Fn(u16) -> u16, b: Bases) -> Instr {
     map_regs(&mut ins, reg);
     match &mut ins {
-        Instr::EnvLoad { site, .. }
-        | Instr::EnvLoadAt { site, .. }
-        | Instr::FieldGet { site, .. } => *site += b.field_sites,
+        Instr::EnvLoad { site, .. } | Instr::FieldGet { site, .. } => *site += b.field_sites,
+        Instr::EnvLoadAt { site, guard, .. } => {
+            *site += b.field_sites;
+            *guard += b.guards;
+        }
         Instr::ArrGet { spans, .. } | Instr::ArrSet { spans, .. } => *spans += b.span_pairs,
         Instr::NewClass { ty, .. }
         | Instr::TyElem { ty, .. }
         | Instr::TyDecl { ty, .. }
         | Instr::CastV { ty, .. }
         | Instr::InstOf { ty, .. } => *ty += b.tys,
+        Instr::CallRecv { site, .. }
+        | Instr::CallSuper { site, .. }
+        | Instr::CallImplicit { site, .. } => *site += b.sites,
+        Instr::GuardInline { guard, .. } => *guard += b.guards,
         _ => {}
     }
     ins
@@ -1725,6 +1734,116 @@ fn ty_effect(ins: &Instr) -> i32 {
         Instr::NewFinish { .. } | Instr::NewArrayFinish { .. } | Instr::TyPop => -1,
         _ => 0,
     }
+}
+
+/// Why the refine pass leaves a call to one PIC entry's callee generic.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Decline {
+    /// The line was filled under another epoch: a guard built from it
+    /// could never pass.
+    Epoch,
+    Native,
+    /// The callee has no bytecode: it runs on the walker.
+    Walker,
+    /// The callee takes another number of arguments than the call passes.
+    Arity,
+    /// The callee makes a `super` call, which dispatches on its frame's
+    /// class.
+    Super,
+    /// The callee stores to a bare name, which resolves in its frame.
+    NameStore,
+    /// The callee names a class type, which resolves in its frame's class.
+    NamedType,
+    /// The code a splice would copy is longer than `INLINE_MAX`.
+    OverMax,
+}
+
+impl Decline {
+    fn as_str(self) -> &'static str {
+        match self {
+            Decline::Epoch => "line filled under another epoch",
+            Decline::Native => "native",
+            Decline::Walker => "callee runs on the walker",
+            Decline::Arity => "argument count",
+            Decline::Super => "super call",
+            Decline::NameStore => "name store",
+            Decline::NamedType => "named type",
+            Decline::OverMax => "callee over INLINE_MAX",
+        }
+    }
+}
+
+/// How many of `bc`'s instructions a splice copies: all but a final
+/// `ret_null` after a `ret`, when no jump, guard, exit or loop region
+/// reaches it.
+fn copied_len(bc: &BcBody) -> usize {
+    let n = bc.code.len();
+    let last = n as u32 - 1;
+    let dead = n >= 2
+        && matches!(bc.code[n - 1], Instr::RetNull)
+        && matches!(bc.code[n - 2], Instr::Ret { .. })
+        && !bc.code.iter().any(|&i| target(i) == Some(last))
+        && !bc.regions.iter().any(|r| r.brk == last || r.cont == last);
+    n - usize::from(dead)
+}
+
+/// The code a splice of PIC entry `e`, called with `n_args` arguments,
+/// copies under `epoch`, or why the refine pass declines it. The callee
+/// must not depend on its frame's class except through what a splice
+/// rebinds (`this`, bare-name loads, implicit calls and the guards of its
+/// own splices): no `super` call, no store to a bare name, and only
+/// primitive types. Its refined copy is copied, splices and all, when
+/// every guard in it was built under `epoch`, else its cold code (a copy
+/// of that would lose the refined copy's splices), and only when the code
+/// fits `INLINE_MAX`. So `INLINE_MAX` bounds what is copied, nesting and
+/// recursion included.
+fn splice_source(e: &PicEntry, n_args: u16, epoch: u64) -> Result<Rc<BcBody>, Decline> {
+    if e.target.native.is_some() {
+        return Err(Decline::Native);
+    }
+    let lb = e.lowered.as_ref().ok_or(Decline::Walker)?;
+    let cold = lb.cold();
+    if cold.n_params != n_args {
+        return Err(Decline::Arity);
+    }
+    for ins in &cold.code {
+        match ins {
+            Instr::CallSuper { .. } => return Err(Decline::Super),
+            Instr::EnvStore { .. } => return Err(Decline::NameStore),
+            _ => {}
+        }
+    }
+    if !cold.tys.iter().all(|t| tn_is_prim(&t.tn)) {
+        return Err(Decline::NamedType);
+    }
+    let current = lb.current();
+    let src = match current.guards.iter().all(|g| g.epoch == epoch) {
+        true => current,
+        false => Rc::clone(cold),
+    };
+    match copied_len(&src) <= INLINE_MAX {
+        true => Ok(src),
+        false => Err(Decline::OverMax),
+    }
+}
+
+/// The members of the chain the refine pass splices in place of `ins`, an
+/// instruction of `bc`, in guard order: for a `CallRecv` or `CallImplicit`
+/// whose PIC line was filled under `epoch`, each entry, most recently
+/// used first, that [`splice_source`] admits, with the code it copies.
+fn chain_members(bc: &BcBody, ins: Instr, epoch: u64) -> Vec<(PicEntry, Rc<BcBody>)> {
+    let (Instr::CallRecv { site, n, .. } | Instr::CallImplicit { site, n, .. }) = ins else {
+        return Vec::new();
+    };
+    let site = &bc.sites[site as usize];
+    if site.epoch.get() != epoch {
+        return Vec::new();
+    }
+    let entries = site.entries.borrow();
+    entries
+        .iter()
+        .filter_map(|e| Some((e.clone(), splice_source(e, n, epoch).ok()?)))
+        .collect()
 }
 
 impl BcBody {
@@ -1745,36 +1864,52 @@ impl BcBody {
         Ok(base)
     }
 
-    /// Appends fresh field sites and `src`'s span pairs and type slots;
+    /// Appends fresh field sites and `src`'s span pairs, type slots and
+    /// call sites (shared, so a copied call warms the same cache line);
     /// returns where they start.
     fn append_tables(&mut self, src: &BcBody) -> Result<Bases, Unlowerable> {
         let b = Bases {
-            field_sites: self.field_sites.len() as u16,
-            span_pairs: self.span_pairs.len() as u16,
-            tys: self.tys.len() as u16,
+            field_sites: idx16(self.field_sites.len())?,
+            span_pairs: idx16(self.span_pairs.len())?,
+            tys: idx16(self.tys.len())?,
+            sites: idx16(self.sites.len())?,
+            guards: idx16(self.guards.len())?,
         };
         self.field_sites
             .extend(src.field_sites.iter().map(|_| FieldSite::new()));
         self.span_pairs.extend_from_slice(&src.span_pairs);
         self.tys.extend(src.tys.iter().cloned());
-        idx16(self.field_sites.len().max(self.span_pairs.len()).max(self.tys.len()))?;
+        self.sites.extend(src.sites.iter().cloned());
+        for len in [
+            self.field_sites.len(),
+            self.span_pairs.len(),
+            self.tys.len(),
+            self.sites.len(),
+        ] {
+            idx16(len)?;
+        }
         Ok(b)
     }
 
-    /// Moves what refers to `src`'s pcs — jump targets, regions, hot
-    /// pairs and superinstructions — to where its code was copied: pc `i`
-    /// of `src` landed at `pcs[i]`, and `pcs[src.code.len()]` is the end.
-    /// Copied regions sit `ty_depth` deeper in the type stack and
-    /// `inline_depth` deeper in spliced frames than in `src`.
-    fn remap(&mut self, src: &BcBody, pcs: &[u32], ty_depth: u16, inline_depth: u16) {
+    /// Moves what refers to `src`'s pcs — the targets of its first
+    /// `copied` instructions, its regions, hot pairs and
+    /// superinstructions — to where its code was copied: pc `i` of `src`
+    /// landed at `pcs[i]`, and `pcs[src.code.len()]` is the end. Copied
+    /// regions sit `ty_depth` deeper in the type stack and `inline_depth`
+    /// deeper in spliced frames than in `src`.
+    fn remap(
+        &mut self,
+        src: &BcBody,
+        pcs: &[u32],
+        copied: usize,
+        ty_depth: u16,
+        inline_depth: u16,
+    ) {
         let at = |pc: u32| pcs[pc as usize];
-        for &pc in &pcs[..src.code.len()] {
-            if let Instr::Jmp { target }
-            | Instr::JmpIfFalse { target, .. }
-            | Instr::JmpIfTrue { target, .. }
-            | Instr::JmpIfCmp { target, .. } = &mut self.code[pc as usize]
-            {
-                *target = at(*target);
+        for (i, &ins) in src.code[..copied].iter().enumerate() {
+            if target(ins).is_some() {
+                let t = target_mut(&mut self.code[pcs[i] as usize]).expect("a copied jump");
+                *t = at(*t);
             }
         }
         self.regions.extend(src.regions.iter().map(|r| Region {
@@ -1791,20 +1926,72 @@ impl BcBody {
         self.super_pcs.extend(src.super_pcs.iter().map(|&pc| at(pc)));
     }
 
-    /// Splices `callee`, the cold bytecode behind `call`'s monomorphic PIC
-    /// `entry` (see [`PolySite::mono_snapshot`]), in place of `call` at
-    /// static type-stack depth `ty_depth`: `GuardInline`, the callee
-    /// frame's entry, the callee's code over registers of its own, the
-    /// exit, and the generic call as the guard's fallback.  `null` is the
-    /// null register, made by the first splice.
-    fn splice(
+    /// Splices `call` as a chain: one member per entry of `members` (see
+    /// [`chain_members`]), each behind its `GuardInline`, whose failure
+    /// falls to the next member's guard and the last one's to the generic
+    /// call, copied after them; every member's exits continue after the
+    /// generic call. `null` is the null register, made by the first
+    /// splice.
+    fn splice_chain(
         &mut self,
         call: Instr,
-        (entry, callee): (PicEntry, Rc<BcBody>),
+        members: Vec<(PicEntry, Rc<BcBody>)>,
         epoch: u64,
         ty_depth: u16,
         null: &mut Option<u16>,
     ) -> Result<(), Unlowerable> {
+        let mut guards = Vec::with_capacity(members.len() + 1);
+        let mut exits = Vec::new();
+        for (e, src) in members {
+            guards.push(self.splice(call, e, &src, epoch, ty_depth, null, &mut exits)?);
+        }
+        let fallback = self.push(call);
+        guards.push(fallback);
+        for w in guards.windows(2) {
+            patch(&mut self.code, &w[..1], w[1]);
+        }
+        patch(&mut self.code, &exits, fallback + 1);
+        Ok(())
+    }
+
+    /// Splices `src`, the code behind `call`'s PIC entry `e` (see
+    /// [`splice_source`]), at static type-stack depth `ty_depth`: its
+    /// `GuardInline`, which enters the callee frame when it passes, the
+    /// frame's set-up, the code, and a `call_exit`. Returns the guard's
+    /// pc; the pcs of the exits, whose continuation the chain patches, go
+    /// to `exits`.
+    ///
+    /// The callee frame gets registers of its own above every register
+    /// the body uses so far, its preloaded constants included, except for
+    /// the parameters it never writes: it reads those in place from the
+    /// call's argument registers, which nothing writes while it runs. Its
+    /// other locals start at null, as in a fresh frame. A `ret` moves its
+    /// value into the call's destination and leaves the frame; the final
+    /// one falls through to the exit, and a dead `ret_null` after it is
+    /// not copied (see [`copied_len`]).
+    ///
+    /// A copy of a refined body brings its own splices one frame deeper:
+    /// their guards, call sites, methods, regions and exits are relocated
+    /// with the code. Whatever in `src` stands for the callee frame's
+    /// `this` is rebound to the guarded receiver register, when the call
+    /// has one (a class reference for a class-qualified static call): a
+    /// `LoadThis` becomes a move from it, an implicit call a call on it,
+    /// and a guard on `this` (one of an implicit call) a guard on it.
+    /// Each bare-name load becomes an `EnvLoadAt` through this splice's
+    /// guard, which resolves in the callee frame's `this` and class. With
+    /// no receiver the callee shares the caller's `this` and class, and
+    /// those stay as they are.
+    #[allow(clippy::too_many_arguments)]
+    fn splice(
+        &mut self,
+        call: Instr,
+        e: PicEntry,
+        src: &BcBody,
+        epoch: u64,
+        ty_depth: u16,
+        null: &mut Option<u16>,
+        exits: &mut Vec<u32>,
+    ) -> Result<u32, Unlowerable> {
         let (Instr::CallRecv { dst, base, name, site, span, .. }
         | Instr::CallImplicit { dst, base, name, site, span, .. }) = call
         else {
@@ -1814,91 +2001,77 @@ impl BcBody {
             Instr::CallRecv { recv, .. } => Some(recv),
             _ => None,
         };
-        let guard = idx16(self.guards.len())?;
-        self.guards.push(InlineGuard {
-            epoch,
-            ck: entry.ck,
-            keys: entry.keys,
-            recv,
-            base,
-            site: Rc::clone(&self.sites[site as usize]),
-            name,
-            class: entry.class,
-        });
-        let m = idx16(self.methods.len())?;
-        self.methods.push((entry.target, entry.class));
+        let m = push_index(&mut self.methods, (e.target, e.class))?;
+        let site = Rc::clone(&self.sites[site as usize]);
+        let (ck, keys, class) = (e.ck, e.keys, e.class);
+        let g = InlineGuard { epoch, ck, keys, recv, base, site, name, class, m, span };
+        let guard = push_index(&mut self.guards, g)?;
         let nullr = match *null {
             Some(r) => r,
             None => *null.insert(self.grow_regs(1)?),
         };
-        // The callee frame, constants included, sits above every register
-        // the caller or an earlier splice uses, so none of them can clobber
-        // its preloaded constants before the splice runs.
-        let ibase = self.grow_regs(callee.n_regs)?;
-        let rb = |r: u16| r + ibase;
-        let consts = callee.preloads.iter().map(|(r, v)| (rb(*r), v.clone()));
-        self.preloads.extend(consts);
-        let b = self.append_tables(&callee)?;
-        let gpc = self.push(Instr::GuardInline { guard, fallback: u32::MAX });
-        self.push(Instr::CallEnter { m, span });
-        // Fresh-frame parity: callee non-param locals start at Null
-        // (definite assignment is not guaranteed before declaration).
-        for i in 0..callee.n_locals {
-            let src = if i < callee.n_params { base + i } else { nullr };
-            self.push(Instr::Move { dst: rb(i), src });
-        }
-        let mut pcs = Vec::with_capacity(callee.code.len() + 1);
-        let mut exits = Vec::new();
-        for &ins in &callee.code {
-            pcs.push(self.pc());
-            let copy = match ins {
-                // The guard proved the receiver register holds an object of
-                // the expected class, so the callee's `this` is exactly
-                // that register (a class reference only reaches a static
-                // callee, which reads no `this`); an implicit call passes
-                // the caller's own `this` (none in a static frame, with
-                // the same error).
-                Instr::LoadThis { dst: d, span } => match recv {
-                    Some(r) => Instr::Move { dst: rb(d), src: r },
-                    None => Instr::LoadThis { dst: rb(d), span },
-                },
-                Instr::EnvLoad { dst: d, name, site, span } => {
-                    let site = site + b.field_sites;
-                    Instr::EnvLoadAt { dst: rb(d), guard, name, site, span }
-                }
-                Instr::Ret { src } => Instr::Move { dst, src: rb(src) },
-                Instr::RetNull => Instr::Move { dst, src: nullr },
-                other => relocate(other, rb, b),
-            };
-            self.push(copy);
-            if matches!(ins, Instr::Ret { .. } | Instr::RetNull) {
-                exits.push(self.push(Instr::Jmp { target: u32::MAX }));
+        let mut written = vec![false; usize::from(src.n_params)];
+        for r in src.code.iter().filter_map(written_reg) {
+            if let Some(w) = written.get_mut(usize::from(r)) {
+                *w = true;
             }
         }
-        let lexit = self.pc();
-        pcs.push(lexit);
-        patch(&mut self.code, &exits, lexit);
-        self.remap(&callee, &pcs, ty_depth, 1);
-        self.push(Instr::CallExit);
-        let done = self.push(Instr::Jmp { target: u32::MAX });
-        let fallback = self.push(call);
-        patch(&mut self.code, &[gpc], fallback);
-        patch(&mut self.code, &[done], fallback + 1);
-        self.inlined.push((gpc, lexit, m));
-        Ok(())
-    }
-}
-
-/// What the refine pass splices in place of `ins`, an instruction of
-/// `cold`: a `CallRecv` or `CallImplicit` whose PIC line was filled
-/// monomorphically under `epoch`, with a callee that passes [`inline_ok`].
-fn splice_snapshot(cold: &BcBody, ins: Instr, epoch: u64) -> Option<(PicEntry, Rc<BcBody>)> {
-    match ins {
-        Instr::CallRecv { site, n, .. } | Instr::CallImplicit { site, n, .. } => cold.sites
-            [site as usize]
-            .mono_snapshot(epoch)
-            .filter(|(_, callee)| inline_ok(callee, usize::from(n))),
-        _ => None,
+        let ibase = self.grow_regs(src.n_regs)?;
+        let reg = |r: u16| match written.get(usize::from(r)) {
+            Some(false) => base + r,
+            _ => ibase + r,
+        };
+        let consts = src.preloads.iter().map(|(r, v)| (reg(*r), v.clone()));
+        self.preloads.extend(consts);
+        let mb = idx16(self.methods.len())?;
+        self.methods.extend(src.methods.iter().cloned());
+        idx16(self.methods.len().max(self.guards.len() + src.guards.len()))?;
+        let b = self.append_tables(src)?;
+        for g in &src.guards {
+            let (recv, base, m) = (g.recv.map(reg).or(recv), reg(g.base), g.m + mb);
+            self.guards.push(InlineGuard { recv, base, m, ..g.clone() });
+        }
+        let gpc = self.push(Instr::GuardInline { guard, fallback: u32::MAX });
+        for i in 0..src.n_locals {
+            let from = match written.get(usize::from(i)) {
+                Some(false) => continue,
+                Some(true) => base + i,
+                None => nullr,
+            };
+            self.push(Instr::Move { dst: ibase + i, src: from });
+        }
+        let copied = copied_len(src);
+        let mut pcs = Vec::with_capacity(src.code.len() + 1);
+        for (i, &ins) in src.code[..copied].iter().enumerate() {
+            pcs.push(self.pc());
+            let copy = match (ins, recv) {
+                (Instr::LoadThis { dst: d, .. }, Some(r)) => Instr::Move { dst: reg(d), src: r },
+                (Instr::EnvLoad { dst: d, name, site, span }, _) => {
+                    let site = site + b.field_sites;
+                    Instr::EnvLoadAt { dst: reg(d), guard, name, site, span }
+                }
+                (Instr::CallImplicit { dst: d, base, n, name, site, span }, Some(r)) => {
+                    let (dst, base, site) = (reg(d), reg(base), site + b.sites);
+                    Instr::CallRecv { dst, recv: r, base, n, name, site, span }
+                }
+                (Instr::Ret { src }, _) => Instr::Move { dst, src: reg(src) },
+                (Instr::RetNull, _) => Instr::Move { dst, src: nullr },
+                (other, _) => relocate(other, reg, b),
+            };
+            self.push(copy);
+            if matches!(ins, Instr::Ret { .. } | Instr::RetNull) && i + 1 < copied {
+                exits.push(self.push(Instr::CallExit { next: u32::MAX }));
+            }
+        }
+        let exit = self.pc();
+        pcs.resize(src.code.len() + 1, exit);
+        self.remap(src, &pcs, copied, ty_depth, 1);
+        let at = |pc: u32| pcs[pc as usize];
+        let nested = src.inlined.iter().map(|&(g, x, m)| (at(g), at(x), m + mb));
+        self.inlined.extend(nested);
+        exits.push(self.push(Instr::CallExit { next: u32::MAX }));
+        self.inlined.push((gpc, exit, m));
+        Ok(gpc)
     }
 }
 
@@ -1906,19 +2079,19 @@ fn splice_snapshot(cold: &BcBody, ins: Instr, epoch: u64) -> Option<(PicEntry, R
 pub(crate) fn splices_any(cold: &BcBody, epoch: u64) -> bool {
     cold.code
         .iter()
-        .any(|&ins| splice_snapshot(cold, ins, epoch).is_some())
+        .any(|&ins| !chain_members(cold, ins, epoch).is_empty())
 }
 
-/// The refine pass: a copy of `cold` in which every call that
-/// [`splice_snapshot`] admits runs the callee's cold code in place behind
-/// a `GuardInline` (see [`BcBody::splice`]).  Caller and callee code are
-/// copied by the same [`relocate`]; the caller keeps its registers and
-/// side-table indices, and one pc map moves its jump targets, regions, hot
-/// pairs and superinstructions past the splices.  The copy shares the cold
-/// body's call sites, so warmed cache lines carry over.
+/// The refine pass: a copy of `cold` in which every call with
+/// [`chain_members`] runs them in place, as a chain of guarded splices
+/// (see [`BcBody::splice_chain`]).  Caller and callee code are copied by
+/// the same [`relocate`]; the caller keeps its registers and side-table
+/// indices, and one pc map moves its jump targets, regions, hot pairs and
+/// superinstructions past the splices.  The copy shares the cold body's
+/// call sites, so warmed cache lines carry over.
 ///
 /// Returns the copy with that map: pc `i` of `cold` lands at `pcs[i]` of
-/// the copy (a spliced call at its guard), where an on-stack switch
+/// the copy (a spliced call at its first guard), where an on-stack switch
 /// resumes a frame that was running `cold`.
 pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<(BcBody, Vec<u32>), Unlowerable> {
     let mut bc = BcBody {
@@ -1926,7 +2099,6 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<(BcBody, Vec<u32>), Un
         n_locals: cold.n_locals,
         n_regs: cold.n_regs,
         preloads: cold.preloads.clone(),
-        sites: cold.sites.clone(),
         ..BcBody::default()
     };
     let b = bc.append_tables(cold)?;
@@ -1935,16 +2107,16 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<(BcBody, Vec<u32>), Un
     let mut ty_depth = 0;
     for &ins in &cold.code {
         pcs.push(bc.pc());
-        match splice_snapshot(cold, ins, epoch) {
-            Some(snap) => bc.splice(ins, snap, epoch, ty_depth as u16, &mut null)?,
-            None => {
-                bc.push(relocate(ins, |r| r, b));
-            }
+        let members = chain_members(cold, ins, epoch);
+        if members.is_empty() {
+            bc.push(relocate(ins, |r| r, b));
+        } else {
+            bc.splice_chain(ins, members, epoch, ty_depth as u16, &mut null)?;
         }
         ty_depth += ty_effect(&ins);
     }
     pcs.push(bc.pc());
-    bc.remap(cold, &pcs, 0, 0);
+    bc.remap(cold, &pcs, cold.code.len(), 0, 0);
     if let Some(r) = null {
         bc.preloads.push((r, Value::Null));
     }
@@ -1956,9 +2128,12 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<(BcBody, Vec<u32>), Un
 // ---- disassembler ------------------------------------------------------------
 
 /// Renders `bc` for `mayac --dump-bytecode`: one line per instruction with
-/// registers (`r<n>`), jump targets (`@<pc>`), superinstruction markers,
-/// inline-splice extents, and current PIC shapes.
-pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
+/// registers (`r<n>`), jump targets (`@<pc>`), superinstruction markers and
+/// current PIC shapes, after the tree of spliced call sites (see
+/// [`splice_tree`]). In a `refined` body, each call left generic is marked
+/// with why the refine pass would leave it so under `epoch` now (see
+/// [`generic_mark`]).
+pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable, epoch: u64, refined: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -1974,16 +2149,7 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
     if bc.on_stack {
         let _ = writeln!(out, "refined on-stack: a cold run switched here at a loop back-edge");
     }
-    for &(guard_pc, exit_pc, m) in &bc.inlined {
-        let (mi, c) = &bc.methods[m as usize];
-        let cname = ct.info(*c).borrow().fqcn;
-        let _ = writeln!(
-            out,
-            "inline @{guard_pc}..@{exit_pc}: {cname}.{}/{}",
-            mi.name,
-            mi.params.len()
-        );
-    }
+    splice_tree(bc, ct, &mut out);
     for (pc, ins) in bc.code.iter().enumerate() {
         let body = match *ins {
             Instr::Move { dst, src } => format!("r{dst}, r{src}"),
@@ -1995,17 +2161,17 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
                 let cname = ct.info(g.class).borrow().fqcn;
                 format!("r{dst}, {name} of {this} in {cname} [fs{site}]")
             }
-            Instr::EnvStore { src, name, keep, .. } => format!("{name}, r{src}{}", kept(keep)),
+            Instr::EnvStore { src, name, out, .. } => format!("{name}, r{src}{}", stored(out)),
             Instr::ClassRef { dst, fqcn, .. } => format!("r{dst}, {fqcn}"),
             Instr::FieldGet { dst, obj, name, site, .. } => {
                 format!("r{dst}, r{obj}.{name} [fs{site}]")
             }
-            Instr::FieldSet { obj, val, name, keep, .. } => {
-                format!("r{obj}.{name}, r{val}{}", kept(keep))
+            Instr::FieldSet { obj, val, name, out, .. } => {
+                format!("r{obj}.{name}, r{val}{}", stored(out))
             }
             Instr::ArrGet { dst, arr, idx, .. } => format!("r{dst}, r{arr}[r{idx}]"),
-            Instr::ArrSet { arr, idx, val, keep, .. } => {
-                format!("r{arr}[r{idx}], r{val}{}", kept(keep))
+            Instr::ArrSet { arr, idx, val, out, .. } => {
+                format!("r{arr}[r{idx}], r{val}{}", stored(out))
             }
             Instr::NewClass { ty, .. } => format!("ty{ty}"),
             Instr::NewFinish { dst, base, n, .. } => format!("r{dst}, r{base}..+{n}"),
@@ -2031,9 +2197,8 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
             }
             Instr::Step { .. } => String::new(),
             Instr::Ret { src } => format!("r{src}"),
-            Instr::RetNull | Instr::RaiseBreak | Instr::RaiseContinue | Instr::CallExit => {
-                String::new()
-            }
+            Instr::RetNull | Instr::RaiseBreak | Instr::RaiseContinue => String::new(),
+            Instr::CallExit { next } => format!("@{next}"),
             Instr::Throw { src } => format!("r{src}"),
             Instr::RaiseInvalidAssign { .. } => String::new(),
             Instr::CallRecv { dst, recv, base, n, name, site, .. } => {
@@ -2056,27 +2221,128 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
             }
             Instr::GuardInline { guard, fallback } => {
                 let g = &bc.guards[guard as usize];
-                let cname = ct.info(g.class).borrow().fqcn;
-                format!("g{guard} ({cname}.{}), else @{fallback}", g.name)
-            }
-            Instr::CallEnter { m, .. } => {
-                let (mi, c) = &bc.methods[m as usize];
-                let cname = ct.info(*c).borrow().fqcn;
-                format!("{cname}.{}/{}", mi.name, mi.params.len())
+                let this = g.recv.map_or("this".to_owned(), |r| format!("r{r}"));
+                format!("g{guard} ({} on {this}), else @{fallback}", method_label(bc, ct, g.m))
             }
         };
         let sup = if bc.super_pcs.contains(&(pc as u32)) { " ; super" } else { "" };
-        let _ = writeln!(out, "  {pc:4}  {:<18} {body}{sup}", ins.mnemonic());
+        let generic = match refined {
+            true => generic_mark(bc, pc as u32, ct, epoch),
+            false => String::new(),
+        };
+        let _ = writeln!(out, "  {pc:4}  {:<18} {body}{sup}{generic}", ins.mnemonic());
     }
     out
 }
 
-/// A store's `keep` mark in a listing: the stored register takes the
-/// value as stored.
-fn kept(keep: bool) -> &'static str {
-    if keep {
-        " (kept)"
+/// A store's `out` in a listing: the register that takes the value as
+/// stored.
+fn stored(out: Option<u16>) -> String {
+    out.map_or(String::new(), |o| format!(" -> r{o}"))
+}
+
+/// `Class.name/arity` of `bc`'s spliced method `m`, by the class its frame
+/// runs under.
+fn method_label(bc: &BcBody, ct: &ClassTable, m: u16) -> String {
+    let (mi, c) = &bc.methods[m as usize];
+    let cname = ct.info(*c).borrow().fqcn;
+    format!("{cname}.{}/{}", mi.name, mi.params.len())
+}
+
+/// The chain that the guard at `pc` heads or belongs to, from `pc` on: the
+/// guards its fallbacks pass through, and the generic call they end at.
+fn chain_from(bc: &BcBody, mut pc: u32) -> (Vec<u16>, u32) {
+    let mut guards = Vec::new();
+    while let Instr::GuardInline { guard, fallback } = bc.code[pc as usize] {
+        guards.push(guard);
+        pc = fallback;
+    }
+    (guards, pc)
+}
+
+/// Lists `bc`'s spliced call sites as a tree: each site as one `call`
+/// line, its chain's members under it in guard order (`inline
+/// @guard..@exit: Class.method/arity`), and under each member the sites
+/// spliced into it.
+fn splice_tree(bc: &BcBody, ct: &ClassTable, out: &mut String) {
+    use std::fmt::Write as _;
+    let mut splices = bc.inlined.clone();
+    splices.sort_unstable();
+    let fallbacks: Vec<u32> = bc
+        .code
+        .iter()
+        .filter_map(|i| match *i {
+            Instr::GuardInline { fallback, .. } => Some(fallback),
+            _ => None,
+        })
+        .collect();
+    for &(g, x, m) in &splices {
+        let depth = splices.iter().filter(|s| s.0 < g && g < s.1).count();
+        let pad = "    ".repeat(depth);
+        if !fallbacks.contains(&g) {
+            let (guards, generic) = chain_from(bc, g);
+            let call = match bc.code[generic as usize] {
+                Instr::CallRecv { name, n, site, .. }
+                | Instr::CallImplicit { name, n, site, .. } => format!("{name}/{n} [pic{site}]"),
+                _ => unreachable!("a chain ends at its generic call"),
+            };
+            let spliced = guards.len();
+            let _ = writeln!(out, "{pad}call @{g}: {call}, {spliced} spliced, else @{generic}");
+        }
+        let _ = writeln!(out, "{pad}  inline @{g}..@{x}: {}", method_label(bc, ct, m));
+    }
+}
+
+/// Why the call at `pc` of a refined body is generic, as a listing mark:
+/// for each entry of its PIC line that no guard of its chain stands for,
+/// the reason [`splice_source`] gives under `epoch`, or, for an entry it
+/// admits now, that the line took it after the refine or (inside a
+/// splice) that the copied callee code had the call generic. Empty for a
+/// chain's fallback whose entries all splice.
+fn generic_mark(bc: &BcBody, pc: u32, ct: &ClassTable, epoch: u64) -> String {
+    let (site, n) = match bc.code[pc as usize] {
+        Instr::CallSuper { .. } => return " ; generic: super call".to_owned(),
+        Instr::CallRecv { site, n, .. } | Instr::CallImplicit { site, n, .. } => (site, n),
+        _ => return String::new(),
+    };
+    let line = &bc.sites[site as usize];
+    let entries = line.entries.borrow();
+    let reasons: Vec<String> = if entries.is_empty() {
+        vec!["line empty".to_owned()]
+    } else if line.epoch.get() != epoch {
+        vec![Decline::Epoch.as_str().to_owned()]
     } else {
-        ""
+        let guard_pcs = bc.code.iter().enumerate().filter_map(|(at, i)| match i {
+            Instr::GuardInline { .. } => Some(at as u32),
+            _ => None,
+        });
+        let spliced: Vec<u16> = guard_pcs
+            .map(|at| chain_from(bc, at))
+            .filter(|(_, end)| *end == pc)
+            .map(|(guards, _)| guards[0])
+            .collect();
+        let nested = bc.inlined.iter().any(|&(g, x, _)| g < pc && pc < x);
+        entries
+            .iter()
+            .filter(|e| {
+                !spliced.iter().any(|&g| {
+                    let g = &bc.guards[g as usize];
+                    g.ck == e.ck && g.keys == e.keys
+                })
+            })
+            .map(|e| {
+                let why = match splice_source(e, n, epoch) {
+                    Err(d) => d.as_str(),
+                    Ok(_) if nested => "generic in the copied callee",
+                    Ok(_) => "filled after the refine",
+                };
+                let cname = ct.info(e.class).borrow().fqcn;
+                format!("{cname}.{}/{} {why}", e.target.name, e.target.params.len())
+            })
+            .collect()
+    };
+    match reasons.is_empty() {
+        true => String::new(),
+        false => format!(" ; generic: {}", reasons.join(", ")),
     }
 }

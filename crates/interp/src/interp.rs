@@ -1249,10 +1249,11 @@ impl Interp {
             ExprKind::Assign(op, l, r) => {
                 let rv = self.eval(r, frame)?;
                 match op {
+                    // The value is the one stored, which a field or an
+                    // element converts to its declared type (JLS §15.26.1).
                     None => {
                         let value = self.widen(rv, r, frame.place_prim(l), frame)?;
-                        self.assign_to(l, value.clone(), frame)?;
-                        Ok(value)
+                        self.assign_to(l, value, frame)
                     }
                     // The value is the variable's after the store, which
                     // narrows to its type (JLS §15.26.2).

@@ -35,6 +35,7 @@
 //! must be byte-identical with lowering on and off.
 
 use crate::bytecode::{BcBody, REFINE_EXECS};
+use crate::widen;
 use crate::Value;
 use maya_ast::{
     BinOp, Block, Expr, ExprKind, ForInit, Lit, LocalDeclarator, PrimKind, Stmt, StmtKind,
@@ -51,8 +52,8 @@ use std::rc::Rc;
 // ---- the lowered body --------------------------------------------------------
 
 /// A lowered body: its cold bytecode, plus the refined copy that splices
-/// leaf callees inline, made after [`REFINE_EXECS`] runs (see
-/// `bytecode::refine`).
+/// its hot callees inline, made after [`REFINE_EXECS`] runs (see
+/// `bytecode::refine`); a caller's refine copies that copy in turn.
 ///
 /// Splice guards compare the PIC epoch they were built under, and every
 /// interpreter allocates fresh epochs, so a refined body that a session's
@@ -638,31 +639,14 @@ fn fold_unary(op: UnOp, v: &Value) -> Option<Value> {
     })
 }
 
-/// Folds primitive casts of numeric constants (mirrors `Interp::cast`).
-/// Boolean targets error at runtime and reference targets need resolution,
-/// so neither folds.
+/// Folds primitive casts of numeric constants by the conversion
+/// `Interp::cast` makes. Boolean targets error at runtime and reference
+/// targets need resolution, so neither folds.
 fn fold_cast(tn: &TypeName, v: &Value) -> Option<Value> {
-    let TypeNameKind::Prim(p) = &tn.kind else {
-        return None;
-    };
-    let d = match v {
-        Value::Int(i) => *i as f64,
-        Value::Long(l) => *l as f64,
-        Value::Float(f) => *f as f64,
-        Value::Double(d) => *d,
-        Value::Char(c) => *c as u32 as f64,
-        _ => return None,
-    };
-    Some(match p {
-        PrimKind::Byte => Value::Int(d as i64 as i8 as i32),
-        PrimKind::Short => Value::Int(d as i64 as i16 as i32),
-        PrimKind::Int => Value::Int(d as i64 as i32),
-        PrimKind::Long => Value::Long(d as i64),
-        PrimKind::Float => Value::Float(d as f32),
-        PrimKind::Double => Value::Double(d),
-        PrimKind::Char => Value::Char(char::from_u32((d as i64 as u32) & 0xFFFF).unwrap_or('\0')),
-        PrimKind::Boolean => return None,
-    })
+    match &tn.kind {
+        TypeNameKind::Prim(p) => widen::convert(v, *p),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

@@ -12,11 +12,13 @@
 //! Call dispatch goes through [`PolySite`] polymorphic inline caches keyed
 //! by (receiver class, exact argument keys): exact keys mean identical
 //! runtime types, so the full `select_from_row` search is deterministic for
-//! a hit and can be skipped entirely.  Monomorphic sites with compiled
-//! callees are additionally *spliced inline* by the refine pass, which
-//! rewrites a copy of the body's cold bytecode; the [`Instr::GuardInline`]
-//! handler re-validates the snapshot (epoch, the class the call dispatches
-//! on, argument keys) and falls back to the generic call on mismatch. A
+//! a hit and can be skipped entirely.  Sites with compiled callees are
+//! additionally *spliced inline* by the refine pass, which rewrites a copy
+//! of the body's cold bytecode with one guarded copy of the callee per
+//! cache entry; the [`Instr::GuardInline`] handler re-validates its entry
+//! (epoch, the class the call dispatches on, argument keys), enters the
+//! callee frame when it holds, and else passes to the chain's next guard
+//! or, from the last, to the generic call. A
 //! run of the cold code that loops [`bytecode::OSR_BACKEDGES`] times
 //! refines its body at the back-edge and continues in the copy (see
 //! [`Interp::refine_on_stack`]).
@@ -72,10 +74,10 @@ fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
 
 impl Interp {
     /// Bytecode for `lb`: the cold compile, replaced after
-    /// [`bytecode::REFINE_EXECS`] runs by the refine pass's copy with leaf
-    /// callees spliced in (by then the PICs are warm, so monomorphic sites
-    /// are visible).  The copy shares the cold body's call sites, keeping
-    /// warmed cache lines.
+    /// [`bytecode::REFINE_EXECS`] runs by the refine pass's copy with its
+    /// callees spliced in (by then the PICs are warm, so the receiver
+    /// classes each site sees are visible).  The copy shares the cold
+    /// body's call sites, keeping warmed cache lines.
     ///
     /// Runs are counted per PIC epoch (see [`LoweredBody`]): a body shared
     /// from an earlier request's compiler runs cold until it is refined
@@ -132,7 +134,8 @@ impl Interp {
     /// `None` when the body is unlowerable (e.g. contains try/catch).
     pub fn bytecode_listing(&self, body: &LazyNode, m: &MethodInfo) -> Option<String> {
         let lb = self.lowered_body(body, &m.param_names, &m.params, Some(&m.ret))?;
-        Some(bytecode::disasm(&lb.current(), &self.ct))
+        let epoch = self.caches.sync(&self.ct);
+        Some(bytecode::disasm(&lb.current(), &self.ct, epoch, !lb.unrefined()))
     }
 
     /// The lowered body for a resolved method, if it is already forced and
@@ -259,6 +262,67 @@ impl Interp {
         self.env_name(name, this, Some(class), span)
     }
 
+    /// Whether the splice behind `g` stands for the call now: the cache
+    /// epoch it was built under, the class the generic call would dispatch
+    /// on and the argument keys all match. That class is the receiver
+    /// object's, the class a qualified static call names (`Main.f(x)`),
+    /// or — with no receiver and no `this` — the static frame's own. The
+    /// generic path's `ensure_init` is a no-op for the last two: a static
+    /// frame's class is initialized before its body runs, and a named
+    /// class before the call that filled the PIC line the guard was built
+    /// from.
+    #[inline(always)]
+    fn guard_passes(
+        &self,
+        g: &InlineGuard,
+        regs: &[Value],
+        this: &Option<Value>,
+        class: ClassId,
+    ) -> bool {
+        let dispatch = match splice_this(g, regs, this) {
+            Some(Value::Object(o)) => Some(o.class),
+            Some(Value::ClassRef(c)) => Some(*c),
+            Some(_) => None,
+            None => Some(class),
+        };
+        dispatch.is_some_and(|c| class_key(Some(c)) == g.ck)
+            && self.caches.sync(&self.ct) == g.epoch
+            && g.keys
+                .iter()
+                .enumerate()
+                .all(|(i, k)| k.matches(&regs[g.base as usize + i]))
+    }
+
+    /// Enters the spliced callee frame of a passing guard: a verified PIC
+    /// hit, with the counter and profiler sample the generic path would
+    /// record, then the same depth guard, error and counters as
+    /// `invoke`/`invoke_inner`.
+    fn enter_splice(&self, bc: &BcBody, g: &InlineGuard, profiled: bool) -> Result<(), Control> {
+        maya_telemetry::count(Counter::PicHits);
+        maya_telemetry::count(Counter::BcInlineEntries);
+        if profiled {
+            maya_telemetry::prof_site(Rc::as_ptr(&g.site) as usize, true, || {
+                format!("{}.{}/{}", self.ct.fqcn(g.class), g.name, g.keys.len())
+            });
+        }
+        let d = self.depth.get() + 1;
+        let limit = self.stack_limit.get();
+        if d > limit {
+            maya_telemetry::count(Counter::StepLimitHits);
+            return Err(Control::error(
+                format!("stack overflow (call depth > {limit})"),
+                g.span,
+            ));
+        }
+        self.depth.set(d);
+        maya_telemetry::count(Counter::InterpCalls);
+        if profiled {
+            let (mi, mc) = &bc.methods[g.m as usize];
+            maya_telemetry::prof_enter(Rc::as_ptr(mi) as usize, || self.method_label(*mc, mi));
+        }
+        Ok(())
+    }
+
     /// Pop `n` spliced inline frames: profiler exits + call-depth credits.
     fn unwind_inline(&self, n: u16, profiled: bool) {
         for _ in 0..n {
@@ -341,7 +405,7 @@ impl Interp {
         let cls = Some(class);
         // Type stack for New/NewArray/Decl sequences (balanced by compile).
         let mut tys: Vec<Type> = Vec::new();
-        // Spliced inline frames currently entered (see CallEnter/CallExit).
+        // Spliced inline frames currently entered (see GuardInline/CallExit).
         let mut inline_depth: u16 = 0;
         let mut pc: u32 = 0;
         let result: Eval;
@@ -431,11 +495,11 @@ impl Interp {
                     let r = self.env_load(fs, name, splice_this(g, &regs, &this), g.class, span);
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::EnvStore { src, name, keep, span } => {
+                Instr::EnvStore { src, name, out, span } => {
                     let v = regs[src as usize].clone();
                     let stored = tryc!(self.env_assign_name(name, v, this.as_ref(), cls, span));
-                    if keep {
-                        regs[src as usize] = stored;
+                    if let Some(o) = out {
+                        regs[o as usize] = stored;
                     }
                 }
                 Instr::ClassRef { dst, fqcn, span } => {
@@ -463,11 +527,11 @@ impl Interp {
                     };
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::FieldSet { obj, val, name, keep, span } => {
+                Instr::FieldSet { obj, val, name, out, span } => {
                     let v = regs[val as usize].clone();
                     let stored = tryc!(self.field_store(&regs[obj as usize], name, v, span));
-                    if keep {
-                        regs[val as usize] = stored;
+                    if let Some(o) = out {
+                        regs[o as usize] = stored;
                     }
                 }
                 Instr::ArrGet { dst, arr, idx, spans } => {
@@ -493,7 +557,7 @@ impl Interp {
                         });
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::ArrSet { arr, idx, val, spans, keep } => {
+                Instr::ArrSet { arr, idx, val, spans, out } => {
                     let (espan, ispan) = bc.span_pairs[spans as usize];
                     let r = self
                         .int_of(regs[idx as usize].clone(), ispan)
@@ -502,8 +566,8 @@ impl Interp {
                             self.array_store(&regs[arr as usize], i, v, espan)
                         });
                     let stored = tryc!(r);
-                    if keep {
-                        regs[val as usize] = stored;
+                    if let Some(o) = out {
+                        regs[o as usize] = stored;
                     }
                 }
                 Instr::NewClass { ty, span } => {
@@ -753,77 +817,26 @@ impl Interp {
                 }
                 Instr::GuardInline { guard, fallback } => {
                     let g = &bc.guards[guard as usize];
-                    // The class the generic call would dispatch on: the
-                    // receiver object's, the class a qualified static call
-                    // names (`Main.f(x)`), or — with no receiver and no
-                    // `this` — the static frame's own.  The generic path's
-                    // `ensure_init` is a no-op for the last two: a static
-                    // frame's class is initialized before its body runs,
-                    // and a named class before the call that filled the
-                    // PIC line the guard was built from.
-                    let dispatch = match splice_this(g, &regs, &this) {
-                        Some(Value::Object(o)) => Some(o.class),
-                        Some(Value::ClassRef(c)) => Some(*c),
-                        Some(_) => None,
-                        None => Some(class),
-                    };
-                    let ok = dispatch.is_some_and(|c| class_key(Some(c)) == g.ck)
-                        && self.caches.sync(&self.ct) == g.epoch
-                        && g.keys
-                            .iter()
-                            .enumerate()
-                            .all(|(i, k)| k.matches(&regs[g.base as usize + i]));
-                    if ok {
-                        // The splice is a verified PIC hit: same counter and
-                        // profiler sample as the generic path would record.
-                        maya_telemetry::count(Counter::PicHits);
-                        maya_telemetry::count(Counter::BcInlineEntries);
-                        if profiled {
-                            maya_telemetry::prof_site(Rc::as_ptr(&g.site) as usize, true, || {
-                                format!(
-                                    "{}.{}/{}",
-                                    self.ct.fqcn(g.class),
-                                    g.name,
-                                    g.keys.len()
-                                )
-                            });
+                    if !self.guard_passes(g, &regs, &this, class) {
+                        // A failed member of a chain passes to the next one;
+                        // only a call that reaches the generic one falls back.
+                        if !matches!(bc.code[fallback as usize], Instr::GuardInline { .. }) {
+                            maya_telemetry::count(Counter::BcInlineFallbacks);
                         }
-                    } else {
-                        maya_telemetry::count(Counter::BcInlineFallbacks);
                         pc = fallback;
                         continue 'run;
                     }
+                    tryc!(self.enter_splice(bc, g, profiled));
+                    inline_depth += 1;
                 }
-                Instr::CallEnter { m, span } => {
-                    // Entering a spliced callee frame: same depth guard,
-                    // error, and counters as `invoke`/`invoke_inner`.
-                    let d = self.depth.get() + 1;
-                    let limit = self.stack_limit.get();
-                    if d > limit {
-                        maya_telemetry::count(Counter::StepLimitHits);
-                        let r: Result<(), Control> = Err(Control::error(
-                            format!("stack overflow (call depth > {limit})"),
-                            span,
-                        ));
-                        tryc!(r);
-                    } else {
-                        self.depth.set(d);
-                        maya_telemetry::count(Counter::InterpCalls);
-                        if profiled {
-                            let (mi, mc) = &bc.methods[m as usize];
-                            maya_telemetry::prof_enter(Rc::as_ptr(mi) as usize, || {
-                                self.method_label(*mc, mi)
-                            });
-                        }
-                        inline_depth += 1;
-                    }
-                }
-                Instr::CallExit => {
+                Instr::CallExit { next } => {
                     if profiled {
                         maya_telemetry::prof_exit();
                     }
                     self.depth.set(self.depth.get() - 1);
                     inline_depth -= 1;
+                    pc = next;
+                    continue 'run;
                 }
             }
             pc += 1;

@@ -95,26 +95,42 @@ pub(crate) fn converts(from: PrimKind, to: PrimKind) -> bool {
     )
 }
 
-/// `v` converted to the primitive `p` as a cast converts it, or `None`
-/// when `v` is no number or `p` is `boolean`.
+/// `v` converted to the primitive `p` as a cast converts it (JLS §5.1.2,
+/// §5.1.3), or `None` when `v` is no number or `p` is `boolean`. An
+/// integral value narrows to an integral type by its two's-complement
+/// bits. A floating value rounds toward zero to `long` or `int`,
+/// saturating (NaN gives 0), and reaches `byte`, `short` or `char`
+/// through `int`.
 pub(crate) fn convert(v: &Value, p: PrimKind) -> Option<Value> {
     use PrimKind::*;
-    let d = match v {
-        Value::Int(i) => *i as f64,
-        Value::Long(l) => *l as f64,
-        Value::Float(f) => *f as f64,
-        Value::Double(d) => *d,
-        Value::Char(c) => *c as u32 as f64,
+    let bits = match *v {
+        Value::Int(i) => i64::from(i),
+        Value::Long(l) => l,
+        Value::Char(c) => i64::from(u32::from(c)),
+        Value::Float(_) | Value::Double(_) => {
+            let d = match *v {
+                Value::Float(f) => f64::from(f),
+                Value::Double(d) => d,
+                _ => unreachable!("a floating value"),
+            };
+            match p {
+                Float => return Some(Value::Float(d as f32)),
+                Double => return Some(Value::Double(d)),
+                Long => d as i64,
+                Boolean => return None,
+                Byte | Short | Char | Int => i64::from(d as i32),
+            }
+        }
         _ => return None,
     };
     Some(match p {
-        Byte => Value::Int(d as i64 as i8 as i32),
-        Short => Value::Int(d as i64 as i16 as i32),
-        Int => Value::Int(d as i64 as i32),
-        Long => Value::Long(d as i64),
-        Float => Value::Float(d as f32),
-        Double => Value::Double(d),
-        Char => Value::Char(char::from_u32((d as i64 as u32) & 0xFFFF).unwrap_or('\0')),
+        Byte => Value::Int(i32::from(bits as i8)),
+        Short => Value::Int(i32::from(bits as i16)),
+        Int => Value::Int(bits as i32),
+        Long => Value::Long(bits),
+        Float => Value::Float(bits as f32),
+        Double => Value::Double(bits as f64),
+        Char => Value::Char(char::from_u32(u32::from(bits as u16)).unwrap_or('\0')),
         Boolean => return None,
     })
 }

@@ -582,13 +582,17 @@ fn check_derivations(
 /// the field getter `get` (as an implicit call and with a receiver) and
 /// the static leaf `leaf` (from an instance and from a static frame).
 /// `FuzzHotter` overrides `get`, for the statement whose loop switches
-/// `main` to its refined copy on-stack and then changes the receiver.
+/// `main` to its refined copy on-stack and then changes the receiver, and
+/// for the one whose loop alternates the receivers of `plus`, a non-leaf
+/// that `main`'s on-stack copy splices as a chain, each member with the
+/// chain of both `get` bodies nested.
 const HOT_HELPER: &str = "class FuzzHot {
     int v;
     FuzzHot(int v) { this.v = v; }
     int get() { return v; }
     static int leaf(int x) { return x * 3 + 1; }
     int twice(int k) { return get() + leaf(k); }
+    int plus(int k) { return get() + k; }
     static int fold(FuzzHot h, int k) { return h.get() - leaf(k); }
 }
 class FuzzHotter extends FuzzHot {
@@ -617,6 +621,10 @@ const VALID_STMTS: &[&str] = &[
     // takes its back-edges by a `do` loop's conditional jump.
     "{ FuzzHot h = new FuzzHot(a); for (int i = 0; i < 90; i = i + 1) { if (i == 75) { h = new FuzzHotter(b); } b = b + h.get() * i; } }",
     "{ FuzzHot h = new FuzzHotter(b); int i = 0; do { i = i + 1; if (i % 9 == 0) { continue; } a = a + h.get() % 5; } while (i < 80); }",
+    // Chains and nesting: `plus` runs with both receivers before the loop
+    // switches, so its refined copy splices both `get` bodies, and the
+    // switched copy splices both receivers' `plus` with them nested.
+    "{ FuzzHot x = new FuzzHot(a); FuzzHot y = new FuzzHotter(b); for (int i = 0; i < 90; i = i + 1) { FuzzHot z = x; if (i % 2 == 1) { z = y; } b = b + z.plus(i); } }",
     // Compound assignment and `++` narrow to the variable's type, and the
     // expression's value is the variable's after the store; an `int`
     // holding a `char`'s value stays an `int`.

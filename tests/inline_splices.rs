@@ -1,9 +1,12 @@
-//! The bytecode refine pass splices tiny leaf callees inline behind guards.
-//! These tests pin that the splices are entered — not just emitted — at
-//! the call sites that used to fall back on every call: field-reading
-//! leaves, static implicit calls, and bodies a session shares across
-//! requests. They read the `bc_inline_entries` / `bc_inline_fallbacks`
-//! counters a passing or failing guard records.
+//! The bytecode refine pass splices short callees inline behind guards: a
+//! chain of them at a polymorphic site, and a callee's own splices nested
+//! in its copy. These tests pin that the splices are entered — not just
+//! emitted — at the call sites that used to fall back on every call:
+//! field-reading leaves, static implicit calls, and bodies a session
+//! shares across requests, and at chains, nested splices, on-stack
+//! switches and their hazards. They read the `bc_inline_entries` /
+//! `bc_inline_fallbacks` counters a passing guard or a call that reaches
+//! the generic path records.
 
 use std::path::Path;
 use std::process::Command;
@@ -246,13 +249,12 @@ fn a_session_re_refines_shared_bodies_for_each_request() {
     }
 }
 
-/// The benchmark's call-bound program: both `weighted` bodies splice their
-/// `area()` call, whose callees read fields by bare name.
-#[test]
-fn hot_calls_program_splices_both_weighted_bodies() {
+/// `mayac --dump-bytecode=FILTER --stats` on the benchmark's call-bound
+/// program: the listing and the stats JSON.
+fn hot_calls_dump(filter: &str) -> (String, String) {
     let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/interp_hot_calls.maya");
     let out = Command::new(env!("CARGO_BIN_EXE_mayac"))
-        .arg("--dump-bytecode=weighted")
+        .arg(format!("--dump-bytecode={filter}"))
         .arg("--stats")
         .arg(&file)
         .output()
@@ -262,37 +264,118 @@ fn hot_calls_program_splices_both_weighted_bodies() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let listing = String::from_utf8_lossy(&out.stdout);
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The listing block of `body` in a `--dump-bytecode` output.
+fn block<'a>(listing: &'a str, body: &str) -> &'a str {
+    listing
+        .split("--- bytecode ")
+        .find(|b| b.starts_with(body))
+        .unwrap_or_else(|| panic!("no listing for {body}:\n{listing}"))
+}
+
+/// The splice tree at the head of a listing block, with its pcs dropped:
+/// `call` and `inline` lines as the disassembler indents them.
+fn splice_tree(block: &str) -> Vec<String> {
+    block
+        .lines()
+        .filter(|l| matches!(l.trim_start().split(' ').next(), Some("call" | "inline")))
+        .map(|l| {
+            let words = l.split(' ').filter(|w| !w.starts_with('@'));
+            words.collect::<Vec<_>>().join(" ")
+        })
+        .collect()
+}
+
+/// A counter of a `--stats` JSON document.
+fn stat(stats: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = stats
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {name} in {stats}"))
+        + key.len();
+    stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
+/// The benchmark's call-bound program: both `weighted` bodies splice their
+/// `area()` call, whose callees read fields by bare name, and `sum`'s
+/// bimorphic `s.weighted()` splices both `weighted` bodies as one chain,
+/// each with its `area()` splice nested. `main` switches on-stack at its
+/// loop and splices `s.area()` as a chain; `sum` itself is too long to.
+#[test]
+fn hot_calls_program_splices_both_weighted_bodies() {
+    let (listing, stats) = hot_calls_dump("weighted");
     for (body, callee) in [
         ("Shape.weighted", "Square.area"),
         ("Rect.weighted", "Rect.area"),
     ] {
-        let block = listing
-            .split("--- bytecode ")
-            .find(|b| b.starts_with(body))
-            .unwrap_or_else(|| panic!("no listing for {body}:\n{listing}"));
+        let block = block(&listing, body);
         assert!(
             block.contains(&format!(": {callee}/0")),
             "{body} does not splice {callee}:\n{block}"
         );
         assert!(block.contains("env_load_at"), "{block}");
     }
-    let stats = String::from_utf8_lossy(&out.stderr);
-    let counter = |name: &str| -> u64 {
-        let key = format!("\"{name}\": ");
-        let at = stats
-            .find(&key)
-            .unwrap_or_else(|| panic!("no {name} in {stats}"))
-            + key.len();
-        stats[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    assert!(counter("bc_inline_entries") > 19_000, "{stats}");
-    assert_eq!(counter("bc_inline_fallbacks"), 0, "{stats}");
+    // Every guard that fails passes to the next member of its chain, so
+    // no call falls back. `sum`'s first three runs call the `weighted`
+    // bodies, which splice `area()` from their 4th run on (69 entries);
+    // its other 797 runs enter two splices per call (39,850). `main`
+    // enters `s.area()` in the 336 rounds after its switch, and the two
+    // `weighted` calls after its loop enter their `area()` splices.
+    assert_eq!(stat(&stats, "bc_inline_entries"), 40257, "{stats}");
+    assert_eq!(stat(&stats, "bc_inline_fallbacks"), 0, "{stats}");
+    assert_eq!(stat(&stats, "bc_osr_switches"), 1, "{stats}");
+
+    let (listing, _) = hot_calls_dump("sum");
+    let sum = block(&listing, "Main.sum");
+    assert_eq!(
+        splice_tree(sum),
+        [
+            "call weighted/0 [pic0], 2 spliced, else",
+            "  inline Square.weighted/0",
+            "    call area/0 [pic1], 1 spliced, else",
+            "      inline Square.area/0",
+            "  inline Rect.weighted/0",
+            "    call area/0 [pic2], 1 spliced, else",
+            "      inline Rect.area/0",
+        ],
+        "{sum}"
+    );
+    assert!(!sum.contains("; generic"), "{sum}");
+
+    let (listing, _) = hot_calls_dump("main");
+    let main = block(&listing, "Main.main");
+    assert!(main.contains("refined on-stack"), "{main}");
+    assert_eq!(
+        splice_tree(main),
+        [
+            "call area/0 [pic2], 2 spliced, else",
+            "  inline Square.area/0",
+            "  inline Rect.area/0",
+        ],
+        "{main}"
+    );
+    // Each call left generic names why: `sum` is past `INLINE_MAX` with
+    // its own splices, `println` is native, and the `weighted` calls after
+    // the loop had not run when the loop switched.
+    assert!(
+        main.contains("; generic: Main.sum/2 callee over INLINE_MAX"),
+        "{main}"
+    );
+    assert!(main.contains("println/1 native"), "{main}");
+    assert!(
+        main.contains("; generic: Square.weighted/0 filled after the refine"),
+        "{main}"
+    );
 }
 
 // ---- on-stack switches ---------------------------------------------------
@@ -301,6 +384,25 @@ fn hot_calls_program_splices_both_weighted_bodies() {
 // back-edges refines the body and continues in the copy. Each test below
 // runs its program on both tiers: the outputs (or error texts) must be
 // identical, and the bytecode run's counters are pinned.
+
+/// `--dump-bytecode=FILTER` of `src` after its run on the bytecode tier.
+fn dump(src: &str, filter: &str) -> String {
+    let mut session = Session::new(
+        CompileOptions {
+            echo_output: false,
+            jobs: 1,
+            ..CompileOptions::default()
+        },
+        None,
+    );
+    let opts = RequestOpts {
+        dump_bytecode: Some(filter.to_owned()),
+        ..RequestOpts::default()
+    };
+    let out = session.compile_sources(&[("Main.maya".to_owned(), src.to_owned())], &opts);
+    assert!(out.success, "{}", out.stderr);
+    out.stdout
+}
 
 /// What one run of a program produced on the bytecode tier.
 struct Switched {
@@ -423,8 +525,9 @@ fn a_receiver_class_change_after_the_switch_falls_back_until_the_regular_refine(
     // Run 1 of `run` switches after i = 63 with `A.f` spliced: i = 64..99
     // enter it, and from i = 100 the `B` receiver fails the guard. Runs 2
     // and 3 start in that provisional copy (100 entries, 50 fallbacks
-    // each); run 4's regular refine sees the site bimorphic and drops the
-    // splice, so runs 4 and 5 count neither.
+    // each). Run 4's regular refine sees the site bimorphic and splices a
+    // chain of `B.f` and `A.f`, so runs 4 and 5 enter on every call (150
+    // entries each) and fall back on none.
     let run = switched(
         r#"
         class A { int f() { return 1; } }
@@ -451,7 +554,7 @@ fn a_receiver_class_change_after_the_switch_falls_back_until_the_regular_refine(
         CompileOptions::default,
     );
     assert_eq!(run.out.as_deref(), Ok("1000\n"));
-    assert_eq!(run.counts, (236, 150, 1));
+    assert_eq!(run.counts, (536, 150, 1));
 }
 
 #[test]
@@ -512,9 +615,12 @@ fn a_stack_limit_at_a_splice_of_a_switched_loop_fails_like_the_walker() {
     );
     let err = run.out.expect_err("the stack limit stops the spliced call");
     assert_eq!(err, "stack overflow (call depth > 20) at `leaf(i)`");
-    // The guard passes (a PIC hit, as on the generic path) before the
-    // callee frame's entry fails.
-    assert_eq!(run.counts, (1, 0, 1));
+    // `down` refines on its 4th run (d = 14) and splices its own cold
+    // code at `down(d - 1)`, so the recursion alternates a real frame and
+    // a splice: d = 13, 11, .., 1 enter one each (7). At the end the guard
+    // of `leaf` passes (a PIC hit, as on the generic path) before the
+    // frame entry it makes fails: the 8th entry.
+    assert_eq!(run.counts, (8, 0, 1));
 }
 
 #[test]
@@ -580,4 +686,337 @@ fn a_recursive_body_switches_its_inner_activation_only() {
     );
     assert_eq!(run.out.as_deref(), Ok("19800\n"));
     assert_eq!(run.counts, (36, 0, 1));
+}
+
+// ---- chains and nesting --------------------------------------------------
+//
+// The refine pass splices a polymorphic site as a chain of guarded copies
+// and copies a callee's refined copy with its own splices. Each test runs
+// its program on both tiers (see `switched`) and pins the bytecode run's
+// counters.
+
+#[test]
+fn a_third_receiver_class_reaches_the_generic_call() {
+    // `one` refines on its 4th run with `a.f()` bimorphic: a chain of
+    // `A.f` (used last) and `B.f`. The `B` receiver of run 4 fails the
+    // first guard and enters the second: no fallback. Of the 8 refined
+    // runs, the `C` receiver alone fails both guards and falls back once.
+    let run = switched(
+        r#"
+        class A { int f() { return 1; } }
+        class B extends A { int f() { return 2; } }
+        class C extends A { int f() { return 3; } }
+        class Main {
+            static int one(A a) { return a.f(); }
+            static void main() {
+                A a = new A();
+                A b = new B();
+                A c = new C();
+                int s = 0;
+                for (int r = 0; r < 4; r++) { s = s + one(a) * 10 + one(b); }
+                s = s + one(c) * 100;
+                s = s + one(a) + one(b);
+                System.out.println(s);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("351\n"));
+    assert_eq!(run.counts, (7, 1, 0));
+}
+
+#[test]
+fn a_nested_guard_fails_while_its_outer_guard_passes() {
+    // `W.inner` refines first, splicing `p.f()` for an `A` in its field
+    // `p`; `outer` refines on its 4th run and splices `inner`'s copy with
+    // `A.f` nested, the guard of `w.inner()` on `w`'s register and the
+    // nested one on the register `p` is loaded into. Once `w.p` holds a
+    // `B`, the outer guard (class `W`, no arguments) still passes and the
+    // nested one fails on each of the 5 calls, which take the generic
+    // `p.f()`.
+    let run = switched(
+        r#"
+        class A { int f() { return 1; } }
+        class B extends A { int f() { return 2; } }
+        class W {
+            A p;
+            W(A p) { this.p = p; }
+            int inner() { return p.f() + 1; }
+        }
+        class Main {
+            static int outer(W w, int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) { s = s + w.inner(); }
+                return s;
+            }
+            static void main() {
+                W w = new W(new A());
+                int t = 0;
+                for (int r = 0; r < 4; r++) { t = t + outer(w, 5); }
+                w.p = new B();
+                t = t + outer(w, 5) * 100;
+                System.out.println(t);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("1540\n"));
+    // `inner`'s runs 4..15 enter `A.f` (12); `outer`'s 4th run enters
+    // `inner` and `A.f` per call (10); its 5th run enters `inner` only.
+    assert_eq!(run.counts, (27, 5, 0));
+}
+
+#[test]
+fn a_class_qualified_static_callee_makes_a_nested_implicit_call() {
+    // `Q.m` calls the inherited static `h` implicitly; its frame has no
+    // `this` and runs under `Q`, the class its call names. `m` refines
+    // first, splicing `h` behind a guard on its frame's class. Spliced
+    // into `run` through the class reference `Q`, that guard is rebound
+    // to the reference's register, and `h` reads the static `k` in `Q`'s
+    // frame. `Main` declares a `k` of its own.
+    let run = switched(
+        r#"
+        class P {
+            static int k = 5;
+            static int h(int x) { return x + k; }
+        }
+        class Q extends P {
+            static int m(int x) { return h(x) * 2; }
+        }
+        class Main {
+            static int k = 1000;
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) { s = s + Q.m(i); }
+                return s;
+            }
+            static void main() {
+                int t = 0;
+                for (int r = 0; r < 5; r++) { t = t + run(10); }
+                System.out.println(t + k);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("1950\n"));
+    // `m`'s runs 4..30 enter `h` (27); `run`'s runs 4 and 5 enter `m` and
+    // the nested `h` on each of their 10 calls (40).
+    assert_eq!(run.counts, (67, 0, 0));
+}
+
+#[test]
+fn an_exception_two_splices_deep_reaches_a_walker_try() {
+    // `run` splices `mid`, which splices `leaf`; `leaf(0)` divides by zero
+    // inside both splices. `main` holds a `try`, so it runs on the walker
+    // and catches the exception; both spliced frames are popped on the
+    // way out, so the last `run`, at the same depth, passes the stack
+    // limit of 4 (`main`, `run`, `mid`, `leaf`).
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return 1000 / x; }
+            static int mid(int x) { return leaf(x) + 1; }
+            static int run(int from, int to) {
+                int s = 0;
+                for (int i = from; i < to; i++) { s = s + mid(i); }
+                return s;
+            }
+            static void main() {
+                int r = 0;
+                for (int k = 0; k < 4; k++) { r = r + run(1, 10); }
+                try {
+                    r = r + run(-3, 10);
+                } catch (ArithmeticException e) {
+                    System.out.println("caught");
+                }
+                System.out.println(r + " " + run(1, 5));
+            }
+        }
+        "#,
+        || CompileOptions {
+            interp_stack_limit: 4,
+            ..CompileOptions::default()
+        },
+    );
+    assert_eq!(run.out.as_deref(), Ok("caught\n11344 2087\n"));
+    // `mid`'s runs 4..27 enter `leaf` (24); `run`'s 4th run enters two
+    // splices per call (18), its 5th three calls and the throwing one
+    // (8), its 6th four calls (8).
+    assert_eq!(run.counts, (58, 0, 0));
+}
+
+#[test]
+fn a_stack_limit_at_a_nested_splice_fails_like_the_walker() {
+    // After `run` and `mid` refine, `down(13)` reaches `run` at depth 16
+    // (`main` is 1). Its splice of `mid` enters at 17, within the limit,
+    // and the nested splice of `leaf` would enter at 18: its frame entry
+    // fails with the walker's error at the walker's span.
+    let run = switched(
+        r#"
+        class Main {
+            static int leaf(int x) { return x + 1; }
+            static int mid(int x) { return leaf(x) * 2; }
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) { s = s + mid(i); }
+                return s;
+            }
+            static int down(int d) {
+                if (d == 0) { return run(3); }
+                return down(d - 1);
+            }
+            static void main() {
+                int t = 0;
+                for (int r = 0; r < 4; r++) { t = t + run(3); }
+                System.out.println(t);
+                System.out.println(down(13));
+            }
+        }
+        "#,
+        || CompileOptions {
+            interp_stack_limit: 17,
+            ..CompileOptions::default()
+        },
+    );
+    let err = run.out.expect_err("the stack limit stops the nested splice");
+    assert_eq!(err, "stack overflow (call depth > 17) at `leaf(x)`");
+    // `mid`'s runs 4..9 enter `leaf` (6) and `run`'s 4th run enters both
+    // per call (6). `down` refines on its 4th run (d = 10) and splices its
+    // own cold code, so d = 9, 7, .., 1 are splices (5). The last `run`
+    // enters `mid` and passes the guard of `leaf` before its frame entry
+    // fails (2).
+    assert_eq!(run.counts, (19, 0, 0));
+}
+
+#[test]
+fn break_and_continue_around_a_chain_whose_callees_loop() {
+    // `run`'s `x.f(..)` is bimorphic, and both callees have a loop of
+    // their own, whose regions the chain copies one frame deeper. The
+    // caller's `continue` skips the chain and its `break` leaves the loop
+    // after it; neither passes through a spliced frame.
+    let run = switched(
+        r#"
+        class A {
+            int f(int n) {
+                int s = 0;
+                for (int k = 0; k < n; k++) { s = s + k; }
+                return s;
+            }
+        }
+        class B extends A {
+            int f(int n) {
+                int s = 1;
+                int k = 0;
+                while (k < n) { s = s * 2; k++; }
+                return s;
+            }
+        }
+        class Main {
+            static int run(A a, A b, int n, int stop) {
+                int t = 0;
+                for (int i = 0; i < n; i++) {
+                    if (i % 5 == 4) { continue; }
+                    A x = a;
+                    if (i % 2 == 1) { x = b; }
+                    t = t + x.f(i % 6);
+                    if (t > stop) { break; }
+                }
+                return t;
+            }
+            static void main() {
+                A a = new A();
+                A b = new B();
+                int all = 0;
+                for (int r = 0; r < 6; r++) { all = all + run(a, b, 12, 20 + r * 20); }
+                System.out.println(all);
+            }
+        }
+        "#,
+        CompileOptions::default,
+    );
+    assert_eq!(run.out.as_deref(), Ok("422\n"));
+    // `run`'s runs 4..6 make 10 calls each before their loop ends, every
+    // one entering one member of the chain.
+    assert_eq!(run.counts, (30, 0, 0));
+}
+
+#[test]
+fn a_callee_that_writes_its_parameter_gets_a_copy_of_it() {
+    // `dec` writes its parameter twice, so its splice copies the argument
+    // into a register of its own; `twice` reads its parameter in place.
+    // Both splice into `run`, whose loop reads its own local after the
+    // call.
+    let src = r#"
+        class Main {
+            static int dec(int x) { x = x - 1; x++; x -= 3; return x * 2; }
+            static int twice(int y) { return y + y; }
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) {
+                    int a = i;
+                    s = s + dec(a) + twice(a) + a;
+                }
+                return s;
+            }
+            static void main() {
+                int t = 0;
+                for (int r = 0; r < 5; r++) { t = t + run(10); }
+                System.out.println(t);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("825\n"));
+    // `run`'s runs 4 and 5 enter both splices on each of 10 calls.
+    assert_eq!(run.counts, (40, 0, 0));
+    // The instruction after each guard: `dec`'s frame starts with a move
+    // of its argument, `twice`'s with its statement's step.
+    let listing = dump(src, "run");
+    let lines: Vec<&str> = listing.lines().collect();
+    let after_guard = |callee: &str| {
+        let at = lines
+            .iter()
+            .position(|l| l.contains("guard_inline") && l.contains(callee))
+            .unwrap_or_else(|| panic!("no guard of {callee}:\n{listing}"));
+        lines[at + 1].split_whitespace().nth(1).unwrap_or_default()
+    };
+    assert_eq!(after_guard("Main.dec/1"), "move", "{listing}");
+    assert_eq!(after_guard("Main.twice/1"), "step", "{listing}");
+}
+
+#[test]
+fn a_recursive_fib_splices_its_own_body() {
+    // `fib(2)` fills both recursive call sites in `fib`'s first three
+    // runs; `fib(15)`, its 4th run, refines it with both calls spliced.
+    // The splices copy `fib`'s cold code, whose own calls stay generic, so
+    // the recursion alternates a real frame of the refined copy and a
+    // splice: a frame enters 2 splices, and a splice's calls are frames.
+    let src = r#"
+        class Main {
+            static int fib(int n) {
+                if (n < 2) { return n; }
+                return fib(n - 1) + fib(n - 2);
+            }
+            static void main() {
+                System.out.println(fib(2) + " " + fib(15));
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("1 610\n"));
+    assert_eq!(run.counts, (986, 0, 0));
+    let listing = dump(src, "fib");
+    assert_eq!(
+        splice_tree(&listing),
+        [
+            "call fib/1 [pic0], 1 spliced, else",
+            "  inline Main.fib/1",
+            "call fib/1 [pic1], 1 spliced, else",
+            "  inline Main.fib/1",
+        ],
+        "{listing}"
+    );
 }
