@@ -17,13 +17,17 @@
 //!   registers once per frame entry (`BcBody::preloads`);
 //! - superinstructions: fused compare+branch (`JmpIfCmp`), local
 //!   increment (`IncLocal`), and store-fused binary ops (dst = local slot);
+//! - one `Step` per straight run of statements (see [`merge_steps`]),
+//!   which charges the run's statements at once and fails at the limit
+//!   exactly where one step per statement would;
 //! - polymorphic inline caches (`PolySite`, 2–4 entries keyed by receiver
 //!   class + exact argument keys, MRU-front);
 //! - after `REFINE_EXECS` runs, [`refine`] copies the cold code and splices
 //!   the hot call graph into it: each entry of a call's inline cache line
 //!   as one member of a chain of `GuardInline` checks, copying the
 //!   callee's refined copy (≤ `INLINE_MAX` instrs) with its own splices
-//!   nested; a run of the cold code that takes `OSR_BACKEDGES` loop
+//!   nested, into a frame that reads its arguments where the caller holds
+//!   them; a run of the cold code that takes `OSR_BACKEDGES` loop
 //!   back-edges refines the body early and switches to the copy in place
 //!   (on-stack replacement, through `refine`'s cold→copy pc map);
 //! - `Break`/`Continue` surfacing from calls inside loop bodies are routed
@@ -119,8 +123,11 @@ pub(crate) enum Instr {
     /// Superinstruction: fused compare+branch. Branches when the compare
     /// result equals `when`.
     JmpIfCmp { op: BinOp, a: u16, b: u16, when: bool, target: u32, span: Span },
-    /// One interpreter step (per lowered statement).
-    Step { span: Span },
+    /// `n` interpreter steps, one per lowered statement: the statement
+    /// the step starts, then the `n - 1` that follow it in a straight run
+    /// (see [`merge_steps`]). Their spans are `BcBody::step_spans[at..at +
+    /// n]`.
+    Step { n: u16, at: u16 },
     Ret { src: u16 },
     RetNull,
     /// `break`/`continue` with no enclosing loop in this body: surface as
@@ -132,10 +139,12 @@ pub(crate) enum Instr {
     CallRecv { dst: u16, recv: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
     CallSuper { dst: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
     CallImplicit { dst: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
-    /// Inline-splice guard: when the guard's PIC entry still matches, enter
-    /// the spliced callee frame (depth guard, call counter, profiler) and
-    /// run on; else jump to `fallback`, the next guard of the call's chain
-    /// or the generic call.
+    /// Inline-splice guard, the first of a call's chain: enter the spliced
+    /// callee frame (depth guard, call counter, profiler) of the first
+    /// member whose PIC entry still matches the call, and run on at it;
+    /// with none, continue at the generic path. `fallback` is where this
+    /// member's failure leads: the next member's guard, or the generic
+    /// path.
     GuardInline { guard: u16, fallback: u32 },
     /// Leave a spliced callee frame and continue at `next`, the
     /// instruction after the call's generic fallback.
@@ -384,7 +393,10 @@ pub(crate) struct InlineGuard {
     /// caller's `this` (and, in a static frame, dispatches on the frame's
     /// class).
     pub recv: Option<u16>,
-    pub base: u16,
+    /// The register of each argument: its slot in the call's argument
+    /// block, or the local or constant the refine pass reads it from in
+    /// place (see [`moved_args`]).
+    pub args: Box<[u16]>,
     pub site: Rc<PolySite>,
     pub name: Symbol,
     /// The class the callee frame runs under: the receiver's class, or the
@@ -410,6 +422,9 @@ pub(crate) struct BcBody {
     pub tys: Vec<Rc<TypeSlot>>,
     /// (expr span, index span) pairs for array ops.
     pub span_pairs: Vec<(Span, Span)>,
+    /// The span of each statement, in the order their steps were emitted;
+    /// a `Step` indexes its run of them.
+    pub step_spans: Vec<Span>,
     /// Inlined callee methods: (method, defining class).
     pub methods: Vec<(Rc<MethodInfo>, ClassId)>,
     pub guards: Vec<InlineGuard>,
@@ -524,6 +539,9 @@ struct Emit<'a> {
     loops: Vec<LoopCtx>,
     /// Current static ty-stack depth (for region capture).
     ty_depth: u16,
+    /// The pcs of the binaries that cannot fail (see [`Emit::binary`]),
+    /// in order.
+    pure: Vec<u32>,
 }
 
 fn idx16(n: usize) -> Result<u16, Unlowerable> {
@@ -554,6 +572,18 @@ fn target_mut(ins: &mut Instr) -> Option<&mut u32> {
 /// [`target_mut`] read-only.
 fn target(mut ins: Instr) -> Option<u32> {
     target_mut(&mut ins).copied()
+}
+
+/// The pcs control reaches other than from the instruction before: the
+/// targets of jumps, guard fallbacks and splice exits, and every bound of
+/// a loop region (a routed `break` or `continue` lands on one).
+fn labels(bc: &BcBody) -> Vec<bool> {
+    let mut at = vec![false; bc.code.len() + 1];
+    let bounds = bc.regions.iter().flat_map(|r| [r.start, r.end, r.brk, r.cont]);
+    for pc in bc.code.iter().filter_map(|&i| target(i)).chain(bounds) {
+        at[pc as usize] = true;
+    }
+    at
 }
 
 /// Points the jumps at `pcs` to `to`.
@@ -654,9 +684,11 @@ fn map_regs(ins: &mut Instr, f: impl Fn(u16) -> u16) {
     }
 }
 
-/// The register `ins` writes, if any.
-fn written_reg(ins: &Instr) -> Option<u16> {
-    match *ins {
+/// The register `ins` writes as its result without reading it there: the
+/// `dst` of a computation, or the `out` of a store. `None` for an
+/// instruction that writes no register or updates one in place.
+fn result_reg(ins: &mut Instr) -> Option<&mut u16> {
+    match ins {
         Instr::Move { dst, .. }
         | Instr::LoadThis { dst, .. }
         | Instr::EnvLoad { dst, .. }
@@ -675,11 +707,12 @@ fn written_reg(ins: &Instr) -> Option<u16> {
         | Instr::CallRecv { dst, .. }
         | Instr::CallSuper { dst, .. }
         | Instr::CallImplicit { dst, .. } => Some(dst),
-        Instr::ToInt { reg, .. } | Instr::IncLocal { slot: reg, .. } => Some(reg),
         Instr::EnvStore { out, .. } | Instr::FieldSet { out, .. } | Instr::ArrSet { out, .. } => {
-            out
+            out.as_mut()
         }
-        Instr::NewClass { .. }
+        Instr::ToInt { .. }
+        | Instr::IncLocal { .. }
+        | Instr::NewClass { .. }
         | Instr::TyElem { .. }
         | Instr::TyDecl { .. }
         | Instr::TyPop
@@ -699,6 +732,31 @@ fn written_reg(ins: &Instr) -> Option<u16> {
     }
 }
 
+/// The register `ins` writes, if any.
+fn written_reg(ins: &Instr) -> Option<u16> {
+    match *ins {
+        Instr::ToInt { reg, .. } | Instr::IncLocal { slot: reg, .. } => Some(reg),
+        mut other => result_reg(&mut other).copied(),
+    }
+}
+
+/// True iff `op` on operands of the primitive types `a` and `b` always
+/// yields a value (see `Interp::binary_values`): `/` and `%` throw on an
+/// integer zero, the bitwise and shift operators are undefined on
+/// floating values, and arithmetic and ordering on booleans.
+fn infallible_op(op: BinOp, a: PrimKind, b: PrimKind) -> bool {
+    use BinOp::*;
+    let boolean = |p| p == PrimKind::Boolean;
+    let floating = |p| matches!(p, PrimKind::Float | PrimKind::Double);
+    match op {
+        Div | Rem | And | Or => false,
+        Eq | Ne => true,
+        BitAnd | BitOr | BitXor => boolean(a) == boolean(b) && !floating(a) && !floating(b),
+        Shl | Shr | Ushr => ![a, b].into_iter().any(|p| boolean(p) || floating(p)),
+        Add | Sub | Mul | Lt | Gt | Le | Ge => !boolean(a) && !boolean(b),
+    }
+}
+
 impl<'a> Emit<'a> {
     fn pc(&self) -> u32 {
         self.bc.pc()
@@ -710,6 +768,36 @@ impl<'a> Emit<'a> {
 
     fn patch(&mut self, pcs: &[u32], to: u32) {
         patch(&mut self.bc.code, pcs, to);
+    }
+
+    /// A statement's step, with its span in the step table.
+    fn step(&mut self, span: Span) -> Result<(), Unlowerable> {
+        let at = push_index(&mut self.bc.step_spans, span)?;
+        self.emit(Instr::Step { n: 1, at });
+        Ok(())
+    }
+
+    /// Emits `dst = a op b`, the binary of the source operands `l` and
+    /// `r`, and notes it as pure when it can neither fail nor run user
+    /// code: both operands are statically primitive (a `String` `+` may
+    /// call a `toString`) and `op` is defined on their types without
+    /// throwing (see [`infallible_op`]).
+    fn binary(
+        &mut self,
+        op: BinOp,
+        dst: u16,
+        (a, l): (u16, &Expr),
+        (b, r): (u16, &Expr),
+        to: Option<PrimKind>,
+        span: Span,
+    ) -> u32 {
+        let pc = self.emit(Instr::Binary { op, dst, a, b, to, span });
+        if let (Some(x), Some(y)) = (self.static_prim(l), self.static_prim(r)) {
+            if infallible_op(op, x, y) {
+                self.pure.push(pc);
+            }
+        }
+        pc
     }
 
     /// A contiguous block of `n` temporaries (call/ctor/array-dim arguments).
@@ -947,7 +1035,7 @@ impl<'a> Emit<'a> {
 
     fn stmt(&mut self, s: &'a Stmt) -> Result<(), Unlowerable> {
         let mark = self.next_reg;
-        self.emit(Instr::Step { span: s.span });
+        self.step(s.span)?;
         match &s.kind {
             // Imports are compile-time; at runtime `use` is just a scope.
             StmtKind::Block(b) | StmtKind::Use(_, b) => self.block(&b.stmts)?,
@@ -1005,7 +1093,7 @@ impl<'a> Emit<'a> {
                     // its own with a dummy span, charging one step.
                     ForInit::Decl(tn, decls) => {
                         let mark = self.next_reg;
-                        self.emit(Instr::Step { span: Span::DUMMY });
+                        self.step(Span::DUMMY)?;
                         self.decl(Span::DUMMY, tn, decls)?;
                         self.next_reg = mark;
                     }
@@ -1173,11 +1261,10 @@ impl<'a> Emit<'a> {
                     // pairs for compound assignment, so no pairs entry here.
                     (Some(op), Some(LowKind::Local(rs)), Place::Local(slot)) if *rs == slot => {
                         let (b, _) = self.operand(r, false)?;
-                        let (op, span) = (*op, e.span);
                         let to = self.slot_prims[slot as usize];
-                        let pc = self.emit(Instr::Binary { op, dst: slot, a: slot, b, to, span });
+                        let pc = self.binary(*op, slot, (slot, l), (b, r), to, e.span);
                         self.bc.super_pcs.push(pc);
-                        self.narrow_for(slot, slot, span)
+                        self.narrow_for(slot, slot, e.span)
                     }
                     (_, _, write) => {
                         let t = self.alloc_temp()?;
@@ -1400,8 +1487,7 @@ impl<'a> Emit<'a> {
                         let hazard_l = self.writes_locals(r);
                         let (a, da) = self.operand(l, hazard_l)?;
                         let (b, db) = self.operand(r, false)?;
-                        let pc =
-                            self.emit(Instr::Binary { op: *op, dst, a, b, to: None, span });
+                        let pc = self.binary(*op, dst, (a, l), (b, r), None, span);
                         // Superinstruction forms: both operands direct
                         // (load+load+op) or store-fused into a local slot.
                         if (da && db) || dst < self.bc.n_locals {
@@ -1541,7 +1627,7 @@ impl<'a> Emit<'a> {
                     Place::Local(slot) => self.slot_prims[slot as usize],
                     _ => None,
                 };
-                self.emit(Instr::Binary { op, dst: t, a: lv, b: rv, to, span });
+                self.binary(op, t, (lv, l), (rv, value), to, span);
                 self.narrow_for_place(t, &write, span)?;
                 self.store(write, t, Some(dst))?;
             }
@@ -1640,6 +1726,7 @@ pub(crate) fn compile(
         shared_consts: [None; 3],
         loops: Vec::new(),
         ty_depth: 0,
+        pure: Vec::new(),
     };
     // Parameters of wide primitive types convert their arguments on entry.
     for slot in 0..n_params {
@@ -1681,11 +1768,61 @@ pub(crate) fn compile(
         *r = remap(*r);
     }
     bc.n_regs = n_temps + n_consts;
+    merge_steps(&mut bc, &e.pure);
     telemetry::add(Counter::SlotsResolved, e.slots_resolved);
     telemetry::add(Counter::ConstsFolded, e.consts_folded);
     telemetry::count(Counter::BcCompiled);
     telemetry::add(Counter::BcSuperinsts, bc.super_pcs.len() as u64);
     Ok(bc)
+}
+
+/// Merges each straight run of statement steps into its first step: a
+/// step is charged by the step before it when every instruction between
+/// them only writes registers and cannot fail (a `move`, or a binary at a
+/// pc of `pure`), and no label (see [`labels`]) lies after the first step
+/// up to and including the second. The merged steps' spans follow the
+/// first one's in `step_spans`, since steps are emitted in order, so a
+/// merge only counts them; a dropped step's pc maps to the instruction
+/// after it.
+///
+/// The merge is exact. Under the step limit a merged step adds its count.
+/// At the limit it fails at the span of the statement where one step per
+/// statement would have stopped and leaves the step counter where that
+/// would have (see `Interp::count_steps`); the instructions it skips
+/// write only registers of the frame the error unwinds.
+fn merge_steps(bc: &mut BcBody, pure: &[u32]) {
+    let labels = labels(bc);
+    let cold = BcBody {
+        code: std::mem::take(&mut bc.code),
+        regions: std::mem::take(&mut bc.regions),
+        pairs: std::mem::take(&mut bc.pairs),
+        super_pcs: std::mem::take(&mut bc.super_pcs),
+        ..BcBody::default()
+    };
+    let mut pcs = Vec::with_capacity(cold.code.len() + 1);
+    // The step that charges the next one, while the run stays straight.
+    let mut open: Option<usize> = None;
+    for (pc, &ins) in cold.code.iter().enumerate() {
+        pcs.push(bc.pc());
+        if labels[pc] {
+            open = None;
+        }
+        match ins {
+            Instr::Step { .. } => match open.map(|q| &mut bc.code[q]) {
+                Some(Instr::Step { n, .. }) if *n < u16::MAX => {
+                    *n += 1;
+                    continue;
+                }
+                _ => open = Some(bc.code.len()),
+            },
+            Instr::Move { .. } => {}
+            Instr::Binary { .. } if pure.binary_search(&(pc as u32)).is_ok() => {}
+            _ => open = None,
+        }
+        bc.push(ins);
+    }
+    pcs.push(bc.pc());
+    bc.remap(&cold, &pcs, cold.code.len(), 0, 0);
 }
 
 // ---- refine: splicing the hot call graph -------------------------------------
@@ -1695,6 +1832,7 @@ pub(crate) fn compile(
 struct Bases {
     field_sites: u16,
     span_pairs: u16,
+    step_spans: u16,
     tys: u16,
     sites: u16,
     guards: u16,
@@ -1711,6 +1849,7 @@ fn relocate(mut ins: Instr, reg: impl Fn(u16) -> u16, b: Bases) -> Instr {
             *guard += b.guards;
         }
         Instr::ArrGet { spans, .. } | Instr::ArrSet { spans, .. } => *spans += b.span_pairs,
+        Instr::Step { at, .. } => *at += b.step_spans,
         Instr::NewClass { ty, .. }
         | Instr::TyElem { ty, .. }
         | Instr::TyDecl { ty, .. }
@@ -1774,17 +1913,52 @@ impl Decline {
 }
 
 /// How many of `bc`'s instructions a splice copies: all but a final
-/// `ret_null` after a `ret`, when no jump, guard, exit or loop region
-/// reaches it.
+/// `ret_null` after a `ret`, when no label (see [`labels`]) is on it.
 fn copied_len(bc: &BcBody) -> usize {
     let n = bc.code.len();
-    let last = n as u32 - 1;
     let dead = n >= 2
         && matches!(bc.code[n - 1], Instr::RetNull)
         && matches!(bc.code[n - 2], Instr::Ret { .. })
-        && !bc.code.iter().any(|&i| target(i) == Some(last))
-        && !bc.regions.iter().any(|r| r.brk == last || r.cont == last);
+        && !labels(bc)[n - 1];
     n - usize::from(dead)
+}
+
+/// The pc of the instruction before the final `ret` of the `copied`
+/// instructions a splice copies of `bc`, when that instruction computes the
+/// returned value into a temporary as its result (see [`result_reg`]) and
+/// no label (see [`labels`]) is on the `ret`: the splice points it at the
+/// call's destination and copies no `ret`.
+fn ret_producer(bc: &BcBody, copied: usize) -> Option<usize> {
+    let at = copied.checked_sub(2)?;
+    let Instr::Ret { src } = bc.code[at + 1] else {
+        return None;
+    };
+    let mut prev = bc.code[at];
+    let temp = src >= bc.n_locals && result_reg(&mut prev).copied() == Some(src);
+    (temp && !labels(bc)[at + 1]).then_some(at)
+}
+
+/// How many of the argument moves right before the call at `pc` of `bc`
+/// the refine pass moves to the call's generic path, so that a chain of
+/// splices reads those arguments at the moves' sources: the moves of the
+/// call's last arguments that copy a local or a constant, up to the first
+/// other instruction or a label (see [`labels`]) between a move and the
+/// call. A source keeps its value while a splice runs, which writes its
+/// own frame and, at its exit, the call's destination only.
+fn moved_args(bc: &BcBody, pc: usize, labels: &[bool]) -> usize {
+    let (Instr::CallRecv { base, n, .. } | Instr::CallImplicit { base, n, .. }) = bc.code[pc] else {
+        return 0;
+    };
+    let source = |r: u16| r < bc.n_locals || bc.preloads.iter().any(|&(c, _)| c == r);
+    let mut k = 0;
+    while k < usize::from(n) && k < pc && !labels[pc - k] {
+        let arg = usize::from(base) + usize::from(n) - k - 1;
+        match bc.code[pc - k - 1] {
+            Instr::Move { dst, src } if usize::from(dst) == arg && source(src) => k += 1,
+            _ => break,
+        }
+    }
+    k
 }
 
 /// The code a splice of PIC entry `e`, called with `n_args` arguments,
@@ -1864,13 +2038,14 @@ impl BcBody {
         Ok(base)
     }
 
-    /// Appends fresh field sites and `src`'s span pairs, type slots and
-    /// call sites (shared, so a copied call warms the same cache line);
-    /// returns where they start.
+    /// Appends fresh field sites and `src`'s span pairs, step spans, type
+    /// slots and call sites (shared, so a copied call warms the same cache
+    /// line); returns where they start.
     fn append_tables(&mut self, src: &BcBody) -> Result<Bases, Unlowerable> {
         let b = Bases {
             field_sites: idx16(self.field_sites.len())?,
             span_pairs: idx16(self.span_pairs.len())?,
+            step_spans: idx16(self.step_spans.len())?,
             tys: idx16(self.tys.len())?,
             sites: idx16(self.sites.len())?,
             guards: idx16(self.guards.len())?,
@@ -1878,11 +2053,13 @@ impl BcBody {
         self.field_sites
             .extend(src.field_sites.iter().map(|_| FieldSite::new()));
         self.span_pairs.extend_from_slice(&src.span_pairs);
+        self.step_spans.extend_from_slice(&src.step_spans);
         self.tys.extend(src.tys.iter().cloned());
         self.sites.extend(src.sites.iter().cloned());
         for len in [
             self.field_sites.len(),
             self.span_pairs.len(),
+            self.step_spans.len(),
             self.tys.len(),
             self.sites.len(),
         ] {
@@ -1929,46 +2106,64 @@ impl BcBody {
     /// Splices `call` as a chain: one member per entry of `members` (see
     /// [`chain_members`]), each behind its `GuardInline`, whose failure
     /// falls to the next member's guard and the last one's to the generic
-    /// call, copied after them; every member's exits continue after the
-    /// generic call. `null` is the null register, made by the first
-    /// splice.
+    /// path: `moves`, the argument moves [`moved_args`] took off the
+    /// call, then the call. Every member reads such an argument at its
+    /// move's source, and its exits continue after the generic call.
+    /// `null` is the null register, made by the first splice that needs
+    /// one.
     fn splice_chain(
         &mut self,
         call: Instr,
+        moves: &[Instr],
         members: Vec<(PicEntry, Rc<BcBody>)>,
         epoch: u64,
         ty_depth: u16,
         null: &mut Option<u16>,
     ) -> Result<(), Unlowerable> {
+        let (Instr::CallRecv { base, n, .. } | Instr::CallImplicit { base, n, .. }) = call else {
+            unreachable!("only receiver and implicit calls splice")
+        };
+        let mut args: Vec<u16> = (base..base + n).collect();
+        for &m in moves {
+            if let Instr::Move { dst, src } = m {
+                args[usize::from(dst - base)] = src;
+            }
+        }
         let mut guards = Vec::with_capacity(members.len() + 1);
         let mut exits = Vec::new();
         for (e, src) in members {
-            guards.push(self.splice(call, e, &src, epoch, ty_depth, null, &mut exits)?);
+            let at = self.splice(call, &args, e, &src, epoch, ty_depth, null, &mut exits)?;
+            guards.push(at);
         }
-        let fallback = self.push(call);
-        guards.push(fallback);
+        guards.push(self.pc());
+        self.code.extend_from_slice(moves);
+        let generic = self.push(call);
         for w in guards.windows(2) {
             patch(&mut self.code, &w[..1], w[1]);
         }
-        patch(&mut self.code, &exits, fallback + 1);
+        patch(&mut self.code, &exits, generic + 1);
         Ok(())
     }
 
     /// Splices `src`, the code behind `call`'s PIC entry `e` (see
     /// [`splice_source`]), at static type-stack depth `ty_depth`: its
     /// `GuardInline`, which enters the callee frame when it passes, the
-    /// frame's set-up, the code, and a `call_exit`. Returns the guard's
-    /// pc; the pcs of the exits, whose continuation the chain patches, go
-    /// to `exits`.
+    /// frame's set-up, the code, and a `call_exit`. `args` holds the
+    /// register of each argument. Returns the guard's pc; the pcs of the
+    /// exits, whose continuation the chain patches, go to `exits`.
     ///
     /// The callee frame gets registers of its own above every register
     /// the body uses so far, its preloaded constants included, except for
     /// the parameters it never writes: it reads those in place from the
-    /// call's argument registers, which nothing writes while it runs. Its
-    /// other locals start at null, as in a fresh frame. A `ret` moves its
-    /// value into the call's destination and leaves the frame; the final
-    /// one falls through to the exit, and a dead `ret_null` after it is
-    /// not copied (see [`copied_len`]).
+    /// argument registers, which nothing writes while it runs. Its set-up
+    /// copies each other argument into its parameter and nothing more:
+    /// every local's declaration writes its slot (an initializer, or a
+    /// `default_val`) before any read. A `ret` moves its value into the
+    /// call's destination and leaves the frame; the final one falls
+    /// through to the exit, and a dead `ret_null` after it is not copied
+    /// (see [`copied_len`]). When the instruction before the final `ret`
+    /// computes its value (see [`ret_producer`]), that instruction writes
+    /// the destination itself and no `ret` is copied.
     ///
     /// A copy of a refined body brings its own splices one frame deeper:
     /// their guards, call sites, methods, regions and exits are relocated
@@ -1985,6 +2180,7 @@ impl BcBody {
     fn splice(
         &mut self,
         call: Instr,
+        args: &[u16],
         e: PicEntry,
         src: &BcBody,
         epoch: u64,
@@ -1992,8 +2188,8 @@ impl BcBody {
         null: &mut Option<u16>,
         exits: &mut Vec<u32>,
     ) -> Result<u32, Unlowerable> {
-        let (Instr::CallRecv { dst, base, name, site, span, .. }
-        | Instr::CallImplicit { dst, base, name, site, span, .. }) = call
+        let (Instr::CallRecv { dst, name, site, span, .. }
+        | Instr::CallImplicit { dst, name, site, span, .. }) = call
         else {
             unreachable!("only receiver and implicit calls splice")
         };
@@ -2004,12 +2200,8 @@ impl BcBody {
         let m = push_index(&mut self.methods, (e.target, e.class))?;
         let site = Rc::clone(&self.sites[site as usize]);
         let (ck, keys, class) = (e.ck, e.keys, e.class);
-        let g = InlineGuard { epoch, ck, keys, recv, base, site, name, class, m, span };
+        let g = InlineGuard { epoch, ck, keys, recv, args: args.into(), site, name, class, m, span };
         let guard = push_index(&mut self.guards, g)?;
-        let nullr = match *null {
-            Some(r) => r,
-            None => *null.insert(self.grow_regs(1)?),
-        };
         let mut written = vec![false; usize::from(src.n_params)];
         for r in src.code.iter().filter_map(written_reg) {
             if let Some(w) = written.get_mut(usize::from(r)) {
@@ -2018,7 +2210,7 @@ impl BcBody {
         }
         let ibase = self.grow_regs(src.n_regs)?;
         let reg = |r: u16| match written.get(usize::from(r)) {
-            Some(false) => base + r,
+            Some(false) => args[usize::from(r)],
             _ => ibase + r,
         };
         let consts = src.preloads.iter().map(|(r, v)| (reg(*r), v.clone()));
@@ -2028,23 +2220,25 @@ impl BcBody {
         idx16(self.methods.len().max(self.guards.len() + src.guards.len()))?;
         let b = self.append_tables(src)?;
         for g in &src.guards {
-            let (recv, base, m) = (g.recv.map(reg).or(recv), reg(g.base), g.m + mb);
-            self.guards.push(InlineGuard { recv, base, m, ..g.clone() });
+            let (recv, m) = (g.recv.map(reg).or(recv), g.m + mb);
+            let args = g.args.iter().map(|&a| reg(a)).collect();
+            self.guards.push(InlineGuard { recv, args, m, ..g.clone() });
         }
         let gpc = self.push(Instr::GuardInline { guard, fallback: u32::MAX });
-        for i in 0..src.n_locals {
-            let from = match written.get(usize::from(i)) {
-                Some(false) => continue,
-                Some(true) => base + i,
-                None => nullr,
-            };
-            self.push(Instr::Move { dst: ibase + i, src: from });
+        for (i, &w) in (0..).zip(&written) {
+            if w {
+                self.push(Instr::Move { dst: ibase + i, src: args[usize::from(i)] });
+            }
         }
         let copied = copied_len(src);
+        let producer = ret_producer(src, copied);
         let mut pcs = Vec::with_capacity(src.code.len() + 1);
         for (i, &ins) in src.code[..copied].iter().enumerate() {
             pcs.push(self.pc());
-            let copy = match (ins, recv) {
+            if producer.is_some_and(|p| i == p + 1) {
+                break;
+            }
+            let mut copy = match (ins, recv) {
                 (Instr::LoadThis { dst: d, .. }, Some(r)) => Instr::Move { dst: reg(d), src: r },
                 (Instr::EnvLoad { dst: d, name, site, span }, _) => {
                     let site = site + b.field_sites;
@@ -2055,9 +2249,18 @@ impl BcBody {
                     Instr::CallRecv { dst, recv: r, base, n, name, site, span }
                 }
                 (Instr::Ret { src }, _) => Instr::Move { dst, src: reg(src) },
-                (Instr::RetNull, _) => Instr::Move { dst, src: nullr },
+                (Instr::RetNull, _) => {
+                    let nullr = match *null {
+                        Some(r) => r,
+                        None => *null.insert(self.grow_regs(1)?),
+                    };
+                    Instr::Move { dst, src: nullr }
+                }
                 (other, _) => relocate(other, reg, b),
             };
+            if producer == Some(i) {
+                *result_reg(&mut copy).expect("a producer writes its result") = dst;
+            }
             self.push(copy);
             if matches!(ins, Instr::Ret { .. } | Instr::RetNull) && i + 1 < copied {
                 exits.push(self.push(Instr::CallExit { next: u32::MAX }));
@@ -2102,16 +2305,25 @@ pub(crate) fn refine(cold: &BcBody, epoch: u64) -> Result<(BcBody, Vec<u32>), Un
         ..BcBody::default()
     };
     let b = bc.append_tables(cold)?;
+    let labels = labels(cold);
     let mut pcs = Vec::with_capacity(cold.code.len() + 1);
     let mut null = None;
     let mut ty_depth = 0;
-    for &ins in &cold.code {
+    for (pc, &ins) in cold.code.iter().enumerate() {
         pcs.push(bc.pc());
         let members = chain_members(cold, ins, epoch);
         if members.is_empty() {
             bc.push(relocate(ins, |r| r, b));
         } else {
-            bc.splice_chain(ins, members, epoch, ty_depth as u16, &mut null)?;
+            // The moves the chain reads at their sources were copied
+            // already: take them back, and map their pcs to its first
+            // guard.
+            let k = moved_args(cold, pc, &labels);
+            bc.code.truncate(bc.code.len() - k);
+            let first = bc.pc();
+            pcs[pc - k..].fill(first);
+            let moves = &cold.code[pc - k..pc];
+            bc.splice_chain(ins, moves, members, epoch, ty_depth as u16, &mut null)?;
         }
         ty_depth += ty_effect(&ins);
     }
@@ -2195,7 +2407,8 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable, epoch: u64, refined: bool) ->
             Instr::JmpIfCmp { op, a, b, when, target, .. } => {
                 format!("r{a} {} r{b} =={when}, @{target}", op.as_str())
             }
-            Instr::Step { .. } => String::new(),
+            Instr::Step { n: 1, .. } => String::new(),
+            Instr::Step { n, .. } => format!("×{n}"),
             Instr::Ret { src } => format!("r{src}"),
             Instr::RetNull | Instr::RaiseBreak | Instr::RaiseContinue => String::new(),
             Instr::CallExit { next } => format!("@{next}"),
@@ -2250,14 +2463,19 @@ fn method_label(bc: &BcBody, ct: &ClassTable, m: u16) -> String {
 }
 
 /// The chain that the guard at `pc` heads or belongs to, from `pc` on: the
-/// guards its fallbacks pass through, and the generic call they end at.
-fn chain_from(bc: &BcBody, mut pc: u32) -> (Vec<u16>, u32) {
+/// guards its fallbacks pass through, the generic path they end at, and
+/// the generic call, after the argument moves the refine pass put there.
+fn chain_from(bc: &BcBody, mut pc: u32) -> (Vec<u16>, u32, u32) {
     let mut guards = Vec::new();
     while let Instr::GuardInline { guard, fallback } = bc.code[pc as usize] {
         guards.push(guard);
         pc = fallback;
     }
-    (guards, pc)
+    let generic = pc;
+    while let Instr::Move { .. } = bc.code[pc as usize] {
+        pc += 1;
+    }
+    (guards, generic, pc)
 }
 
 /// Lists `bc`'s spliced call sites as a tree: each site as one `call`
@@ -2280,8 +2498,8 @@ fn splice_tree(bc: &BcBody, ct: &ClassTable, out: &mut String) {
         let depth = splices.iter().filter(|s| s.0 < g && g < s.1).count();
         let pad = "    ".repeat(depth);
         if !fallbacks.contains(&g) {
-            let (guards, generic) = chain_from(bc, g);
-            let call = match bc.code[generic as usize] {
+            let (guards, generic, call) = chain_from(bc, g);
+            let call = match bc.code[call as usize] {
                 Instr::CallRecv { name, n, site, .. }
                 | Instr::CallImplicit { name, n, site, .. } => format!("{name}/{n} [pic{site}]"),
                 _ => unreachable!("a chain ends at its generic call"),
@@ -2318,8 +2536,8 @@ fn generic_mark(bc: &BcBody, pc: u32, ct: &ClassTable, epoch: u64) -> String {
         });
         let spliced: Vec<u16> = guard_pcs
             .map(|at| chain_from(bc, at))
-            .filter(|(_, end)| *end == pc)
-            .map(|(guards, _)| guards[0])
+            .filter(|&(_, _, call)| call == pc)
+            .map(|(guards, ..)| guards[0])
             .collect();
         let nested = bc.inlined.iter().any(|&(g, x, _)| g < pc && pc < x);
         entries
@@ -2344,5 +2562,106 @@ fn generic_mark(bc: &BcBody, pc: u32, ct: &ClassTable, epoch: u64) -> String {
     match reasons.is_empty() {
         true => String::new(),
         false => format!(" ; generic: {}", reasons.join(", ")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use maya_ast::{Ident, Lit};
+    use maya_lexer::sym;
+
+    fn decl(p: PrimKind, name: &str, init: Expr) -> Stmt {
+        let d = LocalDeclarator { name: Ident::from_str(name), dims: 0, init: Some(init) };
+        Stmt::synth(StmtKind::Decl(TypeName::prim(p), vec![d]))
+    }
+
+    fn assign(op: Option<BinOp>, name: &str, value: Expr) -> Stmt {
+        let e = ExprKind::Assign(op, Box::new(Expr::name(name)), Box::new(value));
+        Stmt::expr(Expr::synth(e))
+    }
+
+    fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
+        Expr::synth(ExprKind::Binary(op, Box::new(l), Box::new(r)))
+    }
+
+    /// The count of each step, in order, of a body with the `String`
+    /// parameter `s` that declares `int x`, `int y` and `double d`, runs
+    /// `between`, and assigns `x`.
+    fn steps_around(between: Stmt) -> Vec<u16> {
+        let double = Expr::synth(ExprKind::Literal(Lit::Double(1.5)));
+        let stmts = vec![
+            decl(PrimKind::Int, "x", Expr::int(1)),
+            decl(PrimKind::Int, "y", Expr::int(2)),
+            decl(PrimKind::Double, "d", double),
+            between,
+            assign(None, "x", Expr::int(3)),
+        ];
+        let bc = compile(&Block::synth(stmts), &[sym("s")], &[None]).ok().expect("lowerable");
+        let steps = bc.code.iter().filter_map(|i| match *i {
+            Instr::Step { n, .. } => Some(n),
+            _ => None,
+        });
+        steps.collect()
+    }
+
+    #[test]
+    fn which_instructions_end_a_merged_run_of_steps() {
+        use BinOp::*;
+        let x = || Expr::name("x");
+        let two = || Expr::synth(ExprKind::Literal(Lit::Double(2.0)));
+        let call = Expr::synth(ExprKind::Call(
+            MethodName {
+                span: Span::DUMMY,
+                receiver: None,
+                super_recv: false,
+                name: Ident::from_str("f"),
+            },
+            vec![x()],
+        ));
+        let inc = Expr::synth(ExprKind::IncDec(IncDecOp::Inc, false, Box::new(x())));
+        let branch = StmtKind::If(
+            bin(Gt, x(), Expr::int(0)),
+            Box::new(assign(None, "y", Expr::int(1))),
+            None,
+        );
+        // A run goes on through a statement that only moves or computes a
+        // primitive binary that cannot fail: the five statements share one
+        // step. Anything else ends it after the statement's own step.
+        let cases: Vec<(&str, Stmt, &[u16])> = vec![
+            ("a move", assign(None, "y", x()), &[5]),
+            ("an int binary", assign(None, "y", bin(Mul, x(), x())), &[5]),
+            ("a double binary", assign(None, "d", bin(Mul, Expr::name("d"), two())), &[5]),
+            ("a compound assignment", assign(Some(Add), "x", Expr::int(4)), &[5]),
+            ("an int /", assign(None, "y", bin(Div, x(), Expr::int(2))), &[4, 1]),
+            ("an int %", assign(None, "y", bin(Rem, x(), Expr::int(2))), &[4, 1]),
+            ("a String +", assign(None, "s", bin(Add, Expr::name("s"), x())), &[4, 1]),
+            ("a widening", assign(None, "d", x()), &[4, 1]),
+            ("an increment", Stmt::expr(inc), &[4, 1]),
+            ("a call", Stmt::expr(call), &[4, 1]),
+            // The `if`'s jump ends the run, and the statement after the
+            // `if` is a label.
+            ("a branch", Stmt::synth(branch), &[4, 1, 1]),
+        ];
+        for (what, between, steps) in cases {
+            assert_eq!(steps_around(between), steps, "{what}");
+        }
+    }
+
+    #[test]
+    fn infallible_operators_by_operand_type() {
+        use BinOp::*;
+        use PrimKind::*;
+        assert!(infallible_op(Add, Int, Long));
+        assert!(infallible_op(Mul, Double, Char));
+        assert!(infallible_op(Shl, Long, Int));
+        assert!(infallible_op(BitXor, Boolean, Boolean));
+        assert!(infallible_op(Eq, Boolean, Int));
+        assert!(!infallible_op(Div, Double, Double));
+        assert!(!infallible_op(Rem, Int, Int));
+        assert!(!infallible_op(BitAnd, Double, Int));
+        assert!(!infallible_op(Ushr, Float, Int));
+        assert!(!infallible_op(Lt, Boolean, Boolean));
+        assert!(!infallible_op(BitOr, Boolean, Int));
     }
 }

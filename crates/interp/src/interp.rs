@@ -323,6 +323,11 @@ impl Interp {
         self.steps.set(0);
     }
 
+    /// Statements charged since the last [`Interp::reset_steps`].
+    pub fn steps(&self) -> u64 {
+        self.steps.get()
+    }
+
     /// Installs the expansion-frame provider used to annotate runtime
     /// errors raised inside metaprogram bodies.
     pub fn set_frame_provider(&self, f: Rc<dyn Fn() -> Vec<String>>) {
@@ -921,6 +926,30 @@ impl Interp {
             return Err(self.step_limit_exceeded(span));
         }
         Ok(())
+    }
+
+    /// Charges a merged step (see `bytecode::merge_steps`): the `n`
+    /// statements whose spans are `spans[at..at + n]`.  Inlined, so the
+    /// VM's `Step` arm adds them under the limit without a call.
+    #[inline]
+    pub(crate) fn count_steps(&self, n: u16, at: u16, spans: &[Span]) -> Result<(), Control> {
+        let total = self.steps.get() + u64::from(n);
+        if total > self.step_limit.get() {
+            return Err(self.merged_step_limit(&spans[usize::from(at)..]));
+        }
+        self.steps.set(total);
+        Ok(())
+    }
+
+    /// A merged step past the limit fails as [`Interp::count_step`] would
+    /// for its statements one by one: at the first one past the limit,
+    /// with the counter one past the limit as well.
+    #[cold]
+    #[inline(never)]
+    fn merged_step_limit(&self, spans: &[Span]) -> Control {
+        let fit = self.step_limit.get().saturating_sub(self.steps.get());
+        self.steps.set(self.steps.get() + fit + 1);
+        self.step_limit_exceeded(spans[fit as usize])
     }
 
     #[cold]

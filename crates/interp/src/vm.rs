@@ -15,10 +15,10 @@
 //! a hit and can be skipped entirely.  Sites with compiled callees are
 //! additionally *spliced inline* by the refine pass, which rewrites a copy
 //! of the body's cold bytecode with one guarded copy of the callee per
-//! cache entry; the [`Instr::GuardInline`] handler re-validates its entry
-//! (epoch, the class the call dispatches on, argument keys), enters the
-//! callee frame when it holds, and else passes to the chain's next guard
-//! or, from the last, to the generic call. A
+//! cache entry; the [`Instr::GuardInline`] handler reads the epoch and the
+//! class the call dispatches on once, enters the callee frame of the first
+//! member of the chain whose entry holds (class and argument keys), and
+//! else passes to the generic call. A
 //! run of the cold code that loops [`bytecode::OSR_BACKEDGES`] times
 //! refines its body at the back-edge and continues in the copy (see
 //! [`Interp::refine_on_stack`]).
@@ -57,6 +57,29 @@ fn splice_this<'a>(
         Some(r) => Some(&regs[r as usize]),
         None => this.as_ref(),
     }
+}
+
+/// The member of the chain from the guard at `pc` on whose splice stands
+/// for the call now, given the key `ck` of the class the call dispatches
+/// on (see [`Interp::dispatch_key`]): its guard's pc and guard, the first
+/// whose class key and argument keys match. Else the pc the chain's last
+/// guard falls to, the generic path.
+#[inline(always)]
+fn chain_member<'b>(
+    bc: &'b BcBody,
+    mut pc: u32,
+    ck: Option<u64>,
+    regs: &[Value],
+) -> Result<(u32, &'b InlineGuard), u32> {
+    while let Instr::GuardInline { guard, fallback } = bc.code[pc as usize] {
+        let g = &bc.guards[guard as usize];
+        let mut args = g.keys.iter().zip(&*g.args);
+        if ck == Some(g.ck) && args.all(|(k, &a)| k.matches(&regs[a as usize])) {
+            return Ok((pc, g));
+        }
+        pc = fallback;
+    }
+    Err(pc)
 }
 
 /// `++`/`--` on a value; shared by `IncDecVal` and `IncLocal`.  Mirrors the
@@ -262,35 +285,30 @@ impl Interp {
         self.env_name(name, this, Some(class), span)
     }
 
-    /// Whether the splice behind `g` stands for the call now: the cache
-    /// epoch it was built under, the class the generic call would dispatch
-    /// on and the argument keys all match. That class is the receiver
-    /// object's, the class a qualified static call names (`Main.f(x)`),
-    /// or — with no receiver and no `this` — the static frame's own. The
-    /// generic path's `ensure_init` is a no-op for the last two: a static
-    /// frame's class is initialized before its body runs, and a named
-    /// class before the call that filled the PIC line the guard was built
-    /// from.
+    /// The key of the class the call behind `g`, a chain's first guard,
+    /// dispatches on, when the chain was built under the current cache
+    /// epoch (every guard of a refined body was). That class is the
+    /// receiver object's, the class a qualified static call names
+    /// (`Main.f(x)`), or — with no receiver and no `this` — the static
+    /// frame's own. The generic path's `ensure_init` is a no-op for the
+    /// last two: a static frame's class is initialized before its body
+    /// runs, and a named class before the call that filled the PIC line
+    /// the guard was built from.
     #[inline(always)]
-    fn guard_passes(
+    fn dispatch_key(
         &self,
         g: &InlineGuard,
         regs: &[Value],
         this: &Option<Value>,
         class: ClassId,
-    ) -> bool {
+    ) -> Option<u64> {
         let dispatch = match splice_this(g, regs, this) {
-            Some(Value::Object(o)) => Some(o.class),
-            Some(Value::ClassRef(c)) => Some(*c),
-            Some(_) => None,
-            None => Some(class),
+            Some(Value::Object(o)) => o.class,
+            Some(Value::ClassRef(c)) => *c,
+            Some(_) => return None,
+            None => class,
         };
-        dispatch.is_some_and(|c| class_key(Some(c)) == g.ck)
-            && self.caches.sync(&self.ct) == g.epoch
-            && g.keys
-                .iter()
-                .enumerate()
-                .all(|(i, k)| k.matches(&regs[g.base as usize + i]))
+        (self.caches.sync(&self.ct) == g.epoch).then(|| class_key(Some(dispatch)))
     }
 
     /// Enters the spliced callee frame of a passing guard: a verified PIC
@@ -723,8 +741,8 @@ impl Interp {
                         jump!(target);
                     }
                 }
-                Instr::Step { span } => {
-                    tryc!(self.count_step(span));
+                Instr::Step { n, at } => {
+                    tryc!(self.count_steps(n, at, &bc.step_spans));
                 }
                 Instr::Ret { src } => {
                     result = Ok(regs[src as usize].clone());
@@ -815,19 +833,22 @@ impl Interp {
                     };
                     regs[dst as usize] = tryc!(r);
                 }
-                Instr::GuardInline { guard, fallback } => {
-                    let g = &bc.guards[guard as usize];
-                    if !self.guard_passes(g, &regs, &this, class) {
-                        // A failed member of a chain passes to the next one;
-                        // only a call that reaches the generic one falls back.
-                        if !matches!(bc.code[fallback as usize], Instr::GuardInline { .. }) {
-                            maya_telemetry::count(Counter::BcInlineFallbacks);
+                Instr::GuardInline { guard, .. } => {
+                    // The dispatch class and the epoch are read once per
+                    // call, and the chain's members are tried here in turn.
+                    let ck = self.dispatch_key(&bc.guards[guard as usize], &regs, &this, class);
+                    match chain_member(bc, pc, ck, &regs) {
+                        Ok((at, g)) => {
+                            pc = at;
+                            tryc!(self.enter_splice(bc, g, profiled));
+                            inline_depth += 1;
                         }
-                        pc = fallback;
-                        continue 'run;
+                        Err(generic) => {
+                            maya_telemetry::count(Counter::BcInlineFallbacks);
+                            pc = generic;
+                            continue 'run;
+                        }
                     }
-                    tryc!(self.enter_splice(bc, g, profiled));
-                    inline_depth += 1;
                 }
                 Instr::CallExit { next } => {
                     if profiled {

@@ -9,7 +9,9 @@
 //! * **engine** — both execution tiers must produce byte-identical
 //!   outcomes: the bytecode VM (default) and the legacy tree walker
 //!   (`Interp::set_lowering(false)`, the in-process face of
-//!   `MAYA_NO_LOWER`);
+//!   `MAYA_NO_LOWER`); every third case runs on both again under a
+//!   seeded step limit below its own step count, where both must print
+//!   the same output and stop at the same statement;
 //! * **warm/post-edit** — a persistent [`Session`] (the `mayad` shape)
 //!   fed hundreds of unrelated programs must match a cold batch compile,
 //!   and so must each of its edits — an appended class, a signature edit
@@ -50,6 +52,7 @@ use maya::grammar::{Action, BuiltinAction, NtId, Sym, Terminal};
 use maya::lexer::{Delim, TokenKind};
 use maya::telemetry::{self, json_string, CacheId, Counter};
 use maya::{CompileOptions, Compiler, Outcome, RequestOpts, Session};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
@@ -813,6 +816,33 @@ fn run_fresh(
     r
 }
 
+/// Compiles `sources` on `engine` in a fresh session whose step limit is
+/// `limit`.
+fn run_limited(sources: &[(String, String)], engine: Engine, limit: u64) -> Result<Outcome, String> {
+    maya::core::catch_ice(AssertUnwindSafe(|| {
+        let opts = CompileOptions { interp_step_limit: limit, ..fuzz_options(1) };
+        Session::new(opts, Some(installer(engine))).compile_sources(sources, &req_opts())
+    }))
+}
+
+/// The steps the last interpreted run of a fresh bytecode-tier compile of
+/// `sources` took: `main`'s, or the last metaprogram's when `main` never
+/// ran.
+fn steps_taken(sources: &[(String, String)]) -> u64 {
+    let interp = Rc::new(RefCell::new(None));
+    let seen = Rc::clone(&interp);
+    let install = installer(Engine::Bytecode);
+    let installer: Rc<dyn Fn(&Compiler)> = Rc::new(move |c: &Compiler| {
+        install(c);
+        *seen.borrow_mut() = Some(c.interp());
+    });
+    let _ = maya::core::catch_ice(AssertUnwindSafe(|| {
+        Session::new(fuzz_options(1), Some(installer)).compile_sources(sources, &req_opts())
+    }));
+    let steps = interp.borrow().as_ref().map_or(0, |i| i.steps());
+    steps
+}
+
 /// The engine oracle: the bytecode tier (the default) against the legacy
 /// tree walker, under an optional shared fault.
 fn compare_engines(sources: &[(String, String)], fault: Option<&str>) -> Option<String> {
@@ -860,6 +890,8 @@ enum Oracle {
     Panic,
     /// Bytecode VM vs legacy tree walker.
     Engine,
+    /// Bytecode VM vs legacy tree walker under this step limit.
+    StepLimit(u64),
     /// Same session, same input, compiled twice: replay must match.
     WarmReplay,
     /// Edit then revert through one session vs the original outcome.
@@ -883,6 +915,7 @@ impl Oracle {
         match self {
             Oracle::Panic => "panic",
             Oracle::Engine => "engine",
+            Oracle::StepLimit(_) => "step_limit",
             Oracle::WarmReplay => "warm_replay",
             Oracle::PostEdit => "post_edit",
             Oracle::Jobs => "jobs",
@@ -932,6 +965,12 @@ fn diverges(sources: &[(String, String)], oracle: &Oracle) -> Option<String> {
             .err()
             .map(|m| format!("panic escaped the driver: {m}")),
         Oracle::Engine => compare_engines(sources, None),
+        Oracle::StepLimit(limit) => compare(
+            run_limited(sources, Engine::Bytecode, *limit),
+            run_limited(sources, Engine::Legacy, *limit),
+            "bytecode",
+            "legacy",
+        ),
         Oracle::Jobs => compare(
             run_fresh(sources, Engine::Bytecode, 1, None),
             run_fresh(sources, Engine::Bytecode, 4, None),
@@ -1160,6 +1199,9 @@ struct Stats {
     /// Cases in which some run switched a frame to an on-stack refined
     /// copy.
     osr_cases: usize,
+    step_limit_runs: usize,
+    /// Step-limit reruns whose bytecode run stopped at the limit.
+    step_limit_hits: usize,
 }
 
 pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
@@ -1399,6 +1441,28 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
             corpus.push(sources.clone());
             stats.corpus_kept += 1;
         }
+
+        // Oracle: every third case runs on both tiers again under a seeded
+        // step limit below its own step count. The bytecode tier charges a
+        // straight run of statements at once, and must still stop where
+        // the walker stops. Outside the coverage session, so the seeds the
+        // campaign keeps stay as they were.
+        if i % 3 == 1 {
+            let steps = steps_taken(sources);
+            if steps > 1 {
+                let limit = 1 + rng.below(steps as usize - 1) as u64;
+                stats.step_limit_runs += 1;
+                let bytecode = run_limited(sources, Engine::Bytecode, limit);
+                if bytecode.as_ref().is_ok_and(|o| o.stderr.contains("step limit")) {
+                    stats.step_limit_hits += 1;
+                }
+                let legacy = run_limited(sources, Engine::Legacy, limit);
+                if let Some(detail) = compare(bytecode, legacy, "bytecode", "legacy") {
+                    let oracle = Oracle::StepLimit(limit);
+                    record(oracle, i, sources, detail, &mut reports, &mut stats);
+                }
+            }
+        }
     }
 
     // Land minimized real divergences as regression cases; induced ones
@@ -1459,6 +1523,10 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
     println!(
         "xtask fuzz: {} cases switched a frame to an on-stack refined copy",
         stats.osr_cases
+    );
+    println!(
+        "xtask fuzz: {} step-limit reruns, {} stopped at the limit",
+        stats.step_limit_runs, stats.step_limit_hits
     );
     println!(
         "xtask fuzz: {} escaped panics, {} divergences ({} induced), {} unminimized; \
@@ -1549,11 +1617,13 @@ fn render_report(
     let _ = writeln!(out, "    \"pool\": {},", s.pool_runs);
     let _ = writeln!(out, "    \"store\": {},", s.store_runs);
     let _ = writeln!(out, "    \"faults\": {},", s.fault_runs);
+    let _ = writeln!(out, "    \"step_limit\": {},", s.step_limit_runs);
     let _ = writeln!(out, "    \"tables\": {}", s.table_runs);
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"escaped_panics\": {},", s.escaped_panics);
     let _ = writeln!(out, "  \"table_mismatches\": {},", s.table_mismatches);
     let _ = writeln!(out, "  \"osr_cases\": {},", s.osr_cases);
+    let _ = writeln!(out, "  \"step_limit_hits\": {},", s.step_limit_hits);
     let _ = writeln!(out, "  \"divergences\": {},", reports.len());
     let _ = writeln!(
         out,

@@ -410,6 +410,8 @@ struct Switched {
     out: Result<String, String>,
     /// (splice entries, guard fallbacks, on-stack switches).
     counts: (u64, u64, u64),
+    /// Inline cache entries evicted.
+    evictions: u64,
 }
 
 /// Runs `src` on the bytecode tier and on the walker with `options()`;
@@ -434,6 +436,7 @@ fn switched(src: &str, options: impl Fn() -> CompileOptions) -> Switched {
             r.counter(Counter::BcInlineFallbacks),
             r.counter(Counter::BcOsrSwitches),
         ),
+        evictions: r.counter(Counter::PicEvictions),
     }
 }
 
@@ -975,16 +978,19 @@ fn a_callee_that_writes_its_parameter_gets_a_copy_of_it() {
     // The instruction after each guard: `dec`'s frame starts with a move
     // of its argument, `twice`'s with its statement's step.
     let listing = dump(src, "run");
+    assert_eq!(near_guard(&listing, "Main.dec/1", 1), "move", "{listing}");
+    assert_eq!(near_guard(&listing, "Main.twice/1", 1), "step", "{listing}");
+}
+
+/// The mnemonic `offset` lines from the guard of `callee` in `listing`.
+fn near_guard<'a>(listing: &'a str, callee: &str, offset: isize) -> &'a str {
     let lines: Vec<&str> = listing.lines().collect();
-    let after_guard = |callee: &str| {
-        let at = lines
-            .iter()
-            .position(|l| l.contains("guard_inline") && l.contains(callee))
-            .unwrap_or_else(|| panic!("no guard of {callee}:\n{listing}"));
-        lines[at + 1].split_whitespace().nth(1).unwrap_or_default()
-    };
-    assert_eq!(after_guard("Main.dec/1"), "move", "{listing}");
-    assert_eq!(after_guard("Main.twice/1"), "step", "{listing}");
+    let at = lines
+        .iter()
+        .position(|l| l.contains("guard_inline") && l.contains(callee))
+        .unwrap_or_else(|| panic!("no guard of {callee}:\n{listing}"));
+    let line = lines[at.checked_add_signed(offset).unwrap()];
+    line.split_whitespace().nth(1).unwrap_or_default()
 }
 
 #[test]
@@ -1019,4 +1025,335 @@ fn a_recursive_fib_splices_its_own_body() {
         ],
         "{listing}"
     );
+}
+
+// ---- merged steps and the lean splice frame ------------------------------
+//
+// A straight run of statements charges its steps in one instruction, and a
+// splice's frame moves nothing it need not: it reads arguments at their
+// sources, starts its locals as their declarations write them, and its
+// last computation writes the call's destination. Each test runs its
+// program on both tiers (see `switched`) and pins the bytecode run's
+// counters.
+
+/// One run of `src` on one tier under the step limit `limit`: what it
+/// printed, then its error with the source text of the error's span when
+/// it failed.
+fn limited(src: &str, lowering: bool, limit: u64) -> (String, Option<String>) {
+    let c = Compiler::with_options(CompileOptions {
+        echo_output: false,
+        jobs: 1,
+        interp_step_limit: limit,
+        ..CompileOptions::default()
+    });
+    c.interp().set_lowering(lowering);
+    match c.compile_and_run("Main.maya", src, "Main") {
+        Ok(out) => (out, None),
+        Err(e) => {
+            let at = &src[e.span.lo as usize..e.span.hi as usize];
+            (c.interp().take_output(), Some(format!("{e} at `{at}`")))
+        }
+    }
+}
+
+/// Runs `src` on both tiers under every step limit from 1 up to the first
+/// that the run does not reach, which it returns: at each one the tiers
+/// must print the same output before the failure and fail with the same
+/// error at the same span.
+fn sweep_step_limits(src: &str) -> u64 {
+    let mut limit = 1;
+    loop {
+        let vm = limited(src, true, limit);
+        assert_eq!(vm, limited(src, false, limit), "the tiers differ at step limit {limit}");
+        if !vm.1.is_some_and(|e| e.contains("step limit")) {
+            return limit;
+        }
+        limit += 1;
+    }
+}
+
+#[test]
+fn every_step_limit_fails_like_the_walker() {
+    // `main` opens with a merged run that ends at a `println`, and its loop
+    // switches after 64 back-edges to a copy that splices `f`, whose own
+    // merged run and early `return` come along. Every limit up to the
+    // program's full step count stops it at the same statement on both
+    // tiers: before the switch, inside a spliced merged step, and after
+    // the loop.
+    let src = r#"
+        class Main {
+            static int f(int x) {
+                int y = x * 2;
+                int z = y + 1;
+                if (x > 66) { return z - x; }
+                return z;
+            }
+            static void main() {
+                int a = 1;
+                int b = a + 2;
+                System.out.println(b);
+                int c = b * 3;
+                int s = 0;
+                for (int i = 0; i < 70; i++) {
+                    int t = i + c;
+                    s = s + f(i) + t;
+                }
+                System.out.println(s);
+                int d = s - c;
+                System.out.println(d);
+            }
+        }
+        "#;
+    // 4 steps before the loop's first iteration besides the first 3, 7 per
+    // iteration (8 when `f` returns early, i = 67..69), and 3 after it.
+    assert_eq!(sweep_step_limits(src), 3 + 4 + 70 * 7 + 3 + 3);
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("3\n7741\n7732\n"));
+    // The loop switches after i = 63: i = 64..69 enter the splice.
+    assert_eq!(run.counts, (6, 0, 1));
+    let main = dump(src, "main");
+    assert!(main.contains("step               ×3"), "{main}");
+    assert!(main.contains("step               ×4"), "{main}");
+}
+
+#[test]
+fn a_division_between_two_statements_throws_before_the_limit() {
+    // `/` can throw, so it ends the run of statements: under the limit of
+    // 3 the division throws, and the step of `int c` is never charged.
+    let src = r#"
+        class Main {
+            static void main() {
+                int a = 1;
+                int z = a - 1;
+                int b = a / z;
+                int c = b + 2;
+                System.out.println(c);
+            }
+        }
+        "#;
+    assert_eq!(sweep_step_limits(src), 3);
+    let (_, err) = limited(src, true, 3);
+    let err = err.expect("the division throws");
+    assert!(err.contains("ArithmeticException"), "{err}");
+}
+
+/// `main`'s listing after a run of `src`.
+fn main_listing(src: &str) -> String {
+    block(&dump(src, "main"), "Main.main").to_owned()
+}
+
+#[test]
+fn a_callee_local_declared_without_an_initializer_in_its_loop() {
+    // The splice of `g` sets up no local: `acc` and `k` are written by
+    // their initializers, and `t` by the `default_val` of its declaration
+    // on every iteration. `run` refines on its 4th run; runs 4 and 5
+    // enter `g` on each of their 6 calls.
+    let src = r#"
+        class Main {
+            static int g(int n) {
+                int acc = 0;
+                for (int k = 0; k < n; k++) {
+                    int t;
+                    t = k * 2;
+                    acc = acc + t;
+                }
+                return acc;
+            }
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) { s = s + g(i); }
+                return s;
+            }
+            static void main() {
+                int all = 0;
+                for (int r = 0; r < 5; r++) { all = all + run(6); }
+                System.out.println(all);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("200\n"));
+    assert_eq!(run.counts, (12, 0, 0));
+    assert_eq!(near_guard(&dump(src, "run"), "Main.g/1", 1), "step");
+}
+
+#[test]
+fn a_call_whose_destination_is_both_its_arguments() {
+    // `x = f(x, x)`: the splice reads both arguments from `x` in place,
+    // and its last binary writes `x`, after reading it. `run` refines on
+    // its 4th run; runs 4 and 5 enter `f` on each of their 8 calls.
+    let src = r#"
+        class Main {
+            static int f(int a, int b) { return a * 3 + b % 7; }
+            static int run(int n) {
+                int x = 1;
+                for (int i = 0; i < n; i++) { x = f(x, x); }
+                return x;
+            }
+            static void main() {
+                int all = 0;
+                for (int r = 0; r < 5; r++) { all = all + run(8); }
+                System.out.println(all);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("61820\n"));
+    assert_eq!(run.counts, (16, 0, 0));
+    // No move before the guard, and the argument moves stand before the
+    // generic call, where the chain falls.
+    let listing = dump(src, "run");
+    assert_eq!(near_guard(&listing, "Main.f/2", -1), "step", "{listing}");
+    let generic = listing
+        .lines()
+        .position(|l| l.contains("call_implicit"))
+        .unwrap();
+    let lines: Vec<&str> = listing.lines().collect();
+    assert!(lines[generic - 1].contains("move"), "{listing}");
+    assert!(lines[generic - 2].contains("move"), "{listing}");
+    assert!(!listing.contains("; generic"), "{listing}");
+}
+
+#[test]
+fn a_callee_writing_its_parameter_leaves_the_source_alone() {
+    // `down` counts its parameter down, so its splice copies `m` into a
+    // register of its own; `run` reads `m` again after the call. Runs 4
+    // and 5 of `run` enter `down` on each of their 9 calls.
+    let src = r#"
+        class Main {
+            static int down(int n) {
+                int c = 0;
+                while (n > 0) { n = n - 3; c++; }
+                return c;
+            }
+            static int run(int k) {
+                int t = 0;
+                for (int i = 0; i < k; i++) {
+                    int m = i;
+                    t = t + down(m) * 100 + m;
+                }
+                return t;
+            }
+            static void main() {
+                int all = 0;
+                for (int r = 0; r < 5; r++) { all = all + run(9); }
+                System.out.println(all);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("7680\n"));
+    assert_eq!(run.counts, (18, 0, 0));
+    assert_eq!(near_guard(&dump(src, "run"), "Main.down/1", 1), "move");
+}
+
+#[test]
+fn an_argument_chosen_by_a_conditional_keeps_its_moves() {
+    // The `?:` arm's jump lands on the call, so its argument moves stay
+    // before the guard and the generic call has none. Runs 4 and 5 of
+    // `run` enter `f` on each of their 7 calls.
+    let src = r#"
+        class Main {
+            static int f(int a, int b) { return a * 10 + b; }
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) {
+                    int j = i + 1;
+                    s = s + f(i, i % 2 == 0 ? i : j);
+                }
+                return s;
+            }
+            static void main() {
+                int all = 0;
+                for (int r = 0; r < 5; r++) { all = all + run(7); }
+                System.out.println(all);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("1170\n"));
+    assert_eq!(run.counts, (14, 0, 0));
+    let listing = dump(src, "run");
+    assert_eq!(near_guard(&listing, "Main.f/2", -1), "move", "{listing}");
+    let lines: Vec<&str> = listing.lines().collect();
+    let generic = lines.iter().position(|l| l.contains("call_implicit")).unwrap();
+    assert!(lines[generic - 1].contains("call_exit"), "{listing}");
+}
+
+#[test]
+fn a_receiver_change_after_the_switch_passes_the_moved_arguments() {
+    // `main` switches after i = 63 with `A.f` spliced, reading `u` and the
+    // constant 3 at their sources. From i = 100 the `B` receiver fails the
+    // guard, and the generic path moves both arguments before its call.
+    let src = r#"
+        class A { int f(int p, int q) { return p - q; } }
+        class B extends A { int f(int p, int q) { return p * q; } }
+        class Main {
+            static void main() {
+                A a = new A();
+                A b = new B();
+                int s = 0;
+                for (int i = 0; i < 150; i++) {
+                    A x = a;
+                    if (i >= 100) { x = b; }
+                    int u = i;
+                    s = s + x.f(u, 3);
+                }
+                System.out.println(s);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("23325\n"));
+    assert_eq!(run.counts, (36, 50, 1));
+}
+
+#[test]
+fn a_megamorphic_site_splices_four_classes_and_falls_back_on_the_rest() {
+    // `tests/corpus/megamorphic_site.maya`: one site cycles through six
+    // receiver classes. `main` switches at the end of its 58th iteration
+    // (its 64th back-edge, after the 6 of the loop that fills `shapes`),
+    // when the line holds the last four classes; of the 542 calls after
+    // it, the 360 on those four enter their member of the chain and the
+    // 182 on the other two fall back. Before the switch each of the 58
+    // calls misses, and each from the fifth evicts the least recently
+    // used entry (54 evictions); the first fallback on each of the other
+    // two classes misses and evicts once more.
+    let src = include_str!("corpus/megamorphic_site.maya");
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(
+        run.out.as_deref(),
+        Ok(include_str!("corpus/megamorphic_site.stdout"))
+    );
+    assert_eq!(run.counts, (360, 182, 1));
+    assert_eq!(run.evictions, 56);
+    let main = main_listing(src);
+    assert!(main.contains("area/0 [pic"), "{main}");
+    assert!(main.contains(", 4 spliced, else"), "{main}");
+}
+
+#[test]
+fn a_conditional_return_value_keeps_its_final_move() {
+    // `pick` returns a `?:`: its arms both write the returned temporary,
+    // and the `then` arm jumps to the `ret`, so the binary before the
+    // `ret` must not write the call's destination itself. Runs 4 and 5 of
+    // `run` enter `pick` on each of their 6 calls.
+    let src = r#"
+        class Main {
+            static int pick(int a, int b) { return a > b ? a : b + 1; }
+            static int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) { s = s * 3 + pick(i, 3); }
+                return s;
+            }
+            static void main() {
+                int all = 0;
+                for (int r = 0; r < 5; r++) { all = all + run(6); }
+                System.out.println(all);
+            }
+        }
+        "#;
+    let run = switched(src, CompileOptions::default);
+    assert_eq!(run.out.as_deref(), Ok("7285\n"));
+    assert_eq!(run.counts, (12, 0, 0));
 }
