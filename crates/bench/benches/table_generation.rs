@@ -71,25 +71,19 @@ fn main() {
         samples: 20,
     };
     println!("table_generation");
-    // The extended snapshots share the base grammar's content hash (or one
-    // another's across iterations), so with the table memo on every timed
-    // build after the first would be a memo hit; off, every lookup is a
-    // full build.
-    maya_grammar::set_table_cache_enabled(false);
-
+    // Full builds, past every cache layer: through `tables()` every timed
+    // build after the first would be a memo hit.
     bench_with("base_grammar", opts.clone(), || {
-        let g = base.grammar.extend().finish();
-        g.tables().expect("LALR(1)")
+        base.grammar.build_full().expect("LALR(1)")
     });
 
     for n in [1usize, 4, 16] {
         bench_with(
             &format!("base_plus_n_productions/{n}"),
             opts.clone(),
-            || base_plus(&base, n).tables().expect("LALR(1)"),
+            || base_plus(&base, n).build_full().expect("LALR(1)"),
         );
     }
-    maya_grammar::set_table_cache_enabled(true);
 
     // What every process pays for the base tables now: the content hash of
     // a fresh snapshot and the lookup of the embedded tables (decoded once

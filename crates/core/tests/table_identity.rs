@@ -13,13 +13,17 @@
 //! digests hold both to a full build of the same grammar.
 
 use maya_ast::NodeKind;
-use maya_core::{Base, CompileOptions, Compiler, RequestOpts, Session};
+use maya_core::{Base, Compiler};
+#[cfg(debug_assertions)]
+use maya_core::{CompileOptions, RequestOpts, Session};
 use maya_grammar::{ActionEntry, Built, Grammar, NtId, RhsItem, Tables, Terminal};
 use maya_lexer::Delim;
 use maya_telemetry as telemetry;
+#[cfg(debug_assertions)]
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+#[cfg(debug_assertions)]
 use std::rc::Rc;
 
 /// Orders terminals by what they are, never by interner index.
@@ -241,6 +245,7 @@ fn derived_tables_equal_full_builds_for_e15_and_the_real_imports() {
 }
 
 /// The `-use` arguments of a corpus program's `// mayac:` lines.
+#[cfg(debug_assertions)]
 fn uses_of(text: &str) -> Vec<String> {
     let mut uses = Vec::new();
     for line in text.lines() {

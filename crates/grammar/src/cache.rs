@@ -5,7 +5,7 @@
 //! base and would rebuild the same tables. This module gives table
 //! construction three cache layers in front of it, all keyed by a
 //! **content hash** of the grammar (productions, actions, precedence —
-//! everything [`build_tables`] reads):
+//! everything a build reads):
 //!
 //! 1. an in-process, thread-local `hash → Arc<Tables>` memo,
 //! 2. an opt-in **process-global** memo ([`set_table_cache_shared`])
@@ -33,7 +33,7 @@
 
 use crate::build::{Grammar, GrammarData, GrammarError};
 use crate::embed::{embedded_built, embedded_tables, Built};
-use crate::lalr::{build_tables, generate, intern_terms};
+use crate::lalr::{generate, intern_terms};
 use crate::prod::{Action, Assoc, BuiltinAction};
 use crate::symbol::{Sym, Terminal};
 use crate::tables::{ActionEntry, Rows, Tables, NO_DEFAULT};
@@ -180,7 +180,6 @@ const MEMO_CAP: usize = 256;
 const RETAINED_CAP: usize = 1;
 
 thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(true) };
     static SHARED: Cell<bool> = const { Cell::new(false) };
     static MEMO: RefCell<HashMap<u128, Arc<Tables>>> = RefCell::new(HashMap::new());
     static RETAINED: RefCell<Vec<Built>> = const { RefCell::new(Vec::new()) };
@@ -208,19 +207,6 @@ pub trait TableDisk {
 fn shared_memo() -> &'static RwLock<HashMap<u128, Arc<Tables>>> {
     static SHARED_MEMO: OnceLock<RwLock<HashMap<u128, Arc<Tables>>>> = OnceLock::new();
     SHARED_MEMO.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Turns the table cache (every layer, the embedded tables and derivation
-/// included) on or off for this thread: off, every lookup is a full build.
-/// The cache is on by default; the perf harness turns it off to measure
-/// the seed path.
-pub fn set_table_cache_enabled(on: bool) {
-    ENABLED.with(|e| e.set(on));
-}
-
-/// Whether the table cache is enabled on this thread.
-pub fn table_cache_enabled() -> bool {
-    ENABLED.with(|e| e.get())
 }
 
 /// Opts this thread into (or out of) the process-global table memo. Off
@@ -268,22 +254,12 @@ pub fn table_cache_len() -> usize {
     }
 }
 
-/// Whether this thread's memo already holds tables for `hash` (a grammar
-/// content hash). Used by the incremental session to classify re-imports
-/// as grammar reuses without touching the build path.
-pub fn table_cache_contains(hash: u128) -> bool {
-    MEMO.with(|m| m.borrow().contains_key(&hash))
-}
-
 /// The table lookup behind [`Grammar::tables`]: the tables compiled into
 /// the binary, then the thread-local memo, then (when shared) the
 /// process-global memo, then the on-disk cache, then a build (whose result
 /// populates every layer the thread uses). A build derives the tables from
 /// the automaton of the nearest ancestor at hand when there is one.
 pub(crate) fn tables_for(g: &Grammar) -> Result<Arc<Tables>, GrammarError> {
-    if !table_cache_enabled() {
-        return build_tables(g.data()).map(Arc::new);
-    }
     let hash = g.content_hash();
     if let Some(t) = embedded_tables(g, hash) {
         maya_telemetry::count(Counter::TableCacheHits);
@@ -676,23 +652,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_builds_fresh() {
-        clear_table_cache();
-        set_table_cache_enabled(false);
-        let g1 = sample();
-        let g2 = sample();
-        let t1 = g1.tables().unwrap();
-        let t2 = g2.tables().unwrap();
-        assert!(!Arc::ptr_eq(&t1, &t2));
-        set_table_cache_enabled(true);
-        clear_table_cache();
-    }
-
-    #[test]
     fn payload_round_trip_and_corruption_tolerance() {
         let g = sample();
-        let built = build_tables(g.data()).unwrap();
-        let payload = encode_tables(&built);
+        let full = g.build_full().unwrap();
+        let built = full.tables();
+        let payload = encode_tables(built);
 
         let loaded = decode_tables(&payload, g.data()).expect("payload decodes");
         assert_eq!(loaded.n_states, built.n_states);
@@ -743,9 +707,10 @@ mod tests {
     #[test]
     fn malformed_rows_decode_as_misses() {
         let g = sample();
-        let t = build_tables(g.data()).unwrap();
-        let payload = encode_tables(&t);
-        let (offsets, cells) = action_layout(&t);
+        let full = g.build_full().unwrap();
+        let t = full.tables();
+        let payload = encode_tables(t);
+        let (offsets, cells) = action_layout(t);
         let cell = |i: usize| cells + 8 * i;
         let malformed = |what: &str, edit: &dyn Fn(&mut Vec<u8>)| {
             let mut bad = payload.clone();
@@ -813,11 +778,11 @@ mod tests {
     fn encode_is_deterministic() {
         let g1 = sample();
         let g2 = sample();
-        let t1 = build_tables(g1.data()).unwrap();
-        let t2 = build_tables(g2.data()).unwrap();
+        let t1 = g1.build_full().unwrap();
+        let t2 = g2.build_full().unwrap();
         assert_eq!(
-            encode_tables(&t1),
-            encode_tables(&t2),
+            encode_tables(t1.tables()),
+            encode_tables(t2.tables()),
             "payload must be a pure function of the tables"
         );
     }

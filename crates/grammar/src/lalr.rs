@@ -976,19 +976,6 @@ pub(crate) fn tables_from(gen: Gen<'_>, n_states: usize, actions: Actions) -> Ta
     }
 }
 
-/// Builds `g`'s tables in full, keeping no automaton.
-pub(crate) fn build_tables(g: &GrammarData) -> Result<Tables, GrammarError> {
-    let _p = maya_telemetry::phase(maya_telemetry::Phase::TableBuild);
-    maya_telemetry::count(maya_telemetry::Counter::TablesBuilt);
-    let t0 = Instant::now();
-    let gen = Gen::new(g);
-    let (_, trans, _, actions) = full_stages(g, &gen, t0.elapsed());
-    if !actions.conflicts.is_empty() {
-        return Err(GrammarError::Conflicts(actions.conflicts));
-    }
-    Ok(tables_from(gen, trans.n_rows(), actions))
-}
-
 /// Builds `g`'s tables and automaton, derived from `parent`'s when one is
 /// given and [`crate::derive`] can, in full otherwise. A derivation
 /// that meets a conflict gives way to a full build, so a conflict report

@@ -36,8 +36,8 @@ pub use bitset::BitSet;
 pub use build::{Grammar, GrammarBuilder, GrammarError, RhsItem};
 pub use embed::{embed_tables, embedding, Built, EmbeddedTables, Embedding, StaticAutomaton};
 pub use cache::{
-    clear_table_cache, set_table_cache_enabled, set_table_cache_shared, set_table_disk,
-    table_cache_contains, table_cache_enabled, table_cache_len, table_cache_shared, TableDisk,
+    clear_table_cache, set_table_cache_shared, set_table_disk, table_cache_len,
+    table_cache_shared, TableDisk,
 };
 pub use prod::{Action, Assoc, BuiltinAction, ProdId, Production};
 pub use symbol::{NtDef, NtId, Sym, Terminal};

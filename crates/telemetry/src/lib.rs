@@ -1194,20 +1194,6 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-// ---- minimal JSON reader (for the xtask regression gate) ---------------------
-
-/// Extracts the integer value of `"key": <digits>` from a JSON document
-/// produced by [`Report::to_json`]. This is a schema-specific reader, not a
-/// general JSON parser: keys are assumed unique and values non-negative
-/// integers.
-pub fn json_counter(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)?;
-    let rest = doc[at + needle.len()..].trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1276,14 +1262,13 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_and_reader() {
+    fn json_shape() {
         let s = Session::start(Config::default());
         add(Counter::DispatchTests, 7);
         let r = s.finish();
         let json = r.to_json();
         assert!(json.contains("\"schema\": \"maya-telemetry/1\""));
-        assert_eq!(json_counter(&json, "dispatch_tests"), Some(7));
-        assert_eq!(json_counter(&json, "no_such_key"), None);
+        assert!(json.contains("\"dispatch_tests\": 7"), "{json}");
     }
 
     #[test]

@@ -1489,7 +1489,7 @@ pub(crate) fn run(cfg: &FuzzConfig) -> ExitCode {
 
     let elapsed = started.elapsed().as_secs_f64();
     let unminimized = reports.iter().filter(|r| !r.minimized).count();
-    let doc = render_report(cfg, &stats, &reports, unminimized, elapsed);
+    let doc = render_report(cfg, &stats, &reports, unminimized);
     let out_path = root.join("BENCH_fuzz.json");
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("xtask fuzz: cannot write {}: {e}", out_path.display());
@@ -1598,7 +1598,6 @@ fn render_report(
     s: &Stats,
     reports: &[DivergenceReport],
     unminimized: usize,
-    elapsed: f64,
 ) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"maya-fuzz/1\",");
@@ -1632,7 +1631,6 @@ fn render_report(
     );
     let _ = writeln!(out, "  \"unminimized_divergences\": {unminimized},");
     let _ = writeln!(out, "  \"corpus_kept\": {},", s.corpus_kept);
-    let _ = writeln!(out, "  \"elapsed_secs\": {elapsed:.1},");
     out.push_str("  \"divergence_reports\": [");
     let blocks: Vec<String> = reports
         .iter()

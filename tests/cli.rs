@@ -6,6 +6,17 @@ fn mayac() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mayac"))
 }
 
+/// The value of `key` in the `counters` object of a `--stats` document.
+fn stats_counter(doc: &str, key: &str) -> u64 {
+    use maya::core::json::{parse_json, Json};
+    let stats = parse_json(doc).unwrap_or_else(|e| panic!("--stats is not JSON ({e}):\n{doc}"));
+    stats
+        .get("counters")
+        .and_then(|c| c.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no counter {key:?} in:\n{doc}"))
+}
+
 fn write_temp(name: &str, text: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("mayac-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -158,8 +169,8 @@ fn stats_prints_json_to_stderr() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), "obs\n");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("\"schema\": \"maya-telemetry/1\""), "{stderr}");
-    assert!(maya::telemetry::json_counter(&stderr, "tokens_lexed").unwrap() > 0);
-    assert!(maya::telemetry::json_counter(&stderr, "parser_reductions").unwrap() > 0);
+    assert!(stats_counter(&stderr, "tokens_lexed") > 0);
+    assert!(stats_counter(&stderr, "parser_reductions") > 0);
 }
 
 #[test]
@@ -175,7 +186,7 @@ fn stats_writes_file() {
     assert_eq!(String::from_utf8_lossy(&out.stderr), "", "file mode keeps stderr clean");
     let doc = std::fs::read_to_string(&json_path).unwrap();
     assert!(doc.contains("\"schema\": \"maya-telemetry/1\""));
-    assert!(maya::telemetry::json_counter(&doc, "interp_calls").unwrap() > 0);
+    assert!(stats_counter(&doc, "interp_calls") > 0);
 }
 
 #[test]
@@ -188,8 +199,8 @@ fn stats_shows_laziness_on_the_example_workload() {
     let out = mayac().arg("--stats").arg(&ext).arg(&app).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let created = maya::telemetry::json_counter(&stderr, "lazy_nodes_created").unwrap();
-    let forced = maya::telemetry::json_counter(&stderr, "lazy_nodes_forced").unwrap();
+    let created = stats_counter(&stderr, "lazy_nodes_created");
+    let forced = stats_counter(&stderr, "lazy_nodes_forced");
     assert!(
         forced < created,
         "expected strictly lazy compile: forced={forced} created={created}"

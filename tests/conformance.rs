@@ -396,3 +396,66 @@ fn corpus_cold_warm_differential() {
     drop(server);
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+/// The persistent store never changes a byte: every corpus program, with
+/// its directives, runs twice against one fresh `--cache-dir`, first
+/// populating it and then answered from it, and both runs match the
+/// store-less run's exit status, stdout and stderr. The warm pass writes
+/// no entry.
+#[test]
+fn corpus_store_runs_match_the_storeless_run() {
+    let dir = corpus_dir();
+    let cache = std::env::temp_dir().join(format!("maya-conf-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    let store_arg = format!("--cache-dir={}", cache.display());
+    let run = |d: &Directives, name: &str, store: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mayac"));
+        cmd.current_dir(&dir).env_remove("MAYA_CACHE_DIR").args(&d.args);
+        if store {
+            cmd.arg(&store_arg);
+        }
+        let out = cmd.arg(name).output().unwrap();
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    let entries = || std::fs::read_dir(&cache).map_or(0, Iterator::count);
+
+    let programs: Vec<(String, Directives)> = corpus_programs(&dir)
+        .into_iter()
+        .map(|name| {
+            let d = parse_directives(&std::fs::read_to_string(dir.join(&name)).unwrap());
+            (name, d)
+        })
+        .collect();
+    let cold: Vec<_> = programs
+        .iter()
+        .map(|(name, d)| (run(d, name, false), run(d, name, true)))
+        .collect();
+    let populated = entries();
+    let mut failures = Vec::new();
+    for ((name, d), (storeless, populating)) in programs.iter().zip(&cold) {
+        let warm = run(d, name, true);
+        for (pass, got) in [("populating", populating), ("warm", &warm)] {
+            if got != storeless {
+                failures.push(format!(
+                    "{name}: the {pass} store run diverged from the store-less run\n\
+                     --- store-less ---\n{:?}\n{}\n{}\n--- {pass} ---\n{:?}\n{}\n{}",
+                    storeless.0,
+                    String::from_utf8_lossy(&storeless.1),
+                    String::from_utf8_lossy(&storeless.2),
+                    got.0,
+                    String::from_utf8_lossy(&got.1),
+                    String::from_utf8_lossy(&got.2),
+                ));
+            }
+        }
+    }
+    let warm_entries = entries();
+    let _ = std::fs::remove_dir_all(&cache);
+    assert!(failures.is_empty(), "\n{}", failures.join("\n======\n"));
+    assert!(
+        populated >= programs.len(),
+        "{populated} entries for {} programs",
+        programs.len()
+    );
+    assert_eq!(warm_entries, populated, "the warm pass wrote entries");
+}

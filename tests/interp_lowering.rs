@@ -195,3 +195,24 @@ class Main {
     );
     assert_eq!(pairs(true), walker);
 }
+
+/// The interpreter-bound corpus programs on the VM, in process: each
+/// prints its golden output, and its polymorphic inline caches take the
+/// pinned `[pic_hits, pic_misses]`. A site that stops hitting its cache
+/// line, or a change to how often the generic call path looks one up,
+/// moves these counts; a change that moves them on purpose updates them
+/// and names the cause in its CHANGES.md line.
+#[test]
+fn interp_hot_programs_hit_their_inline_caches() {
+    use maya::telemetry::{Config, Counter};
+    let dir = corpus_dir();
+    let programs = ["interp_hot_arith", "interp_hot_calls", "interp_hot_strings"];
+    let pics = programs.map(|name| {
+        let src = std::fs::read_to_string(dir.join(format!("{name}.maya"))).unwrap();
+        let golden = std::fs::read_to_string(dir.join(format!("{name}.stdout"))).unwrap();
+        let (out, r) = run_in_process(&src, true, Config::default());
+        assert_eq!(out, golden, "{name}");
+        [Counter::PicHits, Counter::PicMisses].map(|c| r.counter(c))
+    });
+    assert_eq!(pics, [[43497, 6], [41194, 12], [996, 6]], "{programs:?}");
+}

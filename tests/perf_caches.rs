@@ -35,7 +35,6 @@ fn counters(f: impl FnOnce()) -> impl Fn(Counter) -> u64 {
 
 #[test]
 fn table_cache_reuses_tables_across_compilers() {
-    maya::grammar::set_table_cache_enabled(true);
     maya::grammar::clear_table_cache();
 
     let cold = counters(compile_extension_pair);
@@ -54,7 +53,6 @@ fn table_cache_reuses_tables_across_compilers() {
 /// extended grammar misses (and is built) even when the base grammar hits.
 #[test]
 fn table_cache_misses_on_a_new_grammar_mid_pipeline() {
-    maya::grammar::set_table_cache_enabled(true);
     maya::grammar::clear_table_cache();
 
     // The base grammar's tables are compiled into the binary: a cold
@@ -112,11 +110,32 @@ fn dispatch_index_preserves_output_across_env_changes() {
     assert_eq!(indexed, linear, "the index must never change program output");
 }
 
+/// The dispatch index earns its place: on the eforeach pair it runs fewer
+/// applicability tests per reduction than the seed did and than the
+/// linear scan does today.
+#[test]
+fn dispatch_index_runs_fewer_tests_per_reduction() {
+    // The seed tested every registered Mayan for applicability: 782 tests
+    // for 470 reductions on the benchmark workloads.
+    let seed = 782.0 / 470.0;
+    let tests_per_reduction = |indexed: bool| {
+        maya::dispatch::set_dispatch_index_enabled(indexed);
+        let n = counters(compile_extension_pair);
+        maya::dispatch::set_dispatch_index_enabled(true);
+        let reductions = n(Counter::DispatchReductions);
+        assert!(reductions > 0, "the pair must dispatch");
+        n(Counter::DispatchTests) as f64 / reductions as f64
+    };
+    let indexed = tests_per_reduction(true);
+    let linear = tests_per_reduction(false);
+    assert!(indexed < seed, "indexed {indexed:.3} tests per reduction, seed {seed:.3}");
+    assert!(indexed < linear, "indexed {indexed:.3}, linear scan {linear:.3}");
+}
+
 #[test]
 fn corrupted_disk_cache_is_ignored_and_rebuilt() {
     let dir = std::env::temp_dir().join(format!("maya-tblcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    maya::grammar::set_table_cache_enabled(true);
     let store = maya::core::store::ArtifactStore::open(&dir, None).unwrap();
     maya::core::store::install_thread(Some(store));
     maya::grammar::clear_table_cache();

@@ -1016,3 +1016,79 @@ fn mayad_peak_rss_stays_flat_over_an_edit_stream() {
         "mayad's peak RSS grew {growth} kB between request {EARLY} and {LATE}"
     );
 }
+
+// ---- clients sharing one worker -------------------------------------------------
+
+/// One client's project: thirty classes, one per file, and a main, under
+/// names of that client's own; each edit round appends one class to the
+/// sixth file.
+fn client_project(client: usize, round: usize) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = (0..30)
+        .map(|i| {
+            let mut src = format!("class K{client}x{i} {{\n    int id() {{ return {i}; }}\n");
+            if i > 0 {
+                src.push_str(&format!(
+                    "    int chained() {{ return new K{client}x{}().id() + id(); }}\n",
+                    i - 1
+                ));
+            }
+            for m in 0..8 {
+                src.push_str(&format!(
+                    "    int m{m}(int a) {{ int t = a * {m} + id(); return t - a; }}\n"
+                ));
+            }
+            src.push_str("}\n");
+            (format!("k{client}_{i:02}.maya"), src)
+        })
+        .collect();
+    files[5].1.push_str(&format!("class E{client}r{round} {{ }}\n"));
+    files.push((
+        format!("main{client}.maya"),
+        format!(
+            "class Main {{ static void main() {{ \
+             System.out.println(new K{client}x29().id() + {client}); }} }}\n"
+        ),
+    ));
+    files
+}
+
+/// Eight clients interleave their edits on a pool of one worker, which
+/// holds a warm session for each: after its first request, every edit of a
+/// client recompiles the one edited file, reuses the other 30, and replies
+/// with that client's own output.
+#[test]
+fn clients_sharing_one_worker_keep_their_warm_sessions() {
+    use maya::core::service::{CompilePool, PoolConfig, PoolRequest};
+    let pool = CompilePool::start(PoolConfig {
+        workers: 1,
+        queue_cap: 64,
+        ..PoolConfig::default()
+    });
+    let pool = &pool;
+    std::thread::scope(|s| {
+        for client in 0..8 {
+            s.spawn(move || {
+                for round in 0..4 {
+                    let request = PoolRequest::Sources {
+                        sources: client_project(client, round),
+                        opts: RequestOpts::default(),
+                    };
+                    let reply = pool.submit(&format!("c{client}"), request).recv().unwrap();
+                    let r = parse_json(&reply).unwrap();
+                    assert_eq!(r.get("success").and_then(Json::as_bool), Some(true), "{reply}");
+                    assert_eq!(
+                        r.get("stdout").and_then(Json::as_str),
+                        Some(format!("{}\n", 29 + client).as_str()),
+                        "client {client} got another client's output"
+                    );
+                    if round > 0 {
+                        let files = ["files_changed", "files_recompiled", "files_reused"]
+                            .map(|k| r.get(k).and_then(Json::as_u64).unwrap());
+                        assert_eq!(files, [1, 1, 30], "client {client}, edit {round}: {reply}");
+                    }
+                }
+            });
+        }
+    });
+    pool.shutdown();
+}

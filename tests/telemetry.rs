@@ -238,3 +238,102 @@ fn dispatch_trace_names_the_winner() {
     assert!(dispatch.detail.contains("reduced by Mayan `EForEach`"), "{}", dispatch.detail);
     assert!(dispatch.detail.contains("applicability test"), "{}", dispatch.detail);
 }
+
+/// The shipped source-extension example: two source Mayans imported, one
+/// used.
+fn eforeach_pair() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/maya");
+    let read = |name: &str| std::fs::read_to_string(root.join(name)).unwrap();
+    let c = Compiler::new();
+    c.add_source("eforeach_ext.maya", &read("eforeach_ext.maya")).unwrap();
+    c.add_source("eforeach_app.maya", &read("eforeach_app.maya")).unwrap();
+    c.compile().unwrap();
+    assert_eq!(c.run_main("Main").unwrap(), "paper -> PLDI 2002\nsystem -> Maya\n");
+}
+
+/// The macro library's `foreach` over a `Vector`.
+fn macrolib_foreach() {
+    let c = maya::macrolib::compiler_with_macros();
+    let out = c.compile_and_run(
+        "Main.maya",
+        r#"
+        import java.util.*;
+        class Main {
+            static void main() {
+                Vector v = new Vector();
+                v.addElement("a");
+                v.addElement("b");
+                use Foreach;
+                v.elements().foreach(String st) {
+                    System.out.println(st);
+                }
+            }
+        }
+        "#,
+        "Main",
+    );
+    assert_eq!(out.unwrap(), "a\nb\n");
+}
+
+/// MultiJava's multimethods: three specialized `test` methods.
+fn multijava() {
+    let c = maya::multijava::compiler_with_multijava();
+    let out = c.compile_and_run(
+        "Main.maya",
+        r#"
+        use MultiJava;
+        class Shape { }
+        class Circle extends Shape { }
+        class Rect extends Shape { }
+        class Intersect {
+            int test(Shape a, Shape b) { return 0; }
+            int test(Shape@Circle a, Shape@Rect b) { return 1; }
+            int test(Shape@Rect a, Shape@Circle b) { return 2; }
+        }
+        class Main {
+            static void main() {
+                Intersect it = new Intersect();
+                Shape c = new Circle();
+                Shape r = new Rect();
+                System.out.println(it.test(c, r) + it.test(r, c) + it.test(c, c));
+            }
+        }
+        "#,
+        "Main",
+    );
+    assert_eq!(out.unwrap(), "3\n");
+}
+
+/// `dispatch_tests`, `lazy_nodes_created` and `lazy_nodes_forced` of
+/// `workload`, run on a thread of its own so that no table memo or
+/// dispatch index of an earlier compile on this thread serves it.
+fn cold_work(workload: fn()) -> [u64; 3] {
+    std::thread::spawn(move || {
+        let s = telemetry::Session::start(telemetry::Config::default());
+        workload();
+        let r = s.finish();
+        [
+            Counter::DispatchTests,
+            Counter::LazyNodesCreated,
+            Counter::LazyNodesForced,
+        ]
+        .map(|c| r.counter(c))
+    })
+    .join()
+    .unwrap()
+}
+
+/// The dispatch and laziness work of the example workloads, pinned
+/// exactly as `[dispatch_tests, lazy_nodes_created, lazy_nodes_forced]`:
+/// a change that makes the compiler test more candidates or force more
+/// bodies fails here. A change that moves a count on purpose updates the
+/// number and names the cause in its CHANGES.md line.
+#[test]
+fn example_workloads_do_pinned_work() {
+    let work = [eforeach_pair, macrolib_foreach, multijava].map(cold_work);
+    assert_eq!(
+        work,
+        [[216, 4, 3], [149, 2, 2], [168, 4, 4]],
+        "eforeach pair, macrolib foreach, MultiJava"
+    );
+}

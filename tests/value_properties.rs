@@ -175,7 +175,9 @@ fn random_long_arithmetic_identical_across_tiers() {
             body.push_str(&format!("        System.out.println(v{v});\n"));
         }
         let src = format!("class Main {{\n    static void main() {{\n{body}    }}\n}}");
-        tiers_agree(&format!("random long arithmetic (seed {seed})"), &src);
+        // A thrown ArithmeticException is as valid an outcome as output:
+        // only the tiers' agreement is checked.
+        let _ = tiers_agree(&format!("random long arithmetic (seed {seed})"), &src);
     }
 }
 
@@ -257,6 +259,8 @@ fn random_string_programs_identical_across_tiers() {
             body.push_str(&format!("        System.out.println(s{v}.equals(s{}));\n", (v + 1) % 4));
         }
         let src = format!("class Main {{\n    static void main() {{\n{body}    }}\n}}");
-        tiers_agree(&format!("random strings (seed {seed})"), &src);
+        // A thrown exception would be as valid an outcome as output: only
+        // the tiers' agreement is checked.
+        let _ = tiers_agree(&format!("random strings (seed {seed})"), &src);
     }
 }
