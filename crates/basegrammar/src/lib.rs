@@ -4,7 +4,13 @@
 //! The declaration lives apart from the compiler so that `maya-core`'s
 //! build script can build the grammar's LALR(1) tables once per compiler
 //! build and embed them; `maya-core` builds the same grammar at run time
-//! and imports the built-in Mayans for its productions.
+//! and imports the built-in Mayans for its productions. The syntax of the
+//! extensions the compiler ships ([`Shipped`]) lives here for the same
+//! reason.
+
+mod shipped;
+
+pub use shipped::Shipped;
 
 use maya_ast::NodeKind;
 use maya_grammar::{Assoc, Grammar, GrammarBuilder, NtId, ProdId, RhsItem, Terminal};

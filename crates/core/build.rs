@@ -9,11 +9,16 @@
 //! the hash: a crate that builds this library from its own workspace gets
 //! the same id as the `mayac` it talks to.
 //!
-//! It also builds the base grammar's LALR(1) tables with the same generator
-//! the compiler runs and writes them, with the automaton that extensions
-//! derive their tables from and the grammar's content hash, for
-//! `src/base.rs` to embed: no process builds the base tables at run time.
+//! It also builds, with the same generator the compiler runs, the LALR(1)
+//! tables of the base grammar and of the base extended by each extension
+//! the compiler ships (`maya_basegrammar::Shipped`, its productions added
+//! without precedence, as a `use` adds them), and writes them as Rust
+//! statics with each grammar's content hash, and the base grammar's
+//! automaton that other extensions derive their tables from, for
+//! `src/base.rs` to include: no process builds those tables at run time.
 
+use maya_basegrammar::Shipped;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -44,15 +49,45 @@ fn main() {
     let out = PathBuf::from(std::env::var_os("OUT_DIR").expect("set by cargo"));
     fs::write(out.join("build_id.rs"), format!("{h:#018x}\n")).expect("write build_id.rs");
 
-    let base = maya_basegrammar::build();
-    let embedded = maya_grammar::embedding(&base.grammar).expect("the base grammar is LALR(1)");
-    fs::write(out.join("base_tables.bin"), &embedded.tables).expect("write base_tables.bin");
-    fs::write(out.join("base_automaton.rs"), &embedded.automaton).expect("write base_automaton.rs");
-    fs::write(
-        out.join("base_hash.rs"),
-        format!("{:#034x}\n", embedded.hash),
-    )
-    .expect("write base_hash.rs");
+    let base = maya_basegrammar::build().grammar;
+    let mut grammars = vec![("BASE".to_owned(), base.clone())];
+    for ext in Shipped::ALL {
+        grammars.push((format!("{ext:?}").to_uppercase(), ext.extend(&base)));
+    }
+    let mut src = String::new();
+    let mut sets = Vec::new();
+    for (name, grammar) in &grammars {
+        let e = maya_grammar::embedding(grammar)
+            .unwrap_or_else(|e| panic!("{name} is not LALR(1): {e}"));
+        let _ = writeln!(
+            src,
+            "static {name}_TABLES: maya_grammar::StaticTables = {};",
+            e.tables
+        );
+        // Only the base grammar's automaton is embedded: every other
+        // extension derives from it.
+        let automaton = if name == "BASE" {
+            let _ = writeln!(
+                src,
+                "static {name}_AUTOMATON: maya_grammar::StaticAutomaton = {};",
+                e.automaton
+            );
+            format!("Some(&{name}_AUTOMATON)")
+        } else {
+            "None".to_owned()
+        };
+        sets.push(format!(
+            "    maya_grammar::EmbeddedTables::new({:#034x}, &{name}_TABLES, {automaton}),\n",
+            e.hash
+        ));
+    }
+    let _ = writeln!(
+        src,
+        "static EMBEDDED: [maya_grammar::EmbeddedTables; {}] = [\n{}];",
+        sets.len(),
+        sets.concat()
+    );
+    fs::write(out.join("embedded_tables.rs"), src).expect("write embedded_tables.rs");
 }
 
 /// Appends the `.rs` files under `root/rel` as `/`-separated paths relative

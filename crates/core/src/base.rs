@@ -1,6 +1,7 @@
 //! The base environment: the base MayaJava grammar (declared in
 //! `maya-basegrammar`, its tables built with the compiler and embedded
-//! here), the hygiene spec, and the built-in Mayans.
+//! here, with those of the base extended by each shipped extension), the
+//! hygiene spec, and the built-in Mayans.
 //!
 //! Every node-type production dispatches through the Mayan dispatcher; the
 //! built-in semantic actions (crate module `builtins`) are ordinary Mayans
@@ -11,24 +12,20 @@
 use crate::builtins;
 use maya_ast::NodeKind;
 use maya_basegrammar::BaseGrammar;
-pub use maya_basegrammar::BaseProds;
+pub use maya_basegrammar::{BaseProds, Shipped};
 use maya_dispatch::DispatchEnv;
-use maya_grammar::{EmbeddedTables, Grammar, StaticAutomaton};
+use maya_grammar::{EmbeddedTables, Grammar};
 use maya_template::HygieneSpec;
 
-/// The base grammar's tables and automaton, built by `build.rs` with the
-/// compiler (see `maya_grammar::embedding`).
-static BASE_TABLES: EmbeddedTables = EmbeddedTables::new(
-    include!(concat!(env!("OUT_DIR"), "/base_hash.rs")),
-    include_bytes!(concat!(env!("OUT_DIR"), "/base_tables.bin")),
-    &BASE_AUTOMATON,
-);
+// `EMBEDDED`: the tables built by `build.rs` with the compiler (see
+// `maya_grammar::embedding`), the base grammar's with its automaton first,
+// then those of the base extended by each `Shipped` extension in order.
+include!(concat!(env!("OUT_DIR"), "/embedded_tables.rs"));
 
-static BASE_AUTOMATON: StaticAutomaton = include!(concat!(env!("OUT_DIR"), "/base_automaton.rs"));
-
-/// The base grammar's tables as compiled into this binary.
-pub fn embedded_base_tables() -> &'static EmbeddedTables {
-    &BASE_TABLES
+/// The tables compiled into this binary: the base grammar's, then the base
+/// extended by each [`Shipped`] extension's, in [`Shipped::ALL`] order.
+pub fn embedded_tables() -> &'static [EmbeddedTables] {
+    &EMBEDDED
 }
 
 /// The built base environment: grammar snapshot, dispatch environment with
@@ -67,7 +64,7 @@ impl Base {
 
 /// Builds the base grammar and environment.
 pub fn build_base() -> Base {
-    maya_grammar::embed_tables(&BASE_TABLES);
+    maya_grammar::embed_tables(&EMBEDDED);
     let BaseGrammar {
         grammar,
         prods,

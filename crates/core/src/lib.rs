@@ -33,7 +33,7 @@ pub mod service;
 mod source_mayan;
 pub mod store;
 
-pub use base::{embedded_base_tables, Base, BaseProds};
+pub use base::{embedded_tables, Base, BaseProds, Shipped};
 
 /// Re-export for debugging tools and benches.
 pub fn describe_prod_pub(g: &maya_grammar::Grammar, p: maya_grammar::ProdId) -> String {

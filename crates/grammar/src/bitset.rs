@@ -1,24 +1,20 @@
 //! The bit set behind the FIRST sets that [`crate::Tables`] exposes.
 
-/// A set of `u32` indices stored as 64-bit words.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BitSet {
-    words: Vec<u64>,
+/// A set of `u32` indices stored as 64-bit words, borrowed from the table
+/// set it belongs to.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct BitSet<'a> {
+    words: &'a [u64],
 }
 
-impl BitSet {
+impl<'a> BitSet<'a> {
     /// Iterates set indices in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        bits(&self.words)
+    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        bits(self.words)
     }
 
-    /// The backing words (for serialization).
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Rebuilds a set from backing words.
-    pub(crate) fn from_words(words: Vec<u64>) -> BitSet {
+    /// The set whose backing words are `words`.
+    pub(crate) fn from_words(words: &'a [u64]) -> BitSet<'a> {
         BitSet { words }
     }
 }
@@ -43,8 +39,8 @@ mod tests {
 
     #[test]
     fn iterates_across_words() {
-        let s = BitSet::from_words(vec![0b1001, 0, 1 << 63 | 1]);
+        let s = BitSet::from_words(&[0b1001, 0, 1 << 63 | 1]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 3, 128, 191]);
-        assert_eq!(BitSet::from_words(vec![0, 0]).iter().count(), 0);
+        assert_eq!(BitSet::from_words(&[0, 0]).iter().count(), 0);
     }
 }

@@ -36,8 +36,7 @@ use crate::embed::{embedded_built, embedded_tables, Built};
 use crate::lalr::{generate, intern_terms};
 use crate::prod::{Action, Assoc, BuiltinAction};
 use crate::symbol::{Sym, Terminal};
-use crate::tables::{ActionEntry, Rows, Tables, NO_DEFAULT};
-use crate::BitSet;
+use crate::tables::{TableRows, Tables};
 use maya_lexer::Fnv2;
 use maya_telemetry::Counter;
 use std::cell::{Cell, RefCell};
@@ -303,9 +302,9 @@ pub(crate) fn tables_for(g: &Grammar) -> Result<Arc<Tables>, GrammarError> {
     // grammar, so each test that imports an extension checks one.
     #[cfg(debug_assertions)]
     if parent.is_some() {
-        let full = g.build_full();
+        let full = crate::lalr::full_tables_untraced(g.data());
         assert!(
-            full.is_ok_and(|f| *f.tables == *built.tables),
+            full.is_ok_and(|f| f == *built.tables),
             "derived tables differ from a full build"
         );
     }
@@ -400,34 +399,30 @@ const TABLES_PAYLOAD_VERSION: u32 = 3;
 
 /// Encodes `t` as a self-versioned payload for the persistent store.
 pub(crate) fn encode_tables(t: &Tables) -> Vec<u8> {
-    let words = t.terms.len().div_ceil(64);
     let cells = t.action.cells.len() + t.goto_.cells.len();
     let mut buf = Vec::with_capacity(
-        24 + 8 * (t.n_states as usize + cells) + t.first_nt.len() * (8 * words + 1),
+        24 + 8 * (t.n_states as usize + cells) + 8 * t.first.len() + t.nullable_nt.len(),
     );
     let put = |buf: &mut Vec<u8>, x: u32| buf.extend_from_slice(&x.to_le_bytes());
     put(&mut buf, TABLES_PAYLOAD_VERSION);
     put(&mut buf, t.n_states);
     put(&mut buf, t.terms.len() as u32);
-    put(&mut buf, t.first_nt.len() as u32);
+    put(&mut buf, t.nullable_nt.len() as u32);
     for rows in [&t.action, &t.goto_] {
         put(&mut buf, rows.cells.len() as u32);
-        for &o in &rows.off {
+        for &o in rows.off.iter() {
             put(&mut buf, o);
         }
-        for &(key, value) in &rows.cells {
+        for &(key, value) in rows.cells.iter() {
             put(&mut buf, key);
             put(&mut buf, value);
         }
     }
-    for set in &t.first_nt {
-        for i in 0..words {
-            let w = set.words().get(i).copied().unwrap_or(0);
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
+    for &w in t.first.iter() {
+        buf.extend_from_slice(&w.to_le_bytes());
     }
     buf.extend(t.nullable_nt.iter().map(|&n| u8::from(n)));
-    for &d in &t.default_reduce {
+    for &d in t.default_reduce.iter() {
         put(&mut buf, d);
     }
     buf
@@ -468,15 +463,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Reads `n_rows` rows whose keys are below `key_bound` and whose values
-/// pass `valid`. Offsets must start at 0, never decrease and end at the
-/// cell count; keys must ascend strictly within a row.
-fn decode_rows(
-    c: &mut Cursor<'_>,
-    n_rows: u32,
-    key_bound: u32,
-    valid: impl Fn(u32) -> bool,
-) -> Option<Rows> {
+/// Reads `n_rows` compressed rows, checking only that they fit in the
+/// payload; [`Tables::consistent`] checks what they hold.
+fn decode_rows(c: &mut Cursor<'_>, n_rows: u32) -> Option<TableRows> {
     let n_cells = c.u32()? as usize;
     // Check that the offsets and cells fit in the payload before
     // allocating for them.
@@ -489,25 +478,13 @@ fn decode_rows(
     let off = (0..=n_rows)
         .map(|_| c.u32())
         .collect::<Option<Vec<u32>>>()?;
-    if off[0] != 0
-        || off[n_rows as usize] as usize != n_cells
-        || off.windows(2).any(|o| o[0] > o[1])
-    {
-        return None;
-    }
-    let mut cells = Vec::with_capacity(n_cells);
-    for row in off.windows(2) {
-        let mut prev = None;
-        for _ in row[0]..row[1] {
-            let (key, value) = (c.u32()?, c.u32()?);
-            if key >= key_bound || prev.is_some_and(|p| p >= key) || !valid(value) {
-                return None;
-            }
-            prev = Some(key);
-            cells.push((key, value));
-        }
-    }
-    Some(Rows { off, cells })
+    let cells = (0..n_cells)
+        .map(|_| Some((c.u32()?, c.u32()?)))
+        .collect::<Option<Vec<(u32, u32)>>>()?;
+    Some(TableRows {
+        off: off.into(),
+        cells: cells.into(),
+    })
 }
 
 /// Decodes a table payload (as produced by [`encode_tables`]) against the
@@ -522,64 +499,42 @@ pub(crate) fn decode_tables(bytes: &[u8], g: &GrammarData) -> Option<Tables> {
     }
     let (terms, term_ids) = intern_terms(g);
     let n_states = c.u32()?;
-    let n_nts = g.nts.len() as u32;
-    if c.u32()? != terms.len() as u32 || c.u32()? != n_nts || n_states == 0 {
+    let n_nts = g.nts.len();
+    if c.u32()? != terms.len() as u32 || c.u32()? != n_nts as u32 || n_states == 0 {
         return None;
     }
-    let n_prods = g.prods.len() as u32;
-
-    let action = decode_rows(
-        &mut c,
-        n_states,
-        terms.len() as u32,
-        |v| match ActionEntry::unpack(v) {
-            Some(ActionEntry::Shift(to)) => to < n_states,
-            Some(ActionEntry::Reduce(p)) => p.0 < n_prods,
-            Some(ActionEntry::Accept) => true,
-            None => false,
-        },
-    )?;
-    let goto_ = decode_rows(&mut c, n_states, n_nts, |to| to < n_states)?;
-
-    // FIRST sets hold terminal ids only: no bit at or past `n_terms`.
+    let action = decode_rows(&mut c, n_states)?;
+    let goto_ = decode_rows(&mut c, n_states)?;
     let words = terms.len().div_ceil(64);
-    let stray = match terms.len() % 64 {
-        0 => 0,
-        used => !0u64 << used,
-    };
-    let mut first_nt = Vec::with_capacity(n_nts as usize);
-    for _ in 0..n_nts {
-        let set = (0..words).map(|_| c.u64()).collect::<Option<Vec<u64>>>()?;
-        if set.last().is_some_and(|last| last & stray != 0) {
-            return None;
-        }
-        first_nt.push(BitSet::from_words(set));
-    }
+    let first = (0..n_nts * words)
+        .map(|_| c.u64())
+        .collect::<Option<Vec<u64>>>()?;
     let nullable_nt = (0..n_nts)
         .map(|_| c.u8().map(|n| n != 0))
         .collect::<Option<Vec<bool>>>()?;
     let default_reduce = (0..n_states)
-        .map(|_| c.u32().filter(|&p| p == NO_DEFAULT || p < n_prods))
+        .map(|_| c.u32())
         .collect::<Option<Vec<u32>>>()?;
     if !c.done() {
         return None; // trailing garbage: treat as corrupt
     }
-
-    Some(Tables {
+    let tables = Tables {
         n_states,
         action,
         goto_,
         terms,
         term_ids,
-        first_nt,
-        nullable_nt,
-        default_reduce,
-    })
+        first: first.into(),
+        nullable_nt: nullable_nt.into(),
+        default_reduce: default_reduce.into(),
+    };
+    tables.consistent(n_nts, g.prods.len()).then_some(tables)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::ActionEntry;
     use crate::{GrammarBuilder, RhsItem};
     use maya_ast::NodeKind;
     use maya_lexer::TokenKind;
@@ -668,7 +623,7 @@ mod tests {
         );
         assert_eq!(loaded.terms, built.terms);
         assert_eq!(loaded.term_ids, built.term_ids);
-        assert_eq!(loaded.first_nt, built.first_nt);
+        assert_eq!(loaded.first, built.first);
         assert_eq!(loaded.nullable_nt, built.nullable_nt);
 
         // Truncation, a stale payload version, structural garbage, and
@@ -764,14 +719,15 @@ mod tests {
         });
         malformed("absurd cell count", &|p| put_u32(p, offsets - 4, u32::MAX));
 
-        // Offsets that go down yet account for every cell read: three rows
-        // [0, 2), [2, 1), [1, 2) over cells (0, 0) (1, 0) | (0, 0). Only
+        // Offsets that go down yet start at 0 and end at the cell count:
+        // three rows [0, 2), [2, 1), [1, 2) over cells (0, 0) (1, 0). Only
         // the monotonicity check stands between them and a panicking
-        // `Rows::row(1)`.
-        let words = [2u32, 0, 2, 1, 2, 0, 0, 1, 0, 0, 0];
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut c = Cursor { buf: &bytes, at: 0 };
-        assert!(decode_rows(&mut c, 3, 8, |_| true).is_none());
+        // `TableRows::row(1)`.
+        let rows = TableRows {
+            off: vec![0, 2, 1, 2].into(),
+            cells: vec![(0, 0), (1, 0)].into(),
+        };
+        assert!(!rows.well_formed(3, 8, |_| true));
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //! ([`crate::derive`]), which runs them only for the states an extension
 //! changes.
 
-use crate::bitset::{bits, BitSet};
+use crate::bitset::bits;
 use crate::build::{GrammarData, GrammarError};
 use crate::prod::{Assoc, ProdId};
 use crate::symbol::{NtId, Sym, Terminal};
-use crate::tables::{ActionEntry, Conflict, Rows, Tables, TermId, NO_DEFAULT};
-use std::borrow::Cow;
+use crate::tables::{ActionEntry, Conflict, Rows, Store, Tables, TermId, NO_DEFAULT};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -867,10 +866,6 @@ fn build_actions(gen: &Gen<'_>, trans: &Rows, la: &Lookaheads) -> Actions {
     out
 }
 
-/// A slice an [`Automaton`] owns, or borrows from the binary (see
-/// [`crate::embed`]).
-pub(crate) type Store<T> = Cow<'static, [T]>;
-
 /// What a derivation reads of a built grammar's automaton: its dimensions,
 /// the inputs whose growth marks a state for re-analysis, the kernels and
 /// transitions, and the final lookaheads with the links that produced them.
@@ -960,19 +955,15 @@ pub(crate) fn prec_code(p: Option<(u16, Assoc)>) -> u32 {
 
 /// The tables of a conflict-free build.
 pub(crate) fn tables_from(gen: Gen<'_>, n_states: usize, actions: Actions) -> Tables {
-    let w = gen.w;
-    let n_nts = gen.g.nts.len();
     Tables {
         n_states: n_states as u32,
-        action: actions.action,
-        goto_: actions.goto_,
-        first_nt: (0..n_nts)
-            .map(|nt| BitSet::from_words(gen.first[nt * w..(nt + 1) * w].to_vec()))
-            .collect(),
-        nullable_nt: gen.nullable,
+        action: actions.action.into(),
+        goto_: actions.goto_.into(),
+        first: gen.first.into(),
+        nullable_nt: gen.nullable.into(),
         terms: gen.terms,
         term_ids: gen.term_ids,
-        default_reduce: actions.default_reduce,
+        default_reduce: actions.default_reduce.into(),
     }
 }
 
@@ -1011,7 +1002,8 @@ pub(crate) fn generate(
         None if must_derive => return None,
         None => {}
     }
-    let (kernels, trans, la, actions) = full_stages(g, &gen, t1 - t0);
+    let ((kernels, trans, la, actions), [lr0, la_time, acts]) = full_stages(&gen);
+    trace_build(g, trans.n_rows(), "", [t1 - t0, lr0, la_time, acts]);
     if !actions.conflicts.is_empty() {
         return Some(Err(GrammarError::Conflicts(actions.conflicts)));
     }
@@ -1020,14 +1012,24 @@ pub(crate) fn generate(
     Some(Ok((tables_from(gen, n_states, actions), automaton)))
 }
 
-/// The LR(0), lookahead and action stages of a full build, traced with
-/// `gen_time`, the time the generator's dense form took: the kernels and
-/// transitions per state, the lookaheads and the actions.
-fn full_stages(
-    g: &GrammarData,
-    gen: &Gen<'_>,
-    gen_time: Duration,
-) -> (Rows<u32>, Rows, Lookaheads, Actions) {
+/// `g`'s tables built in full outside telemetry: no count, phase or trace
+/// event, so a check that builds does not show in what it checks. Debug
+/// builds hold every table set they derive or read from the binary to it.
+#[cfg(debug_assertions)]
+pub(crate) fn full_tables_untraced(g: &GrammarData) -> Result<Tables, GrammarError> {
+    let gen = Gen::new(g);
+    let ((_, trans, _, actions), _) = full_stages(&gen);
+    if !actions.conflicts.is_empty() {
+        return Err(GrammarError::Conflicts(actions.conflicts));
+    }
+    let n_states = trans.n_rows();
+    Ok(tables_from(gen, n_states, actions))
+}
+
+/// The LR(0), lookahead and action stages of a full build: the kernels and
+/// transitions per state, the lookaheads and the actions, with each
+/// stage's time.
+fn full_stages(gen: &Gen<'_>) -> ((Rows<u32>, Rows, Lookaheads, Actions), [Duration; 3]) {
     let t1 = Instant::now();
     let aut = build_lr0(gen);
     let t2 = Instant::now();
@@ -1037,8 +1039,7 @@ fn full_stages(
     let Lr0 { kernels, trans, .. } = aut;
     let actions = build_actions(gen, &trans, &la);
     let t4 = Instant::now();
-    trace_build(g, trans.n_rows(), "", [gen_time, t2 - t1, t3 - t2, t4 - t3]);
-    (kernels, trans, la, actions)
+    ((kernels, trans, la, actions), [t2 - t1, t3 - t2, t4 - t3])
 }
 
 /// The `table-build` trace event: the grammar's size, then how the tables

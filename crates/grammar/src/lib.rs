@@ -34,7 +34,10 @@ mod tables;
 
 pub use bitset::BitSet;
 pub use build::{Grammar, GrammarBuilder, GrammarError, RhsItem};
-pub use embed::{embed_tables, embedding, Built, EmbeddedTables, Embedding, StaticAutomaton};
+pub use embed::{
+    embed_tables, embedding, Built, EmbeddedTables, Embedding, StaticAutomaton, StaticTables,
+    StaticTerminal,
+};
 pub use cache::{
     clear_table_cache, set_table_cache_shared, set_table_disk, table_cache_len,
     table_cache_shared, TableDisk,

@@ -2,6 +2,7 @@
 
 use crate::{BitSet, NtId, ProdId, Terminal};
 use maya_lexer::{Delim, Token, TokenKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -74,20 +75,74 @@ impl<T> Rows<T> {
 
     /// Row `i`; empty when there is no such row.
     pub(crate) fn row(&self, i: usize) -> &[T] {
-        match (self.off.get(i), self.off.get(i + 1)) {
-            (Some(&from), Some(&to)) => &self.cells[from as usize..to as usize],
-            _ => &[],
+        row_of(&self.off, &self.cells, i)
+    }
+}
+
+/// Row `i` of the compressed rows `off`/`cells`; empty when there is no
+/// such row.
+fn row_of<'a, T>(off: &[u32], cells: &'a [T], i: usize) -> &'a [T] {
+    match (off.get(i), off.get(i + 1)) {
+        (Some(&from), Some(&to)) => &cells[from as usize..to as usize],
+        _ => &[],
+    }
+}
+
+/// A slice that a table set or an automaton owns, or borrows from the
+/// binary (see [`crate::embed`]).
+pub(crate) type Store<T> = Cow<'static, [T]>;
+
+/// ACTION or GOTO rows as a table set keeps them: [`Rows`], owned after a
+/// build or a decode, borrowed from the binary when embedded.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct TableRows {
+    pub(crate) off: Store<u32>,
+    pub(crate) cells: Store<(u32, u32)>,
+}
+
+impl From<Rows> for TableRows {
+    fn from(rows: Rows) -> TableRows {
+        TableRows {
+            off: rows.off.into(),
+            cells: rows.cells.into(),
         }
     }
 }
 
-impl Rows {
+impl TableRows {
+    /// Row `i`; empty when there is no such row.
+    pub(crate) fn row(&self, i: usize) -> &[(u32, u32)] {
+        row_of(&self.off, &self.cells, i)
+    }
+
     /// The value under `key` in row `i`.
     pub(crate) fn get(&self, i: usize, key: u32) -> Option<u32> {
         let row = self.row(i);
         row.binary_search_by_key(&key, |c| c.0)
             .ok()
             .map(|j| row[j].1)
+    }
+
+    /// Whether these are `n_rows` well-formed rows: offsets start at 0,
+    /// never decrease and end at the cell count; keys are below
+    /// `key_bound` and ascend strictly within a row; values pass `valid`.
+    pub(crate) fn well_formed(
+        &self,
+        n_rows: u32,
+        key_bound: u32,
+        valid: impl Fn(u32) -> bool,
+    ) -> bool {
+        let off = &*self.off;
+        off.len() == n_rows as usize + 1
+            && off[0] == 0
+            && off[n_rows as usize] as usize == self.cells.len()
+            && off.windows(2).all(|o| o[0] <= o[1])
+            && off.windows(2).all(|o| {
+                let row = &self.cells[o[0] as usize..o[1] as usize];
+                row.iter()
+                    .all(|&(key, value)| key < key_bound && valid(value))
+                    && row.windows(2).all(|c| c[0].0 < c[1].0)
+            })
     }
 }
 
@@ -107,23 +162,28 @@ impl fmt::Display for Conflict {
 }
 
 /// The generated tables: ACTION, GOTO, FIRST sets, and terminal interning.
+///
+/// The arrays are owned after a build or a store decode, and borrowed in
+/// place from the binary for a grammar whose tables are compiled in (see
+/// [`crate::embed`]); only the terminals are interned per process.
 #[derive(PartialEq)]
 pub struct Tables {
     pub(crate) n_states: u32,
     /// ACTION: terminal id → packed [`ActionEntry`], per state.
-    pub(crate) action: Rows,
+    pub(crate) action: TableRows,
     /// GOTO: nonterminal id → target state, per state.
-    pub(crate) goto_: Rows,
+    pub(crate) goto_: TableRows,
     pub(crate) terms: Vec<Terminal>,
     pub(crate) term_ids: HashMap<Terminal, TermId>,
-    /// FIRST sets over terminal ids, per nonterminal.
-    pub(crate) first_nt: Vec<BitSet>,
-    pub(crate) nullable_nt: Vec<bool>,
+    /// FIRST sets over terminal ids, `ceil(n_terms / 64)` words per
+    /// nonterminal.
+    pub(crate) first: Store<u64>,
+    pub(crate) nullable_nt: Store<bool>,
     /// States whose only possible move is one reduction: performed without
     /// consulting the lookahead (like yacc default reductions). Needed for
     /// productions followed by marker nonterminals with empty FIRST sets.
     /// Indexed by state; [`NO_DEFAULT`] where there is none.
-    pub(crate) default_reduce: Vec<u32>,
+    pub(crate) default_reduce: Store<u32>,
 }
 
 impl Tables {
@@ -202,8 +262,10 @@ impl Tables {
     }
 
     /// FIRST set (terminal ids) of a nonterminal.
-    pub fn first_of_nt(&self, nt: NtId) -> &BitSet {
-        &self.first_nt[nt.0 as usize]
+    pub fn first_of_nt(&self, nt: NtId) -> BitSet<'_> {
+        let w = self.terms.len().div_ceil(64);
+        let at = nt.0 as usize * w;
+        BitSet::from_words(&self.first[at..at + w])
     }
 
     /// Whether a nonterminal derives ε.
@@ -226,6 +288,47 @@ impl Tables {
     /// Total number of ACTION entries (table size metric for benches).
     pub fn action_entries(&self) -> usize {
         self.action.cells.len()
+    }
+
+    /// Whether the parts fit a grammar of `n_nts` nonterminals and
+    /// `n_prods` productions: distinct terminals, well-formed rows whose
+    /// terminals, nonterminals, states and productions are in range, a
+    /// FIRST set per nonterminal with no bit past the last terminal, and a
+    /// nullable flag per nonterminal and a default reduction per state.
+    /// Decoded and embedded tables are checked with it before use.
+    pub(crate) fn consistent(&self, n_nts: usize, n_prods: usize) -> bool {
+        let (n_states, n_terms) = (self.n_states, self.terms.len());
+        let words = n_terms.div_ceil(64);
+        let stray = match n_terms % 64 {
+            0 => 0,
+            used => !0u64 << used,
+        };
+        let real_prod = |p: u32| (p as usize) < n_prods;
+        n_states > 0
+            && words > 0
+            && self.term_ids.len() == n_terms
+            && self
+                .action
+                .well_formed(n_states, n_terms as u32, |v| match ActionEntry::unpack(v) {
+                    Some(ActionEntry::Shift(to)) => to < n_states,
+                    Some(ActionEntry::Reduce(p)) => real_prod(p.0),
+                    Some(ActionEntry::Accept) => true,
+                    None => false,
+                })
+            && self
+                .goto_
+                .well_formed(n_states, n_nts as u32, |to| to < n_states)
+            && self.first.len() == n_nts * words
+            && self
+                .first
+                .chunks_exact(words)
+                .all(|set| set[words - 1] & stray == 0)
+            && self.nullable_nt.len() == n_nts
+            && self.default_reduce.len() == n_states as usize
+            && self
+                .default_reduce
+                .iter()
+                .all(|&p| p == NO_DEFAULT || real_prod(p))
     }
 }
 

@@ -5,10 +5,9 @@
 //! compile-time metaprogram can produce.
 
 use maya_ast::{Node, NodeKind};
-use maya_core::CoreExpand;
+use maya_core::{CoreExpand, Shipped};
 use maya_dispatch::{Bindings, DispatchError, ExpandCtx, ImportEnv, Mayan, MetaProgram, Param};
-use maya_grammar::RhsItem;
-use maya_lexer::{sym, Delim, Span, TokenKind};
+use maya_lexer::{sym, Span};
 use maya_template::Template;
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -18,14 +17,8 @@ pub struct Assert;
 
 impl MetaProgram for Assert {
     fn run(&self, env: &mut dyn ImportEnv) -> Result<(), DispatchError> {
-        let prod = env.add_production(
-            NodeKind::Statement,
-            &[
-                RhsItem::word("assert"),
-                RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::Expression)]),
-                RhsItem::tok(TokenKind::Semi),
-            ],
-        )?;
+        let (lhs, rhs) = &Shipped::Assert.productions()[0];
+        let prod = env.add_production(*lhs, rhs)?;
         let template: OnceCell<Rc<Template>> = OnceCell::new();
         let body = move |b: &Bindings, ctx: &mut dyn ExpandCtx| -> Result<Node, DispatchError> {
             let cx = ctx

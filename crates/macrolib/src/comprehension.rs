@@ -13,10 +13,9 @@
 //! bitwise-or in the element expression.)
 
 use maya_ast::{Expr, ExprKind, LocalDeclarator, Node, NodeKind, Stmt, StmtKind};
-use maya_core::CoreExpand;
+use maya_core::{CoreExpand, Shipped};
 use maya_dispatch::{Bindings, DispatchError, ExpandCtx, ImportEnv, Mayan, MetaProgram, Param};
-use maya_grammar::RhsItem;
-use maya_lexer::{sym, Delim, Span, TokenKind};
+use maya_lexer::{sym, Span};
 use maya_template::Template;
 use std::cell::OnceCell;
 use std::rc::Rc;
@@ -26,25 +25,9 @@ pub struct Comprehension;
 
 impl MetaProgram for Comprehension {
     fn run(&self, env: &mut dyn ImportEnv) -> Result<(), DispatchError> {
-        let prod = env.add_production(
-            NodeKind::Statement,
-            &[
-                RhsItem::word("into"),
-                RhsItem::Subtree(
-                    Delim::Paren,
-                    vec![
-                        RhsItem::Kind(NodeKind::Expression), // target
-                        RhsItem::tok(TokenKind::Comma),
-                        RhsItem::Kind(NodeKind::Expression), // element expr
-                        RhsItem::word("each"),
-                        RhsItem::Kind(NodeKind::Formal), // loop variable
-                        RhsItem::tok(TokenKind::Colon),
-                        RhsItem::Kind(NodeKind::Expression), // source
-                    ],
-                ),
-                RhsItem::tok(TokenKind::Semi),
-            ],
-        )?;
+        // `into(target, element each Formal : source);`
+        let (lhs, rhs) = &Shipped::Comprehension.productions()[0];
+        let prod = env.add_production(*lhs, rhs)?;
         let template: OnceCell<Rc<Template>> = OnceCell::new();
         let body = move |b: &Bindings, ctx: &mut dyn ExpandCtx| -> Result<Node, DispatchError> {
             let cx = ctx

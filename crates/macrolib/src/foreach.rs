@@ -11,12 +11,11 @@
 use maya_ast::{
     Expr, ExprKind, Formal, LocalDeclarator, Node, NodeKind, Stmt, StmtKind, TypeName,
 };
-use maya_core::{BaseProds, Compiler};
+use maya_core::{BaseProds, Compiler, Shipped};
 use maya_dispatch::{
     Bindings, DispatchError, ExpandCtx, ImportEnv, Mayan, MetaProgram, Param, Specializer,
 };
-use maya_grammar::RhsItem;
-use maya_lexer::{sym, Delim, Span};
+use maya_lexer::{sym, Span};
 use maya_template::Template;
 use maya_types::{ClassTable, Type};
 use std::cell::OnceCell;
@@ -69,14 +68,8 @@ fn var_parts(
 }
 
 fn foreach_production(env: &mut dyn ImportEnv) -> Result<maya_grammar::ProdId, DispatchError> {
-    env.add_production(
-        NodeKind::Statement,
-        &[
-            RhsItem::Kind(NodeKind::MethodName),
-            RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::Formal)]),
-            RhsItem::Lazy(Delim::Brace, NodeKind::BlockStmts),
-        ],
-    )
+    let (lhs, rhs) = &Shipped::Foreach.productions()[0];
+    env.add_production(*lhs, rhs)
 }
 
 fn core_expand<'a>(ctx: &'a mut dyn ExpandCtx) -> &'a mut maya_core::CoreExpand {

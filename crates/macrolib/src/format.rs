@@ -5,9 +5,9 @@
 //! *compile-time* errors — the kind of static guarantee §3 motivates.
 
 use maya_ast::{BinOp, Expr, ExprKind, Node, NodeKind};
+use maya_core::Shipped;
 use maya_dispatch::{Bindings, DispatchError, ExpandCtx, ImportEnv, Mayan, MetaProgram, Param};
-use maya_grammar::RhsItem;
-use maya_lexer::{sym, Delim, Span};
+use maya_lexer::{sym, Span};
 use std::rc::Rc;
 
 /// The `format` extension.
@@ -15,13 +15,8 @@ pub struct Format;
 
 impl MetaProgram for Format {
     fn run(&self, env: &mut dyn ImportEnv) -> Result<(), DispatchError> {
-        let prod = env.add_production(
-            NodeKind::Expression,
-            &[
-                RhsItem::word("format"),
-                RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::ArgumentList)]),
-            ],
-        )?;
+        let (lhs, rhs) = &Shipped::Format.productions()[0];
+        let prod = env.add_production(*lhs, rhs)?;
         let body = |b: &Bindings, _ctx: &mut dyn ExpandCtx| -> Result<Node, DispatchError> {
             let args = match b.get("args") {
                 Some(Node::Args(a)) => a.clone(),

@@ -8,12 +8,11 @@
 //! resorting to templates that define Mayans" (§3.3).
 
 use maya_ast::{Expr, ExprKind, Node, NodeKind, Stmt, StmtKind, TypeName, UseTarget};
-use maya_core::{BaseProds, CoreExpand};
+use maya_core::{BaseProds, CoreExpand, Shipped};
 use maya_dispatch::{
     Bindings, DispatchError, ExpandCtx, ImportEnv, Mayan, MetaProgram, Param, Specializer,
 };
-use maya_grammar::RhsItem;
-use maya_lexer::{sym, Delim, Span, Symbol};
+use maya_lexer::{sym, Span, Symbol};
 use std::rc::Rc;
 
 /// The substitution metaprogram created per `typedef` use: local Mayans on
@@ -97,21 +96,8 @@ impl MetaProgram for Typedef {
     fn run(&self, env: &mut dyn ImportEnv) -> Result<(), DispatchError> {
         // abstract Statement syntax(typedef(Identifier = StrictClassName)
         //                            lazy(BraceTree, BlockStmts));
-        let prod = env.add_production(
-            NodeKind::Statement,
-            &[
-                RhsItem::word("typedef"),
-                RhsItem::Subtree(
-                    Delim::Paren,
-                    vec![
-                        RhsItem::Kind(NodeKind::Identifier),
-                        RhsItem::tok(maya_lexer::TokenKind::Assign),
-                        RhsItem::Kind(NodeKind::TypeName),
-                    ],
-                ),
-                RhsItem::Lazy(Delim::Brace, NodeKind::BlockStmts),
-            ],
-        )?;
+        let (lhs, rhs) = &Shipped::Typedef.productions()[0];
+        let prod = env.add_production(*lhs, rhs)?;
         let prods = self.prods.clone();
         let body = move |b: &Bindings, ctx: &mut dyn ExpandCtx| -> Result<Node, DispatchError> {
             let (var, val) = match b.get("head") {

@@ -5,10 +5,9 @@ use crate::dispatch_gen::{dispatch_arg, MultiMethod};
 use maya_ast::{
     Block, Decl, Formal, Ident, LazyNode, Node, NodeKind, Stmt, StmtKind, TypeName,
 };
-use maya_core::{BaseProds, CompileError, Compiler, CompilerInner, CoreExpand};
+use maya_core::{BaseProds, CompileError, Compiler, CompilerInner, CoreExpand, Shipped};
 use maya_dispatch::{Bindings, DispatchError, ExpandCtx, ImportEnv, Mayan, MetaProgram, Param};
-use maya_grammar::RhsItem;
-use maya_lexer::{sym, Delim, Span, Symbol, TokenKind};
+use maya_lexer::{sym, Span, Symbol};
 use maya_types::{ClassId, MethodInfo, ResolveCtx, Type};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,16 +56,8 @@ impl MultiJava {
     /// `Formal → ModifierList TypeName @ TypeName UnboundLocal` — the §5.1
     /// parameter-specializer syntax `C@D c`.
     fn add_formal_specializers(&self, env: &mut dyn ImportEnv) -> Result<(), DispatchError> {
-        let prod = env.add_production(
-            NodeKind::Formal,
-            &[
-                RhsItem::Kind(NodeKind::ModifierList),
-                RhsItem::Kind(NodeKind::TypeName),
-                RhsItem::tok(TokenKind::At),
-                RhsItem::Kind(NodeKind::TypeName),
-                RhsItem::Kind(NodeKind::UnboundLocal),
-            ],
-        )?;
+        let (lhs, rhs) = &Shipped::MultiJava.productions()[0];
+        let prod = env.add_production(*lhs, rhs)?;
         env.import_mayan(Mayan::new(
             "MjFormal",
             prod,
@@ -103,19 +94,8 @@ impl MultiJava {
     /// records the declaration; the hook attaches it once the receiver
     /// class exists.
     fn add_external_methods(&self, env: &mut dyn ImportEnv) -> Result<(), DispatchError> {
-        let prod = env.add_production(
-            NodeKind::Declaration,
-            &[
-                RhsItem::Kind(NodeKind::ModifierList),
-                RhsItem::Kind(NodeKind::TypeName),
-                RhsItem::Kind(NodeKind::QualifiedName),
-                RhsItem::tok(TokenKind::Dot),
-                RhsItem::Kind(NodeKind::Identifier),
-                RhsItem::Subtree(Delim::Paren, vec![RhsItem::Kind(NodeKind::FormalList)]),
-                RhsItem::Kind(NodeKind::Throws),
-                RhsItem::Lazy(Delim::Brace, NodeKind::BlockStmts),
-            ],
-        )?;
+        let (lhs, rhs) = &Shipped::MultiJava.productions()[1];
+        let prod = env.add_production(*lhs, rhs)?;
         let state = self.state.clone();
         env.import_mayan(Mayan::new(
             "MjExternal",

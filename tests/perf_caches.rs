@@ -26,6 +26,38 @@ fn compile_extension_pair() {
     c.run_main("Main").unwrap();
 }
 
+/// A program that declares a keyword-led statement and imports it: its
+/// extended grammar is one the binary does not ship tables for, so a cold
+/// table cache must build them (a shipped extension's, like the eforeach
+/// pair's `EachOf`, which adds Foreach's production, are compiled in).
+const DECLARED_SYNTAX: &str = r#"abstract Statement syntax(repeat(Expression) lazy(BraceTree, BlockStmts));
+
+Statement syntax
+Repeat(repeat(Expression n) lazy(BraceTree, BlockStmts) body)
+{
+    return new Statement {
+        for (int counter = 0; counter < $n; counter++) {
+            $body
+        }
+    };
+}
+
+class Main {
+    static void main() {
+        use Repeat;
+        repeat (2) { System.out.println("ok"); }
+    }
+}
+"#;
+
+/// Compiles and runs [`DECLARED_SYNTAX`].
+fn compile_declared_syntax() {
+    let c = Compiler::new();
+    c.add_source("repeat.maya", DECLARED_SYNTAX).unwrap();
+    c.compile().unwrap();
+    assert_eq!(c.run_main("Main").unwrap(), "ok\nok\n");
+}
+
 fn counters(f: impl FnOnce()) -> impl Fn(Counter) -> u64 {
     let s = telemetry::Session::start(telemetry::Config::default());
     f();
@@ -37,13 +69,13 @@ fn counters(f: impl FnOnce()) -> impl Fn(Counter) -> u64 {
 fn table_cache_reuses_tables_across_compilers() {
     maya::grammar::clear_table_cache();
 
-    let cold = counters(compile_extension_pair);
+    let cold = counters(compile_declared_syntax);
     assert!(cold(Counter::TablesBuilt) > 0, "cold run must build tables");
     // (The cold run may already record hits: a grammar demanded twice
     // within one compilation is served from the memo the second time.)
     assert!(cold(Counter::TableCacheMisses) > 0, "cold run must miss");
 
-    let warm = counters(compile_extension_pair);
+    let warm = counters(compile_declared_syntax);
     assert_eq!(warm(Counter::TablesBuilt), 0, "warm run must reuse every table");
     assert!(warm(Counter::TableCacheHits) > 0);
     assert_eq!(warm(Counter::TableCacheMisses), 0);
@@ -72,9 +104,9 @@ fn table_cache_misses_on_a_new_grammar_mid_pipeline() {
         "the embedded tables count as hits"
     );
 
-    // The extension pair starts from the cached base grammar but must
-    // still build tables for the extended grammar it creates mid-run.
-    let ext = counters(compile_extension_pair);
+    // The program starts from the cached base grammar but must still
+    // build tables for the extended grammar it creates mid-run.
+    let ext = counters(compile_declared_syntax);
     assert!(ext(Counter::TableCacheHits) > 0, "the base grammar is already cached");
     assert!(ext(Counter::TableCacheMisses) > 0, "the extended grammar is new");
     assert!(ext(Counter::TablesBuilt) > 0, "the extended grammar must be built");
@@ -141,14 +173,14 @@ fn corrupted_disk_cache_is_ignored_and_rebuilt() {
     maya::grammar::clear_table_cache();
 
     // First run populates the directory.
-    let cold = counters(compile_extension_pair);
+    let cold = counters(compile_declared_syntax);
     assert!(cold(Counter::TablesBuilt) > 0);
     let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
     assert!(!files.is_empty(), "the disk cache must be written");
 
     // Clear the in-process memo: the next run must come from disk.
     maya::grammar::clear_table_cache();
-    let disk = counters(compile_extension_pair);
+    let disk = counters(compile_declared_syntax);
     assert_eq!(disk(Counter::TablesBuilt), 0, "a clean disk cache serves every table");
 
     // Corrupt every cache file; the run must silently rebuild, not fail.
@@ -156,12 +188,12 @@ fn corrupted_disk_cache_is_ignored_and_rebuilt() {
         std::fs::write(f, b"not a table cache").unwrap();
     }
     maya::grammar::clear_table_cache();
-    let corrupt = counters(compile_extension_pair);
+    let corrupt = counters(compile_declared_syntax);
     assert!(corrupt(Counter::TablesBuilt) > 0, "corrupt entries must be rebuilt");
 
     // And the rebuild repaired the disk cache in passing.
     maya::grammar::clear_table_cache();
-    let repaired = counters(compile_extension_pair);
+    let repaired = counters(compile_declared_syntax);
     assert_eq!(repaired(Counter::TablesBuilt), 0, "the rewrite must be readable again");
 
     maya::core::store::install_thread(None);

@@ -1,6 +1,7 @@
 //! The persistent compilation cache (`--cache-dir`): every artifact kind
-//! round-trips through real `mayac` processes, the base grammar's tables
-//! (compiled in) are never stored, an unedited program replays its
+//! round-trips through real `mayac` processes, the tables compiled in (the
+//! base grammar's and each shipped extension's) are never stored, an
+//! unedited program replays its
 //! outcome without lexing, an edited program (a same-length comment edit
 //! included) misses only its outcome, corrupt, future-versioned and
 //! other-build entries are
@@ -39,9 +40,35 @@ const LOOPY: &str = r#"class Main {
 }
 "#;
 
-/// LOOPY's sum under an imported extension: a run also persists the
-/// extended grammar's tables (the base grammar's are compiled in).
-const EXTENDED: &str = r#"class Main {
+/// LOOPY's sum under an extension the program declares: a run also
+/// persists the extended grammar's tables (those of the base grammar and
+/// of each shipped extension are compiled in).
+const EXTENDED: &str = r#"abstract Statement syntax(repeat(Expression) lazy(BraceTree, BlockStmts));
+
+Statement syntax
+Repeat(repeat(Expression n) lazy(BraceTree, BlockStmts) body)
+{
+    return new Statement {
+        for (int counter = 0; counter < $n; counter++) {
+            $body
+        }
+    };
+}
+
+class Main {
+    static int triple(int n) { return n * 3; }
+    static void main() {
+        int sum = 0;
+        for (int i = 0; i < 5; i = i + 1) { sum = sum + triple(i); }
+        use Repeat;
+        repeat (1) { System.out.println(sum); }
+    }
+}
+"#;
+
+/// LOOPY's sum checked by a shipped extension, whose grammar's tables are
+/// compiled in.
+const SHIPPED: &str = r#"class Main {
     static int triple(int n) { return n * 3; }
     static void main() {
         int sum = 0;
@@ -232,6 +259,23 @@ fn a_program_of_the_base_grammar_stores_no_tables() {
     assert!(
         entries_with_ext(&cache, Kind::Tables.ext()).is_empty(),
         "the base grammar's tables are compiled in, never stored"
+    );
+    assert!(!entries_with_ext(&cache, Kind::Outcome.ext()).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_program_of_shipped_syntax_stores_no_tables() {
+    let dir = scratch("shipped");
+    let cache = dir.join("cache");
+    let file = dir.join("shipped.maya");
+    std::fs::write(&file, SHIPPED).unwrap();
+    let cold = run_mayac(&file, &cache);
+    assert!(cold.0, "{}", String::from_utf8_lossy(&cold.2));
+    assert_eq!(cold.1, b"30\n");
+    assert!(
+        entries_with_ext(&cache, Kind::Tables.ext()).is_empty(),
+        "a shipped extension's tables are compiled in, never stored"
     );
     assert!(!entries_with_ext(&cache, Kind::Outcome.ext()).is_empty());
     let _ = std::fs::remove_dir_all(&dir);

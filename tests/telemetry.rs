@@ -83,14 +83,23 @@ fn full_pipeline_counters_are_populated() {
     let out = c
         .compile_and_run(
             "Main.maya",
+            // `Once` is declared here, so no binary ships its grammar's
+            // tables and the compile must build some.
             r#"
             import java.util.*;
+            abstract Statement syntax(once lazy(BraceTree, BlockStmts));
+            Statement syntax
+            Once(once lazy(BraceTree, BlockStmts) body)
+            {
+                return new Statement { { $body } };
+            }
             class Main {
                 static void main() {
                     Vector v = new Vector();
                     v.addElement("x");
                     use Foreach;
-                    v.elements().foreach(String st) { System.out.println(st); }
+                    use Once;
+                    once { v.elements().foreach(String st) { System.out.println(st); } }
                 }
             }
             "#,
